@@ -279,6 +279,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _bind_negative_values(argv: Sequence[str]) -> List[str]:
+    """Write "--level -3/2" as "--level=-3/2" (and likewise for --lambda):
+    argparse reads a word that starts with '-' as an option unless it is a
+    plain negative number, so values such as -3/2 or -1,-2 need the '=' form.
+    """
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--level", "--lambda") \
+                and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 _DISPATCH = {
     "corr": _cmd_corr,
     "qdim": _cmd_qdim,
@@ -292,7 +307,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_negative_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -427,8 +427,20 @@ def _weyl_signed_product(wtype: str, l: int, rho, lam, block, N) -> Series:
     out = Series.zero(N)
     for elem, sgn in combinat.weyl_group(wtype, l):
         ks = combinat.k_vector(lam, elem, rho)
-        out = out + block(ks).scale(sgn)
+        out = out + block(ks, N).scale(sgn)
     return out
+
+
+def _charged_qdim_product(ks, N) -> Series:
+    """prod_i charged_qdim_base(k_i): the Weyl-sum block of qdim_closed."""
+    out = Series.one(N)
+    for k in ks:
+        out = out * charged_qdim_base(k, N)
+    return out
+
+
+def _norm_monomial(ks, N) -> Series:
+    return Series.monomial(1, HalfInt(twice=_norm2_doubled(ks)), N)
 
 
 def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
@@ -446,14 +458,7 @@ def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
         l = int(-lev)
         lam = _normalize_label(label, l, allow_negative=True)
         rho = combinat.rho_vector("A", l)
-
-        def block(ks):
-            out = Series.one(N)
-            for k in ks:
-                out = out * charged_qdim_base(k, N)
-            return out
-
-        return _weyl_signed_product("A", l, rho, lam, block, N)
+        return _weyl_signed_product("A", l, rho, lam, _charged_qdim_product, N)
 
     if algebra == "c":
         if lev.denominator == 2 and lev > 0:
@@ -462,28 +467,16 @@ def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
             l = int(-lev)
             lam = _normalize_label(label, l, allow_negative=False)
             rho = combinat.rho_vector("A", l)
-
-            def block(ks):
-                out = Series.one(N)
-                for k in ks:
-                    out = out * charged_qdim_base(k, N)
-                return out
-
-            return _weyl_signed_product("D", l, rho, lam, block, N)
+            return _weyl_signed_product("D", l, rho, lam,
+                                        _charged_qdim_product, N)
         if lev.denominator == 2 and lev < 0:
             l = int(-lev - F(1, 2))
             if l < 1:
                 raise IllegalPower("type-c negative half levels start at -3/2")
             lam = _normalize_label(label, l, allow_negative=False)
             rho = combinat.rho_vector("B", l)
-
-            def block(ks):
-                out = Series.one(N)
-                for k in ks:
-                    out = out * charged_qdim_base(k, N)
-                return out
-
-            wsum = _weyl_signed_product("BC", l, rho, lam, block, N)
+            wsum = _weyl_signed_product("BC", l, rho, lam,
+                                        _charged_qdim_product, N)
             return pochhammer_inf(_QH, N).invert() * wsum
         raise IllegalPower("unsupported type-c level %s" % lev)
 
@@ -505,13 +498,8 @@ def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
         # series; the sign flips themselves generate the slice differences
         # that define the rank-one type-d function (at l=1 the sum equals
         # d_qdim_base(k) exactly).
-        def block(ks):
-            out = Series.one(N)
-            for k in ks:
-                out = out * charged_qdim_base(k, N)
-            return out
-
-        wsum = _weyl_signed_product(wtype, l, rho, lam, block, N)
+        wsum = _weyl_signed_product(wtype, l, rho, lam,
+                                    _charged_qdim_product, N)
         if lev.denominator == 2:
             neg_qh = Param(F(1), F(1, 2), sign=-1)
             wsum = pochhammer_inf(neg_qh, N) * wsum
@@ -526,11 +514,7 @@ def _c_positive_half_qdim(l: int, label, N, form: str) -> Series:
         * pochhammer_inf(_q(), N).invert() ** l
     if form == "weyl":
         rho = combinat.rho_vector("B", l)
-
-        def block(ks):
-            return Series.monomial(1, HalfInt(twice=_norm2_doubled(ks)), N)
-
-        return pre * _weyl_signed_product("BC", l, rho, lam, block, N)
+        return pre * _weyl_signed_product("BC", l, rho, lam, _norm_monomial, N)
     if form == "product":
         out = Series.monomial(1, HalfInt(twice=_norm2_doubled(lam)), N)
         for i in range(l):

@@ -1,4 +1,4 @@
-"""Brute-force graded-trace oracles over Fock spaces.
+"""Graded-trace oracles over Fock spaces.
 
 Four factor kinds, each with its basis family and diagonal eigenvalue rule:
 
@@ -11,17 +11,40 @@ A state's energy is sum over parts p of (p - 1/2); the diagonal operator at a
 point t has eigenvalue sum(t^(p-1/2)) - sum(t^(-p+1/2)) plus a central term
 +-beta(t).  Operators 'C' and 'D' act as A(t) - A(t^(-1)) on charged factors.
 
-These oracles enumerate states; they require evaluation points with d = 0
-(plain rational scalars).  Shifted points (d > 0) are handled by the
-resummed evaluator in modesum.py.
+Subset factorization.  Write S+_lam(t) = sum_p t^(p-1/2) and
+S-_lam(t) = sum_p t^(-p+1/2).  On a charged pair the eigenvalue at t_j splits
+as v_j(lam) + w_j(mu), so
+
+  prod_j (v_j(lam) + w_j(mu)) = sum_S prod_(j in S) v_j(lam)
+                                      prod_(j not in S) w_j(mu)
+
+over the subsets S of the points.  Every weight used here (charge sector,
+x^len(lam) y^len(mu), z^charge) depends on lam and mu only through their
+energies and lengths, so the pair sum is a convolution of two side tables
+keyed by (energy, length) that hold, for every subset S, the sum of
+prod_(j in S) v_j over one partition factor.  The pair loop then runs over
+table keys instead of partition pairs, and every operator subset of a factor
+comes out of the same pair of tables.
+
+For A(t), v_j = S+_lam(t_j) and w_j = -S-_mu(t_j) +- beta(t_j).  For C and D,
+S+(t^(-1)) = S-(t) and beta(t^(-1)) = -beta(t) give
+v_j = S+_lam - S-_lam and w_j = S+_mu - S-_mu +- 2 beta(t_j), so no inverse
+points are needed.  A neutral factor has one side with
+v_j = S+_lam - S-_lam +- beta(t_j).
+
+These oracles require evaluation points with d = 0 (plain rational
+scalars).  Shifted points (d > 0) are handled by the resummed evaluator in
+modesum.py.  ``duality_trace_direct`` enumerates tensor-product states one by
+one and is kept as the independent cross-check of the factorized traces.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .qseries import (
     CapExceeded,
@@ -30,8 +53,10 @@ from .qseries import (
     Param,
     QSeriesError,
     Series,
+    _zmul,
     beta_scalar,
     c_term,
+    power,
     to2,
 )
 
@@ -85,31 +110,110 @@ def _require_scalar_points(points: Sequence[Param]):
                 "use modesum for q-shifted points")
 
 
-def _mode_sums(points: Sequence[Param], budget2: int, strict: bool
-               ) -> Tuple[Tuple[Tuple[int, int, Tuple[F, ...], Tuple[F, ...]], ...], ...]:
-    """Per partition: (w2, length, S_plus per point, S_minus per point) with
-    S_plus = sum t^(p-1/2), S_minus = sum t^(-p+1/2)."""
-    roots = [p.scalar_pow(F(1, 2)) for p in points]
-    parts_list = mod_partitions(budget2, strict)
-    powcache: List[Dict[int, F]] = [dict() for _ in points]
+# -- the factorized trace engine --------------------------------------------
 
-    def tpow(j: int, k2: int) -> F:
-        # roots[j] ** k2 == t_j^(k2/2)
-        c = powcache[j].get(k2)
-        if c is None:
-            c = roots[j] ** k2
-            powcache[j][k2] = c
-        return c
 
+def _side_table(points: Sequence[Param], alpha: int, gamma: int, consts,
+                budget2: int, strict: bool):
+    """One partition factor as ({(w2, length): row}, dens).
+
+    row[S] is dens_S times the sum over the factor's partitions lam of
+    prod_(j in S) v_j(lam), for every subset S of the points given as a bit
+    mask, where v_j = alpha * S+_lam(t_j) + gamma * S-_lam(t_j) + consts[j]
+    and dens_S is the product of dens[j] over S.  dens[j] is a common
+    denominator of every v_j that either side of a pair can hold, so the
+    rows are integers; row[0] counts the partitions with that key."""
+    top = (budget2 + 1) // 2
+    k = max(2 * top - 1, 0)
+    per_part, ints, dens = [], [], []
+    for pt, c in zip(points, consts):
+        r = pt.scalar_pow(F(1, 2))
+        d = math.lcm(r.numerator ** k, r.denominator ** k,
+                     beta_scalar(pt).denominator)
+        vals = [alpha * r ** (2 * p - 1) + gamma * r ** (1 - 2 * p)
+                for p in range(1, top + 1)]
+        per_part.append([0] + [int(v * d) for v in vals])
+        ints.append(int(c * d))
+        dens.append(d)
+    table: Dict[Tuple[int, int], List[int]] = {}
+    for w2, parts in mod_partitions(budget2, strict):
+        row = [1]
+        for u, c in zip(per_part, ints):
+            v = c + sum(u[p] for p in parts)
+            row += [x * v for x in row]
+        key = (w2, len(parts))
+        acc = table.get(key)
+        if acc is None:
+            table[key] = row
+        else:
+            for i, x in enumerate(row):
+                acc[i] += x
+    return table, dens
+
+
+def _charged_sides(points: Sequence[Param], op_tag: str, csign: int,
+                   budget2: int, strict: bool):
+    """The lam-side and mu-side tables of a charged pair, and their common
+    dens, for the operator A or for C and D (A(t) - A(t^(-1)))."""
+    betas = [csign * beta_scalar(p) for p in points]
+    zeros = [0] * len(points)
+    if op_tag in ("C", "D"):
+        lam, dens = _side_table(points, 1, -1, zeros, budget2, strict)
+        mu, _ = _side_table(points, 1, -1, [2 * b for b in betas], budget2, strict)
+    else:
+        lam, dens = _side_table(points, 1, 0, zeros, budget2, strict)
+        mu, _ = _side_table(points, 0, -1, betas, budget2, strict)
+    return lam, mu, dens
+
+
+def _series(N2: int, acc: dict, dens: Sequence[int], T: int) -> Series:
+    """The accumulated coefficients of subset T, divided by dens_T."""
+    d = math.prod(x for j, x in enumerate(dens) if T >> j & 1)
+    return Series(N2, {k: F(c) / d for k, c in acc.items()})
+
+
+def _pair_traces(lam: dict, mu: dict, dens: Sequence[int], weight, N2: int,
+                 masks) -> List[Series]:
+    """Pair traces from two side tables, one per subset mask T in `masks`:
+    sum over (lam, mu) with energy <= N2 of weight * prod_(j in T) eigenvalue.
+
+    weight(len_lam, len_mu) gives (coefficient, extra doubled q-exponent,
+    z-key), or None when the pair does not contribute."""
+    splits = [[(S, T ^ S) for S in range(T + 1) if S & T == S] for T in masks]
+    weights = {(ll, lm): weight(ll, lm)
+               for ll in {k[1] for k in lam} for lm in {k[1] for k in mu}}
+    accs: List[dict] = [{} for _ in masks]
+    for (wl2, ll), a in lam.items():
+        for (wm2, lm), b in mu.items():
+            w2 = wl2 + wm2
+            wt = weights[ll, lm]
+            if w2 > N2 or wt is None:
+                continue
+            c0, dq2, zk = wt
+            q2 = w2 + dq2
+            if q2 > N2:
+                continue
+            key = (q2, zk)
+            for acc, split in zip(accs, splits):
+                c = sum(a[S] * b[R] for S, R in split)
+                if c:
+                    acc[key] = acc.get(key, 0) + c0 * c
+    return [_series(N2, acc, dens, T) for acc, T in zip(accs, masks)]
+
+
+def _neutral_traces(kind: str, points: Sequence[Param], N2: int,
+                    masks) -> List[Series]:
+    """Traces over a neutral factor, one per subset mask T in `masks`."""
+    betas = [CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
+    table, dens = _side_table(points, 1, -1, betas, N2,
+                              kind == "fermion_neutral")
     out = []
-    for w2, parts in parts_list:
-        sp = []
-        sm = []
-        for j in range(len(points)):
-            sp.append(sum(tpow(j, 2 * p - 1) for p in parts))
-            sm.append(sum(tpow(j, 1 - 2 * p) for p in parts))
-        out.append((w2, len(parts), tuple(sp), tuple(sm)))
-    return tuple(out)
+    for T in masks:
+        acc: Dict[Tuple[int, tuple], int] = {}
+        for (w2, _), row in table.items():
+            acc[(w2, ())] = acc.get((w2, ()), 0) + row[T]
+        out.append(_series(N2, acc, dens, T))
+    return out
 
 
 # -- public eigenvalue (Series-valued, spec-level) --------------------------
@@ -127,30 +231,22 @@ def eigenvalue(kind: str, state, op_tag: str, point: Param, N) -> Series:
         if op_tag == "A":
             return _eig_charged_A(kind, lam, mu, point, N)
         return _eig_charged_A(kind, lam, mu, point, N) - \
-            _eig_charged_A(kind, lam, mu, _point_inverse(point), N)
+            _eig_charged_A(kind, lam, mu, point.inverse(), N)
     lam = state[0] if (state and isinstance(state[0], tuple)) else state
     acc = c_term(point, N).scale(CENTRAL_SIGN[kind])
     for p in lam:
-        acc = acc + _pmono(point, 2 * p - 1, N) - _pmono(point, 1 - 2 * p, N)
+        acc = acc + power(point, F(2 * p - 1, 2), N) \
+            - power(point, F(1 - 2 * p, 2), N)
     return acc
 
 
 def _eig_charged_A(kind: str, lam, mu, point: Param, N) -> Series:
     acc = c_term(point, N).scale(CENTRAL_SIGN[kind])
     for p in lam:
-        acc = acc + _pmono(point, 2 * p - 1, N)
+        acc = acc + power(point, F(2 * p - 1, 2), N)
     for p in mu:
-        acc = acc - _pmono(point, 1 - 2 * p, N)
+        acc = acc - power(point, F(1 - 2 * p, 2), N)
     return acc
-
-
-def _pmono(point: Param, k2: int, N) -> Series:
-    c, q2, zk = point.pow_monomial(HalfInt(twice=k2))
-    return Series(to2(N), {(q2, zk): c})
-
-
-def _point_inverse(point: Param) -> Param:
-    return point.inverse()
 
 
 # -- single-factor oracles --------------------------------------------------
@@ -161,40 +257,9 @@ def a_sector_trace(m: int, points: Sequence[Param], N) -> Series:
     len(mu)-len(lam) = m of q^E prod_j (A-eigenvalue at t_j)."""
     _require_scalar_points(points)
     N2 = to2(N)
-    data = _mode_sums(points, N2, strict=False)
-    betas = [beta_scalar(p) for p in points]
-    n = len(points)
-    acc: Dict[int, F] = {}
-    for wl2, ll, spl, _ in data:
-        for wm2, lm, _, smm in data:
-            if lm - ll != m or wl2 + wm2 > N2:
-                continue
-            coeff = F(1)
-            for j in range(n):
-                coeff *= spl[j] - smm[j] + betas[j]
-                if not coeff:
-                    break
-            if coeff:
-                k = wl2 + wm2
-                acc[k] = acc.get(k, F(0)) + coeff
-    return Series(N2, {(k, ()): c for k, c in acc.items()})
-
-
-def a_sector_dims(m: int, N) -> Series:
-    """Graded dimension of the charge-m sector (n = 0 trace), via count
-    tables convolved by length."""
-    N2 = to2(N)
-    counts: Dict[Tuple[int, int], int] = {}
-    for w2, parts in mod_partitions(N2):
-        key = (w2, len(parts))
-        counts[key] = counts.get(key, 0) + 1
-    acc: Dict[int, int] = {}
-    for (w2a, la), ca in counts.items():
-        for (w2b, lb), cb in counts.items():
-            if lb - la == m and w2a + w2b <= N2:
-                k = w2a + w2b
-                acc[k] = acc.get(k, 0) + ca * cb
-    return Series(N2, {(k, ()): F(c) for k, c in acc.items()})
+    sides = _charged_sides(points, "A", CENTRAL_SIGN["boson_pair"], N2, False)
+    return _pair_traces(*sides, lambda ll, lm: (1, 0, ()) if lm - ll == m else None,
+                        N2, [(1 << len(points)) - 1])[0]
 
 
 def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Series:
@@ -202,50 +267,14 @@ def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Serie
     prod A-eigenvalues.  x, y may carry charge-variable exponents."""
     _require_scalar_points(points)
     N2 = to2(N)
-    data = _mode_sums(points, N2, strict=False)
-    betas = [beta_scalar(p) for p in points]
-    n = len(points)
-    xpows = {}
-    ypows = {}
-    acc: Dict[Tuple[int, tuple], F] = {}
-    for wl2, ll, spl, _ in data:
-        xc = xpows.get(ll)
-        if xc is None:
-            xc = xpows[ll] = x.pow_monomial(ll)
-        if not xc[0]:
-            continue
-        for wm2, lm, _, smm in data:
-            yc = ypows.get(lm)
-            if yc is None:
-                yc = ypows[lm] = y.pow_monomial(lm)
-            q2 = wl2 + wm2 + xc[1] + yc[1]
-            if q2 > N2 or not yc[0]:
-                continue
-            coeff = xc[0] * yc[0]
-            for j in range(n):
-                coeff *= spl[j] - smm[j] + betas[j]
-                if not coeff:
-                    break
-            if coeff:
-                zk = _zmerge(xc[2], yc[2])
-                k = (q2, zk)
-                acc[k] = acc.get(k, F(0)) + coeff
-    return Series(N2, acc)
 
+    def weight(ll, lm):
+        cx, qx2, zx = x.pow_monomial(ll)
+        cy, qy2, zy = y.pow_monomial(lm)
+        return (cx * cy, qx2 + qy2, _zmul(zx, zy)) if cx and cy else None
 
-def _zmerge(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for v, e2 in b:
-        n = d.get(v, 0) + e2
-        if n:
-            d[v] = n
-        else:
-            del d[v]
-    return tuple(sorted(d.items()))
+    sides = _charged_sides(points, "A", CENTRAL_SIGN["boson_pair"], N2, False)
+    return _pair_traces(*sides, weight, N2, [(1 << len(points)) - 1])[0]
 
 
 def neutral_trace(kind: str, op_tag: str, points: Sequence[Param], N) -> Series:
@@ -256,22 +285,7 @@ def neutral_trace(kind: str, op_tag: str, points: Sequence[Param], N) -> Series:
     if op_tag not in LEGAL_OPS[kind]:
         raise QSeriesError("operator %s not defined on %s" % (op_tag, kind))
     _require_scalar_points(points)
-    N2 = to2(N)
-    strict = kind == "fermion_neutral"
-    csign = CENTRAL_SIGN[kind]
-    data = _mode_sums(points, N2, strict)
-    betas = [csign * beta_scalar(p) for p in points]
-    n = len(points)
-    acc: Dict[int, F] = {}
-    for w2, _, sp, sm in data:
-        coeff = F(1)
-        for j in range(n):
-            coeff *= sp[j] - sm[j] + betas[j]
-            if not coeff:
-                break
-        if coeff:
-            acc[w2] = acc.get(w2, F(0)) + coeff
-    return Series(N2, {(k, ()): c for k, c in acc.items()})
+    return _neutral_traces(kind, points, to2(N), [(1 << len(points)) - 1])[0]
 
 
 def f1_charged_trace(z: Param, points: Sequence[Param], N) -> Series:
@@ -279,32 +293,13 @@ def f1_charged_trace(z: Param, points: Sequence[Param], N) -> Series:
     charge = len(lam) - len(mu), central term -beta per point."""
     _require_scalar_points(points)
     N2 = to2(N)
-    data = _mode_sums(points, N2, strict=True)
-    betas = [-beta_scalar(p) for p in points]
-    n = len(points)
-    zpows = {}
-    acc: Dict[Tuple[int, tuple], F] = {}
-    for wl2, ll, spl, _ in data:
-        for wm2, lm, _, smm in data:
-            if wl2 + wm2 > N2:
-                continue
-            coeff = F(1)
-            for j in range(n):
-                coeff *= spl[j] - smm[j] + betas[j]
-                if not coeff:
-                    break
-            if not coeff:
-                continue
-            ch = ll - lm
-            zc = zpows.get(ch)
-            if zc is None:
-                zc = zpows[ch] = z.pow_monomial(ch)
-            q2 = wl2 + wm2 + zc[1]
-            if q2 > N2 or not zc[0]:
-                continue
-            k = (q2, zc[2])
-            acc[k] = acc.get(k, F(0)) + coeff * zc[0]
-    return Series(N2, acc)
+
+    def weight(ll, lm):
+        c, q2, zk = z.pow_monomial(ll - lm)
+        return (c, q2, zk) if c else None
+
+    sides = _charged_sides(points, "A", CENTRAL_SIGN["fermion_pair"], N2, True)
+    return _pair_traces(*sides, weight, N2, [(1 << len(points)) - 1])[0]
 
 
 # -- multi-factor duality traces -------------------------------------------
@@ -329,52 +324,22 @@ def factor_states(kind: str, N2: int):
     return out
 
 
-def _subset_trace(kind: str, op_tag: str, zvar: Optional[int],
-                  points: Sequence[Param], subset: Tuple[int, ...], N2: int) -> Series:
-    """Single-factor trace with charge tracked in z_zvar and only the
-    operators indexed by `subset` applied."""
-    strict = kind in ("fermion_pair", "fermion_neutral")
-    csign = CENTRAL_SIGN[kind]
-    pts = [points[j] for j in subset]
-    data = _mode_sums(pts, N2, strict)
-    if kind in CHARGED and op_tag in ("C", "D"):
-        inv = [p.inverse() for p in pts]
-        datainv = _mode_sums(inv, N2, strict)
-    betas = [beta_scalar(p) for p in pts]
-    acc: Dict[Tuple[int, tuple], F] = {}
-    if kind in CHARGED:
-        chsign = -1 if kind == "boson_pair" else +1
-        for il, (wl2, ll, spl, sml) in enumerate(data):
-            for im, (wm2, lm, spm, smm) in enumerate(data):
-                if wl2 + wm2 > N2:
-                    continue
-                coeff = F(1)
-                for j in range(len(pts)):
-                    ev = spl[j] - smm[j] + csign * betas[j]
-                    if op_tag in ("C", "D"):
-                        wli, _, spli, smli = datainv[il]
-                        wmi, _, spmi, smmi = datainv[im]
-                        evinv = spli[j] - smmi[j] + \
-                            csign * beta_scalar(pts[j].inverse())
-                        ev = ev - evinv
-                    coeff *= ev
-                    if not coeff:
-                        break
-                if not coeff:
-                    continue
-                ch = chsign * (ll - lm)
-                key = (wl2 + wm2, ((zvar, 2 * ch),) if (zvar and ch) else ())
-                acc[key] = acc.get(key, F(0)) + coeff
-    else:
-        for w2, _, sp, sm in data:
-            coeff = F(1)
-            for j in range(len(pts)):
-                coeff *= sp[j] - sm[j] + csign * betas[j]
-                if not coeff:
-                    break
-            if coeff:
-                acc[(w2, ())] = acc.get((w2, ()), F(0)) + coeff
-    return Series(N2, acc)
+def _factor_subset_traces(kind: str, op_tag: str, zvar: int,
+                          points: Sequence[Param], N2: int) -> List[Series]:
+    """One factor's traces with charge tracked in z_zvar, for every subset of
+    the operators (indexed by bit mask)."""
+    masks = range(1 << len(points))
+    if kind not in CHARGED:
+        return _neutral_traces(kind, points, N2, masks)
+    chsign = -1 if kind == "boson_pair" else +1
+
+    def weight(ll, lm):
+        ch = chsign * (ll - lm)
+        return (1, 0, ((zvar, 2 * ch),) if ch else ())
+
+    sides = _charged_sides(points, op_tag, CENTRAL_SIGN[kind], N2,
+                           kind == "fermion_pair")
+    return _pair_traces(*sides, weight, N2, masks)
 
 
 def duality_trace(factors: Sequence[str], op_tag: str,
@@ -391,20 +356,13 @@ def duality_trace(factors: Sequence[str], op_tag: str,
     _require_scalar_points(points)
     N2 = to2(N)
     n = len(points)
-    tables = []
-    for i, kind in enumerate(factors):
-        zvar = (i + 1) if kind in CHARGED else None
-        tbl = {}
-        for size in range(n + 1):
-            for subset in itertools.combinations(range(n), size):
-                tbl[subset] = _subset_trace(kind, op_tag, zvar, points, subset, N2)
-        tables.append(tbl)
+    tables = [_factor_subset_traces(kind, op_tag, i + 1, points, N2)
+              for i, kind in enumerate(factors)]
     total = Series.zero(HalfInt(twice=N2))
     for phi in itertools.product(range(len(factors)), repeat=n):
         prod = None
         for i in range(len(factors)):
-            subset = tuple(j for j in range(n) if phi[j] == i)
-            t = tables[i][subset]
+            t = tables[i][sum(1 << j for j in range(n) if phi[j] == i)]
             prod = t if prod is None else prod * t
         total = total + prod
     return total.truncate(HalfInt(twice=N2))

@@ -42,7 +42,7 @@ from typing import List, Sequence, Tuple
 
 from .combinat import set_partitions
 from .qseries import (HalfInt, NonTruncatable, Param, Series,
-                      c_term, pochhammer_inf, power, to2, _param_series)
+                      c_term, pochhammer_inf, power, to2, _zmul)
 
 _QH = Param(Fraction(1), Fraction(1, 2), label="q^(1/2)")
 
@@ -86,7 +86,7 @@ def _geo(w: Param, N) -> Series:
         if w.value_coeff == 1:
             raise NonTruncatable("mode sum has a pole at ratio 1")
         return Series.const(w.scalar_pow(Fraction(1, 2)) / (1 - w.value_coeff), N)
-    return power(w, Fraction(1, 2), N) * (Series.one(N) - _param_series(w, N)).invert()
+    return power(w, Fraction(1, 2), N) * (Series.one(N) - power(w, 1, N)).invert()
 
 
 def _group_sum_charged(group_blocks, splits, points, x: Param, y: Param, N) -> Series:
@@ -139,18 +139,10 @@ def _group_sum_charged(group_blocks, splits, points, x: Param, y: Param, N) -> S
                 continue
             term = _geo(w, N).shift(HalfInt(twice=qx2 + qy2))
             term = Series(term.trunc2,
-                          {(q2, _zjoin(zk, zx, zy)): c * coeff
+                          {(q2, _zmul(_zmul(zk, zx), zy)): c * coeff
                            for (q2, zk), c in term.terms.items()})
             out = out + term
     return out
-
-
-def _zjoin(*keys):
-    acc = {}
-    for zk in keys:
-        for var, e2 in zk:
-            acc[var] = acc.get(var, 0) + e2
-    return tuple(sorted((v, e) for v, e in acc.items() if e))
 
 
 def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Series:

@@ -395,7 +395,7 @@ class Series:
     def truncate(self, N: HalfLike) -> "Series":
         t2 = to2(N)
         if t2 >= self.trunc2:
-            return Series(t2 if t2 < self.trunc2 else self.trunc2, dict(self.terms), clean=False)
+            return Series(self.trunc2, dict(self.terms), clean=False)
         return Series(t2, {k: c for k, c in self.terms.items() if k[0] <= t2}, clean=False)
 
     # -- comparison ---------------------------------------------------------
@@ -569,7 +569,7 @@ def c_term(t: Param, N: HalfLike) -> Series:
     if t.d2 == 0 and t.e2 == 0 and t.value_coeff == 1:
         raise DegenerateParameter("beta has a pole at t = 1")
     num = power(t, Fraction(1, 2), N)
-    den = Series.one(N) - _param_series(t, N)
+    den = Series.one(N) - power(t, 1, N)
     return num * den.invert()
 
 
@@ -583,13 +583,6 @@ def beta_scalar(t: Param) -> Fraction:
     if v == 1:
         raise DegenerateParameter("beta has a pole at t = 1")
     return t.s / (1 - v)
-
-
-def _param_series(p: Param, N: HalfLike) -> Series:
-    c, q2, zk = p.pow_monomial(1)
-    if not c:
-        return Series.zero(N)
-    return Series(to2(N), {(q2, zk): c})
 
 
 def pochhammer_n(a: Param, n: int, N: HalfLike) -> Series:
@@ -664,7 +657,7 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
                 raise DegenerateParameter("lower Pochhammer vanishes at the leading layer")
             term = term * (Series.one(N) - Series(t2, {(q2, zk): c})).invert()
         term = term * (Series.one(N) - Series.monomial(1, n, N)).invert()
-        term = term * _param_series(arg, N)
+        term = term * power(arg, 1, N)
         if extra:
             # ((-1)^n q^(n(n-1)/2))^extra, incremental: exponent step n-1
             term = term.shift(HalfInt(twice=2 * extra * (n - 1)))

@@ -28,6 +28,7 @@ from .qseries import (
     half_str,
     pochhammer_inf,
     pochhammer_n,
+    power,
     theta_jet,
     to2,
 )
@@ -86,6 +87,15 @@ def run_check(spec: CheckSpec) -> CheckResult:
         return CheckResult(spec.name, "error", None, ms, spec.mode,
                            "%s: %s" % (type(exc).__name__, exc))
     ms = int(1000 * (time.monotonic() - t0))
+    need2 = to2(spec.N)
+    if lhs.trunc2 < need2 or rhs.trunc2 < need2:
+        # first_difference stops at the smaller truncation; a side that lost
+        # q-order would otherwise pass on too little data.
+        return CheckResult(spec.name, "fail", None, ms, spec.mode,
+                           "truncation shortfall: lhs O(q^%s), rhs O(q^%s), "
+                           "check needs O(q^%s)"
+                           % (half_str(lhs.trunc2), half_str(rhs.trunc2),
+                              half_str(need2)))
     if diff is None:
         return CheckResult(spec.name, "pass", None, ms, spec.mode)
     q2, zkey, ca, cb = diff
@@ -142,11 +152,6 @@ def _series_sum(terms, N) -> Series:
     for t in terms:
         out = out + t
     return out
-
-
-def _mono_of(p: Param, r, N) -> Series:
-    c, q2, zkey = p.pow_monomial(r)
-    return Series(to2(N), {(q2, zkey): c}) if q2 <= to2(N) else Series.zero(N)
 
 
 def ff_product_side(u: Param, N) -> Series:
@@ -229,7 +234,7 @@ def exp_left_sum(z: Param, N) -> Series:
     out = Series.zero(N)
     m = 0
     while m * (m - 1) + m * z.qval2() <= to2(N):
-        num = _mono_of(z, m, N).shift(HalfInt(twice=m * (m - 1)))
+        num = power(z, m, N).shift(HalfInt(twice=m * (m - 1)))
         out = out + (num * pochhammer_n(_qp(), m, N).invert()).scale((-1) ** m)
         m += 1
     return out
@@ -240,7 +245,7 @@ def exp_right_sum(a: Param, z: Param, N) -> Series:
     out = Series.zero(N)
     l = 0
     while l * z.qval2() <= to2(N):
-        num = _mono_of(z, l, N) * pochhammer_n(a, l, N)
+        num = power(z, l, N) * pochhammer_n(a, l, N)
         out = out + num * pochhammer_n(_qp(), l, N).invert()
         l += 1
     return out
@@ -353,8 +358,7 @@ _EXT_CACHE: Dict[tuple, Series] = {}
 
 
 def _ext_oracle(alg: str, fam: str, l: int, lam, points, N) -> Series:
-    key = (alg, fam, l, tuple(lam),
-           tuple((p.s, p.qval2(), p.zvar) for p in points), to2(N))
+    key = (alg, fam, l, tuple(lam), cf._points_key(points), to2(N))
     if key not in _EXT_CACHE:
         inst = cf.duality_instance(alg, fam, l)
         _EXT_CACHE[key] = cf.extract_dominant(inst, tuple(lam),

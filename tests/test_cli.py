@@ -67,6 +67,19 @@ class TestQdim:
         assert series_equal(
             got, cf.qdim_closed("c", "3/2", (1, 0), 6, "product"))
 
+    def test_negative_values_may_follow_a_space(self):
+        for argv in (["qdim", "--algebra", "d", "--lambda", "1,0", "--N", "4"],
+                     ["corr", "--algebra", "d", "--lambda", "1,0",
+                      "--points", "2/3", "--N", "2"]):
+            spaced = run(argv + ["--level", "-3/2"])
+            joined = run(argv + ["--level=-3/2"])
+            assert spaced[0] == 0 and spaced[1]
+            assert spaced == joined
+        argv = ["qdim", "--algebra", "a", "--level", "-2", "--N", "4"]
+        spaced = run(argv + ["--lambda", "0,-1"])
+        assert spaced[0] == 0
+        assert spaced == run(argv + ["--lambda=0,-1"])
+
     def test_bad_label_is_usage_error(self):
         status, _ = run(["qdim", "--algebra", "c", "--level", "-2",
                          "--lambda", "x,y", "--N", "4"])

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfock.fock import (
     a_generalized_trace,
-    a_sector_dims,
     a_sector_trace,
     duality_trace,
     duality_trace_direct,
@@ -15,6 +15,7 @@ from qfock.fock import (
     neutral_trace,
 )
 from qfock.qseries import (
+    HalfInt,
     NonTruncatable,
     Param,
     Series,
@@ -44,7 +45,7 @@ def test_eigenvalue_examples():
 
 
 def test_sector_dims_first_coefficients():
-    s = a_sector_dims(0, 20)
+    s = a_sector_trace(0, [], 20)
     assert [s.qcoeff_scalar(k) for k in range(4)] == [1, 1, 3, 6]
 
 
@@ -53,12 +54,6 @@ def test_sector_trace_low_orders():
     s = a_sector_trace(0, [T], 6)
     assert s.qcoeff_scalar(0) == b
     assert s.qcoeff_scalar(1) == b - 1 / b
-
-
-def test_sector_vs_dims():
-    assert series_equal(a_sector_trace(0, [], 10), a_sector_dims(0, 10))
-    assert series_equal(a_sector_trace(2, [], 8), a_sector_dims(2, 8))
-    assert series_equal(a_sector_trace(-1, [], 8), a_sector_dims(-1, 8))
 
 
 def test_generalized_trace_n0():
@@ -169,3 +164,30 @@ def test_duality_convolution_vs_direct(factors, op):
 def test_shifted_points_rejected():
     with pytest.raises(NonTruncatable):
         a_sector_trace(0, [Param(F(2, 3), 1)], 4)
+
+
+KINDS = ("boson_pair", "fermion_pair", "boson_neutral", "fermion_neutral")
+point_st = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)) \
+    .filter(lambda s: abs(s) != 1).map(Param)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(point_st, max_size=3), st.integers(0, 6),
+       st.lists(st.sampled_from(KINDS), min_size=1, max_size=2),
+       st.sampled_from("ACD"))
+def test_traces_match_direct_enumeration(pts, n2, factors, op):
+    """Every factorized trace against the state-by-state tensor-product
+    enumeration, at random rational points."""
+    N = HalfInt(twice=n2)
+    z = Param(1, e=1)
+    pair = duality_trace_direct(("boson_pair",), "A", pts, N)
+    assert a_generalized_trace(Param(1, e=-1), z, pts, N) == pair
+    for m in range(-2, 3):
+        assert a_sector_trace(m, pts, N) == pair.coeff_z(1, m)
+    assert f1_charged_trace(z, pts, N) == \
+        duality_trace_direct(("fermion_pair",), "A", pts, N)
+    for kind, tag in (("boson_neutral", "C"), ("fermion_neutral", "D")):
+        assert neutral_trace(kind, tag, pts, N) == \
+            duality_trace_direct((kind,), tag, pts, N)
+    assert duality_trace(factors, op, pts, N) == \
+        duality_trace_direct(factors, op, pts, N)

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from qfock import verify
-from qfock.qseries import DegenerateParameter, Param, Series
+from qfock.qseries import DegenerateParameter, NonTruncatable, Param, Series
 
 
 def failing_spec():
@@ -69,11 +69,26 @@ class TestRunCheck:
         assert res.status == "error"
         assert "DegenerateParameter" in res.detail
 
+    def test_truncation_shortfall_fails(self):
+        spec = verify.CheckSpec(
+            "synthetic-short", {}, 10, "gate",
+            lambda: (Series.zero(4), Series.zero(10)))
+        res = verify.run_check(spec)
+        assert res.status == "fail"
+        assert res.first_discrepancy is None
+        assert res.detail.startswith("truncation shortfall")
+
     def test_zero_truncation_passes_on_equal_constants(self):
         spec = verify.CheckSpec(
             "synthetic-n0", {}, 0, "gate",
             lambda: (Series.const(F(2), 0), Series.const(F(2), 0)))
         assert verify.run_check(spec).status == "pass"
+
+
+def test_ext_oracle_cache_keeps_point_sign():
+    verify._ext_oracle("a", "-l", 1, (0,), [Param(F(2, 3))], 2)
+    with pytest.raises(NonTruncatable):
+        verify._ext_oracle("a", "-l", 1, (0,), [Param(F(2, 3), sign=-1)], 2)
 
 
 class TestRunSuite:
