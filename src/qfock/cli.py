@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", required=True)
     p.add_argument("--lambda", default="", dest="lambda",
                    help="comma-separated weight label")
-    p.add_argument("--points", nargs="*", default=[],
+    p.add_argument("--points", nargs="*", default=[], action="extend",
                    help="point s-values p/q, optional q-shift p/q:d")
     p.add_argument("--mode", default="oracle",
                    choices=["oracle", "assignment", "literal"])
@@ -280,17 +280,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _bind_negative_values(argv: Sequence[str]) -> List[str]:
-    """Write "--level -3/2" as "--level=-3/2" (and likewise for --lambda):
-    argparse reads a word that starts with '-' as an option unless it is a
-    plain negative number, so values such as -3/2 or -1,-2 need the '=' form.
+    """Write "--level -3/2" as "--level=-3/2" (and likewise for --lambda),
+    and every value after --points as its own "--points=v": argparse reads a
+    word that starts with '-' as an option unless it is a plain negative
+    number, so values such as -3/2 or -1,-2 need the '=' form, and the '='
+    form binds one value, which --points (action="extend") collects in order.
     """
     out: List[str] = []
+    in_points = False
     for arg in argv:
-        if out and out[-1] in ("--level", "--lambda") \
-                and arg[:1] == "-" and arg[1:2].isdigit():
+        negative = arg[:1] == "-" and arg[1:2].isdigit()
+        if in_points and (negative or arg[:1] != "-"):
+            out.append("--points=" + arg)
+            continue
+        if out and out[-1] in ("--level", "--lambda") and negative:
             out[-1] += "=" + arg
         else:
             out.append(arg)
+        in_points = arg == "--points" or arg.startswith("--points=")
     return out
 
 

@@ -18,7 +18,7 @@ This module implements the explicit formulas that the enumeration oracles in
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import combinat, fock, modesum
 from .qseries import (
@@ -29,7 +29,6 @@ from .qseries import (
     Param,
     QSeriesError,
     Series,
-    beta_scalar,
     c_term,
     pochhammer_inf,
     pochhammer_n,
@@ -403,12 +402,6 @@ def _norm2_doubled(ks) -> int:
     return sum(k * k for k in ks)
 
 
-def _parse_level(level) -> F:
-    if isinstance(level, str):
-        return F(level)
-    return F(level)
-
-
 def _normalize_label(lam, l: int, allow_negative: bool):
     lam = tuple(int(v) for v in lam)
     if len(lam) > l:
@@ -451,7 +444,7 @@ def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
     For algebra 'c' at positive half-integer level, ``form`` selects the
     Weyl-sum ("weyl") or hook-style product ("product") expression.
     """
-    lev = _parse_level(level)
+    lev = F(level)
     if algebra == "a":
         if lev >= 0 or lev.denominator != 1:
             raise IllegalPower("type-a levels here are -1, -2, ...")

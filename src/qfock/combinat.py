@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .qseries import CapExceeded, HalfInt, QSeriesError, Series, to2
+from .qseries import CapExceeded, QSeriesError, Series
 
 WEYL_CAP = 6
 
@@ -220,93 +220,3 @@ def char_numerator(kind: str, lam: Sequence[int], l: int) -> Series:
         acc = acc + term
     return acc
 
-
-# -- highest-weight labels (display-only metadata) --------------------------
-
-
-def _fmt(terms: List[Tuple[Fraction, str]]) -> str:
-    bits = []
-    for c, sym in terms:
-        if c == 0:
-            continue
-        cs = str(c)
-        bits.append("%s*%s" % (cs, sym) if sym else cs)
-    return " + ".join(bits) if bits else "0"
-
-
-def highest_weight_label(algebra: str, level: Fraction, lam: Sequence[int],
-                         det_twist: bool = False) -> str:
-    """The displayed highest weight Lambda(lambda) over fundamental weights.
-
-    Display-only metadata.  The c-type negative-integer-level label repeats
-    the 0 subscript where the surrounding pattern suggests a running index;
-    it is reproduced verbatim, with a warning suffix.
-    """
-    level = Fraction(level)
-    lam = list(lam)
-
-    if algebra == "a":
-        l = len(lam)
-        if level != -l:
-            raise QSeriesError("a-type labels exist at level -l only")
-        pos = [i for i, v in enumerate(lam) if v > 0]  # 0-based
-        terms = [(Fraction(lam[-1] - lam[0] - l), "L0^a")]
-        if pos:
-            i = pos[-1] + 1  # 1-based index of last positive entry
-            for k in range(1, i):
-                terms.append((Fraction(lam[k - 1] - lam[k]), "L%d^a" % l))
-            terms.append((Fraction(lam[i - 1]), "L%d^a" % i))
-        return _fmt(terms)
-
-    if algebra == "c":
-        j = len([v for v in lam if v > 0])
-        if level > 0:  # level l - 1/2
-            l = level + Fraction(1, 2)
-            terms = [(l - Fraction(1, 2) - j, "L0^c")]
-            terms += [(Fraction(1), "L%d^c" % lam[k]) for k in range(j)]
-            return _fmt(terms)
-        if level.denominator == 1:  # level -l
-            l = -level
-            la1 = lam[0] if lam else 0
-            if not det_twist:
-                terms = [(Fraction(-l - la1), "L0^c")]
-                ext = lam + [0]
-                for k in range(1, j + 1):
-                    terms.append((Fraction(ext[k - 1] - ext[k]), "L0^c"))
-            else:
-                terms = [(Fraction(-l - la1), "L0^c")]
-                for k in range(1, j):
-                    terms.append((Fraction(lam[k - 1] - lam[k]), "L0^c"))
-                terms.append((Fraction(lam[j - 1] - 1), "L%d^c" % j))
-                terms.append((Fraction(1), "L%d^c" % (2 * int(l) - j)))
-            return _fmt(terms) + "  [verbatim; the repeated 0 subscript likely means a running index]"
-        # level -l - 1/2: leading coefficient -l - lambda_1 - 1/2 = level - lambda_1
-        l = int(-level - Fraction(1, 2))
-        la1 = lam[0] if lam else 0
-        if not det_twist:
-            body = [(level - la1, "L0^c")]
-            ext = lam + [0]
-            for k in range(1, j + 1):
-                body.append((Fraction(ext[k - 1] - ext[k]), "L%d^c" % k))
-            return _fmt(body)
-        body = [(level - la1, "L0^c")]
-        for k in range(1, j):
-            body.append((Fraction(lam[k - 1] - lam[k]), "L%d^c" % k))
-        body.append((Fraction(lam[j - 1] - 1), "L%d^c" % j))
-        body.append((Fraction(1), "L%d^c" % (2 * l - j + 1)))
-        return _fmt(body)
-
-    if algebra == "d":
-        l = len(lam)
-        ext = lam + [0]
-        la1 = lam[0] if lam else 0
-        la2 = lam[1] if len(lam) > 1 else 0
-        if level.denominator == 1:  # level -l
-            terms = [(Fraction(-2 * l - la1 - la2), "L0^d")]
-        else:  # level -l + 1/2
-            terms = [(Fraction(-2 * l + 1 - la1 - la2), "L0^d")]
-        for k in range(1, l + 1):
-            terms.append((Fraction(ext[k - 1] - ext[k]), "L%d^d" % k))
-        return _fmt(terms)
-
-    raise QSeriesError("unknown algebra %r" % algebra)

@@ -13,7 +13,7 @@ r in (1/2)Z.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 
 class QSeriesError(Exception):

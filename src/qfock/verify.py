@@ -354,16 +354,19 @@ def _slug_lam(lam) -> str:
     return "_".join(str(x) for x in lam)
 
 
-_EXT_CACHE: Dict[tuple, Series] = {}
+_DUALITY_TRACES: Dict[tuple, Series] = {}
 
 
 def _ext_oracle(alg: str, fam: str, l: int, lam, points, N) -> Series:
-    key = (alg, fam, l, tuple(lam), cf._points_key(points), to2(N))
-    if key not in _EXT_CACHE:
-        inst = cf.duality_instance(alg, fam, l)
-        _EXT_CACHE[key] = cf.extract_dominant(inst, tuple(lam),
-                                              list(points), N)
-    return _EXT_CACHE[key]
+    """The labeled trace read out of ``fock.duality_trace``, memoized by the
+    trace's own inputs so that every label of one instance shares it."""
+    inst = cf.duality_instance(alg, fam, l)
+    key = (inst.factors, inst.op_tag, cf._points_key(points), to2(N))
+    if key not in _DUALITY_TRACES:
+        _DUALITY_TRACES[key] = fock.duality_trace(inst.factors, inst.op_tag,
+                                                  points, N)
+    return cf.extract_dominant(inst, tuple(lam), list(points), N,
+                               oracle=_DUALITY_TRACES[key])
 
 
 def _pts(n: int) -> List[Param]:

@@ -48,6 +48,19 @@ class TestCorr:
                          "--N", "4"])
         assert status == 2
 
+    @pytest.mark.parametrize("tail,svals", [
+        (["--points", "3/5", "-2/3"], ("3/5", "-2/3")),
+        (["--points", "-2/3", "3/5"], ("-2/3", "3/5")),
+        (["--points=-2/3", "3/5"], ("-2/3", "3/5"))])
+    def test_negative_points_in_any_position(self, tail, svals):
+        status, text = run(["corr", "--algebra", "a", "--level", "-1",
+                            "--lambda", "0", "--N", "3", "--format", "json"]
+                           + tail)
+        assert status == 0
+        want = cf.extract_dominant(cf.duality_instance("a", "-l", 1), (0,),
+                                   [Param(F(s)) for s in svals], 3)
+        assert series_equal(series_from_json(json.loads(text)), want)
+
 
 class TestQdim:
     def test_matches_library(self):

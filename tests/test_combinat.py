@@ -1,4 +1,4 @@
-"""Partitions, Weyl groups, character numerators, labels."""
+"""Partitions, Weyl groups, character numerators."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,6 @@ from qfock.combinat import (
     WeylElement,
     char_numerator,
     gen_partitions,
-    highest_weight_label,
     k_vector,
     partitions,
     partitions_of,
@@ -135,13 +134,3 @@ def test_dominant_coefficient_o_even():
                                for i in range(l) if lam[i] + l - 1 - i)))
         assert s.terms.get(key, 0) == expect
 
-
-def test_labels():
-    assert highest_weight_label("a", -1, [0]) == "-1*L0^a"
-    assert highest_weight_label("c", F(3, 2), []) == "3/2*L0^c"
-    assert highest_weight_label("d", -2, [0, 0]) == "-4*L0^d"
-    assert highest_weight_label("d", F(-3, 2), [1, 0]) == "-4*L0^d + 1*L1^d"
-    lbl = highest_weight_label("c", -2, [1, 0])
-    assert "verbatim" in lbl and lbl.startswith("-3*L0^c + 1*L0^c")
-    assert highest_weight_label("c", F(-5, 2), [2, 1]) == \
-        "-9/2*L0^c + 1*L1^c + 1*L2^c"

@@ -1,12 +1,12 @@
 """Per-mode resummation oracle: agreement with direct state enumeration at
 scalar points, and behaviour at q-shifted points."""
 
-import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qfock.qseries import Param, Series, NonTruncatable
+from qfock.qseries import HalfInt, Param, NonTruncatable
 from qfock import fock, modesum
 
 
@@ -101,3 +101,39 @@ class TestPointInverse:
         q = modesum.point_inverse(p)
         c, q2, zk = q.pow_monomial(1)
         assert q2 == -2
+
+
+s_st = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)) \
+    .filter(lambda s: abs(s) != 1)
+ratio_st = st.one_of(st.just(Param(0)), s_st.map(Param),
+                     st.tuples(s_st, st.sampled_from((-1, F(1, 2), 1))).map(
+                         lambda se: Param(se[0], 0, se[1], zvar=1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(s_st.map(Param), max_size=3), ratio_st, ratio_st,
+       st.integers(0, 8))
+def test_matches_enumeration_at_random_points(pts, x, y, n2):
+    """The cumulant sum against the state-enumeration oracle of qfock.fock
+    at random rational points and ratios (zero, scalar or z-carrying)."""
+    N = HalfInt(twice=n2)
+    assert modesum.a_generalized_trace(x, y, pts, N) == \
+        fock.a_generalized_trace(x, y, pts, N)
+    assert modesum.neutral_c_trace(pts, N) == \
+        fock.neutral_trace("boson_neutral", "C", pts, N)
+
+
+@settings(max_examples=25, deadline=None)
+@given(s_st, st.integers(0, 8))
+def test_shifted_point_identities_at_random_s(s, n2):
+    """The n = 1 q-difference identities of the shifted-points tests above,
+    at a random point: charge slice z^1 of the z-graded trace at q*t is the
+    charge-0 trace at t, and the neutral trace is unchanged by the shift."""
+    N = HalfInt(twice=n2)
+    t = Param(s)
+    x = Param(F(1), 0, -1, zvar=1)
+    y = Param(F(1), 0, 1, zvar=1)
+    assert modesum.a_generalized_trace(x, y, [t.qshift(1)], N).coeff_z(1, 1) \
+        == fock.a_sector_trace(0, [t], N)
+    assert modesum.neutral_c_trace([t.qshift(1)], N) == \
+        fock.neutral_trace("boson_neutral", "C", [t], N)
