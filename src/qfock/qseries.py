@@ -13,6 +13,7 @@ r in (1/2)Z.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 
@@ -360,37 +361,45 @@ class Series:
         return result
 
     def invert(self) -> "Series":
-        """Multiplicative inverse; the lowest q-layer must be one monomial."""
+        """Multiplicative inverse; the lowest q-layer must be one monomial.
+
+        With self = lead * (1 + u) and val(u) > 0, the q-layers of
+        g = 1/(1 + u) follow g_0 = 1, g_n = -sum_{0<k<=n} u_k g_(n-k); each
+        layer is a {zkey: coefficient} dict, so charge variables ride along.
+        """
         v2 = self.min2()
         if v2 is None:
             raise NotInvertible("cannot invert the zero series")
         lead = [(k, c) for k, c in self.terms.items() if k[0] == v2]
         if len(lead) != 1:
             raise NotInvertible("lowest q-layer has %d monomials" % len(lead))
-        (lv2, lzk), lc = lead[0]
-        t2 = self.trunc2 - 2 * v2
-        # self = lead * (1 + u) with val(u) > 0; invert the unit part.
+        (_, lzk), lc = lead[0]
         inv_zk = tuple((v, -e2) for v, e2 in lzk)
-        u_terms = {}
+        u = {}  # doubled q-exponent (> 0) -> {zkey: coefficient}
         for (a2, az), c in self.terms.items():
-            if (a2, az) == (lv2, lzk):
-                continue
-            u_terms[(a2 - v2, _zmul(az, inv_zk))] = c / lc
-        u = Series(self.trunc2 - v2, u_terms, clean=False)
-        geom = Series.one(HalfInt(twice=u.trunc2))
-        power = Series.one(HalfInt(twice=u.trunc2))
-        umin = u.min2()
-        if umin is not None:
-            k = 1
-            while k * umin <= u.trunc2:
-                power = power * u
-                geom = geom + (power if k % 2 == 0 else -power)
-                if power.is_zero():
+            if a2 != v2:
+                u.setdefault(a2 - v2, {})[_zmul(az, inv_zk)] = c / lc
+        u_layers = sorted(u.items())
+        step = gcd(*u) or 1  # every reachable exponent is a multiple of step
+        g = {0: {(): ONE}}
+        for n in range(step, self.trunc2 - v2 + 1, step):
+            acc = {}
+            for e, ul in u_layers:
+                if e > n:
                     break
-                k += 1
-        out = {(a2 - v2, _zmul(az, inv_zk)): c / lc
-               for (a2, az), c in geom.terms.items()}
-        return Series(t2, out)
+                gl = g.get(n - e)  # absent: n - e is unreachable or vanishes
+                if gl is None:
+                    continue
+                for uz, uc in ul.items():
+                    for gz, gc in gl.items():
+                        k = _zmul(uz, gz)
+                        acc[k] = acc.get(k, ZERO) - uc * gc
+            layer = {k: c for k, c in acc.items() if c}
+            if layer:
+                g[n] = layer
+        out = {(n - v2, _zmul(gz, inv_zk)): gc / lc
+               for n, gl in g.items() for gz, gc in gl.items()}
+        return Series(self.trunc2 - 2 * v2, out)
 
     def truncate(self, N: HalfLike) -> "Series":
         t2 = to2(N)
@@ -733,17 +742,17 @@ def _jet_one_minus(c: Fraction, q2: int, zk: ZKey, sign2: int, order: int,
 def theta_jet(t: Param, k: int, N: HalfLike) -> Jet:
     """Jet of Theta(t) = (t^(1/2)-t^(-1/2)) (q)_inf^(-2) (qt)_inf (qt^(-1))_inf
     under t -> t e^eps, to eps-order k."""
-    t2 = to2(N)
     if t.e2:
         raise IllegalPower("theta of a charge-carrying point")
     if t.sign == -1:
         raise IllegalPower("theta of a negative point")
     # prefactor t^(1/2) e^(eps/2) - t^(-1/2) e^(-eps/2)
     cp, qp2, _ = t.pow_monomial(Fraction(1, 2))
-    if t.d2:
-        cm, qm2 = 1 / cp, -qp2
-    else:
-        cm, qm2 = 1 / cp, 0
+    cm, qm2 = 1 / cp, -qp2
+    # the prefactor's lower monomial sits at q^(-|d|/2) and costs every
+    # product that much truncation, so work |d|/2 higher than asked
+    t2 = to2(N) + abs(qp2)
+    Nw = HalfInt(twice=t2)
     pre = []
     fact = 1
     for j in range(k + 1):
@@ -760,7 +769,7 @@ def theta_jet(t: Param, k: int, N: HalfLike) -> Jet:
         q2 = t.d2 + 2 * (i + 1)
         if q2 > t2:
             break
-        jet = jet * _jet_one_minus(t.value_coeff, q2, (), +1, k, N)
+        jet = jet * _jet_one_minus(t.value_coeff, q2, (), +1, k, Nw)
         i += 1
     i = 0
     while True:
@@ -769,11 +778,11 @@ def theta_jet(t: Param, k: int, N: HalfLike) -> Jet:
             break
         if q2 < 0:
             raise IllegalPower("theta needs qval(q/t) >= 0")
-        jet = jet * _jet_one_minus(1 / t.value_coeff, q2, (), -1, k, N)
+        jet = jet * _jet_one_minus(1 / t.value_coeff, q2, (), -1, k, Nw)
         i += 1
-    qq = pochhammer_inf(Param(1, 1, label="q"), N)
+    qq = pochhammer_inf(Param(1, 1, label="q"), Nw)
     etainv2 = (qq * qq).invert()
-    return Jet([c * etainv2 for c in jet.coeffs])
+    return Jet([(c * etainv2).truncate(N) for c in jet.coeffs])
 
 
 def theta(t: Param, N: HalfLike) -> Series:

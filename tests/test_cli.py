@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from qfock import cli, closedform as cf, fock, verify
-from qfock.qseries import Param, Series, series_from_json, series_equal
+from qfock.qseries import Param, Series, series_from_json, series_equal, theta
 
 
 def run(argv):
@@ -153,6 +153,13 @@ class TestDump:
         assert status == 0
         doc = json.loads(text)
         assert doc["terms"][0] == {"c": "-5/6", "q": "0"}
+
+    def test_theta_at_shifted_point_keeps_truncation(self):
+        status, text = run(["dump", "theta", "t=2/3:1", "N=2"])
+        assert status == 0
+        doc = json.loads(text)
+        assert doc["truncation"] == "2"
+        assert series_from_json(doc) == theta(Param(F(2, 3), 1), 4).truncate(2)
 
     def test_f_bo_round_trip(self):
         status, text = run(["dump", "f_bo", "n=1", "t=2/3", "N=6"])

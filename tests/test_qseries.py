@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfock.qseries import (
     DegenerateParameter,
@@ -24,6 +24,8 @@ from qfock.qseries import (
     series_to_json,
     theta,
     theta_jet,
+    zkey,
+    _zmul,
 )
 
 F = Fraction
@@ -269,3 +271,136 @@ def test_first_difference_reports_lowest():
     b = Series.one(5) + q(2, 5, 2) + q(3, 5)
     d = first_difference(a, b)
     assert d[0] == 4 and d[2] == 1 and d[3] == 2
+
+
+# -- inversion against the geometric sum ------------------------------------
+
+
+def _geometric_invert(a):
+    """Reference inverse: 1/(1 + u) = 1 - u + u^2 - ... by full products.
+
+    This was Series.invert before the coefficient recurrence; it stays here
+    as an independent second algorithm for the differential test.
+    """
+    v2 = a.min2()
+    if v2 is None:
+        raise NotInvertible("cannot invert the zero series")
+    lead = [(k, c) for k, c in a.terms.items() if k[0] == v2]
+    if len(lead) != 1:
+        raise NotInvertible("lowest q-layer has %d monomials" % len(lead))
+    (lv2, lzk), lc = lead[0]
+    inv_zk = tuple((v, -e2) for v, e2 in lzk)
+    u_terms = {(a2 - v2, _zmul(az, inv_zk)): c / lc
+               for (a2, az), c in a.terms.items() if (a2, az) != (lv2, lzk)}
+    u = Series(a.trunc2 - v2, u_terms, clean=False)
+    geom = Series.one(HalfInt(twice=u.trunc2))
+    power_k = Series.one(HalfInt(twice=u.trunc2))
+    umin = u.min2()
+    if umin is not None:
+        k = 1
+        while k * umin <= u.trunc2:
+            power_k = power_k * u
+            geom = geom + (power_k if k % 2 == 0 else -power_k)
+            if power_k.is_zero():
+                break
+            k += 1
+    out = {(a2 - v2, _zmul(az, inv_zk)): c / lc
+           for (a2, az), c in geom.terms.items()}
+    return Series(a.trunc2 - 2 * v2, out)
+
+
+@st.composite
+def invertible_series(draw):
+    """A series whose lowest q-layer is one monomial: 0-2 charge variables
+    with half-integer exponents, half-integer q-exponents of either sign."""
+    nvars = draw(st.integers(0, 2))
+    zkeys = st.just(()) if not nvars else st.dictionaries(
+        st.integers(1, nvars), st.integers(-3, 3)).map(
+        lambda d: zkey({v: F(e2, 2) for v, e2 in d.items()}))
+    v2 = draw(st.integers(-5, 4))
+    trunc2 = v2 + draw(st.integers(0, 14))
+    rest = draw(st.dictionaries(
+        st.tuples(st.integers(v2 + 1, trunc2 + 1), zkeys),
+        st.fractions(-4, 4, max_denominator=7), max_size=6))
+    lead = draw(st.fractions(-4, 4, max_denominator=7).filter(bool))
+    return Series(trunc2, {**rest, (v2, draw(zkeys)): lead})
+
+
+@settings(max_examples=150, deadline=None)
+@given(invertible_series())
+@example(Series(6, {(-3, ()): F(2, 3)}))                     # u = 0
+@example(Series(9, {(-1, ((1, 2),)): F(-3), (1, ((1, -1),)): F(1, 2),
+                    (4, ()): F(5)}))                         # z-carrying lead
+@example(Series(7, {(0, ()): F(1), (1, ((1, 1), (2, -3))): F(2),
+                    (2, ((2, 2),)): F(-1, 3)}))               # two variables
+def test_invert_matches_geometric_sum(a):
+    assert a.invert() == _geometric_invert(a)
+
+
+@pytest.mark.parametrize("a", [
+    Series.zero(4),
+    Series.one(4) + Series.monomial(1, 0, 4, {1: 1}),
+    Series.monomial(2, F(-1, 2), 4, {1: F(1, 2)}) + Series.monomial(
+        1, F(-1, 2), 4, {2: 1}) + q(1, 4)])
+def test_invert_not_invertible_in_both_algorithms(a):
+    with pytest.raises(NotInvertible) as new:
+        a.invert()
+    with pytest.raises(NotInvertible) as old:
+        _geometric_invert(a)
+    assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("a", [
+    pochhammer_inf(Param(1, 1), 30),
+    pochhammer_inf(Param(F(2, 3), 1, e=1), 16)])
+def test_invert_uses_no_series_products(a, monkeypatch):
+    calls = []
+
+    def counting_mul(self, other, _mul=Series.__mul__):
+        calls.append(1)
+        return _mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counting_mul)
+    monkeypatch.setattr(Series, "__rmul__", counting_mul)
+    inv = a.invert()
+    monkeypatch.undo()
+    assert calls == []
+    assert a * inv == Series.one(HalfInt(twice=a.trunc2))
+
+
+# -- truncation coherence of the public builders ----------------------------
+
+_POINTS = {
+    "scalar": Param(F(3, 5)),
+    "shifted": Param(F(3, 5), 1),
+    "half-shifted": Param(F(3, 5), F(1, 2)),
+    "z-carrying": Param(F(3, 5), 1, e=1),
+}
+_BUILDERS = {
+    "pochhammer_inf": (pochhammer_inf, list(_POINTS)),
+    "pochhammer_n": (lambda p, N: pochhammer_n(p, 3, N), list(_POINTS)),
+    "c_term": (c_term, ["scalar", "shifted", "z-carrying"]),
+    "qhyper": (lambda p, N: qhyper([p], [Param(F(2, 7), 1)], Param(1, 1), N),
+               list(_POINTS)),
+    "theta": (theta, ["scalar", "shifted"]),
+    "invert": (lambda p, N: pochhammer_inf(p, N).invert(), list(_POINTS)),
+}
+
+
+@pytest.mark.parametrize("builder,point", [
+    (b, p) for b, (_, pts) in _BUILDERS.items() for p in pts])
+def test_builder_truncation_coherence(builder, point):
+    f, t = _BUILDERS[builder][0], _POINTS[point]
+    for N in (4, F(9, 2), 6):
+        full = f(t, N)
+        assert full.truncation == N
+        for M in (0, F(1, 2), 2, F(7, 2)):
+            assert full.truncate(M) == f(t, M), (N, M)
+
+
+def test_shifted_theta_keeps_truncation():
+    t = Param(F(2, 3), 1)
+    assert theta(t, 2).truncation == 2
+    jet = theta_jet(t, 2, 3)
+    assert [c.truncation for c in jet.coeffs] == [3, 3, 3]
+    assert jet.coeffs[0] == theta(t, 3)
