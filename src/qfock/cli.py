@@ -84,31 +84,6 @@ def _parse_order(text: str) -> HalfInt:
         raise UsageError("bad truncation order %r" % text)
 
 
-def _family_of(algebra: str, level: F) -> Tuple[str, int]:
-    """Map (algebra, level) to a duality family name and rank."""
-    if algebra == "a":
-        if level.denominator == 1 and level < 0:
-            return "-l", int(-level)
-    elif algebra == "c":
-        if level.denominator == 2 and level > 0:
-            return "l-1/2", int(level + F(1, 2))
-        if level.denominator == 1 and level < 0:
-            return "-l", int(-level)
-        if level.denominator == 2 and level < 0:
-            return "-l-1/2", int(-level - F(1, 2))
-    elif algebra == "d":
-        if level.denominator == 1 and level < 0:
-            return "-l", int(-level)
-        if level.denominator == 2 and level < 0:
-            return "-l+1/2", int(F(1, 2) - level)
-    else:
-        raise UsageError(
-            "algebra %r has no module family here (choose a, c, or d)"
-            % algebra)
-    raise UsageError("level %s is not realized for algebra %s"
-                     % (level, algebra))
-
-
 # -- output ------------------------------------------------------------------
 
 
@@ -138,12 +113,10 @@ def _emit_series(s: Series, fmt: str, out) -> None:
 
 
 def _cmd_corr(args, out) -> int:
-    level = _parse_rational(args.level)
-    fam, l = _family_of(args.algebra, level)
+    inst = cf.module_instance(args.algebra, _parse_rational(args.level))
     lam = _parse_label(getattr(args, "lambda"))
     points = _parse_points(args.points)
     N = _parse_order(args.N)
-    inst = cf.duality_instance(args.algebra, fam, l)
     if args.mode == "oracle":
         series = cf.extract_dominant(inst, lam, points, N)
     elif args.mode in ("assignment", "literal"):
@@ -157,10 +130,8 @@ def _cmd_corr(args, out) -> int:
 def _cmd_qdim(args, out) -> int:
     lam = _parse_label(getattr(args, "lambda"))
     N = _parse_order(args.N)
-    _parse_rational(args.level)  # early usage check
-    if args.algebra not in ("a", "c", "d"):
-        raise UsageError("algebra must be a, c, or d")
-    series = cf.qdim_closed(args.algebra, args.level, lam, N, args.form)
+    series = cf.qdim_closed(args.algebra, _parse_rational(args.level), lam,
+                            N, args.form)
     _emit_series(series, args.format, out)
     return 0
 

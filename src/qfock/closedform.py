@@ -221,7 +221,10 @@ def generalized_two_point(x: Param, y: Param, t1: Param, t2: Param, N) -> Series
 # -- level +1 sector functions via theta-jet determinants --------------------
 
 
-def f_bo(points: Sequence[Param], N, cap: int = 4) -> Series:
+F_BO_CAP = 4
+
+
+def f_bo(points: Sequence[Param], N) -> Series:
     """Permutation sum of theta-jet determinants over partial products:
 
     1/(q)_inf * sum_{sigma in S_n}
@@ -232,8 +235,8 @@ def f_bo(points: Sequence[Param], N, cap: int = 4) -> Series:
     and entries with j - i + 1 < 0 vanish.
     """
     n = len(points)
-    if n > cap:
-        raise CapExceeded("f_bo limited to %d points" % cap)
+    if n > F_BO_CAP:
+        raise CapExceeded("f_bo limited to %d points" % F_BO_CAP)
     qinf_inv = pochhammer_inf(_q(), N).invert()
     if n == 0:
         return qinf_inv
@@ -383,21 +386,6 @@ def charged_qdim_base(k: int, N) -> Series:
     return _alt_theta_sum(gen(), N) * _qinf_inv_sq(N)
 
 
-def d_qdim_base(k: int, N) -> Series:
-    """1/(q)_inf^2 * sum_{m>=0} (-1)^m q^(m(m+1)/2)
-    (q^(|k|(m+1/2)) - q^(|k+2|(m+1/2))), extended evenly in the charge."""
-    a, b = abs(k), abs(k + 2)
-
-    def gen(j):
-        m = 0
-        while True:
-            yield m, m * (m + 1) + j * (2 * m + 1)
-            m += 1
-
-    return (_alt_theta_sum(gen(a), N) - _alt_theta_sum(gen(b), N)) \
-        * _qinf_inv_sq(N)
-
-
 def _norm2_doubled(ks) -> int:
     return sum(k * k for k in ks)
 
@@ -436,78 +424,50 @@ def _norm_monomial(ks, N) -> Series:
     return Series.monomial(1, HalfInt(twice=_norm2_doubled(ks)), N)
 
 
+def _neutral_qdim(kind: str, N) -> Series:
+    """Graded dimension of a neutral factor: 1/(q^(1/2))_inf for the boson,
+    (-q^(1/2))_inf for the fermion."""
+    if kind == "boson_neutral":
+        return pochhammer_inf(_QH, N).invert()
+    return pochhammer_inf(Param(F(1), F(1, 2), sign=-1), N)
+
+
 def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
-    """Graded dimension of the module with the given algebra ('a', 'c', 'd'),
-    level (integer or half-integer, as Fraction or string) and highest-weight
-    label, from the displayed Weyl-sum formulas.
+    """Graded dimension of the module with the given algebra, level (integer
+    or half-integer, as Fraction or string) and highest-weight label, from
+    the displayed Weyl-sum formulas of the family ``module_instance`` finds.
 
     For algebra 'c' at positive half-integer level, ``form`` selects the
-    Weyl-sum ("weyl") or hook-style product ("product") expression.
+    Weyl-sum ("weyl") or hook-style product ("product") expression; every
+    other family has the Weyl sum only.
     """
-    lev = F(level)
-    if algebra == "a":
-        if lev >= 0 or lev.denominator != 1:
-            raise IllegalPower("type-a levels here are -1, -2, ...")
-        l = int(-lev)
-        lam = _normalize_label(label, l, allow_negative=True)
-        rho = combinat.rho_vector("A", l)
-        return _weyl_signed_product("A", l, rho, lam, _charged_qdim_product, N)
-
-    if algebra == "c":
-        if lev.denominator == 2 and lev > 0:
-            return _c_positive_half_qdim(int(lev + F(1, 2)), label, N, form)
-        if lev.denominator == 1 and lev < 0:
-            l = int(-lev)
-            lam = _normalize_label(label, l, allow_negative=False)
-            rho = combinat.rho_vector("A", l)
-            return _weyl_signed_product("D", l, rho, lam,
-                                        _charged_qdim_product, N)
-        if lev.denominator == 2 and lev < 0:
-            l = int(-lev - F(1, 2))
-            if l < 1:
-                raise IllegalPower("type-c negative half levels start at -3/2")
-            lam = _normalize_label(label, l, allow_negative=False)
-            rho = combinat.rho_vector("B", l)
-            wsum = _weyl_signed_product("BC", l, rho, lam,
-                                        _charged_qdim_product, N)
-            return pochhammer_inf(_QH, N).invert() * wsum
-        raise IllegalPower("unsupported type-c level %s" % lev)
-
-    if algebra == "d":
-        if lev.denominator == 1 and lev < 0:
-            l = int(-lev)
-            lam = _normalize_label(label, l, allow_negative=False)
-            rho = combinat.rho_vector("C", l)
-            wtype = "BC"
-        elif lev.denominator == 2 and lev < 0 or lev == F(-1, 2):
-            l = int(F(1, 2) - lev)
-            lam = _normalize_label(label, l, allow_negative=False)
-            rho = combinat.rho_vector("B", l)
-            wtype = "BC"
-        else:
-            raise IllegalPower("unsupported type-d level %s" % lev)
-
-        # The signed hyperoctahedral sum acts on the symmetric charge-slice
-        # series; the sign flips themselves generate the slice differences
-        # that define the rank-one type-d function (at l=1 the sum equals
-        # d_qdim_base(k) exactly).
-        wsum = _weyl_signed_product(wtype, l, rho, lam,
-                                    _charged_qdim_product, N)
-        if lev.denominator == 2:
-            neg_qh = Param(F(1), F(1, 2), sign=-1)
-            wsum = pochhammer_inf(neg_qh, N) * wsum
+    inst = module_instance(algebra, level)
+    if inst.factors[0] == "fermion_pair":
+        return _c_positive_half_qdim(inst, label, N, form)
+    if form != "weyl":
+        raise IllegalPower("form %r exists only for type c at positive "
+                           "half-integer levels" % form)
+    lam = _normalize_label(label, inst.l, inst.allow_negative_label)
+    # For type d the signed hyperoctahedral sum acts on the symmetric
+    # charge-slice series; the sign flips themselves generate the slice
+    # differences that define the rank-one type-d function (at l=1 the sum
+    # equals charged_qdim_base(k) - charged_qdim_base(k+2) exactly).
+    wsum = _weyl_signed_product(inst.weyl, inst.l, inst.rho, lam,
+                                _charged_qdim_product, N)
+    if inst.neutral_factor is None:
         return wsum
+    return _neutral_qdim(inst.factors[inst.neutral_factor], N) * wsum
 
-    raise IllegalPower("unknown algebra %r" % algebra)
 
-
-def _c_positive_half_qdim(l: int, label, N, form: str) -> Series:
+def _c_positive_half_qdim(inst: "DualityInstance", label, N,
+                          form: str) -> Series:
+    l = inst.l
     lam = _normalize_label(label, l, allow_negative=False)
-    pre = pochhammer_inf(_QH, N).invert() \
+    pre = _neutral_qdim("boson_neutral", N) \
         * pochhammer_inf(_q(), N).invert() ** l
     if form == "weyl":
-        rho = combinat.rho_vector("B", l)
-        return pre * _weyl_signed_product("BC", l, rho, lam, _norm_monomial, N)
+        return pre * _weyl_signed_product(inst.weyl, l, inst.rho, lam,
+                                          _norm_monomial, N)
     if form == "product":
         out = Series.monomial(1, HalfInt(twice=_norm2_doubled(lam)), N)
         for i in range(l):
@@ -541,18 +501,12 @@ class DualityInstance:
     op_tag: str
     weyl: str               # 'A', 'BC' or 'D'
     rho_kind: str           # 'A', 'B' or 'C'
-    character_kind: str     # 'gl', 'sp', 'osp_b' or 'o_even'
 
     def __post_init__(self):
         total = sum((fock.CENTRAL_CHARGE[k].value for k in self.factors), F(0))
         if total != self.level:
             raise QSeriesError("factor charges sum to %s, not %s"
                                % (total, self.level))
-
-    @property
-    def charged_factors(self) -> Tuple[int, ...]:
-        return tuple(i for i, k in enumerate(self.factors)
-                     if k in fock.CHARGED)
 
     @property
     def neutral_factor(self) -> Optional[int]:
@@ -570,19 +524,16 @@ class DualityInstance:
         return self.algebra == "a"
 
 
+# (algebra, level pattern) -> (charged pair kind, operator, Weyl type,
+# rho kind, neutral kind or None).  The family at rank l has l pairs and the
+# neutral factor, and its level is the sum of their central charges.
 _FAMILIES = {
-    ("a", "-l"): ("boson_pair", "A", "A", "A", "gl"),
-    ("c", "l-1/2"): ("fermion_pair", "C", "BC", "B", "osp_b"),
-    ("c", "-l"): ("boson_pair", "C", "D", "A", "o_even"),
-    ("c", "-l-1/2"): ("boson_pair", "C", "BC", "B", "osp_b"),
-    ("d", "-l"): ("boson_pair", "D", "BC", "C", "sp"),
-    ("d", "-l+1/2"): ("boson_pair", "D", "BC", "B", "osp_b"),
-}
-
-_NEUTRAL_OF = {
-    ("c", "l-1/2"): "boson_neutral",
-    ("c", "-l-1/2"): "boson_neutral",
-    ("d", "-l+1/2"): "fermion_neutral",
+    ("a", "-l"): ("boson_pair", "A", "A", "A", None),
+    ("c", "l-1/2"): ("fermion_pair", "C", "BC", "B", "boson_neutral"),
+    ("c", "-l"): ("boson_pair", "C", "D", "A", None),
+    ("c", "-l-1/2"): ("boson_pair", "C", "BC", "B", "boson_neutral"),
+    ("d", "-l"): ("boson_pair", "D", "BC", "C", None),
+    ("d", "-l+1/2"): ("boson_pair", "D", "BC", "B", "fermion_neutral"),
 }
 
 
@@ -594,16 +545,31 @@ def duality_instance(algebra: str, family: str, l: int) -> DualityInstance:
         raise IllegalPower("unknown duality family %r" % (key,))
     if l < 1:
         raise IllegalPower("rank must be at least 1")
-    kind, op_tag, weyl, rho_kind, char = _FAMILIES[key]
-    factors = (kind,) * l
-    neutral = _NEUTRAL_OF.get(key)
-    if neutral:
-        factors = factors + (neutral,)
+    kind, op_tag, weyl, rho_kind, neutral = _FAMILIES[key]
+    factors = (kind,) * l + ((neutral,) if neutral else ())
     level = sum((fock.CENTRAL_CHARGE[k].value for k in factors), F(0))
     name = "%s:%s:l=%d" % (algebra, family, l)
     return DualityInstance(name=name, algebra=algebra, level=F(level), l=l,
                            factors=factors, op_tag=op_tag, weyl=weyl,
-                           rho_kind=rho_kind, character_kind=char)
+                           rho_kind=rho_kind)
+
+
+def module_instance(algebra: str, level) -> DualityInstance:
+    """The instance realizing the module of ``algebra`` at ``level``: the
+    family whose rank l = (level - c_neutral) / c_pair, from the central
+    charges of its neutral factor and charged pair, is an integer >= 1.  The
+    families of one algebra differ in the sign or parity of their levels, so
+    at most one qualifies; with none, the level is refused."""
+    level = F(level)
+    for (alg, family), (kind, _, _, _, neutral) in _FAMILIES.items():
+        if alg != algebra:
+            continue
+        c_neutral = fock.CENTRAL_CHARGE[neutral].value if neutral else 0
+        l = (level - c_neutral) / fock.CENTRAL_CHARGE[kind].value
+        if l.denominator == 1 and l >= 1:
+            return duality_instance(algebra, family, int(l))
+    raise IllegalPower("level %s is not realized for algebra %r"
+                       % (level, algebra))
 
 
 def _charged_block(inst: DualityInstance, k: int,

@@ -50,19 +50,6 @@ def partitions_of(weight: int, max_length: Optional[int] = None,
     yield from rec(weight, weight, max_length)
 
 
-def gen_partitions(depth: int, bound: int) -> Iterator[Tuple[int, ...]]:
-    """Weakly decreasing integer depth-tuples with entries in [-bound, bound]."""
-    def rec(k: int, top: int):
-        if k == 0:
-            yield ()
-            return
-        for first in range(top, -bound - 1, -1):
-            for rest in rec(k - 1, first):
-                yield (first,) + rest
-
-    yield from rec(depth, bound)
-
-
 def set_partitions(items: Sequence) -> Iterator[List[tuple]]:
     """All partitions of the item sequence into nonempty unordered blocks."""
     items = list(items)
@@ -100,12 +87,6 @@ class WeylElement:
         """(sigma v)_i = signs[i] * v[perm[i]]."""
         return [self.signs[i] * v[self.perm[i]] for i in range(self.l)]
 
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        perm = tuple(other.perm[self.perm[i]] for i in range(self.l))
-        signs = tuple(self.signs[i] * other.signs[self.perm[i]]
-                      for i in range(self.l))
-        return WeylElement(perm, signs, self.wtype)
-
 
 def _perm_sign(perm: Sequence[int]) -> int:
     seen = [False] * len(perm)
@@ -123,12 +104,12 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def weyl_group(wtype: str, l: int, cap: int = WEYL_CAP) -> Iterator[Tuple[WeylElement, int]]:
+def weyl_group(wtype: str, l: int) -> Iterator[Tuple[WeylElement, int]]:
     """Yield (element, sign) over W(A_{l-1})=S_l, W(B_l)=W(C_l), or W(D_l)."""
     if l < 1:
         raise QSeriesError("rank must be >= 1")
-    if l > cap:
-        raise CapExceeded("Weyl rank %d exceeds cap %d" % (l, cap))
+    if l > WEYL_CAP:
+        raise CapExceeded("Weyl rank %d exceeds cap %d" % (l, WEYL_CAP))
     if wtype not in ("A", "BC", "D"):
         raise QSeriesError("unknown Weyl type %r" % wtype)
     for perm in itertools.permutations(range(l)):
@@ -164,11 +145,11 @@ def k_vector(lam: Sequence[int], sigma: WeylElement,
     return out
 
 
-def weyl_zsum(wtype: str, rho: Sequence[Fraction], cap: int = WEYL_CAP) -> Series:
+def weyl_zsum(wtype: str, rho: Sequence[Fraction]) -> Series:
     """sum_sigma sign(sigma) * prod_i z_i^((sigma rho)_i) as a z-polynomial."""
     l = len(rho)
     acc = Series.zero(0)
-    for w, sgn in weyl_group(wtype, l, cap):
+    for w, sgn in weyl_group(wtype, l):
         srho = w.act([Fraction(r) for r in rho])
         acc = acc + Series.monomial(sgn, 0, 0,
                                     {i + 1: srho[i] for i in range(l)})

@@ -55,8 +55,6 @@ from .qseries import (
     Series,
     _zmul,
     beta_scalar,
-    c_term,
-    power,
     to2,
 )
 
@@ -100,6 +98,11 @@ def mod_partitions(budget2: int, strict: bool = False) -> Tuple[Tuple[int, Tuple
     if budget2 >= 0:
         rec(budget2, (budget2 + 1) // 2, ())
     return tuple(out)
+
+
+def _check_op(kind: str, op_tag: str) -> None:
+    if op_tag not in LEGAL_OPS[kind]:
+        raise QSeriesError("operator %s not defined on %s" % (op_tag, kind))
 
 
 def _require_scalar_points(points: Sequence[Param]):
@@ -216,37 +219,36 @@ def _neutral_traces(kind: str, points: Sequence[Param], N2: int,
     return out
 
 
-# -- public eigenvalue (Series-valued, spec-level) --------------------------
+# -- the eigenvalue rule ----------------------------------------------------
 
 
-def eigenvalue(kind: str, state, op_tag: str, point: Param, N) -> Series:
-    """Diagonal eigenvalue of the operator at `point` on a basis state.
+def eigenvalue(kind: str, state, op_tag: str, point: Param) -> F:
+    """Diagonal eigenvalue of the operator at a scalar `point` on a basis
+    state: (lam, mu) for charged kinds, (lam,) for neutral kinds."""
+    _check_op(kind, op_tag)
+    root = point.scalar_pow(F(1, 2))
+    csign = CENTRAL_SIGN[kind]
 
-    state: (lam, mu) for charged kinds, (lam,) or lam for neutral kinds.
-    """
-    if op_tag not in LEGAL_OPS[kind]:
-        raise QSeriesError("operator %s not defined on %s" % (op_tag, kind))
+    def eig_a(lam, mu, t_root, beta):
+        v = csign * beta
+        for p in lam:
+            v += t_root ** (2 * p - 1)
+        for p in mu:
+            v -= t_root ** (1 - 2 * p)
+        return v
+
     if kind in CHARGED:
         lam, mu = state
-        if op_tag == "A":
-            return _eig_charged_A(kind, lam, mu, point, N)
-        return _eig_charged_A(kind, lam, mu, point, N) - \
-            _eig_charged_A(kind, lam, mu, point.inverse(), N)
-    lam = state[0] if (state and isinstance(state[0], tuple)) else state
-    acc = c_term(point, N).scale(CENTRAL_SIGN[kind])
+        v = eig_a(lam, mu, root, beta_scalar(point))
+        if op_tag in ("C", "D"):
+            inv = point.inverse()
+            v -= eig_a(lam, mu, 1 / root, beta_scalar(inv))
+        return v
+    lam = state[0]
+    v = csign * beta_scalar(point)
     for p in lam:
-        acc = acc + power(point, F(2 * p - 1, 2), N) \
-            - power(point, F(1 - 2 * p, 2), N)
-    return acc
-
-
-def _eig_charged_A(kind: str, lam, mu, point: Param, N) -> Series:
-    acc = c_term(point, N).scale(CENTRAL_SIGN[kind])
-    for p in lam:
-        acc = acc + power(point, F(2 * p - 1, 2), N)
-    for p in mu:
-        acc = acc - power(point, F(1 - 2 * p, 2), N)
-    return acc
+        v += root ** (2 * p - 1) - root ** (1 - 2 * p)
+    return v
 
 
 # -- single-factor oracles --------------------------------------------------
@@ -282,8 +284,7 @@ def neutral_trace(kind: str, op_tag: str, points: Sequence[Param], N) -> Series:
     sum (t^(p-1/2) - t^(-p+1/2)) +- beta per point."""
     if kind not in ("boson_neutral", "fermion_neutral"):
         raise QSeriesError("neutral_trace needs a neutral kind")
-    if op_tag not in LEGAL_OPS[kind]:
-        raise QSeriesError("operator %s not defined on %s" % (op_tag, kind))
+    _check_op(kind, op_tag)
     _require_scalar_points(points)
     return _neutral_traces(kind, points, to2(N), [(1 << len(points)) - 1])[0]
 
@@ -342,8 +343,11 @@ def _factor_subset_traces(kind: str, op_tag: str, zvar: int,
     return _pair_traces(*sides, weight, N2, masks)
 
 
+DUALITY_CAP = 4
+
+
 def duality_trace(factors: Sequence[str], op_tag: str,
-                  points: Sequence[Param], N, cap: int = 4) -> Series:
+                  points: Sequence[Param], N) -> Series:
     """Trace of q^L0 * prod_i z_i^(charge_i) * prod_j Op(t_j) over the tensor
     product of factors, where Op acts as the sum of per-factor actions.
 
@@ -351,8 +355,11 @@ def duality_trace(factors: Sequence[str], op_tag: str,
     every subset of the operators applied; then summed over assignments of
     points to factors.  Charged factor i carries charge variable z_(i+1).
     """
-    if len(factors) > cap or len(points) > cap:
-        raise CapExceeded("duality trace limited to %d factors/points" % cap)
+    if len(factors) > DUALITY_CAP or len(points) > DUALITY_CAP:
+        raise CapExceeded("duality trace limited to %d factors/points"
+                          % DUALITY_CAP)
+    for kind in factors:
+        _check_op(kind, op_tag)
     _require_scalar_points(points)
     N2 = to2(N)
     n = len(points)
@@ -383,7 +390,7 @@ def duality_trace_direct(factors: Sequence[str], op_tag: str,
         for j, p in enumerate(points):
             ev = F(0)
             for kind, (_, _, state) in zip(factors, combo):
-                ev += _scalar_eig(kind, state, op_tag, p)
+                ev += eigenvalue(kind, state, op_tag, p)
             coeff *= ev
             if not coeff:
                 break
@@ -397,28 +404,3 @@ def duality_trace_direct(factors: Sequence[str], op_tag: str,
         acc[key] = acc.get(key, F(0)) + coeff
     return Series(N2, acc)
 
-
-def _scalar_eig(kind: str, state, op_tag: str, point: Param) -> F:
-    root = point.scalar_pow(F(1, 2))
-    csign = CENTRAL_SIGN[kind]
-
-    def eig_a(lam, mu, t_root, beta):
-        v = csign * beta
-        for p in lam:
-            v += t_root ** (2 * p - 1)
-        for p in mu:
-            v -= t_root ** (1 - 2 * p)
-        return v
-
-    if kind in CHARGED:
-        lam, mu = state
-        v = eig_a(lam, mu, root, beta_scalar(point))
-        if op_tag in ("C", "D"):
-            inv = point.inverse()
-            v -= eig_a(lam, mu, 1 / root, beta_scalar(inv))
-        return v
-    lam = state[0]
-    v = csign * beta_scalar(point)
-    for p in lam:
-        v += root ** (2 * p - 1) - root ** (1 - 2 * p)
-    return v

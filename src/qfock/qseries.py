@@ -88,9 +88,6 @@ class HalfInt:
     def value(self) -> Fraction:
         return Fraction(self.twice, 2)
 
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __add__(self, other):
         return HalfInt(twice=self.twice + to2(other))
 
@@ -225,12 +222,6 @@ class Series:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def variables(self) -> set:
-        vs = set()
-        for _, zk in self.terms:
-            vs.update(v for v, _ in zk)
-        return vs
 
     def qcoeff(self, qexp: HalfLike) -> dict:
         """Mapping zkey -> coefficient of q^qexp."""
@@ -694,19 +685,6 @@ class Jet:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @staticmethod
-    def const(series: Series, order: int) -> "Jet":
-        zero = Series.zero(HalfInt(twice=series.trunc2))
-        return Jet([series] + [zero] * order)
-
-    def __add__(self, other: "Jet") -> "Jet":
-        assert self.order == other.order
-        return Jet([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        assert self.order == other.order
-        return Jet([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other: "Jet") -> "Jet":
         assert self.order == other.order
         n = self.order
@@ -718,9 +696,6 @@ class Jet:
                 acc = term if acc is None else acc + term
             out.append(acc)
         return Jet(out)
-
-    def scale(self, c) -> "Jet":
-        return Jet([s.scale(c) for s in self.coeffs])
 
 
 def _jet_one_minus(c: Fraction, q2: int, zk: ZKey, sign2: int, order: int,
@@ -769,6 +744,8 @@ def theta_jet(t: Param, k: int, N: HalfLike) -> Jet:
         q2 = t.d2 + 2 * (i + 1)
         if q2 > t2:
             break
+        if q2 < 0:
+            raise IllegalPower("theta needs qval(qt) >= 0")
         jet = jet * _jet_one_minus(t.value_coeff, q2, (), +1, k, Nw)
         i += 1
     i = 0

@@ -340,11 +340,6 @@ _INSTANCE_SLUGS = (
     ("d", "-l+1/2", "d-neglplushalf"),
 )
 
-_LEVEL_AT_RANK2 = {
-    "a-negl": "-2", "c-lminushalf": "3/2", "c-negl": "-2",
-    "c-neglminushalf": "-5/2", "d-negl": "-2", "d-neglplushalf": "-3/2",
-}
-
 
 def _slug_s(s: F) -> str:
     return "%d.%d" % (s.numerator, s.denominator)
@@ -532,7 +527,7 @@ def _registry_qdim(reg: List[CheckSpec]) -> None:
     for alg, fam, slug in _INSTANCE_SLUGS:
         if slug in ("a-negl", "c-lminushalf"):
             continue
-        lev = _LEVEL_AT_RANK2[slug]
+        lev = str(cf.duality_instance(alg, fam, 2).level)
         for lam in ((0, 0), (1, 0), (2, 1)):
             reg.append(CheckSpec(
                 "qdim-%s-r2-lam%s" % (slug, _slug_lam(lam)),

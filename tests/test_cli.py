@@ -48,6 +48,18 @@ class TestCorr:
                          "--N", "4"])
         assert status == 2
 
+    @pytest.mark.parametrize("algebra", "abcd")
+    @pytest.mark.parametrize("level", [str(F(k, 2)) for k in range(-6, 7)])
+    def test_qdim_and_corr_accept_the_same_modules(self, algebra, level):
+        # With no points the oracle trace is the graded dimension, so both
+        # commands realize a module or refuse it together.
+        for lam in ("0", "0,0", "0,0,0"):
+            tail = ["--algebra", algebra, "--level=" + level,
+                    "--lambda", lam, "--N", "2"]
+            qdim, corr = run(["qdim"] + tail), run(["corr"] + tail)
+            assert qdim[0] in (0, 2)
+            assert qdim == corr, lam
+
     @pytest.mark.parametrize("tail,svals", [
         (["--points", "3/5", "-2/3"], ("3/5", "-2/3")),
         (["--points", "-2/3", "3/5"], ("-2/3", "3/5")),
@@ -92,6 +104,13 @@ class TestQdim:
         spaced = run(argv + ["--lambda", "0,-1"])
         assert spaced[0] == 0
         assert spaced == run(argv + ["--lambda=0,-1"])
+
+    @pytest.mark.parametrize("algebra,level", [
+        ("a", "-2"), ("c", "-2"), ("c", "-5/2"), ("d", "-3/2")])
+    def test_product_form_elsewhere_is_refused(self, algebra, level):
+        status, text = run(["qdim", "--algebra", algebra, "--level=" + level,
+                            "--lambda", "1,0", "--form", "product"])
+        assert (status, text) == (2, "")
 
     def test_bad_label_is_usage_error(self):
         status, _ = run(["qdim", "--algebra", "c", "--level", "-2",
@@ -160,6 +179,10 @@ class TestDump:
         doc = json.loads(text)
         assert doc["truncation"] == "2"
         assert series_from_json(doc) == theta(Param(F(2, 3), 1), 4).truncate(2)
+
+    def test_theta_at_shift_below_minus_one_is_refused(self):
+        status, text = run(["dump", "theta", "t=2/3:-2", "N=2"])
+        assert (status, text) == (2, "")
 
     def test_f_bo_round_trip(self):
         status, text = run(["dump", "f_bo", "n=1", "t=2/3", "N=6"])

@@ -156,12 +156,6 @@ class TestQDimBaseSeries:
         assert_same(cf.charged_qdim_base(k, 8),
                     fock.a_sector_trace(k, [], 8))
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_d_base_is_slice_difference(self, k):
-        assert series_equal(
-            cf.d_qdim_base(k, 8),
-            cf.charged_qdim_base(k, 8) - cf.charged_qdim_base(k + 2, 8))
-
 
 LEVEL_OF = {
     ("a", "-l"): "-2",

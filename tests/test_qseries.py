@@ -40,7 +40,6 @@ def test_halfint_basics():
     assert HalfInt(2) + HalfInt(F(1, 2)) == F(5, 2)
     assert HalfInt(F(1, 2)) * 4 == 2
     assert str(HalfInt(F(-1, 2))) == "-1/2"
-    assert HalfInt(1).is_integer() and not HalfInt(F(1, 2)).is_integer()
 
 
 def test_add_mul_polynomials():
@@ -375,15 +374,17 @@ _POINTS = {
     "shifted": Param(F(3, 5), 1),
     "half-shifted": Param(F(3, 5), F(1, 2)),
     "z-carrying": Param(F(3, 5), 1, e=1),
+    "down-shifted": Param(F(3, 5), -1),
 }
+_NONNEGATIVE = ["scalar", "shifted", "half-shifted", "z-carrying"]
 _BUILDERS = {
-    "pochhammer_inf": (pochhammer_inf, list(_POINTS)),
-    "pochhammer_n": (lambda p, N: pochhammer_n(p, 3, N), list(_POINTS)),
+    "pochhammer_inf": (pochhammer_inf, _NONNEGATIVE),
+    "pochhammer_n": (lambda p, N: pochhammer_n(p, 3, N), _NONNEGATIVE),
     "c_term": (c_term, ["scalar", "shifted", "z-carrying"]),
     "qhyper": (lambda p, N: qhyper([p], [Param(F(2, 7), 1)], Param(1, 1), N),
-               list(_POINTS)),
-    "theta": (theta, ["scalar", "shifted"]),
-    "invert": (lambda p, N: pochhammer_inf(p, N).invert(), list(_POINTS)),
+               _NONNEGATIVE),
+    "theta": (theta, ["scalar", "shifted", "down-shifted"]),
+    "invert": (lambda p, N: pochhammer_inf(p, N).invert(), _NONNEGATIVE),
 }
 
 
@@ -404,3 +405,10 @@ def test_shifted_theta_keeps_truncation():
     jet = theta_jet(t, 2, 3)
     assert [c.truncation for c in jet.coeffs] == [3, 3, 3]
     assert jet.coeffs[0] == theta(t, 3)
+
+
+@pytest.mark.parametrize("d", [-3, -2, 2])
+def test_theta_refuses_shift_beyond_one(d):
+    # (qt)_inf or (q/t)_inf would start at a negative q-power
+    with pytest.raises(IllegalPower):
+        theta(Param(F(2, 3), d), 2)

@@ -1,13 +1,17 @@
-"""Source hygiene: every name a qfock module imports is used in it."""
+"""Source hygiene: every name a qfock module imports is used in it, and
+every function, class and method it defines is named somewhere else."""
 
 import ast
+import collections
 import pathlib
+import tokenize
 
 import pytest
 
 import qfock
 
 MODULES = sorted(pathlib.Path(qfock.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -28,3 +32,22 @@ def test_no_unused_imports(path):
     unused = sorted("%s (line %d)" % (name, line)
                     for name, line in imported.items() if name not in used)
     assert not unused, "unused imports in %s: %s" % (path.name, ", ".join(unused))
+
+
+def test_every_definition_is_named_again():
+    """A def or class whose name occurs nowhere but in its own definition
+    has no caller in src/, tests/ or demos/."""
+    names = collections.Counter()
+    for sub in ("src", "tests", "demos"):
+        for path in (ROOT / sub).rglob("*.py"):
+            with tokenize.open(path) as fh:
+                names.update(tok.string for tok in tokenize.generate_tokens(
+                    fh.readline) if tok.type == tokenize.NAME)
+    defined = collections.Counter()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("__"):
+                defined[node.name] += 1
+    unnamed = sorted(n for n, k in defined.items() if names[n] <= k)
+    assert not unnamed, "defined but never named: %s" % ", ".join(unnamed)
