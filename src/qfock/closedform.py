@@ -493,7 +493,6 @@ class DualityInstance:
     finite-dimensional group action, with the Weyl data used to reduce its
     labeled traces to level +-1 blocks."""
 
-    name: str
     algebra: str            # 'a', 'c' or 'd'
     level: F                # total central charge of the factors
     l: int                  # rank of the finite-dimensional side
@@ -501,12 +500,6 @@ class DualityInstance:
     op_tag: str
     weyl: str               # 'A', 'BC' or 'D'
     rho_kind: str           # 'A', 'B' or 'C'
-
-    def __post_init__(self):
-        total = sum((fock.CENTRAL_CHARGE[k].value for k in self.factors), F(0))
-        if total != self.level:
-            raise QSeriesError("factor charges sum to %s, not %s"
-                               % (total, self.level))
 
     @property
     def neutral_factor(self) -> Optional[int]:
@@ -548,8 +541,7 @@ def duality_instance(algebra: str, family: str, l: int) -> DualityInstance:
     kind, op_tag, weyl, rho_kind, neutral = _FAMILIES[key]
     factors = (kind,) * l + ((neutral,) if neutral else ())
     level = sum((fock.CENTRAL_CHARGE[k].value for k in factors), F(0))
-    name = "%s:%s:l=%d" % (algebra, family, l)
-    return DualityInstance(name=name, algebra=algebra, level=F(level), l=l,
+    return DualityInstance(algebra=algebra, level=F(level), l=l,
                            factors=factors, op_tag=op_tag, weyl=weyl,
                            rho_kind=rho_kind)
 
@@ -662,18 +654,48 @@ def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
 def extract_dominant(inst: DualityInstance, label,
                      points: Sequence[Param], N,
                      oracle: Optional[Series] = None) -> Series:
-    """Read the labeled trace out of the multi-factor oracle: multiply the
-    charge-resolved trace by the alternating Weyl z-sum over rho and take the
-    coefficient of prod_i z_i^((label+rho)_i)."""
+    """Read the labeled trace out of the multi-factor oracle (see
+    ``weyl_extract``)."""
     lam = _normalize_label(label, inst.l, inst.allow_negative_label)
     if oracle is None:
         oracle = fock.duality_trace(inst.factors, inst.op_tag, points, N)
-    rho = inst.rho
-    zsum = combinat.weyl_zsum(inst.weyl, rho)
-    out = oracle * Series(to2(N), zsum.terms)
-    for i in range(inst.l):
-        out = out.coeff_z(i + 1, HalfInt(twice=2 * lam[i] + to2(rho[i])))
-    return out
+    return weyl_extract(oracle, inst.weyl, inst.rho, lam, N)
+
+
+def weyl_extract(oracle: Series, wtype: str, rho, lam, N) -> Series:
+    """The coefficient of prod_i z_i^((lam+rho)_i) in oracle times the
+    alternating Weyl z-sum sum_w sgn(w) z^(w rho), i.e.
+    sum_w sgn(w) [z^(lam+rho-w rho)] oracle, read in one pass over the
+    oracle's terms.  Variables beyond z_l stay in the result, and its
+    truncation is the product's: min(oracle.trunc2, 2N + oracle.min2)."""
+    l = len(rho)
+    shifts: Dict[tuple, int] = {}
+    for elem, sgn in combinat.weyl_group(wtype, l):
+        key = tuple(2 * k for k in combinat.k_vector(lam, elem, rho))
+        shifts[key] = shifts.get(key, 0) + sgn
+    lo = oracle.min2()
+    t2 = oracle.trunc2 if lo is None else min(oracle.trunc2, to2(N) + lo)
+    out: Dict[tuple, F] = {}
+    for (q2, zk), c in oracle.terms.items():
+        if q2 > t2:
+            continue
+        head = [0] * l
+        rest = []
+        for v, e2 in zk:
+            if 1 <= v <= l:
+                head[v - 1] = e2
+            else:
+                rest.append((v, e2))
+        sgn = shifts.get(tuple(head))
+        if not sgn:
+            continue
+        key = (q2, tuple(rest))
+        n = out.get(key, 0) + sgn * c
+        if n:
+            out[key] = n
+        else:
+            del out[key]
+    return Series(t2, out, clean=False)
 
 
 # -- first-point q-shift difference equations --------------------------------

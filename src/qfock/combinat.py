@@ -1,10 +1,7 @@
-"""Partitions, signed-permutation Weyl groups, rho-vectors, characters.
+"""Partitions, set partitions, signed-permutation Weyl groups, rho-vectors.
 
 Weyl elements act on weight vectors by (sigma v)_i = signs[i] * v[perm[i]];
 the sign of an element is the determinant of its signed permutation matrix.
-Character numerators are returned as z-Laurent polynomials (Series with no
-q-dependence) -- denominators are never divided out, every identity downstream
-is stated in numerator form.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .qseries import CapExceeded, QSeriesError, Series
+from .qseries import CapExceeded, QSeriesError
 
 WEYL_CAP = 6
 
@@ -143,61 +140,3 @@ def k_vector(lam: Sequence[int], sigma: WeylElement,
             raise QSeriesError("non-integral k-vector entry %s" % k)
         out.append(int(k))
     return out
-
-
-def weyl_zsum(wtype: str, rho: Sequence[Fraction]) -> Series:
-    """sum_sigma sign(sigma) * prod_i z_i^((sigma rho)_i) as a z-polynomial."""
-    l = len(rho)
-    acc = Series.zero(0)
-    for w, sgn in weyl_group(wtype, l):
-        srho = w.act([Fraction(r) for r in rho])
-        acc = acc + Series.monomial(sgn, 0, 0,
-                                    {i + 1: srho[i] for i in range(l)})
-    return acc
-
-
-# -- character numerators ---------------------------------------------------
-
-
-def char_numerator(kind: str, lam: Sequence[int], l: int) -> Series:
-    """Determinant numerator of a classical character as a z-polynomial.
-
-    kind 'gl':    |z_j^(lam_i+l-i)|
-    kind 'sp':    |z_j^(a_i) - z_j^(-a_i)|, a_i = lam_i+l-i+1
-    kind 'osp_b': |z_j^(a_i) - z_j^(-a_i)|, a_i = lam_i+l-i+1/2
-    kind 'o_even':|z_j^(a_i) + z_j^(-a_i)|, a_i = lam_i+l-i
-    (raw determinant; the dominant-monomial coefficient carries the 2/c_lambda
-    normalization for 'o_even').
-    """
-    lam = tuple(lam) + (0,) * (l - len(lam))
-    if kind == "gl":
-        exps = [Fraction(lam[i] + l - 1 - i) for i in range(l)]
-        plus_sign = None
-    elif kind == "sp":
-        exps = [Fraction(lam[i] + l - i) for i in range(l)]
-        plus_sign = -1
-    elif kind == "osp_b":
-        exps = [Fraction(lam[i] + l - 1 - i) + Fraction(1, 2) for i in range(l)]
-        plus_sign = -1
-    elif kind == "o_even":
-        exps = [Fraction(lam[i] + l - 1 - i) for i in range(l)]
-        plus_sign = +1
-    else:
-        raise QSeriesError("unknown character kind %r" % kind)
-
-    acc = Series.zero(0)
-    for perm in itertools.permutations(range(l)):
-        sgn = _perm_sign(perm)
-        # product over columns j of entry(i=perm[j], j)
-        term = Series.const(sgn, 0)
-        for j in range(l):
-            a = exps[perm[j]]
-            if plus_sign is None:
-                entry = Series.monomial(1, 0, 0, {j + 1: a})
-            else:
-                entry = Series.monomial(1, 0, 0, {j + 1: a}) + \
-                    Series.monomial(plus_sign, 0, 0, {j + 1: -a})
-            term = term * entry
-        acc = acc + term
-    return acc
-

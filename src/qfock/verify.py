@@ -66,7 +66,8 @@ class CheckResult:
             mono, lhs, rhs = self.first_discrepancy
             fd = {"monomial": mono, "lhs": str(lhs), "rhs": str(rhs)}
         return {"name": self.name, "status": self.status,
-                "first_discrepancy": fd, "ms": self.ms}
+                "first_discrepancy": fd, "ms": self.ms, "mode": self.mode,
+                "detail": self.detail}
 
 
 def _monomial_str(q2: int, zkey: tuple) -> str:
@@ -310,12 +311,8 @@ def charge_resolved_pair_vacuum(l: int, N) -> Series:
 def charge_resolved_qdim_extract(l: int, lam: Tuple[int, ...], N) -> Series:
     """Dominant-monomial coefficient of the charge-resolved vacuum
     character, the closed-form side of the rank-l graded-dimension sum."""
-    rho = combinat.rho_vector("A", l)
-    zsum = combinat.weyl_zsum("A", rho)
-    out = charge_resolved_pair_vacuum(l, N) * Series(to2(N), zsum.terms)
-    for i in range(l):
-        out = out.coeff_z(i + 1, HalfInt(twice=2 * lam[i] + to2(rho[i])))
-    return out
+    return cf.weyl_extract(charge_resolved_pair_vacuum(l, N), "A",
+                           combinat.rho_vector("A", l), lam, N)
 
 
 def odd_triple_product(N) -> Series:

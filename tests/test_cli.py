@@ -163,7 +163,8 @@ class TestVerify:
         assert {c["name"] for c in doc["checks"]} \
             == {"zzz-k0-n1", "zzz-k0-n2"}
         for c in doc["checks"]:
-            assert set(c) == {"name", "status", "first_discrepancy", "ms"}
+            assert set(c) == {"name", "status", "first_discrepancy", "ms",
+                              "mode", "detail"}
 
 
 class TestDump:

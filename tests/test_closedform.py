@@ -7,9 +7,10 @@ first-point q-shift difference equations."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qfock import closedform as cf
-from qfock import combinat, fock, modesum
+from qfock import combinat, fock, modesum, verify
 from qfock.qseries import (
     DegenerateParameter,
     HalfInt,
@@ -23,6 +24,7 @@ from qfock.qseries import (
     theta_jet,
     to2,
 )
+from test_combinat import weyl_zsum
 
 
 S_VALUES = (F(2, 3), F(3, 5), F(5, 7))
@@ -260,6 +262,93 @@ class TestDualityReduce:
         from qfock.qseries import CapExceeded
         with pytest.raises(CapExceeded):
             cf.duality_reduce(inst, (0,), pts(*S_VALUES, F(1, 2)), 4)
+
+
+# -- Weyl extraction against the product-and-slice route ----------------------
+
+
+def product_extract(oracle, wtype, rho, lam, N):
+    """Reference route of ``weyl_extract``: multiply the oracle by the
+    alternating Weyl z-sum, then slice out z_i^((lam+rho)_i) for each i."""
+    out = oracle * Series(to2(N), weyl_zsum(wtype, rho).terms)
+    for i in range(len(rho)):
+        out = out.coeff_z(i + 1, HalfInt(twice=2 * lam[i] + to2(rho[i])))
+    return out
+
+
+# (Weyl type, rho kind) of the duality families, plus whether labels may be
+# negative (type a only).
+WEYL_DATA = [("A", "A", True), ("BC", "B", False), ("D", "A", False),
+             ("BC", "C", False)]
+
+
+@st.composite
+def extraction_cases(draw):
+    """(Weyl type, rho, label, oracle, N).  The oracle's z_1..z_l exponents
+    are drawn half the time from the Weyl shifts lam+rho-w rho, so that
+    lookups hit, and otherwise at random, half-integers included; z_(l+1)
+    is a variable beyond z_l.  Its truncation falls above and below
+    2N + min2, and its lowest q-exponent may be negative."""
+    wtype, rho_kind, negative = draw(st.sampled_from(WEYL_DATA))
+    l = draw(st.integers(1, 3))
+    lo = -2 if negative else 0
+    lam = tuple(sorted(draw(st.lists(st.integers(lo, 3), min_size=l,
+                                     max_size=l)), reverse=True))
+    rho = combinat.rho_vector(rho_kind, l)
+    shifts = sorted({tuple(2 * k for k in combinat.k_vector(lam, w, rho))
+                     for w, _ in combinat.weyl_group(wtype, l)})
+    N2 = draw(st.integers(0, 8))
+    trunc2 = draw(st.integers(-4, 14))
+    head = st.one_of(st.sampled_from(shifts),
+                     st.tuples(*[st.integers(-10, 10)] * l))
+    term = st.tuples(st.integers(-4, trunc2), head, st.integers(-3, 3),
+                     st.fractions(min_value=-3, max_value=3,
+                                  max_denominator=4))
+    terms = {}
+    for q2, hd, extra, c in draw(st.lists(term, max_size=12)):
+        zk = tuple((i + 1, e) for i, e in enumerate(hd) if e)
+        if extra:
+            zk += ((l + 1, extra),)
+        terms[(q2, zk)] = c
+    return wtype, rho, lam, Series(trunc2, terms), HalfInt(twice=N2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(extraction_cases())
+@example(("A", combinat.rho_vector("A", 2), (1, -1), Series(6, {}),
+          HalfInt(2)))
+@example(("BC", combinat.rho_vector("B", 1), (0,),
+          Series(9, {(-3, ((1, 2), (2, 1))): F(1, 2), (4, ()): F(1)}),
+          HalfInt(3)))
+def test_weyl_extract_matches_product_route(case):
+    wtype, rho, lam, oracle, N = case
+    assert cf.weyl_extract(oracle, wtype, rho, lam, N) \
+        == product_extract(oracle, wtype, rho, lam, N)
+
+
+def test_extraction_makes_no_series_products(monkeypatch):
+    inst = cf.duality_instance("c", "-l-1/2", 2)
+    points = pts(F(2, 3))
+    oracle = fock.duality_trace(inst.factors, inst.op_tag, points, 4)
+    vacuum = verify.charge_resolved_pair_vacuum(2, 6)
+    calls = []
+
+    def counting_mul(self, other, _mul=Series.__mul__):
+        calls.append(1)
+        return _mul(self, other)
+
+    monkeypatch.setattr(verify, "charge_resolved_pair_vacuum",
+                        lambda l, N: vacuum)
+    monkeypatch.setattr(Series, "__mul__", counting_mul)
+    monkeypatch.setattr(Series, "__rmul__", counting_mul)
+    ext = cf.extract_dominant(inst, (1, 0), points, 4, oracle=oracle)
+    qdim = verify.charge_resolved_qdim_extract(2, (1, 0), 6)
+    monkeypatch.undo()
+    assert calls == []
+    assert ext == product_extract(oracle, inst.weyl, inst.rho, (1, 0), 4)
+    assert qdim == product_extract(vacuum, "A", combinat.rho_vector("A", 2),
+                                   (1, 0), 6)
+    assert not ext.is_zero() and not qdim.is_zero()
 
 
 class TestQDifferenceEquations:

@@ -1,22 +1,65 @@
-"""Partitions, Weyl groups, character numerators."""
+"""Partitions, Weyl groups, and the Weyl denominator identities, with the
+signed character numerators and alternating Weyl z-sums they relate."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from qfock.combinat import (
     WeylElement,
-    char_numerator,
     k_vector,
     partitions,
     partitions_of,
     rho_vector,
     weyl_group,
-    weyl_zsum,
 )
 from qfock.qseries import CapExceeded, Series, pochhammer_n, Param, series_equal
 
 F = Fraction
+
+
+def weyl_zsum(wtype, rho):
+    """sum_sigma sign(sigma) * prod_i z_i^((sigma rho)_i) as a z-polynomial."""
+    l = len(rho)
+    acc = Series.zero(0)
+    for w, sgn in weyl_group(wtype, l):
+        srho = w.act([Fraction(r) for r in rho])
+        acc = acc + Series.monomial(sgn, 0, 0,
+                                    {i + 1: srho[i] for i in range(l)})
+    return acc
+
+
+def char_numerator(kind, lam, l):
+    """Determinant numerator of a classical character as a z-polynomial.
+
+    kind 'gl':    |z_j^(lam_i+l-i)|
+    kind 'sp':    |z_j^(a_i) - z_j^(-a_i)|, a_i = lam_i+l-i+1
+    kind 'osp_b': |z_j^(a_i) - z_j^(-a_i)|, a_i = lam_i+l-i+1/2
+    kind 'o_even':|z_j^(a_i) + z_j^(-a_i)|, a_i = lam_i+l-i
+    (raw determinant; the dominant-monomial coefficient carries the 2/c_lambda
+    normalization for 'o_even').
+    """
+    lam = tuple(lam) + (0,) * (l - len(lam))
+    exps = [Fraction(lam[i] + l - 1 - i) for i in range(l)]
+    if kind == "sp":
+        exps = [a + 1 for a in exps]
+    elif kind == "osp_b":
+        exps = [a + Fraction(1, 2) for a in exps]
+    plus_sign = {"gl": None, "sp": -1, "osp_b": -1, "o_even": 1}[kind]
+    acc = Series.zero(0)
+    for perm in itertools.permutations(range(l)):
+        sgn = WeylElement(perm, (1,) * l, "A").sign
+        # product over columns j of entry(i=perm[j], j)
+        term = Series.const(sgn, 0)
+        for j in range(l):
+            a = exps[perm[j]]
+            entry = Series.monomial(1, 0, 0, {j + 1: a})
+            if plus_sign is not None:
+                entry = entry + Series.monomial(plus_sign, 0, 0, {j + 1: -a})
+            term = term * entry
+        acc = acc + term
+    return acc
 
 
 def test_partition_counts():

@@ -133,9 +133,17 @@ class TestReports:
         results = [verify.run_check(failing_spec())]
         doc = json.loads(verify.report_json(results))
         (chk,) = doc["checks"]
-        assert set(chk) == {"name", "status", "first_discrepancy", "ms"}
+        assert set(chk) == {"name", "status", "first_discrepancy", "ms",
+                            "mode", "detail"}
         assert chk["first_discrepancy"] == {
             "monomial": "q^0", "lhs": "1", "rhs": "0"}
+        assert (chk["mode"], chk["detail"]) == ("gate", "")
+
+    def test_json_error_detail(self):
+        doc = json.loads(verify.report_json([verify.run_check(error_spec())]))
+        (chk,) = doc["checks"]
+        assert (chk["status"], chk["mode"]) == ("error", "gate")
+        assert chk["detail"] == "DegenerateParameter: unit point"
 
     def test_json_null_discrepancy_on_pass(self):
         res = verify.run_suite("theta-triple-product")
