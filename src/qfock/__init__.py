@@ -7,7 +7,6 @@ from .qseries import (  # noqa: F401
     DegenerateParameter,
     HalfInt,
     IllegalPower,
-    Jet,
     NonTruncatable,
     NotInvertible,
     Param,

@@ -77,6 +77,13 @@ def _parse_label(text: str) -> Tuple[int, ...]:
                          % text)
 
 
+def _parse_count(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError("not an integer: %r" % text)
+
+
 def _parse_order(text: str) -> HalfInt:
     try:
         return HalfInt(twice=parse_half(text))
@@ -181,7 +188,7 @@ def _cmd_dump(args, out) -> int:
         tspec = kv.pop("t", "")
         pts = _parse_points([x for x in tspec.split(",") if x])
         n = kv.pop("n", None)
-        if n is not None and int(n) != len(pts):
+        if n is not None and _parse_count(n) != len(pts):
             raise UsageError("n=%s does not match %d point(s)"
                              % (n, len(pts)))
         series = cf.f_bo(pts, N)

@@ -18,7 +18,7 @@ This module implements the explicit formulas that the enumeration oracles in
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import combinat, fock, modesum
 from .qseries import (
@@ -34,7 +34,6 @@ from .qseries import (
     pochhammer_n,
     power,
     qhyper,
-    theta,
     theta_jet,
     to2,
 )
@@ -225,14 +224,18 @@ F_BO_CAP = 4
 
 
 def f_bo(points: Sequence[Param], N) -> Series:
-    """Permutation sum of theta-jet determinants over partial products:
+    """Bloch-Okounkov's permutation sum of theta-jet determinants,
 
     1/(q)_inf * sum_{sigma in S_n}
         det( Theta^(j-i+1)(P_(n-j)) / (j-i+1)! )_{i,j=1..n}
         / (Theta(P_1) ... Theta(P_n)),
 
     where P_m is the product of the first m sigma-ordered points (P_0 = 1)
-    and entries with j - i + 1 < 0 vanish.
+    and entries with j - i + 1 < 0 vanish.  The matrix is upper Hessenberg
+    with subdiagonal Theta(P_(n-1)), ..., Theta(P_1); dividing column j < n
+    by Theta(P_(n-j)) leaves 1/((q)_inf Theta(P_n)) * sum_sigma D_n, where
+    h_(i,j) are the divided entries, D_0 = 1 and
+    D_m = sum_(i<=m) (-1)^(m-i) h_(i,m) D_(i-1).
     """
     n = len(points)
     if n > F_BO_CAP:
@@ -240,52 +243,57 @@ def f_bo(points: Sequence[Param], N) -> Series:
     qinf_inv = pochhammer_inf(_q(), N).invert()
     if n == 0:
         return qinf_inv
-    jet_cache: Dict[tuple, object] = {}
-    theta_inv_cache: Dict[tuple, Series] = {}
+    one = Param(F(1))
+    jets: Dict[tuple, List[Series]] = {}
+    inverses: Dict[tuple, Series] = {}
+    entries: Dict[tuple, Series] = {}
 
-    def jet_of(p: Param):
+    def jet_of(p: Param) -> List[Series]:
         key = _scalar_key(p)
-        if key not in jet_cache:
-            jet_cache[key] = theta_jet(p, n, N)
-        return jet_cache[key]
+        if key not in jets:
+            jets[key] = theta_jet(p, n, N)
+        return jets[key]
 
-    def theta_inv(p: Param) -> Series:
+    def inverse(p: Param) -> Series:
         key = _scalar_key(p)
-        if key not in theta_inv_cache:
+        if key not in inverses:
             if p.d2 == 0 and p.e2 == 0 and p.sign == 1 and p.value_coeff == 1:
                 raise DegenerateParameter(
                     "theta vanishes at a partial product equal to 1")
-            theta_inv_cache[key] = theta(p, N).invert()
-        return theta_inv_cache[key]
+            inverses[key] = jet_of(p)[0].invert()
+        return inverses[key]
+
+    def entry(p: Param, k: int) -> Series:
+        """Theta^(k)(p) / (k! Theta(p)), an entry of a divided column."""
+        key = (_scalar_key(p), k)
+        if key not in entries:
+            entries[key] = jet_of(p)[k] * inverse(p)
+        return entries[key]
 
     total = Series.zero(N)
     for sigma in permutations(range(n)):
-        prefix = []
-        p = Param(F(1))
+        prefix = [one]
         for idx in sigma:
-            p = p * points[idx]
-            prefix.append(p)
-        # matrix entry (i, j), 1-based: (d/d log t)^(j-i+1) of theta at P_(n-j)
-        det = Series.zero(N)
-        for tau in permutations(range(n)):
-            sign = combinat._perm_sign(tau)
-            term = Series.one(N)
-            ok = True
-            for i0 in range(n):
-                j0 = tau[i0]
-                k = j0 - i0 + 1
-                if k < 0:
-                    ok = False
-                    break
-                arg = prefix[n - j0 - 2] if n - j0 - 2 >= 0 else Param(F(1))
-                term = term * jet_of(arg).coeffs[k]
-            if ok:
-                det = det + term.scale(sign)
-        den = Series.one(N)
-        for p in prefix:
-            den = den * theta_inv(p)
-        total = total + det * den
-    return qinf_inv * total
+            prefix.append(prefix[-1] * points[idx])
+        # every jet first, then 1/Theta(P_1), ..., 1/Theta(P_n): a point
+        # theta refuses is reported before a vanishing Theta
+        for p in prefix[1:n]:
+            jet_of(p)
+        for p in prefix[1:]:
+            inverse(p)
+        D = [Series.one(N)]
+        for m in range(1, n + 1):
+            acc = Series.zero(N)
+            for i in range(1, m + 1):
+                k = m - i + 1
+                h = entry(prefix[n - m], k) if m < n else jet_of(one)[k]
+                term = h * D[i - 1]
+                acc = acc - term if (m - i) % 2 else acc + term
+            D.append(acc)
+        total = total + D[n]
+    # P_n, the product of all points, is the same for every sigma; dividing
+    # by a Theta that starts at q^(-|d|/2) can leave more than O(q^N)
+    return (qinf_inv * inverse(prefix[n]) * total).truncate(N)
 
 
 def level1_sector(k: int, points: Sequence[Param], N) -> Series:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 
 class QSeriesError(Exception):
@@ -69,7 +69,10 @@ def parse_half(s) -> int:
     """Parse a half-integer given as int, "k", "a/2" or "p/q" with q|2."""
     if isinstance(s, int):
         return 2 * s
-    f = Fraction(str(s))
+    try:
+        f = Fraction(str(s))
+    except (ValueError, ZeroDivisionError):
+        raise IllegalPower("not a rational number: %r" % (s,))
     return to2(f)
 
 
@@ -673,97 +676,49 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
 # -- theta function and jets ------------------------------------------------
 
 
-class Jet:
-    """Taylor coefficients of f(t e^eps) in eps: coeffs[k] = (t d/dt)^k f / k!."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Series]):
-        self.coeffs = list(coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        assert self.order == other.order
-        n = self.order
-        out = []
-        for k in range(n + 1):
-            acc = None
-            for i in range(k + 1):
-                term = self.coeffs[i] * other.coeffs[k - i]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return Jet(out)
-
-
-def _jet_one_minus(c: Fraction, q2: int, zk: ZKey, sign2: int, order: int,
-                   N: HalfLike) -> Jet:
-    """Jet of (1 - u e^(sign2*eps/... )) for the monomial u = c q^q2 z^zk.
-
-    sign2 = +1 for a factor depending on t (u ~ t), -1 for t^(-1).
-    """
-    t2 = to2(N)
-    u = Series(t2, {(q2, zk): c})
-    coeffs = [Series.one(N) - u]
-    fact = 1
-    for k in range(1, order + 1):
-        fact *= k
-        coeffs.append(u.scale(Fraction(-(sign2 ** k), fact)))
-    return Jet(coeffs)
-
-
-def theta_jet(t: Param, k: int, N: HalfLike) -> Jet:
+def theta_jet(t: Param, k: int, N: HalfLike) -> List[Series]:
     """Jet of Theta(t) = (t^(1/2)-t^(-1/2)) (q)_inf^(-2) (qt)_inf (qt^(-1))_inf
-    under t -> t e^eps, to eps-order k."""
+    under t -> t e^eps, to eps-order k: entry j is (t d/dt)^j Theta / j!.
+
+    By the Jacobi triple product Theta(t) = (q)_inf^(-3) sum_(n in Z)
+    (-1)^(n+1) q^(n(n-1)/2) t^(n-1/2), so entry j weights term n by
+    (n-1/2)^j / j!.
+    """
     if t.e2:
         raise IllegalPower("theta of a charge-carrying point")
     if t.sign == -1:
         raise IllegalPower("theta of a negative point")
-    # prefactor t^(1/2) e^(eps/2) - t^(-1/2) e^(-eps/2)
-    cp, qp2, _ = t.pow_monomial(Fraction(1, 2))
-    cm, qm2 = 1 / cp, -qp2
-    # the prefactor's lower monomial sits at q^(-|d|/2) and costs every
-    # product that much truncation, so work |d|/2 higher than asked
-    t2 = to2(N) + abs(qp2)
-    Nw = HalfInt(twice=t2)
-    pre = []
-    fact = 1
-    for j in range(k + 1):
-        if j:
-            fact *= j
-        half = Fraction(1, 2) ** j
-        term = Series(t2, {(qp2, ()): cp * half / fact}) - \
-            Series(t2, {(qm2, ()): cm * ((-half) if j % 2 else half) / fact})
-        pre.append(term)
-    jet = Jet(pre)
-    # (qt)_inf and (q t^(-1))_inf factors
-    i = 0
+    t.pow_monomial(Fraction(1, 2))  # refuses a half-integer q-shift d
+    d = t.d2 // 2
+    # the sum starts at q^(-|d|/2) and costs the product with
+    # (q)_inf^(-3) that much truncation, so work |d|/2 higher than asked
+    t2 = to2(N) + abs(d)
+    if abs(t.d2) > 2 and 2 - abs(t.d2) <= t2:
+        raise IllegalPower("theta needs qval(%s) >= 0"
+                           % ("qt" if t.d2 < 0 else "q/t"))
+    # the q-exponent n(n-1) + d(2n-1) (doubled) is symmetric about
+    # n = 1/2 - d, so terms come in pairs n = 1-d+m, -d-m with m >= 0
+    acc = [{} for _ in range(k + 1)]
+    m = 0
     while True:
-        q2 = t.d2 + 2 * (i + 1)
-        if q2 > t2:
+        pair = (1 - d + m, -d - m)
+        if pair[1] * (pair[1] - 1) + d * (2 * pair[1] - 1) > t2:
             break
-        if q2 < 0:
-            raise IllegalPower("theta needs qval(qt) >= 0")
-        jet = jet * _jet_one_minus(t.value_coeff, q2, (), +1, k, Nw)
-        i += 1
-    i = 0
-    while True:
-        q2 = -t.d2 + 2 * (i + 1)
-        if q2 > t2:
-            break
-        if q2 < 0:
-            raise IllegalPower("theta needs qval(q/t) >= 0")
-        jet = jet * _jet_one_minus(1 / t.value_coeff, q2, (), -1, k, Nw)
-        i += 1
-    qq = pochhammer_inf(Param(1, 1, label="q"), Nw)
-    etainv2 = (qq * qq).invert()
-    return Jet([(c * etainv2).truncate(N) for c in jet.coeffs])
+        for n in pair:
+            c, q2, _ = t.pow_monomial(Fraction(2 * n - 1, 2))
+            c = c if n % 2 else -c
+            key = (n * (n - 1) + q2, ())
+            w = ONE
+            for j in range(k + 1):
+                acc[j][key] = acc[j].get(key, ZERO) + c * w
+                w = w * (n - Fraction(1, 2)) / (j + 1)
+        m += 1
+    qinf_inv3 = pochhammer_inf(Param(1, 1, label="q"), HalfInt(twice=t2)) ** -3
+    return [(Series(t2, a) * qinf_inv3).truncate(N) for a in acc]
 
 
 def theta(t: Param, N: HalfLike) -> Series:
-    return theta_jet(t, 0, N).coeffs[0]
+    return theta_jet(t, 0, N)[0]
 
 
 # -- serialization ----------------------------------------------------------

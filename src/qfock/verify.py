@@ -461,7 +461,7 @@ def _registry_correlation(reg: List[CheckSpec]) -> None:
                     fock.f1_charged_trace(zvar, _pts(n), 8).coeff_z(1, k))))
     reg.append(CheckSpec(
         "theta-triple-product", {"N": "20"}, 20, "gate",
-        lambda: (theta_jet(Param(F(1)), 1, 20).coeffs[1]
+        lambda: (theta_jet(Param(F(1)), 1, 20)[1]
                  * pochhammer_inf(_qp(), 20) ** 3,
                  odd_triple_product(20))))
     for m in (0, 1, 2):

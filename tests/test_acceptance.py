@@ -115,7 +115,7 @@ def test_criterion_07_fermionic_level_one_sectors():
                 cf.level1_sector(k, points, 8),
                 fock.f1_charged_trace(zvar, points, 8).coeff_z(1, k),
                 "k=%d n=%d" % (k, n))
-    lhs = theta_jet(Param(F(1)), 1, 20).coeffs[1] \
+    lhs = theta_jet(Param(F(1)), 1, 20)[1] \
         * pochhammer_inf(Param(F(1), 1), 20) ** 3
     assert_same(lhs, verify.odd_triple_product(20), "triple product")
 

@@ -206,6 +206,22 @@ class TestDump:
         assert status == 2
 
 
+class TestMalformedNumbers:
+    """A number that does not parse is a usage error (exit 2), not a
+    traceback with exit 1, which means a failed gating check."""
+
+    @pytest.mark.parametrize("argv", [
+        ["qdim", "--algebra", "a", "--level=-1", "--N", "abc"],
+        ["qdim", "--algebra", "a", "--level=-1", "--N", "1/0"],
+        ["dump", "theta", "t=2/3:x"],
+        ["dump", "f_bo", "t=2/3", "n=abc"],
+    ], ids=["order-abc", "order-1/0", "theta-shift-x", "f_bo-n-abc"])
+    def test_is_usage_error(self, argv, capsys):
+        status, text = run(argv)
+        assert (status, text) == (2, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestDeterminismAndFormats:
     def test_byte_identical_reruns(self):
         argv = ["corr", "--algebra", "a", "--level", "-2",

@@ -5,13 +5,15 @@ every negative-level family, the Weyl-group duality reductions, and the
 first-point q-shift difference equations."""
 
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qfock import closedform as cf
 from qfock import combinat, fock, modesum, verify
 from qfock.qseries import (
+    CapExceeded,
     DegenerateParameter,
     HalfInt,
     IllegalPower,
@@ -21,10 +23,12 @@ from qfock.qseries import (
     first_difference,
     pochhammer_inf,
     series_equal,
+    theta,
     theta_jet,
     to2,
 )
 from test_combinat import weyl_zsum
+from test_qseries import _outcome
 
 
 S_VALUES = (F(2, 3), F(3, 5), F(5, 7))
@@ -108,6 +112,98 @@ class TestFermionicLevelOne:
     def test_f_bo_empty_is_vacuum_character(self):
         assert_same(cf.f_bo([], 10),
                     pochhammer_inf(Param(F(1), 1), 10).invert())
+
+
+# -- level +1 sectors: the Hessenberg recurrence and random points ----------
+
+
+def _leibniz_f_bo(points, N):
+    """Reference f_bo: for every ordering sigma, the n x n theta-jet
+    determinant as its n!-term Leibniz sum, divided by Theta(P_1) ...
+    Theta(P_n), summed and divided by (q)_inf.
+
+    This was closedform.f_bo before the unit-subdiagonal Hessenberg
+    recurrence; it stays here as an independent second algorithm for the
+    differential test.
+    """
+    n = len(points)
+    if n > cf.F_BO_CAP:
+        raise CapExceeded("f_bo limited to %d points" % cf.F_BO_CAP)
+    qinf_inv = pochhammer_inf(Param(F(1), 1), N).invert()
+    if n == 0:
+        return qinf_inv
+    jets, inverses = {}, {}
+
+    def key(p):
+        return (p.s, p.d2, p.e2, p.zvar, p.sign)
+
+    def jet_of(p):
+        if key(p) not in jets:
+            jets[key(p)] = theta_jet(p, n, N)
+        return jets[key(p)]
+
+    def theta_inv(p):
+        if key(p) not in inverses:
+            if p.d2 == 0 and p.e2 == 0 and p.sign == 1 and p.value_coeff == 1:
+                raise DegenerateParameter("theta vanishes at 1")
+            inverses[key(p)] = theta(p, N).invert()
+        return inverses[key(p)]
+
+    total = Series.zero(N)
+    for sigma in permutations(range(n)):
+        prefix = [Param(F(1))]
+        for idx in sigma:
+            prefix.append(prefix[-1] * points[idx])
+        # entry (i, j), 0-based: jet order j - i + 1 at P_(n-1-j)
+        det = Series.zero(N)
+        for tau in permutations(range(n)):
+            if any(tau[i] - i + 1 < 0 for i in range(n)):
+                continue
+            term = Series.one(N)
+            for i, j in enumerate(tau):
+                term = term * jet_of(prefix[n - 1 - j])[j - i + 1]
+            det = det + term.scale(combinat._perm_sign(tau))
+        den = Series.one(N)
+        for p in prefix[1:]:
+            den = den * theta_inv(p)
+        total = total + det * den
+    return qinf_inv * total
+
+
+# s-values whose products often equal 1, where Theta vanishes
+_S_POOL = st.one_of(st.sampled_from([F(2, 3), F(3, 2), F(-3, 2), F(1), F(-1)]),
+                    st.fractions(-3, 3, max_denominator=13).filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_S_POOL, st.sampled_from([-1, 0, 0, 1])),
+                max_size=4),
+       st.sampled_from([F(i, 2) for i in range(7)]))
+@example([(F(2, 3), 0), (F(3, 2), 0)], 3)       # P_2 = 1
+@example([(F(1), 1)], 2)                       # Theta(q) = 0: not invertible
+@example([(F(-1), 0), (F(-3, 5), 1), (F(5, 3), 0), (F(-3, 5), 1)], 2)
+@example([(F(2, 3), 1), (F(5, 7), -1), (F(7, 5), 1), (F(3, 2), -1)], 1)
+@example([(F(2, 3), 1), (F(3, 5), -1)], 3)      # q-shifted
+@example([(F(2, 3), 1), (F(3, 5), 1)], 2)       # refused: P_2 at q^2
+def test_f_bo_matches_leibniz_determinants(spec, N):
+    points = [Param(s, d) for s, d in spec]
+    assert _outcome(cf.f_bo, points, N) == _outcome(_leibniz_f_bo, points, N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.fractions(-3, 3, max_denominator=13).filter(bool),
+                min_size=1, max_size=2),
+       st.integers(-2, 2), st.sampled_from([F(i, 2) for i in range(9)]))
+def test_level1_sector_matches_oracle_at_random_points(svals, k, N):
+    # a partial product equal to 1 is refused by f_bo (Theta vanishes)
+    assume(all(v * v != 1 for v in (svals[0], svals[-1], svals[0] * svals[-1])))
+    points = pts(*svals)
+    zvar = Param(F(1), 0, 1, zvar=1)
+    closed = cf.level1_sector(k, points, N)
+    # the factor q^(k^2/2) lifts the closed form's truncation to N + k^2/2
+    assert closed.truncation >= N
+    assert closed.truncate(N) \
+        == fock.f1_charged_trace(zvar, points, N).coeff_z(1, k)
 
 
 class TestNeutralOnePoint:

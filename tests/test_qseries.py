@@ -1,16 +1,19 @@
 """Series ring, Pochhammer products, hypergeometric sums, theta jets."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qfock import closedform as cf
 from qfock.qseries import (
     DegenerateParameter,
     HalfInt,
     IllegalPower,
     NotInvertible,
     Param,
+    QSeriesError,
     Series,
     beta_scalar,
     c_term,
@@ -24,6 +27,7 @@ from qfock.qseries import (
     series_to_json,
     theta,
     theta_jet,
+    to2,
     zkey,
     _zmul,
 )
@@ -205,7 +209,7 @@ def test_theta_jet_triple_product():
     N = 20
     jet = theta_jet(Param(1), 1, N)
     qinf = pochhammer_inf(Param(1, 1), N)
-    lhs = jet.coeffs[1] * qinf * qinf * qinf
+    lhs = jet[1] * qinf * qinf * qinf
     rhs = Series.zero(N)
     m = 0
     while m * (m + 1) // 2 <= N:
@@ -220,7 +224,7 @@ def test_theta_jet_chain_rule():
     j2 = theta_jet(t, 2, 8)
     j3 = theta_jet(t, 3, 8)
     for k in range(3):
-        assert series_equal(j2.coeffs[k], j3.coeffs[k])
+        assert series_equal(j2[k], j3[k])
 
 
 def test_serialization_roundtrip():
@@ -367,6 +371,67 @@ def test_invert_uses_no_series_products(a, monkeypatch):
     assert a * inv == Series.one(HalfInt(twice=a.trunc2))
 
 
+# -- theta jets against the product of one-factor jets ---------------------
+
+
+def _product_theta_jet(t, k, N):
+    """Reference jet: the prefactor t^(1/2) - t^(-1/2) and every factor of
+    (qt)_inf (q/t)_inf as a Taylor jet in eps under t -> t e^eps, multiplied
+    jet by jet at (k+1)^2 series products each, then by (q)_inf^(-2).
+
+    This was theta_jet before the triple-product sum; it stays here as an
+    independent second algorithm for the differential test.
+    """
+    if t.e2:
+        raise IllegalPower("theta of a charge-carrying point")
+    if t.sign == -1:
+        raise IllegalPower("theta of a negative point")
+    cp, qp2, _ = t.pow_monomial(F(1, 2))
+    t2 = to2(N) + abs(qp2)
+    Nw = HalfInt(twice=t2)
+    fact = [math.factorial(j) for j in range(k + 1)]
+    jet = [Series(t2, {(qp2, ()): cp * F(1, 2) ** j / fact[j]})
+           - Series(t2, {(-qp2, ()): F(-1, 2) ** j / (cp * fact[j])})
+           for j in range(k + 1)]
+    for c, q2_first, sign in ((t.value_coeff, t.d2 + 2, 1),
+                              (1 / t.value_coeff, 2 - t.d2, -1)):
+        for q2 in range(q2_first, t2 + 1, 2):
+            if q2 < 0:
+                raise IllegalPower("theta needs qval >= 0")
+            u = Series(t2, {(q2, ()): c})  # the jet of 1 - u e^(sign eps)
+            factor = [Series.one(Nw) - u] + [
+                u.scale(F(-(sign ** j), fact[j])) for j in range(1, k + 1)]
+            jet = [sum((jet[i] * factor[j - i] for i in range(1, j + 1)),
+                       jet[0] * factor[j]) for j in range(k + 1)]
+    qq = pochhammer_inf(Param(1, 1), Nw)
+    etainv2 = (qq * qq).invert()
+    return [(c * etainv2).truncate(N) for c in jet]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except QSeriesError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(-3, 3, max_denominator=13).filter(bool),
+       st.sampled_from([-1, F(-1, 2), 0, F(1, 2), 1]),
+       st.integers(0, 4), st.sampled_from([F(i, 2) for i in range(17)]))
+@example(F(1), 0, 3, 8)              # Theta(1) = 0, jets of order >= 1 do not
+@example(F(1), 1, 2, 5)              # t = q
+@example(F(-1), -1, 2, F(5, 2))      # t = 1/q
+@example(F(-2, 3), F(1, 2), 1, 3)    # refused: half-integer shift
+def test_theta_jet_matches_product_of_jets(s, d, k, N):
+    t = Param(s, d)
+    new, old = _outcome(theta_jet, t, k, N), _outcome(_product_theta_jet, t, k, N)
+    assert new == old
+    if isinstance(new, list):
+        # a float coefficient would compare equal to its Fraction
+        assert all(type(c) is F for c_k in new for c in c_k.terms.values())
+
+
 # -- truncation coherence of the public builders ----------------------------
 
 _POINTS = {
@@ -384,6 +449,11 @@ _BUILDERS = {
     "qhyper": (lambda p, N: qhyper([p], [Param(F(2, 7), 1)], Param(1, 1), N),
                _NONNEGATIVE),
     "theta": (theta, ["scalar", "shifted", "down-shifted"]),
+    **{"theta_jet%d" % k: (lambda p, N, k=k: theta_jet(p, k, N)[k],
+                           ["scalar", "shifted", "down-shifted"])
+       for k in (1, 2, 3)},
+    "f_bo": (lambda p, N: cf.f_bo([p, Param(F(2, 7))], N),
+             ["scalar", "shifted", "down-shifted"]),
     "invert": (lambda p, N: pochhammer_inf(p, N).invert(), _NONNEGATIVE),
 }
 
@@ -403,8 +473,8 @@ def test_shifted_theta_keeps_truncation():
     t = Param(F(2, 3), 1)
     assert theta(t, 2).truncation == 2
     jet = theta_jet(t, 2, 3)
-    assert [c.truncation for c in jet.coeffs] == [3, 3, 3]
-    assert jet.coeffs[0] == theta(t, 3)
+    assert [c.truncation for c in jet] == [3, 3, 3]
+    assert jet[0] == theta(t, 3)
 
 
 @pytest.mark.parametrize("d", [-3, -2, 2])

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a qfock module imports is used in it, and
-every function, class and method it defines is named somewhere else."""
+"""Source hygiene: every name a qfock module imports is used in it, every
+function, class and method it defines is named somewhere else, and no module
+uses floating point."""
 
 import ast
 import collections
@@ -51,3 +52,15 @@ def test_every_definition_is_named_again():
                 defined[node.name] += 1
     unnamed = sorted(n for n, k in defined.items() if names[n] <= k)
     assert not unnamed, "defined but never named: %s" % ", ".join(unnamed)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_floating_point(path):
+    """Every coefficient is an exact Fraction: no float literal and no use
+    of the name float anywhere in the package."""
+    tree = ast.parse(path.read_text())
+    found = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant)
+                   and isinstance(node.value, (float, complex))
+                   or isinstance(node, ast.Name) and node.id == "float")
+    assert not found, "floating point in %s, lines %s" % (path.name, found)
