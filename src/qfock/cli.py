@@ -86,9 +86,13 @@ def _parse_count(text: str) -> int:
 
 def _parse_order(text: str) -> HalfInt:
     try:
-        return HalfInt(twice=parse_half(text))
+        n2 = parse_half(text)
     except QSeriesError:
         raise UsageError("bad truncation order %r" % text)
+    if n2 < 0:
+        raise UsageError("truncation order N must be nonnegative, got %s"
+                         % text)
+    return HalfInt(twice=n2)
 
 
 # -- output ------------------------------------------------------------------

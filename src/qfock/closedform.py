@@ -236,6 +236,9 @@ def f_bo(points: Sequence[Param], N) -> Series:
     by Theta(P_(n-j)) leaves 1/((q)_inf Theta(P_n)) * sum_sigma D_n, where
     h_(i,j) are the divided entries, D_0 = 1 and
     D_m = sum_(i<=m) (-1)^(m-i) h_(i,m) D_(i-1).
+
+    A partial product at a zero of Theta, 1 or q^(+-1), is refused with
+    DegenerateParameter.
     """
     n = len(points)
     if n > F_BO_CAP:
@@ -257,9 +260,10 @@ def f_bo(points: Sequence[Param], N) -> Series:
     def inverse(p: Param) -> Series:
         key = _scalar_key(p)
         if key not in inverses:
-            if p.d2 == 0 and p.e2 == 0 and p.sign == 1 and p.value_coeff == 1:
+            if p.d2 in (-2, 0, 2) and p.e2 == 0 and p.value_coeff == 1:
                 raise DegenerateParameter(
-                    "theta vanishes at a partial product equal to 1")
+                    "theta vanishes at a partial product equal to 1 or "
+                    "q^(+-1)")
             inverses[key] = jet_of(p)[0].invert()
         return inverses[key]
 
@@ -659,15 +663,27 @@ def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
     return out
 
 
+def _weyl_shifts(wtype: str, rho, lam) -> Dict[tuple, int]:
+    """{doubled lam + rho - w rho: sum of sgn(w)} over the Weyl group, with
+    the keys whose signs cancel left out."""
+    shifts: Dict[tuple, int] = {}
+    for elem, sgn in combinat.weyl_group(wtype, len(rho)):
+        key = tuple(2 * k for k in combinat.k_vector(lam, elem, rho))
+        shifts[key] = shifts.get(key, 0) + sgn
+    return {key: sgn for key, sgn in shifts.items() if sgn}
+
+
 def extract_dominant(inst: DualityInstance, label,
-                     points: Sequence[Param], N,
-                     oracle: Optional[Series] = None) -> Series:
-    """Read the labeled trace out of the multi-factor oracle (see
-    ``weyl_extract``)."""
+                     points: Sequence[Param], N) -> Series:
+    """The labeled trace sum_w sgn(w) [z^(lam+rho-w rho)] of the
+    multi-factor oracle, read one factor at a time by
+    ``fock.duality_trace`` (see ``weyl_extract`` for the same reading of a
+    whole z-carrying series)."""
     lam = _normalize_label(label, inst.l, inst.allow_negative_label)
-    if oracle is None:
-        oracle = fock.duality_trace(inst.factors, inst.op_tag, points, N)
-    return weyl_extract(oracle, inst.weyl, inst.rho, lam, N)
+    # the oracle's refusals come before the Weyl group is enumerated
+    fock.check_duality(inst.factors, inst.op_tag, points)
+    return fock.duality_trace(inst.factors, inst.op_tag, points, N,
+                              _weyl_shifts(inst.weyl, inst.rho, lam))
 
 
 def weyl_extract(oracle: Series, wtype: str, rho, lam, N) -> Series:
@@ -677,10 +693,7 @@ def weyl_extract(oracle: Series, wtype: str, rho, lam, N) -> Series:
     oracle's terms.  Variables beyond z_l stay in the result, and its
     truncation is the product's: min(oracle.trunc2, 2N + oracle.min2)."""
     l = len(rho)
-    shifts: Dict[tuple, int] = {}
-    for elem, sgn in combinat.weyl_group(wtype, l):
-        key = tuple(2 * k for k in combinat.k_vector(lam, elem, rho))
-        shifts[key] = shifts.get(key, 0) + sgn
+    shifts = _weyl_shifts(wtype, rho, lam)
     lo = oracle.min2()
     t2 = oracle.trunc2 if lo is None else min(oracle.trunc2, to2(N) + lo)
     out: Dict[tuple, F] = {}

@@ -32,6 +32,13 @@ v_j = S+_lam - S-_lam and w_j = S+_mu - S-_mu +- 2 beta(t_j), so no inverse
 points are needed.  A neutral factor has one side with
 v_j = S+_lam - S-_lam +- beta(t_j).
 
+Duality traces.  In a tensor product of factors, charged factor i carries
+its own charge variable z_(i+1), so one z-monomial coefficient of the trace
+is a sum, over the assignments of the points to factors, of products of
+per-factor z_i-slices of the subset tables above.  ``duality_trace`` reads
+a signed sum of such coefficients (the Weyl shifts of a labeled trace) this
+way, and multiplies only z-free series.
+
 These oracles require evaluation points with d = 0 (plain rational
 scalars).  Shifted points (d > 0) are handled by the resummed evaluator in
 modesum.py.  ``duality_trace_direct`` enumerates tensor-product states one by
@@ -44,7 +51,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .qseries import (
     CapExceeded,
@@ -346,33 +353,82 @@ def _factor_subset_traces(kind: str, op_tag: str, zvar: int,
 DUALITY_CAP = 4
 
 
-def duality_trace(factors: Sequence[str], op_tag: str,
-                  points: Sequence[Param], N) -> Series:
-    """Trace of q^L0 * prod_i z_i^(charge_i) * prod_j Op(t_j) over the tensor
-    product of factors, where Op acts as the sum of per-factor actions.
-
-    Computed by subset-decorated convolution: for each factor, its trace with
-    every subset of the operators applied; then summed over assignments of
-    points to factors.  Charged factor i carries charge variable z_(i+1).
-    """
+def check_duality(factors: Sequence[str], op_tag: str,
+                  points: Sequence[Param]) -> None:
+    """Refuse what ``duality_trace`` refuses, before any work is done: more
+    than DUALITY_CAP factors or points, an operator some factor lacks, or a
+    point that is not a plain scalar."""
     if len(factors) > DUALITY_CAP or len(points) > DUALITY_CAP:
         raise CapExceeded("duality trace limited to %d factors/points"
                           % DUALITY_CAP)
     for kind in factors:
         _check_op(kind, op_tag)
     _require_scalar_points(points)
+
+
+def _zslices(tables: Sequence[Series]) -> Dict[int, List[Series]]:
+    """One factor's subset tables cut by the doubled exponent e of its own
+    charge variable z_i: {e: [the z-free coefficient of z_i^(e/2) in
+    tables[T], per mask T]}."""
+    layers: Dict[int, List[dict]] = {}
+    for T, table in enumerate(tables):
+        for (q2, zk), c in table.terms.items():
+            e = zk[0][1] if zk else 0
+            if e not in layers:
+                layers[e] = [{} for _ in tables]
+            layers[e][T][(q2, ())] = c
+    return {e: [Series(t.trunc2, d, clean=False) for t, d in zip(tables, ds)]
+            for e, ds in layers.items()}
+
+
+def duality_trace(factors: Sequence[str], op_tag: str,
+                  points: Sequence[Param], N,
+                  charges: Mapping[Tuple[int, ...], int]) -> Series:
+    """sum_c sgn_c [z^c] tr q^L0 prod_i z_i^(charge_i) prod_j Op(t_j) over
+    the tensor product of factors, where Op acts as the sum of per-factor
+    actions and charged factor i carries the charge variable z_(i+1).
+
+    ``charges`` maps doubled charge vectors c, one entry per charged factor
+    in factor order, to integer signs sgn_c.  Distributing the operators
+    over the factors (a map phi from points to factors) and reading one
+    z-monomial gives
+
+      [z^c] tr = sum_phi prod_i [z_i^(c_i)] T_i[S_i(phi)],
+
+    where T_i[S] is factor i's trace with the operators at the points of
+    S = phi^(-1)(i) applied.  Each factor carries only its own z_i, so every
+    product here is between z-free series.
+    """
+    check_duality(factors, op_tag, points)
+    charged = [i for i, kind in enumerate(factors) if kind in CHARGED]
+    for c in charges:
+        if len(c) != len(charged):
+            raise QSeriesError("charge vector %r needs %d entries, one per "
+                               "charged factor" % (c, len(charged)))
     N2 = to2(N)
     n = len(points)
-    tables = [_factor_subset_traces(kind, op_tag, i + 1, points, N2)
+    slices = [_zslices(_factor_subset_traces(kind, op_tag, i + 1, points, N2))
               for i, kind in enumerate(factors)]
-    total = Series.zero(HalfInt(twice=N2))
-    for phi in itertools.product(range(len(factors)), repeat=n):
-        prod = None
-        for i in range(len(factors)):
-            t = tables[i][sum(1 << j for j in range(n) if phi[j] == i)]
-            prod = t if prod is None else prod * t
-        total = total + prod
-    return total.truncate(HalfInt(twice=N2))
+    masks = [[sum(1 << j for j in range(n) if phi[j] == i)
+              for i in range(len(factors))]
+             for phi in itertools.product(range(len(factors)), repeat=n)]
+    total = Series.zero(N)
+    for c, sgn in charges.items():
+        want = [0] * len(factors)
+        for i, e in zip(charged, c):
+            want[i] = e
+        rows = [s.get(e) for s, e in zip(slices, want)]
+        if not sgn or None in rows:
+            continue
+        acc = Series.zero(N)
+        for phi_masks in masks:
+            prod = None
+            for row, S in zip(rows, phi_masks):
+                prod = row[S] if prod is None else prod * row[S]
+            acc = acc + prod
+        total = total + acc.scale(sgn)
+    # every sum starts from O(q^N), so no term above q^N survives
+    return total
 
 
 def duality_trace_direct(factors: Sequence[str], op_tag: str,

@@ -346,19 +346,10 @@ def _slug_lam(lam) -> str:
     return "_".join(str(x) for x in lam)
 
 
-_DUALITY_TRACES: Dict[tuple, Series] = {}
-
-
 def _ext_oracle(alg: str, fam: str, l: int, lam, points, N) -> Series:
-    """The labeled trace read out of ``fock.duality_trace``, memoized by the
-    trace's own inputs so that every label of one instance shares it."""
-    inst = cf.duality_instance(alg, fam, l)
-    key = (inst.factors, inst.op_tag, cf._points_key(points), to2(N))
-    if key not in _DUALITY_TRACES:
-        _DUALITY_TRACES[key] = fock.duality_trace(inst.factors, inst.op_tag,
-                                                  points, N)
-    return cf.extract_dominant(inst, tuple(lam), list(points), N,
-                               oracle=_DUALITY_TRACES[key])
+    """The labeled trace read out of the multi-factor Fock oracle."""
+    return cf.extract_dominant(cf.duality_instance(alg, fam, l), tuple(lam),
+                               list(points), N)
 
 
 def _pts(n: int) -> List[Param]:
@@ -468,18 +459,15 @@ def _registry_correlation(reg: List[CheckSpec]) -> None:
         reg.append(CheckSpec(
             "sector-c-m%d" % m, {"m": str(m), "n": "1", "N": "8"}, 8, "gate",
             lambda m=m: (cf.c_sector_minus1(m, _pts(1), 8),
-                         fock.duality_trace(("boson_pair",), "C",
-                                            _pts(1), 8).coeff_z(1, m))))
-        def _d_sector_pair(m=m):
-            # The rank-one type-d function is the difference of the z^m
-            # and z^(m+2) slices of the sign-inverted trace.
-            orc = fock.duality_trace(("boson_pair",), "D", _pts(1), 8)
-            return (cf.d_sector_minus1(m, _pts(1), 8),
-                    orc.coeff_z(1, m) - orc.coeff_z(1, m + 2))
-
+                         fock.duality_trace(("boson_pair",), "C", _pts(1), 8,
+                                            {(2 * m,): 1}))))
+        # The rank-one type-d function is the difference of the z^m and
+        # z^(m+2) slices of the sign-inverted trace.
         reg.append(CheckSpec(
             "sector-d-m%d" % m, {"m": str(m), "n": "1", "N": "8"}, 8, "gate",
-            _d_sector_pair))
+            lambda m=m: (cf.d_sector_minus1(m, _pts(1), 8),
+                         fock.duality_trace(("boson_pair",), "D", _pts(1), 8,
+                                            {(2 * m,): 1, (2 * m + 4,): -1}))))
 
 
 def _registry_qdiff(reg: List[CheckSpec]) -> None:

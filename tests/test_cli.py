@@ -197,6 +197,12 @@ class TestDump:
         assert status == 0
         assert json.loads(text)["terms"]
 
+    def test_f_bo_at_a_zero_of_theta_is_refused(self, capsys):
+        status, text = run(["dump", "f_bo", "t=1:1", "N=2"])
+        assert (status, text) == (2, "")
+        assert capsys.readouterr().err.startswith(
+            "error: DegenerateParameter: theta vanishes")
+
     def test_unknown_name(self):
         status, _ = run(["dump", "no-such-series"])
         assert status == 2
@@ -220,6 +226,31 @@ class TestMalformedNumbers:
         status, text = run(argv)
         assert (status, text) == (2, "")
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestNegativeOrder:
+    """A negative truncation order is a usage error that names N, refused
+    before any series is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["corr", "--algebra", "a", "--level=-1", "--lambda", "0",
+         "--N", "-1"],
+        ["qdim", "--algebra", "a", "--level=-1", "--lambda", "0",
+         "--N", "-2"],
+        ["qdim", "--algebra", "c", "--level", "3/2", "--N=-1/2"],
+        ["dump", "theta", "t=2/3", "N=-1"],
+        ["dump", "f_bo", "t=2/3", "N=-1"],
+    ], ids=["corr", "qdim", "qdim-half", "dump-theta", "dump-f_bo"])
+    def test_is_usage_error(self, argv, capsys):
+        status, text = run(argv)
+        assert (status, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and " N " in err
+
+    def test_zero_order_is_accepted(self):
+        status, text = run(["dump", "theta", "t=2/3", "N=0"])
+        assert status == 0
+        assert json.loads(text)["truncation"] == "0"
 
 
 class TestDeterminismAndFormats:

@@ -28,6 +28,7 @@ from qfock.qseries import (
     to2,
 )
 from test_combinat import weyl_zsum
+from test_fock import point_st, product_duality_trace
 from test_qseries import _outcome
 
 
@@ -144,8 +145,8 @@ def _leibniz_f_bo(points, N):
 
     def theta_inv(p):
         if key(p) not in inverses:
-            if p.d2 == 0 and p.e2 == 0 and p.sign == 1 and p.value_coeff == 1:
-                raise DegenerateParameter("theta vanishes at 1")
+            if p.d2 in (-2, 0, 2) and p.e2 == 0 and p.value_coeff == 1:
+                raise DegenerateParameter("theta vanishes at 1 and q^(+-1)")
             inverses[key(p)] = theta(p, N).invert()
         return inverses[key(p)]
 
@@ -180,7 +181,7 @@ _S_POOL = st.one_of(st.sampled_from([F(2, 3), F(3, 2), F(-3, 2), F(1), F(-1)]),
                 max_size=4),
        st.sampled_from([F(i, 2) for i in range(7)]))
 @example([(F(2, 3), 0), (F(3, 2), 0)], 3)       # P_2 = 1
-@example([(F(1), 1)], 2)                       # Theta(q) = 0: not invertible
+@example([(F(1), 1)], 2)                       # Theta(q) = 0
 @example([(F(-1), 0), (F(-3, 5), 1), (F(5, 3), 0), (F(-3, 5), 1)], 2)
 @example([(F(2, 3), 1), (F(5, 7), -1), (F(7, 5), 1), (F(3, 2), -1)], 1)
 @example([(F(2, 3), 1), (F(3, 5), -1)], 3)      # q-shifted
@@ -188,6 +189,17 @@ _S_POOL = st.one_of(st.sampled_from([F(2, 3), F(3, 2), F(-3, 2), F(1), F(-1)]),
 def test_f_bo_matches_leibniz_determinants(spec, N):
     points = [Param(s, d) for s, d in spec]
     assert _outcome(cf.f_bo, points, N) == _outcome(_leibniz_f_bo, points, N)
+
+
+@pytest.mark.parametrize("spec", [
+    [(F(1), 1)], [(F(1), -1)], [(F(-1), 1)],
+    [(F(2, 3), 1), (F(3, 2), 0)],               # P_2 = q
+    [(F(2, 3), 0), (F(3, 5), -1), (F(5, 2), 0)],  # P_3 = 1/q
+])
+def test_f_bo_refuses_theta_zeros_at_q_powers(spec):
+    points = [Param(s, d) for s, d in spec]
+    with pytest.raises(DegenerateParameter):
+        cf.f_bo(points, 2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -422,29 +434,76 @@ def test_weyl_extract_matches_product_route(case):
         == product_extract(oracle, wtype, rho, lam, N)
 
 
-def test_extraction_makes_no_series_products(monkeypatch):
+def _z_free(s):
+    return not isinstance(s, Series) or all(not zk for _, zk in s.terms)
+
+
+def test_extraction_multiplies_only_z_free_series(monkeypatch):
     inst = cf.duality_instance("c", "-l-1/2", 2)
     points = pts(F(2, 3))
-    oracle = fock.duality_trace(inst.factors, inst.op_tag, points, 4)
+    oracle = product_duality_trace(inst.factors, inst.op_tag, points, 4)
     vacuum = verify.charge_resolved_pair_vacuum(2, 6)
-    calls = []
+    operands = []
 
-    def counting_mul(self, other, _mul=Series.__mul__):
-        calls.append(1)
+    def recording_mul(self, other, _mul=Series.__mul__):
+        operands.append((self, other))
         return _mul(self, other)
 
     monkeypatch.setattr(verify, "charge_resolved_pair_vacuum",
                         lambda l, N: vacuum)
-    monkeypatch.setattr(Series, "__mul__", counting_mul)
-    monkeypatch.setattr(Series, "__rmul__", counting_mul)
-    ext = cf.extract_dominant(inst, (1, 0), points, 4, oracle=oracle)
+    monkeypatch.setattr(Series, "__mul__", recording_mul)
+    monkeypatch.setattr(Series, "__rmul__", recording_mul)
     qdim = verify.charge_resolved_qdim_extract(2, (1, 0), 6)
+    qdim_products = len(operands)
+    ext = cf.extract_dominant(inst, (1, 0), points, 4)
     monkeypatch.undo()
-    assert calls == []
+    assert qdim_products == 0
+    assert operands and all(_z_free(a) and _z_free(b) for a, b in operands)
     assert ext == product_extract(oracle, inst.weyl, inst.rho, (1, 0), 4)
     assert qdim == product_extract(vacuum, "A", combinat.rho_vector("A", 2),
                                    (1, 0), 6)
     assert not ext.is_zero() and not qdim.is_zero()
+
+
+@st.composite
+def extraction_requests(draw):
+    """(instance, label, points, N) over the six families at ranks 1-2, with
+    0-2 random scalar points; type-a labels may be negative."""
+    alg, fam = draw(st.sampled_from(sorted(LEVEL_OF)))
+    inst = cf.duality_instance(alg, fam, draw(st.integers(1, 2)))
+    lo = -2 if inst.allow_negative_label else 0
+    lam = tuple(sorted(draw(st.lists(st.integers(lo, 2), min_size=inst.l,
+                                     max_size=inst.l)), reverse=True))
+    points = draw(st.lists(point_st, max_size=2))
+    return inst, lam, points, HalfInt(twice=draw(st.integers(0, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(extraction_requests())
+@example((cf.duality_instance("a", "-l", 2), (1, -1), pts(F(2, 3)),
+          HalfInt(3)))
+@example((cf.duality_instance("c", "-l-1/2", 2), (1, 0),
+          pts(F(2, 3), F(-3, 5)), HalfInt(2)))
+def test_sliced_extraction_matches_full_product_oracle(req):
+    inst, lam, points, N = req
+    oracle = product_duality_trace(inst.factors, inst.op_tag, points, N)
+    assert cf.extract_dominant(inst, lam, points, N) \
+        == cf.weyl_extract(oracle, inst.weyl, inst.rho, lam, N)
+
+
+@pytest.mark.parametrize("key", sorted(LEVEL_OF))
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_duality_truncation_coherence(key, n):
+    inst = cf.duality_instance(*key, 2)
+    points = pts(*S_VALUES[:n])
+    builders = (lambda lam, N: cf.extract_dominant(inst, lam, points, N),
+                lambda lam, N: cf.duality_reduce(inst, lam, points, N))
+    for f in builders:
+        for lam in ((0, 0), (1, 0)):
+            full = f(lam, 4)
+            assert full.truncation == 4
+            for M in (0, F(3, 2), 3):
+                assert full.truncate(M) == f(lam, M), (lam, M)
 
 
 class TestQDifferenceEquations:

@@ -1,11 +1,14 @@
 """Fock-space trace oracles: known low-order values and cross-checks."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfock import fock
 from qfock.fock import (
+    CHARGED,
     LEGAL_OPS,
     a_generalized_trace,
     a_sector_trace,
@@ -24,6 +27,7 @@ from qfock.qseries import (
     beta_scalar,
     pochhammer_inf,
     series_equal,
+    to2,
 )
 
 F = Fraction
@@ -125,26 +129,83 @@ def test_c_equals_a_minus_a_inverse():
             eigenvalue("boson_pair", state, "A", T.inverse())
 
 
+# -- the sliced duality trace against the full-product reference ------------
+
+
+def product_duality_trace(factors, op_tag, points, N):
+    """Reference duality trace: every factor's subset tables, charge
+    variables and all, multiplied into one multi-variable series per
+    assignment of points to factors, summed.
+
+    This was fock.duality_trace before the trace was read one factor at a
+    time; it stays here as the z-carrying series the sliced trace reads.
+    """
+    fock.check_duality(factors, op_tag, points)
+    N2 = to2(N)
+    n = len(points)
+    tables = [fock._factor_subset_traces(kind, op_tag, i + 1, points, N2)
+              for i, kind in enumerate(factors)]
+    total = Series.zero(HalfInt(twice=N2))
+    for phi in itertools.product(range(len(factors)), repeat=n):
+        prod = None
+        for i in range(len(factors)):
+            t = tables[i][sum(1 << j for j in range(n) if phi[j] == i)]
+            prod = t if prod is None else prod * t
+        total = total + prod
+    return total.truncate(HalfInt(twice=N2))
+
+
+def _zvars(factors):
+    return [i + 1 for i, kind in enumerate(factors) if kind in CHARGED]
+
+
+def charge_vectors(trace, factors):
+    """The doubled charge vectors, one entry per charged factor, of the
+    z-monomials present in a z-carrying trace."""
+    zvars = _zvars(factors)
+    return sorted({tuple(dict(zk).get(v, 0) for v in zvars)
+                   for _, zk in trace.terms})
+
+
+def charge_slice(trace, factors, c):
+    """[z^c] of a z-carrying trace, for a doubled charge vector c."""
+    want = tuple((v, e) for v, e in zip(_zvars(factors), c) if e)
+    return Series(trace.trunc2, {(q2, ()): x for (q2, zk), x
+                                 in trace.terms.items() if zk == want})
+
+
 def test_duality_single_factor_reduces():
-    got = duality_trace(["boson_pair"], "A", [T], 6)
     zx = Param(1, e=-1)
     zy = Param(1, e=1)
     expect = a_generalized_trace(zx, zy, [T], 6)
-    assert series_equal(got, expect)
+    assert series_equal(product_duality_trace(["boson_pair"], "A", [T], 6),
+                        expect)
+    for m in (-1, 0, 2):
+        assert duality_trace(["boson_pair"], "A", [T], 6, {(2 * m,): 1}) \
+            == a_sector_trace(m, [T], 6) == expect.coeff_z(1, m)
 
 
 def test_duality_n0_factorizes():
-    got = duality_trace(["boson_pair", "boson_pair"], "A", [], 6)
-    one = duality_trace(["boson_pair"], "A", [], 6)
+    got = product_duality_trace(["boson_pair", "boson_pair"], "A", [], 6)
+    one = product_duality_trace(["boson_pair"], "A", [], 6)
     prod = one * Series(one.trunc2, {(q2, tuple((2, e) for _, e in zk)): c
                                      for (q2, zk), c in one.terms.items()})
     assert series_equal(got, prod)
+    for a, b in ((0, 0), (1, 0), (-1, 2)):
+        sliced = duality_trace(["boson_pair", "boson_pair"], "A", [], 6,
+                               {(2 * a, 2 * b): 1})
+        assert sliced == (a_sector_trace(a, [], 6)
+                          * a_sector_trace(b, [], 6)).truncate(6)
 
 
 def test_duality_vacuum_level_minus2():
-    got = duality_trace(["boson_pair", "boson_pair"], "A", [T], 4)
+    factors = ["boson_pair", "boson_pair"]
+    full = product_duality_trace(factors, "A", [T], 4)
     # coefficient of z1^0 z2^0 q^0 is 2*beta
-    assert got.coeff_z(1, 0).coeff_z(2, 0).qcoeff_scalar(0) == 2 * beta_scalar(T)
+    assert full.coeff_z(1, 0).coeff_z(2, 0).qcoeff_scalar(0) \
+        == 2 * beta_scalar(T)
+    sliced = duality_trace(factors, "A", [T], 4, {(0, 0): 1})
+    assert sliced.qcoeff_scalar(0) == 2 * beta_scalar(T)
 
 
 @pytest.mark.parametrize("factors,op", [
@@ -155,9 +216,18 @@ def test_duality_vacuum_level_minus2():
 ])
 def test_duality_convolution_vs_direct(factors, op):
     for pts in ([], [T], [T, T2]):
-        a = duality_trace(factors, op, pts, 2)
-        b = duality_trace_direct(factors, op, pts, 2)
-        assert series_equal(a, b)
+        direct = duality_trace_direct(factors, op, pts, 2)
+        assert series_equal(product_duality_trace(factors, op, pts, 2),
+                            direct)
+        for c in charge_vectors(direct, factors):
+            assert duality_trace(factors, op, pts, 2, {c: 1}) \
+                == charge_slice(direct, factors, c)
+
+
+def test_duality_charge_vector_length_checked():
+    with pytest.raises(QSeriesError):
+        duality_trace(["boson_pair", "boson_neutral"], "C", [T], 2,
+                      {(0, 0): 1})
 
 
 def test_shifted_points_rejected():
@@ -170,7 +240,7 @@ point_st = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)) \
     .filter(lambda s: abs(s) != 1).map(Param)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.lists(point_st, max_size=3), st.integers(0, 6),
        st.lists(st.sampled_from(KINDS), min_size=1, max_size=2),
        st.sampled_from("ACD"))
@@ -189,11 +259,27 @@ def test_traces_match_direct_enumeration(pts, n2, factors, op):
         assert neutral_trace(kind, tag, pts, N) == \
             duality_trace_direct((kind,), tag, pts, N)
     if all(op in LEGAL_OPS[kind] for kind in factors):
-        assert duality_trace(factors, op, pts, N) == \
-            duality_trace_direct(factors, op, pts, N)
+        direct = duality_trace_direct(factors, op, pts, N)
+        assert product_duality_trace(factors, op, pts, N) == direct
+        present = charge_vectors(direct, factors)
+        for c in present:
+            assert duality_trace(factors, op, pts, N, {c: 1}) \
+                == charge_slice(direct, factors, c)
+        # a charge vector no state reaches, when there are charged factors,
+        # and a signed pair
+        absent = tuple(2 * n2 + 2 for _ in _zvars(factors))
+        if absent:
+            assert duality_trace(factors, op, pts, N, {absent: 1}) \
+                == Series.zero(N)
+        c0 = present[0] if present else absent
+        c1 = present[-1] if len(present) > 1 else absent
+        if c0 != c1:
+            assert duality_trace(factors, op, pts, N, {c0: 3, c1: -1}) \
+                == charge_slice(direct, factors, c0).scale(3) \
+                - charge_slice(direct, factors, c1)
     else:
         with pytest.raises(QSeriesError):
-            duality_trace(factors, op, pts, N)
+            duality_trace(factors, op, pts, N, {})
         if pts:
             with pytest.raises(QSeriesError):
                 duality_trace_direct(factors, op, pts, N)
