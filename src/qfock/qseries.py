@@ -8,12 +8,20 @@ A Series knows its truncation order: terms with q-exponent <= truncation are
 exact, everything above is unknown.  Evaluation points are Param objects of
 the form sign * s^2 * q^d * z^e, so t^r is an exact rational monomial for any
 r in (1/2)Z.
+
+Products and inverses add integers, not Fractions: each operand is read as
+Python-int numerators over the lcm of its denominators (_int_form), the
+products of a series product are summed per key over one denominator, and
+each q-layer of an inverse is kept as numerators over its own denominator,
+reduced by one gcd per layer.  A Fraction is built once per stored
+coefficient, when the result is read out; terms stays a
+{(q2, zkey): Fraction} dict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 
@@ -171,6 +179,13 @@ def _zmul(a: ZKey, b: ZKey) -> ZKey:
 Key = Tuple[int, ZKey]  # (doubled q-exponent, z-exponent key)
 
 
+def _int_form(terms: Mapping) -> Tuple[int, List[tuple]]:
+    """(D, [(key, n)]) with D the lcm of the denominators and each
+    coefficient equal to n/D."""
+    d = lcm(*{c.denominator for c in terms.values()})
+    return d, [(k, c.numerator * (d // c.denominator)) for k, c in terms.items()]
+
+
 class Series:
     """Sparse truncated Laurent series in q^(1/2) and charge variables z_i.
 
@@ -225,26 +240,6 @@ class Series:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def qcoeff(self, qexp: HalfLike) -> dict:
-        """Mapping zkey -> coefficient of q^qexp."""
-        q2 = to2(qexp)
-        if q2 > self.trunc2:
-            raise QSeriesError("q-order %s beyond truncation %s"
-                               % (half_str(q2), half_str(self.trunc2)))
-        return {zk: c for (a2, zk), c in self.terms.items() if a2 == q2}
-
-    def qcoeff_scalar(self, qexp: HalfLike) -> Fraction:
-        m = self.qcoeff(qexp)
-        if not m:
-            return ZERO
-        if set(m) != {()}:
-            raise QSeriesError("coefficient carries charge variables")
-        return m[()]
-
-    def constant(self) -> Fraction:
-        """The q^0 z^0 coefficient."""
-        return self.terms.get((0, ()), ZERO)
 
     def coeff_z(self, var: int, m: HalfLike) -> "Series":
         """The z_var^m slice; q-series free of z_var."""
@@ -322,19 +317,20 @@ class Series:
                 t2 = other.trunc2 + amin
             return Series(t2, {}, clean=False)
         t2 = min(self.trunc2 + bmin, other.trunc2 + amin)
+        da = lcm(*{c.denominator for c in self.terms.values()})
+        db, b = _int_form(other.terms)
         out = {}
         for (a2, az), ac in self.terms.items():
-            for (b2, bz), bc in other.terms.items():
-                q2 = a2 + b2
-                if q2 > t2:
+            an = ac.numerator * (da // ac.denominator)
+            lim = t2 - a2
+            for (b2, bz), bn in b:
+                if b2 > lim:
                     continue
-                k = (q2, _zmul(az, bz))
-                n = out.get(k, ZERO) + ac * bc
-                if n:
-                    out[k] = n
-                else:
-                    del out[k]
-        return Series(t2, out, clean=False)
+                k = (a2 + b2, _zmul(az, bz))
+                out[k] = out.get(k, 0) + an * bn
+        d = da * db
+        return Series(t2, {k: Fraction(n, d) for k, n in out.items() if n},
+                      clean=False)
 
     __rmul__ = __mul__
 
@@ -359,7 +355,8 @@ class Series:
 
         With self = lead * (1 + u) and val(u) > 0, the q-layers of
         g = 1/(1 + u) follow g_0 = 1, g_n = -sum_{0<k<=n} u_k g_(n-k); each
-        layer is a {zkey: coefficient} dict, so charge variables ride along.
+        layer is a {zkey: numerator} dict over one denominator, so charge
+        variables ride along and the sum adds integers.
         """
         v2 = self.min2()
         if v2 is None:
@@ -373,26 +370,31 @@ class Series:
         for (a2, az), c in self.terms.items():
             if a2 != v2:
                 u.setdefault(a2 - v2, {})[_zmul(az, inv_zk)] = c / lc
-        u_layers = sorted(u.items())
+        u_layers = [(e, *_int_form(ul)) for e, ul in sorted(u.items())]
         step = gcd(*u) or 1  # every reachable exponent is a multiple of step
-        g = {0: {(): ONE}}
+        g = {0: (1, {(): 1})}  # q-layer -> (denominator, {zkey: numerator})
         for n in range(step, self.trunc2 - v2 + 1, step):
+            # absent g layers: n - e is unreachable or vanishes
+            parts = [(ud, ul, g[n - e]) for e, ud, ul in u_layers
+                     if e <= n and n - e in g]
+            # a list, not a generator: lcm(*generator) resizes its argument
+            # tuple, and the resized tuples pile up on CPython's free lists
+            den = lcm(*[ud * gd for ud, _, (gd, _) in parts])
             acc = {}
-            for e, ul in u_layers:
-                if e > n:
-                    break
-                gl = g.get(n - e)  # absent: n - e is unreachable or vanishes
-                if gl is None:
-                    continue
-                for uz, uc in ul.items():
-                    for gz, gc in gl.items():
+            for ud, ul, (gd, gl) in parts:
+                f = den // (ud * gd)
+                for uz, un in ul:
+                    m = un * f
+                    for gz, gn in gl.items():
                         k = _zmul(uz, gz)
-                        acc[k] = acc.get(k, ZERO) - uc * gc
-            layer = {k: c for k, c in acc.items() if c}
+                        acc[k] = acc.get(k, 0) - m * gn
+            r = gcd(den, *acc.values())
+            layer = {k: c // r for k, c in acc.items() if c}
             if layer:
-                g[n] = layer
-        out = {(n - v2, _zmul(gz, inv_zk)): gc / lc
-               for n, gl in g.items() for gz, gc in gl.items()}
+                g[n] = (den // r, layer)
+        ln, ld = lc.numerator, lc.denominator
+        out = {(n - v2, _zmul(gz, inv_zk)): Fraction(gn * ld, gd * ln)
+               for n, (gd, gl) in g.items() for gz, gn in gl.items()}
         return Series(self.trunc2 - 2 * v2, out)
 
     def truncate(self, N: HalfLike) -> "Series":

@@ -29,7 +29,7 @@ from qfock.qseries import (
 )
 from test_combinat import weyl_zsum
 from test_fock import point_st, product_duality_trace
-from test_qseries import _outcome
+from test_qseries import _outcome, qcoeff
 
 
 S_VALUES = (F(2, 3), F(3, 5), F(5, 7))
@@ -59,8 +59,8 @@ class TestOnePoint:
         t = Param(F(2, 3))
         closed = cf.one_point_minus1(t, 4)
         b = beta_scalar(t)
-        assert closed.qcoeff_scalar(0) == b
-        assert closed.qcoeff_scalar(1) == b - 1 / b
+        assert qcoeff(closed, 0) == b
+        assert qcoeff(closed, 1) == b - 1 / b
 
 
 class TestGeneralizedOnePoint:
@@ -259,7 +259,7 @@ class TestSectorBlocks:
 class TestQDimBaseSeries:
     def test_charged_base_first_coefficients(self):
         g = cf.charged_qdim_base(0, 6)
-        assert [g.qcoeff_scalar(i) for i in range(4)] == [1, 1, 3, 6]
+        assert [qcoeff(g, i) for i in range(4)] == [1, 1, 3, 6]
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_charged_base_counts_states(self, k):
@@ -360,10 +360,10 @@ class TestDualityReduce:
         asg = cf.duality_reduce(inst, (0, 0), [t], 4, mode="assignment")
         lit = cf.duality_reduce(inst, (0, 0), [t], 4, mode="literal")
         b = beta_scalar(t)
-        assert asg.qcoeff_scalar(0) == 2 * b
-        assert lit.qcoeff_scalar(0) == b * b
+        assert qcoeff(asg, 0) == 2 * b
+        assert qcoeff(lit, 0) == b * b
         oracle = cf.extract_dominant(inst, (0, 0), [t], 4)
-        assert oracle.qcoeff_scalar(0) == 2 * b
+        assert qcoeff(oracle, 0) == 2 * b
 
     def test_point_cap(self):
         inst = cf.duality_instance("a", "-l", 1)
@@ -504,6 +504,54 @@ def test_duality_truncation_coherence(key, n):
             assert full.truncation == 4
             for M in (0, F(3, 2), 3):
                 assert full.truncate(M) == f(lam, M), (lam, M)
+
+
+T2 = Param(F(2, 3))
+_COHERENT = {
+    "one_point_minus1": lambda N: cf.one_point_minus1(T2, N),
+    "generalized_one_point": lambda N: cf.generalized_one_point(X, Y, T2, N),
+    "generalized_one_point-z":
+        lambda N: cf.generalized_one_point(XZ, YZ, T2, N),
+    "generalized_two_point":
+        lambda N: cf.generalized_two_point(X, Y, T2, Param(F(3, 5)), N),
+    "c_one_point_half": lambda N: cf.c_one_point_half(T2, N),
+    **{"c_sector_minus1-m%d" % m:
+       (lambda N, m=m: cf.c_sector_minus1(m, pts(*S_VALUES[:2]), N))
+       for m in (0, 1)},
+    **{"d_sector_minus1-m%d" % m:
+       (lambda N, m=m: cf.d_sector_minus1(m, pts(*S_VALUES[:2]), N))
+       for m in (-1, 0)},
+    **{"charged_qdim_base-k%d" % k:
+       (lambda N, k=k: cf.charged_qdim_base(k, N)) for k in (-2, 0, 1)},
+    **{"qdim_closed-%s%s" % key:
+       (lambda N, key=key: cf.qdim_closed(key[0], LEVEL_OF[key], (1, 0), N))
+       for key in sorted(LEVEL_OF)},
+    "qdim_closed-cl-1/2-product":
+        lambda N: cf.qdim_closed("c", "3/2", (1, 0), N, form="product"),
+    **{"qdiff_residual-%s" % alg:
+       (lambda N, alg=alg: cf.qdiff_residual(alg, pts(*S_VALUES[:2]), N))
+       for alg in ("a", "c")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COHERENT))
+def test_closed_form_truncation_coherence(name):
+    f = _COHERENT[name]
+    full = f(6)
+    assert full.truncation == 6
+    for M in (0, F(1, 2), 2, F(7, 2)):
+        assert full.truncate(M) == f(M), M
+
+
+@pytest.mark.parametrize("k", [-1, 0, 2])
+def test_level1_sector_truncation_coherence(k):
+    # the factor q^(k^2/2) lifts the truncation to N + k^2/2 on purpose
+    points = pts(*S_VALUES[:2])
+    full = cf.level1_sector(k, points, 6)
+    for M in (0, F(1, 2), 2, F(7, 2)):
+        part = cf.level1_sector(k, points, M)
+        assert part.truncation == M + F(k * k, 2)
+        assert full.truncate(M) == part.truncate(M), M
 
 
 class TestQDifferenceEquations:

@@ -39,6 +39,21 @@ def q(exp, N, c=1):
     return Series.monomial(c, F(exp), N)
 
 
+def qcoeff(s, qexp):
+    """The z-free coefficient of q^qexp in s, an order within its truncation
+    that carries no charge variable."""
+    q2 = to2(qexp)
+    assert q2 <= s.trunc2
+    assert all(zk == () for a2, zk in s.terms if a2 == q2)
+    return s.terms.get((q2, ()), 0)
+
+
+def assert_clean(s):
+    """Every stored coefficient is a nonzero Fraction: first_difference and
+    series_to_json rely on both."""
+    assert all(type(c) is F and c for c in s.terms.values())
+
+
 def test_halfint_basics():
     assert HalfInt(F(3, 2)).twice == 3
     assert HalfInt(2) + HalfInt(F(1, 2)) == F(5, 2)
@@ -90,7 +105,7 @@ def test_coeff_z():
 
 def test_param_power():
     t = Param(F(2, 3))
-    assert power(t, F(1, 2), 4).constant() == F(2, 3)
+    assert qcoeff(power(t, F(1, 2), 4), 0) == F(2, 3)
     t = Param(F(2, 3), 1)
     s = power(t, F(3, 2), 4)
     assert s.terms == {(3, ()): F(8, 27)}
@@ -103,7 +118,7 @@ def test_param_power():
 
 def test_c_term():
     t = Param(F(2, 3))
-    assert c_term(t, 4).constant() == F(6, 5)
+    assert qcoeff(c_term(t, 4), 0) == F(6, 5)
     assert beta_scalar(t) == F(6, 5)
     # t = q: q^(1/2)(1 + q + q^2 + ...)
     s = c_term(Param(1, 1), F(7, 2))
@@ -128,7 +143,7 @@ def test_pochhammer_inf_euler():
     s = pochhammer_inf(Param(1, 1), 12)
     expect = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1}
     for k in range(13):
-        assert s.qcoeff_scalar(k) == expect.get(k, 0)
+        assert qcoeff(s, k) == expect.get(k, 0)
 
 
 def test_pochhammer_inf_scalar_leading_factor():
@@ -152,16 +167,16 @@ def test_qhyper_phi21_00():
         term = term * (pn * pn).invert()
         byhand = byhand + term.truncate(8)
     assert series_equal(s, byhand)
-    assert s.qcoeff_scalar(0) == 1
-    assert s.qcoeff_scalar(1) == 1
-    assert s.qcoeff_scalar(2) == 3
+    assert qcoeff(s, 0) == 1
+    assert qcoeff(s, 1) == 1
+    assert qcoeff(s, 2) == 3
 
 
 def test_qhyper_n0_layer():
     t = Param(F(2, 3))
     s = qhyper([Param(0), Param(0), Param(1, 1)],
                [t.qshift(1), Param(1, 1)], Param(1, 1), 0)
-    assert s.constant() == 1
+    assert qcoeff(s, 0) == 1
 
 
 def test_exponential_identity_left():
@@ -200,7 +215,7 @@ def test_exponential_identity_right():
 def test_theta_constant_layer():
     t = Param(F(2, 3))
     s = theta(t, 5)
-    assert s.qcoeff_scalar(0) == F(2, 3) - F(3, 2)
+    assert qcoeff(s, 0) == F(2, 3) - F(3, 2)
     assert theta(Param(1), 10).is_zero()
 
 
@@ -269,6 +284,105 @@ def test_invert_round_trip(a):
     assert series_equal(a * a.invert(), Series.one(HalfInt(twice=a.trunc2)))
 
 
+# -- products against the Fraction loop -------------------------------------
+
+
+def _fraction_mul(a, b):
+    """Reference product: one Fraction per term pair.
+
+    This was Series.__mul__ before the products added integer numerators
+    over one common denominator; it stays here as the reference of the
+    differential test.
+    """
+    if isinstance(b, (int, F)):
+        return a.scale(b)
+    amin, bmin = a.min2(), b.min2()
+    if amin is None or bmin is None:
+        if amin is None and bmin is None:
+            t2 = min(a.trunc2, b.trunc2)
+        elif amin is None:
+            t2 = a.trunc2 + bmin
+        else:
+            t2 = b.trunc2 + amin
+        return Series(t2, {}, clean=False)
+    t2 = min(a.trunc2 + bmin, b.trunc2 + amin)
+    out = {}
+    for (a2, az), ac in a.terms.items():
+        for (b2, bz), bc in b.terms.items():
+            q2 = a2 + b2
+            if q2 > t2:
+                continue
+            k = (q2, _zmul(az, bz))
+            n = out.get(k, F(0)) + ac * bc
+            if n:
+                out[k] = n
+            else:
+                del out[k]
+    return Series(t2, out, clean=False)
+
+
+# primes and prime powers of 2 to about 100 bits; one base per term keeps
+# the denominators of an operand pairwise coprime
+_DENOMINATOR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                      2 ** 31 - 1, 2 ** 61 - 1, 2 ** 89 - 1)
+_Z_KEYS = st.sampled_from([(), ((1, 1),), ((1, -3),), ((1, 2), (2, -1)),
+                           ((2, 1),)])
+
+
+@st.composite
+def coprime_series(draw, max_size=6):
+    """A series at a truncation of either sign whose coefficients have
+    pairwise coprime denominators of up to about 100 bits, on keys with
+    negative and half-integer q-exponents and half-integer z-exponents."""
+    trunc2 = draw(st.integers(-4, 10))
+    keys = draw(st.lists(st.tuples(st.integers(-6, trunc2), _Z_KEYS),
+                         unique=True, max_size=max_size))
+    bases = draw(st.permutations(_DENOMINATOR_BASES))
+    terms = {}
+    for key, p in zip(keys, bases):
+        e = draw(st.integers(0, max(0, 100 // p.bit_length())))
+        terms[key] = F(draw(st.integers(-10 ** 30, 10 ** 30).filter(bool)),
+                       p ** e)
+    return Series(trunc2, terms)
+
+
+@st.composite
+def mul_operands(draw):
+    """Two series, or a series and an int or Fraction scalar.  With
+    cancel, the operands are s + m and s - m, whose product s^2 - m^2 loses
+    the cross terms s*m at every key s^2 and m^2 do not reach."""
+    a = draw(coprime_series())
+    kind = draw(st.sampled_from(["series", "cancel", "int", "fraction"]))
+    if kind == "series":
+        return a, draw(coprime_series())
+    if kind == "int":
+        return a, draw(st.integers(-10 ** 20, 10 ** 20))
+    if kind == "fraction":
+        return a, draw(st.fractions(max_denominator=2 ** 100))
+    m = draw(coprime_series(max_size=1))
+    return a + m, a - m
+
+
+@settings(max_examples=300, deadline=None)
+@given(mul_operands())
+@example((Series.zero(3), Series(5, {(-2, ()): F(1, 3)})))   # zero on the left
+@example((Series(5, {(-2, ()): F(1, 3)}), Series.zero(3)))   # zero on the right
+@example((Series.zero(3), Series.zero(F(1, 2))))             # both zero
+@example((Series(2, {(0, ()): F(1), (2, ()): F(1, 3)}),      # pairs beyond
+          Series(4, {(-2, ()): F(1, 5), (4, ()): F(1)})))    # the truncation
+@example((Series(4, {(0, ()): F(1), (1, ((1, 1),)): F(1, 2 ** 89 - 1)}),
+          Series(4, {(0, ()): F(1), (1, ((1, 1),)): F(-1, 2 ** 89 - 1)})))
+@example((Series(3, {(-1, ((1, -3),)): F(7, 3 ** 60)}), F(5, 2 ** 61 - 1)))
+@example((Series(3, {(-1, ((1, -3),)): F(7, 3 ** 60)}), -4))
+def test_mul_matches_fraction_loop(operands):
+    a, b = operands
+    new = a * b
+    assert new == _fraction_mul(a, b)
+    assert_clean(new)
+    if not isinstance(b, Series):
+        assert b * a == new
+
+
 def test_first_difference_reports_lowest():
     a = Series.one(5) + q(2, 5)
     b = Series.one(5) + q(2, 5, 2) + q(3, 5)
@@ -322,10 +436,12 @@ def invertible_series(draw):
         lambda d: zkey({v: F(e2, 2) for v, e2 in d.items()}))
     v2 = draw(st.integers(-5, 4))
     trunc2 = v2 + draw(st.integers(0, 14))
+    coeffs = st.fractions(-4, 4, max_denominator=draw(
+        st.sampled_from([7, 2 ** 100])))
     rest = draw(st.dictionaries(
-        st.tuples(st.integers(v2 + 1, trunc2 + 1), zkeys),
-        st.fractions(-4, 4, max_denominator=7), max_size=6))
-    lead = draw(st.fractions(-4, 4, max_denominator=7).filter(bool))
+        st.tuples(st.integers(v2 + 1, trunc2 + 1), zkeys), coeffs,
+        max_size=6))
+    lead = draw(coeffs.filter(bool))
     return Series(trunc2, {**rest, (v2, draw(zkeys)): lead})
 
 
@@ -336,8 +452,18 @@ def invertible_series(draw):
                     (4, ()): F(5)}))                         # z-carrying lead
 @example(Series(7, {(0, ()): F(1), (1, ((1, 1), (2, -3))): F(2),
                     (2, ((2, 2),)): F(-1, 3)}))               # two variables
+# large pairwise coprime denominators, one per u-layer
+@example(Series(12, {(0, ()): F(3, 2 ** 61 - 1), (1, ()): F(5, 3 ** 40),
+                    (2, ()): F(-7, 2 ** 89 - 1), (5, ()): F(1, 5 ** 30)}))
+@example(Series(10, {(-2, ((1, 1),)): F(-2, 7 ** 20),
+                     (-1, ((1, -1),)): F(1, 2 ** 61 - 1),
+                     (-1, ((1, 3), (2, 1))): F(4, 11 ** 18),
+                     (1, ()): F(-9, 2 ** 89 - 1),
+                     (3, ((2, -2),)): F(2 ** 70, 13 ** 19)}))  # z-carrying
 def test_invert_matches_geometric_sum(a):
-    assert a.invert() == _geometric_invert(a)
+    inv = a.invert()
+    assert inv == _geometric_invert(a)
+    assert_clean(inv)
 
 
 @pytest.mark.parametrize("a", [
