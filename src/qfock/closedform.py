@@ -29,6 +29,7 @@ from .qseries import (
     Param,
     QSeriesError,
     Series,
+    _qinf_inv,
     c_term,
     pochhammer_inf,
     pochhammer_n,
@@ -243,7 +244,7 @@ def f_bo(points: Sequence[Param], N) -> Series:
     n = len(points)
     if n > F_BO_CAP:
         raise CapExceeded("f_bo limited to %d points" % F_BO_CAP)
-    qinf_inv = pochhammer_inf(_q(), N).invert()
+    qinf_inv = _qinf_inv(to2(N), 1)
     if n == 0:
         return qinf_inv
     one = Param(F(1))
@@ -368,11 +369,6 @@ def d_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
 # -- graded dimensions -------------------------------------------------------
 
 
-def _qinf_inv_sq(N) -> Series:
-    g = pochhammer_inf(_q(), N).invert()
-    return g * g
-
-
 def _alt_theta_sum(exps2, N) -> Series:
     """sum_m (-1)^m q^(e_m/2) for a generator of doubled exponents."""
     n2 = to2(N)
@@ -395,11 +391,7 @@ def charged_qdim_base(k: int, N) -> Series:
             yield m, m * (m + 1) + k * (2 * m + 1)
             m += 1
 
-    return _alt_theta_sum(gen(), N) * _qinf_inv_sq(N)
-
-
-def _norm2_doubled(ks) -> int:
-    return sum(k * k for k in ks)
+    return _alt_theta_sum(gen(), N) * _qinf_inv(to2(N), 2)
 
 
 def _normalize_label(lam, l: int, allow_negative: bool):
@@ -416,24 +408,35 @@ def _normalize_label(lam, l: int, allow_negative: bool):
     return lam
 
 
-def _weyl_signed_product(wtype: str, l: int, rho, lam, block, N) -> Series:
-    out = Series.zero(N)
-    for elem, sgn in combinat.weyl_group(wtype, l):
-        ks = combinat.k_vector(lam, elem, rho)
-        out = out + block(ks, N).scale(sgn)
-    return out
-
-
-def _charged_qdim_product(ks, N) -> Series:
-    """prod_i charged_qdim_base(k_i): the Weyl-sum block of qdim_closed."""
-    out = Series.one(N)
-    for k in ks:
-        out = out * charged_qdim_base(k, N)
-    return out
-
-
-def _norm_monomial(ks, N) -> Series:
-    return Series.monomial(1, HalfInt(twice=_norm2_doubled(ks)), N)
+def _alternant(inst: "DualityInstance", lam, entry, N) -> Series:
+    """sum_w sgn(w) prod_i entry(i, k_i(w)), k(w) = lam + rho - w rho, over
+    the Weyl group of ``inst``, expanded row by row like a determinant: row
+    i takes a free column j and, outside type A, a sign s, reads
+    entry(i, lam_i + rho_i - s rho_j) and is signed by s and the parity of
+    the used columns above j.  A state is (used columns, for type D the
+    parity of the s = -1 taken), and type D keeps the even states, so the
+    work is about l 2^l products, not |W| l."""
+    l = inst.l
+    if l > combinat.WEYL_CAP:
+        raise CapExceeded("Weyl rank %d exceeds cap %d" % (l, combinat.WEYL_CAP))
+    rho = inst.rho
+    signs = (1,) if inst.weyl == "A" else (1, -1)
+    states = {(0, 0): Series.one(N)}
+    for i in range(l):
+        row = [(j, s, entry(i, int(lam[i] + rho[i] - s * rho[j])))
+               for j in range(l) for s in signs]
+        nxt: Dict[tuple, Series] = {}
+        for (used, odd), acc in states.items():
+            for j, s, e in row:
+                if used >> j & 1:
+                    continue
+                term = acc * e
+                if (bin(used >> j).count("1") + (s < 0)) % 2:
+                    term = -term
+                key = (used | 1 << j, odd ^ (inst.weyl == "D" and s < 0))
+                nxt[key] = nxt[key] + term if key in nxt else term
+        states = nxt
+    return Series.zero(N) + states[(2 ** l - 1, 0)]
 
 
 def _neutral_qdim(kind: str, N) -> Series:
@@ -464,8 +467,7 @@ def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
     # charge-slice series; the sign flips themselves generate the slice
     # differences that define the rank-one type-d function (at l=1 the sum
     # equals charged_qdim_base(k) - charged_qdim_base(k+2) exactly).
-    wsum = _weyl_signed_product(inst.weyl, inst.l, inst.rho, lam,
-                                _charged_qdim_product, N)
+    wsum = _alternant(inst, lam, lambda i, k: charged_qdim_base(k, N), N)
     if inst.neutral_factor is None:
         return wsum
     return _neutral_qdim(inst.factors[inst.neutral_factor], N) * wsum
@@ -475,13 +477,12 @@ def _c_positive_half_qdim(inst: "DualityInstance", label, N,
                           form: str) -> Series:
     l = inst.l
     lam = _normalize_label(label, l, allow_negative=False)
-    pre = _neutral_qdim("boson_neutral", N) \
-        * pochhammer_inf(_q(), N).invert() ** l
+    pre = _neutral_qdim("boson_neutral", N) * _qinf_inv(to2(N), l)
     if form == "weyl":
-        return pre * _weyl_signed_product(inst.weyl, l, inst.rho, lam,
-                                          _norm_monomial, N)
+        return pre * _alternant(inst, lam, lambda i, k: Series.monomial(
+            1, HalfInt(twice=k * k), N), N)
     if form == "product":
-        out = Series.monomial(1, HalfInt(twice=_norm2_doubled(lam)), N)
+        out = Series.monomial(1, HalfInt(twice=sum(v * v for v in lam)), N)
         for i in range(l):
             out = out * (Series.one(N)
                          - Series.monomial(1, HalfInt(
@@ -635,31 +636,18 @@ def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
 
     all_pts = tuple(points)
     has_neutral = inst.neutral_factor is not None
-    out = Series.zero(N)
     if mode == "literal":
         pre = nblock(all_pts) if has_neutral else Series.one(N)
-        for elem, sgn in combinat.weyl_group(inst.weyl, inst.l):
-            ks = combinat.k_vector(lam, elem, inst.rho)
-            term = Series.one(N)
-            for k in ks:
-                term = term * block(k, all_pts)
-            out = out + term.scale(sgn)
-        return pre * out
+        return pre * _alternant(inst, lam, lambda i, k: block(k, all_pts), N)
     nfac = len(inst.factors)
-    assignments = list(iter_product(range(nfac), repeat=n))
-    for elem, sgn in combinat.weyl_group(inst.weyl, inst.l):
-        ks = combinat.k_vector(lam, elem, inst.rho)
-        inner = Series.zero(N)
-        for phi in assignments:
-            term = Series.one(N)
-            for i in range(nfac):
-                pts = tuple(points[j] for j in range(n) if phi[j] == i)
-                if has_neutral and i == inst.neutral_factor:
-                    term = term * nblock(pts)
-                else:
-                    term = term * block(ks[i], pts)
-            inner = inner + term
-        out = out + inner.scale(sgn)
+    out = Series.zero(N)
+    for phi in iter_product(range(nfac), repeat=n):
+        parts = [tuple(points[j] for j in range(n) if phi[j] == i)
+                 for i in range(nfac)]
+        term = _alternant(inst, lam, lambda i, k: block(k, parts[i]), N)
+        if has_neutral:
+            term = term * nblock(parts[inst.neutral_factor])
+        out = out + term
     return out
 
 

@@ -21,6 +21,7 @@ coefficient, when the result is read out; terms stays a
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -629,6 +630,15 @@ def pochhammer_inf(a: Param, N: HalfLike) -> Series:
     return out
 
 
+@lru_cache(maxsize=64)
+def _qinf_inv(t2: int, m: int) -> Series:
+    """(q)_inf^(-m) to the doubled truncation t2, built once per (t2, m).
+    Every caller gets the same Series, so none may change its terms."""
+    if m == 1:
+        return pochhammer_inf(Param(1, 1), HalfInt(twice=t2)).invert()
+    return _qinf_inv(t2, 1) ** m
+
+
 def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
            N: HalfLike) -> Series:
     """Basic hypergeometric series rPhis(upper; lower; q, arg).
@@ -715,7 +725,7 @@ def theta_jet(t: Param, k: int, N: HalfLike) -> List[Series]:
                 acc[j][key] = acc[j].get(key, ZERO) + c * w
                 w = w * (n - Fraction(1, 2)) / (j + 1)
         m += 1
-    qinf_inv3 = pochhammer_inf(Param(1, 1, label="q"), HalfInt(twice=t2)) ** -3
+    qinf_inv3 = _qinf_inv(t2, 3)
     return [(Series(t2, a) * qinf_inv3).truncate(N) for a in acc]
 
 

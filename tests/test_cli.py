@@ -117,6 +117,13 @@ class TestQdim:
                          "--lambda", "x,y", "--N", "4"])
         assert status == 2
 
+    def test_rank_over_the_weyl_cap_is_refused(self, capsys):
+        status, text = run(["qdim", "--algebra", "d", "--level", "-7",
+                            "--lambda", "0,0,0,0,0,0,0"])
+        assert (status, text) == (2, "")
+        assert capsys.readouterr().err \
+            == "error: CapExceeded: Weyl rank 7 exceeds cap 6\n"
+
 
 class TestIdentity:
     def test_pass_gives_zero(self):

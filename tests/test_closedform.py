@@ -5,7 +5,7 @@ every negative-level family, the Weyl-group duality reductions, and the
 first-point q-shift difference equations."""
 
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations, permutations, product as iter_product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -466,16 +466,17 @@ def test_extraction_multiplies_only_z_free_series(monkeypatch):
 
 
 @st.composite
-def extraction_requests(draw):
-    """(instance, label, points, N) over the six families at ranks 1-2, with
-    0-2 random scalar points; type-a labels may be negative."""
+def extraction_requests(draw, max_rank=2, max_points=2, max_n2=6):
+    """(instance, label, points, N) over the six families at ranks
+    1..max_rank, with up to max_points random scalar points and
+    N <= max_n2/2; type-a labels may be negative."""
     alg, fam = draw(st.sampled_from(sorted(LEVEL_OF)))
-    inst = cf.duality_instance(alg, fam, draw(st.integers(1, 2)))
+    inst = cf.duality_instance(alg, fam, draw(st.integers(1, max_rank)))
     lo = -2 if inst.allow_negative_label else 0
     lam = tuple(sorted(draw(st.lists(st.integers(lo, 2), min_size=inst.l,
                                      max_size=inst.l)), reverse=True))
-    points = draw(st.lists(point_st, max_size=2))
-    return inst, lam, points, HalfInt(twice=draw(st.integers(0, 6)))
+    points = draw(st.lists(point_st, max_size=max_points))
+    return inst, lam, points, HalfInt(twice=draw(st.integers(0, max_n2)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -489,6 +490,170 @@ def test_sliced_extraction_matches_full_product_oracle(req):
     oracle = product_duality_trace(inst.factors, inst.op_tag, points, N)
     assert cf.extract_dominant(inst, lam, points, N) \
         == cf.weyl_extract(oracle, inst.weyl, inst.rho, lam, N)
+
+
+def has_unit_signed_product(points):
+    """Whether some nonempty subset of the points, each taken as t or 1/t,
+    multiplies to 1: there a level-one block's f_bo refuses."""
+    for r in range(1, len(points) + 1):
+        for sub in combinations(points, r):
+            for _, signed in cf._eps_signed_points(sub):
+                prod = Param(F(1))
+                for p in signed:
+                    prod = prod * p
+                if prod.value_coeff == 1:
+                    return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(extraction_requests(max_rank=3))
+@example((cf.duality_instance("d", "-l", 1), (1,), pts(F(2, 3)),
+          HalfInt(3)))
+@example((cf.duality_instance("c", "l-1/2", 3), (1, 0, 0),
+          pts(F(2, 3), F(-3, 5)), HalfInt(2)))
+def test_assignment_reduction_matches_oracle_at_random_points(req):
+    """The closed-form reduction against the Fock oracle's Weyl extraction,
+    which enumerates the Weyl group on its own."""
+    inst, lam, points, N = req
+    assume(not has_unit_signed_product(points))
+    assert cf.duality_reduce(inst, lam, points, N, mode="assignment") \
+        == cf.extract_dominant(inst, lam, points, N)
+
+
+# -- Weyl-group references of the closed-form alternants ----------------------
+
+
+def weyl_signed_product(wtype, l, rho, lam, block, N):
+    """sum_w sgn(w) block(lam + rho - w rho, N), the group enumerated
+    element by element: the reference of ``cf._alternant``."""
+    out = Series.zero(N)
+    for elem, sgn in combinat.weyl_group(wtype, l):
+        ks = combinat.k_vector(lam, elem, rho)
+        out = out + block(ks, N).scale(sgn)
+    return out
+
+
+def charged_qdim_product(ks, N):
+    out = Series.one(N)
+    for k in ks:
+        out = out * cf.charged_qdim_base(k, N)
+    return out
+
+
+def norm_monomial(ks, N):
+    return Series.monomial(1, HalfInt(twice=sum(k * k for k in ks)), N)
+
+
+def reference_qdim(algebra, level, label, N):
+    """``cf.qdim_closed`` (Weyl form) with its Weyl sums enumerated."""
+    inst = cf.module_instance(algebra, level)
+    if inst.factors[0] == "fermion_pair":
+        lam = cf._normalize_label(label, inst.l, allow_negative=False)
+        pre = cf._neutral_qdim("boson_neutral", N) \
+            * pochhammer_inf(Param(F(1), 1), N).invert() ** inst.l
+        return pre * weyl_signed_product(inst.weyl, inst.l, inst.rho, lam,
+                                         norm_monomial, N)
+    lam = cf._normalize_label(label, inst.l, inst.allow_negative_label)
+    wsum = weyl_signed_product(inst.weyl, inst.l, inst.rho, lam,
+                               charged_qdim_product, N)
+    if inst.neutral_factor is None:
+        return wsum
+    return cf._neutral_qdim(inst.factors[inst.neutral_factor], N) * wsum
+
+
+def reference_duality_reduce(inst, label, points, N, mode):
+    """``cf.duality_reduce`` with both readings summed over the Weyl group
+    element by element (literal: one product of full-list blocks per
+    element; assignment: per element, a sum over the maps from points to
+    factors)."""
+    lam = cf._normalize_label(label, inst.l, inst.allow_negative_label)
+    cache = {}
+
+    def block(k, pts):
+        key = (k, cf._points_key(pts))
+        if key not in cache:
+            cache[key] = cf._charged_block(inst, k, pts, N)
+        return cache[key]
+
+    def nblock(pts):
+        key = ("neutral", cf._points_key(pts))
+        if key not in cache:
+            cache[key] = cf._neutral_block(inst, pts, N)
+        return cache[key]
+
+    n = len(points)
+    all_pts = tuple(points)
+    has_neutral = inst.neutral_factor is not None
+    out = Series.zero(N)
+    if mode == "literal":
+        pre = nblock(all_pts) if has_neutral else Series.one(N)
+        for elem, sgn in combinat.weyl_group(inst.weyl, inst.l):
+            ks = combinat.k_vector(lam, elem, inst.rho)
+            term = Series.one(N)
+            for k in ks:
+                term = term * block(k, all_pts)
+            out = out + term.scale(sgn)
+        return pre * out
+    nfac = len(inst.factors)
+    assignments = list(iter_product(range(nfac), repeat=n))
+    for elem, sgn in combinat.weyl_group(inst.weyl, inst.l):
+        ks = combinat.k_vector(lam, elem, inst.rho)
+        inner = Series.zero(N)
+        for phi in assignments:
+            term = Series.one(N)
+            for i in range(nfac):
+                pts = tuple(points[j] for j in range(n) if phi[j] == i)
+                if has_neutral and i == inst.neutral_factor:
+                    term = term * nblock(pts)
+                else:
+                    term = term * block(ks[i], pts)
+            inner = inner + term
+        out = out + inner.scale(sgn)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(extraction_requests(max_rank=4, max_points=0, max_n2=10))
+@example((cf.duality_instance("d", "-l", 4), (2, 1, 1, 0), [], HalfInt(5)))
+@example((cf.duality_instance("c", "l-1/2", 4), (2, 1, 0, 0), [],
+          HalfInt(5)))
+@example((cf.duality_instance("a", "-l", 4), (2, 0, -1, -2), [],
+          HalfInt(F(9, 2))))
+def test_qdim_alternant_matches_weyl_enumeration(req):
+    """Every Weyl-sum family of qdim_closed against the group enumerated
+    element by element; == compares the truncation too."""
+    inst, lam, _, N = req
+    assert cf.qdim_closed(inst.algebra, inst.level, lam, N) \
+        == reference_qdim(inst.algebra, inst.level, lam, N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(extraction_requests(max_rank=4, max_n2=4),
+       st.sampled_from(["literal", "assignment"]))
+@example((cf.duality_instance("d", "-l+1/2", 3), (1, 1, 0),
+          pts(F(2, 3), F(3, 5)), HalfInt(2)), "assignment")
+@example((cf.duality_instance("c", "-l", 4), (1, 0, 0, 0),
+          pts(F(2, 3), F(3, 5)), HalfInt(1)), "assignment")
+@example((cf.duality_instance("a", "-l", 4), (1, 0, 0, -1), pts(F(2, 3)),
+          HalfInt(F(3, 2))), "literal")
+@example((cf.duality_instance("c", "l-1/2", 2), (1, 0), pts(F(2, 3), F(3, 2)),
+          HalfInt(1)), "assignment")
+def test_duality_alternant_matches_weyl_enumeration(req, mode):
+    """Both readings of duality_reduce against the Weyl-group loops they
+    replaced, refusals included."""
+    inst, lam, points, N = req
+    assert _outcome(cf.duality_reduce, inst, lam, points, N, mode) \
+        == _outcome(reference_duality_reduce, inst, lam, points, N, mode)
+
+
+def test_rank_cap_is_refused_before_any_entry(monkeypatch):
+    def no_entry(k, N):
+        raise AssertionError("entry computed")
+
+    monkeypatch.setattr(cf, "charged_qdim_base", no_entry)
+    with pytest.raises(CapExceeded, match="^Weyl rank 7 exceeds cap 6$"):
+        cf.qdim_closed("d", "-7", (0,) * 7, 4)
 
 
 @pytest.mark.parametrize("key", sorted(LEVEL_OF))

@@ -1,6 +1,6 @@
 """Source hygiene: every name a qfock module imports is used in it, every
-function, class and method it defines is named somewhere else, and no module
-uses floating point."""
+function, class and method it defines is named somewhere else, no module
+uses floating point, and the closed forms enumerate no Weyl group."""
 
 import ast
 import collections
@@ -64,3 +64,18 @@ def test_no_floating_point(path):
                    and isinstance(node.value, (float, complex))
                    or isinstance(node, ast.Name) and node.id == "float")
     assert not found, "floating point in %s, lines %s" % (path.name, found)
+
+
+def test_closed_forms_enumerate_no_weyl_group():
+    """In closedform.py only the oracle-side ``_weyl_shifts`` names
+    ``weyl_group`` or ``k_vector``; the closed-form Weyl sums are alternants,
+    so the two sides of a gate share no sign convention."""
+    path = ROOT / "src" / "qfock" / "closedform.py"
+    users = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            # Attribute.attr, Name.id, and the name of an import or a def
+            named = {getattr(node, f, None) for f in ("attr", "id", "name")}
+            if named & {"weyl_group", "k_vector"}:
+                users.add(getattr(top, "name", "<module>"))
+    assert users == {"_weyl_shifts"}
