@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction as F
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import closedform as cf
@@ -214,7 +215,9 @@ def _cmd_dump(args, out) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="qfock",
         description="Exact correlation functions and graded dimensions of "

@@ -29,6 +29,7 @@ from .qseries import (
     Param,
     QSeriesError,
     Series,
+    _one_minus,
     _qinf_inv,
     c_term,
     pochhammer_inf,
@@ -50,10 +51,6 @@ def _q(d=1) -> Param:
 
 
 _QH = _q(F(1, 2))
-
-
-def _one_minus(p: Param, N) -> Series:
-    return Series.one(N) - power(p, 1, N)
 
 
 def _scalar_key(p: Param):
@@ -104,21 +101,17 @@ def partition_ladder_sum(x: Param, t: Param, N) -> Series:
     sum_i t^(la_i - 1/2), by direct enumeration."""
     n2 = to2(N)
     acc: Dict[Tuple[int, tuple], F] = {}
-    for w in range(1, n2 + 1):
-        for la in combinat.partitions_of(w):
-            l = len(la)
-            q2 = 2 * w - l
-            xc, xq2, xzk = x.pow_monomial(l)
-            q2 += xq2
-            if q2 > n2 or not xc:
-                continue
-            s = F(0)
-            for part in la:
-                s += t.scalar_pow(F(2 * part - 1, 2))
-            c = xc * s
-            if c:
-                key = (q2, xzk)
-                acc[key] = acc.get(key, F(0)) + c
+    for w2, la in fock.mod_partitions(n2):
+        if not la:
+            continue
+        xc, xq2, xzk = x.pow_monomial(len(la))
+        q2 = w2 + xq2
+        if q2 > n2 or not xc:
+            continue
+        c = xc * sum(t.scalar_pow(F(2 * part - 1, 2)) for part in la)
+        if c:
+            key = (q2, xzk)
+            acc[key] = acc.get(key, F(0)) + c
     return Series(n2, acc)
 
 
@@ -484,15 +477,12 @@ def _c_positive_half_qdim(inst: "DualityInstance", label, N,
     if form == "product":
         out = Series.monomial(1, HalfInt(twice=sum(v * v for v in lam)), N)
         for i in range(l):
-            out = out * (Series.one(N)
-                         - Series.monomial(1, HalfInt(
-                             twice=2 * (lam[i] + l - i - 1) + 1), N))
+            out = out * _one_minus(_q(lam[i] + l - i - F(1, 2)), N)
         for i in range(l):
             for j in range(i + 1, l):
-                out = out * (Series.one(N) - Series.monomial(
-                    1, lam[i] - lam[j] + j - i, N))
-                out = out * (Series.one(N) - Series.monomial(
-                    1, lam[i] + lam[j] + 2 * l - i - j - 1, N))
+                out = out * _one_minus(_q(lam[i] - lam[j] + j - i), N)
+                out = out * _one_minus(
+                    _q(lam[i] + lam[j] + 2 * l - i - j - 1), N)
         return pre * out
     raise IllegalPower("unknown form %r" % form)
 
@@ -618,6 +608,7 @@ def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
     if mode not in ("literal", "assignment"):
         raise IllegalPower("unknown mode %r" % mode)
     lam = _normalize_label(label, inst.l, inst.allow_negative_label)
+    fock._require_scalar_points(points)
     cache: Dict[tuple, Series] = {}
 
     def block(k: int, pts: Tuple[Param, ...]) -> Series:

@@ -1,4 +1,4 @@
-"""Partitions, set partitions, signed-permutation Weyl groups, rho-vectors.
+"""Set partitions, signed-permutation Weyl groups, rho-vectors.
 
 Weyl elements act on weight vectors by (sigma v)_i = signs[i] * v[perm[i]];
 the sign of an element is the determinant of its signed permutation matrix.
@@ -9,42 +9,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .qseries import CapExceeded, QSeriesError
 
 WEYL_CAP = 6
 
 
-# -- partitions -------------------------------------------------------------
-
-
-def partitions(max_weight: int, max_length: Optional[int] = None,
-               strict: bool = False) -> Iterator[Tuple[int, ...]]:
-    """All partitions (as weakly/strictly decreasing tuples) of weight
-    0..max_weight, with at most max_length parts."""
-    for w in range(max_weight + 1):
-        yield from partitions_of(w, max_length, strict=strict)
-
-
-def partitions_of(weight: int, max_length: Optional[int] = None,
-                  strict: bool = False) -> Iterator[Tuple[int, ...]]:
-    """Partitions of exactly the given weight."""
-
-    def rec(remaining: int, largest: int, room: Optional[int]):
-        if remaining == 0:
-            yield ()
-            return
-        if room is not None and room == 0:
-            return
-        top = min(largest, remaining)
-        for first in range(top, 0, -1):
-            nxt = first - 1 if strict else first
-            for rest in rec(remaining - first, nxt,
-                            None if room is None else room - 1):
-                yield (first,) + rest
-
-    yield from rec(weight, weight, max_length)
+# -- set partitions ---------------------------------------------------------
 
 
 def set_partitions(items: Sequence) -> Iterator[List[tuple]]:

@@ -35,9 +35,11 @@ v_j = S+_lam - S-_lam +- beta(t_j).
 Duality traces.  In a tensor product of factors, charged factor i carries
 its own charge variable z_(i+1), so one z-monomial coefficient of the trace
 is a sum, over the assignments of the points to factors, of products of
-per-factor z_i-slices of the subset tables above.  ``duality_trace`` reads
-a signed sum of such coefficients (the Weyl shifts of a labeled trace) this
-way, and multiplies only z-free series.
+per-factor charge slices of the subset tables above.  The pair loop splits
+the charges as it sums, so each factor kind gives one table of z-free
+series per charge, built once however many factors share the kind.
+``duality_trace`` reads a signed sum of such coefficients (the Weyl shifts
+of a labeled trace) this way, and multiplies only z-free series.
 
 These oracles require evaluation points with d = 0 (plain rational
 scalars).  Shifted points (d > 0) are handled by the resummed evaluator in
@@ -91,7 +93,7 @@ LEGAL_OPS = {
 @lru_cache(maxsize=None)
 def mod_partitions(budget2: int, strict: bool = False) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     """All partitions with doubled modified weight 2|lam| - len <= budget2,
-    as (w2, parts) pairs."""
+    as (w2, parts) pairs: the package's one partition enumerator."""
     out: List[Tuple[int, Tuple[int, ...]]] = []
 
     def rec(rem2: int, top: int, prefix: Tuple[int, ...]):
@@ -161,11 +163,12 @@ def _side_table(points: Sequence[Param], alpha: int, gamma: int, consts,
     return table, dens
 
 
-def _charged_sides(points: Sequence[Param], op_tag: str, csign: int,
-                   budget2: int, strict: bool):
+def _charged_sides(kind: str, op_tag: str, points: Sequence[Param],
+                   budget2: int):
     """The lam-side and mu-side tables of a charged pair, and their common
     dens, for the operator A or for C and D (A(t) - A(t^(-1)))."""
-    betas = [csign * beta_scalar(p) for p in points]
+    betas = [CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
+    strict = kind == "fermion_pair"
     zeros = [0] * len(points)
     if op_tag in ("C", "D"):
         lam, dens = _side_table(points, 1, -1, zeros, budget2, strict)
@@ -176,39 +179,57 @@ def _charged_sides(points: Sequence[Param], op_tag: str, csign: int,
     return lam, mu, dens
 
 
-def _series(N2: int, acc: dict, dens: Sequence[int], T: int) -> Series:
-    """The accumulated coefficients of subset T, divided by dens_T."""
+def _series(N2: int, acc: Dict[int, int], dens: Sequence[int], T: int) -> Series:
+    """The accumulated coefficients {q2: c} of subset T, divided by dens_T,
+    as a z-free series."""
     d = math.prod(x for j, x in enumerate(dens) if T >> j & 1)
-    return Series(N2, {k: F(c) / d for k, c in acc.items()})
+    return Series(N2, {(q2, ()): F(c) / d for q2, c in acc.items()})
 
 
 def _pair_traces(lam: dict, mu: dict, dens: Sequence[int], weight, N2: int,
-                 masks) -> List[Series]:
-    """Pair traces from two side tables, one per subset mask T in `masks`:
-    sum over (lam, mu) with energy <= N2 of weight * prod_(j in T) eigenvalue.
+                 masks) -> Dict[object, List[Series]]:
+    """Pair traces from two side tables, split by the bucket each pair's
+    weight names: {bucket: [z-free series, one per subset mask T in
+    `masks`]}, each the sum over the bucket's (lam, mu) with energy <= N2 of
+    weight * prod_(j in T) eigenvalue.
 
     weight(len_lam, len_mu) gives (coefficient, extra doubled q-exponent,
-    z-key), or None when the pair does not contribute."""
+    bucket), or None when the pair does not contribute."""
     splits = [[(S, T ^ S) for S in range(T + 1) if S & T == S] for T in masks]
     weights = {(ll, lm): weight(ll, lm)
                for ll in {k[1] for k in lam} for lm in {k[1] for k in mu}}
-    accs: List[dict] = [{} for _ in masks]
+    buckets: Dict[object, List[dict]] = {}
     for (wl2, ll), a in lam.items():
         for (wm2, lm), b in mu.items():
             w2 = wl2 + wm2
             wt = weights[ll, lm]
             if w2 > N2 or wt is None:
                 continue
-            c0, dq2, zk = wt
+            c0, dq2, bucket = wt
             q2 = w2 + dq2
             if q2 > N2:
                 continue
-            key = (q2, zk)
+            accs = buckets.get(bucket)
+            if accs is None:
+                accs = buckets[bucket] = [{} for _ in masks]
             for acc, split in zip(accs, splits):
                 c = sum(a[S] * b[R] for S, R in split)
                 if c:
-                    acc[key] = acc.get(key, 0) + c0 * c
-    return [_series(N2, acc, dens, T) for acc, T in zip(accs, masks)]
+                    acc[q2] = acc.get(q2, 0) + c0 * c
+    return {bucket: [_series(N2, acc, dens, T) for acc, T in zip(accs, masks)]
+            for bucket, accs in buckets.items()}
+
+
+def _a_trace(kind: str, points: Sequence[Param], N, weight) -> Series:
+    """The A-operator trace over a charged pair at all the points, with
+    weight(len_lam, len_mu) as in ``_pair_traces`` and its bucket a z-key,
+    as one z-carrying series."""
+    _require_scalar_points(points)
+    N2 = to2(N)
+    buckets = _pair_traces(*_charged_sides(kind, "A", points, N2), weight,
+                           N2, [(1 << len(points)) - 1])
+    return Series(N2, {(q2, zk): c for zk, (s,) in buckets.items()
+                       for (q2, _), c in s.terms.items()}, clean=False)
 
 
 def _neutral_traces(kind: str, points: Sequence[Param], N2: int,
@@ -219,9 +240,9 @@ def _neutral_traces(kind: str, points: Sequence[Param], N2: int,
                               kind == "fermion_neutral")
     out = []
     for T in masks:
-        acc: Dict[Tuple[int, tuple], int] = {}
+        acc: Dict[int, int] = {}
         for (w2, _), row in table.items():
-            acc[(w2, ())] = acc.get((w2, ()), 0) + row[T]
+            acc[w2] = acc.get(w2, 0) + row[T]
         out.append(_series(N2, acc, dens, T))
     return out
 
@@ -264,26 +285,20 @@ def eigenvalue(kind: str, state, op_tag: str, point: Param) -> F:
 def a_sector_trace(m: int, points: Sequence[Param], N) -> Series:
     """Charge-m trace over the level -1 bosonic pair: sum over (lam, mu) with
     len(mu)-len(lam) = m of q^E prod_j (A-eigenvalue at t_j)."""
-    _require_scalar_points(points)
-    N2 = to2(N)
-    sides = _charged_sides(points, "A", CENTRAL_SIGN["boson_pair"], N2, False)
-    return _pair_traces(*sides, lambda ll, lm: (1, 0, ()) if lm - ll == m else None,
-                        N2, [(1 << len(points)) - 1])[0]
+    return _a_trace("boson_pair", points, N,
+                    lambda ll, lm: (1, 0, ()) if lm - ll == m else None)
 
 
 def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Series:
     """tr over the full bosonic pair of x^(len lam) y^(len mu) q^E
     prod A-eigenvalues.  x, y may carry charge-variable exponents."""
-    _require_scalar_points(points)
-    N2 = to2(N)
 
     def weight(ll, lm):
         cx, qx2, zx = x.pow_monomial(ll)
         cy, qy2, zy = y.pow_monomial(lm)
         return (cx * cy, qx2 + qy2, _zmul(zx, zy)) if cx and cy else None
 
-    sides = _charged_sides(points, "A", CENTRAL_SIGN["boson_pair"], N2, False)
-    return _pair_traces(*sides, weight, N2, [(1 << len(points)) - 1])[0]
+    return _a_trace("boson_pair", points, N, weight)
 
 
 def neutral_trace(kind: str, op_tag: str, points: Sequence[Param], N) -> Series:
@@ -299,15 +314,12 @@ def neutral_trace(kind: str, op_tag: str, points: Sequence[Param], N) -> Series:
 def f1_charged_trace(z: Param, points: Sequence[Param], N) -> Series:
     """Level +1 fermionic pair trace tr z^charge q^E prod A-eigenvalues;
     charge = len(lam) - len(mu), central term -beta per point."""
-    _require_scalar_points(points)
-    N2 = to2(N)
 
     def weight(ll, lm):
         c, q2, zk = z.pow_monomial(ll - lm)
         return (c, q2, zk) if c else None
 
-    sides = _charged_sides(points, "A", CENTRAL_SIGN["fermion_pair"], N2, True)
-    return _pair_traces(*sides, weight, N2, [(1 << len(points)) - 1])[0]
+    return _a_trace("fermion_pair", points, N, weight)
 
 
 # -- multi-factor duality traces -------------------------------------------
@@ -332,22 +344,17 @@ def factor_states(kind: str, N2: int):
     return out
 
 
-def _factor_subset_traces(kind: str, op_tag: str, zvar: int,
-                          points: Sequence[Param], N2: int) -> List[Series]:
-    """One factor's traces with charge tracked in z_zvar, for every subset of
-    the operators (indexed by bit mask)."""
+def _factor_subset_traces(kind: str, op_tag: str, points: Sequence[Param],
+                          N2: int) -> Dict[int, List[Series]]:
+    """One factor's traces split by its doubled charge, for every subset of
+    the operators: {doubled charge: [z-free series per bit mask]}."""
     masks = range(1 << len(points))
     if kind not in CHARGED:
-        return _neutral_traces(kind, points, N2, masks)
+        return {0: _neutral_traces(kind, points, N2, masks)}
     chsign = -1 if kind == "boson_pair" else +1
-
-    def weight(ll, lm):
-        ch = chsign * (ll - lm)
-        return (1, 0, ((zvar, 2 * ch),) if ch else ())
-
-    sides = _charged_sides(points, op_tag, CENTRAL_SIGN[kind], N2,
-                           kind == "fermion_pair")
-    return _pair_traces(*sides, weight, N2, masks)
+    return _pair_traces(*_charged_sides(kind, op_tag, points, N2),
+                        lambda ll, lm: (1, 0, 2 * chsign * (ll - lm)),
+                        N2, masks)
 
 
 DUALITY_CAP = 4
@@ -366,21 +373,6 @@ def check_duality(factors: Sequence[str], op_tag: str,
     _require_scalar_points(points)
 
 
-def _zslices(tables: Sequence[Series]) -> Dict[int, List[Series]]:
-    """One factor's subset tables cut by the doubled exponent e of its own
-    charge variable z_i: {e: [the z-free coefficient of z_i^(e/2) in
-    tables[T], per mask T]}."""
-    layers: Dict[int, List[dict]] = {}
-    for T, table in enumerate(tables):
-        for (q2, zk), c in table.terms.items():
-            e = zk[0][1] if zk else 0
-            if e not in layers:
-                layers[e] = [{} for _ in tables]
-            layers[e][T][(q2, ())] = c
-    return {e: [Series(t.trunc2, d, clean=False) for t, d in zip(tables, ds)]
-            for e, ds in layers.items()}
-
-
 def duality_trace(factors: Sequence[str], op_tag: str,
                   points: Sequence[Param], N,
                   charges: Mapping[Tuple[int, ...], int]) -> Series:
@@ -397,7 +389,8 @@ def duality_trace(factors: Sequence[str], op_tag: str,
 
     where T_i[S] is factor i's trace with the operators at the points of
     S = phi^(-1)(i) applied.  Each factor carries only its own z_i, so every
-    product here is between z-free series.
+    product here is between z-free series, and [z_i^(c_i)] T_i is the same
+    table for every factor of one kind; it is built once per kind.
     """
     check_duality(factors, op_tag, points)
     charged = [i for i, kind in enumerate(factors) if kind in CHARGED]
@@ -407,8 +400,9 @@ def duality_trace(factors: Sequence[str], op_tag: str,
                                "charged factor" % (c, len(charged)))
     N2 = to2(N)
     n = len(points)
-    slices = [_zslices(_factor_subset_traces(kind, op_tag, i + 1, points, N2))
-              for i, kind in enumerate(factors)]
+    tables = {kind: _factor_subset_traces(kind, op_tag, points, N2)
+              for kind in dict.fromkeys(factors)}
+    slices = [tables[kind] for kind in factors]
     masks = [[sum(1 << j for j in range(n) if phi[j] == i)
               for i in range(len(factors))]
              for phi in itertools.product(range(len(factors)), repeat=n)]

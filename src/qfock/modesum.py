@@ -50,7 +50,7 @@ from math import prod
 from typing import Callable, Sequence, Tuple
 
 from .combinat import set_partitions
-from .qseries import (HalfInt, NonTruncatable, Param, Series,
+from .qseries import (HalfInt, NonTruncatable, Param, Series, _one_minus,
                       c_term, pochhammer_inf, power, to2)
 
 _QH = Param(Fraction(1), Fraction(1, 2), label="q^(1/2)")
@@ -76,7 +76,7 @@ def _geo(w: Param, N) -> Series:
         if w.value_coeff == 1:
             raise NonTruncatable("mode sum has a pole at ratio 1")
         return Series.const(w.scalar_pow(Fraction(1, 2)) / (1 - w.value_coeff), N)
-    return power(w, Fraction(1, 2), N) * (Series.one(N) - power(w, 1, N)).invert()
+    return power(w, Fraction(1, 2), N) * _one_minus(w, N).invert()
 
 
 def _mode_cumulant(t: Param, u: Param, m: int, N) -> Series:

@@ -568,15 +568,18 @@ def power(p: Param, r: HalfLike, N: HalfLike) -> Series:
     return Series(to2(N), {(q2, zk): c})
 
 
+def _one_minus(p: Param, N: HalfLike) -> Series:
+    """The factor 1 - p at truncation N."""
+    return Series.one(N) - power(p, 1, N)
+
+
 def c_term(t: Param, N: HalfLike) -> Series:
     """beta(t) = 1/(t^(-1/2) - t^(1/2)) = t^(1/2)/(1 - t)."""
     if t.is_zero:
         raise DegenerateParameter("beta at the zero parameter")
     if t.d2 == 0 and t.e2 == 0 and t.value_coeff == 1:
         raise DegenerateParameter("beta has a pole at t = 1")
-    num = power(t, Fraction(1, 2), N)
-    den = Series.one(N) - power(t, 1, N)
-    return num * den.invert()
+    return power(t, Fraction(1, 2), N) * _one_minus(t, N).invert()
 
 
 def beta_scalar(t: Param) -> Fraction:
@@ -598,10 +601,9 @@ def pochhammer_n(a: Param, n: int, N: HalfLike) -> Series:
         return out
     t2 = to2(N)
     for i in range(n):
-        c, q2, zk = a.qshift(i).pow_monomial(1)
-        if q2 > t2:
+        if a.d2 + 2 * i > t2:
             break  # remaining factors are 1 + O(q^(>N))
-        out = out * (Series.one(N) - Series(t2, {(q2, zk): c}))
+        out = out * _one_minus(a.qshift(i), N)
     return out
 
 
@@ -620,10 +622,9 @@ def pochhammer_inf(a: Param, N: HalfLike) -> Series:
     out = Series.one(N)
     i = 0
     while True:
-        c, q2, zk = a.qshift(i).pow_monomial(1)
-        if q2 > t2 and i > 0:
+        if a.d2 + 2 * i > t2 and i > 0:
             break
-        out = out * (Series.one(N) - Series(t2, {(q2, zk): c}))
+        out = out * _one_minus(a.qshift(i), N)
         if out.is_zero():
             break
         i += 1
@@ -662,16 +663,15 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
         for a in upper:
             if a.is_zero:
                 continue
-            c, q2, zk = a.qshift(n - 1).pow_monomial(1)
-            term = term * (Series.one(N) - Series(t2, {(q2, zk): c}))
+            term = term * _one_minus(a.qshift(n - 1), N)
         for b in lower:
             if b.is_zero:
                 raise DegenerateParameter("zero lower parameter")
-            c, q2, zk = b.qshift(n - 1).pow_monomial(1)
-            if q2 == 0 and c == 1:
+            bq = b.qshift(n - 1)
+            if bq.d2 == 0 and bq.value_coeff == 1:
                 raise DegenerateParameter("lower Pochhammer vanishes at the leading layer")
-            term = term * (Series.one(N) - Series(t2, {(q2, zk): c})).invert()
-        term = term * (Series.one(N) - Series.monomial(1, n, N)).invert()
+            term = term * _one_minus(bq, N).invert()
+        term = term * _one_minus(Param(1, n), N).invert()
         term = term * power(arg, 1, N)
         if extra:
             # ((-1)^n q^(n(n-1)/2))^extra, incremental: exponent step n-1

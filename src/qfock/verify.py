@@ -24,6 +24,7 @@ from .qseries import (
     HalfInt,
     Param,
     Series,
+    _one_minus,
     first_difference,
     half_str,
     pochhammer_inf,
@@ -253,8 +254,9 @@ def exp_right_sum(a: Param, z: Param, N) -> Series:
 
 
 def _partitions_exact_length(l: int, max_weight: int):
-    for lam in combinat.partitions(max_weight):
-        if len(lam) == l:
+    # one cached enumeration serves every length l
+    for _, lam in fock.mod_partitions(2 * max_weight):
+        if len(lam) == l and sum(lam) <= max_weight:
             yield lam
 
 
@@ -288,14 +290,10 @@ def marked_part_sum_closed(l: int, i: int, t: Param, N) -> Series:
     """t q^l / ((1-q)...(1-q^{i-1}) (1-q^i t)...(1-q^l t))."""
     out = Series.monomial(t.scalar_pow(1), l, N)
     for j in range(1, i):
-        out = out * _one_minus_mono(F(1), j, N).invert()
+        out = out * _one_minus(Param(1, j), N).invert()
     for j in range(i, l + 1):
-        out = out * _one_minus_mono(t.scalar_pow(1), j, N).invert()
+        out = out * _one_minus(t.qshift(j), N).invert()
     return out
-
-
-def _one_minus_mono(c: F, qexp: int, N) -> Series:
-    return Series.one(N) - Series.monomial(c, qexp, N)
 
 
 def charge_resolved_pair_vacuum(l: int, N) -> Series:

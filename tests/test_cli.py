@@ -74,6 +74,17 @@ class TestCorr:
         assert series_equal(series_from_json(json.loads(text)), want)
 
 
+    @pytest.mark.parametrize("mode", ["oracle", "assignment", "literal"])
+    def test_q_shifted_point_refused_alike_in_every_mode(self, mode, capsys):
+        status, text = run(["corr", "--algebra", "c", "--level", "3/2",
+                            "--lambda", "1,0", "--points", "2/3:1", "3/5",
+                            "--mode", mode])
+        assert (status, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: NonTruncatable: state enumeration needs plain scalar "
+            "points; use modesum for q-shifted points\n")
+
+
 class TestQdim:
     def test_matches_library(self):
         status, text = run(["qdim", "--algebra", "d", "--level", "-2",

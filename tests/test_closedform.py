@@ -78,6 +78,51 @@ class TestGeneralizedOnePoint:
                     cf.partition_ladder_closed(X, t, 8))
 
 
+def partitions_of(weight, largest=None):
+    """The partitions of exactly `weight` with parts <= largest, as
+    decreasing tuples, by recursion on the largest part."""
+    if weight == 0:
+        yield ()
+        return
+    for first in range(min(weight, weight if largest is None else largest),
+                       0, -1):
+        for rest in partitions_of(weight - first, first):
+            yield (first,) + rest
+
+
+def enumerated_ladder_sum(x, t, N):
+    """cf.partition_ladder_sum before it read fock.mod_partitions: every
+    partition of weight <= 2N, the ones beyond q^N dropped one by one."""
+    n2 = to2(N)
+    acc = {}
+    for w in range(1, n2 + 1):
+        for la in partitions_of(w):
+            l = len(la)
+            xc, xq2, xzk = x.pow_monomial(l)
+            q2 = 2 * w - l + xq2
+            if q2 > n2 or not xc:
+                continue
+            c = xc * sum(t.scalar_pow(F(2 * part - 1, 2)) for part in la)
+            if c:
+                acc[(q2, xzk)] = acc.get((q2, xzk), F(0)) + c
+    return Series(n2, acc)
+
+
+_SVAL = st.fractions(-3, 3, max_denominator=7).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SVAL, st.integers(0, 3), st.integers(-2, 2), st.sampled_from([1, -1]),
+       _SVAL, st.integers(0, 12))
+def test_ladder_sum_matches_enumeration(s, d2, e2, sign, ts, n2):
+    """The ladder sum over mod_partitions against the enumeration of all
+    partitions of weight <= 2N, at scalar and z-carrying x of q-valuation
+    >= 0."""
+    x = Param(s, F(d2, 2), F(e2, 2), zvar=1, sign=sign)
+    t, N = Param(ts), HalfInt(twice=n2)
+    assert cf.partition_ladder_sum(x, t, N) == enumerated_ladder_sum(x, t, N)
+
+
 class TestGeneralizedTwoPoint:
     def test_matches_oracle(self):
         t1, t2 = Param(F(2, 3)), Param(F(3, 5))

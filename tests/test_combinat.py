@@ -1,5 +1,6 @@
-"""Partitions, Weyl groups, and the Weyl denominator identities, with the
-signed character numerators and alternating Weyl z-sums they relate."""
+"""Partitions (enumerated by fock.mod_partitions), Weyl groups, and the Weyl
+denominator identities, with the signed character numerators and
+alternating Weyl z-sums they relate."""
 
 import itertools
 from fractions import Fraction
@@ -9,11 +10,10 @@ import pytest
 from qfock.combinat import (
     WeylElement,
     k_vector,
-    partitions,
-    partitions_of,
     rho_vector,
     weyl_group,
 )
+from qfock.fock import mod_partitions
 from qfock.qseries import CapExceeded, Series, pochhammer_n, Param, series_equal
 
 F = Fraction
@@ -62,14 +62,31 @@ def char_numerator(kind, lam, l):
     return acc
 
 
+def partitions_of(weight, strict=False):
+    """The partitions of exactly `weight`, read off mod_partitions, whose
+    doubled modified weight 2|lam| - len is at most 2 * weight."""
+    return [parts for w2, parts in mod_partitions(2 * weight, strict)
+            if sum(parts) == weight]
+
+
 def test_partition_counts():
-    assert len(list(partitions_of(4))) == 5
-    assert set(partitions_of(4, max_length=2)) == {(4,), (3, 1), (2, 2)}
+    # p(n) and the number of partitions of n into distinct parts
+    assert [len(partitions_of(n)) for n in range(11)] == \
+        [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert [len(partitions_of(n, strict=True)) for n in range(11)] == \
+        [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
+    assert {p for p in partitions_of(4) if len(p) <= 2} == \
+        {(4,), (3, 1), (2, 2)}
     assert len([p for p in partitions_of(4) if len(p) == 2]) == 2
     assert set(partitions_of(5, strict=True)) == {(5,), (4, 1), (3, 2)}
-    assert list(partitions_of(0)) == [()]
-    assert len(list(partitions(6))) == sum(
-        len(list(partitions_of(w))) for w in range(7))
+    assert partitions_of(0) == [()]
+    for strict in (False, True):
+        table = mod_partitions(12, strict)
+        assert len(set(p for _, p in table)) == len(table)
+        for w2, parts in table:
+            assert w2 == 2 * sum(parts) - len(parts) <= 12
+            assert list(parts) == sorted(parts, reverse=True)
+            assert not strict or len(set(parts)) == len(parts)
 
 
 def test_length_generating_function():
@@ -77,7 +94,7 @@ def test_length_generating_function():
     N = 15
     for l in range(1, 6):
         lhs = Series.zero(N)
-        for lam in partitions(N, max_length=l):
+        for _, lam in mod_partitions(2 * N - l):
             if len(lam) == l:
                 lhs = lhs + Series.monomial(1, sum(lam), N)
         rhs = Series.monomial(1, l, N) * pochhammer_n(Param(1, 1), l, N).invert()

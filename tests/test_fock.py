@@ -140,12 +140,20 @@ def product_duality_trace(factors, op_tag, points, N):
 
     This was fock.duality_trace before the trace was read one factor at a
     time; it stays here as the z-carrying series the sliced trace reads.
+    Each factor's charge split is joined back into one series, with factor
+    i's doubled charge e carried as z_(i+1)^(e/2).
     """
     fock.check_duality(factors, op_tag, points)
     N2 = to2(N)
     n = len(points)
-    tables = [fock._factor_subset_traces(kind, op_tag, i + 1, points, N2)
-              for i, kind in enumerate(factors)]
+    tables = []
+    for i, kind in enumerate(factors):
+        split = fock._factor_subset_traces(kind, op_tag, points, N2)
+        tables.append([
+            Series(N2, {(q2, ((i + 1, e),) if e else ()): c
+                        for e, rows in split.items()
+                        for (q2, _), c in rows[T].terms.items()})
+            for T in range(1 << n)])
     total = Series.zero(HalfInt(twice=N2))
     for phi in itertools.product(range(len(factors)), repeat=n):
         prod = None
@@ -222,6 +230,29 @@ def test_duality_convolution_vs_direct(factors, op):
         for c in charge_vectors(direct, factors):
             assert duality_trace(factors, op, pts, 2, {c: 1}) \
                 == charge_slice(direct, factors, c)
+
+
+@pytest.mark.parametrize("factors,op", [
+    (["boson_pair", "boson_pair"], "A"),
+    (["fermion_pair", "fermion_pair", "fermion_neutral"], "D"),
+    (["boson_pair", "boson_pair", "boson_neutral"], "C"),
+])
+def test_duality_builds_one_table_per_charged_kind(monkeypatch, factors, op):
+    """At rank 2 both charged factors share a kind, so their side tables
+    are built once, and the trace still equals the state enumeration."""
+    calls = []
+    build = fock._charged_sides
+
+    def counted(kind, *args):
+        calls.append(kind)
+        return build(kind, *args)
+
+    monkeypatch.setattr(fock, "_charged_sides", counted)
+    got = duality_trace(factors, op, [T, T2], 2, {(0, 0): 1, (2, -2): -1})
+    assert calls == [factors[0]]
+    direct = duality_trace_direct(factors, op, [T, T2], 2)
+    assert got == charge_slice(direct, factors, (0, 0)) \
+        - charge_slice(direct, factors, (2, -2))
 
 
 def test_duality_charge_vector_length_checked():
