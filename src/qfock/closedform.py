@@ -18,6 +18,7 @@ This module implements the explicit formulas that the enumeration oracles in
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import combinat, fock, modesum
@@ -55,10 +56,6 @@ _QH = _q(F(1, 2))
 
 def _scalar_key(p: Param):
     return (p.s, p.d2, p.e2, p.zvar, p.sign)
-
-
-def _points_key(points: Sequence[Param]):
-    return tuple(_scalar_key(p) for p in points)
 
 
 def pair_vacuum(x: Param, y: Param, N) -> Series:
@@ -192,8 +189,8 @@ def gamma_sym(x: Param, y: Param, t1: Param, t2: Param, N) -> Series:
 def generalized_two_point(x: Param, y: Param, t1: Param, t2: Param, N) -> Series:
     """Closed form of the charge-weighted level -1 two-point trace
     (eight terms in gamma_sym and omega)."""
-    prod = t1 * t2
-    if prod.d2 == 0 and prod.e2 == 0 and prod.sign == 1 and prod.value_coeff == 1:
+    t12 = t1 * t2
+    if t12.d2 == 0 and t12.e2 == 0 and t12.sign == 1 and t12.value_coeff == 1:
         raise DegenerateParameter("two-point closed form needs t1*t2 != 1")
     t1i, t2i = t1.inverse(), t2.inverse()
     px = pochhammer_inf(x * _QH, N)
@@ -296,11 +293,13 @@ def f_bo(points: Sequence[Param], N) -> Series:
 
 def level1_sector(k: int, points: Sequence[Param], N) -> Series:
     """q^(k^2/2) (t1...tn)^k * f_bo(points): the charge-k level +1 trace."""
-    prod = Param(F(1))
-    for p in points:
-        prod = prod * p
-    scalar = prod.scalar_pow(k)
-    return f_bo(points, N).scale(scalar).shift(HalfInt(twice=k * k))
+    return _charge_shift(k, points, f_bo(points, N))
+
+
+def _charge_shift(k: int, points: Sequence[Param], base: Series) -> Series:
+    """q^(k^2/2) (t1...tn)^k * base, base = f_bo(points)."""
+    scalar = prod(points, start=Param(F(1))).scalar_pow(k)
+    return base.scale(scalar).shift(HalfInt(twice=k * k))
 
 
 # -- neutral half-level one-point function -----------------------------------
@@ -329,14 +328,33 @@ def c_one_point_half(t: Param, N) -> Series:
 # -- level -1 sector functions for the difference-operator algebras ----------
 
 
-def _eps_signed_points(points: Sequence[Param]):
-    for eps in iter_product((1, -1), repeat=len(points)):
-        sgn = 1
-        pts = []
-        for p, e in zip(points, eps):
-            pts.append(p if e == 1 else p.inverse())
-            sgn *= e
-        yield sgn, pts
+def _eps_signed(points: Sequence[Param], U: int):
+    """(eps_1...eps_n, M, eps-inverted points of mask U in position order)
+    for every eps in {+-1}^U; M takes bit j for t_j, bit n + j for 1/t_j."""
+    n = len(points)
+    out = [(1, 0, ())]
+    for j, p in enumerate(points):
+        if U >> j & 1:
+            out = [row for s, M, pts in out
+                   for row in ((s, M | 1 << j, pts + (p,)),
+                               (-s, M | 1 << n + j, pts + (p.inverse(),)))]
+    return out
+
+
+def _signed_slices(points: Sequence[Param], N, masks,
+                   charges) -> Dict[int, List[Series]]:
+    """{m: [sum over eps in {+-1}^U of eps_1...eps_n times the charge-m
+    trace at the eps-inverted points of U, per subset mask U in `masks`]}
+    for charges m >= 0, from one A-operator table over t_1..t_n and their
+    inverses."""
+    fock._require_scalar_points(points)
+    signed = [_eps_signed(points, U) for U in masks]
+    wanted = sorted({M for row in signed for _, M, _ in row})
+    table = fock.a_sector_traces(
+        list(points) + [p.inverse() for p in points], N, wanted, charges)
+    at = {m: dict(zip(wanted, traces)) for m, traces in table.items()}
+    return {m: [sum((at[m][M].scale(s) for s, M, _ in row), Series.zero(N))
+                for row in signed] for m in at}
 
 
 def c_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
@@ -344,10 +362,7 @@ def c_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
     eps in {+-1}^n of eps_1...eps_n times the charge-|m| trace at the
     eps-inverted points."""
     m = abs(m)
-    out = Series.zero(N)
-    for sgn, pts in _eps_signed_points(points):
-        out = out + fock.a_sector_trace(m, pts, N).scale(sgn)
-    return out
+    return _signed_slices(points, N, [(1 << len(points)) - 1], [m])[m][0]
 
 
 def d_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
@@ -355,8 +370,9 @@ def d_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
     building block of the type-D reductions).  The slice generating
     function is even in the charge, so negative m extends by
     d(-1) = 0 and d(-k-2) = -d(k)."""
-    return c_sector_minus1(abs(m), points, N) \
-        - c_sector_minus1(abs(m + 2), points, N)
+    a, b = abs(m), abs(m + 2)
+    slices = _signed_slices(points, N, [(1 << len(points)) - 1], [a, b])
+    return slices[a][0] - slices[b][0]
 
 
 # -- graded dimensions -------------------------------------------------------
@@ -412,12 +428,9 @@ def _alternant(inst: "DualityInstance", lam, entry, N) -> Series:
     l = inst.l
     if l > combinat.WEYL_CAP:
         raise CapExceeded("Weyl rank %d exceeds cap %d" % (l, combinat.WEYL_CAP))
-    rho = inst.rho
-    signs = (1,) if inst.weyl == "A" else (1, -1)
     states = {(0, 0): Series.one(N)}
-    for i in range(l):
-        row = [(j, s, entry(i, int(lam[i] + rho[i] - s * rho[j])))
-               for j in range(l) for s in signs]
+    for i, shifts in enumerate(_row_shifts(inst, lam)):
+        row = [(j, s, entry(i, k)) for j, s, k in shifts]
         nxt: Dict[tuple, Series] = {}
         for (used, odd), acc in states.items():
             for j, s, e in row:
@@ -430,6 +443,14 @@ def _alternant(inst: "DualityInstance", lam, entry, N) -> Series:
                 nxt[key] = nxt[key] + term if key in nxt else term
         states = nxt
     return Series.zero(N) + states[(2 ** l - 1, 0)]
+
+
+def _row_shifts(inst: "DualityInstance", lam):
+    """Row by row, the (column j, sign s, k = lam_i + rho_i - s rho_j) that
+    ``_alternant`` reads its entries at."""
+    rho, signs = inst.rho, (1,) if inst.weyl == "A" else (1, -1)
+    return [[(j, s, int(lam[i] + rho[i] - s * rho[j]))
+             for j in range(inst.l) for s in signs] for i in range(inst.l)]
 
 
 def _neutral_qdim(kind: str, N) -> Series:
@@ -567,26 +588,26 @@ def module_instance(algebra: str, level) -> DualityInstance:
                        % (level, algebra))
 
 
-def _charged_block(inst: DualityInstance, k: int,
-                   points: Sequence[Param], N) -> Series:
-    """Level +-1 n-point block of one charged factor at shifted weight k."""
-    kind = inst.factors[0]
-    if kind == "fermion_pair":
-        out = Series.zero(N)
-        for sgn, pts in _eps_signed_points(points):
-            out = out + level1_sector(k, pts, N).scale(sgn)
-        return out
+def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
+                    N, masks) -> Dict[int, Dict[int, Series]]:
+    """{k: {U: level +-1 block at shifted weight k, read at the points of
+    subset mask U}} for k in `charges`, U in `masks`: one Fock table for a
+    boson pair, one f_bo per eps-signed subset for a fermion pair."""
+    if inst.factors[0] == "fermion_pair":
+        signed = {U: _eps_signed(points, U) for U in masks}
+        bases = {M: f_bo(pts, N) for row in signed.values()
+                 for _, M, pts in row}
+        return {k: {U: sum((_charge_shift(k, pts, bases[M]).scale(s)
+                            for s, M, pts in row), Series.zero(N))
+                    for U, row in signed.items()} for k in charges}
     if inst.op_tag == "A":
-        return fock.a_sector_trace(k, points, N)
+        table = fock.a_sector_traces(points, N, masks, charges)
+        return {k: dict(zip(masks, table[k])) for k in charges}
     # Both type-c and type-d instances reduce over the symmetric charge
     # slices; for type d the hyperoctahedral sign sum regenerates the
     # slice differences of the rank-one function (see qdim_closed).
-    return c_sector_minus1(abs(k), points, N)
-
-
-def _neutral_block(inst: DualityInstance, points: Sequence[Param], N) -> Series:
-    kind = inst.factors[-1]
-    return fock.neutral_trace(kind, inst.op_tag, points, N)
+    table = _signed_slices(points, N, masks, {abs(k) for k in charges})
+    return {k: dict(zip(masks, table[abs(k)])) for k in charges}
 
 
 def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
@@ -609,35 +630,29 @@ def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
         raise IllegalPower("unknown mode %r" % mode)
     lam = _normalize_label(label, inst.l, inst.allow_negative_label)
     fock._require_scalar_points(points)
-    cache: Dict[tuple, Series] = {}
-
-    def block(k: int, pts: Tuple[Param, ...]) -> Series:
-        key = (k, _points_key(pts))
-        if key not in cache:
-            cache[key] = _charged_block(inst, k, pts, N)
-        return cache[key]
-
-    ncache: Dict[tuple, Series] = {}
-
-    def nblock(pts: Tuple[Param, ...]) -> Series:
-        key = _points_key(pts)
-        if key not in ncache:
-            ncache[key] = _neutral_block(inst, pts, N)
-        return ncache[key]
-
-    all_pts = tuple(points)
-    has_neutral = inst.neutral_factor is not None
-    if mode == "literal":
-        pre = nblock(all_pts) if has_neutral else Series.one(N)
-        return pre * _alternant(inst, lam, lambda i, k: block(k, all_pts), N)
+    full = (1 << n) - 1
     nfac = len(inst.factors)
+    neutral = inst.neutral_factor
+    # every block the alternants read, built before the first of them
+    charges = {k for row in _row_shifts(inst, lam) for _, _, k in row}
+    if mode == "literal":
+        pre = Series.one(N) if neutral is None else fock.neutral_trace(
+            inst.factors[neutral], inst.op_tag, points, N)
+        blocks = _charged_blocks(inst, charges, points, N, [full])
+        return pre * _alternant(inst, lam, lambda i, k: blocks[k][full], N)
+    masks = [full] if nfac == 1 else range(1 << n)
+    blocks = _charged_blocks(inst, charges, points, N, masks)
+    if neutral is not None:
+        # nfac > 1 here, so the list holds every subset, indexed by mask
+        nblocks = fock._neutral_traces(inst.factors[neutral], points, to2(N),
+                                       masks)
     out = Series.zero(N)
     for phi in iter_product(range(nfac), repeat=n):
-        parts = [tuple(points[j] for j in range(n) if phi[j] == i)
+        parts = [sum(1 << j for j in range(n) if phi[j] == i)
                  for i in range(nfac)]
-        term = _alternant(inst, lam, lambda i, k: block(k, parts[i]), N)
-        if has_neutral:
-            term = term * nblock(parts[inst.neutral_factor])
+        term = _alternant(inst, lam, lambda i, k: blocks[k][parts[i]], N)
+        if neutral is not None:
+            term = term * nblocks[parts[neutral]]
         out = out + term
     return out
 

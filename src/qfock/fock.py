@@ -23,8 +23,9 @@ x^len(lam) y^len(mu), z^charge) depends on lam and mu only through their
 energies and lengths, so the pair sum is a convolution of two side tables
 keyed by (energy, length) that hold, for every subset S, the sum of
 prod_(j in S) v_j over one partition factor.  The pair loop then runs over
-table keys instead of partition pairs, and every operator subset of a factor
-comes out of the same pair of tables.
+table keys instead of partition pairs and splits them by charge as it sums,
+so one table per call serves every charge and operator subset: one pair
+pass of ``a_sector_traces`` gives every (charge, subset) sector trace.
 
 For A(t), v_j = S+_lam(t_j) and w_j = -S-_mu(t_j) +- beta(t_j).  For C and D,
 S+(t^(-1)) = S-(t) and beta(t^(-1)) = -beta(t) give
@@ -35,9 +36,8 @@ v_j = S+_lam - S-_lam +- beta(t_j).
 Duality traces.  In a tensor product of factors, charged factor i carries
 its own charge variable z_(i+1), so one z-monomial coefficient of the trace
 is a sum, over the assignments of the points to factors, of products of
-per-factor charge slices of the subset tables above.  The pair loop splits
-the charges as it sums, so each factor kind gives one table of z-free
-series per charge, built once however many factors share the kind.
+per-factor charge slices of the subset tables above.  Each factor kind
+gives one such table, built once however many factors share the kind.
 ``duality_trace`` reads a signed sum of such coefficients (the Weyl shifts
 of a labeled trace) this way, and multiplies only z-free series.
 
@@ -282,11 +282,26 @@ def eigenvalue(kind: str, state, op_tag: str, point: Param) -> F:
 # -- single-factor oracles --------------------------------------------------
 
 
+def a_sector_traces(points: Sequence[Param], N, masks,
+                    charges) -> Dict[int, List[Series]]:
+    """Charge-m traces over the level -1 bosonic pair for every m in
+    `charges`, each at every subset mask T in `masks`: {m: [z-free series
+    per mask]}, the sum over (lam, mu) with len(mu)-len(lam) = m of
+    q^E prod_(j in T) (A-eigenvalue at t_j).  One pair of side tables and
+    one pair pass serve them all; pairs of other charges are skipped."""
+    _require_scalar_points(points)
+    N2 = to2(N)
+    charges = set(charges)
+    traces = _pair_traces(
+        *_charged_sides("boson_pair", "A", points, N2),
+        lambda ll, lm: (1, 0, lm - ll) if lm - ll in charges else None,
+        N2, masks)
+    return {m: traces.get(m) or [Series(N2) for _ in masks] for m in charges}
+
+
 def a_sector_trace(m: int, points: Sequence[Param], N) -> Series:
-    """Charge-m trace over the level -1 bosonic pair: sum over (lam, mu) with
-    len(mu)-len(lam) = m of q^E prod_j (A-eigenvalue at t_j)."""
-    return _a_trace("boson_pair", points, N,
-                    lambda ll, lm: (1, 0, ()) if lm - ll == m else None)
+    """Charge-m trace over the level -1 bosonic pair at all the points."""
+    return a_sector_traces(points, N, [(1 << len(points)) - 1], [m])[m][0]
 
 
 def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Series:

@@ -176,7 +176,7 @@ def _geometric(r_scalar: F, rq2: int, start: int, N) -> Series:
             raise ZeroDivisionError("geometric ratio equal to 1")
         total = 1 / (1 - r_scalar) - sum(r_scalar ** k for k in range(start))
         return Series.const(total, N)
-    tail = Series.one(n2) - Series(n2, {(rq2, ()): r_scalar})
+    tail = Series.one(N) - Series(n2, {(rq2, ()): r_scalar})
     out = tail.invert()
     if start:
         out = out * Series(n2, {(start * rq2, ()): r_scalar ** start})

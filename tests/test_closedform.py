@@ -301,6 +301,40 @@ class TestSectorBlocks:
                             cf.d_sector_minus1(1, points, 6).scale(-1))
 
 
+def eps_signed_points(points):
+    """(eps_1...eps_n, eps-inverted points) for every eps in {+-1}^n."""
+    for eps in iter_product((1, -1), repeat=len(points)):
+        sgn = 1
+        signed = []
+        for p, e in zip(points, eps):
+            signed.append(p if e == 1 else p.inverse())
+            sgn *= e
+        yield sgn, signed
+
+
+def reference_c_sector_minus1(m, points, N):
+    """``cf.c_sector_minus1`` with one Fock trace per sign pattern, where
+    the closed form reads every pattern from one table."""
+    out = Series.zero(N)
+    for sgn, signed in eps_signed_points(points):
+        out = out + fock.a_sector_trace(abs(m), signed, N).scale(sgn)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(point_st, max_size=3), st.integers(-3, 3), st.integers(0, 6))
+@example(pts(F(2, 3), F(2, 3)), 1, 4)           # repeated points
+@example(pts(F(2, 3), F(3, 2)), 0, 4)           # mutually inverse points
+@example([], 2, 6)
+def test_signed_slices_match_one_trace_per_sign_pattern(points, m, n2):
+    N = HalfInt(twice=n2)
+    assert cf.c_sector_minus1(m, points, N) \
+        == reference_c_sector_minus1(m, points, N)
+    assert cf.d_sector_minus1(m, points, N) \
+        == reference_c_sector_minus1(m, points, N) \
+        - reference_c_sector_minus1(m + 2, points, N)
+
+
 class TestQDimBaseSeries:
     def test_charged_base_first_coefficients(self):
         g = cf.charged_qdim_base(0, 6)
@@ -542,7 +576,7 @@ def has_unit_signed_product(points):
     multiplies to 1: there a level-one block's f_bo refuses."""
     for r in range(1, len(points) + 1):
         for sub in combinations(points, r):
-            for _, signed in cf._eps_signed_points(sub):
+            for _, signed in eps_signed_points(sub):
                 prod = Param(F(1))
                 for p in signed:
                     prod = prod * p
@@ -607,24 +641,42 @@ def reference_qdim(algebra, level, label, N):
     return cf._neutral_qdim(inst.factors[inst.neutral_factor], N) * wsum
 
 
+def reference_charged_block(inst, k, points, N):
+    """Level +-1 block of one charged factor at shifted weight k, built on
+    its own: one f_bo or Fock trace per sign pattern and charge."""
+    if inst.factors[0] == "fermion_pair":
+        out = Series.zero(N)
+        for sgn, signed in eps_signed_points(points):
+            out = out + cf.level1_sector(k, signed, N).scale(sgn)
+        return out
+    if inst.op_tag == "A":
+        return fock.a_sector_trace(k, points, N)
+    return reference_c_sector_minus1(k, points, N)
+
+
+def points_key(points):
+    return tuple((p.s, p.d2, p.e2, p.zvar, p.sign) for p in points)
+
+
 def reference_duality_reduce(inst, label, points, N, mode):
     """``cf.duality_reduce`` with both readings summed over the Weyl group
     element by element (literal: one product of full-list blocks per
     element; assignment: per element, a sum over the maps from points to
-    factors)."""
+    factors), and every block built on its own, keyed by point values."""
     lam = cf._normalize_label(label, inst.l, inst.allow_negative_label)
     cache = {}
 
     def block(k, pts):
-        key = (k, cf._points_key(pts))
+        key = (k, points_key(pts))
         if key not in cache:
-            cache[key] = cf._charged_block(inst, k, pts, N)
+            cache[key] = reference_charged_block(inst, k, pts, N)
         return cache[key]
 
     def nblock(pts):
-        key = ("neutral", cf._points_key(pts))
+        key = ("neutral", points_key(pts))
         if key not in cache:
-            cache[key] = cf._neutral_block(inst, pts, N)
+            cache[key] = fock.neutral_trace(inst.factors[-1], inst.op_tag,
+                                            pts, N)
         return cache[key]
 
     n = len(points)
@@ -673,6 +725,18 @@ def test_qdim_alternant_matches_weyl_enumeration(req):
         == reference_qdim(inst.algebra, inst.level, lam, N)
 
 
+def repeated_and_inverse_points(test):
+    """Explicit examples at a repeated point and at mutually inverse points,
+    for the a -l, c -l, d -l and c -l-1/2 families in both readings."""
+    for key in (("a", "-l"), ("c", "-l"), ("d", "-l"), ("c", "-l-1/2")):
+        for svals in ((F(2, 3), F(2, 3)), (F(2, 3), F(3, 2))):
+            for mode in ("literal", "assignment"):
+                req = (cf.duality_instance(*key, 2), (1, 0), pts(*svals),
+                       HalfInt(2))
+                test = example(req, mode)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(extraction_requests(max_rank=4, max_n2=4),
        st.sampled_from(["literal", "assignment"]))
@@ -684,12 +748,58 @@ def test_qdim_alternant_matches_weyl_enumeration(req):
           HalfInt(F(3, 2))), "literal")
 @example((cf.duality_instance("c", "l-1/2", 2), (1, 0), pts(F(2, 3), F(3, 2)),
           HalfInt(1)), "assignment")
+@repeated_and_inverse_points
 def test_duality_alternant_matches_weyl_enumeration(req, mode):
     """Both readings of duality_reduce against the Weyl-group loops they
     replaced, refusals included."""
     inst, lam, points, N = req
     assert _outcome(cf.duality_reduce, inst, lam, points, N, mode) \
         == _outcome(reference_duality_reduce, inst, lam, points, N, mode)
+
+
+BOSON_FAMILIES = [key for key in sorted(LEVEL_OF)
+                  if cf.duality_instance(*key, 1).factors[0] == "boson_pair"]
+
+
+@pytest.mark.parametrize("key", BOSON_FAMILIES)
+def test_duality_reduce_builds_one_fock_table(monkeypatch, key):
+    """Every charge and point subset of a rank-2, two-point reduction is
+    read from one A-operator table, and the result is the per-block one."""
+    calls = []
+    build = fock._charged_sides
+
+    def counted(kind, op_tag, *args):
+        calls.append((kind, op_tag))
+        return build(kind, op_tag, *args)
+
+    monkeypatch.setattr(fock, "_charged_sides", counted)
+    inst = cf.duality_instance(*key, 2)
+    points = pts(F(2, 3), F(3, 5))
+    got = cf.duality_reduce(inst, (1, 0), points, 3, mode="assignment")
+    monkeypatch.undo()
+    assert calls == [("boson_pair", "A")]
+    assert got == reference_duality_reduce(inst, (1, 0), points, 3,
+                                           "assignment")
+
+
+@pytest.mark.parametrize("lam", [(0, 0), (1, 0)])
+def test_fermion_reduction_builds_one_f_bo_per_signed_subset(monkeypatch, lam):
+    """c at 3/2: one f_bo for each of the 3^2 eps-signed subsets of two
+    points, shared by every charge."""
+    calls = []
+    build = cf.f_bo
+
+    def counted(points, N):
+        calls.append(points_key(points))
+        return build(points, N)
+
+    monkeypatch.setattr(cf, "f_bo", counted)
+    inst = cf.duality_instance("c", "l-1/2", 2)
+    points = pts(F(2, 3), F(3, 5))
+    got = cf.duality_reduce(inst, lam, points, 4)
+    monkeypatch.undo()
+    assert len(calls) == len(set(calls)) == 9
+    assert got == reference_duality_reduce(inst, lam, points, 4, "assignment")
 
 
 def test_rank_cap_is_refused_before_any_entry(monkeypatch):

@@ -12,6 +12,7 @@ from qfock.fock import (
     LEGAL_OPS,
     a_generalized_trace,
     a_sector_trace,
+    a_sector_traces,
     duality_trace,
     duality_trace_direct,
     eigenvalue,
@@ -269,6 +270,24 @@ def test_shifted_points_rejected():
 KINDS = ("boson_pair", "fermion_pair", "boson_neutral", "fermion_neutral")
 point_st = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)) \
     .filter(lambda s: abs(s) != 1).map(Param)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(point_st, max_size=3), st.integers(0, 6), st.data())
+def test_sector_table_matches_one_trace_per_subset(pts, n2, data):
+    """Every (charge, mask) entry of the one-pass table against its own
+    a_sector_trace call at that subset of the points."""
+    N = HalfInt(twice=n2)
+    masks = data.draw(st.lists(st.integers(0, (1 << len(pts)) - 1),
+                               unique=True))
+    charges = data.draw(st.sets(st.integers(-3, 3), max_size=3))
+    table = a_sector_traces(pts, N, masks, charges)
+    assert set(table) == charges
+    for m in charges:
+        assert len(table[m]) == len(masks)
+        for T_, got in zip(masks, table[m]):
+            sub = [p for j, p in enumerate(pts) if T_ >> j & 1]
+            assert got == a_sector_trace(m, sub, N)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Source hygiene: every name a qfock module imports is used in it, every
 function, class and method it defines is named somewhere else, no module
-uses floating point, and the closed forms enumerate no Weyl group."""
+uses floating point, the closed forms enumerate no Weyl group and read no
+table of the duality oracle."""
 
 import ast
 import collections
@@ -79,3 +80,20 @@ def test_closed_forms_enumerate_no_weyl_group():
             if named & {"weyl_group", "k_vector"}:
                 users.add(getattr(top, "name", "<module>"))
     assert users == {"_weyl_shifts"}
+
+
+def test_closed_forms_read_no_oracle_table():
+    """In closedform.py only ``extract_dominant`` names ``duality_trace``,
+    and nothing names the C/D side tables (``_charged_sides``) or the
+    oracle's per-factor tables (``_factor_subset_traces``): a closed-form
+    block read from them would be checked against itself by the sector
+    and duality gates."""
+    path = ROOT / "src" / "qfock" / "closedform.py"
+    users = collections.defaultdict(set)
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            named = {getattr(node, f, None) for f in ("attr", "id", "name")}
+            for name in named & {"duality_trace", "_charged_sides",
+                                 "_factor_subset_traces"}:
+                users[name].add(getattr(top, "name", "<module>"))
+    assert dict(users) == {"duality_trace": {"extract_dominant"}}

@@ -8,7 +8,13 @@ from fractions import Fraction as F
 import pytest
 
 from qfock import verify
-from qfock.qseries import DegenerateParameter, NonTruncatable, Param, Series
+from qfock.qseries import (
+    DegenerateParameter,
+    NonTruncatable,
+    Param,
+    Series,
+    to2,
+)
 
 
 def failing_spec():
@@ -83,6 +89,22 @@ class TestRunCheck:
             "synthetic-n0", {}, 0, "gate",
             lambda: (Series.const(F(2), 0), Series.const(F(2), 0)))
         assert verify.run_check(spec).status == "pass"
+
+
+@pytest.mark.parametrize("start", [0, 1, 2])
+@pytest.mark.parametrize("r, rq2", [(F(2, 3), 0), (F(-3, 5), 0), (F(2, 3), 1),
+                                    (F(-5, 7), 2), (F(3), 3)])
+@pytest.mark.parametrize("N", [0, F(3, 2), 4])
+def test_geometric_matches_explicit_sum(start, r, rq2, N):
+    """sum_(k>=start) r^k against the explicit sum: r^start/(1 - r) for a
+    scalar ratio, the terms up to q^N otherwise; == checks the truncation."""
+    n2 = to2(N)
+    if rq2 == 0:
+        want = Series.const(r ** start / (1 - r), N)
+    else:
+        want = Series(n2, {(k * rq2, ()): r ** k
+                           for k in range(start, n2 // rq2 + 1)})
+    assert verify._geometric(r, rq2, start, N) == want
 
 
 def test_ext_oracle_cache_keeps_point_sign():
