@@ -41,7 +41,6 @@ from qfock.qseries import Series
 
 broken = verify.CheckSpec(
     name="demo-broken",
-    params={},
     N=4,
     mode="report",
     pair=lambda: (Series.const(F(1), 4), Series.const(F(2), 4)),

@@ -5,7 +5,6 @@ with a cross-verification suite."""
 from .qseries import (  # noqa: F401
     CapExceeded,
     DegenerateParameter,
-    HalfInt,
     IllegalPower,
     NonTruncatable,
     NotInvertible,

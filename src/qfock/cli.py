@@ -25,10 +25,10 @@ from typing import List, Optional, Sequence, Tuple
 from . import closedform as cf
 from . import verify
 from .qseries import (
-    HalfInt,
     Param,
     QSeriesError,
     Series,
+    _monomial_str,
     half_str,
     parse_half,
     pochhammer_inf,
@@ -85,7 +85,7 @@ def _parse_count(text: str) -> int:
         raise UsageError("not an integer: %r" % text)
 
 
-def _parse_order(text: str) -> HalfInt:
+def _parse_order(text: str) -> F:
     try:
         n2 = parse_half(text)
     except QSeriesError:
@@ -93,7 +93,7 @@ def _parse_order(text: str) -> HalfInt:
     if n2 < 0:
         raise UsageError("truncation order N must be nonnegative, got %s"
                          % text)
-    return HalfInt(twice=n2)
+    return F(n2, 2)
 
 
 # -- output ------------------------------------------------------------------
@@ -109,9 +109,8 @@ def _emit_series(s: Series, fmt: str, out) -> None:
             out.write("%d,%s,%d,%d\n"
                       % (q2, zcol, c.numerator, c.denominator))
     elif fmt == "pretty":
-        rows = [("q^" + half_str(q2)
-                 + "".join(" z%d^%s" % (v, half_str(e2)) for v, e2 in zk),
-                 str(c)) for (q2, zk), c in s.sorted_terms()]
+        rows = [(_monomial_str(q2, zk), str(c))
+                for (q2, zk), c in s.sorted_terms()]
         width = max([len(m) for m, _ in rows] + [4])
         for mono, c in rows:
             out.write("%-*s  %s\n" % (width, mono, c))

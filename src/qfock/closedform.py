@@ -25,7 +25,6 @@ from . import combinat, fock, modesum
 from .qseries import (
     CapExceeded,
     DegenerateParameter,
-    HalfInt,
     IllegalPower,
     Param,
     QSeriesError,
@@ -169,7 +168,7 @@ def gamma_bar(x: Param, t1: Param, t2: Param, N) -> Series:
         phi = qhyper([t2i, a, a], [d, e], arg, N)
         coeff = ((-1) ** s) * (t1.scalar_pow(s) * t2.scalar_pow(s))
         term = (up ** 3 * low.invert() * phi).scale(coeff)
-        term = term.shift(HalfInt(twice=6 * s + s * (s - 1)))
+        term = term.shift(3 * s + s * (s - 1) // 2)
         acc = acc + term.truncate(N)
         s += 1
     return pref * den.invert() * acc
@@ -299,7 +298,7 @@ def level1_sector(k: int, points: Sequence[Param], N) -> Series:
 def _charge_shift(k: int, points: Sequence[Param], base: Series) -> Series:
     """q^(k^2/2) (t1...tn)^k * base, base = f_bo(points)."""
     scalar = prod(points, start=Param(F(1))).scalar_pow(k)
-    return base.scale(scalar).shift(HalfInt(twice=k * k))
+    return base.scale(scalar).shift(F(k * k, 2))
 
 
 # -- neutral half-level one-point function -----------------------------------
@@ -494,9 +493,9 @@ def _c_positive_half_qdim(inst: "DualityInstance", label, N,
     pre = _neutral_qdim("boson_neutral", N) * _qinf_inv(to2(N), l)
     if form == "weyl":
         return pre * _alternant(inst, lam, lambda i, k: Series.monomial(
-            1, HalfInt(twice=k * k), N), N)
+            1, F(k * k, 2), N), N)
     if form == "product":
-        out = Series.monomial(1, HalfInt(twice=sum(v * v for v in lam)), N)
+        out = Series.monomial(1, F(sum(v * v for v in lam), 2), N)
         for i in range(l):
             out = out * _one_minus(_q(lam[i] + l - i - F(1, 2)), N)
         for i in range(l):
@@ -564,8 +563,8 @@ def duality_instance(algebra: str, family: str, l: int) -> DualityInstance:
         raise IllegalPower("rank must be at least 1")
     kind, op_tag, weyl, rho_kind, neutral = _FAMILIES[key]
     factors = (kind,) * l + ((neutral,) if neutral else ())
-    level = sum((fock.CENTRAL_CHARGE[k].value for k in factors), F(0))
-    return DualityInstance(algebra=algebra, level=F(level), l=l,
+    level = sum((fock.CENTRAL_CHARGE[k] for k in factors), F(0))
+    return DualityInstance(algebra=algebra, level=level, l=l,
                            factors=factors, op_tag=op_tag, weyl=weyl,
                            rho_kind=rho_kind)
 
@@ -580,8 +579,8 @@ def module_instance(algebra: str, level) -> DualityInstance:
     for (alg, family), (kind, _, _, _, neutral) in _FAMILIES.items():
         if alg != algebra:
             continue
-        c_neutral = fock.CENTRAL_CHARGE[neutral].value if neutral else 0
-        l = (level - c_neutral) / fock.CENTRAL_CHARGE[kind].value
+        c_neutral = fock.CENTRAL_CHARGE[neutral] if neutral else 0
+        l = (level - c_neutral) / fock.CENTRAL_CHARGE[kind]
         if l.denominator == 1 and l >= 1:
             return duality_instance(algebra, family, int(l))
     raise IllegalPower("level %s is not realized for algebra %r"

@@ -57,7 +57,6 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .qseries import (
     CapExceeded,
-    HalfInt,
     NonTruncatable,
     Param,
     QSeriesError,
@@ -76,10 +75,10 @@ CENTRAL_SIGN = {
     "fermion_neutral": -1,
 }
 CENTRAL_CHARGE = {
-    "boson_pair": HalfInt(-1),
-    "boson_neutral": HalfInt(F(-1, 2)),
-    "fermion_pair": HalfInt(1),
-    "fermion_neutral": HalfInt(F(1, 2)),
+    "boson_pair": F(-1),
+    "boson_neutral": F(-1, 2),
+    "fermion_pair": F(1),
+    "fermion_neutral": F(1, 2),
 }
 CHARGED = {"boson_pair", "fermion_pair"}
 LEGAL_OPS = {

@@ -50,10 +50,10 @@ from math import prod
 from typing import Callable, Sequence, Tuple
 
 from .combinat import set_partitions
-from .qseries import (HalfInt, NonTruncatable, Param, Series, _one_minus,
-                      c_term, pochhammer_inf, power, to2)
+from .qseries import (NonTruncatable, Param, Series, c_term, pochhammer_inf,
+                      power, to2)
 
-_QH = Param(Fraction(1), Fraction(1, 2), label="q^(1/2)")
+_QH = Param(Fraction(1), Fraction(1, 2))
 _ONE = Param(Fraction(1))
 
 
@@ -61,12 +61,13 @@ def point_inverse(p: Param) -> Param:
     """The point p^(-1), allowing q-shifted p (unlike Param.inverse)."""
     if p.is_zero:
         raise NonTruncatable("inverse of the zero point")
-    return Param(1 / p.s, HalfInt(twice=-p.d2), HalfInt(twice=-p.e2),
+    return Param(1 / p.s, Fraction(-p.d2, 2), Fraction(-p.e2, 2),
                  p.zvar, p.sign)
 
 
 def _geo(w: Param, N) -> Series:
-    """sum_{r in 1/2+Z_+} w^r = w^(1/2)/(1-w) as a truncated series."""
+    """sum_{r in 1/2+Z_+} w^r = w^(1/2)/(1-w) = beta(w) as a truncated
+    series, refusing ratios whose mode sum has no truncation."""
     v2 = w.qval2()
     if v2 < 0:
         raise NonTruncatable("mode sum with negatively q-valued ratio")
@@ -75,8 +76,7 @@ def _geo(w: Param, N) -> Series:
             raise NonTruncatable("mode sum over a pure charge monomial")
         if w.value_coeff == 1:
             raise NonTruncatable("mode sum has a pole at ratio 1")
-        return Series.const(w.scalar_pow(Fraction(1, 2)) / (1 - w.value_coeff), N)
-    return power(w, Fraction(1, 2), N) * _one_minus(w, N).invert()
+    return c_term(w, N)
 
 
 def _mode_cumulant(t: Param, u: Param, m: int, N) -> Series:

@@ -3,6 +3,8 @@
 Coefficients are arbitrary-precision rationals (fractions.Fraction).  All
 exponents -- both of q and of the charge variables z_i -- are stored as
 *doubled* integers so half-integer powers never leave exact arithmetic.
+Exponents and truncation orders enter and leave as ints or Fractions in
+(1/2)Z; to2 is the one converter to doubled ints and refuses anything else.
 
 A Series knows its truncation order: terms with q-exponent <= truncation are
 exact, everything above is unknown.  Evaluation points are Param objects of
@@ -50,28 +52,34 @@ class CapExceeded(QSeriesError):
     pass
 
 
-HalfLike = Union[int, Fraction, "HalfInt"]
+HalfLike = Union[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def to2(x: HalfLike) -> int:
-    """Doubled-integer value of an element of (1/2)Z."""
-    if isinstance(x, HalfInt):
-        return x.twice
+    """Doubled-integer value of an element of (1/2)Z: the one gate where
+    half-integers (ints or Fractions) become doubled ints."""
     if isinstance(x, int):
         return 2 * x
-    f = Fraction(x)
-    if f.denominator == 1:
-        return 2 * f.numerator
-    if f.denominator == 2:
-        return f.numerator
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    if x.denominator == 1:
+        return 2 * x.numerator
+    if x.denominator == 2:
+        return x.numerator
     raise IllegalPower("not a half-integer: %r" % (x,))
 
 
 def half_str(n2: int) -> str:
     return str(n2 // 2) if n2 % 2 == 0 else "%d/2" % n2
+
+
+def _monomial_str(q2: int, zk) -> str:
+    """The monomial q^(q2/2) z^zk as "q^a z1^b", exponents undoubled."""
+    return "q^" + half_str(q2) + "".join(" z%d^%s" % (v, half_str(e2))
+                                         for v, e2 in zk)
 
 
 def parse_half(s) -> int:
@@ -83,70 +91,6 @@ def parse_half(s) -> int:
     except (ValueError, ZeroDivisionError):
         raise IllegalPower("not a rational number: %r" % (s,))
     return to2(f)
-
-
-class HalfInt:
-    """An element of (1/2)Z, stored as twice its value."""
-
-    __slots__ = ("twice",)
-
-    def __init__(self, value: HalfLike = 0, *, twice: Optional[int] = None):
-        if twice is not None:
-            self.twice = twice
-        else:
-            self.twice = to2(value)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __add__(self, other):
-        return HalfInt(twice=self.twice + to2(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return HalfInt(twice=self.twice - to2(other))
-
-    def __neg__(self):
-        return HalfInt(twice=-self.twice)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt(twice=self.twice * other)
-        n2 = self.twice * to2(other)
-        if n2 % 2:
-            raise IllegalPower("product %s*%s leaves (1/2)Z" % (self, other))
-        return HalfInt(twice=n2 // 2)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        try:
-            return self.twice == to2(other)
-        except (IllegalPower, TypeError, ValueError):
-            return NotImplemented
-
-    def __lt__(self, other):
-        return self.twice < to2(other)
-
-    def __le__(self, other):
-        return self.twice <= to2(other)
-
-    def __gt__(self, other):
-        return self.twice > to2(other)
-
-    def __ge__(self, other):
-        return self.twice >= to2(other)
-
-    def __hash__(self):
-        return hash(Fraction(self.twice, 2))
-
-    def __repr__(self):
-        return "HalfInt(%s)" % half_str(self.twice)
-
-    def __str__(self):
-        return half_str(self.twice)
 
 
 # z-exponent keys: sorted tuple of (variable index, doubled exponent != 0)
@@ -233,8 +177,8 @@ class Series:
     # -- basic observers ----------------------------------------------------
 
     @property
-    def truncation(self) -> HalfInt:
-        return HalfInt(twice=self.trunc2)
+    def truncation(self) -> Fraction:
+        return Fraction(self.trunc2, 2)
 
     def min2(self) -> Optional[int]:
         return min((k[0] for k in self.terms), default=None)
@@ -258,7 +202,7 @@ class Series:
         if isinstance(other, Series):
             return other
         if isinstance(other, (int, Fraction)):
-            return Series.const(other, HalfInt(twice=self.trunc2))
+            return Series.const(other, Fraction(self.trunc2, 2))
         return None
 
     def __add__(self, other):
@@ -340,7 +284,7 @@ class Series:
             return NotImplemented
         if n < 0:
             return self.invert() ** (-n)
-        result = Series.one(HalfInt(twice=self.trunc2))
+        result = Series.one(Fraction(self.trunc2, 2))
         base = self
         while n:
             if n & 1:
@@ -461,10 +405,10 @@ class Param:
     admits integer powers.
     """
 
-    __slots__ = ("s", "d2", "e2", "zvar", "sign", "label")
+    __slots__ = ("s", "d2", "e2", "zvar", "sign")
 
     def __init__(self, s, d: HalfLike = 0, e: HalfLike = 0, zvar: int = 1,
-                 sign: int = 1, label: str = ""):
+                 sign: int = 1):
         self.s = Fraction(s)
         self.d2 = to2(d)
         self.e2 = to2(e)
@@ -472,7 +416,6 @@ class Param:
         if sign not in (1, -1):
             raise QSeriesError("sign must be +1 or -1")
         self.sign = sign
-        self.label = label
         if self.s == 0 and (self.d2 or self.e2):
             raise QSeriesError("zero parameter cannot carry q or z exponents")
 
@@ -520,31 +463,29 @@ class Param:
             raise IllegalPower("zero parameter has no inverse")
         if self.d2:
             raise IllegalPower("inverse of a q-shifted parameter is not a Param")
-        return Param(1 / self.s, 0, HalfInt(twice=-self.e2), self.zvar,
-                     self.sign, _inv_label(self.label))
+        return Param(1 / self.s, 0, Fraction(-self.e2, 2), self.zvar, self.sign)
 
     def __mul__(self, other: "Param") -> "Param":
         if not isinstance(other, Param):
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return Param(0, label="0")
+            return Param(0)
         if self.e2 and other.e2 and self.zvar != other.zvar:
             raise QSeriesError("product would carry two charge variables")
         zv = self.zvar if self.e2 else other.zvar
         # s^2 composes multiplicatively; |s| choice is irrelevant since only
         # even powers of s are ever exposed.
-        return Param(self.s * other.s, HalfInt(twice=self.d2 + other.d2),
-                     HalfInt(twice=self.e2 + other.e2), zv,
-                     self.sign * other.sign,
-                     (self.label + "*" + other.label) if self.label and other.label else "")
+        return Param(self.s * other.s, Fraction(self.d2 + other.d2, 2),
+                     Fraction(self.e2 + other.e2, 2), zv,
+                     self.sign * other.sign)
 
     def qshift(self, d: HalfLike = 1) -> "Param":
         """The point q^d * self."""
         n2 = self.d2 + to2(d)
         if n2 < 0:
             raise IllegalPower("negative q-shift")
-        return Param(self.s, HalfInt(twice=n2), HalfInt(twice=self.e2),
-                     self.zvar, self.sign, self.label)
+        return Param(self.s, Fraction(n2, 2), Fraction(self.e2, 2),
+                     self.zvar, self.sign)
 
     def __repr__(self):
         bits = ["%s" % self.value_coeff]
@@ -552,12 +493,7 @@ class Param:
             bits.append("q^%s" % half_str(self.d2))
         if self.e2:
             bits.append("z%d^%s" % (self.zvar, half_str(self.e2)))
-        body = "*".join(bits)
-        return "Param(%s)" % (("%s=" % self.label) + body if self.label else body)
-
-
-def _inv_label(label: str) -> str:
-    return (label + "^-1") if label else ""
+        return "Param(%s)" % "*".join(bits)
 
 
 def power(p: Param, r: HalfLike, N: HalfLike) -> Series:
@@ -636,7 +572,7 @@ def _qinf_inv(t2: int, m: int) -> Series:
     """(q)_inf^(-m) to the doubled truncation t2, built once per (t2, m).
     Every caller gets the same Series, so none may change its terms."""
     if m == 1:
-        return pochhammer_inf(Param(1, 1), HalfInt(twice=t2)).invert()
+        return pochhammer_inf(Param(1, 1), Fraction(t2, 2)).invert()
     return _qinf_inv(t2, 1) ** m
 
 
@@ -675,7 +611,7 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
         term = term * power(arg, 1, N)
         if extra:
             # ((-1)^n q^(n(n-1)/2))^extra, incremental: exponent step n-1
-            term = term.shift(HalfInt(twice=2 * extra * (n - 1)))
+            term = term.shift(extra * (n - 1))
             if extra % 2:
                 term = -term
         if term.is_zero():

@@ -16,14 +16,14 @@ from fnmatch import fnmatchcase
 from fractions import Fraction as F
 import json
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import closedform as cf
 from . import combinat, fock
 from .qseries import (
-    HalfInt,
     Param,
     Series,
+    _monomial_str,
     _one_minus,
     first_difference,
     half_str,
@@ -42,7 +42,6 @@ S_VALUES = (F(2, 3), F(3, 5), F(5, 7))
 class CheckSpec:
     """One named identity check: a deterministic pair of series builders."""
     name: str
-    params: Mapping[str, str]
     N: object
     mode: str  # "gate" or "report"
     pair: Callable[[], Tuple[Series, Series]]
@@ -69,13 +68,6 @@ class CheckResult:
         return {"name": self.name, "status": self.status,
                 "first_discrepancy": fd, "ms": self.ms, "mode": self.mode,
                 "detail": self.detail}
-
-
-def _monomial_str(q2: int, zkey: tuple) -> str:
-    parts = ["q^%s" % half_str(q2)]
-    for var, e in zkey:
-        parts.append("z%d^%d" % (var, e))
-    return " ".join(parts)
 
 
 def run_check(spec: CheckSpec) -> CheckResult:
@@ -197,7 +189,7 @@ def ff_sum_side(u: Param, N) -> Series:
     while m * (m + 1) <= n2:
         asc = _geometric(us, d2 + 2 * m, 0, N)
         desc = _geometric(1 / us, 2 * (m + 1) - d2, 1, N)
-        blk = (asc + desc).shift(HalfInt(twice=m * (m + 1)))
+        blk = (asc + desc).shift(m * (m + 1) // 2)
         out = out + blk.scale((-1) ** m)
         m += 1
     pref = pochhammer_inf(_qp(), N).invert()
@@ -236,7 +228,7 @@ def exp_left_sum(z: Param, N) -> Series:
     out = Series.zero(N)
     m = 0
     while m * (m - 1) + m * z.qval2() <= to2(N):
-        num = power(z, m, N).shift(HalfInt(twice=m * (m - 1)))
+        num = power(z, m, N).shift(m * (m - 1) // 2)
         out = out + (num * pochhammer_n(_qp(), m, N).invert()).scale((-1) ** m)
         m += 1
     return out
@@ -358,38 +350,34 @@ def _registry_identity(reg: List[CheckSpec]) -> None:
     for i, (s, d) in enumerate([(F(2, 3), F(1, 2)), (F(3, 5), F(1))], 1):
         u = Param(s, d)
         reg.append(CheckSpec(
-            "identity-ff-u%d" % i,
-            {"s": str(s), "d": half_str(to2(d)), "N": "20"}, 20, "gate",
+            "identity-ff-u%d" % i, 20, "gate",
             lambda u=u: (ff_product_side(u, 20), ff_sum_side(u, 20))))
     for k in (0, 1, 3):
         for s in (F(2, 3), F(5, 7)):
             t = Param(s)
             reg.append(CheckSpec(
-                "prop-111-k%d-t%s" % (k, _slug_s(s)),
-                {"k": str(k), "s": str(s), "N": "20"}, 20, "gate",
+                "prop-111-k%d-t%s" % (k, _slug_s(s)), 20, "gate",
                 lambda k=k, t=t: (sum_over_m_lhs(k, t, 20),
                                   sum_over_m_rhs(k, t, 20))))
     for i, s in enumerate([F(1), F(2, 3)], 1):
         z = Param(s, 1)
         reg.append(CheckSpec(
-            "exponential-left-%d" % i, {"s": str(s), "d": "1", "N": "20"},
-            20, "gate",
+            "exponential-left-%d" % i, 20, "gate",
             lambda z=z: (exp_left_sum(z, 20), pochhammer_inf(z, 20))))
     a, z = Param(F(2, 3)), Param(F(1), 1)
     reg.append(CheckSpec(
-        "exponential-right", {"a": "2/3", "z": "q", "N": "20"}, 20, "gate",
+        "exponential-right", 20, "gate",
         lambda: (exp_right_sum(a, z, 20),
                  pochhammer_inf(a * z, 20) * pochhammer_inf(z, 20).invert())))
     for l in range(1, 6):
         reg.append(CheckSpec(
-            "lemma-222-i-l%d" % l, {"l": str(l), "N": "15"}, 15, "gate",
+            "lemma-222-i-l%d" % l, 15, "gate",
             lambda l=l: (fixed_length_sum_enum(l, 15),
                          fixed_length_sum_closed(l, 15))))
     for l, i in ((3, 1), (3, 2), (5, 4)):
         t = Param(F(2, 3))
         reg.append(CheckSpec(
-            "lemma-222-ii-l%d-i%d" % (l, i),
-            {"l": str(l), "i": str(i), "s": "2/3", "N": "15"}, 15, "gate",
+            "lemma-222-ii-l%d-i%d" % (l, i), 15, "gate",
             lambda l=l, i=i, t=t: (marked_part_sum_enum(l, i, t, 15),
                                    marked_part_sum_closed(l, i, t, 15))))
     def _ff_specialized():
@@ -401,41 +389,34 @@ def _registry_identity(reg: List[CheckSpec]) -> None:
         return ff_product_side(Param(F(1), F(1, 2)), 16), rhs
 
     reg.append(CheckSpec(
-        "identity-ff-specializes-qdim", {"s": "1", "d": "1/2", "N": "16"},
-        16, "gate", _ff_specialized))
+        "identity-ff-specializes-qdim", 16, "gate", _ff_specialized))
 
 
 def _registry_correlation(reg: List[CheckSpec]) -> None:
     x, y = Param(F(2, 5)), Param(F(3, 7))
     for s in S_VALUES:
         reg.append(CheckSpec(
-            "one-point-s%s" % _slug_s(s), {"s": str(s), "N": "12"},
-            12, "gate",
+            "one-point-s%s" % _slug_s(s), 12, "gate",
             lambda s=s: (cf.one_point_minus1(Param(s), 12),
                          fock.a_sector_trace(0, [Param(s)], 12))))
     for s in (F(2, 3), F(3, 5)):
         reg.append(CheckSpec(
-            "gl-general-1pt-t%s" % _slug_s(s),
-            {"x": "2/5", "y": "3/7", "t": str(s), "N": "10"}, 10, "gate",
+            "gl-general-1pt-t%s" % _slug_s(s), 10, "gate",
             lambda s=s: (cf.generalized_one_point(x, y, Param(s), 10),
                          fock.a_generalized_trace(x, y, [Param(s)], 10))))
         reg.append(CheckSpec(
-            "eq-555-t%s" % _slug_s(s),
-            {"x": "2/5", "t": str(s), "N": "10"}, 10, "gate",
+            "eq-555-t%s" % _slug_s(s), 10, "gate",
             lambda s=s: (cf.partition_ladder_sum(x, Param(s), 10),
                          cf.partition_ladder_closed(x, Param(s), 10))))
     reg.append(CheckSpec(
-        "gl-general-2pt",
-        {"x": "2/5", "y": "3/7", "t1": "2/3", "t2": "3/5", "N": "8"},
-        8, "gate",
+        "gl-general-2pt", 8, "gate",
         lambda: (cf.generalized_two_point(x, y, Param(F(2, 3)),
                                           Param(F(3, 5)), 8),
                  fock.a_generalized_trace(
                      x, y, [Param(F(2, 3)), Param(F(3, 5))], 8))))
     for s in S_VALUES:
         reg.append(CheckSpec(
-            "c-1pt-half-s%s" % _slug_s(s), {"s": str(s), "N": "10"},
-            10, "gate",
+            "c-1pt-half-s%s" % _slug_s(s), 10, "gate",
             lambda s=s: (cf.c_one_point_half(Param(s), 10),
                          fock.neutral_trace("boson_neutral", "C",
                                             [Param(s)], 10))))
@@ -443,26 +424,25 @@ def _registry_correlation(reg: List[CheckSpec]) -> None:
     for k in (-1, 0, 2):
         for n in (1, 2):
             reg.append(CheckSpec(
-                "zzz-k%d-n%d" % (k, n), {"k": str(k), "n": str(n), "N": "8"},
-                8, "gate",
+                "zzz-k%d-n%d" % (k, n), 8, "gate",
                 lambda k=k, n=n: (
                     cf.level1_sector(k, _pts(n), 8),
                     fock.f1_charged_trace(zvar, _pts(n), 8).coeff_z(1, k))))
     reg.append(CheckSpec(
-        "theta-triple-product", {"N": "20"}, 20, "gate",
+        "theta-triple-product", 20, "gate",
         lambda: (theta_jet(Param(F(1)), 1, 20)[1]
                  * pochhammer_inf(_qp(), 20) ** 3,
                  odd_triple_product(20))))
     for m in (0, 1, 2):
         reg.append(CheckSpec(
-            "sector-c-m%d" % m, {"m": str(m), "n": "1", "N": "8"}, 8, "gate",
+            "sector-c-m%d" % m, 8, "gate",
             lambda m=m: (cf.c_sector_minus1(m, _pts(1), 8),
                          fock.duality_trace(("boson_pair",), "C", _pts(1), 8,
                                             {(2 * m,): 1}))))
         # The rank-one type-d function is the difference of the z^m and
         # z^(m+2) slices of the sign-inverted trace.
         reg.append(CheckSpec(
-            "sector-d-m%d" % m, {"m": str(m), "n": "1", "N": "8"}, 8, "gate",
+            "sector-d-m%d" % m, 8, "gate",
             lambda m=m: (cf.d_sector_minus1(m, _pts(1), 8),
                          fock.duality_trace(("boson_pair",), "D", _pts(1), 8,
                                             {(2 * m,): 1, (2 * m + 4,): -1}))))
@@ -472,38 +452,34 @@ def _registry_qdiff(reg: List[CheckSpec]) -> None:
     for alg in ("a", "c"):
         for n in (1, 2, 3):
             reg.append(CheckSpec(
-                "qdiff-%s-n%d" % (alg, n),
-                {"algebra": alg, "n": str(n), "N": "10"}, 10, "gate",
+                "qdiff-%s-n%d" % (alg, n), 10, "gate",
                 lambda alg=alg, n=n: (cf.qdiff_residual(alg, _pts(n), 10),
                                       Series.zero(10))))
 
 
 def _registry_qdim(reg: List[CheckSpec]) -> None:
     reg.append(CheckSpec(
-        "qdim-a-r1", {"k": "0..2", "N": "20"}, 20, "gate",
+        "qdim-a-r1", 20, "gate",
         lambda: (_series_sum((cf.charged_qdim_base(k, 20).shift(0)
                               for k in (0, 1, 2)), 20),
-                 _series_sum((fock.a_sector_trace(k, [], 20)
-                              for k in (0, 1, 2)), 20))))
+                 _series_sum((t for (t,) in fock.a_sector_traces(
+                     [], 20, [0], (0, 1, 2)).values()), 20))))
     for l, lam in ((2, (0, 0)), (2, (1, 0)), (2, (1, -1)), (3, (2, 1, 0)),
                    (3, (1, 0, -1))):
         reg.append(CheckSpec(
-            "qdim-a-r%d-lam%s" % (l, _slug_lam(lam)),
-            {"lambda": str(lam), "N": "10"}, 10, "gate",
+            "qdim-a-r%d-lam%s" % (l, _slug_lam(lam)), 10, "gate",
             lambda l=l, lam=lam: (cf.qdim_closed("a", str(-l), lam, 10),
                                   _ext_oracle("a", "-l", l, lam, [], 10))))
     for lam in ((0, 0), (1, 0), (2, 1)):
         reg.append(CheckSpec(
-            "qdim-c-poshalf-forms-lam%s" % _slug_lam(lam),
-            {"lambda": str(lam), "N": "20"}, 20, "gate",
+            "qdim-c-poshalf-forms-lam%s" % _slug_lam(lam), 20, "gate",
             lambda lam=lam: (cf.qdim_closed("c", "3/2", lam, 20, "weyl"),
                              cf.qdim_closed("c", "3/2", lam, 20, "product"))))
     rank1 = [("c", "-l", "-1"), ("d", "-l", "-1")]
     for alg, fam, lev in rank1:
         for k in (0, 1, 2):
             reg.append(CheckSpec(
-                "qdim-%s-r1-k%d" % (alg, k),
-                {"level": lev, "k": str(k), "N": "10"}, 10, "gate",
+                "qdim-%s-r1-k%d" % (alg, k), 10, "gate",
                 lambda alg=alg, fam=fam, lev=lev, k=k: (
                     cf.qdim_closed(alg, lev, (k,), 10),
                     _ext_oracle(alg, fam, 1, (k,), [], 10))))
@@ -513,16 +489,14 @@ def _registry_qdim(reg: List[CheckSpec]) -> None:
         lev = str(cf.duality_instance(alg, fam, 2).level)
         for lam in ((0, 0), (1, 0), (2, 1)):
             reg.append(CheckSpec(
-                "qdim-%s-r2-lam%s" % (slug, _slug_lam(lam)),
-                {"level": lev, "lambda": str(lam), "N": "10"}, 10, "gate",
+                "qdim-%s-r2-lam%s" % (slug, _slug_lam(lam)), 10, "gate",
                 lambda alg=alg, fam=fam, lev=lev, lam=lam: (
                     cf.qdim_closed(alg, lev, lam, 10),
                     _ext_oracle(alg, fam, 2, lam, [], 10))))
     for lev, fam in (("3/2", "l-1/2"),):
         for lam in ((0, 0), (1, 0)):
             reg.append(CheckSpec(
-                "qdim-c-poshalf-oracle-lam%s" % _slug_lam(lam),
-                {"level": lev, "lambda": str(lam), "N": "10"}, 10, "gate",
+                "qdim-c-poshalf-oracle-lam%s" % _slug_lam(lam), 10, "gate",
                 lambda lev=lev, fam=fam, lam=lam: (
                     cf.qdim_closed("c", lev, lam, 10),
                     _ext_oracle("c", fam, 2, lam, [], 10))))
@@ -530,7 +504,7 @@ def _registry_qdim(reg: List[CheckSpec]) -> None:
         for lam in ([(0,), (1,)] if l == 1 else [(0, 0), (1, 0)]):
             reg.append(CheckSpec(
                 "qdim-charge-resolved-r%d-lam%s" % (l, _slug_lam(lam)),
-                {"lambda": str(lam), "N": "10"}, 10, "gate",
+                10, "gate",
                 lambda l=l, lam=lam: (
                     charge_resolved_qdim_extract(l, lam, 10),
                     cf.qdim_closed("a", str(-l), lam, 10))))
@@ -541,16 +515,14 @@ def _registry_duality(reg: List[CheckSpec]) -> None:
         for n in (0, 1, 2):
             for lam in ((0, 0), (1, 0)):
                 name_tail = "%s-n%d-lam%s" % (slug, n, _slug_lam(lam))
-                params = {"instance": slug, "l": "2", "n": str(n),
-                          "lambda": str(lam), "N": "8"}
                 reg.append(CheckSpec(
-                    "duality-assignment-" + name_tail, params, 8, "gate",
+                    "duality-assignment-" + name_tail, 8, "gate",
                     lambda alg=alg, fam=fam, lam=lam, n=n: (
                         cf.duality_reduce(cf.duality_instance(alg, fam, 2),
                                           lam, _pts(n), 8, "assignment"),
                         _ext_oracle(alg, fam, 2, lam, _pts(n), 8))))
                 reg.append(CheckSpec(
-                    "duality-literal-" + name_tail, params, 8, "report",
+                    "duality-literal-" + name_tail, 8, "report",
                     lambda alg=alg, fam=fam, lam=lam, n=n: (
                         cf.duality_reduce(cf.duality_instance(alg, fam, 2),
                                           lam, _pts(n), 8, "literal"),

@@ -166,7 +166,7 @@ class TestVerify:
 
     def test_failing_gate_check_exits_one(self, monkeypatch):
         spec = verify.CheckSpec(
-            "synthetic-cli-fail", {}, 4, "gate",
+            "synthetic-cli-fail", 4, "gate",
             lambda: (Series.one(4), Series.zero(4)))
         monkeypatch.setattr(verify, "registry", lambda: [spec])
         status, text = run(["verify", "--filter", "synthetic-*"])

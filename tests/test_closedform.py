@@ -15,7 +15,6 @@ from qfock import combinat, fock, modesum, verify
 from qfock.qseries import (
     CapExceeded,
     DegenerateParameter,
-    HalfInt,
     IllegalPower,
     Param,
     Series,
@@ -119,7 +118,7 @@ def test_ladder_sum_matches_enumeration(s, d2, e2, sign, ts, n2):
     partitions of weight <= 2N, at scalar and z-carrying x of q-valuation
     >= 0."""
     x = Param(s, F(d2, 2), F(e2, 2), zvar=1, sign=sign)
-    t, N = Param(ts), HalfInt(twice=n2)
+    t, N = Param(ts), F(n2, 2)
     assert cf.partition_ladder_sum(x, t, N) == enumerated_ladder_sum(x, t, N)
 
 
@@ -327,7 +326,7 @@ def reference_c_sector_minus1(m, points, N):
 @example(pts(F(2, 3), F(3, 2)), 0, 4)           # mutually inverse points
 @example([], 2, 6)
 def test_signed_slices_match_one_trace_per_sign_pattern(points, m, n2):
-    N = HalfInt(twice=n2)
+    N = F(n2, 2)
     assert cf.c_sector_minus1(m, points, N) \
         == reference_c_sector_minus1(m, points, N)
     assert cf.d_sector_minus1(m, points, N) \
@@ -459,7 +458,7 @@ def product_extract(oracle, wtype, rho, lam, N):
     alternating Weyl z-sum, then slice out z_i^((lam+rho)_i) for each i."""
     out = oracle * Series(to2(N), weyl_zsum(wtype, rho).terms)
     for i in range(len(rho)):
-        out = out.coeff_z(i + 1, HalfInt(twice=2 * lam[i] + to2(rho[i])))
+        out = out.coeff_z(i + 1, F(2 * lam[i] + to2(rho[i]), 2))
     return out
 
 
@@ -497,16 +496,16 @@ def extraction_cases(draw):
         if extra:
             zk += ((l + 1, extra),)
         terms[(q2, zk)] = c
-    return wtype, rho, lam, Series(trunc2, terms), HalfInt(twice=N2)
+    return wtype, rho, lam, Series(trunc2, terms), F(N2, 2)
 
 
 @settings(max_examples=300, deadline=None)
 @given(extraction_cases())
 @example(("A", combinat.rho_vector("A", 2), (1, -1), Series(6, {}),
-          HalfInt(2)))
+          F(2)))
 @example(("BC", combinat.rho_vector("B", 1), (0,),
           Series(9, {(-3, ((1, 2), (2, 1))): F(1, 2), (4, ()): F(1)}),
-          HalfInt(3)))
+          F(3)))
 def test_weyl_extract_matches_product_route(case):
     wtype, rho, lam, oracle, N = case
     assert cf.weyl_extract(oracle, wtype, rho, lam, N) \
@@ -555,15 +554,15 @@ def extraction_requests(draw, max_rank=2, max_points=2, max_n2=6):
     lam = tuple(sorted(draw(st.lists(st.integers(lo, 2), min_size=inst.l,
                                      max_size=inst.l)), reverse=True))
     points = draw(st.lists(point_st, max_size=max_points))
-    return inst, lam, points, HalfInt(twice=draw(st.integers(0, max_n2)))
+    return inst, lam, points, F(draw(st.integers(0, max_n2)), 2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(extraction_requests())
 @example((cf.duality_instance("a", "-l", 2), (1, -1), pts(F(2, 3)),
-          HalfInt(3)))
+          F(3)))
 @example((cf.duality_instance("c", "-l-1/2", 2), (1, 0),
-          pts(F(2, 3), F(-3, 5)), HalfInt(2)))
+          pts(F(2, 3), F(-3, 5)), F(2)))
 def test_sliced_extraction_matches_full_product_oracle(req):
     inst, lam, points, N = req
     oracle = product_duality_trace(inst.factors, inst.op_tag, points, N)
@@ -588,9 +587,9 @@ def has_unit_signed_product(points):
 @settings(max_examples=200, deadline=None)
 @given(extraction_requests(max_rank=3))
 @example((cf.duality_instance("d", "-l", 1), (1,), pts(F(2, 3)),
-          HalfInt(3)))
+          F(3)))
 @example((cf.duality_instance("c", "l-1/2", 3), (1, 0, 0),
-          pts(F(2, 3), F(-3, 5)), HalfInt(2)))
+          pts(F(2, 3), F(-3, 5)), F(2)))
 def test_assignment_reduction_matches_oracle_at_random_points(req):
     """The closed-form reduction against the Fock oracle's Weyl extraction,
     which enumerates the Weyl group on its own."""
@@ -621,7 +620,7 @@ def charged_qdim_product(ks, N):
 
 
 def norm_monomial(ks, N):
-    return Series.monomial(1, HalfInt(twice=sum(k * k for k in ks)), N)
+    return Series.monomial(1, F(sum(k * k for k in ks), 2), N)
 
 
 def reference_qdim(algebra, level, label, N):
@@ -712,11 +711,11 @@ def reference_duality_reduce(inst, label, points, N, mode):
 
 @settings(max_examples=150, deadline=None)
 @given(extraction_requests(max_rank=4, max_points=0, max_n2=10))
-@example((cf.duality_instance("d", "-l", 4), (2, 1, 1, 0), [], HalfInt(5)))
+@example((cf.duality_instance("d", "-l", 4), (2, 1, 1, 0), [], F(5)))
 @example((cf.duality_instance("c", "l-1/2", 4), (2, 1, 0, 0), [],
-          HalfInt(5)))
+          F(5)))
 @example((cf.duality_instance("a", "-l", 4), (2, 0, -1, -2), [],
-          HalfInt(F(9, 2))))
+          F(9, 2)))
 def test_qdim_alternant_matches_weyl_enumeration(req):
     """Every Weyl-sum family of qdim_closed against the group enumerated
     element by element; == compares the truncation too."""
@@ -732,7 +731,7 @@ def repeated_and_inverse_points(test):
         for svals in ((F(2, 3), F(2, 3)), (F(2, 3), F(3, 2))):
             for mode in ("literal", "assignment"):
                 req = (cf.duality_instance(*key, 2), (1, 0), pts(*svals),
-                       HalfInt(2))
+                       F(2))
                 test = example(req, mode)(test)
     return test
 
@@ -741,13 +740,13 @@ def repeated_and_inverse_points(test):
 @given(extraction_requests(max_rank=4, max_n2=4),
        st.sampled_from(["literal", "assignment"]))
 @example((cf.duality_instance("d", "-l+1/2", 3), (1, 1, 0),
-          pts(F(2, 3), F(3, 5)), HalfInt(2)), "assignment")
+          pts(F(2, 3), F(3, 5)), F(2)), "assignment")
 @example((cf.duality_instance("c", "-l", 4), (1, 0, 0, 0),
-          pts(F(2, 3), F(3, 5)), HalfInt(1)), "assignment")
+          pts(F(2, 3), F(3, 5)), F(1)), "assignment")
 @example((cf.duality_instance("a", "-l", 4), (1, 0, 0, -1), pts(F(2, 3)),
-          HalfInt(F(3, 2))), "literal")
+          F(3, 2)), "literal")
 @example((cf.duality_instance("c", "l-1/2", 2), (1, 0), pts(F(2, 3), F(3, 2)),
-          HalfInt(1)), "assignment")
+          F(1)), "assignment")
 @repeated_and_inverse_points
 def test_duality_alternant_matches_weyl_enumeration(req, mode):
     """Both readings of duality_reduce against the Weyl-group loops they

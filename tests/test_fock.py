@@ -20,7 +20,6 @@ from qfock.fock import (
     neutral_trace,
 )
 from qfock.qseries import (
-    HalfInt,
     NonTruncatable,
     Param,
     QSeriesError,
@@ -34,10 +33,10 @@ from test_qseries import qcoeff
 
 F = Fraction
 
-T = Param(F(2, 3), label="t")
-T2 = Param(F(3, 5), label="t2")
-X = Param(F(2, 5), label="x")
-Y = Param(F(3, 7), label="y")
+T = Param(F(2, 3))
+T2 = Param(F(3, 5))
+X = Param(F(2, 5))
+Y = Param(F(3, 7))
 
 
 def test_eigenvalue_examples():
@@ -155,14 +154,14 @@ def product_duality_trace(factors, op_tag, points, N):
                         for e, rows in split.items()
                         for (q2, _), c in rows[T].terms.items()})
             for T in range(1 << n)])
-    total = Series.zero(HalfInt(twice=N2))
+    total = Series.zero(F(N2, 2))
     for phi in itertools.product(range(len(factors)), repeat=n):
         prod = None
         for i in range(len(factors)):
             t = tables[i][sum(1 << j for j in range(n) if phi[j] == i)]
             prod = t if prod is None else prod * t
         total = total + prod
-    return total.truncate(HalfInt(twice=N2))
+    return total.truncate(F(N2, 2))
 
 
 def _zvars(factors):
@@ -277,7 +276,7 @@ point_st = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)) \
 def test_sector_table_matches_one_trace_per_subset(pts, n2, data):
     """Every (charge, mask) entry of the one-pass table against its own
     a_sector_trace call at that subset of the points."""
-    N = HalfInt(twice=n2)
+    N = F(n2, 2)
     masks = data.draw(st.lists(st.integers(0, (1 << len(pts)) - 1),
                                unique=True))
     charges = data.draw(st.sets(st.integers(-3, 3), max_size=3))
@@ -297,7 +296,7 @@ def test_sector_table_matches_one_trace_per_subset(pts, n2, data):
 def test_traces_match_direct_enumeration(pts, n2, factors, op):
     """Every factorized trace against the state-by-state tensor-product
     enumeration, at random rational points."""
-    N = HalfInt(twice=n2)
+    N = F(n2, 2)
     z = Param(1, e=1)
     pair = duality_trace_direct(("boson_pair",), "A", pts, N)
     assert a_generalized_trace(Param(1, e=-1), z, pts, N) == pair

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfock.qseries import HalfInt, Param, NonTruncatable
+from qfock.qseries import Param, NonTruncatable
 from qfock import fock, modesum
 
 
@@ -116,7 +116,7 @@ ratio_st = st.one_of(st.just(Param(0)), s_st.map(Param),
 def test_matches_enumeration_at_random_points(pts, x, y, n2):
     """The cumulant sum against the state-enumeration oracle of qfock.fock
     at random rational points and ratios (zero, scalar or z-carrying)."""
-    N = HalfInt(twice=n2)
+    N = F(n2, 2)
     assert modesum.a_generalized_trace(x, y, pts, N) == \
         fock.a_generalized_trace(x, y, pts, N)
     assert modesum.neutral_c_trace(pts, N) == \
@@ -129,7 +129,7 @@ def test_shifted_point_identities_at_random_s(s, n2):
     """The n = 1 q-difference identities of the shifted-points tests above,
     at a random point: charge slice z^1 of the z-graded trace at q*t is the
     charge-0 trace at t, and the neutral trace is unchanged by the shift."""
-    N = HalfInt(twice=n2)
+    N = F(n2, 2)
     t = Param(s)
     x = Param(F(1), 0, -1, zvar=1)
     y = Param(F(1), 0, 1, zvar=1)

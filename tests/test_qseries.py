@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from qfock import closedform as cf
 from qfock.qseries import (
     DegenerateParameter,
-    HalfInt,
     IllegalPower,
     NotInvertible,
     Param,
@@ -54,11 +53,13 @@ def assert_clean(s):
     assert all(type(c) is F and c for c in s.terms.values())
 
 
-def test_halfint_basics():
-    assert HalfInt(F(3, 2)).twice == 3
-    assert HalfInt(2) + HalfInt(F(1, 2)) == F(5, 2)
-    assert HalfInt(F(1, 2)) * 4 == 2
-    assert str(HalfInt(F(-1, 2))) == "-1/2"
+def test_to2_takes_half_integers_only():
+    assert [to2(x) for x in (3, F(3, 2), F(-1, 2), F(4, 2))] == [6, 3, -1, 4]
+    for bad in (F(1, 3), F(-5, 4)):
+        with pytest.raises(IllegalPower):
+            to2(bad)
+    trunc = Series.one(F(7, 2)).truncation
+    assert type(trunc) is F and trunc == F(7, 2)
 
 
 def test_add_mul_polynomials():
@@ -281,7 +282,7 @@ def test_invert_round_trip(a):
     mins = [k for k in a.terms if k[0] == a.min2()]
     if len(mins) != 1:
         return
-    assert series_equal(a * a.invert(), Series.one(HalfInt(twice=a.trunc2)))
+    assert series_equal(a * a.invert(), Series.one(F(a.trunc2, 2)))
 
 
 # -- products against the Fraction loop -------------------------------------
@@ -410,8 +411,8 @@ def _geometric_invert(a):
     u_terms = {(a2 - v2, _zmul(az, inv_zk)): c / lc
                for (a2, az), c in a.terms.items() if (a2, az) != (lv2, lzk)}
     u = Series(a.trunc2 - v2, u_terms, clean=False)
-    geom = Series.one(HalfInt(twice=u.trunc2))
-    power_k = Series.one(HalfInt(twice=u.trunc2))
+    geom = Series.one(F(u.trunc2, 2))
+    power_k = Series.one(F(u.trunc2, 2))
     umin = u.min2()
     if umin is not None:
         k = 1
@@ -494,7 +495,7 @@ def test_invert_uses_no_series_products(a, monkeypatch):
     inv = a.invert()
     monkeypatch.undo()
     assert calls == []
-    assert a * inv == Series.one(HalfInt(twice=a.trunc2))
+    assert a * inv == Series.one(F(a.trunc2, 2))
 
 
 # -- theta jets against the product of one-factor jets ---------------------
@@ -514,7 +515,7 @@ def _product_theta_jet(t, k, N):
         raise IllegalPower("theta of a negative point")
     cp, qp2, _ = t.pow_monomial(F(1, 2))
     t2 = to2(N) + abs(qp2)
-    Nw = HalfInt(twice=t2)
+    Nw = F(t2, 2)
     fact = [math.factorial(j) for j in range(k + 1)]
     jet = [Series(t2, {(qp2, ()): cp * F(1, 2) ** j / fact[j]})
            - Series(t2, {(-qp2, ()): F(-1, 2) ** j / (cp * fact[j])})

@@ -4,6 +4,7 @@ policy, and the JSON report schema."""
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -19,14 +20,14 @@ from qfock.qseries import (
 
 def failing_spec():
     return verify.CheckSpec(
-        "synthetic-fail", {}, 4, "gate",
+        "synthetic-fail", 4, "gate",
         lambda: (Series.one(4), Series.monomial(F(1, 3), 1, 4)))
 
 
 def error_spec():
     def boom():
         raise DegenerateParameter("unit point")
-    return verify.CheckSpec("synthetic-error", {}, 4, "gate", boom)
+    return verify.CheckSpec("synthetic-error", 4, "gate", boom)
 
 
 class TestRegistry:
@@ -50,13 +51,13 @@ class TestRegistry:
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
-            verify.CheckSpec("x", {}, 4, "maybe", lambda: None)
+            verify.CheckSpec("x", 4, "maybe", lambda: None)
 
 
 class TestRunCheck:
     def test_pass(self):
         spec = verify.CheckSpec(
-            "synthetic-pass", {}, 4, "gate",
+            "synthetic-pass", 4, "gate",
             lambda: (Series.one(4), Series.one(4)))
         res = verify.run_check(spec)
         assert res.status == "pass"
@@ -70,6 +71,15 @@ class TestRunCheck:
         assert mono == "q^0"
         assert (lhs, rhs) == (F(1), F(0))
 
+    def test_discrepancy_monomial_undoubles_z_exponents(self):
+        spec = verify.CheckSpec(
+            "synthetic-z", 4, "gate",
+            lambda: (Series.monomial(1, F(1, 2), 4, {1: 1, 2: F(-3, 2)}),
+                     Series.zero(4)))
+        mono, lhs, rhs = verify.run_check(spec).first_discrepancy
+        assert mono == "q^1/2 z1^1 z2^-3/2"
+        assert (lhs, rhs) == (F(1), F(0))
+
     def test_error_carries_exception(self):
         res = verify.run_check(error_spec())
         assert res.status == "error"
@@ -77,7 +87,7 @@ class TestRunCheck:
 
     def test_truncation_shortfall_fails(self):
         spec = verify.CheckSpec(
-            "synthetic-short", {}, 10, "gate",
+            "synthetic-short", 10, "gate",
             lambda: (Series.zero(4), Series.zero(10)))
         res = verify.run_check(spec)
         assert res.status == "fail"
@@ -86,7 +96,7 @@ class TestRunCheck:
 
     def test_zero_truncation_passes_on_equal_constants(self):
         spec = verify.CheckSpec(
-            "synthetic-n0", {}, 0, "gate",
+            "synthetic-n0", 0, "gate",
             lambda: (Series.const(F(2), 0), Series.const(F(2), 0)))
         assert verify.run_check(spec).status == "pass"
 
@@ -142,8 +152,7 @@ class TestExitStatusPolicy:
 
     def test_report_failure_never_gates(self):
         spec = failing_spec()
-        spec = verify.CheckSpec(spec.name, spec.params, spec.N, "report",
-                                spec.pair)
+        spec = verify.CheckSpec(spec.name, spec.N, "report", spec.pair)
         assert verify.suite_exit_status([verify.run_check(spec)]) == 0
 
     def test_error_gates(self):
@@ -178,3 +187,14 @@ class TestReports:
         table = verify.report_table(res)
         for r in res:
             assert r.name in table
+
+
+def test_full_report_matches_golden():
+    """Every field of the full suite's JSON report except the timing ms:
+    119 gate passes, 12 report passes and 24 expected report failures."""
+    golden = json.loads(
+        (Path(__file__).parent / "golden_verify_report.json").read_text())
+    doc = json.loads(verify.report_json(verify.run_suite()))
+    for chk in doc["checks"]:
+        del chk["ms"]
+    assert doc == golden
