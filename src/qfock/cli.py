@@ -264,11 +264,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _bind_negative_values(argv: Sequence[str]) -> List[str]:
-    """Write "--level -3/2" as "--level=-3/2" (and likewise for --lambda),
-    and every value after --points as its own "--points=v": argparse reads a
-    word that starts with '-' as an option unless it is a plain negative
-    number, so values such as -3/2 or -1,-2 need the '=' form, and the '='
-    form binds one value, which --points (action="extend") collects in order.
+    """Write "--level -3/2" as "--level=-3/2" (and likewise for --lambda and
+    --N), and every value after --points as its own "--points=v": argparse
+    reads a word that starts with '-' as an option unless it is a plain
+    negative number, so values such as -3/2 or -1,-2 need the '=' form, and
+    the '=' form binds one value, which --points (action="extend") collects
+    in order.
     """
     out: List[str] = []
     in_points = False
@@ -277,7 +278,7 @@ def _bind_negative_values(argv: Sequence[str]) -> List[str]:
         if in_points and (negative or arg[:1] != "-"):
             out.append("--points=" + arg)
             continue
-        if out and out[-1] in ("--level", "--lambda") and negative:
+        if out and out[-1] in ("--level", "--lambda", "--N") and negative:
             out[-1] += "=" + arg
         else:
             out.append(arg)

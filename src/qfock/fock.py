@@ -13,46 +13,46 @@ point t has eigenvalue sum(t^(p-1/2)) - sum(t^(-p+1/2)) plus a central term
 
 Subset factorization.  Write S+_lam(t) = sum_p t^(p-1/2) and
 S-_lam(t) = sum_p t^(-p+1/2).  On a charged pair the eigenvalue at t_j splits
-as v_j(lam) + w_j(mu), so
-
-  prod_j (v_j(lam) + w_j(mu)) = sum_S prod_(j in S) v_j(lam)
-                                      prod_(j not in S) w_j(mu)
-
-over the subsets S of the points.  Every weight used here (charge sector,
-x^len(lam) y^len(mu), z^charge) depends on lam and mu only through their
-energies and lengths, so the pair sum is a convolution of two side tables
-keyed by (energy, length) that hold, for every subset S, the sum of
-prod_(j in S) v_j over one partition factor.  The pair loop then runs over
-table keys instead of partition pairs and splits them by charge as it sums,
-so one table per call serves every charge and operator subset: one pair
-pass of ``a_sector_traces`` gives every (charge, subset) sector trace.
-
+as v_j(lam) + w_j(mu), so prod_j (v_j(lam) + w_j(mu)) is the sum over the
+subsets S of the points of prod_(j in S) v_j(lam) prod_(j not in S) w_j(mu).
 For A(t), v_j = S+_lam(t_j) and w_j = -S-_mu(t_j) +- beta(t_j).  For C and D,
-S+(t^(-1)) = S-(t) and beta(t^(-1)) = -beta(t) give
-v_j = S+_lam - S-_lam and w_j = S+_mu - S-_mu +- 2 beta(t_j), so no inverse
-points are needed.  A neutral factor has one side with
-v_j = S+_lam - S-_lam +- beta(t_j).
+S+(t^(-1)) = S-(t) and beta(t^(-1)) = -beta(t) give v_j = S+_lam - S-_lam and
+w_j = S+_mu - S-_mu +- 2 beta(t_j), so no inverse points are needed.  A
+neutral factor has one side, v_j = S+_lam - S-_lam +- beta(t_j).
+
+A side table holds, per (energy, length), the sum over one factor's
+partitions of prod_j (1 + v_j x_j) in Z[x_1..x_n]/(x_j^2), whose x^S
+coefficient sums prod_(j in S) v_j.  As x_j^2 = 0, this is prod_j (1 + c_j
+x_j), c_j the constant part of v_j, times f_p = prod_j (1 + u_j(p) x_j) per
+part p, and m copies of p give f_p^m.  So, like a partition generating
+function (Andrews, The Theory of Partitions, ch. 1), the table is a product
+over parts, built as a knapsack; no partition is enumerated.  Every weight
+used here (charge sector, x^len(lam) y^len(mu), z^charge) depends on lam
+and mu only through their energies and lengths, so a pair trace convolves
+two side tables: the weight of each pair of lengths names a charge bucket
+or skips the pair, and the energies are summed only up to the budget.  One
+pass serves every charge and operator subset a caller asks for, no other.
 
 Duality traces.  In a tensor product of factors, charged factor i carries
 its own charge variable z_(i+1), so one z-monomial coefficient of the trace
 is a sum, over the assignments of the points to factors, of products of
-per-factor charge slices of the subset tables above.  Each factor kind
-gives one such table, built once however many factors share the kind.
-``duality_trace`` reads a signed sum of such coefficients (the Weyl shifts
-of a labeled trace) this way, and multiplies only z-free series.
+per-factor charge slices of the subset tables above, one table per factor
+kind.  ``duality_trace`` reads a signed sum of such coefficients (the Weyl
+shifts of a labeled trace) this way, and multiplies only z-free series.
 
-These oracles require evaluation points with d = 0 (plain rational
-scalars).  Shifted points (d > 0) are handled by the resummed evaluator in
-modesum.py.  ``duality_trace_direct`` enumerates tensor-product states one by
-one and is kept as the independent cross-check of the factorized traces.
+These oracles require plain rational scalar points (d = 0); modesum.py
+resums shifted ones.  ``duality_trace_direct`` enumerates tensor-product
+states one by one as the independent cross-check of the factorized traces.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .qseries import (
@@ -125,56 +125,71 @@ def _require_scalar_points(points: Sequence[Param]):
 
 
 def _side_table(points: Sequence[Param], alpha: int, gamma: int, consts,
-                budget2: int, strict: bool):
-    """One partition factor as ({(w2, length): row}, dens).
-
-    row[S] is dens_S times the sum over the factor's partitions lam of
-    prod_(j in S) v_j(lam), for every subset S of the points given as a bit
-    mask, where v_j = alpha * S+_lam(t_j) + gamma * S-_lam(t_j) + consts[j]
-    and dens_S is the product of dens[j] over S.  dens[j] is a common
-    denominator of every v_j that either side of a pair can hold, so the
-    rows are integers; row[0] counts the partitions with that key."""
+                budget2: int, strict: bool, masks):
+    """One partition factor as ({length: [(w2, row), ...] in increasing w2},
+    dens), a knapsack over parts (see the module docstring).  row[S] is
+    dens_S times the sum over the key's partitions lam of prod_(j in S)
+    v_j(lam), v_j = alpha S+_lam(t_j) + gamma S-_lam(t_j) + consts[j], for
+    each subset S (a bit mask) inside a mask of `masks`, and 0 for other S;
+    dens_S is the product of dens[j] over S.  dens[j] is a common denominator
+    of every v_j either side of a pair can hold, so the rows are integers;
+    row[0] counts the partitions with that key."""
+    n = len(points)
+    subs = {0} | {S for T in masks for S in range(T + 1) if S & T == S}
+    # times 1 + u x_j, row[S] gains u * row[S - {j}] for S holding j
+    steps = [[(S, S ^ 1 << j) for S in sorted(subs) if S >> j & 1]
+             for j in range(n)]
     top = (budget2 + 1) // 2
     k = max(2 * top - 1, 0)
-    per_part, ints, dens = [], [], []
-    for pt, c in zip(points, consts):
+    per_part, dens = [], []
+    zero = [0] * (1 << n)
+    start = [1] + zero[1:]  # prod_j (1 + consts[j] x_j)
+    for pt, c, step in zip(points, consts, steps):
         r = pt.scalar_pow(F(1, 2))
-        d = math.lcm(r.numerator ** k, r.denominator ** k,
-                     beta_scalar(pt).denominator)
-        vals = [alpha * r ** (2 * p - 1) + gamma * r ** (1 - 2 * p)
-                for p in range(1, top + 1)]
-        per_part.append([0] + [int(v * d) for v in vals])
-        ints.append(int(c * d))
+        a, b = r.numerator, r.denominator
+        d = math.lcm(a ** k, b ** k, beta_scalar(pt).denominator)
+        # d * (alpha r^e + gamma r^(-e)) for parts p = 1..top, e = 2p - 1
+        per_part.append([alpha * a ** e * (d // b ** e)
+                         + gamma * b ** e * (d // a ** e)
+                         for e in range(1, 2 * top, 2)])
+        c = int(c * d)
+        for S, R in step:
+            start[S] = start[R] * c
         dens.append(d)
-    table: Dict[Tuple[int, int], List[int]] = {}
-    for w2, parts in mod_partitions(budget2, strict):
-        row = [1]
-        for u, c in zip(per_part, ints):
-            v = c + sum(u[p] for p in parts)
-            row += [x * v for x in row]
-        key = (w2, len(parts))
-        acc = table.get(key)
-        if acc is None:
-            table[key] = row
-        else:
-            for i, x in enumerate(row):
-                acc[i] += x
+    # levels[w2] = {length: row}; strict parts sweep downward (used once)
+    levels = [{0: start} if w2 == 0 else {} for w2 in range(budget2 + 1)]
+    for p in range(1, top + 1):
+        cost = 2 * p - 1
+        us = [u[p - 1] for u in per_part]
+        for w2 in (range(budget2 - cost, -1, -1) if strict
+                   else range(budget2 - cost + 1)):
+            dst = levels[w2 + cost]
+            for ln, row in levels[w2].items():
+                row = row[:]
+                for u, step in zip(us, steps):
+                    for S, R in step:
+                        row[S] += u * row[R]
+                dst[ln + 1] = list(map(add, dst.get(ln + 1, zero), row))
+    table: Dict[int, List[Tuple[int, List[int]]]] = {}
+    for w2, level in enumerate(levels):
+        for ln, row in level.items():
+            table.setdefault(ln, []).append((w2, row))
     return table, dens
 
 
 def _charged_sides(kind: str, op_tag: str, points: Sequence[Param],
-                   budget2: int):
-    """The lam-side and mu-side tables of a charged pair, and their common
-    dens, for the operator A or for C and D (A(t) - A(t^(-1)))."""
+                   budget2: int, masks):
+    """The lam-side and mu-side tables of a charged pair over the subsets of
+    `masks`, and their common dens, for the operator A or for C and D
+    (A(t) - A(t^(-1)))."""
     betas = [CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
-    strict = kind == "fermion_pair"
     zeros = [0] * len(points)
-    if op_tag in ("C", "D"):
-        lam, dens = _side_table(points, 1, -1, zeros, budget2, strict)
-        mu, _ = _side_table(points, 1, -1, [2 * b for b in betas], budget2, strict)
-    else:
-        lam, dens = _side_table(points, 1, 0, zeros, budget2, strict)
-        mu, _ = _side_table(points, 0, -1, betas, budget2, strict)
+    sides = (((1, -1, zeros), (1, -1, [2 * b for b in betas]))
+             if op_tag in ("C", "D") else ((1, 0, zeros), (0, -1, betas)))
+    (lam, dens), (mu, _) = [
+        _side_table(points, alpha, gamma, consts, budget2,
+                    kind == "fermion_pair", masks)
+        for alpha, gamma, consts in sides]
     return lam, mu, dens
 
 
@@ -182,7 +197,7 @@ def _series(N2: int, acc: Dict[int, int], dens: Sequence[int], T: int) -> Series
     """The accumulated coefficients {q2: c} of subset T, divided by dens_T,
     as a z-free series."""
     d = math.prod(x for j, x in enumerate(dens) if T >> j & 1)
-    return Series(N2, {(q2, ()): F(c) / d for q2, c in acc.items()})
+    return Series(N2, {(q2, ()): F(c, d) for q2, c in acc.items()})
 
 
 def _pair_traces(lam: dict, mu: dict, dens: Sequence[int], weight, N2: int,
@@ -193,28 +208,32 @@ def _pair_traces(lam: dict, mu: dict, dens: Sequence[int], weight, N2: int,
     weight * prod_(j in T) eigenvalue.
 
     weight(len_lam, len_mu) gives (coefficient, extra doubled q-exponent,
-    bucket), or None when the pair does not contribute."""
-    splits = [[(S, T ^ S) for S in range(T + 1) if S & T == S] for T in masks]
-    weights = {(ll, lm): weight(ll, lm)
-               for ll in {k[1] for k in lam} for lm in {k[1] for k in mu}}
-    buckets: Dict[object, List[dict]] = {}
-    for (wl2, ll), a in lam.items():
-        for (wm2, lm), b in mu.items():
-            w2 = wl2 + wm2
-            wt = weights[ll, lm]
-            if w2 > N2 or wt is None:
+    bucket), or None when the pair does not contribute; it is called once
+    per pair of lengths, whose energies are read up to the budget it leaves."""
+    # per mask T, the subsets S of T and their complements T - S
+    splits = [list(zip(*[(S, T ^ S) for S in range(T + 1) if S & T == S]))
+              for T in masks]
+    buckets = defaultdict(lambda: [{} for _ in masks])
+    for ll, lrows in lam.items():
+        for lm, mrows in mu.items():
+            wt = weight(ll, lm)
+            if wt is None:
                 continue
             c0, dq2, bucket = wt
-            q2 = w2 + dq2
-            if q2 > N2:
+            cap = N2 - max(dq2, 0)
+            if lrows[0][0] + mrows[0][0] > cap:
                 continue
-            accs = buckets.get(bucket)
-            if accs is None:
-                accs = buckets[bucket] = [{} for _ in masks]
-            for acc, split in zip(accs, splits):
-                c = sum(a[S] * b[R] for S, R in split)
-                if c:
-                    acc[q2] = acc.get(q2, 0) + c0 * c
+            accs = buckets[bucket]
+            for wl2, a in lrows:
+                for wm2, b in mrows:
+                    if wl2 + wm2 > cap:
+                        break
+                    q2 = wl2 + wm2 + dq2
+                    for acc, (Ss, Rs) in zip(accs, splits):
+                        c = sum(map(mul, map(a.__getitem__, Ss),
+                                    map(b.__getitem__, Rs)))
+                        if c:
+                            acc[q2] = acc.get(q2, 0) + c0 * c
     return {bucket: [_series(N2, acc, dens, T) for acc, T in zip(accs, masks)]
             for bucket, accs in buckets.items()}
 
@@ -225,8 +244,9 @@ def _a_trace(kind: str, points: Sequence[Param], N, weight) -> Series:
     as one z-carrying series."""
     _require_scalar_points(points)
     N2 = to2(N)
-    buckets = _pair_traces(*_charged_sides(kind, "A", points, N2), weight,
-                           N2, [(1 << len(points)) - 1])
+    masks = [(1 << len(points)) - 1]
+    buckets = _pair_traces(*_charged_sides(kind, "A", points, N2, masks),
+                           weight, N2, masks)
     return Series(N2, {(q2, zk): c for zk, (s,) in buckets.items()
                        for (q2, _), c in s.terms.items()}, clean=False)
 
@@ -236,14 +256,13 @@ def _neutral_traces(kind: str, points: Sequence[Param], N2: int,
     """Traces over a neutral factor, one per subset mask T in `masks`."""
     betas = [CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
     table, dens = _side_table(points, 1, -1, betas, N2,
-                              kind == "fermion_neutral")
-    out = []
-    for T in masks:
-        acc: Dict[int, int] = {}
-        for (w2, _), row in table.items():
-            acc[w2] = acc.get(w2, 0) + row[T]
-        out.append(_series(N2, acc, dens, T))
-    return out
+                              kind == "fermion_neutral", masks)
+    sums: List[Dict[int, int]] = [defaultdict(int) for _ in masks]
+    for group in table.values():
+        for w2, row in group:
+            for acc, T in zip(sums, masks):
+                acc[w2] += row[T]
+    return [_series(N2, acc, dens, T) for acc, T in zip(sums, masks)]
 
 
 # -- the eigenvalue rule ----------------------------------------------------
@@ -292,7 +311,7 @@ def a_sector_traces(points: Sequence[Param], N, masks,
     N2 = to2(N)
     charges = set(charges)
     traces = _pair_traces(
-        *_charged_sides("boson_pair", "A", points, N2),
+        *_charged_sides("boson_pair", "A", points, N2, masks),
         lambda ll, lm: (1, 0, lm - ll) if lm - ll in charges else None,
         N2, masks)
     return {m: traces.get(m) or [Series(N2) for _ in masks] for m in charges}
@@ -359,16 +378,19 @@ def factor_states(kind: str, N2: int):
 
 
 def _factor_subset_traces(kind: str, op_tag: str, points: Sequence[Param],
-                          N2: int) -> Dict[int, List[Series]]:
+                          N2: int, charges) -> Dict[int, List[Series]]:
     """One factor's traces split by its doubled charge, for every subset of
-    the operators: {doubled charge: [z-free series per bit mask]}."""
+    the operators: {doubled charge: [z-free series per bit mask]}, holding
+    the charges in `charges` that some state reaches (a neutral factor has
+    the one charge 0); pairs of other charges are skipped."""
     masks = range(1 << len(points))
     if kind not in CHARGED:
         return {0: _neutral_traces(kind, points, N2, masks)}
-    chsign = -1 if kind == "boson_pair" else +1
-    return _pair_traces(*_charged_sides(kind, op_tag, points, N2),
-                        lambda ll, lm: (1, 0, 2 * chsign * (ll - lm)),
-                        N2, masks)
+    e2 = -2 if kind == "boson_pair" else 2  # doubled charge per len(lam)
+    charges = set(charges)
+    return _pair_traces(*_charged_sides(kind, op_tag, points, N2, masks),
+                        lambda ll, lm: (1, 0, e2 * (ll - lm))
+                        if e2 * (ll - lm) in charges else None, N2, masks)
 
 
 DUALITY_CAP = 4
@@ -414,19 +436,22 @@ def duality_trace(factors: Sequence[str], op_tag: str,
                                "charged factor" % (c, len(charged)))
     N2 = to2(N)
     n = len(points)
-    tables = {kind: _factor_subset_traces(kind, op_tag, points, N2)
-              for kind in dict.fromkeys(factors)}
-    slices = [tables[kind] for kind in factors]
+    # each factor's doubled charge in every signed vector, neutral ones 0
+    wants = {c: [dict(zip(charged, c)).get(i, 0) for i in range(len(factors))]
+             for c, sgn in charges.items() if sgn}
+    read: Dict[str, set] = {kind: set() for kind in factors}
+    for want in wants.values():
+        for kind, e in zip(factors, want):
+            read[kind].add(e)
+    tables = {kind: _factor_subset_traces(kind, op_tag, points, N2, es)
+              for kind, es in read.items()}
     masks = [[sum(1 << j for j in range(n) if phi[j] == i)
               for i in range(len(factors))]
              for phi in itertools.product(range(len(factors)), repeat=n)]
     total = Series.zero(N)
-    for c, sgn in charges.items():
-        want = [0] * len(factors)
-        for i, e in zip(charged, c):
-            want[i] = e
-        rows = [s.get(e) for s, e in zip(slices, want)]
-        if not sgn or None in rows:
+    for c, want in wants.items():
+        rows = [tables[kind].get(e) for kind, e in zip(factors, want)]
+        if None in rows:
             continue
         acc = Series.zero(N)
         for phi_masks in masks:
@@ -434,7 +459,7 @@ def duality_trace(factors: Sequence[str], op_tag: str,
             for row, S in zip(rows, phi_masks):
                 prod = row[S] if prod is None else prod * row[S]
             acc = acc + prod
-        total = total + acc.scale(sgn)
+        total = total + acc.scale(charges[c])
     # every sum starts from O(q^N), so no term above q^N survives
     return total
 

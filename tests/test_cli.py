@@ -256,9 +256,11 @@ class TestNegativeOrder:
         ["qdim", "--algebra", "a", "--level=-1", "--lambda", "0",
          "--N", "-2"],
         ["qdim", "--algebra", "c", "--level", "3/2", "--N=-1/2"],
+        ["qdim", "--algebra", "c", "--level", "3/2", "--N", "-1/2"],
         ["dump", "theta", "t=2/3", "N=-1"],
         ["dump", "f_bo", "t=2/3", "N=-1"],
-    ], ids=["corr", "qdim", "qdim-half", "dump-theta", "dump-f_bo"])
+    ], ids=["corr", "qdim", "qdim-half", "qdim-half-spaced", "dump-theta",
+            "dump-f_bo"])
     def test_is_usage_error(self, argv, capsys):
         status, text = run(argv)
         assert (status, text) == (2, "")

@@ -1,6 +1,7 @@
 """Fock-space trace oracles: known low-order values and cross-checks."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -141,14 +142,16 @@ def product_duality_trace(factors, op_tag, points, N):
     This was fock.duality_trace before the trace was read one factor at a
     time; it stays here as the z-carrying series the sliced trace reads.
     Each factor's charge split is joined back into one series, with factor
-    i's doubled charge e carried as z_(i+1)^(e/2).
+    i's doubled charge e carried as z_(i+1)^(e/2).  Every doubled charge a
+    state within the budget can carry (|e| <= 2 N2) is asked for.
     """
     fock.check_duality(factors, op_tag, points)
     N2 = to2(N)
     n = len(points)
     tables = []
     for i, kind in enumerate(factors):
-        split = fock._factor_subset_traces(kind, op_tag, points, N2)
+        split = fock._factor_subset_traces(kind, op_tag, points, N2,
+                                           range(-2 * N2, 2 * N2 + 1))
         tables.append([
             Series(N2, {(q2, ((i + 1, e),) if e else ()): c
                         for e, rows in split.items()
@@ -332,3 +335,96 @@ def test_traces_match_direct_enumeration(pts, n2, factors, op):
         if pts:
             with pytest.raises(QSeriesError):
                 duality_trace_direct(factors, op, pts, N)
+
+
+# -- the knapsack side tables against partition enumeration -----------------
+
+
+def enumerated_side_table(points, alpha, gamma, consts, budget2, strict):
+    """fock._side_table as it was before it became a knapsack over parts:
+    one row per enumerated partition, from the sums of its per-part values,
+    added into its (w2, length) key; every subset of the points is kept.
+    Returned in the knapsack's layout, {length: [(w2, row), ...] in
+    increasing w2}."""
+    top = (budget2 + 1) // 2
+    k = max(2 * top - 1, 0)
+    per_part, ints, dens = [], [], []
+    for pt, c in zip(points, consts):
+        r = pt.scalar_pow(F(1, 2))
+        d = math.lcm(r.numerator ** k, r.denominator ** k,
+                     beta_scalar(pt).denominator)
+        vals = [alpha * r ** (2 * p - 1) + gamma * r ** (1 - 2 * p)
+                for p in range(1, top + 1)]
+        per_part.append([0] + [int(v * d) for v in vals])
+        ints.append(int(c * d))
+        dens.append(d)
+    table = {}
+    for w2, parts in fock.mod_partitions(budget2, strict):
+        row = [1]
+        for u, c in zip(per_part, ints):
+            v = c + sum(u[p] for p in parts)
+            row += [x * v for x in row]
+        key = (w2, len(parts))
+        acc = table.get(key)
+        if acc is None:
+            table[key] = row
+        else:
+            for i, x in enumerate(row):
+                acc[i] += x
+    grouped = {}
+    for (w2, ln), row in sorted(table.items()):
+        grouped.setdefault(ln, []).append((w2, row))
+    return grouped, dens
+
+
+# t and 1/t at three points, as closedform's signed c/d slices read them
+SIX = [Param(s) for s in (F(2, 3), F(3, 5), F(5, 7), F(3, 2), F(5, 3),
+                          F(7, 5))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.lists(point_st, max_size=3), st.just(SIX)),
+       st.integers(0, 30), st.booleans(),
+       st.sampled_from([(1, 0), (0, -1), (1, -1)]), st.data())
+def test_side_table_knapsack_matches_enumeration(pts, budget2, strict,
+                                                 alpha_gamma, data):
+    """The knapsack over parts equals the partition enumeration, key by key
+    and subset by subset; asked for fewer masks it keeps the subsets inside
+    them and holds 0 at every other subset."""
+    alpha, gamma = alpha_gamma
+    n = len(pts)
+    mults = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    consts = [m * beta_scalar(p) for m, p in zip(mults, pts)]
+    want, dens = enumerated_side_table(pts, alpha, gamma, consts, budget2,
+                                       strict)
+    assert fock._side_table(pts, alpha, gamma, consts, budget2, strict,
+                            range(1 << n)) == (want, dens)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3))
+    inside = {S for T in masks for S in range(T + 1) if S & T == S}
+    kept = {ln: [(w2, [x if S in inside or not S else 0
+                       for S, x in enumerate(row)]) for w2, row in rows]
+            for ln, rows in want.items()}
+    assert fock._side_table(pts, alpha, gamma, consts, budget2, strict,
+                            masks) == (kept, dens)
+
+
+@pytest.mark.parametrize("kind,op", [("boson_pair", "A"),
+                                     ("fermion_pair", "D")])
+def test_factor_table_holds_only_the_charges_asked_for(kind, op):
+    every = fock._factor_subset_traces(kind, op, [T, T2], 6, range(-12, 13))
+    assert len(every) > 1
+    assert fock._factor_subset_traces(kind, op, [T, T2], 6, {0}) \
+        == {0: every[0]}
+
+
+def test_sector_trace_enumerates_no_partition(monkeypatch):
+    """The side tables are built over parts, not from the partition
+    enumerator, so a 3-point trace at N = 36 stays cheap."""
+    def refuse(*args):
+        raise AssertionError("mod_partitions called")
+
+    monkeypatch.setattr(fock, "mod_partitions", refuse)
+    pts = [T, T2, Param(F(5, 7))]
+    s = a_sector_trace(1, pts, 36)
+    assert s.trunc2 == 72
+    assert s.truncate(3) == a_sector_trace(1, pts, 3)
