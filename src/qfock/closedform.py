@@ -689,8 +689,8 @@ def weyl_extract(oracle: Series, wtype: str, rho, lam, N) -> Series:
     shifts = _weyl_shifts(wtype, rho, lam)
     lo = oracle.min2()
     t2 = oracle.trunc2 if lo is None else min(oracle.trunc2, to2(N) + lo)
-    out: Dict[tuple, F] = {}
-    for (q2, zk), c in oracle.terms.items():
+    out: Dict[tuple, int] = {}
+    for (q2, zk), n in oracle.nums.items():
         if q2 > t2:
             continue
         head = [0] * l
@@ -704,12 +704,8 @@ def weyl_extract(oracle: Series, wtype: str, rho, lam, N) -> Series:
         if not sgn:
             continue
         key = (q2, tuple(rest))
-        n = out.get(key, 0) + sgn * c
-        if n:
-            out[key] = n
-        else:
-            del out[key]
-    return Series(t2, out, clean=False)
+        out[key] = out.get(key, 0) + sgn * n
+    return Series.from_numerators(t2, oracle.den, out)
 
 
 # -- first-point q-shift difference equations --------------------------------

@@ -193,48 +193,65 @@ def _charged_sides(kind: str, op_tag: str, points: Sequence[Param],
     return lam, mu, dens
 
 
-def _series(N2: int, acc: Dict[int, int], dens: Sequence[int], T: int) -> Series:
-    """The accumulated coefficients {q2: c} of subset T, divided by dens_T,
-    as a z-free series."""
-    d = math.prod(x for j, x in enumerate(dens) if T >> j & 1)
-    return Series(N2, {(q2, ()): F(c, d) for q2, c in acc.items()})
+def _series(N2: int, acc: Dict[int, int], den: int) -> Series:
+    """The accumulated numerators {q2: c} over den as a z-free series."""
+    return Series.from_numerators(N2, den, {(q2, ()): c
+                                            for q2, c in acc.items()})
+
+
+def _subset_den(dens: Sequence[int], T: int) -> int:
+    """dens_T, the product of dens[j] over the subset mask T."""
+    return math.prod(x for j, x in enumerate(dens) if T >> j & 1)
 
 
 def _pair_traces(lam: dict, mu: dict, dens: Sequence[int], weight, N2: int,
-                 masks) -> Dict[object, List[Series]]:
+                 masks) -> Tuple[List[int], Dict[object, List[Dict[int, int]]]]:
     """Pair traces from two side tables, split by the bucket each pair's
-    weight names: {bucket: [z-free series, one per subset mask T in
-    `masks`]}, each the sum over the bucket's (lam, mu) with energy <= N2 of
-    weight * prod_(j in T) eigenvalue.
+    weight names, as integer numerators: ([den per mask T in `masks`],
+    {bucket: [{q2: numerator} per mask]}), each the sum over the bucket's
+    (lam, mu) with energy <= N2 of weight * prod_(j in T) eigenvalue, times
+    the mask's den.
 
-    weight(len_lam, len_mu) gives (coefficient, extra doubled q-exponent,
-    bucket), or None when the pair does not contribute; it is called once
-    per pair of lengths, whose energies are read up to the budget it leaves."""
+    weight(len_lam, len_mu) gives (rational coefficient, extra doubled
+    q-exponent, bucket), or None when the pair does not contribute; it is
+    called once per pair of lengths, whose energies are read up to the
+    budget it leaves.  Every den holds the lcm of the coefficients'
+    denominators, so all buckets of one mask share it."""
     # per mask T, the subsets S of T and their complements T - S
     splits = [list(zip(*[(S, T ^ S) for S in range(T + 1) if S & T == S]))
               for T in masks]
-    buckets = defaultdict(lambda: [{} for _ in masks])
-    for ll, lrows in lam.items():
-        for lm, mrows in mu.items():
+    weights = {}
+    for ll in lam:
+        for lm in mu:
             wt = weight(ll, lm)
-            if wt is None:
-                continue
-            c0, dq2, bucket = wt
-            cap = N2 - max(dq2, 0)
-            if lrows[0][0] + mrows[0][0] > cap:
-                continue
-            accs = buckets[bucket]
-            for wl2, a in lrows:
-                for wm2, b in mrows:
-                    if wl2 + wm2 > cap:
-                        break
-                    q2 = wl2 + wm2 + dq2
-                    for acc, (Ss, Rs) in zip(accs, splits):
-                        c = sum(map(mul, map(a.__getitem__, Ss),
-                                    map(b.__getitem__, Rs)))
-                        if c:
-                            acc[q2] = acc.get(q2, 0) + c0 * c
-    return {bucket: [_series(N2, acc, dens, T) for acc, T in zip(accs, masks)]
+            if wt is not None:
+                weights[ll, lm] = wt
+    wden = math.lcm(*[c0.denominator for c0, _, _ in weights.values()])
+    buckets = defaultdict(lambda: [{} for _ in masks])
+    for (ll, lm), (c0, dq2, bucket) in weights.items():
+        lrows, mrows = lam[ll], mu[lm]
+        cap = N2 - max(dq2, 0)
+        if lrows[0][0] + mrows[0][0] > cap:
+            continue
+        c0 = c0.numerator * (wden // c0.denominator)
+        accs = buckets[bucket]
+        for wl2, a in lrows:
+            for wm2, b in mrows:
+                if wl2 + wm2 > cap:
+                    break
+                q2 = wl2 + wm2 + dq2
+                for acc, (Ss, Rs) in zip(accs, splits):
+                    c = sum(map(mul, map(a.__getitem__, Ss),
+                                map(b.__getitem__, Rs)))
+                    if c:
+                        acc[q2] = acc.get(q2, 0) + c0 * c
+    return [wden * _subset_den(dens, T) for T in masks], buckets
+
+
+def _z_free_traces(N2: int, pair_traces) -> Dict[object, List[Series]]:
+    """_pair_traces' numerators as {bucket: [z-free series per mask]}."""
+    dens, buckets = pair_traces
+    return {bucket: [_series(N2, acc, d) for acc, d in zip(accs, dens)]
             for bucket, accs in buckets.items()}
 
 
@@ -245,10 +262,10 @@ def _a_trace(kind: str, points: Sequence[Param], N, weight) -> Series:
     _require_scalar_points(points)
     N2 = to2(N)
     masks = [(1 << len(points)) - 1]
-    buckets = _pair_traces(*_charged_sides(kind, "A", points, N2, masks),
-                           weight, N2, masks)
-    return Series(N2, {(q2, zk): c for zk, (s,) in buckets.items()
-                       for (q2, _), c in s.terms.items()}, clean=False)
+    (den,), buckets = _pair_traces(
+        *_charged_sides(kind, "A", points, N2, masks), weight, N2, masks)
+    return Series.from_numerators(N2, den, {
+        (q2, zk): c for zk, (acc,) in buckets.items() for q2, c in acc.items()})
 
 
 def _neutral_traces(kind: str, points: Sequence[Param], N2: int,
@@ -262,7 +279,8 @@ def _neutral_traces(kind: str, points: Sequence[Param], N2: int,
         for w2, row in group:
             for acc, T in zip(sums, masks):
                 acc[w2] += row[T]
-    return [_series(N2, acc, dens, T) for acc, T in zip(sums, masks)]
+    return [_series(N2, acc, _subset_den(dens, T))
+            for acc, T in zip(sums, masks)]
 
 
 # -- the eigenvalue rule ----------------------------------------------------
@@ -310,10 +328,10 @@ def a_sector_traces(points: Sequence[Param], N, masks,
     _require_scalar_points(points)
     N2 = to2(N)
     charges = set(charges)
-    traces = _pair_traces(
+    traces = _z_free_traces(N2, _pair_traces(
         *_charged_sides("boson_pair", "A", points, N2, masks),
         lambda ll, lm: (1, 0, lm - ll) if lm - ll in charges else None,
-        N2, masks)
+        N2, masks))
     return {m: traces.get(m) or [Series(N2) for _ in masks] for m in charges}
 
 
@@ -388,9 +406,10 @@ def _factor_subset_traces(kind: str, op_tag: str, points: Sequence[Param],
         return {0: _neutral_traces(kind, points, N2, masks)}
     e2 = -2 if kind == "boson_pair" else 2  # doubled charge per len(lam)
     charges = set(charges)
-    return _pair_traces(*_charged_sides(kind, op_tag, points, N2, masks),
-                        lambda ll, lm: (1, 0, e2 * (ll - lm))
-                        if e2 * (ll - lm) in charges else None, N2, masks)
+    return _z_free_traces(N2, _pair_traces(
+        *_charged_sides(kind, op_tag, points, N2, masks),
+        lambda ll, lm: (1, 0, e2 * (ll - lm))
+        if e2 * (ll - lm) in charges else None, N2, masks))
 
 
 DUALITY_CAP = 4

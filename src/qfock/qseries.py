@@ -1,6 +1,6 @@
 """Exact truncated Laurent series in q^(1/2) with charge variables.
 
-Coefficients are arbitrary-precision rationals (fractions.Fraction).  All
+Coefficients are exact rationals, with no floating point anywhere.  All
 exponents -- both of q and of the charge variables z_i -- are stored as
 *doubled* integers so half-integer powers never leave exact arithmetic.
 Exponents and truncation orders enter and leave as ints or Fractions in
@@ -11,13 +11,13 @@ exact, everything above is unknown.  Evaluation points are Param objects of
 the form sign * s^2 * q^d * z^e, so t^r is an exact rational monomial for any
 r in (1/2)Z.
 
-Products and inverses add integers, not Fractions: each operand is read as
-Python-int numerators over the lcm of its denominators (_int_form), the
-products of a series product are summed per key over one denominator, and
-each q-layer of an inverse is kept as numerators over its own denominator,
-reduced by one gcd per layer.  A Fraction is built once per stored
-coefficient, when the result is read out; terms stays a
-{(q2, zkey): Fraction} dict.
+A Series is stored as integer numerators over one denominator: nums
+{(q2, zkey): int} and den > 0, kept canonical (gcd(den, every numerator) = 1,
+no zero numerator, no key above the truncation), so == and hash compare the
+fields directly and one gcd per result keeps the numerators from growing.
+Sums, products, inverses and the Pochhammer factors (1 - a) add and multiply
+Python ints only; a Fraction is built when a coefficient is read out, through
+the terms property ({(q2, zkey): Fraction}) or first_difference.
 """
 
 from __future__ import annotations
@@ -72,6 +72,12 @@ def to2(x: HalfLike) -> int:
     raise IllegalPower("not a half-integer: %r" % (x,))
 
 
+def _half(n2: int) -> HalfLike:
+    """n2 / 2, an int when n2 is even: to2's inverse, which builds no
+    Fraction for an integer."""
+    return n2 // 2 if n2 % 2 == 0 else Fraction(n2, 2)
+
+
 def half_str(n2: int) -> str:
     return str(n2 // 2) if n2 % 2 == 0 else "%d/2" % n2
 
@@ -124,42 +130,57 @@ def _zmul(a: ZKey, b: ZKey) -> ZKey:
 Key = Tuple[int, ZKey]  # (doubled q-exponent, z-exponent key)
 
 
-def _int_form(terms: Mapping) -> Tuple[int, List[tuple]]:
-    """(D, [(key, n)]) with D the lcm of the denominators and each
-    coefficient equal to n/D."""
-    d = lcm(*{c.denominator for c in terms.values()})
-    return d, [(k, c.numerator * (d // c.denominator)) for k, c in terms.items()]
+def _reduced(trunc2: int, den: int, nums: dict) -> "Series":
+    """The series nums[key] / den.  den > 0 and nums holds no zero and no
+    key above trunc2; one gcd brings it to the canonical form."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: n // g for k, n in nums.items()}
+    s = object.__new__(Series)
+    s.trunc2, s.den, s.nums = trunc2, den, nums
+    return s
 
 
 class Series:
     """Sparse truncated Laurent series in q^(1/2) and charge variables z_i.
 
-    terms: {(q2, zkey): Fraction}; every stored q2 <= trunc2 and no stored
-    coefficient is zero.  trunc2 is the doubled inclusive truncation order.
+    The coefficient of the key (q2, zkey) is nums[key] / den, with integer
+    numerators nums: {(q2, zkey): int} over one denominator den > 0.  The
+    form is canonical: gcd(den, every numerator) = 1, no numerator is zero
+    and no key lies above trunc2, the doubled inclusive truncation order.
+    So equal series have equal fields.
     """
 
-    __slots__ = ("trunc2", "terms")
+    __slots__ = ("trunc2", "den", "nums")
 
-    def __init__(self, trunc2: int, terms: Optional[dict] = None, clean: bool = True):
+    def __init__(self, trunc2: int, terms: Optional[Mapping] = None):
+        """The series with coefficients terms: {(q2, zkey): int or
+        Fraction}; zero coefficients and keys above trunc2 are dropped."""
+        kept = {k: c for k, c in (terms or {}).items() if c and k[0] <= trunc2}
+        # the lcm of reduced denominators leaves no common factor
+        self.den = den = lcm(*[c.denominator for c in kept.values()])
+        self.nums = {k: c.numerator * (den // c.denominator)
+                     for k, c in kept.items()}
         self.trunc2 = trunc2
-        if terms is None:
-            self.terms = {}
-        elif clean:
-            self.terms = {k: c for k, c in terms.items() if c and k[0] <= trunc2}
-        else:
-            self.terms = terms
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def from_numerators(trunc2: int, den: int, nums: Mapping) -> "Series":
+        """The series nums[key] / den from integer numerators over den > 0;
+        zero numerators and keys above trunc2 are dropped."""
+        return _reduced(trunc2, den, {k: n for k, n in nums.items()
+                                      if n and k[0] <= trunc2})
+
+    @staticmethod
     def zero(N: HalfLike) -> "Series":
-        return Series(to2(N), {}, clean=False)
+        return _reduced(to2(N), 1, {})
 
     @staticmethod
     def const(c, N: HalfLike) -> "Series":
-        c = Fraction(c)
-        t2 = to2(N)
-        return Series(t2, {(0, ()): c} if c and t2 >= 0 else {}, clean=False)
+        return Series.monomial(c, 0, N)
 
     @staticmethod
     def one(N: HalfLike) -> "Series":
@@ -167,34 +188,38 @@ class Series:
 
     @staticmethod
     def monomial(c, qexp: HalfLike, N: HalfLike, z: Mapping[int, HalfLike] = ()) -> "Series":
-        c = Fraction(c)
-        q2 = to2(qexp)
-        t2 = to2(N)
-        if not c or q2 > t2:
-            return Series(t2, {}, clean=False)
-        return Series(t2, {(q2, zkey(z)): c}, clean=False)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return Series.from_numerators(to2(N), c.denominator, {
+            (to2(qexp), zkey(z) if z else ()): c.numerator})
 
     # -- basic observers ----------------------------------------------------
+
+    @property
+    def terms(self) -> dict:
+        """{(q2, zkey): Fraction}, a new dict built for readers."""
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.nums.items()}
 
     @property
     def truncation(self) -> Fraction:
         return Fraction(self.trunc2, 2)
 
     def min2(self) -> Optional[int]:
-        return min((k[0] for k in self.terms), default=None)
+        return min((k[0] for k in self.nums), default=None)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coeff_z(self, var: int, m: HalfLike) -> "Series":
         """The z_var^m slice; q-series free of z_var."""
         m2 = to2(m)
         out = {}
-        for (q2, zk), c in self.terms.items():
+        for (q2, zk), n in self.nums.items():
             d = dict(zk)
             if d.pop(var, 0) == m2:
-                out[(q2, tuple(sorted(d.items())))] = c
-        return Series(self.trunc2, out, clean=False)
+                out[(q2, tuple(sorted(d.items())))] = n
+        return _reduced(self.trunc2, self.den, out)
 
     # -- ring operations ----------------------------------------------------
 
@@ -202,49 +227,62 @@ class Series:
         if isinstance(other, Series):
             return other
         if isinstance(other, (int, Fraction)):
-            return Series.const(other, Fraction(self.trunc2, 2))
+            return Series.from_numerators(self.trunc2, other.denominator,
+                                          {(0, ()): other.numerator})
         return None
+
+    def _plus(self, o: "Series", sign: int) -> "Series":
+        """self + sign * o over the lcm of the two denominators."""
+        t2 = min(self.trunc2, o.trunc2)
+        da, db = self.den, o.den
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        out = {k: n * fa for k, n in self.nums.items() if k[0] <= t2}
+        for k, n in o.nums.items():
+            if k[0] <= t2:
+                n = out.get(k, 0) + n * fb
+                if n:
+                    out[k] = n
+                else:
+                    del out[k]
+        return _reduced(t2, da * fa, out)
 
     def __add__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        t2 = min(self.trunc2, o.trunc2)
-        out = dict(self.terms)
-        for k, c in o.terms.items():
-            n = out.get(k, ZERO) + c
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
-        return Series(t2, out)
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.trunc2, {k: -c for k, c in self.terms.items()}, clean=False)
+        return _reduced(self.trunc2, self.den,
+                        {k: -n for k, n in self.nums.items()})
 
     def __sub__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, c) -> "Series":
-        c = Fraction(c)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
         if not c:
-            return Series(self.trunc2, {}, clean=False)
-        return Series(self.trunc2, {k: c * v for k, v in self.terms.items()}, clean=False)
+            return _reduced(self.trunc2, 1, {})
+        cn = c.numerator
+        return _reduced(self.trunc2, self.den * c.denominator,
+                        {k: n * cn for k, n in self.nums.items()})
 
     def shift(self, qexp: HalfLike, z: Mapping[int, HalfLike] = ()) -> "Series":
         """Multiply by the monomial q^qexp * z^..., adjusting the truncation."""
         q2 = to2(qexp)
-        zk = zkey(z)
-        out = {(a2 + q2, _zmul(k, zk)): c for (a2, k), c in self.terms.items()}
-        return Series(self.trunc2 + q2, out, clean=False)
+        zk = zkey(z) if z else ()
+        out = {(a2 + q2, _zmul(k, zk)): n for (a2, k), n in self.nums.items()}
+        return _reduced(self.trunc2 + q2, self.den, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -260,22 +298,19 @@ class Series:
                 t2 = self.trunc2 + bmin
             else:
                 t2 = other.trunc2 + amin
-            return Series(t2, {}, clean=False)
+            return _reduced(t2, 1, {})
         t2 = min(self.trunc2 + bmin, other.trunc2 + amin)
-        da = lcm(*{c.denominator for c in self.terms.values()})
-        db, b = _int_form(other.terms)
+        b = list(other.nums.items())
         out = {}
-        for (a2, az), ac in self.terms.items():
-            an = ac.numerator * (da // ac.denominator)
+        for (a2, az), an in self.nums.items():
             lim = t2 - a2
             for (b2, bz), bn in b:
                 if b2 > lim:
                     continue
                 k = (a2 + b2, _zmul(az, bz))
                 out[k] = out.get(k, 0) + an * bn
-        d = da * db
-        return Series(t2, {k: Fraction(n, d) for k, n in out.items() if n},
-                      clean=False)
+        return _reduced(t2, self.den * other.den,
+                        {k: n for k, n in out.items() if n})
 
     __rmul__ = __mul__
 
@@ -284,7 +319,7 @@ class Series:
             return NotImplemented
         if n < 0:
             return self.invert() ** (-n)
-        result = Series.one(Fraction(self.trunc2, 2))
+        result = Series.from_numerators(self.trunc2, 1, {(0, ()): 1})
         base = self
         while n:
             if n & 1:
@@ -298,55 +333,67 @@ class Series:
     def invert(self) -> "Series":
         """Multiplicative inverse; the lowest q-layer must be one monomial.
 
-        With self = lead * (1 + u) and val(u) > 0, the q-layers of
-        g = 1/(1 + u) follow g_0 = 1, g_n = -sum_{0<k<=n} u_k g_(n-k); each
-        layer is a {zkey: numerator} dict over one denominator, so charge
-        variables ride along and the sum adds integers.
+        With self = lead * (1 + u) and val(u) > 0, every coefficient of u is
+        an integer over one L > 0 (the lead's numerator, as self's
+        denominator cancels), and the q-layers of g = 1/(1 + u) follow
+        g_0 = 1, g_n = -sum_{0<e<=n} u_e g_(n-e).  With step the gcd of u's
+        exponents, g_n = G_n / L^(n/step) for the integer layers
+        G_n = -sum_e (L^(e/step - 1) U_e) G_(n-e), so the recurrence
+        multiplies and adds integers only, charge variables riding along,
+        and the result is reduced by one gcd at the end.
         """
         v2 = self.min2()
         if v2 is None:
             raise NotInvertible("cannot invert the zero series")
-        lead = [(k, c) for k, c in self.terms.items() if k[0] == v2]
+        lead = [(k, n) for k, n in self.nums.items() if k[0] == v2]
         if len(lead) != 1:
             raise NotInvertible("lowest q-layer has %d monomials" % len(lead))
-        (_, lzk), lc = lead[0]
+        (_, lzk), ln = lead[0]
         inv_zk = tuple((v, -e2) for v, e2 in lzk)
-        u = {}  # doubled q-exponent (> 0) -> {zkey: coefficient}
-        for (a2, az), c in self.terms.items():
+        u = {}  # doubled q-exponent (> 0) -> {zkey: numerator over L}
+        for (a2, az), n in self.nums.items():
             if a2 != v2:
-                u.setdefault(a2 - v2, {})[_zmul(az, inv_zk)] = c / lc
-        u_layers = [(e, *_int_form(ul)) for e, ul in sorted(u.items())]
+                u.setdefault(a2 - v2, {})[_zmul(az, inv_zk)] = n
+        # u_e = U_e / L in lowest terms, L > 0
+        r = gcd(ln, *[n for ul in u.values() for n in ul.values()])
+        L = abs(ln) // r
+        sgn = r if ln > 0 else -r
         step = gcd(*u) or 1  # every reachable exponent is a multiple of step
-        g = {0: (1, {(): 1})}  # q-layer -> (denominator, {zkey: numerator})
-        for n in range(step, self.trunc2 - v2 + 1, step):
-            # absent g layers: n - e is unreachable or vanishes
-            parts = [(ud, ul, g[n - e]) for e, ud, ul in u_layers
-                     if e <= n and n - e in g]
-            # a list, not a generator: lcm(*generator) resizes its argument
-            # tuple, and the resized tuples pile up on CPython's free lists
-            den = lcm(*[ud * gd for ud, _, (gd, _) in parts])
+        top = (self.trunc2 - v2) // step
+        v = [(e // step, [(uz, un // sgn * L ** (e // step - 1))
+                          for uz, un in ul.items()])
+             for e, ul in sorted(u.items())]
+        G = {0: {(): 1}}  # layer n/step -> {zkey: G numerator}
+        for n in range(1, top + 1):
             acc = {}
-            for ud, ul, (gd, gl) in parts:
-                f = den // (ud * gd)
-                for uz, un in ul:
-                    m = un * f
+            for e, vl in v:
+                if e > n:
+                    break
+                gl = G.get(n - e)
+                if gl is None:
+                    continue  # n - e is unreachable or vanishes
+                for uz, un in vl:
                     for gz, gn in gl.items():
                         k = _zmul(uz, gz)
-                        acc[k] = acc.get(k, 0) - m * gn
-            r = gcd(den, *acc.values())
-            layer = {k: c // r for k, c in acc.items() if c}
+                        acc[k] = acc.get(k, 0) - un * gn
+            layer = {k: c for k, c in acc.items() if c}
             if layer:
-                g[n] = (den // r, layer)
-        ln, ld = lc.numerator, lc.denominator
-        out = {(n - v2, _zmul(gz, inv_zk)): Fraction(gn * ld, gd * ln)
-               for n, (gd, gl) in g.items() for gz, gn in gl.items()}
-        return Series(self.trunc2 - 2 * v2, out)
+                G[n] = layer
+        # 1/lead = self.den / ln, and g_n = G_n L^(top - n) / L^top
+        out = {}
+        for n, gl in G.items():
+            f = self.den * (1 if ln > 0 else -1) * L ** (top - n)
+            q2 = n * step - v2
+            for gz, gn in gl.items():
+                out[(q2, _zmul(gz, inv_zk))] = f * gn
+        return _reduced(self.trunc2 - 2 * v2, abs(ln) * L ** top, out)
 
     def truncate(self, N: HalfLike) -> "Series":
         t2 = to2(N)
         if t2 >= self.trunc2:
-            return Series(self.trunc2, dict(self.terms), clean=False)
-        return Series(t2, {k: c for k, c in self.terms.items() if k[0] <= t2}, clean=False)
+            return self
+        return _reduced(t2, self.den,
+                        {k: n for k, n in self.nums.items() if k[0] <= t2})
 
     # -- comparison ---------------------------------------------------------
 
@@ -354,13 +401,14 @@ class Series:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return self.trunc2 == o.trunc2 and self.terms == o.terms
+        return (self.trunc2 == o.trunc2 and self.den == o.den
+                and self.nums == o.nums)
 
     def __hash__(self):
-        return hash((self.trunc2, frozenset(self.terms.items())))
+        return hash((self.trunc2, self.den, frozenset(self.nums.items())))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __repr__(self):
         bits = []
@@ -371,7 +419,7 @@ class Series:
             for v, e2 in zk:
                 mono.append("z%d^%s" % (v, half_str(e2)))
             bits.append("%s%s" % (c, ("*" + "*".join(mono)) if mono else ""))
-        if len(self.terms) > 8:
+        if len(self.nums) > 8:
             bits.append("...")
         return "Series[%s; O(q^%s)]" % (" + ".join(bits) or "0", half_str(self.trunc2))
 
@@ -381,14 +429,16 @@ def first_difference(a: Series, b: Series):
 
     Returns (q2, zkey, coeff_a, coeff_b) ordered by (q-exponent, z-key).
     """
+    an, ad, bn, bd = a.nums, a.den, b.nums, b.den
+    if ad == bd and an == bn:
+        return None
     t2 = min(a.trunc2, b.trunc2)
-    keys = set(k for k in a.terms if k[0] <= t2) | set(k for k in b.terms if k[0] <= t2)
-    for k in sorted(keys):
-        ca = a.terms.get(k, ZERO)
-        cb = b.terms.get(k, ZERO)
-        if ca != cb:
-            return (k[0], k[1], ca, cb)
-    return None
+    diff = [k for k in an.keys() | bn.keys()
+            if k[0] <= t2 and an.get(k, 0) * bd != bn.get(k, 0) * ad]
+    if not diff:
+        return None
+    k = min(diff)
+    return (k[0], k[1], Fraction(an.get(k, 0), ad), Fraction(bn.get(k, 0), bd))
 
 
 def series_equal(a: Series, b: Series) -> bool:
@@ -409,7 +459,7 @@ class Param:
 
     def __init__(self, s, d: HalfLike = 0, e: HalfLike = 0, zvar: int = 1,
                  sign: int = 1):
-        self.s = Fraction(s)
+        self.s = s if isinstance(s, Fraction) else Fraction(s)
         self.d2 = to2(d)
         self.e2 = to2(e)
         self.zvar = zvar
@@ -484,8 +534,7 @@ class Param:
         n2 = self.d2 + to2(d)
         if n2 < 0:
             raise IllegalPower("negative q-shift")
-        return Param(self.s, Fraction(n2, 2), Fraction(self.e2, 2),
-                     self.zvar, self.sign)
+        return Param(self.s, _half(n2), _half(self.e2), self.zvar, self.sign)
 
     def __repr__(self):
         bits = ["%s" % self.value_coeff]
@@ -505,8 +554,19 @@ def power(p: Param, r: HalfLike, N: HalfLike) -> Series:
 
 
 def _one_minus(p: Param, N: HalfLike) -> Series:
-    """The factor 1 - p at truncation N."""
-    return Series.one(N) - power(p, 1, N)
+    """The factor 1 - p at truncation N, built in integer form: the
+    coefficient of p = sign * s^2 q^d z^e is sign * a^2 / b^2 for s = a/b."""
+    t2 = to2(N)
+    den = p.s.denominator ** 2
+    nums = {(0, ()): den} if t2 >= 0 else {}
+    if p.d2 <= t2:
+        k = (p.d2, ((p.zvar, p.e2),) if p.e2 else ())
+        n = nums.get(k, 0) - p.sign * p.s.numerator ** 2
+        if n:
+            nums[k] = n
+        else:
+            del nums[k]
+    return _reduced(t2, den, nums)
 
 
 def c_term(t: Param, N: HalfLike) -> Series:
@@ -618,7 +678,7 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
             break
         out = out + term.truncate(N)
         n += 1
-    return Series(t2, out.terms)
+    return _reduced(t2, out.den, out.nums)
 
 
 # -- theta function and jets ------------------------------------------------

@@ -1,5 +1,6 @@
 """Series ring, Pochhammer products, hypergeometric sums, theta jets."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -47,10 +48,14 @@ def qcoeff(s, qexp):
     return s.terms.get((q2, ()), 0)
 
 
-def assert_clean(s):
-    """Every stored coefficient is a nonzero Fraction: first_difference and
-    series_to_json rely on both."""
-    assert all(type(c) is F and c for c in s.terms.values())
+def assert_canonical(s):
+    """The stored form is canonical: integer numerators, none zero, over a
+    positive denominator that shares no factor with all of them, and no key
+    above the truncation.  == and hash rely on it."""
+    assert type(s.den) is int and s.den > 0
+    assert all(type(n) is int and n for n in s.nums.values())
+    assert math.gcd(s.den, *s.nums.values()) == 1
+    assert all(q2 <= s.trunc2 for q2, _ in s.nums)
 
 
 def test_to2_takes_half_integers_only():
@@ -305,7 +310,7 @@ def _fraction_mul(a, b):
             t2 = a.trunc2 + bmin
         else:
             t2 = b.trunc2 + amin
-        return Series(t2, {}, clean=False)
+        return Series(t2)
     t2 = min(a.trunc2 + bmin, b.trunc2 + amin)
     out = {}
     for (a2, az), ac in a.terms.items():
@@ -319,7 +324,7 @@ def _fraction_mul(a, b):
                 out[k] = n
             else:
                 del out[k]
-    return Series(t2, out, clean=False)
+    return Series(t2, out)
 
 
 # primes and prime powers of 2 to about 100 bits; one base per term keeps
@@ -379,7 +384,7 @@ def test_mul_matches_fraction_loop(operands):
     a, b = operands
     new = a * b
     assert new == _fraction_mul(a, b)
-    assert_clean(new)
+    assert_canonical(new)
     if not isinstance(b, Series):
         assert b * a == new
 
@@ -410,7 +415,7 @@ def _geometric_invert(a):
     inv_zk = tuple((v, -e2) for v, e2 in lzk)
     u_terms = {(a2 - v2, _zmul(az, inv_zk)): c / lc
                for (a2, az), c in a.terms.items() if (a2, az) != (lv2, lzk)}
-    u = Series(a.trunc2 - v2, u_terms, clean=False)
+    u = Series(a.trunc2 - v2, u_terms)
     geom = Series.one(F(u.trunc2, 2))
     power_k = Series.one(F(u.trunc2, 2))
     umin = u.min2()
@@ -464,7 +469,7 @@ def invertible_series(draw):
 def test_invert_matches_geometric_sum(a):
     inv = a.invert()
     assert inv == _geometric_invert(a)
-    assert_clean(inv)
+    assert_canonical(inv)
 
 
 @pytest.mark.parametrize("a", [
@@ -609,3 +614,191 @@ def test_theta_refuses_shift_beyond_one(d):
     # (qt)_inf or (q/t)_inf would start at a negative q-power
     with pytest.raises(IllegalPower):
         theta(Param(F(2, 3), d), 2)
+
+
+# -- every ring operation against a {key: Fraction} reference ----------------
+#
+# The reference keeps a series as (trunc2, {(q2, zkey): Fraction}), the form
+# Series stored before it held integer numerators over one denominator, and
+# computes with one Fraction per coefficient.
+
+
+def _ref(s):
+    return s.trunc2, s.terms
+
+
+def _ref_kept(t2, terms):
+    return t2, {k: c for k, c in terms.items() if c and k[0] <= t2}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a[1])
+    for k, c in b[1].items():
+        out[k] = out.get(k, F(0)) + sign * c
+    return _ref_kept(min(a[0], b[0]), out)
+
+
+def _ref_mul(a, b):
+    (ta, at), (tb, bt) = a, b
+    if not at or not bt:
+        t2 = (min(ta, tb) if not at and not bt else
+              ta + min(q2 for q2, _ in bt) if not at else
+              tb + min(q2 for q2, _ in at))
+        return t2, {}
+    t2 = min(ta + min(q2 for q2, _ in bt), tb + min(q2 for q2, _ in at))
+    out = {}
+    for (a2, az), ac in at.items():
+        for (b2, bz), bc in bt.items():
+            k = (a2 + b2, _zmul(az, bz))
+            out[k] = out.get(k, F(0)) + ac * bc
+    return _ref_kept(t2, out)
+
+
+def _ref_invert(a):
+    """1/a by g_n = -sum_(0<e<=n) u_e g_(n-e) over all doubled exponents,
+    one Fraction per coefficient."""
+    t2, at = a
+    if not at:
+        raise NotInvertible("cannot invert the zero series")
+    v2 = min(q2 for q2, _ in at)
+    lead = [(k, c) for k, c in at.items() if k[0] == v2]
+    if len(lead) != 1:
+        raise NotInvertible("lowest q-layer has %d monomials" % len(lead))
+    (_, lzk), lc = lead[0]
+    inv_zk = tuple((v, -e2) for v, e2 in lzk)
+    u = {(a2 - v2, _zmul(az, inv_zk)): c / lc
+         for (a2, az), c in at.items() if a2 != v2}
+    g = {(0, ()): F(1)}
+    for n in range(1, t2 - v2 + 1):
+        for (e, uz), uc in u.items():
+            for (m, gz), gc in list(g.items()):
+                if m == n - e:
+                    k = (n, _zmul(uz, gz))
+                    g[k] = g.get(k, F(0)) - uc * gc
+    return _ref_kept(t2 - 2 * v2, {(n - v2, _zmul(gz, inv_zk)): c / lc
+                                   for (n, gz), c in g.items()})
+
+
+def _ref_coeff_z(a, var, m2):
+    out = {}
+    for (q2, zk), c in a[1].items():
+        d = dict(zk)
+        if d.pop(var, 0) == m2:
+            out[(q2, tuple(sorted(d.items())))] = c
+    return a[0], out
+
+
+@st.composite
+def fraction_series(draw, nvars):
+    """A series on 0-2 charge variables with half-integer z- and
+    q-exponents of either sign, coefficients of either sign with small or
+    100-bit denominators, and keys beyond the truncation (dropped)."""
+    zkeys = st.just(()) if not nvars else st.dictionaries(
+        st.integers(1, nvars), st.integers(-3, 3)).map(
+        lambda d: zkey({v: F(e2, 2) for v, e2 in d.items()}))
+    trunc2 = draw(st.integers(-4, 10))
+    coeffs = st.fractions(-5, 5, max_denominator=draw(
+        st.sampled_from([1, 6, 2 ** 100])))
+    keys = st.tuples(st.integers(trunc2 - 8, trunc2 + 1), zkeys)
+    terms = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        # a single monomial, negative, in the lowest layer: invertible
+        v2 = min(q2 for q2, _ in terms) - 1
+        terms[(v2, draw(zkeys))] = -abs(draw(coeffs.filter(bool)))
+    return Series(trunc2, terms)
+
+
+_RING_OPS = {
+    "add": (lambda a, b, c, k: a + b, lambda a, b, c, k: _ref_add(a, b)),
+    "sub": (lambda a, b, c, k: a - b, lambda a, b, c, k: _ref_add(a, b, -1)),
+    "radd": (lambda a, b, c, k: c + a,
+             lambda a, b, c, k: _ref_add(a, (a[0], {(0, ()): c}))),
+    "rsub": (lambda a, b, c, k: c - a,
+             lambda a, b, c, k: _ref_add((a[0], {(0, ()): c}), a, -1)),
+    "neg": (lambda a, b, c, k: -a,
+            lambda a, b, c, k: (a[0], {key: -v for key, v in a[1].items()})),
+    "mul": (lambda a, b, c, k: a * b, lambda a, b, c, k: _ref_mul(a, b)),
+    "scale": (lambda a, b, c, k: a * c,
+              lambda a, b, c, k: _ref_kept(a[0], {key: v * c for key, v
+                                                  in a[1].items()})),
+    "rmul": (lambda a, b, c, k: c * a,
+             lambda a, b, c, k: _ref_kept(a[0], {key: c * v for key, v
+                                                 in a[1].items()})),
+    "pow": (lambda a, b, c, k: a ** (k % 4),
+            lambda a, b, c, k: functools.reduce(
+                _ref_mul, [a] * (k % 4), (a[0], {(0, ()): F(1)}
+                                          if a[0] >= 0 else {}))),
+    "shift": (lambda a, b, c, k: a.shift(F(k, 2), {2: F(k - 1, 2)}),
+              lambda a, b, c, k: (a[0] + k, {
+                  (q2 + k, _zmul(zk, zkey({2: F(k - 1, 2)}))): v
+                  for (q2, zk), v in a[1].items()})),
+    "truncate": (lambda a, b, c, k: a.truncate(F(k, 2)),
+                 lambda a, b, c, k: _ref_kept(min(k, a[0]), a[1])),
+    "coeff_z": (lambda a, b, c, k: a.coeff_z(1, F(k % 5 - 2, 2)),
+                lambda a, b, c, k: _ref_coeff_z(a, 1, k % 5 - 2)),
+    "invert": (lambda a, b, c, k: a.invert(),
+               lambda a, b, c, k: _ref_invert(a)),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_RING_OPS)), st.integers(0, 2).flatmap(
+    lambda n: st.tuples(fraction_series(n), fraction_series(n))),
+    st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=2 ** 70)),
+    st.integers(-3, 8))
+@example("invert", (Series(9, {(-1, ((1, 2),)): F(-3), (1, ((1, -1),)): F(1, 2),
+                               (4, ()): F(5)}), Series.zero(0)), 1, 0)
+@example("add", (Series(4, {(0, ()): F(1, 6), (1, ()): F(1, 3)}),
+                 Series(4, {(0, ()): F(1, 6), (1, ()): F(-1, 3)})), 1, 0)
+@example("mul", (Series(4, {(0, ()): F(2, 3)}), Series(4, {(0, ()): F(3, 2),
+                                                           (2, ()): F(9, 4)})),
+         1, 0)
+@example("coeff_z", (Series(4, {(0, ((1, 1),)): F(2, 3), (1, ()): F(1, 3)}),
+                     Series.zero(0)), 1, 3)
+def test_ring_ops_match_fraction_reference(op, operands, c, k):
+    """Every ring operation, on 0-2 charge variables, equals the Fraction
+    reference coefficient by coefficient, and its result is canonical."""
+    a, b = operands
+    new, ref = _RING_OPS[op]
+    got = _outcome(new, a, b, c, k)
+    want = _outcome(ref, _ref(a), _ref(b), c, k)
+    if isinstance(got, Series):
+        assert_canonical(got)
+        got = _ref(got)
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-4, 8), st.integers(1, 2 ** 80),
+       st.dictionaries(st.tuples(st.integers(-4, 10), _Z_KEYS),
+                       st.integers(-10 ** 12, 10 ** 12), max_size=6))
+def test_from_numerators_is_canonical(t2, den, nums):
+    s = Series.from_numerators(t2, den, nums)
+    assert_canonical(s)
+    assert s.terms == {k: F(n, den) for k, n in nums.items()
+                       if n and k[0] <= t2}
+    assert s == Series(t2, s.terms) and hash(s) == hash(Series(t2, s.terms))
+
+
+def test_kernel_builds_no_fraction_before_readout(monkeypatch):
+    """(q)_inf and a chain of sums, products, an inverse, a power, shifts and
+    integer scalings build no Fraction; reading the result out does."""
+    a = Series.one(12) - q(F(1, 2), 12, F(2, 3)) + Series.monomial(
+        F(-5, 7), 1, 12, {1: F(1, 2)})
+    b = Series.monomial(F(3, 4), F(-1, 2), 12, {2: -1}) + q(3, 12, -2)
+    point = Param(1, 1)
+    built = []
+    fraction_new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting_new)
+    qinf = pochhammer_inf(point, 30)
+    chain = (((a * b - a.shift(1)) * (3 + b.shift(1)).invert())
+             .scale(-2) ** 2 + a * qinf).truncate(4)
+    assert built == []
+    assert qcoeff(qinf, 5) == 1 and chain.terms
+    monkeypatch.undo()
+    assert built
