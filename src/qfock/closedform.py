@@ -30,6 +30,8 @@ from .qseries import (
     QSeriesError,
     Series,
     _one_minus,
+    _over_one_minus,
+    _over_pochhammer,
     _qinf_inv,
     c_term,
     pochhammer_inf,
@@ -59,7 +61,7 @@ def _scalar_key(p: Param):
 
 def pair_vacuum(x: Param, y: Param, N) -> Series:
     """1/((x q^(1/2))_inf (y q^(1/2))_inf): the plain charged-pair trace."""
-    return (pochhammer_inf(x * _QH, N) * pochhammer_inf(y * _QH, N)).invert()
+    return _over_pochhammer(_over_pochhammer(Series.one(N), x * _QH), y * _QH)
 
 
 # -- level -1 one-point function --------------------------------------------
@@ -78,12 +80,14 @@ def one_point_minus1(t: Param, N) -> Series:
     n2 = to2(N)
     for tt, sgn in ((t, 1), (t.inverse(), -1)):
         acc = Series.zero(N)
+        inv = Series.one(N)  # 1/(q)_(i-1)^2, one factor pair per step
         i = 1
         while i - 1 <= n2 // 2:
-            poch = pochhammer_n(_q(), i - 1, N)
-            pref = (poch * poch).invert().shift(i - 1)
+            if i > 1:
+                inv = _over_one_minus(_over_one_minus(inv, _q(i - 1)),
+                                      _q(i - 1))
             phi = qhyper([_ZERO, _ZERO, _q()], [tt * _q(i), _q(i)], _q(), N)
-            acc = acc + pref * (phi - Series.one(N))
+            acc = acc + inv.shift(i - 1) * (phi - Series.one(N))
             i += 1
         out = out + (power(tt, F(1, 2), N) * acc).scale(sgn)
     return out
@@ -118,15 +122,16 @@ def partition_ladder_closed(x: Param, t: Param, N) -> Series:
     q32 = _q(F(3, 2))
     num = power(x, 1, N) * power(t * _q(), F(1, 2), N) \
         * pochhammer_inf(x * t * q32, N)
-    den = _one_minus(x * _QH, N) * pochhammer_inf(t * _q(), N) \
-        * pochhammer_inf(x * _QH, N)
+    num = _over_one_minus(num, x * _QH)
+    for a in (t * _q(), x * _QH):
+        num = _over_pochhammer(num, a)
     phi = qhyper([x * _QH, x * _QH], [x * q32, x * t * q32], t * _q(2), N)
-    return num * den.invert() * phi
+    return num * phi
 
 
 def omega(x: Param, y: Param, t: Param, N) -> Series:
     """The closed ladder sum divided by the extra (y q^(1/2))_inf factor."""
-    return partition_ladder_closed(x, t, N) * pochhammer_inf(y * _QH, N).invert()
+    return _over_pochhammer(partition_ladder_closed(x, t, N), y * _QH)
 
 
 def generalized_one_point(x: Param, y: Param, t: Param, N) -> Series:
@@ -150,16 +155,16 @@ def gamma_bar(x: Param, t1: Param, t2: Param, N) -> Series:
     q32 = _q(F(3, 2))
     pref_scalar = x.scalar_pow(2) * t1.scalar_pow(1) * t2.scalar_pow(1)
     pref = Series.monomial(pref_scalar, 1, N) * pochhammer_inf(x * t1 * q32, N)
-    den = _one_minus(x * _QH, N) ** 2 * pochhammer_inf(x * _QH, N) \
-        * pochhammer_inf(t1 * _q(), N)
+    pref = _over_one_minus(_over_one_minus(pref, x * _QH), x * _QH)
+    pref = _over_pochhammer(_over_pochhammer(pref, x * _QH), t1 * _q())
     t2i = t2.inverse()
     arg = t1 * t2 * _q(2)
     acc = Series.zero(N)
     s = 0
     while 6 * s + s * (s - 1) <= n2:
-        up = pochhammer_n(x * _QH, s, N)
-        low = pochhammer_n(x * t1 * q32, s, N) * pochhammer_n(_q(), s, N) \
-            * pochhammer_n(x * q32, s, N) ** 2
+        ratio = pochhammer_n(x * _QH, s, N) ** 3
+        for b in (x * t1 * q32, _q(), x * q32, x * q32):
+            ratio = _over_pochhammer(ratio, b, s)
         a = x * _q(s + F(1, 2))
         d = x * _q(s + F(3, 2))
         e = x * t1 * _q(s + F(3, 2))
@@ -167,11 +172,11 @@ def gamma_bar(x: Param, t1: Param, t2: Param, N) -> Series:
         _assert_same_monomial(d * e, t2i * a * a * arg)
         phi = qhyper([t2i, a, a], [d, e], arg, N)
         coeff = ((-1) ** s) * (t1.scalar_pow(s) * t2.scalar_pow(s))
-        term = (up ** 3 * low.invert() * phi).scale(coeff)
+        term = (ratio * phi).scale(coeff)
         term = term.shift(3 * s + s * (s - 1) // 2)
         acc = acc + term.truncate(N)
         s += 1
-    return pref * den.invert() * acc
+    return pref * acc
 
 
 def _assert_same_monomial(p: Param, r: Param) -> None:
@@ -181,7 +186,7 @@ def _assert_same_monomial(p: Param, r: Param) -> None:
 
 def gamma_sym(x: Param, y: Param, t1: Param, t2: Param, N) -> Series:
     """(t1 t2)^(-1/2)/(yq^(1/2))_inf * (gamma_bar(x,t1,t2)+gamma_bar(x,t2,t1))."""
-    pref = power(t1 * t2, F(-1, 2), N) * pochhammer_inf(y * _QH, N).invert()
+    pref = _over_pochhammer(power(t1 * t2, F(-1, 2), N), y * _QH)
     return pref * (gamma_bar(x, t1, t2, N) + gamma_bar(x, t2, t1, N))
 
 
@@ -203,7 +208,7 @@ def generalized_two_point(x: Param, y: Param, t1: Param, t2: Param, N) -> Series
     cross = omega(x, y, t1, N) * omega(y, x, t2i, N) \
         + omega(x, y, t2, N) * omega(y, x, t1i, N)
     out = out - px * py * cross
-    out = out + c_term(t1, N) * c_term(t2, N) * (px * py).invert()
+    out = out + c_term(t1, N) * c_term(t2, N) * pair_vacuum(x, y, N)
     return out
 
 
@@ -312,13 +317,13 @@ def c_one_point_half(t: Param, N) -> Series:
     using 1/(1-q^(-1/2)) = -q^(1/2)/(1-q^(1/2))."""
     if t.is_zero:
         raise DegenerateParameter("one-point function at the zero parameter")
-    pre = pochhammer_inf(_QH, N).invert()
+    pre = _over_pochhammer(Series.one(N), _QH)
     out = pre * c_term(t, N)
-    fac = _one_minus(_QH, N).invert().shift(F(1, 2)).scale(-1)
+    fac = _over_one_minus(Series.one(N), _QH).shift(F(1, 2)).scale(-1)
     q32 = _q(F(3, 2))
     for tt, sgn in ((t, -1), (t.inverse(), 1)):
-        blk = power(tt, F(1, 2), N) * pochhammer_inf(tt * q32, N) \
-            * pochhammer_inf(tt * _q(), N).invert() \
+        blk = _over_pochhammer(power(tt, F(1, 2), N)
+                               * pochhammer_inf(tt * q32, N), tt * _q()) \
             * qhyper([_QH, _QH], [q32, tt * q32], tt * _q(2), N)
         out = out + (pre * fac * blk).scale(sgn)
     return out
@@ -456,7 +461,7 @@ def _neutral_qdim(kind: str, N) -> Series:
     """Graded dimension of a neutral factor: 1/(q^(1/2))_inf for the boson,
     (-q^(1/2))_inf for the fermion."""
     if kind == "boson_neutral":
-        return pochhammer_inf(_QH, N).invert()
+        return _over_pochhammer(Series.one(N), _QH)
     return pochhammer_inf(Param(F(1), F(1, 2), sign=-1), N)
 
 

@@ -89,7 +89,7 @@ LEGAL_OPS = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # the verify suite reads two budgets; keep a few
 def mod_partitions(budget2: int, strict: bool = False) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     """All partitions with doubled modified weight 2|lam| - len <= budget2,
     as (w2, parts) pairs: the package's one partition enumerator."""

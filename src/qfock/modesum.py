@@ -50,7 +50,7 @@ from math import prod
 from typing import Callable, Sequence, Tuple
 
 from .combinat import set_partitions
-from .qseries import (NonTruncatable, Param, Series, c_term, pochhammer_inf,
+from .qseries import (NonTruncatable, Param, Series, _over_pochhammer, c_term,
                       power, to2)
 
 _QH = Param(Fraction(1), Fraction(1, 2))
@@ -125,17 +125,16 @@ def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Serie
     Agrees with fock.a_generalized_trace for scalar points and additionally
     accepts points with a single q-shift (e.g. q*t).
     """
-    zfac = Series.one(N)
+    base = Series.one(N)
     for p in (x, y):
-        if not p.is_zero:
-            zfac = zfac * pochhammer_inf(p * _QH, N)
+        base = _over_pochhammer(base, p * _QH)
 
     def connected(G):
         tG = prod((points[k] for k in G), start=_ONE)
         down = _mode_cumulant(point_inverse(tG), y, len(G), N)
         return _mode_cumulant(tG, x, len(G), N) + down.scale((-1) ** len(G))
 
-    return _cumulant_sum(zfac.invert(), points, N, connected)
+    return _cumulant_sum(base, points, N, connected)
 
 
 def neutral_c_trace(points: Sequence[Param], N) -> Series:
@@ -153,4 +152,5 @@ def neutral_c_trace(points: Sequence[Param], N) -> Series:
             out = out + _mode_cumulant(t, _ONE, len(G), N).scale(prod(eps))
         return out
 
-    return _cumulant_sum(pochhammer_inf(_QH, N).invert(), points, N, connected)
+    return _cumulant_sum(_over_pochhammer(Series.one(N), _QH), points, N,
+                         connected)

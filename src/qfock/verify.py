@@ -24,7 +24,8 @@ from .qseries import (
     Param,
     Series,
     _monomial_str,
-    _one_minus,
+    _over_one_minus,
+    _over_pochhammer,
     first_difference,
     half_str,
     pochhammer_inf,
@@ -198,12 +199,13 @@ def ff_sum_side(u: Param, N) -> Series:
 
 def sum_over_m_lhs(k: int, t: Param, N) -> Series:
     """sum_{l>=0} q^l / ((q)_l (tq)_{l+k})."""
-    tq = t * _qp()
+    inv = _over_pochhammer(Series.one(N), t * _qp(), k)  # 1/((q)_l (tq)_(l+k))
     out = Series.zero(N)
     l = 0
     while l <= to2(N) // 2:
-        den = pochhammer_n(_qp(), l, N) * pochhammer_n(tq, l + k, N)
-        out = out + den.invert().shift(l)
+        if l:
+            inv = _over_one_minus(_over_one_minus(inv, _qp(l)), t * _qp(l + k))
+        out = out + inv.shift(l)
         l += 1
     return out
 
@@ -229,7 +231,7 @@ def exp_left_sum(z: Param, N) -> Series:
     m = 0
     while m * (m - 1) + m * z.qval2() <= to2(N):
         num = power(z, m, N).shift(m * (m - 1) // 2)
-        out = out + (num * pochhammer_n(_qp(), m, N).invert()).scale((-1) ** m)
+        out = out + _over_pochhammer(num, _qp(), m).scale((-1) ** m)
         m += 1
     return out
 
@@ -240,7 +242,7 @@ def exp_right_sum(a: Param, z: Param, N) -> Series:
     l = 0
     while l * z.qval2() <= to2(N):
         num = power(z, l, N) * pochhammer_n(a, l, N)
-        out = out + num * pochhammer_n(_qp(), l, N).invert()
+        out = out + _over_pochhammer(num, _qp(), l)
         l += 1
     return out
 
@@ -264,7 +266,7 @@ def fixed_length_sum_enum(l: int, N) -> Series:
 
 def fixed_length_sum_closed(l: int, N) -> Series:
     """q^l / (q)_l."""
-    return pochhammer_n(_qp(), l, N).invert().shift(l)
+    return _over_pochhammer(Series.one(N), _qp(), l).shift(l)
 
 
 def marked_part_sum_enum(l: int, i: int, t: Param, N) -> Series:
@@ -280,12 +282,8 @@ def marked_part_sum_enum(l: int, i: int, t: Param, N) -> Series:
 
 def marked_part_sum_closed(l: int, i: int, t: Param, N) -> Series:
     """t q^l / ((1-q)...(1-q^{i-1}) (1-q^i t)...(1-q^l t))."""
-    out = Series.monomial(t.scalar_pow(1), l, N)
-    for j in range(1, i):
-        out = out * _one_minus(Param(1, j), N).invert()
-    for j in range(i, l + 1):
-        out = out * _one_minus(t.qshift(j), N).invert()
-    return out
+    out = _over_pochhammer(Series.monomial(t.scalar_pow(1), l, N), _qp(), i - 1)
+    return _over_pochhammer(out, t.qshift(i), l - i + 1)
 
 
 def charge_resolved_pair_vacuum(l: int, N) -> Series:

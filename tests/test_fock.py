@@ -428,3 +428,12 @@ def test_sector_trace_enumerates_no_partition(monkeypatch):
     s = a_sector_trace(1, pts, 36)
     assert s.trunc2 == 72
     assert s.truncate(3) == a_sector_trace(1, pts, 3)
+
+
+def test_partition_tables_cache_is_bounded():
+    """A long session that asks for many budgets keeps only a few tables."""
+    bound = fock.mod_partitions.cache_info().maxsize
+    assert bound is not None and 2 <= bound <= 8
+    for budget2 in range(bound + 3):
+        fock.mod_partitions(budget2, True)
+    assert fock.mod_partitions.cache_info().currsize <= bound

@@ -11,6 +11,7 @@ from qfock import closedform as cf
 from qfock.qseries import (
     DegenerateParameter,
     IllegalPower,
+    NonTruncatable,
     NotInvertible,
     Param,
     QSeriesError,
@@ -29,6 +30,10 @@ from qfock.qseries import (
     theta_jet,
     to2,
     zkey,
+    _half,
+    _one_minus,
+    _over_one_minus,
+    _over_pochhammer,
     _zmul,
 )
 
@@ -802,3 +807,182 @@ def test_kernel_builds_no_fraction_before_readout(monkeypatch):
     assert qcoeff(qinf, 5) == 1 and chain.terms
     monkeypatch.undo()
     assert built
+
+
+# -- quotients by (1 - p) factors against the generic inverse ---------------
+#
+# The reference divides as every quotient was built before _over_one_minus:
+# the product with the generic inverse of the factor, at s's truncation (or
+# at 0, where 1 - p with a negative truncation would be the zero series).
+
+
+def _ref_over_one_minus(s, p):
+    return s * _one_minus(p, _half(max(s.trunc2, 0))).invert()
+
+
+def _ref_over_pochhammer(s, a, n):
+    N = _half(max(s.trunc2, 0))
+    poch = pochhammer_inf(a, N) if n is None else pochhammer_n(a, n, N)
+    return s * poch.invert()
+
+
+def _result(f, *args):
+    """f(*args), or the type and message of the QSeriesError it raises."""
+    try:
+        return f(*args)
+    except QSeriesError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_quotient(got, want, s):
+    """got is the reference's quotient, exact to s's truncation, or it
+    raises as the reference does."""
+    if not isinstance(want, Series):
+        assert got == want
+        return
+    assert isinstance(got, Series), got
+    assert_canonical(got)
+    assert got.trunc2 == s.trunc2 >= want.trunc2
+    assert first_difference(got, want) is None
+
+
+@st.composite
+def points(draw, nvars, d2_min=-2):
+    """sign s^2 q^d z^e with s of either sign, integral, over 3 or over a
+    40-bit denominator, d in (1/2)Z from d2_min/2 to 6 and a charge
+    exponent only when there are charge variables."""
+    s = draw(st.fractions(-3, 3, max_denominator=draw(
+        st.sampled_from([1, 3, 2 ** 40]))).filter(bool))
+    e2 = draw(st.integers(-2, 2)) if nvars else 0
+    return Param(s, F(draw(st.integers(d2_min, 12)), 2), F(e2, 2),
+                 zvar=draw(st.integers(1, max(nvars, 1))),
+                 sign=draw(st.sampled_from([1, -1])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2).flatmap(
+    lambda n: st.tuples(fraction_series(n), points(n))))
+@example((Series(4, {(0, ()): F(2, 3), (3, ()): F(-1, 5)}),
+          Param(F(2, 3), F(1, 2), sign=-1)))                  # den > 1, sign -1
+@example((Series(3, {(-4, ((1, 1),)): F(1, 7), (0, ()): F(3)}),
+          Param(F(3, 2), 1, F(-1, 2))))                       # negative lowest
+@example((Series(2, {(0, ()): F(1)}), Param(F(5, 3), 3)))    # p above trunc
+@example((Series(6, {(1, ()): F(1)}), Param(1)))             # 1 - p = 0
+@example((Series(6, {(1, ()): F(1)}), Param(-1, 0, sign=-1)))  # 1 - p = 2
+@example((Series(6, {(1, ()): F(1)}), Param(2, 0, 1)))       # 1 - 4 z
+@example((Series(6, {(1, ()): F(1)}), Param(F(1, 2), -1)))   # 1 - q^(-1)/4
+@example((Series.zero(5), Param(F(2, 3), 1)))
+def test_over_one_minus_matches_generic_inverse(operands):
+    """s / (1 - p) in one pass equals the product with the generic inverse
+    up to the common truncation and is exact to s's; a p with d < 0, a
+    charged p with d = 0 and p = 1 take the generic inverse, so they
+    expand or raise with its exception and message."""
+    s, p = operands
+    got = _result(_over_one_minus, s, p)
+    want = _result(_ref_over_one_minus, s, p)
+    if p.d2 < 0 or p.d2 == 0 and (p.e2 or p.value_coeff == 1):
+        assert got == want
+    else:
+        _assert_same_quotient(got, want, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2).flatmap(
+    lambda n: st.tuples(fraction_series(n), st.one_of(
+        st.just(Param(0)), points(n, d2_min=0)))),
+    st.one_of(st.none(), st.integers(0, 5)))
+@example((Series(4, {(-2, ()): F(3)}), Param(F(2, 3))), None)
+@example((Series(4, {(0, ()): F(1)}), Param(1)), 3)           # (1)_3 = 0
+@example((Series(4, {(0, ()): F(1)}), Param(1, 0, 1)), None)  # never truncates
+@example((Series.zero(F(-1, 2)), Param(1)), None)            # 0 / 0 raises
+def test_over_pochhammer_matches_generic_inverse(operands, n):
+    """s / (a)_n and s / (a)_inf (n None) factor by factor equal the
+    product with the generic inverse of the whole symbol."""
+    s, a = operands
+    _assert_same_quotient(_result(_over_pochhammer, s, a, n),
+                          _result(_ref_over_pochhammer, s, a, n), s)
+
+
+def _qhyper_reference(upper, lower, arg, N):
+    """rPhis as it was built before the (q)_n cancellation: every factor
+    multiplied in, every lower factor and (q)_n by the generic inverse."""
+    r, s = len(upper), len(lower)
+    extra = 1 + s - r
+    t2 = to2(N)
+    if arg.is_zero:
+        return Series.one(N)
+    v2 = arg.qval2()
+    if extra < 0 or (extra == 0 and v2 <= 0):
+        raise NonTruncatable("term valuations of this rPhis do not diverge")
+    out = Series.one(N)
+    term = Series.one(N)
+    n = 1
+    while n * v2 + extra * n * (n - 1) <= t2:
+        for a in upper:
+            if a.is_zero:
+                continue
+            term = term * _one_minus(a.qshift(n - 1), N)
+        for b in lower:
+            if b.is_zero:
+                raise DegenerateParameter("zero lower parameter")
+            bq = b.qshift(n - 1)
+            if bq.d2 == 0 and bq.value_coeff == 1:
+                raise DegenerateParameter("lower Pochhammer vanishes at the leading layer")
+            term = term * _one_minus(bq, N).invert()
+        term = term * _one_minus(Param(1, n), N).invert()
+        term = term * power(arg, 1, N)
+        if extra:
+            term = term.shift(extra * (n - 1))
+            if extra % 2:
+                term = -term
+        if term.is_zero():
+            break
+        out = out + term.truncate(N)
+        n += 1
+    return Series.from_numerators(t2, out.den, out.nums)
+
+
+_HYPER_PARAMS = st.one_of(
+    st.sampled_from([Param(0), Param(1, 1), Param(-1, 1), Param(1),
+                     Param(1, 2)]),
+    st.builds(Param, st.fractions(-2, 2, max_denominator=5).filter(bool),
+              st.integers(0, 4).map(lambda d2: F(d2, 2))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_HYPER_PARAMS, max_size=3), st.lists(_HYPER_PARAMS, max_size=2),
+       st.builds(Param, st.fractions(-2, 2, max_denominator=5).filter(bool),
+                 st.integers(1, 4).map(lambda d2: F(d2, 2)), st.integers(-1, 1)),
+       st.integers(0, 9).map(lambda n2: F(n2, 2)))
+@example([Param(0), Param(0), Param(1, 1)], [Param(F(2, 3), 1), Param(1, 1)],
+         Param(1, 1), 6)                       # the 3Phi2 of one_point_minus1
+@example([Param(1, 1), Param(1, 1)], [Param(1, 2)], Param(1, 1), 5)
+@example([Param(1, 1)], [Param(0)], Param(1, 1), 3)
+@example([Param(1, 1)], [Param(1)], Param(1, 1), 3)
+def test_qhyper_cancels_upper_q_like_the_reference(upper, lower, arg, N):
+    """An upper q cancels (q)_n: the sum, and each refusal, are the ones of
+    the product form with every lower factor and (q)_n inverted."""
+    got = _result(qhyper, upper, lower, arg, N)
+    want = _result(_qhyper_reference, upper, lower, arg, N)
+    if isinstance(want, Series):
+        assert_canonical(got)
+    assert got == want
+
+
+def test_quotients_call_no_generic_inverse(monkeypatch):
+    """qhyper and the level -1 one-point function divide by their (1 - p)
+    factors without Series.invert."""
+    calls = []
+
+    def counting_invert(self, _invert=Series.invert):
+        calls.append(1)
+        return _invert(self)
+
+    monkeypatch.setattr(Series, "invert", counting_invert)
+    t = Param(F(2, 3))
+    qhyper([Param(0), Param(0), Param(1, 1)], [t.qshift(2), Param(1, 2)],
+           Param(1, 1), 8)
+    qhyper([Param(F(3, 5), F(1, 2))], [t, Param(F(5, 7), 1, 1)],
+           Param(F(1, 2), 1), 8)
+    cf.one_point_minus1(t, 6)
+    assert calls == []

@@ -1,7 +1,8 @@
 """Source hygiene: every name a qfock module imports is used in it, every
 function, class and method it defines is named somewhere else, no module
 uses floating point, the closed forms enumerate no Weyl group and read no
-table of the duality oracle."""
+table of the duality oracle, and every quotient by (1 - p) factors goes
+through one kernel."""
 
 import ast
 import collections
@@ -97,3 +98,26 @@ def test_closed_forms_read_no_oracle_table():
                                  "_factor_subset_traces"}:
                 users[name].add(getattr(top, "name", "<module>"))
     assert dict(users) == {"duality_trace": {"extract_dominant"}}
+
+
+def test_quotients_by_one_minus_factors_have_one_path():
+    """In qseries.py, closedform.py and modesum.py no ``.invert()`` is
+    applied to an expression that builds ``_one_minus``, ``pochhammer_n``
+    or ``pochhammer_inf``, except in the generic fallback of
+    ``_over_one_minus`` itself: every quotient by (1 - p) factors and
+    Pochhammer symbols is one pass of that kernel."""
+    factors = {"_one_minus", "pochhammer_n", "pochhammer_inf"}
+    users = set()
+    for name in ("qseries", "closedform", "modesum"):
+        tree = ast.parse((ROOT / "src" / "qfock" / (name + ".py")).read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Attribute)
+                        and node.attr == "invert"):
+                    continue
+                built = {n.func.id for n in ast.walk(node.value)
+                         if isinstance(n, ast.Call)
+                         and isinstance(n.func, ast.Name)}
+                if built & factors:
+                    users.add("%s.%s" % (name, getattr(top, "name", "?")))
+    assert users == {"qseries._over_one_minus"}
