@@ -15,6 +15,8 @@ This module implements the explicit formulas that the enumeration oracles in
 * the residual of the first-point q-shift difference equations.
 """
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
@@ -217,6 +219,26 @@ def generalized_two_point(x: Param, y: Param, t1: Param, t2: Param, N) -> Series
 
 F_BO_CAP = 4
 
+class _ThreadTheta(threading.local):
+    # {doubled truncation: (jets, inverses, divided entries) keyed by point}
+    # while _shared_theta runs in this thread, else None and every f_bo
+    # keeps its own
+    memo: Optional[dict] = None
+
+
+_THETA = _ThreadTheta()
+
+
+@contextmanager
+def _shared_theta():
+    """Let the f_bo calls inside share one theta memo, freed on exit.  It
+    holds only results: a refused call leaves nothing behind."""
+    outer, _THETA.memo = _THETA.memo, {}
+    try:
+        yield
+    finally:
+        _THETA.memo = outer
+
 
 def f_bo(points: Sequence[Param], N) -> Series:
     """Bloch-Okounkov's permutation sum of theta-jet determinants,
@@ -232,25 +254,34 @@ def f_bo(points: Sequence[Param], N) -> Series:
     h_(i,j) are the divided entries, D_0 = 1 and
     D_m = sum_(i<=m) (-1)^(m-i) h_(i,m) D_(i-1).
 
-    A partial product at a zero of Theta, 1 or q^(+-1), is refused with
-    DegenerateParameter.
+    The jet at P_j is built to the order n - j its entries read.  Jets,
+    inverses 1/Theta and divided entries are memoised by point and
+    truncation: within the call, or under _shared_theta across every f_bo
+    call of one duality reduction, whose eps-signed point subsets share most
+    partial products.  A partial product at a zero of Theta, 1 or q^(+-1),
+    is refused with DegenerateParameter.
     """
     n = len(points)
     if n > F_BO_CAP:
         raise CapExceeded("f_bo limited to %d points" % F_BO_CAP)
-    qinf_inv = _qinf_inv(to2(N), 1)
+    t2 = to2(N)
+    qinf_inv = _qinf_inv(t2, 1)
     if n == 0:
         return qinf_inv
     one = Param(F(1))
-    jets: Dict[tuple, List[Series]] = {}
-    inverses: Dict[tuple, Series] = {}
-    entries: Dict[tuple, Series] = {}
+    memo = _THETA.memo
+    if memo is None:
+        memo = {}
+    jets, inverses, entries = memo.setdefault(t2, ({}, {}, {}))
 
-    def jet_of(p: Param) -> List[Series]:
+    def jet_of(p: Param, k: int) -> List[Series]:
+        """The theta jet at p to order at least k: the longest one asked
+        for so far at p."""
         key = _scalar_key(p)
-        if key not in jets:
-            jets[key] = theta_jet(p, n, N)
-        return jets[key]
+        jet = jets.get(key)
+        if jet is None or len(jet) <= k:
+            jet = jets[key] = theta_jet(p, k, N)
+        return jet
 
     def inverse(p: Param) -> Series:
         key = _scalar_key(p)
@@ -259,14 +290,14 @@ def f_bo(points: Sequence[Param], N) -> Series:
                 raise DegenerateParameter(
                     "theta vanishes at a partial product equal to 1 or "
                     "q^(+-1)")
-            inverses[key] = jet_of(p)[0].invert()
+            inverses[key] = jet_of(p, 0)[0].invert()
         return inverses[key]
 
     def entry(p: Param, k: int) -> Series:
         """Theta^(k)(p) / (k! Theta(p)), an entry of a divided column."""
         key = (_scalar_key(p), k)
         if key not in entries:
-            entries[key] = jet_of(p)[k] * inverse(p)
+            entries[key] = jet_of(p, k)[k] * inverse(p)
         return entries[key]
 
     total = Series.zero(N)
@@ -276,8 +307,8 @@ def f_bo(points: Sequence[Param], N) -> Series:
             prefix.append(prefix[-1] * points[idx])
         # every jet first, then 1/Theta(P_1), ..., 1/Theta(P_n): a point
         # theta refuses is reported before a vanishing Theta
-        for p in prefix[1:n]:
-            jet_of(p)
+        for j in range(1, n):
+            jet_of(prefix[j], n - j)
         for p in prefix[1:]:
             inverse(p)
         D = [Series.one(N)]
@@ -285,7 +316,7 @@ def f_bo(points: Sequence[Param], N) -> Series:
             acc = Series.zero(N)
             for i in range(1, m + 1):
                 k = m - i + 1
-                h = entry(prefix[n - m], k) if m < n else jet_of(one)[k]
+                h = entry(prefix[n - m], k) if m < n else jet_of(one, n)[k]
                 term = h * D[i - 1]
                 acc = acc - term if (m - i) % 2 else acc + term
             D.append(acc)
@@ -421,19 +452,20 @@ def _normalize_label(lam, l: int, allow_negative: bool):
     return lam
 
 
-def _alternant(inst: "DualityInstance", lam, entry, N) -> Series:
+def _alternant(inst: "DualityInstance", rows, entry, N) -> Series:
     """sum_w sgn(w) prod_i entry(i, k_i(w)), k(w) = lam + rho - w rho, over
     the Weyl group of ``inst``, expanded row by row like a determinant: row
     i takes a free column j and, outside type A, a sign s, reads
     entry(i, lam_i + rho_i - s rho_j) and is signed by s and the parity of
-    the used columns above j.  A state is (used columns, for type D the
-    parity of the s = -1 taken), and type D keeps the even states, so the
-    work is about l 2^l products, not |W| l."""
+    the used columns above j; ``rows`` is _row_shifts(inst, lam), built
+    once per caller.  A state is (used columns, for type D the parity of the
+    s = -1 taken), and type D keeps the even states, so the work is about
+    l 2^l products, not |W| l."""
     l = inst.l
     if l > combinat.WEYL_CAP:
         raise CapExceeded("Weyl rank %d exceeds cap %d" % (l, combinat.WEYL_CAP))
     states = {(0, 0): Series.one(N)}
-    for i, shifts in enumerate(_row_shifts(inst, lam)):
+    for i, shifts in enumerate(rows):
         row = [(j, s, entry(i, k)) for j, s, k in shifts]
         nxt: Dict[tuple, Series] = {}
         for (used, odd), acc in states.items():
@@ -451,9 +483,11 @@ def _alternant(inst: "DualityInstance", lam, entry, N) -> Series:
 
 def _row_shifts(inst: "DualityInstance", lam):
     """Row by row, the (column j, sign s, k = lam_i + rho_i - s rho_j) that
-    ``_alternant`` reads its entries at."""
-    rho, signs = inst.rho, (1,) if inst.weyl == "A" else (1, -1)
-    return [[(j, s, int(lam[i] + rho[i] - s * rho[j]))
+    ``_alternant`` reads its entries at, from rho in doubled ints (rho_i and
+    rho_j are both integers or both half-integers)."""
+    rho2 = [to2(r) for r in inst.rho]
+    signs = (1,) if inst.weyl == "A" else (1, -1)
+    return [[(j, s, lam[i] + (rho2[i] - s * rho2[j]) // 2)
              for j in range(inst.l) for s in signs] for i in range(inst.l)]
 
 
@@ -485,7 +519,8 @@ def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
     # charge-slice series; the sign flips themselves generate the slice
     # differences that define the rank-one type-d function (at l=1 the sum
     # equals charged_qdim_base(k) - charged_qdim_base(k+2) exactly).
-    wsum = _alternant(inst, lam, lambda i, k: charged_qdim_base(k, N), N)
+    wsum = _alternant(inst, _row_shifts(inst, lam),
+                      lambda i, k: charged_qdim_base(k, N), N)
     if inst.neutral_factor is None:
         return wsum
     return _neutral_qdim(inst.factors[inst.neutral_factor], N) * wsum
@@ -497,8 +532,9 @@ def _c_positive_half_qdim(inst: "DualityInstance", label, N,
     lam = _normalize_label(label, l, allow_negative=False)
     pre = _neutral_qdim("boson_neutral", N) * _qinf_inv(to2(N), l)
     if form == "weyl":
-        return pre * _alternant(inst, lam, lambda i, k: Series.monomial(
-            1, F(k * k, 2), N), N)
+        return pre * _alternant(inst, _row_shifts(inst, lam),
+                                lambda i, k: Series.monomial(1, F(k * k, 2), N),
+                                N)
     if form == "product":
         out = Series.monomial(1, F(sum(v * v for v in lam), 2), N)
         for i in range(l):
@@ -599,8 +635,10 @@ def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
     boson pair, one f_bo per eps-signed subset for a fermion pair."""
     if inst.factors[0] == "fermion_pair":
         signed = {U: _eps_signed(points, U) for U in masks}
-        bases = {M: f_bo(pts, N) for row in signed.values()
-                 for _, M, pts in row}
+        # the eps-signed subsets share most partial products
+        with _shared_theta():
+            bases = {M: f_bo(pts, N) for row in signed.values()
+                     for _, M, pts in row}
         return {k: {U: sum((_charge_shift(k, pts, bases[M]).scale(s)
                             for s, M, pts in row), Series.zero(N))
                     for U, row in signed.items()} for k in charges}
@@ -638,12 +676,13 @@ def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
     nfac = len(inst.factors)
     neutral = inst.neutral_factor
     # every block the alternants read, built before the first of them
-    charges = {k for row in _row_shifts(inst, lam) for _, _, k in row}
+    rows = _row_shifts(inst, lam)
+    charges = {k for row in rows for _, _, k in row}
     if mode == "literal":
         pre = Series.one(N) if neutral is None else fock.neutral_trace(
             inst.factors[neutral], inst.op_tag, points, N)
         blocks = _charged_blocks(inst, charges, points, N, [full])
-        return pre * _alternant(inst, lam, lambda i, k: blocks[k][full], N)
+        return pre * _alternant(inst, rows, lambda i, k: blocks[k][full], N)
     masks = [full] if nfac == 1 else range(1 << n)
     blocks = _charged_blocks(inst, charges, points, N, masks)
     if neutral is not None:
@@ -654,7 +693,7 @@ def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
     for phi in iter_product(range(nfac), repeat=n):
         parts = [sum(1 << j for j in range(n) if phi[j] == i)
                  for i in range(nfac)]
-        term = _alternant(inst, lam, lambda i, k: blocks[k][parts[i]], N)
+        term = _alternant(inst, rows, lambda i, k: blocks[k][parts[i]], N)
         if neutral is not None:
             term = term * nblocks[parts[neutral]]
         out = out + term

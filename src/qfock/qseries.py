@@ -15,9 +15,10 @@ A Series is stored as integer numerators over one denominator: nums
 {(q2, zkey): int} and den > 0, kept canonical (gcd(den, every numerator) = 1,
 no zero numerator, no key above the truncation), so == and hash compare the
 fields directly and one gcd per result keeps the numerators from growing.
-Sums, products, inverses and the Pochhammer factors (1 - a) add and multiply
-Python ints only; a Fraction is built when a coefficient is read out, through
-the terms property ({(q2, zkey): Fraction}) or first_difference.
+Sums, products, inverses, the Pochhammer factors (1 - a) and the theta-jet
+sums add and multiply Python ints only; a Fraction is built when a
+coefficient is read out, through the terms property ({(q2, zkey): Fraction})
+or first_difference.
 
 A quotient by a factor (1 - a) is one integer pass over the dividend's
 q-layers (_over_one_minus), and a quotient by a Pochhammer symbol (a)_n or
@@ -122,6 +123,10 @@ def _zmul(a: ZKey, b: ZKey) -> ZKey:
         return b
     if not b:
         return a
+    if len(a) == len(b) == 1 and a[0][0] == b[0][0]:
+        # one variable on each side, the same one: add the exponents
+        e2 = a[0][1] + b[0][1]
+        return ((a[0][0], e2),) if e2 else ()
     acc = dict(a)
     for v, e2 in b:
         n = acc.get(v, 0) + e2
@@ -790,7 +795,9 @@ def theta_jet(t: Param, k: int, N: HalfLike) -> List[Series]:
 
     By the Jacobi triple product Theta(t) = (q)_inf^(-3) sum_(n in Z)
     (-1)^(n+1) q^(n(n-1)/2) t^(n-1/2), so entry j weights term n by
-    (n-1/2)^j / j!.
+    (n-1/2)^j / j!.  The sums are built in integers: for t = (a/b)^2 q^d,
+    e = 2n - 1 and E the largest |e| summed, term n of entry j is
+    (-1)^(n+1) sgn(a) |a|^(E+e) b^(E-e) e^j over |a|^E b^E 2^j j!.
     """
     if t.e2:
         raise IllegalPower("theta of a charge-carrying point")
@@ -806,23 +813,35 @@ def theta_jet(t: Param, k: int, N: HalfLike) -> List[Series]:
                            % ("qt" if t.d2 < 0 else "q/t"))
     # the q-exponent n(n-1) + d(2n-1) (doubled) is symmetric about
     # n = 1/2 - d, so terms come in pairs n = 1-d+m, -d-m with m >= 0
-    acc = [{} for _ in range(k + 1)]
+    ns = []
     m = 0
     while True:
-        pair = (1 - d + m, -d - m)
-        if pair[1] * (pair[1] - 1) + d * (2 * pair[1] - 1) > t2:
+        n = -d - m
+        if n * (n - 1) + d * (2 * n - 1) > t2:
             break
-        for n in pair:
-            c, q2, _ = t.pow_monomial(Fraction(2 * n - 1, 2))
-            c = c if n % 2 else -c
-            key = (n * (n - 1) + q2, ())
-            w = ONE
-            for j in range(k + 1):
-                acc[j][key] = acc[j].get(key, ZERO) + c * w
-                w = w * (n - Fraction(1, 2)) / (j + 1)
+        ns += (1 - d + m, n)
         m += 1
+    a, b = t.s.numerator, t.s.denominator
+    if ns and not a:
+        raise IllegalPower("zero parameter to a negative power")
+    E = max((abs(2 * n - 1) for n in ns), default=0)
+    sa, a = (1, a) if a > 0 else (-1, -a)
+    acc = [{} for _ in range(k + 1)]
+    for n in ns:
+        e = 2 * n - 1
+        c = a ** (E + e) * b ** (E - e)
+        c = sa * c if n % 2 else -sa * c
+        key = (n * (n - 1) + d * e, ())
+        for nums in acc:
+            nums[key] = nums.get(key, 0) + c
+            c *= e
     qinf_inv3 = _qinf_inv(t2, 3)
-    return [(Series(t2, a) * qinf_inv3).truncate(N) for a in acc]
+    out, den = [], a ** E * b ** E
+    for j, nums in enumerate(acc):
+        out.append((Series.from_numerators(t2, den, nums) * qinf_inv3)
+                   .truncate(N))
+        den *= 2 * (j + 1)
+    return out
 
 
 def theta(t: Param, N: HalfLike) -> Series:

@@ -4,6 +4,7 @@ level-one sectors, neutral-boson one-point function, graded dimensions of
 every negative-level family, the Weyl-group duality reductions, and the
 first-point q-shift difference equations."""
 
+from contextlib import nullcontext
 from fractions import Fraction as F
 from itertools import combinations, permutations, product as iter_product
 
@@ -799,6 +800,64 @@ def test_fermion_reduction_builds_one_f_bo_per_signed_subset(monkeypatch, lam):
     monkeypatch.undo()
     assert len(calls) == len(set(calls)) == 9
     assert got == reference_duality_reduce(inst, lam, points, 4, "assignment")
+
+
+@pytest.mark.parametrize("mode", ["assignment", "literal"])
+@pytest.mark.parametrize("level,points", [
+    ("1/2", pts(F(2, 3), F(-3, 5), F(5, 7))),
+    ("3/2", pts(F(2, 3), F(3, 5))),
+], ids=["c1/2-3pts", "c3/2-2pts"])
+def test_fermion_reduction_builds_each_theta_jet_once(monkeypatch, level,
+                                                      points, mode):
+    """The f_bo calls of one reduction share their theta data: theta_jet
+    runs at most once per point, order and truncation, and a point asked
+    for again is asked at a higher order.  The shared data is freed when
+    the reduction returns."""
+    calls = []
+    build = cf.theta_jet
+
+    def counted(t, k, N):
+        calls.append((points_key([t]), N, k))
+        return build(t, k, N)
+
+    inst = cf.module_instance("c", level)
+    lam = (1,) + (0,) * (inst.l - 1)
+    monkeypatch.setattr(cf, "theta_jet", counted)
+    got = cf.duality_reduce(inst, lam, points, 4, mode=mode)
+    monkeypatch.undo()
+    orders = {}
+    for key, N, k in calls:
+        orders.setdefault((key, N), []).append(k)
+    assert all(ks == sorted(set(ks)) for ks in orders.values()), orders
+    assert cf._THETA.memo is None
+    assert got == reference_duality_reduce(inst, lam, points, 4, mode)
+
+
+_VANISHING = (r"^theta vanishes at a partial product equal to 1 or "
+              r"q\^\(\+-1\)$")
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+def test_f_bo_refusals_keep_their_order(shared):
+    """A jet that theta refuses is reported before a Theta that vanishes,
+    with the same messages, also when the f_bo calls share theta data that
+    an earlier call filled; a refused call leaves nothing that changes the
+    next one."""
+    illegal_first = [Param(F(2, 3), 2), Param(F(3, 2), -2)]  # q/t, then 1
+    vanishing = pts(F(2, 3), F(3, 2))                        # P_2 = 1
+    with cf._shared_theta() if shared else nullcontext():
+        cf.f_bo(pts(F(2, 3), F(3, 5)), 3)
+        for _ in range(2):
+            with pytest.raises(IllegalPower,
+                               match=r"^theta needs qval\(q/t\) >= 0$"):
+                cf.f_bo(illegal_first, 3)
+            with pytest.raises(DegenerateParameter, match=_VANISHING):
+                cf.f_bo(vanishing, 3)
+    assert cf._THETA.memo is None
+    inst = cf.duality_instance("c", "l-1/2", 2)
+    with pytest.raises(DegenerateParameter, match=_VANISHING):
+        cf.duality_reduce(inst, (1, 0), vanishing, 3)
+    assert cf._THETA.memo is None
 
 
 def test_rank_cap_is_refused_before_any_entry(monkeypatch):

@@ -569,6 +569,63 @@ def test_theta_jet_matches_product_of_jets(s, d, k, N):
         assert all(type(c) is F for c_k in new for c in c_k.terms.values())
 
 
+def _fraction_theta_jet(t, k, N):
+    """Reference jet: the triple-product sum with one Fraction per term and
+    jet order.  This was theta_jet before its sums were built in integers;
+    it stays here for the differential test."""
+    if t.e2:
+        raise IllegalPower("theta of a charge-carrying point")
+    if t.sign == -1:
+        raise IllegalPower("theta of a negative point")
+    t.pow_monomial(F(1, 2))
+    d = t.d2 // 2
+    t2 = to2(N) + abs(d)
+    if abs(t.d2) > 2 and 2 - abs(t.d2) <= t2:
+        raise IllegalPower("theta needs qval(%s) >= 0"
+                           % ("qt" if t.d2 < 0 else "q/t"))
+    acc = [{} for _ in range(k + 1)]
+    m = 0
+    while True:
+        pair = (1 - d + m, -d - m)
+        if pair[1] * (pair[1] - 1) + d * (2 * pair[1] - 1) > t2:
+            break
+        for n in pair:
+            c, q2, _ = t.pow_monomial(F(2 * n - 1, 2))
+            c = c if n % 2 else -c
+            key = (n * (n - 1) + q2, ())
+            w = F(1)
+            for j in range(k + 1):
+                acc[j][key] = acc[j].get(key, F(0)) + c * w
+                w = w * (n - F(1, 2)) / (j + 1)
+        m += 1
+    qq = pochhammer_inf(Param(1, 1), F(max(t2, 0), 2))
+    qinf_inv3 = (qq * qq * qq).invert()
+    return [(Series(t2, a) * qinf_inv3).truncate(N) for a in acc]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(-4, 4, max_denominator=40).filter(bool),
+       st.sampled_from([-1, 0, 1]), st.integers(0, 4),
+       st.sampled_from([F(i, 2) for i in range(-3, 19)]))
+@example(F(1), 0, 3, 8)              # Theta(1) = 0, jets of order >= 1 do not
+@example(F(-1), -1, 4, F(9, 2))      # t = 1/q
+@example(F(-35, 12), 1, 2, 5)        # s < 0 above 1
+@example(F(2, 3), F(1, 2), 1, 3)     # refused: half-integer shift
+@example(F(2, 3), 2, 1, 3)           # refused: (q/t)_inf starts below 1
+@example(F(2, 3), -2, 0, 1)          # refused: (qt)_inf starts below 1
+@example(F(0), 0, 2, 3)              # refused: t^(-1/2) at t = 0
+@example(F(0), 0, 2, -1)             # t = 0 below every term: zero jets
+def test_integer_theta_jet_matches_fraction_loop(s, d, k, N):
+    """The integer jets equal the Fraction loop's, and a refusal has the
+    same type and message."""
+    t = Param(s, d)
+    got, want = _result(theta_jet, t, k, N), _result(_fraction_theta_jet, t, k, N)
+    assert got == want
+    if isinstance(got, list):
+        for c in got:
+            assert_canonical(c)
+
+
 # -- truncation coherence of the public builders ----------------------------
 
 _POINTS = {
@@ -807,6 +864,47 @@ def test_kernel_builds_no_fraction_before_readout(monkeypatch):
     assert qcoeff(qinf, 5) == 1 and chain.terms
     monkeypatch.undo()
     assert built
+
+
+@pytest.mark.parametrize("t", [Param(F(-7, 5)), Param(F(2, 3), 1),
+                               Param(F(3, 4), -1)])
+def test_theta_jet_builds_fractions_independent_of_N(monkeypatch, t):
+    """theta_jet builds its sums in integers: the Fractions it makes (the
+    checks of the point) do not grow with the truncation."""
+    built = []
+    fraction_new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    counts = []
+    for N in (2, 12, 40):
+        theta_jet(t, 4, N)  # (q)_inf^(-3) at this truncation, built once
+        monkeypatch.setattr(F, "__new__", counting_new)
+        jet = theta_jet(t, 4, N)
+        monkeypatch.undo()
+        counts.append(len(built))
+        built.clear()
+        assert len(jet[4].nums) > N  # the sums do grow with N
+    assert counts[0] == counts[1] == counts[2] <= 4, counts
+
+
+def _dict_zmul(a, b):
+    """The product of two z-keys through one dict, sorted."""
+    acc = dict(a)
+    for v, e2 in b:
+        acc[v] = acc.get(v, 0) + e2
+    return tuple(sorted((v, e2) for v, e2 in acc.items() if e2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_Z_KEYS, _Z_KEYS)
+@example(((1, 2),), ((1, -2),))   # one variable, cancelling
+@example(((1, 1),), ((1, 3),))    # one variable, adding
+@example(((2, 1),), ((1, 3),))    # one variable each, different ones
+def test_zmul_matches_dict_merge(a, b):
+    assert _zmul(a, b) == _dict_zmul(a, b)
 
 
 # -- quotients by (1 - p) factors against the generic inverse ---------------
