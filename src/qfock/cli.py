@@ -12,11 +12,13 @@ Subcommands:
 
 All rationals are entered and printed exactly; levels and truncation
 orders accept half-integers as strings like ``-3/2``.  Exit status: 0 on
-success, 1 when a requested check fails, 2 on usage or parameter errors.
+success, 1 when a requested check fails or the reader closes stdout early
+(``qfock ... | head``), 2 on usage or parameter errors.
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction as F
 from functools import lru_cache
@@ -304,7 +306,16 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _DISPATCH[args.command](args, out)
+        status = _DISPATCH[args.command](args, out)
+        if out is sys.stdout:
+            out.flush()  # so that a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader stopped early (`qfock ... | head`).  Point stdout at
+        # devnull so that the flush at exit is quiet, and fail.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ from .qseries import (
     _monomial_str,
     _over_one_minus,
     _over_pochhammer,
+    _qinf_inv,
     first_difference,
     half_str,
     pochhammer_inf,
@@ -179,7 +180,8 @@ def _geometric(r_scalar: F, rq2: int, start: int, N) -> Series:
 def ff_sum_side(u: Param, N) -> Series:
     """(1/(q)_inf^2) sum_{m>=0} (-1)^m q^(m(m+1)/2)
     (sum_{k>=0} q^(km) u^k + sum_{k>0} q^(k(m+1)) u^{-k}),
-    inner geometric sums taken in resummed form."""
+    inner geometric sums taken in resummed form; 1/(q)_inf^2 is the shared
+    _qinf_inv table, while ff_product_side inverts its product generically."""
     n2 = to2(N)
     d2 = u.qval2()
     if d2 <= 0:
@@ -193,8 +195,7 @@ def ff_sum_side(u: Param, N) -> Series:
         blk = (asc + desc).shift(m * (m + 1) // 2)
         out = out + blk.scale((-1) ** m)
         m += 1
-    pref = pochhammer_inf(_qp(), N).invert()
-    return out * pref * pref
+    return out * _qinf_inv(n2, 2)
 
 
 def sum_over_m_lhs(k: int, t: Param, N) -> Series:
@@ -255,13 +256,13 @@ def _partitions_exact_length(l: int, max_weight: int):
 
 
 def fixed_length_sum_enum(l: int, N) -> Series:
-    """sum over partitions of length exactly l of q^|lambda|, enumerated."""
-    n = int(to2(N)) // 2
-    acc: Dict[tuple, F] = {}
-    for lam in _partitions_exact_length(l, n):
-        w = sum(lam)
-        acc[(2 * w, ())] = acc.get((2 * w, ()), F(0)) + 1
-    return Series(to2(N), acc)
+    """sum over partitions of length exactly l of q^|lambda|, enumerated
+    and counted in ints."""
+    counts: Dict[tuple, int] = {}
+    for lam in _partitions_exact_length(l, to2(N) // 2):
+        key = (2 * sum(lam), ())
+        counts[key] = counts.get(key, 0) + 1
+    return Series.from_numerators(to2(N), 1, counts)
 
 
 def fixed_length_sum_closed(l: int, N) -> Series:
@@ -270,14 +271,25 @@ def fixed_length_sum_closed(l: int, N) -> Series:
 
 
 def marked_part_sum_enum(l: int, i: int, t: Param, N) -> Series:
-    """sum over partitions of length exactly l of q^|lambda| t^(lambda_i)."""
-    n = int(to2(N)) // 2
-    acc: Dict[tuple, F] = {}
-    for lam in _partitions_exact_length(l, n):
-        w = sum(lam)
-        key = (2 * w, ())
-        acc[key] = acc.get(key, F(0)) + t.scalar_pow(lam[i - 1])
-    return Series(to2(N), acc)
+    """sum over partitions of length exactly l of q^|lambda| t^(lambda_i),
+    enumerated.  The partitions are counted in ints by (|lambda|,
+    lambda_i); with t = u/v and top the largest lambda_i met, t^k is read
+    as u^k v^(top-k) over v^top from one integer table.  t is refused, as
+    t^(lambda_i) would refuse it, only when some partition is met."""
+    counts: Dict[Tuple[int, int], int] = {}
+    for lam in _partitions_exact_length(l, to2(N) // 2):
+        key = (sum(lam), lam[i - 1])
+        counts[key] = counts.get(key, 0) + 1
+    if not counts:
+        return Series.zero(N)
+    c = t.scalar_pow(1)
+    u, v = c.numerator, c.denominator
+    top = max(k for _, k in counts)
+    power_of_t = [u ** k * v ** (top - k) for k in range(top + 1)]
+    nums: Dict[tuple, int] = {}
+    for (w, k), n in counts.items():
+        nums[(2 * w, ())] = nums.get((2 * w, ()), 0) + n * power_of_t[k]
+    return Series.from_numerators(to2(N), v ** top, nums)
 
 
 def marked_part_sum_closed(l: int, i: int, t: Param, N) -> Series:
@@ -380,10 +392,16 @@ def _registry_identity(reg: List[CheckSpec]) -> None:
                                    marked_part_sum_closed(l, i, t, 15))))
     def _ff_specialized():
         # z = 1 in the charge-resolved vacuum character: the zero-charge
-        # slice plus twice each positive-charge slice (slices are even).
+        # slice plus twice each positive-charge slice z^1 .. z^32 (slices
+        # are even), read in one pass over the numerators; z_1 is the one
+        # variable.
         vac = charge_resolved_pair_vacuum(1, 16)
-        rhs = vac.coeff_z(1, 0) + _series_sum(
-            (vac.coeff_z(1, k) for k in range(1, 33)), 16).scale(2)
+        nums: Dict[tuple, int] = {}
+        for (q2, zk), n in vac.nums.items():
+            e2 = zk[0][1] if zk else 0
+            if e2 % 2 == 0 and 0 <= e2 <= 64:
+                nums[(q2, ())] = nums.get((q2, ()), 0) + (2 * n if e2 else n)
+        rhs = Series.from_numerators(vac.trunc2, vac.den, nums)
         return ff_product_side(Param(F(1), F(1, 2)), 16), rhs
 
     reg.append(CheckSpec(

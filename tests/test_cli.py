@@ -3,7 +3,11 @@ byte-level determinism, JSON round-trips, and the exit-status contract."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -300,3 +304,23 @@ class TestDeterminismAndFormats:
                             "--format", "pretty"])
         assert status == 0
         assert text.splitlines()[0].startswith("q^0")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_reader_closing_the_pipe_early_gets_no_traceback(unbuffered):
+    """`qfock qdim ... | head`: when the reader has gone, the command exits
+    1 with nothing on stderr, whether stdout is buffered (the failed write
+    then surfaces in a flush) or not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qfock.cli", "qdim", "--algebra", "c",
+         "--level=-3/2", "--lambda", "0", "--N", "30"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # no reader is left before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")

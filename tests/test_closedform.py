@@ -29,7 +29,8 @@ from qfock.qseries import (
 )
 from test_combinat import weyl_zsum
 from test_fock import point_st, product_duality_trace
-from test_qseries import _outcome, qcoeff
+from test_qseries import _outcome, _outcome_and_message, qcoeff
+from test_verify import HALVES, any_point
 
 
 S_VALUES = (F(2, 3), F(3, 5), F(5, 7))
@@ -121,6 +122,41 @@ def test_ladder_sum_matches_enumeration(s, d2, e2, sign, ts, n2):
     x = Param(s, F(d2, 2), F(e2, 2), zvar=1, sign=sign)
     t, N = Param(ts), F(n2, 2)
     assert cf.partition_ladder_sum(x, t, N) == enumerated_ladder_sum(x, t, N)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SVAL, st.sampled_from([0, F(1, 2), 1]),
+       st.sampled_from([F(-1, 2), 0, 1]), st.sampled_from([1, -1]),
+       any_point(), HALVES)
+def test_ladder_sum_matches_enumeration_or_refuses_alike(s, d, e, sign, t,
+                                                         N):
+    """The integer ladder sum against the Fraction enumeration at x with a
+    q-shift, a charge or sign -1 and t of either sign, zero, q-shifted or
+    charged: equal sums, or the same exception and message."""
+    x = Param(s, d, e, sign=sign)
+    assert _outcome_and_message(cf.partition_ladder_sum, x, t, N) \
+        == _outcome_and_message(enumerated_ladder_sum, x, t, N)
+
+
+@pytest.mark.parametrize("x, t, N, error", [
+    (X, Param(F(2, 3), 1), 4, "parameter is not a scalar"),
+    (X, Param(F(2, 3), 0, 1), 4, "parameter is not a scalar"),
+    (X, Param(F(2, 3), sign=-1), 4,
+     "half-integer power of a negative parameter"),
+    (X, Param(0), 4, None),
+    (X, Param(F(2, 3), sign=-1), 0, None),  # only the empty partition
+    (Param(F(2, 5), 1), Param(F(2, 3), 1), F(1, 2), None),  # q^(3/2) > q^N
+])
+def test_ladder_sum_refuses_exactly_when_a_partition_is_summed(x, t, N,
+                                                               error):
+    """t is refused as each part's power t^(la_i - 1/2) refuses it, and only
+    when some partition reaches q^N; t = 0 sums to zero."""
+    got = _outcome_and_message(cf.partition_ladder_sum, x, t, N)
+    assert got == _outcome_and_message(enumerated_ladder_sum, x, t, N)
+    if error:
+        assert got == (IllegalPower, error)
+    else:
+        assert got == Series.zero(N)
 
 
 class TestGeneralizedTwoPoint:

@@ -552,6 +552,14 @@ def _outcome(f, *args):
         return type(exc)
 
 
+def _outcome_and_message(f, *args):
+    """f(*args), or the type and message of whatever it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.fractions(-3, 3, max_denominator=13).filter(bool),
        st.sampled_from([-1, F(-1, 2), 0, F(1, 2), 1]),

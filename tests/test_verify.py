@@ -7,8 +7,9 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qfock import verify
+from qfock import closedform as cf, verify
 from qfock.qseries import (
     DegenerateParameter,
     NonTruncatable,
@@ -16,6 +17,7 @@ from qfock.qseries import (
     Series,
     to2,
 )
+from test_qseries import _outcome_and_message
 
 
 def failing_spec():
@@ -121,6 +123,84 @@ def test_ext_oracle_cache_keeps_point_sign():
     verify._ext_oracle("a", "-l", 1, (0,), [Param(F(2, 3))], 2)
     with pytest.raises(NonTruncatable):
         verify._ext_oracle("a", "-l", 1, (0,), [Param(F(2, 3), sign=-1)], 2)
+
+
+def fraction_fixed_length_sum(l, N):
+    """fixed_length_sum_enum as a Fraction loop: the reference."""
+    n = int(to2(N)) // 2
+    acc = {}
+    for lam in verify._partitions_exact_length(l, n):
+        w = sum(lam)
+        acc[(2 * w, ())] = acc.get((2 * w, ()), F(0)) + 1
+    return Series(to2(N), acc)
+
+
+def fraction_marked_part_sum(l, i, t, N):
+    """marked_part_sum_enum as a Fraction loop, one power of t per
+    partition: the reference."""
+    n = int(to2(N)) // 2
+    acc = {}
+    for lam in verify._partitions_exact_length(l, n):
+        w = sum(lam)
+        key = (2 * w, ())
+        acc[key] = acc.get(key, F(0)) + t.scalar_pow(lam[i - 1])
+    return Series(to2(N), acc)
+
+
+HALVES = st.sampled_from([F(k, 2) for k in range(17)])
+
+
+@st.composite
+def any_point(draw):
+    """A point s^2 q^d z^e of either sign: mostly scalar, sometimes zero,
+    q-shifted or charged."""
+    sign = draw(st.sampled_from([1, 1, -1]))
+    s = draw(st.fractions(-3, 3, max_denominator=7))
+    if not s:
+        return Param(0, sign=sign)
+    return Param(s, draw(st.sampled_from([0, 0, 0, F(1, 2), 1])),
+                 draw(st.sampled_from([0, 0, 0, 1])), sign=sign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), HALVES)
+def test_fixed_length_sum_matches_fraction_loop(l, N):
+    assert verify.fixed_length_sum_enum(l, N) \
+        == fraction_fixed_length_sum(l, N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 7), any_point(), HALVES)
+def test_marked_part_sum_matches_fraction_loop(l, i, t, N):
+    """Equal sums, or the same exception and message: t is refused only
+    when a partition is met, and an i outside 1..l reads lam[i - 1] as
+    the loop does."""
+    assert _outcome_and_message(verify.marked_part_sum_enum, l, i, t, N) \
+        == _outcome_and_message(fraction_marked_part_sum, l, i, t, N)
+
+
+def test_partition_sums_build_no_fraction_per_partition(monkeypatch):
+    """The enumeration sides of eq-555 and lemma-222 sum integers read from
+    per-part tables: the Fractions they build (reading the points) number
+    the same at N = 6, 10 and 14, however many partitions they walk."""
+    x, t = Param(F(2, 5)), Param(F(2, 3))
+    built = []
+    fraction_new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    counts = []
+    for N in (6, 10, 14):
+        monkeypatch.setattr(F, "__new__", counting_new)
+        cf.partition_ladder_sum(x, t, N)
+        verify.fixed_length_sum_enum(3, N)
+        verify.marked_part_sum_enum(3, 2, t, N)
+        monkeypatch.undo()
+        counts.append(len(built))
+        built.clear()
+    assert counts[0] == counts[1] == counts[2] <= 8
 
 
 class TestRunSuite:
