@@ -31,13 +31,14 @@ from .qseries import (
     Param,
     QSeriesError,
     Series,
-    _one_minus,
+    _half,
     _over_one_minus,
     _over_pochhammer,
     _qinf_inv,
+    _times_one_minus,
+    _times_pochhammer,
     c_term,
     pochhammer_inf,
-    pochhammer_n,
     power,
     qhyper,
     theta_jet,
@@ -72,26 +73,37 @@ def pair_vacuum(x: Param, y: Param, N) -> Series:
 def one_point_minus1(t: Param, N) -> Series:
     """Closed form of the charge-0, level -1 one-point function.
 
-    central * beta(t) plus, for each of t and 1/t with opposite signs, a sum
-    over i >= 1 of q^(i-1)/(q)_{i-1}^2 * (3Phi2(0,0,q; tq^i, q^i; q) - 1),
-    weighted by t^(1/2).
+    central * beta(t), central = 2Phi1(0, 0; q; q, q), plus, for each of t
+    and 1/t with opposite signs, t^(1/2) times the sum over i >= 1 of
+    q^(i-1)/(q)_(i-1)^2 * (3Phi2(0, 0, q; tq^i, q^i; q, q) - 1).
+
+    Term n >= 1 of that 3Phi2 is q^n/((tq^i)_n (q^i)_n).  With m = i+n-1,
+    (q)_(i-1) (q^i)_n = (q)_m and (tq^i)_n = (tq)_m/(tq)_(i-1), so the
+    double sum is sum_(m>=1) q^m S_m/((q)_m (tq)_m) with
+    S_m = sum_(j<m) (tq)_j/(q)_j.  It is read as one Horner nest
+    X <- q (S_m + X)/((1 - q^m)(1 - tq^m)) for m = floor(N), ..., 1, each
+    S_m kept to q^(N-m), the order at which the nest reads it.
     """
     if t.is_zero:
         raise DegenerateParameter("one-point function at the zero parameter")
     out = qhyper([_ZERO, _ZERO], [_q()], _q(), N) * c_term(t, N)
     n2 = to2(N)
+    top = n2 // 2
     for tt, sgn in ((t, 1), (t.inverse(), -1)):
-        acc = Series.zero(N)
-        inv = Series.one(N)  # 1/(q)_(i-1)^2, one factor pair per step
-        i = 1
-        while i - 1 <= n2 // 2:
-            if i > 1:
-                inv = _over_one_minus(_over_one_minus(inv, _q(i - 1)),
-                                      _q(i - 1))
-            phi = qhyper([_ZERO, _ZERO, _q()], [tt * _q(i), _q(i)], _q(), N)
-            acc = acc + inv.shift(i - 1) * (phi - Series.one(N))
-            i += 1
-        out = out + (power(tt, F(1, 2), N) * acc).scale(sgn)
+        r, s, sums = Series.one(N), Series.zero(N), []
+        for m in range(1, top + 1):
+            # r becomes (tq)_(m-1)/(q)_(m-1) and s S_m, both to q^(N-m)
+            r = r.truncate(_half(n2 - 2 * m))
+            if m > 1:
+                r = _over_one_minus(_times_one_minus(r, tt.qshift(m - 1)),
+                                    _q(m - 1))
+            s = s + r
+            sums.append(s)
+        x = Series.zero(_half(n2 - 2 * top))
+        for m in range(top, 0, -1):
+            x = (sums[m - 1] + x).shift(1)
+            x = _over_one_minus(_over_one_minus(x, _q(m)), tt.qshift(m))
+        out = out + (power(tt, F(1, 2), N) * x).scale(sgn)
     return out
 
 
@@ -139,8 +151,8 @@ def partition_ladder_closed(x: Param, t: Param, N) -> Series:
     x (tq)^(1/2) (xtq^(3/2))_inf / ((1-xq^(1/2)) (tq)_inf (xq^(1/2))_inf)
     * 2Phi2(xq^(1/2), xq^(1/2); xq^(3/2), xtq^(3/2); tq^2)."""
     q32 = _q(F(3, 2))
-    num = power(x, 1, N) * power(t * _q(), F(1, 2), N) \
-        * pochhammer_inf(x * t * q32, N)
+    num = _times_pochhammer(power(x, 1, N) * power(t * _q(), F(1, 2), N),
+                            x * t * q32)
     num = _over_one_minus(num, x * _QH)
     for a in (t * _q(), x * _QH):
         num = _over_pochhammer(num, a)
@@ -173,7 +185,7 @@ def gamma_bar(x: Param, t1: Param, t2: Param, N) -> Series:
     n2 = to2(N)
     q32 = _q(F(3, 2))
     pref_scalar = x.scalar_pow(2) * t1.scalar_pow(1) * t2.scalar_pow(1)
-    pref = Series.monomial(pref_scalar, 1, N) * pochhammer_inf(x * t1 * q32, N)
+    pref = _times_pochhammer(Series.monomial(pref_scalar, 1, N), x * t1 * q32)
     pref = _over_one_minus(_over_one_minus(pref, x * _QH), x * _QH)
     pref = _over_pochhammer(_over_pochhammer(pref, x * _QH), t1 * _q())
     t2i = t2.inverse()
@@ -181,7 +193,9 @@ def gamma_bar(x: Param, t1: Param, t2: Param, N) -> Series:
     acc = Series.zero(N)
     s = 0
     while 6 * s + s * (s - 1) <= n2:
-        ratio = pochhammer_n(x * _QH, s, N) ** 3
+        ratio = Series.one(N)
+        for _ in range(3):
+            ratio = _times_pochhammer(ratio, x * _QH, s)
         for b in (x * t1 * q32, _q(), x * q32, x * q32):
             ratio = _over_pochhammer(ratio, b, s)
         a = x * _q(s + F(1, 2))
@@ -216,8 +230,7 @@ def generalized_two_point(x: Param, y: Param, t1: Param, t2: Param, N) -> Series
     if t12.d2 == 0 and t12.e2 == 0 and t12.sign == 1 and t12.value_coeff == 1:
         raise DegenerateParameter("two-point closed form needs t1*t2 != 1")
     t1i, t2i = t1.inverse(), t2.inverse()
-    px = pochhammer_inf(x * _QH, N)
-    py = pochhammer_inf(y * _QH, N)
+    pxy = _times_pochhammer(pochhammer_inf(x * _QH, N), y * _QH)
     out = gamma_sym(x, y, t1, t2, N) + gamma_sym(y, x, t1i, t2i, N)
     out = out + omega(x, y, t1 * t2, N) + omega(y, x, t1i * t2i, N)
     out = out + (omega(x, y, t2, N) - omega(y, x, t2i, N)) * c_term(t1, N)
@@ -226,7 +239,7 @@ def generalized_two_point(x: Param, y: Param, t1: Param, t2: Param, N) -> Series
     # other inverted point: L(t1)M(t2) + L(t2)M(t1)
     cross = omega(x, y, t1, N) * omega(y, x, t2i, N) \
         + omega(x, y, t2, N) * omega(y, x, t1i, N)
-    out = out - px * py * cross
+    out = out - pxy * cross
     out = out + c_term(t1, N) * c_term(t2, N) * pair_vacuum(x, y, N)
     return out
 
@@ -370,8 +383,8 @@ def c_one_point_half(t: Param, N) -> Series:
     fac = _over_one_minus(Series.one(N), _QH).shift(F(1, 2)).scale(-1)
     q32 = _q(F(3, 2))
     for tt, sgn in ((t, -1), (t.inverse(), 1)):
-        blk = _over_pochhammer(power(tt, F(1, 2), N)
-                               * pochhammer_inf(tt * q32, N), tt * _q()) \
+        blk = _over_pochhammer(_times_pochhammer(power(tt, F(1, 2), N),
+                                                 tt * q32), tt * _q()) \
             * qhyper([_QH, _QH], [q32, tt * q32], tt * _q(2), N)
         out = out + (pre * fac * blk).scale(sgn)
     return out
@@ -555,12 +568,12 @@ def _c_positive_half_qdim(inst: "DualityInstance", label, N,
     if form == "product":
         out = Series.monomial(1, F(sum(v * v for v in lam), 2), N)
         for i in range(l):
-            out = out * _one_minus(_q(lam[i] + l - i - F(1, 2)), N)
+            out = _times_one_minus(out, _q(lam[i] + l - i - F(1, 2)))
         for i in range(l):
             for j in range(i + 1, l):
-                out = out * _one_minus(_q(lam[i] - lam[j] + j - i), N)
-                out = out * _one_minus(
-                    _q(lam[i] + lam[j] + 2 * l - i - j - 1), N)
+                out = _times_one_minus(out, _q(lam[i] - lam[j] + j - i))
+                out = _times_one_minus(
+                    out, _q(lam[i] + lam[j] + 2 * l - i - j - 1))
         return pre * out
     raise IllegalPower("unknown form %r" % form)
 

@@ -20,10 +20,13 @@ sums add and multiply Python ints only; a Fraction is built when a
 coefficient is read out, through the terms property ({(q2, zkey): Fraction})
 or first_difference.
 
-A quotient by a factor (1 - a) is one integer pass over the dividend's
-q-layers (_over_one_minus), and a quotient by a Pochhammer symbol (a)_n or
-(a)_inf is one such pass per factor (_over_pochhammer); Series.invert serves
-general divisors, such as theta functions.
+A product or a quotient by a factor (1 - a) is one integer pass over the
+other operand's numerators (_times_one_minus, _over_one_minus), and a
+product or a quotient by a Pochhammer symbol (a)_n or (a)_inf is one such
+pass per factor (_times_pochhammer, _over_pochhammer), so (a)_n and (a)_inf
+themselves are built without a Series product; Series.__mul__ serves
+general factors and Series.invert general divisors, such as theta
+functions.
 """
 
 from __future__ import annotations
@@ -579,6 +582,32 @@ def _one_minus(p: Param, N: HalfLike) -> Series:
     return _reduced(t2, den, nums)
 
 
+def _times_one_minus(s: Series, p: Param) -> Series:
+    """s (1 - p), exact to s's truncation, in one pass over its numerators.
+
+    For p = c m with m = q^d z^e, d > 0, and c = sign a^2 / b^2, the
+    numerators over den * B, B = b^2, are out[k] = B S[k] - sign a^2
+    S[k - m].  A p with d <= 0 takes the generic product, the factor taken
+    to s's relative order so that it cuts nothing off.
+    """
+    t2, d2 = s.trunc2, p.d2
+    if d2 <= 0:
+        return s * _one_minus(p, _half(t2 - (s.min2() or 0)))
+    A, B = p.sign * p.s.numerator ** 2, p.s.denominator ** 2
+    ze = ((p.zvar, p.e2),) if p.e2 else ()
+    out = {k: n * B for k, n in s.nums.items()}
+    lim = t2 - d2
+    for (q2, zk), n in s.nums.items():
+        if q2 <= lim:
+            k = (q2 + d2, _zmul(zk, ze))
+            n = out.get(k, 0) - A * n
+            if n:
+                out[k] = n
+            else:
+                del out[k]
+    return _reduced(t2, s.den * B, out)
+
+
 def _over_one_minus(s: Series, p: Param) -> Series:
     """s / (1 - p), exact to s's truncation, in one pass over its q-layers.
 
@@ -677,6 +706,15 @@ def _over_pochhammer(s: Series, a: Param, n: Optional[int] = None) -> Series:
     return s
 
 
+def _times_pochhammer(s: Series, a: Param, n: Optional[int] = None) -> Series:
+    """s (a)_n, or s (a)_inf when n is None, exact to s's truncation: one
+    _times_one_minus per factor whose step reaches it."""
+    v2 = s.min2()
+    for p in _pochhammer_factors(a, n, s.trunc2 - (v2 or 0)):
+        s = _times_one_minus(s, p)
+    return s
+
+
 def c_term(t: Param, N: HalfLike) -> Series:
     """beta(t) = 1/(t^(-1/2) - t^(1/2)) = t^(1/2)/(1 - t)."""
     if t.is_zero:
@@ -700,10 +738,7 @@ def beta_scalar(t: Param) -> Fraction:
 
 def pochhammer_n(a: Param, n: int, N: HalfLike) -> Series:
     """(a)_n = (1-a)(1-aq)...(1-aq^(n-1))."""
-    out = Series.one(N)
-    for p in _pochhammer_factors(a, n, to2(N)):
-        out = out * _one_minus(p, N)
-    return out
+    return _times_pochhammer(Series.one(N), a, n)
 
 
 def pochhammer_inf(a: Param, N: HalfLike) -> Series:
@@ -713,12 +748,7 @@ def pochhammer_inf(a: Param, N: HalfLike) -> Series:
     argument contributes a scalar factor (1 - s^2) at i = 0 and truncatable
     factors afterwards; s^2 = 1 there gives the exact value 0.
     """
-    out = Series.one(N)
-    for p in _pochhammer_factors(a, None, to2(N)):
-        out = out * _one_minus(p, N)
-        if out.is_zero():
-            break
-    return out
+    return _times_pochhammer(Series.one(N), a)
 
 
 @lru_cache(maxsize=64)
@@ -744,8 +774,9 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
     * arg^n.  Truncation relies on the guaranteed valuation
     n*val(arg) + max(0, 1+s-r)*n(n-1)/2 growing past N.  An upper
     parameter equal to q cancels the (q)_n, so neither is applied; each
-    lower factor 1/(1 - b q^(n-1)) and 1/(1 - q^n) is one _over_one_minus
-    pass over the running term.
+    upper factor (1 - a q^(n-1)) is one _times_one_minus pass over the
+    running term, and each lower factor 1/(1 - b q^(n-1)) and 1/(1 - q^n)
+    one _over_one_minus pass.
     """
     r, s = len(upper), len(lower)
     extra = 1 + s - r
@@ -763,7 +794,7 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
     n = 1
     while n * v2 + extra * n * (n - 1) <= t2:
         for a in upper:
-            term = term * _one_minus(a.qshift(n - 1), N)
+            term = _times_one_minus(term, a.qshift(n - 1))
         for b in lower:
             if b.is_zero:
                 raise DegenerateParameter("zero lower parameter")

@@ -156,25 +156,17 @@ def ff_product_side(u: Param, N) -> Series:
     return (pochhammer_inf(u, N) * pochhammer_inf(uinvq, N)).invert()
 
 
-def _geometric(r_scalar: F, rq2: int, start: int, N) -> Series:
-    """sum_{k>=start} r^k for the monomial r = r_scalar * q^(rq2/2).
+def _geometric(r: Param, start: int, N) -> Series:
+    """sum_{k>=start} r^k = r^start/(1-r) for the point r = sign s^2 q^d.
 
     A ratio with positive q-valuation expands termwise; a scalar ratio
-    (q-valuation zero) resums to the exact rational 1/(1-r) — the reading
-    that makes the formal bilateral sum converge coefficientwise."""
-    n2 = to2(N)
-    if rq2 < 0:
+    (q-valuation zero) resums to the exact rational r^start/(1-r) — the
+    reading that makes the formal bilateral sum converge coefficientwise."""
+    if r.d2 < 0:
         raise ValueError("geometric ratio with negative q-valuation")
-    if rq2 == 0:
-        if r_scalar == 1:
-            raise ZeroDivisionError("geometric ratio equal to 1")
-        total = 1 / (1 - r_scalar) - sum(r_scalar ** k for k in range(start))
-        return Series.const(total, N)
-    tail = Series.one(N) - Series(n2, {(rq2, ()): r_scalar})
-    out = tail.invert()
-    if start:
-        out = out * Series(n2, {(start * rq2, ()): r_scalar ** start})
-    return out
+    if r.d2 == 0 and r.value_coeff == 1:
+        raise ZeroDivisionError("geometric ratio equal to 1")
+    return _over_one_minus(power(r, start, N), r)
 
 
 def ff_sum_side(u: Param, N) -> Series:
@@ -186,12 +178,11 @@ def ff_sum_side(u: Param, N) -> Series:
     d2 = u.qval2()
     if d2 <= 0:
         raise ValueError("u must carry a positive q-power")
-    us = u.s * u.s
     out = Series.zero(N)
     m = 0
     while m * (m + 1) <= n2:
-        asc = _geometric(us, d2 + 2 * m, 0, N)
-        desc = _geometric(1 / us, 2 * (m + 1) - d2, 1, N)
+        asc = _geometric(Param(u.s, F(d2 + 2 * m, 2)), 0, N)
+        desc = _geometric(Param(1 / u.s, F(2 * (m + 1) - d2, 2)), 1, N)
         blk = (asc + desc).shift(m * (m + 1) // 2)
         out = out + blk.scale((-1) ** m)
         m += 1

@@ -19,9 +19,13 @@ from qfock.qseries import (
     IllegalPower,
     Param,
     Series,
+    _over_one_minus,
     beta_scalar,
+    c_term,
     first_difference,
     pochhammer_inf,
+    power,
+    qhyper,
     series_equal,
     theta,
     theta_jet,
@@ -62,6 +66,76 @@ class TestOnePoint:
         b = beta_scalar(t)
         assert qcoeff(closed, 0) == b
         assert qcoeff(closed, 1) == b - 1 / b
+
+
+def qhyper_one_point(t, N):
+    """one_point_minus1 as the paper writes it: for each i >= 1 one
+    3Phi2(0, 0, q; tq^i, q^i; q, q), weighted by q^(i-1)/(q)_(i-1)^2."""
+    if t.is_zero:
+        raise DegenerateParameter("one-point function at the zero parameter")
+    zero, q1 = Param(0), Param(1, 1)
+    out = qhyper([zero, zero], [q1], q1, N) * c_term(t, N)
+    n2 = to2(N)
+    for tt, sgn in ((t, 1), (t.inverse(), -1)):
+        acc = Series.zero(N)
+        inv = Series.one(N)  # 1/(q)_(i-1)^2, one factor pair per step
+        i = 1
+        while i - 1 <= n2 // 2:
+            if i > 1:
+                inv = _over_one_minus(_over_one_minus(inv, Param(1, i - 1)),
+                                      Param(1, i - 1))
+            phi = qhyper([zero, zero, q1], [tt.qshift(i), Param(1, i)], q1, N)
+            acc = acc + inv.shift(i - 1) * (phi - Series.one(N))
+            i += 1
+        out = out + (power(tt, F(1, 2), N) * acc).scale(sgn)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_point(), st.sampled_from([F(k, 2) for k in range(21)]))
+@example(Param(F(2, 3)), 10)
+@example(Param(F(-5, 7)), F(19, 2))
+@example(Param(F(2, 3), 0, 1), 3)        # charged: refused by beta(t)
+@example(Param(F(2, 3), 1), 3)           # q-shifted: refused at t.inverse()
+@example(Param(F(2, 3), F(1, 2)), 3)     # half q-shift: refused at t^(1/2)
+@example(Param(0), 3)
+@example(Param(F(2, 3), sign=-1), 3)
+@example(Param(1), 2)
+def test_one_point_nested_sum_matches_hypergeometric_loop(t, N):
+    """The Horner nest over m = i + n - 1 equals the sum of 3Phi2's,
+    truncation included, or both raise with the same exception and
+    message."""
+    assert _outcome_and_message(cf.one_point_minus1, t, N) \
+        == _outcome_and_message(qhyper_one_point, t, N)
+
+
+def test_one_point_cost_does_not_grow_with_N(monkeypatch):
+    """one_point_minus1 calls qhyper once, for the t-free central 2Phi1,
+    and makes as many Series products outside it at N = 6, 12 and 20."""
+    calls, inside = [], []
+
+    def counting_qhyper(*args, _qhyper=cf.qhyper):
+        calls.append("qhyper")
+        inside.append(1)
+        try:
+            return _qhyper(*args)
+        finally:
+            inside.pop()
+
+    def counting_mul(self, other, _mul=Series.__mul__):
+        if not inside:
+            calls.append("mul")
+        return _mul(self, other)
+
+    monkeypatch.setattr(cf, "qhyper", counting_qhyper)
+    monkeypatch.setattr(Series, "__mul__", counting_mul)
+    counts = []
+    for N in (6, 12, 20):
+        calls.clear()
+        cf.one_point_minus1(Param(F(2, 3)), N)
+        assert calls.count("qhyper") == 1
+        counts.append(calls.count("mul"))
+    assert counts[0] == counts[1] == counts[2]
 
 
 class TestGeneralizedOnePoint:

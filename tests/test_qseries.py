@@ -34,6 +34,9 @@ from qfock.qseries import (
     _one_minus,
     _over_one_minus,
     _over_pochhammer,
+    _pochhammer_factors,
+    _times_one_minus,
+    _times_pochhammer,
     _zmul,
 )
 
@@ -1092,3 +1095,111 @@ def test_quotients_call_no_generic_inverse(monkeypatch):
            Param(F(1, 2), 1), 8)
     cf.one_point_minus1(t, 6)
     assert calls == []
+
+
+# -- products by (1 - p) factors against the generic product ---------------
+# The reference multiplies as every product by such a factor was built
+# before _times_one_minus: the generic product with the two-term series, the
+# factor taken to s's relative order so that it cuts nothing off, and the
+# symbols (a)_n and (a)_inf as a loop of those products.
+
+
+def _ref_times_one_minus(s, p):
+    return s * _one_minus(p, _half(s.trunc2 - (s.min2() or 0)))
+
+
+def _loop_pochhammer(a, n, N):
+    """(a)_n, or (a)_inf when n is None, as the loop of products that
+    pochhammer_n and pochhammer_inf were."""
+    out = Series.one(N)
+    for p in _pochhammer_factors(a, n, to2(N)):
+        out = out * _one_minus(p, N)
+        if out.is_zero():
+            break
+    return out
+
+
+def _ref_times_pochhammer(s, a, n):
+    return s * _loop_pochhammer(a, n, _half(s.trunc2 - (s.min2() or 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2).flatmap(
+    lambda n: st.tuples(fraction_series(n), st.one_of(
+        st.just(Param(0)), st.just(Param(1)), points(n)))))
+@example((Series(4, {(0, ()): F(2, 3), (3, ()): F(-1, 5)}),
+          Param(F(2, 3), F(1, 2), sign=-1)))                  # den > 1, sign -1
+@example((Series(3, {(-4, ((1, 1),)): F(1, 7), (0, ()): F(3)}),
+          Param(F(3, 2), 1, F(-1, 2))))                       # negative lowest
+@example((Series(2, {(0, ()): F(1)}), Param(F(5, 3), 3)))    # p above trunc
+@example((Series(6, {(-1, ()): F(1)}), Param(1)))            # 1 - p = 0
+@example((Series(6, {(1, ()): F(1)}), Param(2, 0, 1)))       # 1 - 4 z
+@example((Series(6, {(1, ()): F(1)}), Param(F(1, 2), -1)))   # 1 - q^(-1)/4
+@example((Series.zero(F(-3, 2)), Param(F(2, 3), 1)))
+@example((Series(4, {(0, ()): F(1), (2, ()): F(-1)}), Param(1, 1)))  # cancels
+def test_times_one_minus_matches_generic_product(operands):
+    """s (1 - p) in one pass equals the generic product, truncation
+    included, on 0-2 charge variables, with half-integer exponents, a
+    negative sign, a zero series and a zero factor."""
+    s, p = operands
+    got = _times_one_minus(s, p)
+    assert_canonical(got)
+    assert got == _ref_times_one_minus(s, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2).flatmap(
+    lambda n: st.tuples(fraction_series(n), st.one_of(
+        st.just(Param(0)), st.just(Param(1)), points(n, d2_min=0)))),
+    st.one_of(st.none(), st.integers(0, 5)))
+@example((Series(4, {(-2, ()): F(3)}), Param(F(2, 3))), None)
+@example((Series(4, {(0, ()): F(1)}), Param(1)), 3)           # (1)_3 = 0
+@example((Series(4, {(0, ()): F(1)}), Param(1, 0, 1)), None)  # never truncates
+@example((Series.zero(F(-1, 2)), Param(1)), None)
+def test_times_pochhammer_matches_product_loop(operands, n):
+    """s (a)_n and s (a)_inf (n None) factor by factor equal the generic
+    product with the symbol built as a loop of products, or both raise
+    with the same exception and message."""
+    s, a = operands
+    got = _result(_times_pochhammer, s, a, n)
+    want = _result(_ref_times_pochhammer, s, a, n)
+    if isinstance(got, Series):
+        assert_canonical(got)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 1).flatmap(lambda n: st.one_of(
+    st.just(Param(0)), st.just(Param(1)), points(n, d2_min=0))),
+    st.one_of(st.none(), st.integers(0, 6)),
+    st.integers(0, 12).map(lambda n2: F(n2, 2)))
+@example(Param(1), None, 4)                          # (1)_inf = 0
+@example(Param(-1, 0, sign=-1), None, F(7, 2))       # leading factor 2
+@example(Param(F(2, 3), 0, 1), None, 3)              # never truncates
+def test_pochhammer_matches_product_loop(a, n, N):
+    """(a)_n and (a)_inf equal the loop of products they were built by,
+    truncation included, or both raise with the same exception and
+    message."""
+    if n is None:
+        got = _result(pochhammer_inf, a, N)
+    else:
+        got = _result(pochhammer_n, a, n, N)
+    assert got == _result(_loop_pochhammer, a, n, N)
+
+
+def test_products_by_one_minus_factors_make_no_series_product(monkeypatch):
+    """(q)_inf is built without Series.__mul__, and qhyper multiplies its
+    running term by the monomial argument only: an upper factor (1 - a q^k)
+    with k > 0 is one _times_one_minus pass."""
+    calls = []
+
+    def recording_mul(self, other, _mul=Series.__mul__):
+        calls.append(other)
+        return _mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", recording_mul)
+    pochhammer_inf(Param(1, 1), 30)
+    assert calls == []
+    qhyper([Param(F(3, 5), F(1, 2)), Param(F(2, 3), 1)], [Param(F(5, 7), 1)],
+           Param(F(1, 2), 1), 12)
+    assert calls and all(len(o.nums) == 1 for o in calls)

@@ -121,3 +121,32 @@ def test_quotients_by_one_minus_factors_have_one_path():
                 if built & factors:
                     users.add("%s.%s" % (name, getattr(top, "name", "?")))
     assert users == {"qseries._over_one_minus"}
+
+
+def test_products_by_one_minus_factors_have_one_path():
+    """In qseries.py, closedform.py and modesum.py no Series is multiplied
+    by an expression that builds ``_one_minus``, ``pochhammer_n`` or
+    ``pochhammer_inf``, except in the d <= 0 fallbacks of the kernels
+    themselves: every product by (1 - p) factors and Pochhammer symbols is
+    one pass of ``_times_one_minus`` per factor."""
+    factors = {"_one_minus", "pochhammer_n", "pochhammer_inf"}
+    users = set()
+    for name in ("qseries", "closedform", "modesum"):
+        tree = ast.parse((ROOT / "src" / "qfock" / (name + ".py")).read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.BinOp):
+                    operands = (node.left, node.right)
+                elif isinstance(node, ast.AugAssign):
+                    operands = (node.value,)
+                else:
+                    continue
+                if not isinstance(node.op, ast.Mult):
+                    continue
+                built = {n.func.id for operand in operands
+                         for n in ast.walk(operand)
+                         if isinstance(n, ast.Call)
+                         and isinstance(n.func, ast.Name)}
+                if built & factors:
+                    users.add("%s.%s" % (name, getattr(top, "name", "?")))
+    assert users == {"qseries._over_one_minus", "qseries._times_one_minus"}

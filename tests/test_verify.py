@@ -108,15 +108,31 @@ class TestRunCheck:
                                     (F(-5, 7), 2), (F(3), 3)])
 @pytest.mark.parametrize("N", [0, F(3, 2), 4])
 def test_geometric_matches_explicit_sum(start, r, rq2, N):
-    """sum_(k>=start) r^k against the explicit sum: r^start/(1 - r) for a
-    scalar ratio, the terms up to q^N otherwise; == checks the truncation."""
+    """sum_(k>=start) c^k q^(k rq2/2), c = sign(r) r^2, against the
+    explicit sum: c^start/(1 - c) for a scalar ratio, the terms up to q^N
+    otherwise; == checks the truncation."""
     n2 = to2(N)
+    ratio = Param(abs(r), F(rq2, 2), sign=1 if r > 0 else -1)
+    c = ratio.value_coeff
     if rq2 == 0:
-        want = Series.const(r ** start / (1 - r), N)
+        want = Series.const(c ** start / (1 - c), N)
     else:
-        want = Series(n2, {(k * rq2, ()): r ** k
+        want = Series(n2, {(k * rq2, ()): c ** k
                            for k in range(start, n2 // rq2 + 1)})
-    assert verify._geometric(r, rq2, start, N) == want
+    assert verify._geometric(ratio, start, N) == want
+
+
+@pytest.mark.parametrize("ratio, exc", [
+    (Param(1), ZeroDivisionError), (Param(-1, 0, sign=-1), None),
+    (Param(F(2, 3), F(-1, 2)), ValueError)])
+def test_geometric_refusals(ratio, exc):
+    """A scalar ratio 1 and a ratio of negative q-valuation are refused; a
+    scalar ratio -1 resums to the exact rational 1/2."""
+    if exc is None:
+        assert verify._geometric(ratio, 0, 3) == Series.const(F(1, 2), 3)
+    else:
+        with pytest.raises(exc):
+            verify._geometric(ratio, 0, 3)
 
 
 def test_ext_oracle_cache_keeps_point_sign():
