@@ -15,8 +15,6 @@ This module implements the explicit formulas that the enumeration oracles in
 * the residual of the first-point q-shift difference equations.
 """
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
@@ -37,11 +35,11 @@ from .qseries import (
     _qinf_inv,
     _times_one_minus,
     _times_pochhammer,
+    _theta_sums,
     c_term,
     pochhammer_inf,
     power,
     qhyper,
-    theta_jet,
     to2,
 )
 
@@ -249,26 +247,6 @@ def generalized_two_point(x: Param, y: Param, t1: Param, t2: Param, N) -> Series
 
 F_BO_CAP = 4
 
-class _ThreadTheta(threading.local):
-    # {doubled truncation: (jets, inverses, divided entries) keyed by point}
-    # while _shared_theta runs in this thread, else None and every f_bo
-    # keeps its own
-    memo: Optional[dict] = None
-
-
-_THETA = _ThreadTheta()
-
-
-@contextmanager
-def _shared_theta():
-    """Let the f_bo calls inside share one theta memo, freed on exit.  It
-    holds only results: a refused call leaves nothing behind."""
-    outer, _THETA.memo = _THETA.memo, {}
-    try:
-        yield
-    finally:
-        _THETA.memo = outer
-
 
 def f_bo(points: Sequence[Param], N) -> Series:
     """Bloch-Okounkov's permutation sum of theta-jet determinants,
@@ -278,40 +256,37 @@ def f_bo(points: Sequence[Param], N) -> Series:
         / (Theta(P_1) ... Theta(P_n)),
 
     where P_m is the product of the first m sigma-ordered points (P_0 = 1)
-    and entries with j - i + 1 < 0 vanish.  The matrix is upper Hessenberg
-    with subdiagonal Theta(P_(n-1)), ..., Theta(P_1); dividing column j < n
-    by Theta(P_(n-j)) leaves 1/((q)_inf Theta(P_n)) * sum_sigma D_n, where
-    h_(i,j) are the divided entries, D_0 = 1 and
-    D_m = sum_(i<=m) (-1)^(m-i) h_(i,m) D_(i-1).
-
-    The jet at P_j is built to the order n - j its entries read.  Jets,
-    inverses 1/Theta and divided entries are memoised by point and
-    truncation: within the call, or under _shared_theta across every f_bo
-    call of one duality reduction, whose eps-signed point subsets share most
-    partial products.  A partial product at a zero of Theta, 1 or q^(+-1),
-    is refused with DegenerateParameter.
+    and entries with j - i + 1 < 0 vanish; evaluated by _f_bo_all.
     """
-    n = len(points)
-    if n > F_BO_CAP:
-        raise CapExceeded("f_bo limited to %d points" % F_BO_CAP)
+    return _f_bo_all([points], N)[0]
+
+
+def _f_bo_all(point_lists: Sequence[Sequence[Param]], N) -> List[Series]:
+    """[f_bo(points, N) for points in point_lists], in order, with one memo
+    of theta data for the batch, keyed by point: the eps-signed point
+    subsets of one duality reduction share most partial products.
+
+    The matrix is upper Hessenberg with subdiagonal Theta(P_(n-1)), ...,
+    Theta(P_1); dividing column j < n by Theta(P_(n-j)) leaves
+    1/((q)_inf Theta(P_n)) * sum_sigma D_n, with D_0 = 1 and
+    D_m = sum_(i<=m) (-1)^(m-i) h_(i,m) D_(i-1) over the divided entries h.
+    A jet entry is (q)_inf^(-3) times the sum S_k of _theta_sums, so an
+    entry is S_k(P)/S_0(P), and D_n is linear in its last column, S_k(1):
+    the factor cancels and is never built.  The sums at a point are built
+    once, to the order of the longest list.  A partial product at a zero of
+    Theta, 1 or q^(+-1), is refused after every point theta refuses.
+    """
     t2 = to2(N)
     qinf_inv = _qinf_inv(t2, 1)
-    if n == 0:
-        return qinf_inv
+    order = max(map(len, point_lists), default=0)
     one = Param(F(1))
-    memo = _THETA.memo
-    if memo is None:
-        memo = {}
-    jets, inverses, entries = memo.setdefault(t2, ({}, {}, {}))
+    sums, inverses, entries = {}, {}, {}
 
-    def jet_of(p: Param, k: int) -> List[Series]:
-        """The theta jet at p to order at least k: the longest one asked
-        for so far at p."""
+    def sums_at(p: Param) -> List[Series]:
         key = _scalar_key(p)
-        jet = jets.get(key)
-        if jet is None or len(jet) <= k:
-            jet = jets[key] = theta_jet(p, k, N)
-        return jet
+        if key not in sums:
+            sums[key] = _theta_sums(p, order, N)
+        return sums[key]
 
     def inverse(p: Param) -> Series:
         key = _scalar_key(p)
@@ -320,40 +295,49 @@ def f_bo(points: Sequence[Param], N) -> Series:
                 raise DegenerateParameter(
                     "theta vanishes at a partial product equal to 1 or "
                     "q^(+-1)")
-            inverses[key] = jet_of(p, 0)[0].invert()
+            inverses[key] = sums_at(p)[0].invert()
         return inverses[key]
 
     def entry(p: Param, k: int) -> Series:
         """Theta^(k)(p) / (k! Theta(p)), an entry of a divided column."""
         key = (_scalar_key(p), k)
         if key not in entries:
-            entries[key] = jet_of(p, k)[k] * inverse(p)
+            entries[key] = sums_at(p)[k] * inverse(p)
         return entries[key]
 
-    total = Series.zero(N)
-    for sigma in permutations(range(n)):
-        prefix = [one]
-        for idx in sigma:
-            prefix.append(prefix[-1] * points[idx])
-        # every jet first, then 1/Theta(P_1), ..., 1/Theta(P_n): a point
-        # theta refuses is reported before a vanishing Theta
-        for j in range(1, n):
-            jet_of(prefix[j], n - j)
-        for p in prefix[1:]:
-            inverse(p)
-        D = [Series.one(N)]
-        for m in range(1, n + 1):
-            acc = Series.zero(N)
-            for i in range(1, m + 1):
-                k = m - i + 1
-                h = entry(prefix[n - m], k) if m < n else jet_of(one, n)[k]
-                term = h * D[i - 1]
-                acc = acc - term if (m - i) % 2 else acc + term
-            D.append(acc)
-        total = total + D[n]
-    # P_n, the product of all points, is the same for every sigma; dividing
-    # by a Theta that starts at q^(-|d|/2) can leave more than O(q^N)
-    return (qinf_inv * inverse(prefix[n]) * total).truncate(N)
+    def one_f_bo(points: Sequence[Param]) -> Series:
+        n = len(points)
+        if n > F_BO_CAP:
+            raise CapExceeded("f_bo limited to %d points" % F_BO_CAP)
+        if n == 0:
+            return qinf_inv
+        total = Series.zero(N)
+        for sigma in permutations(range(n)):
+            prefix = [one]
+            for idx in sigma:
+                prefix.append(prefix[-1] * points[idx])
+            # every sum first, then 1/S_0(P_1), ..., 1/S_0(P_n): a point
+            # theta refuses is reported before a vanishing Theta
+            for p in prefix[1:n]:
+                sums_at(p)
+            for p in prefix[1:]:
+                inverse(p)
+            D = [Series.one(N)]
+            for m in range(1, n + 1):
+                acc = Series.zero(N)
+                for i in range(1, m + 1):
+                    k = m - i + 1
+                    h = entry(prefix[n - m], k) if m < n else sums_at(one)[k]
+                    term = h * D[i - 1]
+                    acc = acc - term if (m - i) % 2 else acc + term
+                D.append(acc)
+            total = total + D[n]
+        # P_n, the product of all points, is the same for every sigma;
+        # dividing by S_0, which starts at q^(-|d|/2), can leave more
+        # than O(q^N)
+        return (qinf_inv * inverse(prefix[n]) * total).truncate(N)
+
+    return [one_f_bo(points) for points in point_lists]
 
 
 def level1_sector(k: int, points: Sequence[Param], N) -> Series:
@@ -665,10 +649,9 @@ def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
     boson pair, one f_bo per eps-signed subset for a fermion pair."""
     if inst.factors[0] == "fermion_pair":
         signed = {U: _eps_signed(points, U) for U in masks}
-        # the eps-signed subsets share most partial products
-        with _shared_theta():
-            bases = {M: f_bo(pts, N) for row in signed.values()
-                     for _, M, pts in row}
+        # one batch: the eps-signed subsets share most partial products
+        subsets = {M: pts for row in signed.values() for _, M, pts in row}
+        bases = dict(zip(subsets, _f_bo_all(list(subsets.values()), N)))
         return {k: {U: sum((_charge_shift(k, pts, bases[M]).scale(s)
                             for s, M, pts in row), Series.zero(N))
                     for U, row in signed.items()} for k in charges}

@@ -820,15 +820,13 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
 # -- theta function and jets ------------------------------------------------
 
 
-def theta_jet(t: Param, k: int, N: HalfLike) -> List[Series]:
-    """Jet of Theta(t) = (t^(1/2)-t^(-1/2)) (q)_inf^(-2) (qt)_inf (qt^(-1))_inf
-    under t -> t e^eps, to eps-order k: entry j is (t d/dt)^j Theta / j!.
-
-    By the Jacobi triple product Theta(t) = (q)_inf^(-3) sum_(n in Z)
-    (-1)^(n+1) q^(n(n-1)/2) t^(n-1/2), so entry j weights term n by
-    (n-1/2)^j / j!.  The sums are built in integers: for t = (a/b)^2 q^d,
-    e = 2n - 1 and E the largest |e| summed, term n of entry j is
-    (-1)^(n+1) sgn(a) |a|^(E+e) b^(E-e) e^j over |a|^E b^E 2^j j!.
+def _theta_sums(t: Param, k: int, N: HalfLike) -> List[Series]:
+    """The triple-product sums S_0..S_k at t to order N + |d|/2, for
+    t = (a/b)^2 q^d: Theta(t) = (q)_inf^(-3) S_0(t) by the Jacobi triple
+    product, and (t d/dt)^j Theta / j! = (q)_inf^(-3) S_j(t) with
+    S_j(t) = sum_(n in Z) (-1)^(n+1) q^(n(n-1)/2) t^(n-1/2) (n-1/2)^j / j!.
+    In integers: with e = 2n - 1 and E the largest |e| summed, term n of
+    S_j is (-1)^(n+1) sgn(a) |a|^(E+e) b^(E-e) e^j over |a|^E b^E 2^j j!.
     """
     if t.e2:
         raise IllegalPower("theta of a charge-carrying point")
@@ -836,8 +834,8 @@ def theta_jet(t: Param, k: int, N: HalfLike) -> List[Series]:
         raise IllegalPower("theta of a negative point")
     t.pow_monomial(Fraction(1, 2))  # refuses a half-integer q-shift d
     d = t.d2 // 2
-    # the sum starts at q^(-|d|/2) and costs the product with
-    # (q)_inf^(-3) that much truncation, so work |d|/2 higher than asked
+    # the sums start at q^(-|d|/2), which a product with them costs in
+    # truncation, so work |d|/2 higher than asked
     t2 = to2(N) + abs(d)
     if abs(t.d2) > 2 and 2 - abs(t.d2) <= t2:
         raise IllegalPower("theta needs qval(%s) >= 0"
@@ -866,13 +864,19 @@ def theta_jet(t: Param, k: int, N: HalfLike) -> List[Series]:
         for nums in acc:
             nums[key] = nums.get(key, 0) + c
             c *= e
-    qinf_inv3 = _qinf_inv(t2, 3)
     out, den = [], a ** E * b ** E
     for j, nums in enumerate(acc):
-        out.append((Series.from_numerators(t2, den, nums) * qinf_inv3)
-                   .truncate(N))
+        out.append(Series.from_numerators(t2, den, nums))
         den *= 2 * (j + 1)
     return out
+
+
+def theta_jet(t: Param, k: int, N: HalfLike) -> List[Series]:
+    """Jet of Theta(t) = (t^(1/2)-t^(-1/2)) (q)_inf^(-2) (qt)_inf (qt^(-1))_inf
+    under t -> t e^eps, to eps-order k: entry j is (t d/dt)^j Theta / j!,
+    the sum S_j of _theta_sums times (q)_inf^(-3), truncated to N."""
+    return [(s * _qinf_inv(s.trunc2, 3)).truncate(N)
+            for s in _theta_sums(t, k, N)]
 
 
 def theta(t: Param, N: HalfLike) -> Series:

@@ -4,7 +4,6 @@ level-one sectors, neutral-boson one-point function, graded dimensions of
 every negative-level family, the Weyl-group duality reductions, and the
 first-point q-shift difference equations."""
 
-from contextlib import nullcontext
 from fractions import Fraction as F
 from itertools import combinations, permutations, product as iter_product
 
@@ -13,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from qfock import closedform as cf
 from qfock import combinat, fock, modesum, verify
+from qfock import qseries as qs
 from qfock.qseries import (
     CapExceeded,
     DegenerateParameter,
@@ -355,6 +355,41 @@ def test_f_bo_refuses_theta_zeros_at_q_powers(spec):
     points = [Param(s, d) for s, d in spec]
     with pytest.raises(DegenerateParameter):
         cf.f_bo(points, 2)
+
+
+# points whose products recur across lists, and points theta refuses
+_A, _B, _C, _D = pts(F(2, 3), F(3, 2), F(3, 5), F(5, 3))
+_Q2 = Param(F(2, 3), 2)
+_BATCH_POOL = [_A, _B, _C, _D, _Q2, Param(F(2, 3), 1), Param(F(3, 2), -1),
+               Param(F(-1)), Param(F(2, 3), F(1, 2)), Param(F(2, 3), 0, 1),
+               Param(F(2, 3), sign=-1)]
+
+
+def _sequential_f_bo(point_lists, N):
+    """[f_bo(points, N) for points in point_lists], or the type and message
+    of the first call that raises."""
+    out = []
+    for points in point_lists:
+        got = _outcome_and_message(cf.f_bo, points, N)
+        if not isinstance(got, Series):
+            return got
+        out.append(got)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_BATCH_POOL), max_size=5),
+                max_size=5),
+       st.sampled_from([F(i, 2) for i in range(7)]))
+@example([[_A, _C], [_C, _A], [_A, _C, _D], [_B, _D]], 3)  # shared products
+@example([], 2)
+@example([[], [_A]], 2)
+@example([[_A], [_A] * 5, [_B]], 1)                        # over F_BO_CAP
+@example([[_A, _C], [_C, _Q2]], 2)                         # theta refuses
+@example([[_C], [_A, _B], [_C, _Q2]], 2)                   # P_2 = 1 first
+def test_f_bo_batch_matches_sequential_calls(point_lists, N):
+    assert _outcome_and_message(cf._f_bo_all, point_lists, N) \
+        == _sequential_f_bo(point_lists, N)
 
 
 @settings(max_examples=150, deadline=None)
@@ -894,21 +929,22 @@ def test_duality_reduce_builds_one_fock_table(monkeypatch, key):
 
 @pytest.mark.parametrize("lam", [(0, 0), (1, 0)])
 def test_fermion_reduction_builds_one_f_bo_per_signed_subset(monkeypatch, lam):
-    """c at 3/2: one f_bo for each of the 3^2 eps-signed subsets of two
-    points, shared by every charge."""
+    """c at 3/2: one batch of f_bo lists, one for each of the 3^2
+    eps-signed subsets of two points, shared by every charge."""
     calls = []
-    build = cf.f_bo
+    build = cf._f_bo_all
 
-    def counted(points, N):
-        calls.append(points_key(points))
-        return build(points, N)
+    def counted(point_lists, N):
+        calls.append([points_key(points) for points in point_lists])
+        return build(point_lists, N)
 
-    monkeypatch.setattr(cf, "f_bo", counted)
+    monkeypatch.setattr(cf, "_f_bo_all", counted)
     inst = cf.duality_instance("c", "l-1/2", 2)
     points = pts(F(2, 3), F(3, 5))
     got = cf.duality_reduce(inst, lam, points, 4)
     monkeypatch.undo()
-    assert len(calls) == len(set(calls)) == 9
+    assert len(calls) == 1
+    assert len(calls[0]) == len(set(calls[0])) == 9
     assert got == reference_duality_reduce(inst, lam, points, 4, "assignment")
 
 
@@ -919,27 +955,37 @@ def test_fermion_reduction_builds_one_f_bo_per_signed_subset(monkeypatch, lam):
 ], ids=["c1/2-3pts", "c3/2-2pts"])
 def test_fermion_reduction_builds_each_theta_jet_once(monkeypatch, level,
                                                       points, mode):
-    """The f_bo calls of one reduction share their theta data: theta_jet
-    runs at most once per point, order and truncation, and a point asked
-    for again is asked at a higher order.  The shared data is freed when
-    the reduction returns."""
-    calls = []
-    build = cf.theta_jet
+    """The f_bo lists of one reduction share their theta data: the
+    triple-product sums are built once per distinct point, to one order,
+    and no theta jet and no (q)_inf^(-3) is built, since that factor
+    cancels."""
+    sums, jets, cubes = [], [], []
 
-    def counted(t, k, N):
-        calls.append((points_key([t]), N, k))
-        return build(t, k, N)
+    def counted_sums(t, k, N, _build=cf._theta_sums):
+        sums.append((points_key([t]), k, N))
+        return _build(t, k, N)
+
+    def counted_jet(t, k, N, _build=qs.theta_jet):
+        jets.append(points_key([t]))
+        return _build(t, k, N)
+
+    def counted_qinf(t2, m, _build=qs._qinf_inv):
+        if m == 3:
+            cubes.append(t2)
+        return _build(t2, m)
 
     inst = cf.module_instance("c", level)
     lam = (1,) + (0,) * (inst.l - 1)
-    monkeypatch.setattr(cf, "theta_jet", counted)
+    monkeypatch.setattr(cf, "_theta_sums", counted_sums)
+    monkeypatch.setattr(qs, "theta_jet", counted_jet)
+    for module in (cf, qs):
+        monkeypatch.setattr(module, "_qinf_inv", counted_qinf)
     got = cf.duality_reduce(inst, lam, points, 4, mode=mode)
     monkeypatch.undo()
-    orders = {}
-    for key, N, k in calls:
-        orders.setdefault((key, N), []).append(k)
-    assert all(ks == sorted(set(ks)) for ks in orders.values()), orders
-    assert cf._THETA.memo is None
+    keys = [key for key, _, _ in sums]
+    assert sums and len(keys) == len(set(keys))
+    assert len({(k, N) for _, k, N in sums}) == 1
+    assert jets == cubes == []
     assert got == reference_duality_reduce(inst, lam, points, 4, mode)
 
 
@@ -950,24 +996,28 @@ _VANISHING = (r"^theta vanishes at a partial product equal to 1 or "
 @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
 def test_f_bo_refusals_keep_their_order(shared):
     """A jet that theta refuses is reported before a Theta that vanishes,
-    with the same messages, also when the f_bo calls share theta data that
-    an earlier call filled; a refused call leaves nothing that changes the
-    next one."""
+    with the same messages, for lone f_bo calls and for one batch whose
+    earlier lists filled the shared theta data; a refused call leaves
+    nothing that changes the next one."""
+    fine = pts(F(2, 3), F(3, 5))
     illegal_first = [Param(F(2, 3), 2), Param(F(3, 2), -2)]  # q/t, then 1
     vanishing = pts(F(2, 3), F(3, 2))                        # P_2 = 1
-    with cf._shared_theta() if shared else nullcontext():
-        cf.f_bo(pts(F(2, 3), F(3, 5)), 3)
-        for _ in range(2):
-            with pytest.raises(IllegalPower,
-                               match=r"^theta needs qval\(q/t\) >= 0$"):
-                cf.f_bo(illegal_first, 3)
-            with pytest.raises(DegenerateParameter, match=_VANISHING):
-                cf.f_bo(vanishing, 3)
-    assert cf._THETA.memo is None
+
+    def f_bo(points):
+        if shared:
+            return cf._f_bo_all([fine, points, fine], 3)[1]
+        return cf.f_bo(points, 3)
+
+    for _ in range(2):
+        with pytest.raises(IllegalPower,
+                           match=r"^theta needs qval\(q/t\) >= 0$"):
+            f_bo(illegal_first)
+        with pytest.raises(DegenerateParameter, match=_VANISHING):
+            f_bo(vanishing)
+        assert f_bo(fine) == cf.f_bo(fine, 3)
     inst = cf.duality_instance("c", "l-1/2", 2)
     with pytest.raises(DegenerateParameter, match=_VANISHING):
         cf.duality_reduce(inst, (1, 0), vanishing, 3)
-    assert cf._THETA.memo is None
 
 
 def test_rank_cap_is_refused_before_any_entry(monkeypatch):

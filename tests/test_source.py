@@ -1,8 +1,8 @@
 """Source hygiene: every name a qfock module imports is used in it, every
 function, class and method it defines is named somewhere else, no module
 uses floating point, the closed forms enumerate no Weyl group and read no
-table of the duality oracle, and every quotient by (1 - p) factors goes
-through one kernel."""
+table of the duality oracle nor keep state across calls, and every quotient
+by (1 - p) factors goes through one kernel."""
 
 import ast
 import collections
@@ -150,3 +150,19 @@ def test_products_by_one_minus_factors_have_one_path():
                 if built & factors:
                     users.add("%s.%s" % (name, getattr(top, "name", "?")))
     assert users == {"qseries._over_one_minus", "qseries._times_one_minus"}
+
+
+def test_closed_forms_keep_no_hidden_state():
+    """closedform.py imports neither ``threading`` nor ``contextlib`` and
+    has no ``global`` statement: a memo such as the theta data of a batch
+    of f_bo lists lives inside one call and is freed when it returns."""
+    path = ROOT / "src" / "qfock" / "closedform.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Global):
+            found.add("global")
+    assert not found & {"threading", "contextlib", "global"}
