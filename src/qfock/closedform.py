@@ -29,9 +29,11 @@ from .qseries import (
     Param,
     QSeriesError,
     Series,
+    _QH,
     _half,
     _over_one_minus,
     _over_pochhammer,
+    _q,
     _qinf_inv,
     _times_one_minus,
     _times_pochhammer,
@@ -46,14 +48,6 @@ from .qseries import (
 F = Fraction
 
 _ZERO = Param(F(0))
-
-
-def _q(d=1) -> Param:
-    """The parameter q^d."""
-    return Param(F(1), d)
-
-
-_QH = _q(F(1, 2))
 
 
 def _scalar_key(p: Param):
@@ -427,29 +421,14 @@ def d_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
 # -- graded dimensions -------------------------------------------------------
 
 
-def _alt_theta_sum(exps2, N) -> Series:
-    """sum_m (-1)^m q^(e_m/2) for a generator of doubled exponents."""
-    n2 = to2(N)
-    acc: Dict[Tuple[int, tuple], F] = {}
-    for m, e2 in exps2:
-        if e2 > n2:
-            break
-        key = (e2, ())
-        acc[key] = acc.get(key, F(0)) + F((-1) ** m)
-    return Series(n2, acc)
-
-
 def charged_qdim_base(k: int, N) -> Series:
     """1/(q)_inf^2 * sum_{m>=0} (-1)^m q^(m(m+1)/2 + |k|(m+1/2))."""
-    k = abs(k)
-
-    def gen():
-        m = 0
-        while True:
-            yield m, m * (m + 1) + k * (2 * m + 1)
-            m += 1
-
-    return _alt_theta_sum(gen(), N) * _qinf_inv(to2(N), 2)
+    k, n2 = abs(k), to2(N)
+    nums, m = {}, 0
+    while (e2 := m * (m + 1) + k * (2 * m + 1)) <= n2:
+        nums[(e2, ())] = (-1) ** m
+        m += 1
+    return Series.from_numerators(n2, 1, nums) * _qinf_inv(n2, 2)
 
 
 def _normalize_label(lam, l: int, allow_negative: bool):

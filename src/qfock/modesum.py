@@ -50,10 +50,9 @@ from math import prod
 from typing import Callable, Sequence, Tuple
 
 from .combinat import set_partitions
-from .qseries import (NonTruncatable, Param, Series, _over_pochhammer, c_term,
-                      power, to2)
+from .qseries import (NonTruncatable, Param, Series, _QH, _over_pochhammer,
+                      _q, c_term, power, to2)
 
-_QH = Param(Fraction(1), Fraction(1, 2))
 _ONE = Param(Fraction(1))
 
 
@@ -91,7 +90,7 @@ def _mode_cumulant(t: Param, u: Param, m: int, N) -> Series:
     t2 = to2(N)
     j = 1
     while True:
-        w = t * Param(1, j)
+        w = t * _q(j)
         v2 = w.qval2()
         if v2 < 0:
             raise NonTruncatable("shifted point makes the mode sum diverge")

@@ -558,6 +558,14 @@ class Param:
         return "Param(%s)" % "*".join(bits)
 
 
+def _q(d: HalfLike = 1) -> Param:
+    """The point q^d."""
+    return Param(1, d)
+
+
+_QH = _q(Fraction(1, 2))
+
+
 def power(p: Param, r: HalfLike, N: HalfLike) -> Series:
     """The single-monomial series p**r at truncation N."""
     c, q2, zk = p.pow_monomial(r)
@@ -756,7 +764,7 @@ def _qinf_inv(t2: int, m: int) -> Series:
     """(q)_inf^(-m) to the doubled truncation t2, built once per (t2, m).
     Every caller gets the same Series, so none may change its terms."""
     if m == 1:
-        return _over_pochhammer(Series.one(_half(t2)), Param(1, 1))
+        return _over_pochhammer(Series.one(_half(t2)), _q())
     return _qinf_inv(t2, 1) ** m
 
 
@@ -799,11 +807,11 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
             if b.is_zero:
                 raise DegenerateParameter("zero lower parameter")
             bq = b.qshift(n - 1)
-            if bq.d2 == 0 and bq.value_coeff == 1:
+            if bq.d2 == 0 and bq.e2 == 0 and bq.value_coeff == 1:
                 raise DegenerateParameter("lower Pochhammer vanishes at the leading layer")
             term = _over_one_minus(term, bq)
         if cancel is None:
-            term = _over_one_minus(term, Param(1, n))
+            term = _over_one_minus(term, _q(n))
         term = term * arg_n
         if extra:
             # ((-1)^n q^(n(n-1)/2))^extra, incremental: exponent step n-1

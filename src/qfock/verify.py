@@ -23,9 +23,11 @@ from . import combinat, fock
 from .qseries import (
     Param,
     Series,
+    _QH,
     _monomial_str,
     _over_one_minus,
     _over_pochhammer,
+    _q,
     _qinf_inv,
     first_difference,
     half_str,
@@ -139,17 +141,6 @@ def report_table(results: Sequence[CheckResult]) -> str:
 # -- shared series builders --------------------------------------------------
 
 
-def _qp(d=1) -> Param:
-    return Param(F(1), d)
-
-
-def _series_sum(terms, N) -> Series:
-    out = Series.zero(N)
-    for t in terms:
-        out = out + t
-    return out
-
-
 def ff_product_side(u: Param, N) -> Series:
     """1 / ((u)_inf (u^{-1}q)_inf)."""
     uinvq = Param(1 / u.s, F(1) - F(u.qval2(), 2))
@@ -191,12 +182,12 @@ def ff_sum_side(u: Param, N) -> Series:
 
 def sum_over_m_lhs(k: int, t: Param, N) -> Series:
     """sum_{l>=0} q^l / ((q)_l (tq)_{l+k})."""
-    inv = _over_pochhammer(Series.one(N), t * _qp(), k)  # 1/((q)_l (tq)_(l+k))
+    inv = _over_pochhammer(Series.one(N), t * _q(), k)  # 1/((q)_l (tq)_(l+k))
     out = Series.zero(N)
     l = 0
     while l <= to2(N) // 2:
         if l:
-            inv = _over_one_minus(_over_one_minus(inv, _qp(l)), t * _qp(l + k))
+            inv = _over_one_minus(_over_one_minus(inv, _q(l)), t * _q(l + k))
         out = out + inv.shift(l)
         l += 1
     return out
@@ -204,7 +195,7 @@ def sum_over_m_lhs(k: int, t: Param, N) -> Series:
 
 def sum_over_m_rhs(k: int, t: Param, N) -> Series:
     """(1/((q)_inf (tq)_inf)) sum_{m>=0} (-1)^m q^(m(m+1)/2 + km) t^m."""
-    tq = t * _qp()
+    tq = t * _q()
     n2 = to2(N)
     acc: Dict[tuple, F] = {}
     m = 0
@@ -213,7 +204,7 @@ def sum_over_m_rhs(k: int, t: Param, N) -> Series:
         acc[(q2, ())] = acc.get((q2, ()), F(0)) \
             + F((-1) ** m) * t.scalar_pow(m)
         m += 1
-    pref = (pochhammer_inf(_qp(), N) * pochhammer_inf(tq, N)).invert()
+    pref = (pochhammer_inf(_q(), N) * pochhammer_inf(tq, N)).invert()
     return Series(n2, acc) * pref
 
 
@@ -223,7 +214,7 @@ def exp_left_sum(z: Param, N) -> Series:
     m = 0
     while m * (m - 1) + m * z.qval2() <= to2(N):
         num = power(z, m, N).shift(m * (m - 1) // 2)
-        out = out + _over_pochhammer(num, _qp(), m).scale((-1) ** m)
+        out = out + _over_pochhammer(num, _q(), m).scale((-1) ** m)
         m += 1
     return out
 
@@ -234,7 +225,7 @@ def exp_right_sum(a: Param, z: Param, N) -> Series:
     l = 0
     while l * z.qval2() <= to2(N):
         num = power(z, l, N) * pochhammer_n(a, l, N)
-        out = out + _over_pochhammer(num, _qp(), l)
+        out = out + _over_pochhammer(num, _q(), l)
         l += 1
     return out
 
@@ -258,7 +249,7 @@ def fixed_length_sum_enum(l: int, N) -> Series:
 
 def fixed_length_sum_closed(l: int, N) -> Series:
     """q^l / (q)_l."""
-    return _over_pochhammer(Series.one(N), _qp(), l).shift(l)
+    return _over_pochhammer(Series.one(N), _q(), l).shift(l)
 
 
 def marked_part_sum_enum(l: int, i: int, t: Param, N) -> Series:
@@ -285,7 +276,7 @@ def marked_part_sum_enum(l: int, i: int, t: Param, N) -> Series:
 
 def marked_part_sum_closed(l: int, i: int, t: Param, N) -> Series:
     """t q^l / ((1-q)...(1-q^{i-1}) (1-q^i t)...(1-q^l t))."""
-    out = _over_pochhammer(Series.monomial(t.scalar_pow(1), l, N), _qp(), i - 1)
+    out = _over_pochhammer(Series.monomial(t.scalar_pow(1), l, N), _q(), i - 1)
     return _over_pochhammer(out, t.qshift(i), l - i + 1)
 
 
@@ -365,7 +356,7 @@ def _registry_identity(reg: List[CheckSpec]) -> None:
         reg.append(CheckSpec(
             "exponential-left-%d" % i, 20, "gate",
             lambda z=z: (exp_left_sum(z, 20), pochhammer_inf(z, 20))))
-    a, z = Param(F(2, 3)), Param(F(1), 1)
+    a, z = Param(F(2, 3)), _q()
     reg.append(CheckSpec(
         "exponential-right", 20, "gate",
         lambda: (exp_right_sum(a, z, 20),
@@ -393,7 +384,7 @@ def _registry_identity(reg: List[CheckSpec]) -> None:
             if e2 % 2 == 0 and 0 <= e2 <= 64:
                 nums[(q2, ())] = nums.get((q2, ()), 0) + (2 * n if e2 else n)
         rhs = Series.from_numerators(vac.trunc2, vac.den, nums)
-        return ff_product_side(Param(F(1), F(1, 2)), 16), rhs
+        return ff_product_side(_QH, 16), rhs
 
     reg.append(CheckSpec(
         "identity-ff-specializes-qdim", 16, "gate", _ff_specialized))
@@ -438,7 +429,7 @@ def _registry_correlation(reg: List[CheckSpec]) -> None:
     reg.append(CheckSpec(
         "theta-triple-product", 20, "gate",
         lambda: (theta_jet(Param(F(1)), 1, 20)[1]
-                 * pochhammer_inf(_qp(), 20) ** 3,
+                 * pochhammer_inf(_q(), 20) ** 3,
                  odd_triple_product(20))))
     for m in (0, 1, 2):
         reg.append(CheckSpec(
@@ -467,10 +458,10 @@ def _registry_qdiff(reg: List[CheckSpec]) -> None:
 def _registry_qdim(reg: List[CheckSpec]) -> None:
     reg.append(CheckSpec(
         "qdim-a-r1", 20, "gate",
-        lambda: (_series_sum((cf.charged_qdim_base(k, 20).shift(0)
-                              for k in (0, 1, 2)), 20),
-                 _series_sum((t for (t,) in fock.a_sector_traces(
-                     [], 20, [0], (0, 1, 2)).values()), 20))))
+        lambda: (sum((cf.charged_qdim_base(k, 20) for k in (0, 1, 2)),
+                     Series.zero(20)),
+                 sum((t for (t,) in fock.a_sector_traces(
+                     [], 20, [0], (0, 1, 2)).values()), Series.zero(20)))))
     for l, lam in ((2, (0, 0)), (2, (1, 0)), (2, (1, -1)), (3, (2, 1, 0)),
                    (3, (1, 0, -1))):
         reg.append(CheckSpec(
@@ -555,52 +546,3 @@ def registry() -> List[CheckSpec]:
             raise RuntimeError("duplicate check names in registry")
         _REGISTRY = reg
     return list(_REGISTRY)
-
-
-# Every identity family the package implements must appear in the registry.
-# coverage_missing() enforces this; the test suite asserts it is empty.
-REQUIRED_CHECK_PREFIXES = (
-    "identity-ff-",
-    "prop-111-",
-    "exponential-left-",
-    "exponential-right",
-    "lemma-222-i-",
-    "lemma-222-ii-",
-    "one-point-",
-    "gl-general-1pt-",
-    "gl-general-2pt",
-    "eq-555-",
-    "c-1pt-half-",
-    "zzz-",
-    "theta-triple-product",
-    "sector-c-",
-    "sector-d-",
-    "qdiff-a-",
-    "qdiff-c-",
-    "qdim-a-",
-    "qdim-c-poshalf-",
-    "qdim-c-r1-",
-    "qdim-c-negl-r2-",
-    "qdim-c-neglminushalf-r2-",
-    "qdim-d-r1-",
-    "qdim-d-negl-r2-",
-    "qdim-d-neglplushalf-r2-",
-    "qdim-charge-resolved-",
-    "duality-assignment-a-negl-",
-    "duality-assignment-c-lminushalf-",
-    "duality-assignment-c-negl-",
-    "duality-assignment-c-neglminushalf-",
-    "duality-assignment-d-negl-",
-    "duality-assignment-d-neglplushalf-",
-    "duality-literal-",
-)
-
-
-def coverage_missing() -> List[str]:
-    """Required check-name prefixes with no registered check."""
-    names = [s.name for s in registry()]
-    missing = []
-    for pref in REQUIRED_CHECK_PREFIXES:
-        if not any(n == pref or n.startswith(pref) for n in names):
-            missing.append(pref)
-    return missing

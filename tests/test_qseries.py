@@ -193,6 +193,15 @@ def test_qhyper_n0_layer():
     assert qcoeff(s, 0) == 1
 
 
+def test_qhyper_lower_unit_point_needs_no_charge():
+    """b = 1 makes (b)_n vanish; b = z does not, and 1/(1 - z) has no
+    q-expansion, so it is refused as _over_one_minus refuses it."""
+    with pytest.raises(DegenerateParameter):
+        qhyper([], [Param(1)], Param(1, 1), 2)
+    with pytest.raises(NotInvertible):
+        qhyper([], [Param(1, 0, e=1)], Param(1, 1), 2)
+
+
 def test_exponential_identity_left():
     # sum_m (-z)^m q^(m(m-1)/2)/(q)_m = (z)_inf
     for zp in (Param(1, 1), Param(F(2, 3), 1)):
@@ -1035,7 +1044,7 @@ def _qhyper_reference(upper, lower, arg, N):
             if b.is_zero:
                 raise DegenerateParameter("zero lower parameter")
             bq = b.qshift(n - 1)
-            if bq.d2 == 0 and bq.value_coeff == 1:
+            if bq.d2 == 0 and bq.e2 == 0 and bq.value_coeff == 1:
                 raise DegenerateParameter("lower Pochhammer vanishes at the leading layer")
             term = term * _one_minus(bq, N).invert()
         term = term * _one_minus(Param(1, n), N).invert()

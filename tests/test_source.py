@@ -1,8 +1,8 @@
 """Source hygiene: every name a qfock module imports is used in it, every
-function, class and method it defines is named somewhere else, no module
-uses floating point, the closed forms enumerate no Weyl group and read no
-table of the duality oracle nor keep state across calls, and every quotient
-by (1 - p) factors goes through one kernel."""
+function, class and method it defines is named again in src/ or demos/, no
+module uses floating point, the closed forms enumerate no Weyl group and read
+no table of the duality oracle nor keep state across calls, and every
+quotient by (1 - p) factors goes through one kernel."""
 
 import ast
 import collections
@@ -37,11 +37,19 @@ def test_no_unused_imports(path):
     assert not unused, "unused imports in %s: %s" % (path.name, ", ".join(unused))
 
 
+# Definitions that only tests call, each kept on purpose.
+CALLED_FROM_TESTS_ONLY = {
+    "duality_trace_direct": "the state-by-state brute-force oracle",
+    "truncation": "Series.truncation, documented API",
+}
+
+
 def test_every_definition_is_named_again():
-    """A def or class whose name occurs nowhere but in its own definition
-    has no caller in src/, tests/ or demos/."""
+    """A def or class whose name occurs nowhere in src/ or demos/ but in its
+    own definition has no caller outside the unit tests, unless it is listed
+    in CALLED_FROM_TESTS_ONLY."""
     names = collections.Counter()
-    for sub in ("src", "tests", "demos"):
+    for sub in ("src", "demos"):
         for path in (ROOT / sub).rglob("*.py"):
             with tokenize.open(path) as fh:
                 names.update(tok.string for tok in tokenize.generate_tokens(
@@ -53,7 +61,8 @@ def test_every_definition_is_named_again():
                     and not node.name.startswith("__"):
                 defined[node.name] += 1
     unnamed = sorted(n for n, k in defined.items() if names[n] <= k)
-    assert not unnamed, "defined but never named: %s" % ", ".join(unnamed)
+    assert unnamed == sorted(CALLED_FROM_TESTS_ONLY), \
+        "defined but never named outside tests/: %s" % ", ".join(unnamed)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

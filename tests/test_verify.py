@@ -1,4 +1,4 @@
-"""Verification-suite plumbing: registry shape and coverage, check
+"""Verification-suite plumbing: registry shape, check
 execution semantics (pass/fail/error), filtering, determinism, exit-status
 policy, and the JSON report schema."""
 
@@ -37,9 +37,6 @@ class TestRegistry:
         names = [s.name for s in verify.registry()]
         assert names == sorted(names)
         assert len(names) == len(set(names))
-
-    def test_coverage_complete(self):
-        assert verify.coverage_missing() == []
 
     def test_modes_valid(self):
         assert {s.mode for s in verify.registry()} == {"gate", "report"}
@@ -287,10 +284,16 @@ class TestReports:
 
 def test_full_report_matches_golden():
     """Every field of the full suite's JSON report except the timing ms:
-    119 gate passes, 12 report passes and 24 expected report failures."""
+    119 gate passes, 12 report passes and 24 expected report failures.
+    The golden file is the one pin on the registry's check names, so a
+    changed registry is reported by name first."""
     golden = json.loads(
         (Path(__file__).parent / "golden_verify_report.json").read_text())
     doc = json.loads(verify.report_json(verify.run_suite()))
     for chk in doc["checks"]:
         del chk["ms"]
+    names = [c["name"] for c in doc["checks"]]
+    want = [c["name"] for c in golden["checks"]]
+    assert names == want, "registry changed; added: %s; missing: %s" % (
+        sorted(set(names) - set(want)), sorted(set(want) - set(names)))
     assert doc == golden
