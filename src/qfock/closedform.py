@@ -484,14 +484,6 @@ def _row_shifts(inst: "DualityInstance", lam):
              for j in range(inst.l) for s in signs] for i in range(inst.l)]
 
 
-def _neutral_qdim(kind: str, N) -> Series:
-    """Graded dimension of a neutral factor: 1/(q^(1/2))_inf for the boson,
-    (-q^(1/2))_inf for the fermion."""
-    if kind == "boson_neutral":
-        return _over_pochhammer(Series.one(N), _QH)
-    return pochhammer_inf(Param(F(1), F(1, 2), sign=-1), N)
-
-
 def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
     """Graded dimension of the module with the given algebra, level (integer
     or half-integer, as Fraction or string) and highest-weight label, from
@@ -516,14 +508,18 @@ def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
                       lambda i, k: charged_qdim_base(k, N), N)
     if inst.neutral_factor is None:
         return wsum
-    return _neutral_qdim(inst.factors[inst.neutral_factor], N) * wsum
+    # times the neutral factor's graded dimension: 1/(q^(1/2))_inf for the
+    # boson, (-q^(1/2))_inf for the fermion
+    if inst.factors[inst.neutral_factor] == "boson_neutral":
+        return _over_pochhammer(wsum, _QH)
+    return _times_pochhammer(wsum, Param(F(1), F(1, 2), sign=-1))
 
 
 def _c_positive_half_qdim(inst: "DualityInstance", label, N,
                           form: str) -> Series:
     l = inst.l
     lam = _normalize_label(label, l, allow_negative=False)
-    pre = _neutral_qdim("boson_neutral", N) * _qinf_inv(to2(N), l)
+    pre = _over_pochhammer(_qinf_inv(to2(N), l), _QH)
     if form == "weyl":
         return pre * _alternant(inst, _row_shifts(inst, lam),
                                 lambda i, k: Series.monomial(1, F(k * k, 2), N),

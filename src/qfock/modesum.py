@@ -40,6 +40,12 @@ v the doubled valuation of t_G (or t_G^-1, t_eps), so it grows with j and the
 j sum stops at the first term beyond the truncation.  A ratio t q^j of
 negative valuation (two q-shifted points, or a point shifted by q^2 seen from
 the lowering side) makes the mode sum diverge and raises NonTruncatable.
+
+Each cumulant is one integer sum: its terms j^(|G|-1) u^j (t q^j)^r are
+monomials, added as numerators over one denominator, with no Series product
+per mode.  The partition function is 1/((x q^(1/2))_inf (y q^(1/2))_inf),
+or 1/(q^(1/2))_inf for the neutral boson, so the set-partition sum is
+divided by those Pochhammer symbols, one pass per factor.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from typing import Callable, Sequence, Tuple
 
 from .combinat import set_partitions
 from .qseries import (NonTruncatable, Param, Series, _QH, _over_pochhammer,
-                      _q, c_term, power, to2)
+                      _q, _zmul, c_term, to2)
 
 _ONE = Param(Fraction(1))
 
@@ -64,46 +70,73 @@ def point_inverse(p: Param) -> Param:
                  p.zvar, p.sign)
 
 
-def _geo(w: Param, N) -> Series:
-    """sum_{r in 1/2+Z_+} w^r = w^(1/2)/(1-w) = beta(w) as a truncated
-    series, refusing ratios whose mode sum has no truncation."""
+def _mode_cumulant(t: Param, u: Param, m: int, N) -> Series:
+    """sum_{j>=1} j^(m-1) u^j geo(t q^j): the m-th cumulant of
+    sum_r n_r t^r, n_r geometric with ratio u q^r, summed over the modes r.
+
+    One integer sum over the terms (j, r), r = r2/2 for odd r2: with
+    t = (a/b)^2 q^d z^e and u = sign (a_u/b_u)^2 q^d_u z^e_u, the term
+    j^(m-1) u^j (t q^j)^r is j^(m-1) (sign a_u^2)^j b_u^(2(J-j)) a^r2 b^(R-r2)
+    over b_u^(2J) b^R, J the last j and R the largest r2 summed.  The first
+    step w = t q makes every refusal, since later steps only raise the
+    q-valuation of w.  Where w is a scalar (t = (a/b)^2 q^(-1)) its r sum
+    has no q-power to stop it and is the closed form ab/(b^2 - a^2), so
+    the denominator takes |b^2 - a^2| as well.
+    """
+    if u.is_zero:
+        return Series.zero(N)
+    uv2 = u.qval2()
+    if uv2 < 0:
+        raise NonTruncatable("mode sum with a negatively q-valued occupancy ratio")
+    t2 = to2(N)
+    w = t * _q(1)
     v2 = w.qval2()
     if v2 < 0:
-        raise NonTruncatable("mode sum with negatively q-valued ratio")
+        raise NonTruncatable("shifted point makes the mode sum diverge")
+    if v2 // 2 + uv2 > t2:
+        return Series.zero(N)
     if v2 == 0:
         if w.e2:
             raise NonTruncatable("mode sum over a pure charge monomial")
         if w.value_coeff == 1:
             raise NonTruncatable("mode sum has a pole at ratio 1")
-    return c_term(w, N)
-
-
-def _mode_cumulant(t: Param, u: Param, m: int, N) -> Series:
-    """sum_{j>=1} j^(m-1) u^j geo(t q^j): the m-th cumulant of
-    sum_r n_r t^r, n_r geometric with ratio u q^r, summed over the modes r."""
-    out = Series.zero(N)
-    if u.is_zero:
-        return out
-    uv2 = u.qval2()
-    if uv2 < 0:
-        raise NonTruncatable("mode sum with a negatively q-valued occupancy ratio")
-    t2 = to2(N)
-    j = 1
+    w.pow_monomial(Fraction(1, 2))  # refuses a negative or half-shifted t
+    terms = []  # (j, r2, key) of each term below the truncation
+    j = 2 if v2 == 0 else 1
     while True:
-        w = t * _q(j)
-        v2 = w.qval2()
-        if v2 < 0:
-            raise NonTruncatable("shifted point makes the mode sum diverge")
-        if v2 // 2 + j * uv2 > t2:
-            return out
-        out = out + _geo(w, N) * power(u, j, N).scale(j ** (m - 1))
+        step = t.d2 + 2 * j  # doubled q-valuation of t q^j
+        q2 = j * uv2 + step // 2
+        if q2 > t2:
+            break
+        uz = ((u.zvar, u.e2 * j),) if u.e2 else ()
+        r2 = 1
+        while q2 <= t2:
+            tz = ((t.zvar, t.e2 * r2 // 2),) if t.e2 else ()
+            terms.append((j, r2, (q2, _zmul(uz, tz))))
+            r2 += 2
+            q2 += step
         j += 1
+    J, R = j - 1, max((r2 for _, r2, _ in terms), default=0)
+    a, b = t.s.numerator, t.s.denominator
+    au, bu = u.sign * u.s.numerator ** 2, u.s.denominator ** 2
+    g = b * b - a * a if v2 == 0 else 1
+    sg, g = (1, g) if g > 0 else (-1, -g)
+    row = [j ** (m - 1) * au ** j * bu ** (J - j) * g for j in range(J + 1)]
+    col = {r2: a ** r2 * b ** (R - r2) for r2 in range(1, R + 1, 2)}
+    nums = {}
+    if v2 == 0:  # the scalar step j = 1: u geo(w) = u ab/(b^2 - a^2)
+        key = (uv2, ((u.zvar, u.e2),) if u.e2 else ())
+        nums[key] = sg * au * bu ** (J - 1) * a * b ** (R + 1)
+    for j, r2, key in terms:
+        nums[key] = nums.get(key, 0) + row[j] * col[r2]
+    return Series.from_numerators(t2, bu ** J * b ** R * g, nums)
 
 
-def _cumulant_sum(base: Series, points: Sequence[Param], N,
+def _cumulant_sum(pochs: Sequence[Param], points: Sequence[Param], N,
                   connected: Callable[[Tuple[int, ...]], Series]) -> Series:
-    """base * sum over set partitions M of the points of prod_{G in M} K(G),
-    K(G) = connected(G), plus beta(t_k) on the singleton {k}."""
+    """The sum over set partitions M of the points of prod_{G in M} K(G),
+    K(G) = connected(G) plus beta(t_k) on the singleton {k}, divided by the
+    Pochhammer symbols (a)_inf, a in pochs: one pass per factor."""
     betas = [c_term(t, N) for t in points]
     cumulants = {}
     total = Series.zero(N)
@@ -115,7 +148,9 @@ def _cumulant_sum(base: Series, points: Sequence[Param], N,
                 cumulants[G] = k + betas[G[0]] if len(G) == 1 else k
             term = term * cumulants[G]
         total = total + term
-    return base * total
+    for a in pochs:
+        total = _over_pochhammer(total, a)
+    return total
 
 
 def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Series:
@@ -124,16 +159,12 @@ def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Serie
     Agrees with fock.a_generalized_trace for scalar points and additionally
     accepts points with a single q-shift (e.g. q*t).
     """
-    base = Series.one(N)
-    for p in (x, y):
-        base = _over_pochhammer(base, p * _QH)
-
     def connected(G):
         tG = prod((points[k] for k in G), start=_ONE)
         down = _mode_cumulant(point_inverse(tG), y, len(G), N)
         return _mode_cumulant(tG, x, len(G), N) + down.scale((-1) ** len(G))
 
-    return _cumulant_sum(base, points, N, connected)
+    return _cumulant_sum((x * _QH, y * _QH), points, N, connected)
 
 
 def neutral_c_trace(points: Sequence[Param], N) -> Series:
@@ -151,5 +182,4 @@ def neutral_c_trace(points: Sequence[Param], N) -> Series:
             out = out + _mode_cumulant(t, _ONE, len(G), N).scale(prod(eps))
         return out
 
-    return _cumulant_sum(_over_pochhammer(Series.one(N), _QH), points, N,
-                         connected)
+    return _cumulant_sum((_QH,), points, N, connected)

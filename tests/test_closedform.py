@@ -769,12 +769,21 @@ def norm_monomial(ks, N):
     return Series.monomial(1, F(sum(k * k for k in ks), 2), N)
 
 
+def neutral_qdim(kind, N):
+    """Graded dimension of a neutral factor as a series: 1/(q^(1/2))_inf
+    for the boson, (-q^(1/2))_inf for the fermion."""
+    if kind == "boson_neutral":
+        return pochhammer_inf(Param(F(1), F(1, 2)), N).invert()
+    return pochhammer_inf(Param(F(1), F(1, 2), sign=-1), N)
+
+
 def reference_qdim(algebra, level, label, N):
-    """``cf.qdim_closed`` (Weyl form) with its Weyl sums enumerated."""
+    """``cf.qdim_closed`` (Weyl form) with its Weyl sums enumerated and its
+    neutral factor multiplied in as a series."""
     inst = cf.module_instance(algebra, level)
     if inst.factors[0] == "fermion_pair":
         lam = cf._normalize_label(label, inst.l, allow_negative=False)
-        pre = cf._neutral_qdim("boson_neutral", N) \
+        pre = neutral_qdim("boson_neutral", N) \
             * pochhammer_inf(Param(F(1), 1), N).invert() ** inst.l
         return pre * weyl_signed_product(inst.weyl, inst.l, inst.rho, lam,
                                          norm_monomial, N)
@@ -783,7 +792,7 @@ def reference_qdim(algebra, level, label, N):
                                charged_qdim_product, N)
     if inst.neutral_factor is None:
         return wsum
-    return cf._neutral_qdim(inst.factors[inst.neutral_factor], N) * wsum
+    return neutral_qdim(inst.factors[inst.neutral_factor], N) * wsum
 
 
 def reference_charged_block(inst, k, points, N):

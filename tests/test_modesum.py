@@ -2,12 +2,16 @@
 scalar points, and behaviour at q-shifted points."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qfock.qseries import Param, NonTruncatable
+from qfock.qseries import (NonTruncatable, Param, Series, _QH,
+                           _over_pochhammer, c_term, power, to2)
 from qfock import fock, modesum
+from qfock.combinat import set_partitions
+from test_qseries import _outcome_and_message
 
 
 X = Param(F(2, 5), 0, -1, zvar=1)
@@ -137,3 +141,163 @@ def test_shifted_point_identities_at_random_s(s, n2):
         == fock.a_sector_trace(0, [t], N)
     assert modesum.neutral_c_trace([t.qshift(1)], N) == \
         fock.neutral_trace("boson_neutral", "C", [t], N)
+
+
+# -- the per-mode Series loops the integer mode sums replaced ---------------
+
+
+def reference_geo(w, N):
+    """sum_{r in 1/2+Z_+} w^r = w^(1/2)/(1-w) as a series, for w of
+    q-valuation >= 0, refusing ratios whose mode sum has no truncation."""
+    if w.qval2() == 0:
+        if w.e2:
+            raise NonTruncatable("mode sum over a pure charge monomial")
+        if w.value_coeff == 1:
+            raise NonTruncatable("mode sum has a pole at ratio 1")
+    return c_term(w, N)
+
+
+def reference_mode_cumulant(t, u, m, N):
+    """sum_{j>=1} j^(m-1) u^j geo(t q^j), one geo series and one product by
+    the monomial u^j per mode j."""
+    out = Series.zero(N)
+    if u.is_zero:
+        return out
+    uv2 = u.qval2()
+    if uv2 < 0:
+        raise NonTruncatable("mode sum with a negatively q-valued occupancy ratio")
+    t2 = to2(N)
+    j = 1
+    while True:
+        w = t * Param(1, j)
+        v2 = w.qval2()
+        if v2 < 0:
+            raise NonTruncatable("shifted point makes the mode sum diverge")
+        if v2 // 2 + j * uv2 > t2:
+            return out
+        out = out + reference_geo(w, N) * power(u, j, N).scale(j ** (m - 1))
+        j += 1
+
+
+def reference_cumulant_sum(base, points, N, connected):
+    """base * the set-partition sum of products of cumulants, base the
+    partition function built as a series first."""
+    betas = [c_term(t, N) for t in points]
+    total = Series.zero(N)
+    for part in set_partitions(range(len(points))):
+        term = Series.one(N)
+        for G in part:
+            k = connected(G)
+            term = term * (k + betas[G[0]] if len(G) == 1 else k)
+        total = total + term
+    return base * total
+
+
+def reference_a_trace(x, y, points, N):
+    base = Series.one(N)
+    for p in (x, y):
+        base = _over_pochhammer(base, p * _QH)
+
+    def connected(G):
+        tG = Param(1)
+        for k in G:
+            tG = tG * points[k]
+        down = reference_mode_cumulant(modesum.point_inverse(tG), y, len(G), N)
+        return reference_mode_cumulant(tG, x, len(G), N) \
+            + down.scale((-1) ** len(G))
+
+    return reference_cumulant_sum(base, points, N, connected)
+
+
+def reference_neutral_trace(points, N):
+    def connected(G):
+        out = Series.zero(N)
+        for eps in product((1, -1), repeat=len(G)):
+            t, sign = Param(1), 1
+            for k, e in zip(G, eps):
+                t = t * (points[k] if e == 1
+                         else modesum.point_inverse(points[k]))
+                sign *= e
+            out = out + reference_mode_cumulant(t, Param(1), len(G),
+                                                N).scale(sign)
+        return out
+
+    return reference_cumulant_sum(_over_pochhammer(Series.one(N), _QH),
+                                  points, N, connected)
+
+
+def _point(s, d, e, sign, inverse):
+    p = Param(s, d, e, zvar=1, sign=sign)
+    return modesum.point_inverse(p) if inverse else p
+
+
+nonzero_st = st.fractions(-3, 3, max_denominator=9).filter(bool)
+# scalar, charged (z^+-1) and q-shifted points, the inverses of shifted
+# points, and the refused kinds: negative and half-shifted points
+cumulant_point_st = st.builds(
+    _point, nonzero_st, st.sampled_from([-1, F(-1, 2), 0, F(1, 2), 1]),
+    st.sampled_from([0, 1, -1]), st.sampled_from([1, 1, 1, -1]),
+    st.booleans())
+occupancy_st = st.one_of(
+    st.sampled_from([Param(1), Param(1, 0, 1, zvar=1),
+                     Param(1, 0, -1, zvar=1)]),
+    nonzero_st.map(lambda c: Param(c, F(1, 2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cumulant_point_st, occupancy_st, st.integers(1, 4),
+       st.integers(0, 24))
+@example(Param(1, -1), Param(1), 2, 8)                  # pole at ratio 1
+@example(Param(F(2, 3), -1, 1, zvar=1), Param(1), 1, 8)  # pure charge
+@example(Param(F(2, 3), -2), Param(1), 1, 8)           # diverging shift
+@example(Param(F(2, 3), F(1, 2)), Param(1), 1, 8)      # half-shifted
+@example(Param(F(2, 3), 1, sign=-1), Param(1), 1, 8)   # negative point
+@example(Param(F(2, 3)), Param(1, F(-1, 2)), 1, 8)     # negative ratio
+@example(Param(F(2, 3), -1), Param(F(3, 5), F(1, 2)), 3, 12)  # scalar step
+def test_mode_cumulant_matches_per_mode_products(t, u, m, n2):
+    """The integer mode sum equals the per-mode loop, truncation included,
+    or both raise with the same exception and message."""
+    N = F(n2, 2)
+    assert _outcome_and_message(modesum._mode_cumulant, t, u, m, N) \
+        == _outcome_and_message(reference_mode_cumulant, t, u, m, N)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(s_st.map(Param), max_size=3), s_st,
+       st.sampled_from([(Param(1, 0, -1, zvar=1), Param(1, 0, 1, zvar=1)),
+                        (X, Y)]), st.integers(0, 12))
+def test_quotient_by_pochhammers_matches_base_product(pts, s, xy, n2):
+    """Dividing the set-partition sum by the Pochhammer symbols equals the
+    product by the prebuilt partition function, truncation included, at
+    0-3 points with a q-shifted first point; a first point that cancels a
+    later one (t_1 t_k^-1 = q) is refused by both."""
+    N = F(n2, 2)
+    pts = [Param(s, 1)] + pts[1:] if pts else []
+    x, y = xy
+    assert _outcome_and_message(modesum.a_generalized_trace, x, y, pts, N) \
+        == _outcome_and_message(reference_a_trace, x, y, pts, N)
+    assert _outcome_and_message(modesum.neutral_c_trace, pts, N) \
+        == _outcome_and_message(reference_neutral_trace, pts, N)
+
+
+def test_trace_multiplies_only_partition_blocks(monkeypatch):
+    """The only Series products of a_generalized_trace are those of the
+    set-partition sum, one per block, as many at N = 6 as at N = 12: no
+    product is made per mode or for the partition function."""
+    calls = []
+
+    def counting_mul(self, other, _mul=Series.__mul__):
+        calls.append(1)
+        return _mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counting_mul)
+    monkeypatch.setattr(Series, "__rmul__", counting_mul)
+    x, y = Param(1, 0, -1, zvar=1), Param(1, 0, 1, zvar=1)
+    pts = [Param(F(2, 3), 1), Param(F(3, 5))]
+    blocks = sum(len(part) for part in set_partitions(range(len(pts))))
+    counts = []
+    for N in (6, 12):
+        calls.clear()
+        modesum.a_generalized_trace(x, y, pts, N)
+        counts.append(len(calls))
+    assert counts == [blocks, blocks]
