@@ -11,27 +11,26 @@ A state's energy is sum over parts p of (p - 1/2); the diagonal operator at a
 point t has eigenvalue sum(t^(p-1/2)) - sum(t^(-p+1/2)) plus a central term
 +-beta(t).  Operators 'C' and 'D' act as A(t) - A(t^(-1)) on charged factors.
 
-Subset factorization.  Write S+_lam(t) = sum_p t^(p-1/2) and
-S-_lam(t) = sum_p t^(-p+1/2).  On a charged pair the eigenvalue at t_j splits
-as v_j(lam) + w_j(mu), so prod_j (v_j(lam) + w_j(mu)) is the sum over the
-subsets S of the points of prod_(j in S) v_j(lam) prod_(j not in S) w_j(mu).
-For A(t), v_j = S+_lam(t_j) and w_j = -S-_mu(t_j) +- beta(t_j).  For C and D,
-S+(t^(-1)) = S-(t) and beta(t^(-1)) = -beta(t) give v_j = S+_lam - S-_lam and
-w_j = S+_mu - S-_mu +- 2 beta(t_j), so no inverse points are needed.  A
-neutral factor has one side, v_j = S+_lam - S-_lam +- beta(t_j).
-
-A side table holds, per (energy, length), the sum over one factor's
-partitions of prod_j (1 + v_j x_j) in Z[x_1..x_n]/(x_j^2), whose x^S
-coefficient sums prod_(j in S) v_j.  As x_j^2 = 0, this is prod_j (1 + c_j
-x_j), c_j the constant part of v_j, times f_p = prod_j (1 + u_j(p) x_j) per
-part p, and m copies of p give f_p^m.  So, like a partition generating
-function (Andrews, The Theory of Partitions, ch. 1), the table is a product
-over parts, built as a knapsack; no partition is enumerated.  Every weight
-used here (charge sector, x^len(lam) y^len(mu), z^charge) depends on lam
-and mu only through their energies and lengths, so a pair trace convolves
-two side tables: the weight of each pair of lengths names a charge bucket
-or skips the pair, and the energies are summed only up to the budget.  One
-pass serves every charge and operator subset a caller asks for, no other.
+Subset factorization.  The eigenvalue at t_j is a constant c_j, the central
+term, plus one term u_j(p) per part p of lam and of mu.  For A(t), u_j(p) =
+t_j^(p-1/2) on lam and -t_j^(-p+1/2) on mu, and c_j = +-beta(t_j).  For C
+and D, t^(-1) swaps the two powers and beta(t^(-1)) = -beta(t), so u_j(p) =
+t_j^(p-1/2) - t_j^(-p+1/2) on both sides and c_j = +-2 beta(t_j): no inverse
+points are needed.  A neutral factor has one side with that u_j and c_j =
++-beta(t_j).  In Z[x_1..x_n]/(x_j^2) the x^S coefficient of prod_j (1 + v_j
+x_j) is prod_(j in S) v_j, and as x_j^2 = 0 this product for a state is
+prod_j (1 + c_j x_j) times f_p = prod_j (1 + u_j(p) x_j) for every part p
+(m copies of p give f_p^m).  So, like a partition generating function
+(Andrews, The Theory of Partitions, ch. 1), a trace is a product over parts,
+built as one knapsack over the parts of lam and then of mu with states keyed
+by (energy, bucket); no partition is enumerated and no two tables are
+convolved.  A part also multiplies the weight: x^len(lam) y^len(mu) gives
+one monomial per part, which moves the energy by its q-power and the bucket
+by its z-power.  The bucket is the doubled z-exponent, by default the
+pair's charge, so a charge sector or z^charge is read per bucket.  States
+that cannot reach a bucket the caller asks for within the energy left are
+dropped: one knapsack serves every charge and operator subset a caller asks
+for, no other.
 
 Duality traces.  In a tensor product of factors, charged factor i carries
 its own charge variable z_(i+1), so one z-monomial coefficient of the trace
@@ -52,7 +51,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import add
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .qseries import (
@@ -61,7 +60,6 @@ from .qseries import (
     Param,
     QSeriesError,
     Series,
-    _zmul,
     beta_scalar,
     to2,
 )
@@ -81,6 +79,7 @@ CENTRAL_CHARGE = {
     "fermion_neutral": F(1, 2),
 }
 CHARGED = {"boson_pair", "fermion_pair"}
+STRICT = {"fermion_pair", "fermion_neutral"}  # strict partitions
 LEGAL_OPS = {
     "boson_pair": {"A", "C", "D"},
     "fermion_pair": {"A", "C", "D"},
@@ -124,163 +123,133 @@ def _require_scalar_points(points: Sequence[Param]):
 # -- the factorized trace engine --------------------------------------------
 
 
-def _side_table(points: Sequence[Param], alpha: int, gamma: int, consts,
-                budget2: int, strict: bool, masks):
-    """One partition factor as ({length: [(w2, row), ...] in increasing w2},
-    dens), a knapsack over parts (see the module docstring).  row[S] is
-    dens_S times the sum over the key's partitions lam of prod_(j in S)
-    v_j(lam), v_j = alpha S+_lam(t_j) + gamma S-_lam(t_j) + consts[j], for
-    each subset S (a bit mask) inside a mask of `masks`, and 0 for other S;
-    dens_S is the product of dens[j] over S.  dens[j] is a common denominator
-    of every v_j either side of a pair can hold, so the rows are integers;
-    row[0] counts the partitions with that key."""
+def _trace_table(kind: str, op_tag: str, points: Sequence[Param], N2: int,
+                 masks, wanted=None, x: Param = None, y: Param = None):
+    """One factor's traces as integer numerators, a knapsack over parts (see
+    the module docstring): (dens, {bucket: [{q2: numerator} per mask T in
+    `masks`]}), each the sum over the bucket's states of q^E times the
+    weight times prod_(j in T) eigenvalue at t_j, times dens[T].
+
+    On a charged pair every part of lam carries the monomial x and every
+    part of mu carries y, each c q^d z^e with d >= 0 and both on one charge
+    variable: c scales the weight, q^d adds to E and the bucket is the
+    doubled z-exponent.  By default x and y are the charge variable's
+    z^(-+1), so the bucket is the pair's doubled charge.  A neutral factor
+    has one side and the one bucket 0.  With `wanted`, a set of buckets, a
+    state that cannot reach one of them within the budget is dropped and
+    only those buckets are returned; otherwise every bucket a state
+    reaches."""
     n = len(points)
     subs = {0} | {S for T in masks for S in range(T + 1) if S & T == S}
     # times 1 + u x_j, row[S] gains u * row[S - {j}] for S holding j
     steps = [[(S, S ^ 1 << j) for S in sorted(subs) if S >> j & 1]
              for j in range(n)]
-    top = (budget2 + 1) // 2
+    top = (N2 + 1) // 2
     k = max(2 * top - 1, 0)
-    per_part, dens = [], []
-    zero = [0] * (1 << n)
-    start = [1] + zero[1:]  # prod_j (1 + consts[j] x_j)
-    for pt, c, step in zip(points, consts, steps):
+    roots, dens = [], []
+    for pt in points:
         r = pt.scalar_pow(F(1, 2))
-        a, b = r.numerator, r.denominator
-        d = math.lcm(a ** k, b ** k, beta_scalar(pt).denominator)
-        # d * (alpha r^e + gamma r^(-e)) for parts p = 1..top, e = 2p - 1
-        per_part.append([alpha * a ** e * (d // b ** e)
-                         + gamma * b ** e * (d // a ** e)
-                         for e in range(1, 2 * top, 2)])
+        roots.append((r.numerator, r.denominator))
+        # a common denominator of every eigenvalue at pt within the budget
+        dens.append(math.lcm(r.numerator ** k, r.denominator ** k,
+                             beta_scalar(pt).denominator))
+    betas = [CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
+    # (alpha, gamma, monomial): part p adds alpha t^(p-1/2) + gamma t^(-p+1/2)
+    if kind not in CHARGED:
+        sides, consts = [(1, -1, Param(1))], betas
+    else:
+        z = Param(1, e=1)
+        lz, mz = (z.inverse(), z) if kind == "boson_pair" else (z, z.inverse())
+        x, y = lz if x is None else x, mz if y is None else y
+        if op_tag == "A":
+            sides, consts = [(1, 0, x), (0, -1, y)], betas
+        else:  # A(t) - A(t^(-1)), see the module docstring
+            sides, consts = [(1, -1, x), (1, -1, y)], [2 * b for b in betas]
+    # a side holds at most N2 // (1 + d) parts, each dividing by c's den
+    scale = math.prod(w.value_coeff.denominator ** (max(N2, 0) // (1 + w.d2))
+                      for _, _, w in sides)
+    start = [scale] + [0] * ((1 << n) - 1)  # prod_j (1 + consts[j] x_j)
+    for c, d, step in zip(consts, dens, steps):
         c = int(c * d)
         for S, R in step:
             start[S] = start[R] * c
-        dens.append(d)
-    # levels[w2] = {length: row}; strict parts sweep downward (used once)
-    levels = [{0: start} if w2 == 0 else {} for w2 in range(budget2 + 1)]
-    for p in range(1, top + 1):
-        cost = 2 * p - 1
-        us = [u[p - 1] for u in per_part]
-        for w2 in (range(budget2 - cost, -1, -1) if strict
-                   else range(budget2 - cost + 1)):
-            dst = levels[w2 + cost]
-            for ln, row in levels[w2].items():
-                row = row[:]
-                for u, step in zip(us, steps):
-                    for S, R in step:
-                        row[S] += u * row[R]
-                dst[ln + 1] = list(map(add, dst.get(ln + 1, zero), row))
-    table: Dict[int, List[Tuple[int, List[int]]]] = {}
+    big = N2 + 1
+
+    def mincost(w, m):  # least energy m parts of one side add
+        return m * m + m * w.d2 if kind in STRICT else m * (1 + w.d2)
+
+    # needs[i][b]: least energy sides i.. must add to take b to a wanted
+    # bucket (b absent: none within the budget)
+    needs = [None] * (len(sides) + 1)
+    if wanted is not None:
+        needs[-1] = dict.fromkeys(wanted, 0)
+        for i in range(len(sides) - 1, -1, -1):
+            w, need = sides[i][2], {}
+            for b, c in needs[i + 1].items():
+                m = 0
+                while c + mincost(w, m) <= N2:
+                    cost, nb = c + mincost(w, m), b - m * w.e2
+                    if cost < need.get(nb, big):
+                        need[nb] = cost
+                    m += 1
+            needs[i] = need
+    levels = [{} for _ in range(N2 + 1)]  # levels[E] = {bucket: row}
+    if levels:
+        levels[0][0] = start
+    for i, (alpha, gamma, w) in enumerate(sides):
+        need = needs[i]
+        ca, cb = w.value_coeff.numerator, w.value_coeff.denominator
+        for p in range(1, (N2 - w.d2 + 1) // 2 + 1) if ca else ():
+            e, cost = 2 * p - 1, 2 * p - 1 + w.d2
+            us = [alpha * a ** e * (d // b ** e)
+                  + gamma * b ** e * (d // a ** e)
+                  for (a, b), d in zip(roots, dens)]
+            # strict parts sweep downward (used once)
+            for w2 in (range(N2 - cost, -1, -1) if kind in STRICT
+                       else range(N2 - cost + 1)):
+                dst, room = levels[w2 + cost], N2 - w2 - cost
+                for b, row in levels[w2].items():
+                    nb = b + w.e2
+                    if need is not None and need.get(nb, big) > room:
+                        continue
+                    # exact: the state holds fewer parts of this side than
+                    # fit, and each took one factor cb of scale
+                    row = row[:] if cb == ca == 1 else [v * ca // cb
+                                                        for v in row]
+                    for u, step in zip(us, steps):
+                        for S, R in step:
+                            row[S] += u * row[R]
+                    old = dst.get(nb)
+                    dst[nb] = row if old is None else list(map(add, old, row))
+        need = needs[i + 1]
+        if need is not None:
+            for w2, level in enumerate(levels):
+                for b in [b for b in level if need.get(b, big) > N2 - w2]:
+                    del level[b]
+    table: Dict[int, List[Dict[int, int]]] = {}
     for w2, level in enumerate(levels):
-        for ln, row in level.items():
-            table.setdefault(ln, []).append((w2, row))
-    return table, dens
+        for b, row in level.items():
+            if wanted is None or b in wanted:
+                accs = table.setdefault(b, [{} for _ in masks])
+                for acc, T in zip(accs, masks):
+                    acc[w2] = row[T]
+    return [scale * math.prod(d for j, d in enumerate(dens) if T >> j & 1)
+            for T in masks], table
 
 
-def _charged_sides(kind: str, op_tag: str, points: Sequence[Param],
-                   budget2: int, masks):
-    """The lam-side and mu-side tables of a charged pair over the subsets of
-    `masks`, and their common dens, for the operator A or for C and D
-    (A(t) - A(t^(-1)))."""
-    betas = [CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
-    zeros = [0] * len(points)
-    sides = (((1, -1, zeros), (1, -1, [2 * b for b in betas]))
-             if op_tag in ("C", "D") else ((1, 0, zeros), (0, -1, betas)))
-    (lam, dens), (mu, _) = [
-        _side_table(points, alpha, gamma, consts, budget2,
-                    kind == "fermion_pair", masks)
-        for alpha, gamma, consts in sides]
-    return lam, mu, dens
-
-
-def _series(N2: int, acc: Dict[int, int], den: int) -> Series:
-    """The accumulated numerators {q2: c} over den as a z-free series."""
-    return Series.from_numerators(N2, den, {(q2, ()): c
-                                            for q2, c in acc.items()})
-
-
-def _subset_den(dens: Sequence[int], T: int) -> int:
-    """dens_T, the product of dens[j] over the subset mask T."""
-    return math.prod(x for j, x in enumerate(dens) if T >> j & 1)
-
-
-def _pair_traces(lam: dict, mu: dict, dens: Sequence[int], weight, N2: int,
-                 masks) -> Tuple[List[int], Dict[object, List[Dict[int, int]]]]:
-    """Pair traces from two side tables, split by the bucket each pair's
-    weight names, as integer numerators: ([den per mask T in `masks`],
-    {bucket: [{q2: numerator} per mask]}), each the sum over the bucket's
-    (lam, mu) with energy <= N2 of weight * prod_(j in T) eigenvalue, times
-    the mask's den.
-
-    weight(len_lam, len_mu) gives (rational coefficient, extra doubled
-    q-exponent, bucket), or None when the pair does not contribute; it is
-    called once per pair of lengths, whose energies are read up to the
-    budget it leaves.  Every den holds the lcm of the coefficients'
-    denominators, so all buckets of one mask share it."""
-    # per mask T, the subsets S of T and their complements T - S
-    splits = [list(zip(*[(S, T ^ S) for S in range(T + 1) if S & T == S]))
-              for T in masks]
-    weights = {}
-    for ll in lam:
-        for lm in mu:
-            wt = weight(ll, lm)
-            if wt is not None:
-                weights[ll, lm] = wt
-    wden = math.lcm(*[c0.denominator for c0, _, _ in weights.values()])
-    buckets = defaultdict(lambda: [{} for _ in masks])
-    for (ll, lm), (c0, dq2, bucket) in weights.items():
-        lrows, mrows = lam[ll], mu[lm]
-        cap = N2 - max(dq2, 0)
-        if lrows[0][0] + mrows[0][0] > cap:
-            continue
-        c0 = c0.numerator * (wden // c0.denominator)
-        accs = buckets[bucket]
-        for wl2, a in lrows:
-            for wm2, b in mrows:
-                if wl2 + wm2 > cap:
-                    break
-                q2 = wl2 + wm2 + dq2
-                for acc, (Ss, Rs) in zip(accs, splits):
-                    c = sum(map(mul, map(a.__getitem__, Ss),
-                                map(b.__getitem__, Rs)))
-                    if c:
-                        acc[q2] = acc.get(q2, 0) + c0 * c
-    return [wden * _subset_den(dens, T) for T in masks], buckets
-
-
-def _z_free_traces(N2: int, pair_traces) -> Dict[object, List[Series]]:
-    """_pair_traces' numerators as {bucket: [z-free series per mask]}."""
-    dens, buckets = pair_traces
-    return {bucket: [_series(N2, acc, d) for acc, d in zip(accs, dens)]
-            for bucket, accs in buckets.items()}
-
-
-def _a_trace(kind: str, points: Sequence[Param], N, weight) -> Series:
-    """The A-operator trace over a charged pair at all the points, with
-    weight(len_lam, len_mu) as in ``_pair_traces`` and its bucket a z-key,
-    as one z-carrying series."""
-    _require_scalar_points(points)
-    N2 = to2(N)
-    masks = [(1 << len(points)) - 1]
-    (den,), buckets = _pair_traces(
-        *_charged_sides(kind, "A", points, N2, masks), weight, N2, masks)
-    return Series.from_numerators(N2, den, {
-        (q2, zk): c for zk, (acc,) in buckets.items() for q2, c in acc.items()})
+def _series(N2: int, dens: Sequence[int], accs) -> List[Series]:
+    """_trace_table's numerators of one bucket as z-free series per mask."""
+    return [Series.from_numerators(N2, d, {(q2, ()): c
+                                           for q2, c in acc.items()})
+            for acc, d in zip(accs, dens)]
 
 
 def _neutral_traces(kind: str, points: Sequence[Param], N2: int,
                     masks) -> List[Series]:
     """Traces over a neutral factor, one per subset mask T in `masks`."""
-    betas = [CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
-    table, dens = _side_table(points, 1, -1, betas, N2,
-                              kind == "fermion_neutral", masks)
-    sums: List[Dict[int, int]] = [defaultdict(int) for _ in masks]
-    for group in table.values():
-        for w2, row in group:
-            for acc, T in zip(sums, masks):
-                acc[w2] += row[T]
-    return [_series(N2, acc, _subset_den(dens, T))
-            for acc, T in zip(sums, masks)]
+    (op_tag,) = LEGAL_OPS[kind]
+    dens, table = _trace_table(kind, op_tag, points, N2, masks)
+    return _series(N2, dens, table.get(0, [{} for _ in masks]))
 
 
 # -- the eigenvalue rule ----------------------------------------------------
@@ -323,16 +292,15 @@ def a_sector_traces(points: Sequence[Param], N, masks,
     """Charge-m traces over the level -1 bosonic pair for every m in
     `charges`, each at every subset mask T in `masks`: {m: [z-free series
     per mask]}, the sum over (lam, mu) with len(mu)-len(lam) = m of
-    q^E prod_(j in T) (A-eigenvalue at t_j).  One pair of side tables and
-    one pair pass serve them all; pairs of other charges are skipped."""
+    q^E prod_(j in T) (A-eigenvalue at t_j).  One knapsack serves them all;
+    states that reach no charge asked for are dropped."""
     _require_scalar_points(points)
     N2 = to2(N)
     charges = set(charges)
-    traces = _z_free_traces(N2, _pair_traces(
-        *_charged_sides("boson_pair", "A", points, N2, masks),
-        lambda ll, lm: (1, 0, lm - ll) if lm - ll in charges else None,
-        N2, masks))
-    return {m: traces.get(m) or [Series(N2) for _ in masks] for m in charges}
+    dens, table = _trace_table("boson_pair", "A", points, N2, masks,
+                               {2 * m for m in charges})
+    return {m: _series(N2, dens, table.get(2 * m, [{} for _ in masks]))
+            for m in charges}
 
 
 def a_sector_trace(m: int, points: Sequence[Param], N) -> Series:
@@ -342,14 +310,20 @@ def a_sector_trace(m: int, points: Sequence[Param], N) -> Series:
 
 def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Series:
     """tr over the full bosonic pair of x^(len lam) y^(len mu) q^E
-    prod A-eigenvalues.  x, y may carry charge-variable exponents."""
-
-    def weight(ll, lm):
-        cx, qx2, zx = x.pow_monomial(ll)
-        cy, qy2, zy = y.pow_monomial(lm)
-        return (cx * cy, qx2 + qy2, _zmul(zx, zy)) if cx and cy else None
-
-    return _a_trace("boson_pair", points, N, weight)
+    prod A-eigenvalues.  x, y may carry q^d with d >= 0 (the trace diverges
+    for d < 0) and powers of one charge variable."""
+    _require_scalar_points(points)
+    if x.d2 < 0 or y.d2 < 0:
+        raise NonTruncatable("trace with a negatively q-valued ratio")
+    if x.e2 and y.e2 and x.zvar != y.zvar:
+        raise QSeriesError("x and y must carry the same charge variable")
+    N2 = to2(N)
+    zvar = x.zvar if x.e2 else y.zvar
+    (den,), table = _trace_table("boson_pair", "A", points, N2,
+                                 [(1 << len(points)) - 1], x=x, y=y)
+    return Series.from_numerators(N2, den, {
+        (q2, ((zvar, b),) if b else ()): c
+        for b, (acc,) in table.items() for q2, c in acc.items()})
 
 
 def neutral_trace(kind: str, op_tag: str, points: Sequence[Param], N) -> Series:
@@ -365,12 +339,21 @@ def neutral_trace(kind: str, op_tag: str, points: Sequence[Param], N) -> Series:
 def f1_charged_trace(z: Param, points: Sequence[Param], N) -> Series:
     """Level +1 fermionic pair trace tr z^charge q^E prod A-eigenvalues;
     charge = len(lam) - len(mu), central term -beta per point."""
-
-    def weight(ll, lm):
-        c, q2, zk = z.pow_monomial(ll - lm)
-        return (c, q2, zk) if c else None
-
-    return _a_trace("fermion_pair", points, N, weight)
+    _require_scalar_points(points)
+    N2 = to2(N)
+    (den,), table = _trace_table("fermion_pair", "A", points, N2,
+                                 [(1 << len(points)) - 1])
+    # buckets are doubled charges; from_numerators drops what q^dq2 lifts
+    # above q^N
+    weights = {b: z.pow_monomial(b // 2) for b in table}
+    wden = math.lcm(*[c.denominator for c, _, _ in weights.values()])
+    acc: Dict[Tuple[int, tuple], int] = defaultdict(int)
+    for b, (nums,) in table.items():
+        c, dq2, zk = weights[b]
+        c = c.numerator * (wden // c.denominator)
+        for q2, v in nums.items():
+            acc[q2 + dq2, zk] += c * v
+    return Series.from_numerators(N2, wden * den, acc)
 
 
 # -- multi-factor duality traces -------------------------------------------
@@ -379,8 +362,7 @@ def f1_charged_trace(z: Param, points: Sequence[Param], N) -> Series:
 def factor_states(kind: str, N2: int):
     """All states of one factor with energy (doubled) <= N2, as
     (energy2, charge, state) triples."""
-    strict = kind in ("fermion_pair", "fermion_neutral")
-    singles = mod_partitions(N2, strict)
+    singles = mod_partitions(N2, kind in STRICT)
     out = []
     if kind in CHARGED:
         chsign = -1 if kind == "boson_pair" else +1  # charge of (lam, mu)
@@ -400,16 +382,12 @@ def _factor_subset_traces(kind: str, op_tag: str, points: Sequence[Param],
     """One factor's traces split by its doubled charge, for every subset of
     the operators: {doubled charge: [z-free series per bit mask]}, holding
     the charges in `charges` that some state reaches (a neutral factor has
-    the one charge 0); pairs of other charges are skipped."""
+    the one charge 0); states that reach none of them are dropped."""
     masks = range(1 << len(points))
     if kind not in CHARGED:
         return {0: _neutral_traces(kind, points, N2, masks)}
-    e2 = -2 if kind == "boson_pair" else 2  # doubled charge per len(lam)
-    charges = set(charges)
-    return _z_free_traces(N2, _pair_traces(
-        *_charged_sides(kind, op_tag, points, N2, masks),
-        lambda ll, lm: (1, 0, e2 * (ll - lm))
-        if e2 * (ll - lm) in charges else None, N2, masks))
+    dens, table = _trace_table(kind, op_tag, points, N2, masks, set(charges))
+    return {e: _series(N2, dens, accs) for e, accs in table.items()}
 
 
 DUALITY_CAP = 4

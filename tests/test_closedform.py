@@ -918,20 +918,24 @@ BOSON_FAMILIES = [key for key in sorted(LEVEL_OF)
 @pytest.mark.parametrize("key", BOSON_FAMILIES)
 def test_duality_reduce_builds_one_fock_table(monkeypatch, key):
     """Every charge and point subset of a rank-2, two-point reduction is
-    read from one A-operator table, and the result is the per-block one."""
+    read from one A-operator table (and a neutral factor's blocks from one
+    more), and the result is the per-block one."""
     calls = []
-    build = fock._charged_sides
+    build = fock._trace_table
 
-    def counted(kind, op_tag, *args):
+    def counted(kind, op_tag, *args, **kwargs):
         calls.append((kind, op_tag))
-        return build(kind, op_tag, *args)
+        return build(kind, op_tag, *args, **kwargs)
 
-    monkeypatch.setattr(fock, "_charged_sides", counted)
+    monkeypatch.setattr(fock, "_trace_table", counted)
     inst = cf.duality_instance(*key, 2)
     points = pts(F(2, 3), F(3, 5))
     got = cf.duality_reduce(inst, (1, 0), points, 3, mode="assignment")
     monkeypatch.undo()
-    assert calls == [("boson_pair", "A")]
+    assert [c for c in calls if c[0] in fock.CHARGED] == [("boson_pair", "A")]
+    neutral = inst.neutral_factor
+    assert calls[1:] == ([] if neutral is None
+                         else [(inst.factors[neutral], inst.op_tag)])
     assert got == reference_duality_reduce(inst, (1, 0), points, 3,
                                            "assignment")
 

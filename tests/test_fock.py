@@ -2,7 +2,9 @@
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,12 +27,13 @@ from qfock.qseries import (
     Param,
     QSeriesError,
     Series,
+    _zmul,
     beta_scalar,
     pochhammer_inf,
     series_equal,
     to2,
 )
-from test_qseries import qcoeff
+from test_qseries import _outcome_and_message, qcoeff
 
 F = Fraction
 
@@ -241,18 +244,20 @@ def test_duality_convolution_vs_direct(factors, op):
     (["boson_pair", "boson_pair", "boson_neutral"], "C"),
 ])
 def test_duality_builds_one_table_per_charged_kind(monkeypatch, factors, op):
-    """At rank 2 both charged factors share a kind, so their side tables
-    are built once, and the trace still equals the state enumeration."""
+    """At rank 2 both charged factors share a kind, so their knapsack table
+    is built once (and a neutral factor's once), and the trace still equals
+    the state enumeration."""
     calls = []
-    build = fock._charged_sides
+    build = fock._trace_table
 
-    def counted(kind, *args):
+    def counted(kind, *args, **kwargs):
         calls.append(kind)
-        return build(kind, *args)
+        return build(kind, *args, **kwargs)
 
-    monkeypatch.setattr(fock, "_charged_sides", counted)
+    monkeypatch.setattr(fock, "_trace_table", counted)
     got = duality_trace(factors, op, [T, T2], 2, {(0, 0): 1, (2, -2): -1})
-    assert calls == [factors[0]]
+    assert [kind for kind in calls if kind in CHARGED] == [factors[0]]
+    assert calls == list(dict.fromkeys(factors))
     direct = duality_trace_direct(factors, op, [T, T2], 2)
     assert got == charge_slice(direct, factors, (0, 0)) \
         - charge_slice(direct, factors, (2, -2))
@@ -337,11 +342,238 @@ def test_traces_match_direct_enumeration(pts, n2, factors, op):
                 duality_trace_direct(factors, op, pts, N)
 
 
-# -- the knapsack side tables against partition enumeration -----------------
+# -- the side-table pair pass: the reference of the one-knapsack engine ----
+
+
+def side_table(points, alpha, gamma, consts, budget2, strict, masks):
+    """One partition factor as ({length: [(w2, row), ...] in increasing w2},
+    dens), a knapsack over the parts of one side.  row[S] is dens_S times
+    the sum over the key's partitions lam of prod_(j in S) v_j(lam),
+    v_j = alpha S+_lam(t_j) + gamma S-_lam(t_j) + consts[j], for each subset
+    S (a bit mask) inside a mask of `masks`, and 0 for other S; dens_S is
+    the product of dens[j] over S.  row[0] counts the partitions.
+
+    This and ``pair_traces`` were qfock.fock's trace engine before one
+    knapsack ran over both sides of a pair; they stay here as the reference
+    of ``test_trace_table_matches_side_table_pair_pass``."""
+    n = len(points)
+    subs = {0} | {S for T in masks for S in range(T + 1) if S & T == S}
+    steps = [[(S, S ^ 1 << j) for S in sorted(subs) if S >> j & 1]
+             for j in range(n)]
+    top = (budget2 + 1) // 2
+    k = max(2 * top - 1, 0)
+    per_part, dens = [], []
+    zero = [0] * (1 << n)
+    start = [1] + zero[1:]
+    for pt, c, step in zip(points, consts, steps):
+        r = pt.scalar_pow(F(1, 2))
+        a, b = r.numerator, r.denominator
+        d = math.lcm(a ** k, b ** k, beta_scalar(pt).denominator)
+        per_part.append([alpha * a ** e * (d // b ** e)
+                         + gamma * b ** e * (d // a ** e)
+                         for e in range(1, 2 * top, 2)])
+        c = int(c * d)
+        for S, R in step:
+            start[S] = start[R] * c
+        dens.append(d)
+    levels = [{0: start} if w2 == 0 else {} for w2 in range(budget2 + 1)]
+    for p in range(1, top + 1):
+        cost = 2 * p - 1
+        us = [u[p - 1] for u in per_part]
+        for w2 in (range(budget2 - cost, -1, -1) if strict
+                   else range(budget2 - cost + 1)):
+            dst = levels[w2 + cost]
+            for ln, row in levels[w2].items():
+                row = row[:]
+                for u, step in zip(us, steps):
+                    for S, R in step:
+                        row[S] += u * row[R]
+                dst[ln + 1] = list(map(add, dst.get(ln + 1, zero), row))
+    table = {}
+    for w2, level in enumerate(levels):
+        for ln, row in level.items():
+            table.setdefault(ln, []).append((w2, row))
+    return table, dens
+
+
+def charged_sides(kind, op_tag, points, budget2, masks):
+    """The lam-side and mu-side tables of a charged pair and their dens,
+    for the operator A or for C and D (A(t) - A(t^(-1)))."""
+    betas = [fock.CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
+    zeros = [0] * len(points)
+    sides = (((1, -1, zeros), (1, -1, [2 * b for b in betas]))
+             if op_tag in ("C", "D") else ((1, 0, zeros), (0, -1, betas)))
+    (lam, dens), (mu, _) = [
+        side_table(points, alpha, gamma, consts, budget2,
+                   kind == "fermion_pair", masks)
+        for alpha, gamma, consts in sides]
+    return lam, mu, dens
+
+
+def pair_traces(lam, mu, dens, weight, N2, masks):
+    """Pair traces from two side tables, as ([den per mask], {bucket:
+    [{q2: numerator} per mask]}): per pair of keys, the subset products
+    sum_(S in T) a[S] b[T - S].  weight(len_lam, len_mu) gives (rational
+    coefficient, extra doubled q-exponent, bucket), or None to skip."""
+    splits = [list(zip(*[(S, T ^ S) for S in range(T + 1) if S & T == S]))
+              for T in masks]
+    weights = {}
+    for ll in lam:
+        for lm in mu:
+            wt = weight(ll, lm)
+            if wt is not None:
+                weights[ll, lm] = wt
+    wden = math.lcm(*[c0.denominator for c0, _, _ in weights.values()])
+    buckets = defaultdict(lambda: [{} for _ in masks])
+    for (ll, lm), (c0, dq2, bucket) in weights.items():
+        lrows, mrows = lam[ll], mu[lm]
+        cap = N2 - max(dq2, 0)
+        if lrows[0][0] + mrows[0][0] > cap:
+            continue
+        c0 = c0.numerator * (wden // c0.denominator)
+        accs = buckets[bucket]
+        for wl2, a in lrows:
+            for wm2, b in mrows:
+                if wl2 + wm2 > cap:
+                    break
+                q2 = wl2 + wm2 + dq2
+                for acc, (Ss, Rs) in zip(accs, splits):
+                    c = sum(map(mul, map(a.__getitem__, Ss),
+                                map(b.__getitem__, Rs)))
+                    if c:
+                        acc[q2] = acc.get(q2, 0) + c0 * c
+    return [wden * math.prod(d for j, d in enumerate(dens) if T >> j & 1)
+            for T in masks], buckets
+
+
+def _z_free(N2, dens, accs):
+    return [Series.from_numerators(N2, d, {(q2, ()): c
+                                           for q2, c in acc.items()})
+            for acc, d in zip(accs, dens)]
+
+
+def reference_pair_traces(kind, op_tag, points, N2, masks, weight):
+    dens, buckets = pair_traces(
+        *charged_sides(kind, op_tag, points, N2, masks), weight, N2, masks)
+    return {bucket: _z_free(N2, dens, accs)
+            for bucket, accs in buckets.items()}
+
+
+def reference_a_sector_traces(points, N, masks, charges):
+    fock._require_scalar_points(points)
+    N2 = to2(N)
+    charges = set(charges)
+    traces = reference_pair_traces(
+        "boson_pair", "A", points, N2, masks,
+        lambda ll, lm: (1, 0, lm - ll) if lm - ll in charges else None)
+    return {m: traces.get(m) or [Series(N2) for _ in masks] for m in charges}
+
+
+def reference_factor_subset_traces(kind, op_tag, points, N2, charges):
+    masks = range(1 << len(points))
+    if kind not in CHARGED:
+        return {0: reference_neutral_traces(kind, points, N2, masks)}
+    e2 = -2 if kind == "boson_pair" else 2
+    charges = set(charges)
+    return reference_pair_traces(
+        kind, op_tag, points, N2, masks,
+        lambda ll, lm: (1, 0, e2 * (ll - lm))
+        if e2 * (ll - lm) in charges else None)
+
+
+def reference_neutral_traces(kind, points, N2, masks):
+    betas = [fock.CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
+    table, dens = side_table(points, 1, -1, betas, N2,
+                             kind == "fermion_neutral", masks)
+    sums = [defaultdict(int) for _ in masks]
+    for group in table.values():
+        for w2, row in group:
+            for acc, T_ in zip(sums, masks):
+                acc[w2] += row[T_]
+    return _z_free(N2, [math.prod(d for j, d in enumerate(dens)
+                                  if T_ >> j & 1) for T_ in masks], sums)
+
+
+def reference_a_trace(kind, points, N, weight):
+    """One z-carrying series, the bucket of each weight a z-key."""
+    fock._require_scalar_points(points)
+    N2 = to2(N)
+    masks = [(1 << len(points)) - 1]
+    (den,), buckets = pair_traces(
+        *charged_sides(kind, "A", points, N2, masks), weight, N2, masks)
+    return Series.from_numerators(N2, den, {
+        (q2, zk): c for zk, (acc,) in buckets.items() for q2, c in acc.items()})
+
+
+def reference_a_generalized_trace(x, y, points, N):
+    def weight(ll, lm):
+        cx, qx2, zx = x.pow_monomial(ll)
+        cy, qy2, zy = y.pow_monomial(lm)
+        return (cx * cy, qx2 + qy2, _zmul(zx, zy)) if cx and cy else None
+
+    return reference_a_trace("boson_pair", points, N, weight)
+
+
+def reference_f1_charged_trace(z, points, N):
+    def weight(ll, lm):
+        c, q2, zk = z.pow_monomial(ll - lm)
+        return (c, q2, zk) if c else None
+
+    return reference_a_trace("fermion_pair", points, N, weight)
+
+
+XZ = Param(F(2, 5), 0, -1)
+YZ = Param(F(3, 7), 0, 1)
+# a negative, q-shifted ratio with a half-integer charge power
+YQZ = Param(F(3, 7), F(1, 2), F(1, 2), sign=-1)
+RATIOS = (X, Y, XZ, YZ, YQZ, Param(0))
+ZS = (Param(1, e=1), Param(F(2, 3)), Param(F(2, 3), 1, F(1, 2)), Param(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(point_st, max_size=3), st.integers(-1, 16), st.data())
+def test_trace_table_matches_side_table_pair_pass(pts, n2, data):
+    """Every trace the one knapsack serves against the side tables and
+    pair pass it replaced, at N from -1/2 (no state) to 8, with truncation
+    and the set of returned charges included, or the same refusal."""
+    N = F(n2, 2)
+    n = len(pts)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True))
+    # charges a state reaches and charges none does
+    charges = data.draw(st.sets(st.integers(-n2 - 2, n2 + 2), max_size=4))
+    assert a_sector_traces(pts, N, masks, charges) \
+        == reference_a_sector_traces(pts, N, masks, charges)
+    kind = data.draw(st.sampled_from(KINDS))
+    op = data.draw(st.sampled_from(sorted(LEGAL_OPS[kind])))
+    doubled = {2 * m for m in charges}
+    got = fock._factor_subset_traces(kind, op, pts, n2, doubled)
+    assert got == reference_factor_subset_traces(kind, op, pts, n2, doubled)
+    assert set(got) <= doubled | {0}
+    for kind in ("boson_neutral", "fermion_neutral"):
+        assert fock._neutral_traces(kind, pts, n2, masks) \
+            == reference_neutral_traces(kind, pts, n2, masks)
+    z = data.draw(st.sampled_from(ZS))
+    assert _outcome_and_message(f1_charged_trace, z, pts, N) \
+        == _outcome_and_message(reference_f1_charged_trace, z, pts, N)
+    x, y = data.draw(st.sampled_from(RATIOS)), data.draw(st.sampled_from(RATIOS))
+    assert _outcome_and_message(a_generalized_trace, x, y, pts, N) \
+        == _outcome_and_message(reference_a_generalized_trace, x, y, pts, N)
+
+
+def test_generalized_trace_refuses_divergent_and_two_variable_ratios():
+    """x = c q^d with d < 0 makes the trace diverge (a part of size 1 adds
+    no energy), and the table keeps one charge variable."""
+    with pytest.raises(NonTruncatable):
+        a_generalized_trace(Param(F(2, 5), F(-1, 2)), Y, [T], 4)
+    with pytest.raises(QSeriesError):
+        a_generalized_trace(XZ, Param(F(3, 7), 0, 1, zvar=2), [T], 4)
+
+
+# -- the reference side tables against partition enumeration ---------------
 
 
 def enumerated_side_table(points, alpha, gamma, consts, budget2, strict):
-    """fock._side_table as it was before it became a knapsack over parts:
+    """side_table as it was before it became a knapsack over parts:
     one row per enumerated partition, from the sums of its per-part values,
     added into its (w2, length) key; every subset of the points is kept.
     Returned in the knapsack's layout, {length: [(w2, row), ...] in
@@ -388,24 +620,24 @@ SIX = [Param(s) for s in (F(2, 3), F(3, 5), F(5, 7), F(3, 2), F(5, 3),
        st.sampled_from([(1, 0), (0, -1), (1, -1)]), st.data())
 def test_side_table_knapsack_matches_enumeration(pts, budget2, strict,
                                                  alpha_gamma, data):
-    """The knapsack over parts equals the partition enumeration, key by key
-    and subset by subset; asked for fewer masks it keeps the subsets inside
-    them and holds 0 at every other subset."""
+    """The reference side table's knapsack over parts equals the partition
+    enumeration, key by key and subset by subset; asked for fewer masks it
+    keeps the subsets inside them and holds 0 at every other subset."""
     alpha, gamma = alpha_gamma
     n = len(pts)
     mults = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
     consts = [m * beta_scalar(p) for m, p in zip(mults, pts)]
     want, dens = enumerated_side_table(pts, alpha, gamma, consts, budget2,
                                        strict)
-    assert fock._side_table(pts, alpha, gamma, consts, budget2, strict,
-                            range(1 << n)) == (want, dens)
+    assert side_table(pts, alpha, gamma, consts, budget2, strict,
+                      range(1 << n)) == (want, dens)
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3))
     inside = {S for T in masks for S in range(T + 1) if S & T == S}
     kept = {ln: [(w2, [x if S in inside or not S else 0
                        for S, x in enumerate(row)]) for w2, row in rows]
             for ln, rows in want.items()}
-    assert fock._side_table(pts, alpha, gamma, consts, budget2, strict,
-                            masks) == (kept, dens)
+    assert side_table(pts, alpha, gamma, consts, budget2, strict,
+                      masks) == (kept, dens)
 
 
 @pytest.mark.parametrize("kind,op", [("boson_pair", "A"),
@@ -418,7 +650,7 @@ def test_factor_table_holds_only_the_charges_asked_for(kind, op):
 
 
 def test_sector_trace_enumerates_no_partition(monkeypatch):
-    """The side tables are built over parts, not from the partition
+    """The knapsack is built over parts, not from the partition
     enumerator, so a 3-point trace at N = 36 stays cheap."""
     def refuse(*args):
         raise AssertionError("mod_partitions called")

@@ -1,8 +1,9 @@
 """Source hygiene: every name a qfock module imports is used in it, every
 function, class and method it defines is named again in src/ or demos/, no
 module uses floating point, the closed forms enumerate no Weyl group and read
-no table of the duality oracle nor keep state across calls, and every
-quotient by (1 - p) factors goes through one kernel."""
+no table of the duality oracle nor keep state across calls, the Fock traces
+have one engine, and every quotient by (1 - p) factors goes through one
+kernel."""
 
 import ast
 import collections
@@ -94,19 +95,31 @@ def test_closed_forms_enumerate_no_weyl_group():
 
 def test_closed_forms_read_no_oracle_table():
     """In closedform.py only ``extract_dominant`` names ``duality_trace``,
-    and nothing names the C/D side tables (``_charged_sides``) or the
-    oracle's per-factor tables (``_factor_subset_traces``): a closed-form
-    block read from them would be checked against itself by the sector
-    and duality gates."""
+    and nothing names the knapsack that holds the C/D side rule
+    (``_trace_table``) or the oracle's per-factor tables
+    (``_factor_subset_traces``): a closed-form block read from them would be
+    checked against itself by the sector and duality gates."""
     path = ROOT / "src" / "qfock" / "closedform.py"
     users = collections.defaultdict(set)
     for top in ast.parse(path.read_text()).body:
         for node in ast.walk(top):
             named = {getattr(node, f, None) for f in ("attr", "id", "name")}
-            for name in named & {"duality_trace", "_charged_sides",
+            for name in named & {"duality_trace", "_trace_table",
                                  "_factor_subset_traces"}:
                 users[name].add(getattr(top, "name", "<module>"))
     assert dict(users) == {"duality_trace": {"extract_dominant"}}
+
+
+def test_fock_keeps_one_trace_engine():
+    """fock.py builds every trace with the one knapsack ``_trace_table``:
+    the side tables and pair pass it replaced are not defined beside it
+    (they are the reference in tests/test_fock.py)."""
+    path = ROOT / "src" / "qfock" / "fock.py"
+    defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_trace_table" in defined
+    assert not defined & {"_side_table", "_charged_sides", "_pair_traces",
+                          "_z_free_traces", "_a_trace"}
 
 
 def test_quotients_by_one_minus_factors_have_one_path():
