@@ -225,14 +225,15 @@ def generalized_two_point(x: Param, y: Param, t1: Param, t2: Param, N) -> Series
     pxy = _times_pochhammer(pochhammer_inf(x * _QH, N), y * _QH)
     out = gamma_sym(x, y, t1, t2, N) + gamma_sym(y, x, t1i, t2i, N)
     out = out + omega(x, y, t1 * t2, N) + omega(y, x, t1i * t2i, N)
-    out = out + (omega(x, y, t2, N) - omega(y, x, t2i, N)) * c_term(t1, N)
-    out = out + (omega(x, y, t1, N) - omega(y, x, t1i, N)) * c_term(t2, N)
+    # the x-side ladders L(t_j) and y-side ladders M(t_j), each built once
+    L2, M2, c1 = omega(x, y, t2, N), omega(y, x, t2i, N), c_term(t1, N)
+    out = out + (L2 - M2) * c1
+    L1, M1, c2 = omega(x, y, t1, N), omega(y, x, t1i, N), c_term(t2, N)
+    out = out + (L1 - M1) * c2
     # cross products pair an x-side ladder at t_j with a y-side ladder at the
     # other inverted point: L(t1)M(t2) + L(t2)M(t1)
-    cross = omega(x, y, t1, N) * omega(y, x, t2i, N) \
-        + omega(x, y, t2, N) * omega(y, x, t1i, N)
-    out = out - pxy * cross
-    out = out + c_term(t1, N) * c_term(t2, N) * pair_vacuum(x, y, N)
+    out = out - pxy * (L1 * M2 + L2 * M1)
+    out = out + c1 * c2 * pair_vacuum(x, y, N)
     return out
 
 

@@ -26,7 +26,9 @@ product or a quotient by a Pochhammer symbol (a)_n or (a)_inf is one such
 pass per factor (_times_pochhammer, _over_pochhammer), so (a)_n and (a)_inf
 themselves are built without a Series product; Series.__mul__ serves
 general factors and Series.invert general divisors, such as theta
-functions.
+functions.  Series.invert keys its q-layers by one integer charge code per
+z-key (_zcode: the doubled z-exponents as balanced digits, the fields sized
+from its input), so its recurrence joins two z-keys by one int addition.
 """
 
 from __future__ import annotations
@@ -138,6 +140,32 @@ def _zmul(a: ZKey, b: ZKey) -> ZKey:
         else:
             del acc[v]
     return tuple(sorted(acc.items()))
+
+
+def _zcode(zk: ZKey, fields) -> int:
+    """The charge code of a z-key: its doubled exponents as balanced digits
+    in base 2b + 1, one digit per (variable, b) of fields, the first least
+    significant.  Only the exponents are packed, never a coefficient.
+    While every exponent met lies in [-b, b], _zdecode reads the key back, and
+    the sum of two codes is the code of the product of their keys."""
+    exps = dict(zk)
+    c, m = 0, 1
+    for var, b in fields:
+        c += exps.get(var, 0) * m
+        m *= 2 * b + 1
+    return c
+
+
+def _zdecode(c: int, fields) -> ZKey:
+    """The z-key whose _zcode over fields is c."""
+    zk = []
+    for var, b in fields:
+        w = 2 * b + 1
+        e2 = (c + b) % w - b
+        if e2:
+            zk.append((var, e2))
+        c = (c - e2) // w
+    return tuple(zk)
 
 
 Key = Tuple[int, ZKey]  # (doubled q-exponent, z-exponent key)
@@ -352,8 +380,13 @@ class Series:
         g_0 = 1, g_n = -sum_{0<e<=n} u_e g_(n-e).  With step the gcd of u's
         exponents, g_n = G_n / L^(n/step) for the integer layers
         G_n = -sum_e (L^(e/step - 1) U_e) G_(n-e), so the recurrence
-        multiplies and adds integers only, charge variables riding along,
-        and the result is reduced by one gcd at the end.
+        multiplies and adds integers only, and the result is reduced by one
+        gcd at the end.
+
+        A layer is keyed by one integer charge code in place of a z-key
+        (_zcode), so a product of two keys is one int addition: each key of
+        self is encoded once, and each distinct key of the result decoded
+        once.  Without charge variables every code is 0.
         """
         v2 = self.min2()
         if v2 is None:
@@ -362,21 +395,36 @@ class Series:
         if len(lead) != 1:
             raise NotInvertible("lowest q-layer has %d monomials" % len(lead))
         (_, lzk), ln = lead[0]
-        inv_zk = tuple((v, -e2) for v, e2 in lzk)
-        u = {}  # doubled q-exponent (> 0) -> {zkey: numerator over L}
+        u = {}  # doubled q-exponent (> 0) -> {self's zkey: numerator over L}
+        reach = {}  # charge variable -> largest |doubled exponent| in self
         for (a2, az), n in self.nums.items():
+            if az:
+                for var, e2 in az:
+                    if abs(e2) > reach.get(var, 0):
+                        reach[var] = abs(e2)
             if a2 != v2:
-                u.setdefault(a2 - v2, {})[_zmul(az, inv_zk)] = n
+                u.setdefault(a2 - v2, {})[az] = n
         # u_e = U_e / L in lowest terms, L > 0
         r = gcd(ln, *[n for ul in u.values() for n in ul.values()])
         L = abs(ln) // r
         sgn = r if ln > 0 else -r
         step = gcd(*u) or 1  # every reachable exponent is a multiple of step
         top = (self.trunc2 - v2) // step
-        v = [(e // step, [(uz, un // sgn * L ** (e // step - 1))
+        if reach:
+            # a key of u (self's over the lead's) has |e2| <= 2 reach, one of
+            # G_n sums at most n of them, and the result's are G's over the
+            # lead's
+            fields = [(var, (2 * top + 1) * e)
+                      for var, e in sorted(reach.items())]
+            lc = _zcode(lzk, fields)
+            code = {uz: _zcode(uz, fields) - lc
+                    for ul in u.values() for uz in ul}
+        else:  # no charge variable: every code is 0
+            fields, lc, code = (), 0, {(): 0}
+        v = [(e // step, [(code[uz], un // sgn * L ** (e // step - 1))
                           for uz, un in ul.items()])
              for e, ul in sorted(u.items())]
-        G = {0: {(): 1}}  # layer n/step -> {zkey: G numerator}
+        G = {0: {0: 1}}  # layer n/step -> {charge code: G numerator}
         for n in range(1, top + 1):
             acc = {}
             for e, vl in v:
@@ -385,20 +433,24 @@ class Series:
                 gl = G.get(n - e)
                 if gl is None:
                     continue  # n - e is unreachable or vanishes
-                for uz, un in vl:
-                    for gz, gn in gl.items():
-                        k = _zmul(uz, gz)
+                for uc, un in vl:
+                    for gc, gn in gl.items():
+                        k = uc + gc
                         acc[k] = acc.get(k, 0) - un * gn
             layer = {k: c for k, c in acc.items() if c}
             if layer:
                 G[n] = layer
         # 1/lead = self.den / ln, and g_n = G_n L^(top - n) / L^top
+        zkeys = {lc: ()}  # charge code of G -> the result's zkey
         out = {}
         for n, gl in G.items():
             f = self.den * (1 if ln > 0 else -1) * L ** (top - n)
             q2 = n * step - v2
-            for gz, gn in gl.items():
-                out[(q2, _zmul(gz, inv_zk))] = f * gn
+            for gc, gn in gl.items():
+                zk = zkeys.get(gc)
+                if zk is None:
+                    zk = zkeys[gc] = _zdecode(gc - lc, fields)
+                out[(q2, zk)] = f * gn
         return _reduced(self.trunc2 - 2 * v2, abs(ln) * L ** top, out)
 
     def truncate(self, N: HalfLike) -> "Series":

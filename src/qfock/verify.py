@@ -29,10 +29,10 @@ from .qseries import (
     _over_pochhammer,
     _q,
     _qinf_inv,
+    _times_one_minus,
     first_difference,
     half_str,
     pochhammer_inf,
-    pochhammer_n,
     power,
     theta_jet,
     to2,
@@ -209,23 +209,32 @@ def sum_over_m_rhs(k: int, t: Param, N) -> Series:
 
 
 def exp_left_sum(z: Param, N) -> Series:
-    """sum_m (-z)^m q^(m(m-1)/2) / (q)_m."""
-    out = Series.zero(N)
+    """sum_m (-z)^m q^(m(m-1)/2) / (q)_m, term by term:
+    t_m = -t_(m-1) z q^(m-1) / (1 - q^m)."""
+    zN = power(z, 1, N)
+    out, term = Series.zero(N), Series.one(N)
     m = 0
     while m * (m - 1) + m * z.qval2() <= to2(N):
-        num = power(z, m, N).shift(m * (m - 1) // 2)
-        out = out + _over_pochhammer(num, _q(), m).scale((-1) ** m)
+        if m:
+            term = _over_one_minus(-(term * zN).shift(m - 1).truncate(N),
+                                   _q(m))
+        out = out + term
         m += 1
     return out
 
 
 def exp_right_sum(a: Param, z: Param, N) -> Series:
-    """sum_l (a)_l z^l / (q)_l."""
-    out = Series.zero(N)
+    """sum_l (a)_l z^l / (q)_l, term by term:
+    t_l = t_(l-1) z (1 - a q^(l-1)) / (1 - q^l)."""
+    zN = power(z, 1, N)
+    out, term = Series.zero(N), Series.one(N)
     l = 0
     while l * z.qval2() <= to2(N):
-        num = power(z, l, N) * pochhammer_n(a, l, N)
-        out = out + _over_pochhammer(num, _q(), l)
+        if l:
+            term = (term * zN).truncate(N)
+            term = _over_one_minus(_times_one_minus(term, a.qshift(l - 1)),
+                                   _q(l))
+        out = out + term
         l += 1
     return out
 

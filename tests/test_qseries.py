@@ -451,11 +451,15 @@ def _geometric_invert(a):
 
 @st.composite
 def invertible_series(draw):
-    """A series whose lowest q-layer is one monomial: 0-2 charge variables
-    with half-integer exponents, half-integer q-exponents of either sign."""
-    nvars = draw(st.integers(0, 2))
-    zkeys = st.just(()) if not nvars else st.dictionaries(
-        st.integers(1, nvars), st.integers(-3, 3)).map(
+    """A series whose lowest q-layer is one monomial: 0-3 charge variables,
+    sometimes with a gap (z_1 and z_3 without z_2), with doubled exponents
+    small or up to +-2^40, and half-integer q-exponents of either sign."""
+    zvars = draw(st.sampled_from([(), (1,), (1, 2), (1, 3), (2, 3),
+                                  (1, 2, 3)]))
+    e2s = draw(st.sampled_from([st.integers(-3, 3),
+                                st.integers(-2 ** 40, 2 ** 40)]))
+    zkeys = st.just(()) if not zvars else st.dictionaries(
+        st.sampled_from(zvars), e2s).map(
         lambda d: zkey({v: F(e2, 2) for v, e2 in d.items()}))
     v2 = draw(st.integers(-5, 4))
     trunc2 = v2 + draw(st.integers(0, 14))
@@ -468,13 +472,21 @@ def invertible_series(draw):
     return Series(trunc2, {**rest, (v2, draw(zkeys)): lead})
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(invertible_series())
 @example(Series(6, {(-3, ()): F(2, 3)}))                     # u = 0
 @example(Series(9, {(-1, ((1, 2),)): F(-3), (1, ((1, -1),)): F(1, 2),
                     (4, ()): F(5)}))                         # z-carrying lead
 @example(Series(7, {(0, ()): F(1), (1, ((1, 1), (2, -3))): F(2),
                     (2, ((2, 2),)): F(-1, 3)}))               # two variables
+# a lead on three variables with a gap, u on the same ones
+@example(Series(8, {(-2, ((1, -3), (3, 2 ** 40), (5, 1))): F(3, 4),
+                    (0, ((1, 1),)): F(-1), (1, ((3, -2 ** 40),)): F(2, 5),
+                    (3, ((1, -1), (5, -2))): F(7)}))
+# every variable at a negative exponent, in the lead and in u
+@example(Series(10, {(1, ((1, -1), (2, -2 ** 40), (3, -3))): F(-5, 2),
+                     (2, ((1, -2), (2, -1), (3, -1))): F(1, 3),
+                     (4, ((2, -3),)): F(-2)}))
 # large pairwise coprime denominators, one per u-layer
 @example(Series(12, {(0, ()): F(3, 2 ** 61 - 1), (1, ()): F(5, 3 ** 40),
                     (2, ()): F(-7, 2 ** 89 - 1), (5, ()): F(1, 5 ** 30)}))
@@ -518,6 +530,26 @@ def test_invert_uses_no_series_products(a, monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert a * inv == Series.one(F(a.trunc2, 2))
+
+
+def test_invert_joins_charge_keys_by_codes(monkeypatch):
+    """The recurrence adds integer charge codes: inverting
+    (z q^(1/2))_inf (z^(-1) q^(1/2))_inf at N = 16 makes no more z-key
+    joins than the input and the result have terms together."""
+    from qfock import qseries
+    a = pochhammer_inf(Param(1, F(1, 2), e=1), 16) \
+        * pochhammer_inf(Param(1, F(1, 2), e=-1), 16)
+    calls = []
+
+    def counting_zmul(x, y, _zmul=qseries._zmul):
+        calls.append(1)
+        return _zmul(x, y)
+
+    monkeypatch.setattr(qseries, "_zmul", counting_zmul)
+    inv = a.invert()
+    monkeypatch.undo()
+    assert len(calls) <= len(a.nums) + len(inv.nums)
+    assert a * inv == Series.one(16)
 
 
 # -- theta jets against the product of one-factor jets ---------------------

@@ -15,6 +15,10 @@ from qfock.qseries import (
     NonTruncatable,
     Param,
     Series,
+    _over_pochhammer,
+    _q,
+    pochhammer_n,
+    power,
     to2,
 )
 from test_qseries import _outcome_and_message
@@ -214,6 +218,44 @@ def test_partition_sums_build_no_fraction_per_partition(monkeypatch):
         counts.append(len(built))
         built.clear()
     assert counts[0] == counts[1] == counts[2] <= 8
+
+
+def per_term_exp_left_sum(z, N):
+    """exp_left_sum with each term built from scratch: the reference."""
+    out = Series.zero(N)
+    m = 0
+    while m * (m - 1) + m * z.qval2() <= to2(N):
+        num = power(z, m, N).shift(m * (m - 1) // 2)
+        out = out + _over_pochhammer(num, _q(), m).scale((-1) ** m)
+        m += 1
+    return out
+
+
+def per_term_exp_right_sum(a, z, N):
+    """exp_right_sum with (a)_l and 1/(q)_l built for every l: the
+    reference."""
+    out = Series.zero(N)
+    l = 0
+    while l * z.qval2() <= to2(N):
+        num = power(z, l, N) * pochhammer_n(a, l, N)
+        out = out + _over_pochhammer(num, _q(), l)
+        l += 1
+    return out
+
+
+EXP_Z = [Param(1, 1), Param(F(2, 3), 1), Param(1, 1, e=1)]
+
+
+@pytest.mark.parametrize("z", EXP_Z)
+def test_exp_sums_match_per_term_sums(z):
+    """The q-exponential sums, carried term by term, equal the sums of
+    terms built from scratch."""
+    for N in (F(k, 2) for k in range(25)):
+        assert verify.exp_left_sum(z, N) == per_term_exp_left_sum(z, N)
+        for a in (Param(F(2, 3)), Param(F(3, 5)), Param(F(-1, 2)),
+                  Param(F(1, 2), sign=-1)):
+            assert verify.exp_right_sum(a, z, N) \
+                == per_term_exp_right_sum(a, z, N)
 
 
 class TestRunSuite:
