@@ -446,33 +446,58 @@ def _normalize_label(lam, l: int, allow_negative: bool):
     return lam
 
 
-def _alternant(inst: "DualityInstance", rows, entry, N) -> Series:
-    """sum_w sgn(w) prod_i entry(i, k_i(w)), k(w) = lam + rho - w rho, over
-    the Weyl group of ``inst``, expanded row by row like a determinant: row
-    i takes a free column j and, outside type A, a sign s, reads
-    entry(i, lam_i + rho_i - s rho_j) and is signed by s and the parity of
-    the used columns above j; ``rows`` is _row_shifts(inst, lam), built
-    once per caller.  A state is (used columns, for type D the parity of the
-    s = -1 taken), and type D keeps the even states, so the work is about
-    l 2^l products, not |W| l."""
+def _alternant(inst: "DualityInstance", rows, block, N, n: int = 0,
+               tail=None) -> Series:
+    """sum_w sgn(w) sum_(S_1, ..., S_l) prod_i block(k_i(w))[S_i], with
+    k(w) = lam + rho - w rho over the Weyl group of ``inst``, and the S_i
+    disjoint point masks that together hold all n points; with ``tail``, a
+    list by point mask, they may leave a mask R and the term is multiplied
+    by tail[R].  ``block(k)`` is read once per weight k: a list (or dict)
+    by point mask.  At n = 0 this is the plain alternant
+    sum_w sgn(w) prod_i block(k_i(w))[0].
+
+    Expanded row by row like a determinant: row i takes a free column j
+    and, outside type A, a sign s, then a subset S of the points not yet
+    used, reads block(lam_i + rho_i - s rho_j)[S] and is signed by s and
+    the parity of the used columns above j; ``rows`` is
+    _row_shifts(inst, lam), built once per caller.  A state is (used
+    columns, for type D the parity of the s = -1 taken, used point mask P).
+    Type D keeps the even states, and without a tail the last row takes
+    every point left, so the work is about l 2^l 3^n products, not
+    |W| l (factors)^n."""
     l = inst.l
     if l > combinat.WEYL_CAP:
         raise CapExceeded("Weyl rank %d exceeds cap %d" % (l, combinat.WEYL_CAP))
-    states = {(0, 0): Series.one(N)}
+    full = (1 << n) - 1
+    blocks = {k: block(k) for k in {k for row in rows for _, _, k in row}}
+    states: Dict[tuple, Optional[Series]] = {(0, 0, 0): None}  # None: 1
     for i, shifts in enumerate(rows):
-        row = [(j, s, entry(i, k)) for j, s, k in shifts]
+        last = i == l - 1
         nxt: Dict[tuple, Series] = {}
-        for (used, odd), acc in states.items():
-            for j, s, e in row:
-                if used >> j & 1:
+        for (used, odd, P), acc in states.items():
+            free = full ^ P
+            for j, s, k in shifts:
+                flip = inst.weyl == "D" and s < 0
+                if used >> j & 1 or last and odd ^ flip:
                     continue
-                term = acc * e
-                if (bin(used >> j).count("1") + (s < 0)) % 2:
-                    term = -term
-                key = (used | 1 << j, odd ^ (inst.weyl == "D" and s < 0))
-                nxt[key] = nxt[key] + term if key in nxt else term
+                negate = (bin(used >> j).count("1") + (s < 0)) % 2
+                entries, S = blocks[k], free
+                while True:  # every S within the free points, or all of them
+                    e = entries[S]
+                    if e.nums:
+                        term = e if acc is None else acc * e
+                        if negate:
+                            term = -term
+                        key = (used | 1 << j, odd ^ flip, P | S)
+                        nxt[key] = nxt[key] + term if key in nxt else term
+                    if not S or last and tail is None:
+                        break
+                    S = (S - 1) & free
         states = nxt
-    return Series.zero(N) + states[(2 ** l - 1, 0)]
+    out = Series.zero(N)
+    for (_, _, P), acc in states.items():  # every column used, even parity
+        out = out + (acc if tail is None else acc * tail[full ^ P])
+    return out
 
 
 def _row_shifts(inst: "DualityInstance", lam):
@@ -506,7 +531,7 @@ def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
     # differences that define the rank-one type-d function (at l=1 the sum
     # equals charged_qdim_base(k) - charged_qdim_base(k+2) exactly).
     wsum = _alternant(inst, _row_shifts(inst, lam),
-                      lambda i, k: charged_qdim_base(k, N), N)
+                      lambda k: [charged_qdim_base(k, N)], N)
     if inst.neutral_factor is None:
         return wsum
     # times the neutral factor's graded dimension: 1/(q^(1/2))_inf for the
@@ -523,7 +548,7 @@ def _c_positive_half_qdim(inst: "DualityInstance", label, N,
     pre = _over_pochhammer(_qinf_inv(to2(N), l), _QH)
     if form == "weyl":
         return pre * _alternant(inst, _row_shifts(inst, lam),
-                                lambda i, k: Series.monomial(1, F(k * k, 2), N),
+                                lambda k: [Series.monomial(1, F(k * k, 2), N)],
                                 N)
     if form == "product":
         out = Series.monomial(1, F(sum(v * v for v in lam), 2), N)
@@ -648,9 +673,12 @@ def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
     ``mode='literal'`` renders the printed product formula: each factor's
     block is evaluated at the full point list (with the neutral prefactor,
     where present, also at the full list).  ``mode='assignment'`` distributes
-    the n commuting operators over the factors (sum over all maps from points
-    to factors; a factor receiving no point contributes its graded
-    dimension/plain trace).
+    the n commuting operators over the factors: the sum over the ways to
+    split the points into one subset per factor, each factor's block read at
+    its own subset (a factor receiving no point contributes its graded
+    dimension/plain trace).  ``_alternant`` folds that split into its rows,
+    one point mask per state, so no map from points to factors is
+    enumerated.
     """
     n = len(points)
     if n > 3:
@@ -662,31 +690,21 @@ def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
     lam = _normalize_label(label, inst.l, inst.allow_negative_label)
     fock._require_scalar_points(points)
     full = (1 << n) - 1
-    nfac = len(inst.factors)
     neutral = inst.neutral_factor
-    # every block the alternants read, built before the first of them
+    # every block the alternant reads, built before it runs
     rows = _row_shifts(inst, lam)
     charges = {k for row in rows for _, _, k in row}
     if mode == "literal":
         pre = Series.one(N) if neutral is None else fock.neutral_trace(
             inst.factors[neutral], inst.op_tag, points, N)
         blocks = _charged_blocks(inst, charges, points, N, [full])
-        return pre * _alternant(inst, rows, lambda i, k: blocks[k][full], N)
-    masks = [full] if nfac == 1 else range(1 << n)
+        return pre * _alternant(inst, rows, lambda k: [blocks[k][full]], N)
+    # one factor reads the full mask alone
+    masks = [full] if len(inst.factors) == 1 else range(1 << n)
     blocks = _charged_blocks(inst, charges, points, N, masks)
-    if neutral is not None:
-        # nfac > 1 here, so the list holds every subset, indexed by mask
-        nblocks = fock._neutral_traces(inst.factors[neutral], points, to2(N),
-                                       masks)
-    out = Series.zero(N)
-    for phi in iter_product(range(nfac), repeat=n):
-        parts = [sum(1 << j for j in range(n) if phi[j] == i)
-                 for i in range(nfac)]
-        term = _alternant(inst, rows, lambda i, k: blocks[k][parts[i]], N)
-        if neutral is not None:
-            term = term * nblocks[parts[neutral]]
-        out = out + term
-    return out
+    tail = None if neutral is None else fock._neutral_traces(
+        inst.factors[neutral], points, to2(N), masks)
+    return _alternant(inst, rows, blocks.__getitem__, N, n, tail)
 
 
 def _weyl_shifts(wtype: str, rho, lam) -> Dict[tuple, int]:

@@ -37,7 +37,10 @@ its own charge variable z_(i+1), so one z-monomial coefficient of the trace
 is a sum, over the assignments of the points to factors, of products of
 per-factor charge slices of the subset tables above, one table per factor
 kind.  ``duality_trace`` reads a signed sum of such coefficients (the Weyl
-shifts of a labeled trace) this way, and multiplies only z-free series.
+shifts of a labeled trace) without enumerating the assignments: the signed
+charge vectors form a trie over their prefixes, neutral factors first, and
+each node sums the factors after it by one subset convolution over point
+masks per child.  It multiplies only z-free series.
 
 These oracles require plain rational scalar points (d = 0); modesum.py
 resums shifted ones.  ``duality_trace_direct`` enumerates tensor-product
@@ -424,6 +427,20 @@ def duality_trace(factors: Sequence[str], op_tag: str,
     S = phi^(-1)(i) applied.  Each factor carries only its own z_i, so every
     product here is between z-free series, and [z_i^(c_i)] T_i is the same
     table for every factor of one kind; it is built once per kind.
+
+    No map phi is enumerated.  With the neutral factors put first, the
+    signed vectors are the leaves of a trie over their charge prefixes, and
+    the node of a prefix p of length i sums the factors i, i + 1, ... over
+    every point mask V, one subset convolution per child (Bjorklund,
+    Husfeldt, Kaski and Koivisto, "Fourier meets Moebius", STOC 2007),
+    factor by factor as in bucket elimination (Dechter, 1999):
+
+      G_p[V] = sum_e sum_(S subset of V) T_i[e][S] G_(p+e)[V - S].
+
+    The last factor only scales its rows by the leaf signs, and the root is
+    read at the full mask alone.  So an interior node costs 3^n products per
+    child, the root 2^n: a neutral factor's one charge 0 is shared there by
+    every vector.
     """
     check_duality(factors, op_tag, points)
     charged = [i for i, kind in enumerate(factors) if kind in CHARGED]
@@ -433,32 +450,44 @@ def duality_trace(factors: Sequence[str], op_tag: str,
                                "charged factor" % (c, len(charged)))
     N2 = to2(N)
     n = len(points)
-    # each factor's doubled charge in every signed vector, neutral ones 0
-    wants = {c: [dict(zip(charged, c)).get(i, 0) for i in range(len(factors))]
-             for c, sgn in charges.items() if sgn}
+    full = (1 << n) - 1
+    order = sorted(range(len(factors)), key=lambda i: factors[i] in CHARGED)
+    kinds = [factors[i] for i in order]
+    # each signed vector as every factor's doubled charge in that order,
+    # neutral ones 0
+    leaves = {tuple(dict(zip(charged, c)).get(i, 0) for i in order): sgn
+              for c, sgn in charges.items() if sgn}
     read: Dict[str, set] = {kind: set() for kind in factors}
-    for want in wants.values():
-        for kind, e in zip(factors, want):
+    for key in leaves:
+        for kind, e in zip(kinds, key):
             read[kind].add(e)
-    tables = {kind: _factor_subset_traces(kind, op_tag, points, N2, es)
-              for kind, es in read.items()}
-    masks = [[sum(1 << j for j in range(n) if phi[j] == i)
-              for i in range(len(factors))]
-             for phi in itertools.product(range(len(factors)), repeat=n)]
-    total = Series.zero(N)
-    for c, want in wants.items():
-        rows = [tables[kind].get(e) for kind, e in zip(factors, want)]
-        if None in rows:
+    built = {kind: _factor_subset_traces(kind, op_tag, points, N2, es)
+             for kind, es in read.items()}
+    tables = [built[kind] for kind in kinds]
+    zero = Series.zero(N)
+    level: Dict[Tuple[int, ...], List[Series]] = {}
+    for key, sgn in leaves.items():
+        if any(e not in t for t, e in zip(tables, key)):
             continue
-        acc = Series.zero(N)
-        for phi_masks in masks:
-            prod = None
-            for row, S in zip(rows, phi_masks):
-                prod = row[S] if prod is None else prod * row[S]
-            acc = acc + prod
-        total = total + acc.scale(charges[c])
+        acc = level.setdefault(key[:-1], [zero] * (full + 1))
+        for V, row in enumerate(tables[-1][key[-1]]):
+            acc[V] = acc[V] + row.scale(sgn)
+    for i in range(len(kinds) - 2, -1, -1):
+        up: Dict[Tuple[int, ...], List[Series]] = {}
+        for key, G in level.items():
+            T = tables[i][key[i]]
+            acc = up.setdefault(key[:i], [zero] * (full + 1))
+            for V in range(full + 1) if i else (full,):
+                S = V
+                while True:  # every S within V, 0 and V included
+                    if T[S].nums and G[V ^ S].nums:
+                        acc[V] = acc[V] + T[S] * G[V ^ S]
+                    if not S:
+                        break
+                    S = (S - 1) & V
+        level = up
     # every sum starts from O(q^N), so no term above q^N survives
-    return total
+    return level[()][full] if level else zero
 
 
 def duality_trace_direct(factors: Sequence[str], op_tag: str,

@@ -911,6 +911,105 @@ def test_duality_alternant_matches_weyl_enumeration(req, mode):
         == _outcome(reference_duality_reduce, inst, lam, points, N, mode)
 
 
+# -- the point-mask fold against the map-by-map loop --------------------------
+
+
+def row_alternant(inst, rows, entry, N):
+    """sum_w sgn(w) prod_i entry(i, k_i(w)) over the Weyl group of inst,
+    expanded row by row over (used columns, type-D parity) from
+    Series.one(N).
+
+    This was ``cf._alternant`` before the point masks were folded into its
+    rows; with ``phi_loop_duality_reduce`` it is the reference of
+    ``test_point_fold_matches_phi_loop``."""
+    states = {(0, 0): Series.one(N)}
+    for i, shifts in enumerate(rows):
+        row = [(j, s, entry(i, k)) for j, s, k in shifts]
+        nxt = {}
+        for (used, odd), acc in states.items():
+            for j, s, e in row:
+                if used >> j & 1:
+                    continue
+                term = acc * e
+                if (bin(used >> j).count("1") + (s < 0)) % 2:
+                    term = -term
+                key = (used | 1 << j, odd ^ (inst.weyl == "D" and s < 0))
+                nxt[key] = nxt[key] + term if key in nxt else term
+        states = nxt
+    return Series.zero(N) + states[(2 ** inst.l - 1, 0)]
+
+
+def phi_loop_duality_reduce(inst, label, points, N):
+    """The assignment reading of ``cf.duality_reduce`` as one row alternant
+    per map phi from the points to the factors, each factor's block read at
+    the points phi sends it, times the neutral factor's trace at its own."""
+    lam = cf._normalize_label(label, inst.l, inst.allow_negative_label)
+    n = len(points)
+    nfac = len(inst.factors)
+    neutral = inst.neutral_factor
+    rows = cf._row_shifts(inst, lam)
+    charges = {k for row in rows for _, _, k in row}
+    blocks = cf._charged_blocks(inst, charges, points, N, range(1 << n))
+    if neutral is not None:
+        nblocks = fock._neutral_traces(inst.factors[neutral], points, to2(N),
+                                       range(1 << n))
+    out = Series.zero(N)
+    for phi in iter_product(range(nfac), repeat=n):
+        parts = [sum(1 << j for j in range(n) if phi[j] == i)
+                 for i in range(nfac)]
+        term = row_alternant(inst, rows,
+                             lambda i, k: blocks[k][parts[i]], N)
+        if neutral is not None:
+            term = term * nblocks[parts[neutral]]
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("key", sorted(LEVEL_OF), ids="".join)
+def test_point_fold_matches_phi_loop(key, l, n):
+    """Every family at ranks 1-3 with 0-3 points: the fold over (used
+    columns, parity, point mask) equals the sum of one alternant per map
+    from the points to the factors."""
+    inst = cf.duality_instance(*key, l)
+    lam = (1,) + (0,) * (l - 2) + (-1,) * (l > 1) \
+        if inst.allow_negative_label else (1,) + (0,) * (l - 1)
+    points = pts(*S_VALUES)[:n]
+    got = cf.duality_reduce(inst, lam, points, 3, mode="assignment")
+    assert got == phi_loop_duality_reduce(inst, lam, points, 3)
+    assert n == 0 or not got.is_zero()
+
+
+@pytest.mark.parametrize("algebra,oracle_cap,fold_cap", [
+    ("d", 8000, 1500),   # 73,728 and 4,096 as one product per map
+    ("c", 5000, 3000),   # 36,864 and 7,680
+])
+def test_duality_sides_fold_the_point_maps(monkeypatch, algebra, oracle_cap,
+                                           fold_cap):
+    """At level -4, rank 4, three points and N = 6, the oracle's trie and
+    the closed form's point-mask fold each make a bounded number of series
+    products, far fewer than one per map from the points to the factors,
+    and still agree."""
+    count = [0]
+
+    def counted(self, other, _mul=Series.__mul__):
+        count[0] += 1
+        return _mul(self, other)
+
+    inst = cf.module_instance(algebra, -4)
+    assert inst.l == 4 and inst.neutral_factor is None
+    points = pts(*S_VALUES)
+    monkeypatch.setattr(Series, "__mul__", counted)
+    oracle = cf.extract_dominant(inst, (1, 0, 0, 0), points, 6)
+    oracle_products, count[0] = count[0], 0
+    closed = cf.duality_reduce(inst, (1, 0, 0, 0), points, 6)
+    monkeypatch.undo()
+    assert oracle_products <= oracle_cap
+    assert count[0] <= fold_cap
+    assert oracle == closed and not closed.is_zero()
+
+
 BOSON_FAMILIES = [key for key in sorted(LEVEL_OF)
                   if cf.duality_instance(*key, 1).factors[0] == "boson_pair"]
 

@@ -227,15 +227,26 @@ def test_duality_vacuum_level_minus2():
     (["boson_pair", "boson_pair"], "C"),
     (["boson_neutral", "fermion_pair"], "C"),
     (["boson_pair", "fermion_neutral"], "D"),
+    (["fermion_neutral", "boson_pair", "fermion_pair"], "D"),
+    (["boson_pair", "boson_neutral", "boson_pair"], "C"),
 ])
 def test_duality_convolution_vs_direct(factors, op):
+    """Every charge slice, and signed sums of several slices, against the
+    state enumeration; the neutral factor leads, sits between or trails
+    the charged ones."""
     for pts in ([], [T], [T, T2]):
         direct = duality_trace_direct(factors, op, pts, 2)
         assert series_equal(product_duality_trace(factors, op, pts, 2),
                             direct)
-        for c in charge_vectors(direct, factors):
+        present = charge_vectors(direct, factors)
+        for c in present:
             assert duality_trace(factors, op, pts, 2, {c: 1}) \
                 == charge_slice(direct, factors, c)
+        signs = {c: (-1) ** i * (i % 3 + 1) for i, c in enumerate(present)}
+        expect = Series.zero(2)
+        for c, sgn in signs.items():
+            expect = expect + charge_slice(direct, factors, c).scale(sgn)
+        assert duality_trace(factors, op, pts, 2, signs) == expect
 
 
 @pytest.mark.parametrize("factors,op", [
@@ -669,3 +680,80 @@ def test_partition_tables_cache_is_bounded():
     for budget2 in range(bound + 3):
         fock.mod_partitions(budget2, True)
     assert fock.mod_partitions.cache_info().currsize <= bound
+
+
+# -- the charge-prefix trie against the map-by-map sum ----------------------
+
+
+def map_by_map_duality_trace(factors, op_tag, points, N, charges):
+    """Reference of ``duality_trace``: one z-free product chain per map phi
+    from the points to the factors, for every signed charge vector, read
+    from the same per-kind tables.
+
+    This was fock.duality_trace before the maps were folded into a trie
+    over charge prefixes; it stays here as the reference of
+    ``test_duality_trie_matches_map_by_map_sum``."""
+    fock.check_duality(factors, op_tag, points)
+    charged = [i for i, kind in enumerate(factors) if kind in CHARGED]
+    for c in charges:
+        if len(c) != len(charged):
+            raise QSeriesError("charge vector %r has the wrong length" % (c,))
+    N2 = to2(N)
+    n = len(points)
+    wants = {c: [dict(zip(charged, c)).get(i, 0) for i in range(len(factors))]
+             for c, sgn in charges.items() if sgn}
+    read = {kind: set() for kind in factors}
+    for want in wants.values():
+        for kind, e in zip(factors, want):
+            read[kind].add(e)
+    tables = {kind: fock._factor_subset_traces(kind, op_tag, points, N2, es)
+              for kind, es in read.items()}
+    masks = [[sum(1 << j for j in range(n) if phi[j] == i)
+              for i in range(len(factors))]
+             for phi in itertools.product(range(len(factors)), repeat=n)]
+    total = Series.zero(N)
+    for c, want in wants.items():
+        rows = [tables[kind].get(e) for kind, e in zip(factors, want)]
+        if None in rows:
+            continue
+        acc = Series.zero(N)
+        for phi_masks in masks:
+            prod = None
+            for row, S in zip(rows, phi_masks):
+                prod = row[S] if prod is None else prod * row[S]
+            acc = acc + prod
+        total = total + acc.scale(charges[c])
+    return total
+
+
+@st.composite
+def duality_requests(draw):
+    """(factors, op, points, N, charges): 1-4 factors of kinds legal for
+    the operator, neutral ones anywhere, 0-3 points, and a signed charge map
+    (signs -2..2, zero included) whose vectors share prefixes and hold odd
+    doubled charges and charges no state reaches."""
+    op = draw(st.sampled_from("ACD"))
+    kinds = sorted(kind for kind in KINDS if op in LEGAL_OPS[kind])
+    factors = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
+    points = draw(st.lists(point_st, max_size=3))
+    n2 = draw(st.integers(0, 4))
+    r = sum(kind in CHARGED for kind in factors)
+    entry = st.sampled_from([0, 0, 2, -2, 4, 1, -3, 2 * n2 + 2])
+    vectors = draw(st.lists(st.tuples(*[entry] * r), min_size=1, max_size=6))
+    # the same prefixes again with other last entries
+    if r:
+        vectors += [v[:-1] + (e,) for v, e in zip(
+            vectors, draw(st.lists(entry, max_size=len(vectors))))]
+    signs = draw(st.lists(st.integers(-2, 2), min_size=len(vectors),
+                          max_size=len(vectors)))
+    return factors, op, points, F(n2, 2), dict(zip(vectors, signs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(duality_requests())
+def test_duality_trie_matches_map_by_map_sum(req):
+    """The trie over charge prefixes against one product chain per map from
+    the points to the factors: the same series, truncation and all."""
+    factors, op, points, N, charges = req
+    assert duality_trace(factors, op, points, N, charges) \
+        == map_by_map_duality_trace(factors, op, points, N, charges)

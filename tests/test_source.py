@@ -122,6 +122,23 @@ def test_fock_keeps_one_trace_engine():
                           "_z_free_traces", "_a_trace"}
 
 
+@pytest.mark.parametrize("module,func", [("fock", "duality_trace"),
+                                         ("closedform", "duality_reduce")])
+def test_duality_sides_enumerate_no_point_map(module, func):
+    """Neither side of the duality gates names ``product`` or
+    ``iter_product``: the oracle sums the maps from points to factors over
+    its charge-prefix trie and the closed form in its alternant's point-mask
+    fold, and no map-by-map loop runs beside them (it is the reference in
+    tests/)."""
+    tree = ast.parse((ROOT / "src" / "qfock" / (module + ".py")).read_text())
+    (top,) = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == func]
+    named = set()
+    for node in ast.walk(top):
+        named |= {getattr(node, f, None) for f in ("attr", "id", "name")}
+    assert not named & {"product", "iter_product"}
+
+
 def test_quotients_by_one_minus_factors_have_one_path():
     """In qseries.py, closedform.py and modesum.py no ``.invert()`` is
     applied to an expression that builds ``_one_minus``, ``pochhammer_n``
