@@ -6,7 +6,8 @@ This module implements the explicit formulas that the enumeration oracles in
 * the level ``-1`` one-point function and its generalized (charge-weighted)
   one- and two-point companions, built from basic hypergeometric series;
 * the level ``+1`` charged-sector function expressed through theta-jet
-  determinants (``f_bo``);
+  determinants (``f_bo``), whose sum over the n! orderings of the points is
+  read as one sum over chains of point subsets, memoized by point multiset;
 * the neutral half-level one-point function;
 * graded-dimension formulas for all nine module families;
 * the Weyl-group reduction of negative/fractional-level n-point functions to
@@ -15,11 +16,11 @@ This module implements the explicit formulas that the enumeration oracles in
 * the residual of the first-point q-shift difference equations.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product as iter_product
-from math import prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import (accumulate, combinations, permutations,
+                       product as iter_product)
+from math import factorial, prod
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import combinat, fock, modesum
 from .qseries import (
@@ -251,88 +252,112 @@ def f_bo(points: Sequence[Param], N) -> Series:
         / (Theta(P_1) ... Theta(P_n)),
 
     where P_m is the product of the first m sigma-ordered points (P_0 = 1)
-    and entries with j - i + 1 < 0 vanish; evaluated by _f_bo_all.
+    and entries with j - i + 1 < 0 vanish; evaluated by _f_bo_all as one
+    sum over chains of point subsets, not over the n! orderings.
     """
     return _f_bo_all([points], N)[0]
 
 
 def _f_bo_all(point_lists: Sequence[Sequence[Param]], N) -> List[Series]:
-    """[f_bo(points, N) for points in point_lists], in order, with one memo
-    of theta data for the batch, keyed by point: the eps-signed point
-    subsets of one duality reduction share most partial products.
+    """[f_bo(points, N) for points in point_lists], in order, from one table
+    over point subsets shared by the batch: the eps-signed point subsets of
+    one duality reduction are subsets of one another.
 
     The matrix is upper Hessenberg with subdiagonal Theta(P_(n-1)), ...,
-    Theta(P_1); dividing column j < n by Theta(P_(n-j)) leaves
-    1/((q)_inf Theta(P_n)) * sum_sigma D_n, with D_0 = 1 and
-    D_m = sum_(i<=m) (-1)^(m-i) h_(i,m) D_(i-1) over the divided entries h.
-    A jet entry is (q)_inf^(-3) times the sum S_k of _theta_sums, so an
-    entry is S_k(P)/S_0(P), and D_n is linear in its last column, S_k(1):
-    the factor cancels and is never built.  The sums at a point are built
-    once, to the order of the longest list.  A partial product at a zero of
-    Theta, 1 or q^(+-1), is refused after every point theta refuses.
+    Theta(P_1); dividing column j < n by Theta(P_(n-j)) leaves a unit
+    subdiagonal, and a jet entry is (q)_inf^(-3) times the sum S_k of
+    _theta_sums, so a divided entry is h(B, k) = S_k(prod B)/S_0(prod B)
+    at the set B of the first n - j sigma-ordered points, with h(empty, k)
+    = S_k(1) in the last column: the factor cancels and is never built.
+    Expanded from its trailing corner, the determinant is a sum over the
+    chains empty = B_0 < B_1 < ... < B_r = all points of
+    prod_i (-1)^(k_i - 1) h(B_(i-1), k_i), k_i = |B_i| - |B_(i-1)|, and
+    k_1! ... k_r! orderings sigma share each chain.  So the sum over sigma
+    is W[all points], with W[empty] = 1 and
+    W[C] = sum_(B < C) (-1)^(k-1) k! h(B, k) W[B], k = |C| - |B|.  With
+    V[C] = W[C]/S_0(prod C), V[empty] = 1, f_bo = V[all points]/(q)_inf and
+    W[C] = sum_(B < C) (-1)^(k-1) k! S_k(prod B) V[B]: one product per set
+    for V, one per (set, k) for the terms, and additions for W.  W[C]
+    depends on C only through the multiset of its points (two sets with
+    one product can differ), so V and the terms are memoized by the sorted
+    ids of the set's point keys, for the whole batch.
+
+    Refusals come list by list, each before the list's first product: a
+    list over F_BO_CAP points, then for each ordering sigma in turn the sums
+    at P_1, ..., P_(n-1) (a point theta refuses) and then 1/S_0 at P_1,
+    ..., P_n (a partial product at a zero of Theta, 1 or q^(+-1)).
     """
-    t2 = to2(N)
-    qinf_inv = _qinf_inv(t2, 1)
+    qinf_inv = _qinf_inv(to2(N), 1)
     order = max(map(len, point_lists), default=0)
     one = Param(F(1))
-    sums, inverses, entries = {}, {}, {}
+    # a point or partial product is read by an int id of its scalar key,
+    # a subset by the sorted ids of its points
+    ids, sums, inverses = {}, {}, {}
 
-    def sums_at(p: Param) -> List[Series]:
-        key = _scalar_key(p)
-        if key not in sums:
-            sums[key] = _theta_sums(p, order, N)
-        return sums[key]
+    def ident(p: Param) -> int:
+        return ids.setdefault(_scalar_key(p), len(ids))
 
-    def inverse(p: Param) -> Series:
-        key = _scalar_key(p)
-        if key not in inverses:
+    def sums_at(i: int, p: Param) -> List[Series]:
+        if i not in sums:
+            sums[i] = _theta_sums(p, order, N)
+        return sums[i]
+
+    def inverse(i: int, p: Param) -> Series:
+        if i not in inverses:
             if p.d2 in (-2, 0, 2) and p.e2 == 0 and p.value_coeff == 1:
                 raise DegenerateParameter(
                     "theta vanishes at a partial product equal to 1 or "
                     "q^(+-1)")
-            inverses[key] = sums_at(p)[0].invert()
-        return inverses[key]
+            inverses[i] = sums_at(i, p)[0].invert()
+        return inverses[i]
 
-    def entry(p: Param, k: int) -> Series:
-        """Theta^(k)(p) / (k! Theta(p)), an entry of a divided column."""
-        key = (_scalar_key(p), k)
-        if key not in entries:
-            entries[key] = sums_at(p)[k] * inverse(p)
-        return entries[key]
-
-    def one_f_bo(points: Sequence[Param]) -> Series:
+    # a subset's sorted point ids -> (its product's id, the product)
+    known = {(): (ident(one), one)}
+    out, V, terms = [], {}, {}
+    for points in point_lists:
         n = len(points)
         if n > F_BO_CAP:
             raise CapExceeded("f_bo limited to %d points" % F_BO_CAP)
-        if n == 0:
-            return qinf_inv
-        total = Series.zero(N)
-        for sigma in permutations(range(n)):
-            prefix = [one]
-            for idx in sigma:
-                prefix.append(prefix[-1] * points[idx])
-            # every sum first, then 1/S_0(P_1), ..., 1/S_0(P_n): a point
-            # theta refuses is reported before a vanishing Theta
-            for p in prefix[1:n]:
-                sums_at(p)
-            for p in prefix[1:]:
-                inverse(p)
-            D = [Series.one(N)]
-            for m in range(1, n + 1):
-                acc = Series.zero(N)
-                for i in range(1, m + 1):
-                    k = m - i + 1
-                    h = entry(prefix[n - m], k) if m < n else sums_at(one)[k]
-                    term = h * D[i - 1]
-                    acc = acc - term if (m - i) % 2 else acc + term
-                D.append(acc)
-            total = total + D[n]
-        # P_n, the product of all points, is the same for every sigma;
-        # dividing by S_0, which starts at q^(-|d|/2), can leave more
-        # than O(q^N)
-        return (qinf_inv * inverse(prefix[n]) * total).truncate(N)
-
-    return [one_f_bo(points) for points in point_lists]
+        if not n:
+            out.append(qinf_inv)
+            continue
+        sets = [()]
+        for p in points:
+            i = ident(p)
+            for s in list(sets):
+                grown = tuple(sorted(s + (i,)))
+                if grown not in known:
+                    r = known[s][1] * p
+                    known[grown] = (ident(r), r)
+                sets.append(grown)
+        at = [known[s] for s in sets]
+        for sigma in permutations([1 << j for j in range(n)]):
+            prefix = list(accumulate(sigma))  # the masks of P_1, ..., P_n
+            for m in prefix[:-1]:
+                sums_at(*at[m])
+            for m in prefix:
+                inverse(*at[m])
+        for C in range(1, 1 << n):  # every proper subset B of C comes first
+            if sets[C] in V:
+                continue
+            size, by_k, B = C.bit_count(), {}, C
+            while B:
+                B = (B - 1) & C
+                k = size - B.bit_count()
+                if not B:
+                    t = sums_at(*at[0])[k]
+                elif (sets[B], k) in terms:
+                    t = terms[sets[B], k]
+                else:
+                    t = terms[sets[B], k] = sums_at(*at[B])[k] * V[sets[B]]
+                by_k[k] = by_k[k] + t if k in by_k else t
+            W = by_k.pop(1)
+            for k, t in by_k.items():
+                W = W + t.scale((-1) ** (k - 1) * factorial(k))
+            V[sets[C]] = W * inverse(*at[C])
+        # S_0, which starts at q^(-|d|/2), can leave more than O(q^N)
+        out.append((qinf_inv * V[sets[-1]]).truncate(N))
+    return out
 
 
 def level1_sector(k: int, points: Sequence[Param], N) -> Series:
@@ -566,8 +591,7 @@ def _c_positive_half_qdim(inst: "DualityInstance", label, N,
 # -- duality reduction -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualityInstance:
+class DualityInstance(NamedTuple):
     """One commuting-pair setup: a tensor product of Fock factors carrying a
     finite-dimensional group action, with the Weyl data used to reduce its
     labeled traces to level +-1 blocks."""
@@ -650,7 +674,7 @@ def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
     boson pair, one f_bo per eps-signed subset for a fermion pair."""
     if inst.factors[0] == "fermion_pair":
         signed = {U: _eps_signed(points, U) for U in masks}
-        # one batch: the eps-signed subsets share most partial products
+        # one batch: the eps-signed subsets share one subset table
         subsets = {M: pts for row in signed.values() for _, M, pts in row}
         bases = dict(zip(subsets, _f_bo_all(list(subsets.values()), N)))
         return {k: {U: sum((_charge_shift(k, pts, bases[M]).scale(s)

@@ -7,9 +7,8 @@ the sign of an element is the determinant of its signed permutation matrix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .qseries import CapExceeded, QSeriesError
 
@@ -35,8 +34,7 @@ def set_partitions(items: Sequence) -> Iterator[List[tuple]]:
 # -- Weyl groups ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     perm: Tuple[int, ...]          # 0-based permutation of range(l)
     signs: Tuple[int, ...]         # entries +-1; type A: all +1
     wtype: str                     # 'A', 'BC' or 'D'

@@ -11,12 +11,11 @@ comparisons (the naive product-form reductions evaluated at the full point
 list) whose outcome is recorded but never gates the suite.
 """
 
-from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from fractions import Fraction as F
 import json
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import closedform as cf
 from . import combinat, fock
@@ -42,21 +41,19 @@ from .qseries import (
 S_VALUES = (F(2, 3), F(3, 5), F(5, 7))
 
 
-@dataclass(frozen=True)
 class CheckSpec:
     """One named identity check: a deterministic pair of series builders."""
-    name: str
-    N: object
-    mode: str  # "gate" or "report"
-    pair: Callable[[], Tuple[Series, Series]]
 
-    def __post_init__(self):
-        if self.mode not in ("gate", "report"):
+    __slots__ = ("name", "N", "mode", "pair")
+
+    def __init__(self, name: str, N, mode: str,
+                 pair: Callable[[], Tuple[Series, Series]]):
+        if mode not in ("gate", "report"):
             raise ValueError("mode must be 'gate' or 'report'")
+        self.name, self.N, self.mode, self.pair = name, N, mode, pair
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass", "fail", or "error"
     first_discrepancy: Optional[Tuple[str, F, F]]

@@ -270,7 +270,7 @@ class TestFermionicLevelOne:
                     pochhammer_inf(Param(F(1), 1), 10).invert())
 
 
-# -- level +1 sectors: the Hessenberg recurrence and random points ----------
+# -- level +1 sectors: the subset table and random points -------------------
 
 
 def _leibniz_f_bo(points, N):
@@ -341,6 +341,9 @@ _S_POOL = st.one_of(st.sampled_from([F(2, 3), F(3, 2), F(-3, 2), F(1), F(-1)]),
 @example([(F(2, 3), 1), (F(5, 7), -1), (F(7, 5), 1), (F(3, 2), -1)], 1)
 @example([(F(2, 3), 1), (F(3, 5), -1)], 3)      # q-shifted
 @example([(F(2, 3), 1), (F(3, 5), 1)], 2)       # refused: P_2 at q^2
+@example([(F(2, 3), 0), (F(2, 3), 0), (F(3, 5), 0)], 3)  # a repeated point
+@example([(F(2, 3), 0), (F(3, 5), 0), (F(2, 5), 0)], 2)  # one product, two sets
+@example([(F(3, 5), 0), (F(2, 5), 0), (F(2, 3), 0), (F(3, 5), 0)], 2)
 def test_f_bo_matches_leibniz_determinants(spec, N):
     points = [Param(s, d) for s, d in spec]
     assert _outcome(cf.f_bo, points, N) == _outcome(_leibniz_f_bo, points, N)
@@ -360,6 +363,7 @@ def test_f_bo_refuses_theta_zeros_at_q_powers(spec):
 # points whose products recur across lists, and points theta refuses
 _A, _B, _C, _D = pts(F(2, 3), F(3, 2), F(3, 5), F(5, 3))
 _Q2 = Param(F(2, 3), 2)
+_AC, _E = pts(F(2, 5), F(5, 7))  # _AC = _A _C: one product, two sets
 _BATCH_POOL = [_A, _B, _C, _D, _Q2, Param(F(2, 3), 1), Param(F(3, 2), -1),
                Param(F(-1)), Param(F(2, 3), F(1, 2)), Param(F(2, 3), 0, 1),
                Param(F(2, 3), sign=-1)]
@@ -387,9 +391,40 @@ def _sequential_f_bo(point_lists, N):
 @example([[_A], [_A] * 5, [_B]], 1)                        # over F_BO_CAP
 @example([[_A, _C], [_C, _Q2]], 2)                         # theta refuses
 @example([[_C], [_A, _B], [_C, _Q2]], 2)                   # P_2 = 1 first
+@example([[_A, _C, _E], [_E, _C], [_C, _E, _A], [_E, _A, _C, _A]], 2)
+@example([[_A, _C, _AC], [_AC, _E], [_C, _A, _E], [_E, _AC, _A]], 2)
 def test_f_bo_batch_matches_sequential_calls(point_lists, N):
     assert _outcome_and_message(cf._f_bo_all, point_lists, N) \
         == _sequential_f_bo(point_lists, N)
+
+
+@pytest.mark.parametrize("n,cap", [(3, 100), (4, 300)])  # 442 and 5,408
+def test_f_bo_batch_builds_one_subset_table(monkeypatch, n, cap):
+    """Over the 3^n eps-signed subsets of n points at N = 4, the batch
+    makes one series product per point multiset and per (multiset, jet
+    order), not one Hessenberg recurrence per list and ordering, and
+    inverts each distinct nonempty partial product once."""
+    points = pts(F(2, 3), F(3, 5), F(5, 7), F(7, 11))[:n]
+    lists = [list(signed) for U in range(1 << n)
+             for _, _, signed in cf._eps_signed(points, U)]
+    count = {"mul": 0, "invert": 0}
+
+    def counted_mul(self, other, _mul=Series.__mul__):
+        count["mul"] += 1
+        return _mul(self, other)
+
+    def counted_invert(self, _invert=Series.invert):
+        count["invert"] += 1
+        return _invert(self)
+
+    monkeypatch.setattr(Series, "__mul__", counted_mul)
+    monkeypatch.setattr(Series, "invert", counted_invert)
+    got = cf._f_bo_all(lists, 4)
+    monkeypatch.undo()
+    assert count["mul"] <= cap
+    assert count["invert"] == 3 ** n - 1
+    if n == 3:
+        assert got == [cf.f_bo(points, 4) for points in lists]
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,11 +3,15 @@ function, class and method it defines is named again in src/ or demos/, no
 module uses floating point, the closed forms enumerate no Weyl group and read
 no table of the duality oracle nor keep state across calls, the Fock traces
 have one engine, and every quotient by (1 - p) factors goes through one
-kernel."""
+kernel, and importing the CLI and building the check registry loads no
+dataclass machinery."""
 
 import ast
 import collections
+import os
 import pathlib
+import subprocess
+import sys
 import tokenize
 
 import pytest
@@ -205,3 +209,19 @@ def test_closed_forms_keep_no_hidden_state():
         elif isinstance(node, ast.Global):
             found.add("global")
     assert not found & {"threading", "contextlib", "global"}
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    """In a fresh interpreter, ``import qfock.cli`` and
+    ``verify.registry()`` load neither ``dataclasses`` nor ``inspect``:
+    importing them pulls in ``ast``, ``dis`` and ``tokenize`` too, about
+    half of the CLI's import time."""
+    probe = ("import sys\n"
+             "import qfock.cli\n"
+             "from qfock import verify\n"
+             "verify.registry()\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
