@@ -677,8 +677,13 @@ def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
         # one batch: the eps-signed subsets share one subset table
         subsets = {M: pts for row in signed.values() for _, M, pts in row}
         bases = dict(zip(subsets, _f_bo_all(list(subsets.values()), N)))
-        return {k: {U: sum((_charge_shift(k, pts, bases[M]).scale(s)
-                            for s, M, pts in row), Series.zero(N))
+        # each block is q^(k^2/2) sum_M s (prod of M's t)^k bases[M] (see
+        # _charge_shift): one scale per term, one shift per block
+        tprods = {M: prod((p.value_coeff for p in pts), start=F(1))
+                  for M, pts in subsets.items()}
+        return {k: {U: sum((bases[M].scale(s * tprods[M] ** k)
+                            for s, M, _ in row), Series.zero(N))
+                    .shift(F(k * k, 2)).truncate(N)
                     for U, row in signed.items()} for k in charges}
     if inst.op_tag == "A":
         table = fock.a_sector_traces(points, N, masks, charges)

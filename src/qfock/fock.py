@@ -32,6 +32,15 @@ that cannot reach a bucket the caller asks for within the energy left are
 dropped: one knapsack serves every charge and operator subset a caller asks
 for, no other.
 
+Integer constants.  With t_j^(1/2) = a/b in lowest terms, beta(t_j) =
+ab/(b^2 - a^2) is in lowest terms too, so dens[j] = lcm(a^k, b^k,
+b^2 - a^2), k the largest odd power a part reaches, clears every eigenvalue
+at t_j, and c_j dens[j] = +-ab dens[j]/(b^2 - a^2), doubled for C and D on
+a pair: no Fraction is built per point, and a = +-b (t = 1, the pole of
+beta) is refused.  The least energy m parts of a side add, m(1 + d) or
+m(m + d) for strict parts with d the q-power of the side's monomial, is one
+list per side, from which the pruning table is built.
+
 Duality traces.  In a tensor product of factors, charged factor i carries
 its own charge variable z_(i+1), so one z-monomial coefficient of the trace
 is a sum, over the assignments of the points to factors, of products of
@@ -59,6 +68,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .qseries import (
     CapExceeded,
+    DegenerateParameter,
     NonTruncatable,
     Param,
     QSeriesError,
@@ -141,87 +151,97 @@ def _trace_table(kind: str, op_tag: str, points: Sequence[Param], N2: int,
     has one side and the one bucket 0.  With `wanted`, a set of buckets, a
     state that cannot reach one of them within the budget is dropped and
     only those buckets are returned; otherwise every bucket a state
-    reaches."""
+    reaches.
+
+    Every constant is an integer (see the module docstring), and each part
+    applies prod_j (1 + u_j(p) x_j) as one list of (S, S - {j}, u_j(p))
+    steps, built once per part."""
     n = len(points)
-    subs = {0} | {S for T in masks for S in range(T + 1) if S & T == S}
+    subs = sorted({0} | {S for T in masks for S in range(T + 1)
+                         if S & T == S})
     # times 1 + u x_j, row[S] gains u * row[S - {j}] for S holding j
-    steps = [[(S, S ^ 1 << j) for S in sorted(subs) if S >> j & 1]
-             for j in range(n)]
+    steps = [[(S, S ^ 1 << j) for S in subs if S >> j & 1] for j in range(n)]
     top = (N2 + 1) // 2
     k = max(2 * top - 1, 0)
-    roots, dens = [], []
-    for pt in points:
-        r = pt.scalar_pow(F(1, 2))
-        roots.append((r.numerator, r.denominator))
-        # a common denominator of every eigenvalue at pt within the budget
-        dens.append(math.lcm(r.numerator ** k, r.denominator ** k,
-                             beta_scalar(pt).denominator))
-    betas = [CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
+    roots = [(p.s.numerator, p.s.denominator) for p in points]
+    csign = CENTRAL_SIGN[kind] * (2 if kind in CHARGED and op_tag != "A"
+                                  else 1)
+    dens, consts = [], []
+    for a, b in roots:
+        if a * a == b * b:
+            raise DegenerateParameter("beta has a pole at t = 1")
+        # a common denominator of every eigenvalue at t_j within the budget
+        dens.append(math.lcm(a ** k, b ** k, b * b - a * a))
+        consts.append(csign * a * b * (dens[-1] // (b * b - a * a)))
+
+    def monomial(w):  # c q^d z^e as (numerator of c, its denominator, 2d, 2e)
+        a, b = w.s.numerator, w.s.denominator
+        return w.sign * a * a, b * b, w.d2, w.e2
+
     # (alpha, gamma, monomial): part p adds alpha t^(p-1/2) + gamma t^(-p+1/2)
     if kind not in CHARGED:
-        sides, consts = [(1, -1, Param(1))], betas
+        sides = [(1, -1, (1, 1, 0, 0))]
     else:
-        z = Param(1, e=1)
-        lz, mz = (z.inverse(), z) if kind == "boson_pair" else (z, z.inverse())
-        x, y = lz if x is None else x, mz if y is None else y
+        e2 = -2 if kind == "boson_pair" else 2  # lam's z-power, doubled
+        xm = (1, 1, 0, e2) if x is None else monomial(x)
+        ym = (1, 1, 0, -e2) if y is None else monomial(y)
         if op_tag == "A":
-            sides, consts = [(1, 0, x), (0, -1, y)], betas
+            sides = [(1, 0, xm), (0, -1, ym)]
         else:  # A(t) - A(t^(-1)), see the module docstring
-            sides, consts = [(1, -1, x), (1, -1, y)], [2 * b for b in betas]
+            sides = [(1, -1, xm), (1, -1, ym)]
     # a side holds at most N2 // (1 + d) parts, each dividing by c's den
-    scale = math.prod(w.value_coeff.denominator ** (max(N2, 0) // (1 + w.d2))
-                      for _, _, w in sides)
-    start = [scale] + [0] * ((1 << n) - 1)  # prod_j (1 + consts[j] x_j)
-    for c, d, step in zip(consts, dens, steps):
-        c = int(c * d)
+    scale = math.prod(cb ** (max(N2, 0) // (1 + d2))
+                      for _, _, (_, cb, d2, _) in sides)
+    start = [scale] + [0] * ((1 << n) - 1)  # prod_j (1 + c_j x_j)
+    for c, step in zip(consts, steps):
         for S, R in step:
             start[S] = start[R] * c
     big = N2 + 1
-
-    def mincost(w, m):  # least energy m parts of one side add
-        return m * m + m * w.d2 if kind in STRICT else m * (1 + w.d2)
-
     # needs[i][b]: least energy sides i.. must add to take b to a wanted
     # bucket (b absent: none within the budget)
     needs = [None] * (len(sides) + 1)
     if wanted is not None:
         needs[-1] = dict.fromkeys(wanted, 0)
         for i in range(len(sides) - 1, -1, -1):
-            w, need = sides[i][2], {}
+            _, _, (_, _, d2, e2) = sides[i]
+            costs, m = [], 0  # least energy m parts of the side add
+            while (cost := m * (m + d2 if kind in STRICT else 1 + d2)) <= N2:
+                costs.append(cost)
+                m += 1
+            need = {}
             for b, c in needs[i + 1].items():
-                m = 0
-                while c + mincost(w, m) <= N2:
-                    cost, nb = c + mincost(w, m), b - m * w.e2
-                    if cost < need.get(nb, big):
-                        need[nb] = cost
-                    m += 1
+                for m, cost in enumerate(costs):
+                    if c + cost > N2:
+                        break
+                    nb = b - m * e2
+                    if c + cost < need.get(nb, big):
+                        need[nb] = c + cost
             needs[i] = need
     levels = [{} for _ in range(N2 + 1)]  # levels[E] = {bucket: row}
     if levels:
         levels[0][0] = start
-    for i, (alpha, gamma, w) in enumerate(sides):
+    for i, (alpha, gamma, (ca, cb, d2, e2)) in enumerate(sides):
         need = needs[i]
-        ca, cb = w.value_coeff.numerator, w.value_coeff.denominator
-        for p in range(1, (N2 - w.d2 + 1) // 2 + 1) if ca else ():
-            e, cost = 2 * p - 1, 2 * p - 1 + w.d2
-            us = [alpha * a ** e * (d // b ** e)
-                  + gamma * b ** e * (d // a ** e)
-                  for (a, b), d in zip(roots, dens)]
+        for p in range(1, (N2 - d2 + 1) // 2 + 1) if ca else ():
+            e, cost = 2 * p - 1, 2 * p - 1 + d2
+            ops = [(S, R, alpha * a ** e * (d // b ** e)
+                    + gamma * b ** e * (d // a ** e))
+                   for (a, b), d, step in zip(roots, dens, steps)
+                   for S, R in step]
             # strict parts sweep downward (used once)
             for w2 in (range(N2 - cost, -1, -1) if kind in STRICT
                        else range(N2 - cost + 1)):
                 dst, room = levels[w2 + cost], N2 - w2 - cost
                 for b, row in levels[w2].items():
-                    nb = b + w.e2
+                    nb = b + e2
                     if need is not None and need.get(nb, big) > room:
                         continue
                     # exact: the state holds fewer parts of this side than
                     # fit, and each took one factor cb of scale
                     row = row[:] if cb == ca == 1 else [v * ca // cb
                                                         for v in row]
-                    for u, step in zip(us, steps):
-                        for S, R in step:
-                            row[S] += u * row[R]
+                    for S, R, u in ops:
+                        row[S] += u * row[R]
                     old = dst.get(nb)
                     dst[nb] = row if old is None else list(map(add, old, row))
         need = needs[i + 1]

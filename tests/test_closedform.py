@@ -1016,6 +1016,49 @@ def test_point_fold_matches_phi_loop(key, l, n):
     assert n == 0 or not got.is_zero()
 
 
+FERMION_BLOCK_CASES = [(pts(F(2, 3), F(3, 5)), F(7, 2)),
+                       (pts(F(-2, 3), F(5, 3), F(3, 7)), 2)]
+
+
+@pytest.mark.parametrize("points,N", FERMION_BLOCK_CASES)
+def test_fermion_blocks_match_one_level1_sector_per_sign(points, N):
+    """Every (charge, mask) block of the fermion pair, truncation included,
+    equals the sum of one ``level1_sector`` per eps-signed subset."""
+    inst = cf.duality_instance("c", "l-1/2", 2)
+    masks = range(1 << len(points))
+    charges = [-2, -1, 0, 1, 3]
+    blocks = cf._charged_blocks(inst, charges, points, N, masks)
+    for k in charges:
+        for U in masks:
+            sub = [p for j, p in enumerate(points) if U >> j & 1]
+            assert blocks[k][U] == reference_charged_block(inst, k, sub, N)
+
+
+@pytest.mark.parametrize("points,N", FERMION_BLOCK_CASES)
+def test_fermion_blocks_shift_once_per_block(monkeypatch, points, N):
+    """Past the f_bo batch, a fermion-pair block is one sum of scaled
+    bases and one q-shift, not one shift per eps-signed subset."""
+    inst = cf.duality_instance("c", "l-1/2", 2)
+    masks = range(1 << len(points))
+    charges = [-1, 0, 2]
+    real_f_bo_all, real_shift = cf._f_bo_all, Series.shift
+    shifts, counting = [0], [False]
+
+    def f_bo_all(*args):  # the batch's own shifts are not counted
+        out = real_f_bo_all(*args)
+        counting[0] = True
+        return out
+
+    def shift(self, *args):
+        shifts[0] += counting[0]
+        return real_shift(self, *args)
+
+    monkeypatch.setattr(cf, "_f_bo_all", f_bo_all)
+    monkeypatch.setattr(Series, "shift", shift)
+    cf._charged_blocks(inst, charges, points, N, masks)
+    assert shifts[0] == len(charges) * len(masks)
+
+
 @pytest.mark.parametrize("algebra,oracle_cap,fold_cap", [
     ("d", 8000, 1500),   # 73,728 and 4,096 as one product per map
     ("c", 5000, 3000),   # 36,864 and 7,680

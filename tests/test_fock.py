@@ -7,7 +7,7 @@ from fractions import Fraction
 from operator import add, mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfock import fock
 from qfock.fock import (
@@ -23,6 +23,7 @@ from qfock.fock import (
     neutral_trace,
 )
 from qfock.qseries import (
+    DegenerateParameter,
     NonTruncatable,
     Param,
     QSeriesError,
@@ -285,6 +286,44 @@ def test_shifted_points_rejected():
         a_sector_trace(0, [Param(F(2, 3), 1)], 4)
 
 
+@pytest.mark.parametrize("s", [1, -1])
+@pytest.mark.parametrize("trace", [
+    lambda pts: a_sector_traces(pts, 3, [0, 3], {0, 1}),
+    lambda pts: neutral_trace("boson_neutral", "C", pts, 3),
+    lambda pts: f1_charged_trace(Param(1, e=1), pts, 3),
+    lambda pts: a_generalized_trace(X, Y, pts, 3),
+    lambda pts: duality_trace(("boson_pair", "fermion_neutral"), "D", pts, 3,
+                              {(0,): 1}),
+], ids=["a_sector_traces", "neutral_trace", "f1_charged_trace",
+        "a_generalized_trace", "duality_trace"])
+def test_unit_point_refused(trace, s):
+    """t = 1, from t^(1/2) = 1 or -1, is the pole of beta: every trace
+    refuses it, also behind a regular point."""
+    with pytest.raises(DegenerateParameter,
+                       match=r"^beta has a pole at t = 1$"):
+        trace([T, Param(s)])
+
+
+def test_sector_traces_build_no_fraction_per_point(monkeypatch):
+    """The knapsack's per-point constants are integers: a_sector_traces
+    builds as many Fractions at 0, 1, 3 and 6 points."""
+    new = Fraction.__new__
+    count = [0]
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    built = []
+    for n in (0, 1, 3, 6):
+        count[0] = 0
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        a_sector_traces(SIX[:n], 3, [(1 << n) - 1], {0, 1})
+        monkeypatch.undo()
+        built.append(count[0])
+    assert built == built[:1] * 4, built
+
+
 KINDS = ("boson_pair", "fermion_pair", "boson_neutral", "fermion_neutral")
 point_st = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)) \
     .filter(lambda s: abs(s) != 1).map(Param)
@@ -541,21 +580,44 @@ RATIOS = (X, Y, XZ, YZ, YQZ, Param(0))
 ZS = (Param(1, e=1), Param(F(2, 3)), Param(F(2, 3), 1, F(1, 2)), Param(0))
 
 
+# t and 1/t at three points, as closedform's signed c/d slices read them
+SIX = [Param(s) for s in (F(2, 3), F(3, 5), F(5, 7), F(3, 2), F(5, 3),
+                          F(7, 5))]
+
+
+@st.composite
+def trace_table_requests(draw):
+    """(points, n2, masks, charges, kind, op, z, x, y): 0-3 random points or
+    the six of a signed c/d slice, N from -1/2 (no state) to 8, masks,
+    charges a state reaches and charges none does, a factor kind and
+    operator, an f1 charge weight and a pair of ratios."""
+    pts = draw(st.one_of(st.lists(point_st, max_size=3), st.just(SIX)))
+    n2 = draw(st.integers(-1, 16))
+    masks = draw(st.lists(st.integers(0, (1 << len(pts)) - 1), unique=True))
+    charges = draw(st.sets(st.integers(-n2 - 2, n2 + 2), max_size=4))
+    kind = draw(st.sampled_from(KINDS))
+    op = draw(st.sampled_from(sorted(LEGAL_OPS[kind])))
+    z = draw(st.sampled_from(ZS))
+    x, y = draw(st.sampled_from(RATIOS)), draw(st.sampled_from(RATIOS))
+    return pts, n2, masks, charges, kind, op, z, x, y
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(point_st, max_size=3), st.integers(-1, 16), st.data())
-def test_trace_table_matches_side_table_pair_pass(pts, n2, data):
+@given(trace_table_requests())
+# a negative t^(1/2) and one above 1, on the C operator of a fermion pair
+@example(([Param(F(-2, 3)), Param(F(5, 3))], 9, [0, 3, 2], {-1, 0, 2},
+          "fermion_pair", "C", ZS[0], XZ, YZ))
+@example((SIX, 7, [63, 5], {0, 1, -2}, "boson_pair", "D", ZS[2], X, YQZ))
+# no state fits, and the ratios still divide a start row of none
+@example(([T], -1, [1], {0}, "boson_pair", "A", ZS[1], X, YQZ))
+def test_trace_table_matches_side_table_pair_pass(req):
     """Every trace the one knapsack serves against the side tables and
-    pair pass it replaced, at N from -1/2 (no state) to 8, with truncation
-    and the set of returned charges included, or the same refusal."""
+    pair pass it replaced, with truncation and the set of returned charges
+    included, or the same refusal."""
+    pts, n2, masks, charges, kind, op, z, x, y = req
     N = F(n2, 2)
-    n = len(pts)
-    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True))
-    # charges a state reaches and charges none does
-    charges = data.draw(st.sets(st.integers(-n2 - 2, n2 + 2), max_size=4))
     assert a_sector_traces(pts, N, masks, charges) \
         == reference_a_sector_traces(pts, N, masks, charges)
-    kind = data.draw(st.sampled_from(KINDS))
-    op = data.draw(st.sampled_from(sorted(LEGAL_OPS[kind])))
     doubled = {2 * m for m in charges}
     got = fock._factor_subset_traces(kind, op, pts, n2, doubled)
     assert got == reference_factor_subset_traces(kind, op, pts, n2, doubled)
@@ -563,10 +625,8 @@ def test_trace_table_matches_side_table_pair_pass(pts, n2, data):
     for kind in ("boson_neutral", "fermion_neutral"):
         assert fock._neutral_traces(kind, pts, n2, masks) \
             == reference_neutral_traces(kind, pts, n2, masks)
-    z = data.draw(st.sampled_from(ZS))
     assert _outcome_and_message(f1_charged_trace, z, pts, N) \
         == _outcome_and_message(reference_f1_charged_trace, z, pts, N)
-    x, y = data.draw(st.sampled_from(RATIOS)), data.draw(st.sampled_from(RATIOS))
     assert _outcome_and_message(a_generalized_trace, x, y, pts, N) \
         == _outcome_and_message(reference_a_generalized_trace, x, y, pts, N)
 
@@ -618,11 +678,6 @@ def enumerated_side_table(points, alpha, gamma, consts, budget2, strict):
     for (w2, ln), row in sorted(table.items()):
         grouped.setdefault(ln, []).append((w2, row))
     return grouped, dens
-
-
-# t and 1/t at three points, as closedform's signed c/d slices read them
-SIX = [Param(s) for s in (F(2, 3), F(3, 5), F(5, 7), F(3, 2), F(5, 3),
-                          F(7, 5))]
 
 
 @settings(max_examples=80, deadline=None)

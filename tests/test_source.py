@@ -225,3 +225,18 @@ def test_cli_import_loads_no_dataclass_machinery():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_trace_engine_computes_beta_apart_from_its_cross_check():
+    """``fock._trace_table`` builds beta(t) from the integers of t^(1/2)
+    and names neither ``beta_scalar`` nor ``scalar_pow``: the brute-force
+    ``duality_trace_direct`` reads beta through ``eigenvalue`` and
+    ``beta_scalar``, so the two sides of that check share no beta code."""
+    tree = ast.parse((ROOT / "src" / "qfock" / "fock.py").read_text())
+    (top,) = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "_trace_table"]
+    named = set()
+    for node in ast.walk(top):
+        named |= {getattr(node, f, None) for f in ("attr", "id", "name")}
+    assert not named & {"beta_scalar", "scalar_pow"}
