@@ -34,6 +34,7 @@ from .qseries import (
     _half,
     _over_one_minus,
     _over_pochhammer,
+    _product_coeff_z,
     _q,
     _qinf_inv,
     _times_one_minus,
@@ -791,12 +792,22 @@ def weyl_extract(oracle: Series, wtype: str, rho, lam, N) -> Series:
 # -- first-point q-shift difference equations --------------------------------
 
 
+def _a_trace_z1(x: Param, y: Param, points: Sequence[Param], N) -> Series:
+    """The z_1^1 slice of modesum.a_generalized_trace(x, y, points, N): the
+    slice of its set-partition sum times pair_vacuum(x, y, N), which pairs
+    only the charges that sum to 1.  The truncation is the trace's while
+    the sum has no negative q-power, as at the points of qdiff_residual."""
+    return _product_coeff_z(modesum.a_cumulant_sum(x, y, points, N),
+                            pair_vacuum(x, y, N), 1, 1)
+
+
 def qdiff_residual(algebra: str, points: Sequence[Param], N) -> Series:
     """Residual (left minus right side) of the q-shift difference equation
     for the first point.
 
     For the charged algebra ('a') the left side is the charge +1 slice of the
-    mode-resummed generalized trace at the shifted first point, and the right
+    mode-resummed generalized trace at the shifted first point (_a_trace_z1,
+    which builds no other charge of the trace), and the right
     side is sum_{s>=0} (-1)^s over merges of the first point with s of the
     others, of the charge-0 function at the merged point list.
 
@@ -812,7 +823,7 @@ def qdiff_residual(algebra: str, points: Sequence[Param], N) -> Series:
     if algebra == "a":
         x = Param(F(1), 0, -1, zvar=1)
         y = Param(F(1), 0, 1, zvar=1)
-        lhs = modesum.a_generalized_trace(x, y, shifted, N).coeff_z(1, 1)
+        lhs = _a_trace_z1(x, y, shifted, N)
         for s in range(n):
             for comb in combinations(range(1, n), s):
                 merged = points[0]

@@ -44,8 +44,12 @@ the lowering side) makes the mode sum diverge and raises NonTruncatable.
 Each cumulant is one integer sum: its terms j^(|G|-1) u^j (t q^j)^r are
 monomials, added as numerators over one denominator, with no Series product
 per mode.  The partition function is 1/((x q^(1/2))_inf (y q^(1/2))_inf),
-or 1/(q^(1/2))_inf for the neutral boson, so the set-partition sum is
-divided by those Pochhammer symbols, one pass per factor.
+or 1/(q^(1/2))_inf for the neutral boson.  The set-partition sum
+(_cumulant_sum, and a_cumulant_sum for the charged pair) is returned
+undivided, and each trace divides it by those Pochhammer symbols, one pass
+per factor (on integer charge codes for the charged pair); a caller that
+needs one charge of the charged trace (closedform.qdiff_residual) reads it
+from the sum times closedform.pair_vacuum instead.
 """
 
 from __future__ import annotations
@@ -132,11 +136,11 @@ def _mode_cumulant(t: Param, u: Param, m: int, N) -> Series:
     return Series.from_numerators(t2, bu ** J * b ** R * g, nums)
 
 
-def _cumulant_sum(pochs: Sequence[Param], points: Sequence[Param], N,
+def _cumulant_sum(points: Sequence[Param], N,
                   connected: Callable[[Tuple[int, ...]], Series]) -> Series:
     """The sum over set partitions M of the points of prod_{G in M} K(G),
-    K(G) = connected(G) plus beta(t_k) on the singleton {k}, divided by the
-    Pochhammer symbols (a)_inf, a in pochs: one pass per factor."""
+    K(G) = connected(G) plus beta(t_k) on the singleton {k}: a trace times
+    its partition function's inverse."""
     betas = [c_term(t, N) for t in points]
     cumulants = {}
     total = Series.zero(N)
@@ -148,9 +152,18 @@ def _cumulant_sum(pochs: Sequence[Param], points: Sequence[Param], N,
                 cumulants[G] = k + betas[G[0]] if len(G) == 1 else k
             term = term * cumulants[G]
         total = total + term
-    for a in pochs:
-        total = _over_pochhammer(total, a)
     return total
+
+
+def a_cumulant_sum(x: Param, y: Param, points: Sequence[Param], N) -> Series:
+    """The set-partition sum of a_generalized_trace: that trace times
+    (x q^(1/2))_inf (y q^(1/2))_inf."""
+    def connected(G):
+        tG = prod((points[k] for k in G), start=_ONE)
+        down = _mode_cumulant(point_inverse(tG), y, len(G), N)
+        return _mode_cumulant(tG, x, len(G), N) + down.scale((-1) ** len(G))
+
+    return _cumulant_sum(points, N, connected)
 
 
 def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Series:
@@ -159,12 +172,8 @@ def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Serie
     Agrees with fock.a_generalized_trace for scalar points and additionally
     accepts points with a single q-shift (e.g. q*t).
     """
-    def connected(G):
-        tG = prod((points[k] for k in G), start=_ONE)
-        down = _mode_cumulant(point_inverse(tG), y, len(G), N)
-        return _mode_cumulant(tG, x, len(G), N) + down.scale((-1) ** len(G))
-
-    return _cumulant_sum((x * _QH, y * _QH), points, N, connected)
+    total = a_cumulant_sum(x, y, points, N)
+    return _over_pochhammer(_over_pochhammer(total, x * _QH), y * _QH)
 
 
 def neutral_c_trace(points: Sequence[Param], N) -> Series:
@@ -182,4 +191,4 @@ def neutral_c_trace(points: Sequence[Param], N) -> Series:
             out = out + _mode_cumulant(t, _ONE, len(G), N).scale(prod(eps))
         return out
 
-    return _cumulant_sum((_QH,), points, N, connected)
+    return _over_pochhammer(_cumulant_sum(points, N, connected), _QH)

@@ -26,9 +26,12 @@ product or a quotient by a Pochhammer symbol (a)_n or (a)_inf is one such
 pass per factor (_times_pochhammer, _over_pochhammer), so (a)_n and (a)_inf
 themselves are built without a Series product; Series.__mul__ serves
 general factors and Series.invert general divisors, such as theta
-functions.  Series.invert keys its q-layers by one integer charge code per
-z-key (_zcode: the doubled z-exponents as balanced digits, the fields sized
-from its input), so its recurrence joins two z-keys by one int addition.
+functions.  Series.invert and the charged quotients (_over_codes, under
+_over_one_minus and _over_pochhammer) key their q-layers by one integer
+charge code per z-key (_zcode: the doubled z-exponents as balanced digits,
+the fields sized from the input and the factors so that no code wraps), so
+their recurrences join two z-keys by one int addition; a charged quotient
+by a Pochhammer symbol encodes once and decodes once for all its factors.
 """
 
 from __future__ import annotations
@@ -506,6 +509,43 @@ def first_difference(a: Series, b: Series):
     return (k[0], k[1], Fraction(an.get(k, 0), ad), Fraction(bn.get(k, 0), bd))
 
 
+def _product_coeff_z(a: Series, b: Series, var: int, m: HalfLike) -> Series:
+    """(a * b).coeff_z(var, m), truncation included, pairing only the terms
+    whose z_var exponents sum to m: the other slices of the product are
+    never built."""
+    amin, bmin = a.min2(), b.min2()
+    if amin is None or bmin is None:
+        return (a * b).coeff_z(var, m)
+    t2 = min(a.trunc2 + bmin, b.trunc2 + amin)
+    m2 = to2(m)
+    parts = {}  # zkey -> (its z_var exponent, the rest of the zkey)
+
+    def part(zk):
+        p = parts.get(zk)
+        if p is None:
+            d = dict(zk)
+            p = parts[zk] = (d.pop(var, 0), tuple(sorted(d.items())))
+        return p
+
+    rows = {}  # z_var exponent of b -> [(q2, the rest, numerator)], rising
+    for (b2, bz), bn in sorted(b.nums.items()):
+        e2, rest = part(bz)
+        rows.setdefault(e2, []).append((b2, rest, bn))
+    out = {}
+    for (a2, az), an in a.nums.items():
+        e2, rest = part(az)
+        row = rows.get(m2 - e2)
+        if row is None:
+            continue
+        lim = t2 - a2
+        for b2, bz, bn in row:
+            if b2 > lim:
+                break
+            k = (a2 + b2, _zmul(rest, bz))
+            out[k] = out.get(k, 0) + an * bn
+    return _reduced(t2, a.den * b.den, {k: n for k, n in out.items() if n})
+
+
 def series_equal(a: Series, b: Series) -> bool:
     return first_difference(a, b) is None
 
@@ -675,9 +715,11 @@ def _over_one_minus(s: Series, p: Param) -> Series:
     follows out[k] = s[k] + c out[k - m] in rising q-exponent.  Over
     den * B^K, B = b^2 and K the longest chain (t2 - v2) // d2, its
     numerators are Out[k] = B^K S[k] + sign a^2 (Out[k - m] // B), where
-    the division is exact.  A scalar p (d = 0, no charge) other than 1
-    scales s by 1/(1 - c); any other p with d <= 0 takes the generic
-    inverse, which expands it or raises.
+    the division is exact.  When neither s nor p carries a charge variable
+    a q-layer is one int; otherwise the layers are keyed by integer charge
+    codes (_over_codes).  A scalar p (d = 0, no charge) other than 1 scales
+    s by 1/(1 - c); any other p with d <= 0 takes the generic inverse, which
+    expands it or raises.
     """
     t2, d2 = s.trunc2, p.d2
     A, B = p.sign * p.s.numerator ** 2, p.s.denominator ** 2
@@ -688,23 +730,11 @@ def _over_one_minus(s: Series, p: Param) -> Series:
         if g < 0:
             B, g = -B, -g
         return _reduced(t2, s.den * g, {k: n * B for k, n in s.nums.items()})
-    ze = ((p.zvar, p.e2),) if p.e2 else ()
-    # bucket s's numerators by q-exponent: one int per layer when neither s
-    # nor p carries a charge variable, else a {zkey: numerator} per layer
-    # (the dict loop covers both; the int loop saves about 10% of the verify
-    # workloads' wall time, measured in BENCH_17.json)
-    flat = not ze
-    if flat:
-        layers = {q2: n for (q2, zk), n in s.nums.items() if not zk}
-        flat = len(layers) == len(s.nums)
-    if not flat:
-        layers = {}
-        for (q2, zk), n in s.nums.items():
-            layer = layers.get(q2)
-            if layer is None:
-                layers[q2] = {zk: n}
-            else:
-                layer[zk] = n
+    # one int per q-layer when neither s nor p carries a charge variable
+    layers = {} if p.e2 else {q2: n for (q2, zk), n in s.nums.items()
+                              if not zk}
+    if len(layers) != len(s.nums):
+        return _over_codes(s, (p,))
     if not layers:
         return s
     v2 = min(layers)
@@ -712,34 +742,80 @@ def _over_one_minus(s: Series, p: Param) -> Series:
     if not K:
         return s  # no key of s reaches the truncation after one step
     BK = B ** K
-    if flat:
-        out = {q2: n * BK for q2, n in layers.items()}
-        get = out.get
-        for q2 in range(v2 + d2, t2 + 1):
-            n = get(q2 - d2)
-            if n:
-                out[q2] = get(q2, 0) + A * (n // B)
-        return _reduced(t2, s.den * BK,
-                        {(q2, ()): n for q2, n in out.items() if n})
-    out, nums = {}, {}
-    for q2 in range(v2, t2 + 1):
-        src = layers.get(q2)
-        cur = {zk: n * BK for zk, n in src.items()} if src else {}
-        prev = out.get(q2 - d2)
-        if prev:
-            for zk, n in prev.items():
-                if ze:
-                    zk = _zmul(zk, ze)
-                n = cur.get(zk, 0) + A * (n // B)
-                if n:
-                    cur[zk] = n
-                else:
-                    del cur[zk]
-        if cur:
-            out[q2] = cur
-            for zk, n in cur.items():
-                nums[(q2, zk)] = n
-    return _reduced(t2, s.den * BK, nums)
+    out = {q2: n * BK for q2, n in layers.items()}
+    get = out.get
+    for q2 in range(v2 + d2, t2 + 1):
+        n = get(q2 - d2)
+        if n:
+            out[q2] = get(q2, 0) + A * (n // B)
+    return _reduced(t2, s.den * BK,
+                    {(q2, ()): n for q2, n in out.items() if n})
+
+
+def _over_codes(s: Series, ps: Sequence[Param]) -> Series:
+    """s / prod_(p in ps) (1 - p), every p with d > 0, exact to s's
+    truncation: _over_one_minus's recurrence once per factor, on q-layers
+    keyed by integer charge codes (_zcode), so a step joins a key with p's
+    charge by one int addition.  s is encoded once and the result decoded
+    once.  A field's half-width is the largest |doubled exponent| of s on
+    its variable plus K |e2| for each factor on it, K that factor's longest
+    chain, so no code met on the way wraps."""
+    if not s.nums:
+        return s
+    t2, v2 = s.trunc2, s.min2()
+    reach = {}  # charge variable -> half-width of its field
+    for _, zk in s.nums:
+        for var, e2 in zk:
+            if abs(e2) > reach.get(var, 0):
+                reach[var] = abs(e2)
+    steps = []
+    for p in ps:
+        K = (t2 - v2) // p.d2
+        if K:  # else no key of s reaches the truncation after one step
+            steps.append((p, K))
+            if p.e2:
+                reach[p.zvar] = reach.get(p.zvar, 0) + K * abs(p.e2)
+    if not steps:
+        return s
+    fields = sorted(reach.items())
+    layers = {}
+    for (q2, zk), n in s.nums.items():
+        layer = layers.get(q2)
+        if layer is None:
+            layer = layers[q2] = {}
+        layer[_zcode(zk, fields)] = n
+    den = s.den
+    for p, K in steps:
+        A, B = p.sign * p.s.numerator ** 2, p.s.denominator ** 2
+        BK, d2 = B ** K, p.d2
+        ce = _zcode(((p.zvar, p.e2),), fields)
+        out = {}
+        for q2 in range(v2, t2 + 1):
+            # each input layer is read once, so it is updated in place
+            cur = layers.get(q2) or {}
+            if BK != 1:
+                cur = {c: n * BK for c, n in cur.items()}
+            prev = out.get(q2 - d2)
+            if prev:
+                for c, n in prev.items():
+                    c += ce
+                    n = cur.get(c, 0) + A * (n // B)
+                    if n:
+                        cur[c] = n
+                    else:
+                        del cur[c]
+            if cur:
+                out[q2] = cur
+        layers, den = out, den * BK
+    zkeys = {}  # charge code -> the result's zkey
+    nums = {}
+    for q2, layer in layers.items():
+        for c, n in layer.items():
+            zk = zkeys.get(c)
+            if zk is None:
+                zk = zkeys[c] = _zdecode(c, fields)
+            nums[(q2, zk)] = n
+    return _reduced(t2, den, nums)
 
 
 def _pochhammer_factors(a: Param, n: Optional[int], t2: int):
@@ -759,9 +835,16 @@ def _pochhammer_factors(a: Param, n: Optional[int], t2: int):
 def _over_pochhammer(s: Series, a: Param, n: Optional[int] = None) -> Series:
     """s / (a)_n, or s / (a)_inf when n is None, exact to s's truncation:
     one _over_one_minus per factor whose step reaches it.  A factor at
-    d = 0 is always divided, so a vanishing symbol raises even for s = 0."""
+    d <= 0 is always divided first, so a vanishing symbol raises even for
+    s = 0.  When s or a carries a charge variable, the factors with d > 0
+    run in one _over_codes pass: s is encoded once and decoded once."""
     v2 = s.min2()
-    for p in _pochhammer_factors(a, n, max(s.trunc2 - (v2 or 0), 0)):
+    ps = list(_pochhammer_factors(a, n, max(s.trunc2 - (v2 or 0), 0)))
+    while ps and ps[0].d2 <= 0:
+        s = _over_one_minus(s, ps.pop(0))
+    if a.e2 or any(zk for _, zk in s.nums):
+        return _over_codes(s, ps)
+    for p in ps:
         s = _over_one_minus(s, p)
     return s
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qfock.qseries import (NonTruncatable, Param, Series, _QH,
                            _over_pochhammer, c_term, power, to2)
-from qfock import fock, modesum
+from qfock import closedform, fock, modesum
 from qfock.combinat import set_partitions
 from test_qseries import _outcome_and_message
 
@@ -141,6 +141,30 @@ def test_shifted_point_identities_at_random_s(s, n2):
         == fock.a_sector_trace(0, [t], N)
     assert modesum.neutral_c_trace([t.qshift(1)], N) == \
         fock.neutral_trace("boson_neutral", "C", [t], N)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(s_st, min_size=1, max_size=3), st.integers(0, 20))
+@example([F(2, 3), F(2, 3)], 12)           # a repeated point
+@example([F(3, 5), F(5, 7)], 0)            # N = 0
+@example([F(3, 5), F(5, 7), F(2, 3)], 1)   # N = 1/2
+@example([F(-2, 3), F(5, 7)], 9)           # a negative s
+@example([F(2, 3), F(3, 2)], 6)            # t_1 t_2 = 1: the mode sum diverges
+def test_qdiff_lhs_is_the_z1_slice_of_the_full_trace(ss, n2):
+    """The left side of the charged q-difference equation, read as one
+    slice of a product, is the z^1 slice of the full z-graded trace at the
+    shifted first point, truncation included; a diverging mode sum raises
+    the same exception and message through both routes."""
+    N = F(n2, 2)
+    x = Param(F(1), 0, -1, zvar=1)
+    y = Param(F(1), 0, 1, zvar=1)
+    shifted = [Param(ss[0]).qshift(1)] + [Param(s) for s in ss[1:]]
+    got = _outcome_and_message(closedform._a_trace_z1, x, y, shifted, N)
+    want = _outcome_and_message(
+        lambda: modesum.a_generalized_trace(x, y, shifted, N).coeff_z(1, 1))
+    assert got == want
+    if isinstance(want, Series):
+        assert got.trunc2 == want.trunc2 == to2(N)
 
 
 # -- the per-mode Series loops the integer mode sums replaced ---------------

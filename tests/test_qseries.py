@@ -449,15 +449,19 @@ def _geometric_invert(a):
     return Series(a.trunc2 - 2 * v2, out)
 
 
+# 0-3 charge variables, sometimes with a gap (z_1 and z_3 without z_2), and
+# the doubled exponents they take: small or up to +-2^40
+CHARGE_LAYOUTS = st.tuples(
+    st.sampled_from([(), (1,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]),
+    st.sampled_from([st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40)]))
+
+
 @st.composite
 def invertible_series(draw):
     """A series whose lowest q-layer is one monomial: 0-3 charge variables,
     sometimes with a gap (z_1 and z_3 without z_2), with doubled exponents
     small or up to +-2^40, and half-integer q-exponents of either sign."""
-    zvars = draw(st.sampled_from([(), (1,), (1, 2), (1, 3), (2, 3),
-                                  (1, 2, 3)]))
-    e2s = draw(st.sampled_from([st.integers(-3, 3),
-                                st.integers(-2 ** 40, 2 ** 40)]))
+    zvars, e2s = draw(CHARGE_LAYOUTS)
     zkeys = st.just(()) if not zvars else st.dictionaries(
         st.sampled_from(zvars), e2s).map(
         lambda d: zkey({v: F(e2, 2) for v, e2 in d.items()}))
@@ -803,12 +807,13 @@ def _ref_coeff_z(a, var, m2):
 
 
 @st.composite
-def fraction_series(draw, nvars):
-    """A series on 0-2 charge variables with half-integer z- and
-    q-exponents of either sign, coefficients of either sign with small or
-    100-bit denominators, and keys beyond the truncation (dropped)."""
-    zkeys = st.just(()) if not nvars else st.dictionaries(
-        st.integers(1, nvars), st.integers(-3, 3)).map(
+def fraction_series(draw, zvars, e2s=st.integers(-3, 3)):
+    """A series on the charge variables zvars with half-integer z- and
+    q-exponents of either sign (doubled z-exponents drawn from e2s),
+    coefficients of either sign with small or 100-bit denominators, and
+    keys beyond the truncation (dropped)."""
+    zkeys = st.just(()) if not zvars else st.dictionaries(
+        st.sampled_from(zvars), e2s).map(
         lambda d: zkey({v: F(e2, 2) for v, e2 in d.items()}))
     trunc2 = draw(st.integers(-4, 10))
     coeffs = st.fractions(-5, 5, max_denominator=draw(
@@ -820,6 +825,11 @@ def fraction_series(draw, nvars):
         v2 = min(q2 for q2, _ in terms) - 1
         terms[(v2, draw(zkeys))] = -abs(draw(coeffs.filter(bool)))
     return Series(trunc2, terms)
+
+
+def _first_vars(n):
+    """The charge variables z_1..z_n."""
+    return tuple(range(1, n + 1))
 
 
 _RING_OPS = {
@@ -856,8 +866,9 @@ _RING_OPS = {
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(sorted(_RING_OPS)), st.integers(0, 2).flatmap(
-    lambda n: st.tuples(fraction_series(n), fraction_series(n))),
+@given(st.sampled_from(sorted(_RING_OPS)), st.integers(0, 2).map(
+    _first_vars).flatmap(lambda zv: st.tuples(fraction_series(zv),
+                                              fraction_series(zv))),
     st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=2 ** 70)),
     st.integers(-3, 8))
 @example("invert", (Series(9, {(-1, ((1, 2),)): F(-3), (1, ((1, -1),)): F(1, 2),
@@ -997,21 +1008,27 @@ def _assert_same_quotient(got, want, s):
 
 
 @st.composite
-def points(draw, nvars, d2_min=-2):
+def points(draw, zvars, d2_min=-2, e2s=st.integers(-2, 2)):
     """sign s^2 q^d z^e with s of either sign, integral, over 3 or over a
     40-bit denominator, d in (1/2)Z from d2_min/2 to 6 and a charge
-    exponent only when there are charge variables."""
+    exponent (doubled, from e2s) on one of zvars when there are any."""
     s = draw(st.fractions(-3, 3, max_denominator=draw(
         st.sampled_from([1, 3, 2 ** 40]))).filter(bool))
-    e2 = draw(st.integers(-2, 2)) if nvars else 0
+    e2 = draw(e2s) if zvars else 0
     return Param(s, F(draw(st.integers(d2_min, 12)), 2), F(e2, 2),
-                 zvar=draw(st.integers(1, max(nvars, 1))),
+                 zvar=draw(st.sampled_from(zvars or (1,))),
                  sign=draw(st.sampled_from([1, -1])))
 
 
+def _quotient_operands(divisors):
+    """(s, p) on one charge layout of CHARGE_LAYOUTS, p drawn by
+    divisors(zvars, e2s)."""
+    return CHARGE_LAYOUTS.flatmap(lambda ze: st.tuples(
+        fraction_series(*ze), divisors(*ze)))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2).flatmap(
-    lambda n: st.tuples(fraction_series(n), points(n))))
+@given(_quotient_operands(lambda zv, e2s: points(zv, e2s=e2s)))
 @example((Series(4, {(0, ()): F(2, 3), (3, ()): F(-1, 5)}),
           Param(F(2, 3), F(1, 2), sign=-1)))                  # den > 1, sign -1
 @example((Series(3, {(-4, ((1, 1),)): F(1, 7), (0, ()): F(3)}),
@@ -1022,9 +1039,22 @@ def points(draw, nvars, d2_min=-2):
 @example((Series(6, {(1, ()): F(1)}), Param(2, 0, 1)))       # 1 - 4 z
 @example((Series(6, {(1, ()): F(1)}), Param(F(1, 2), -1)))   # 1 - q^(-1)/4
 @example((Series.zero(5), Param(F(2, 3), 1)))
+# p charged on z_2, which s (on z_1 and z_3) lacks
+@example((Series(6, {(0, ((1, 1), (3, -2))): F(2, 3), (1, ((1, -1),)): F(-1)}),
+          Param(F(3, 2), F(1, 2), 1, zvar=2)))
+# negative exponents on every variable, in s and in p
+@example((Series(8, {(-1, ((1, -1), (2, -2 ** 40), (3, -3))): F(-5, 2),
+                     (2, ((1, -2), (3, -1))): F(1, 3)}),
+          Param(F(2, 5), 1, F(-3, 2), zvar=3)))
+# chains that end at the field bound: 3 + 3 steps of +1, 2^40 + 4 of 2^40
+@example((Series(6, {(0, ((1, 3),)): F(1), (1, ((1, -3),)): F(2)}),
+          Param(F(2, 3), 1, F(1, 2))))
+@example((Series(4, {(0, ((2, 2 ** 40),)): F(1)}),
+          Param(F(1, 3), F(1, 2), F(2 ** 40, 2), zvar=2, sign=-1)))
 def test_over_one_minus_matches_generic_inverse(operands):
     """s / (1 - p) in one pass equals the product with the generic inverse
-    up to the common truncation and is exact to s's; a p with d < 0, a
+    up to the common truncation and is exact to s's, on 0-3 charge
+    variables with gaps and exponents up to 2^40; a p with d < 0, a
     charged p with d = 0 and p = 1 take the generic inverse, so they
     expand or raise with its exception and message."""
     s, p = operands
@@ -1037,20 +1067,50 @@ def test_over_one_minus_matches_generic_inverse(operands):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2).flatmap(
-    lambda n: st.tuples(fraction_series(n), st.one_of(
-        st.just(Param(0)), points(n, d2_min=0)))),
+@given(_quotient_operands(lambda zv, e2s: st.one_of(
+    st.just(Param(0)), points(zv, d2_min=0, e2s=e2s))),
     st.one_of(st.none(), st.integers(0, 5)))
 @example((Series(4, {(-2, ()): F(3)}), Param(F(2, 3))), None)
 @example((Series(4, {(0, ()): F(1)}), Param(1)), 3)           # (1)_3 = 0
 @example((Series(4, {(0, ()): F(1)}), Param(1, 0, 1)), None)  # never truncates
 @example((Series.zero(F(-1, 2)), Param(1)), None)            # 0 / 0 raises
+# a charged on z_2, which s (on z_1 and z_3) lacks
+@example((Series(5, {(0, ((1, 2),)): F(1), (1, ((3, -1),)): F(3, 4)}),
+          Param(F(2, 3), F(1, 2), F(1, 2), zvar=2)), None)
+# negative exponents on every variable, in s and in a
+@example((Series(6, {(-1, ((1, -1), (2, -3), (3, -2 ** 40))): F(2, 7),
+                     (1, ((1, -2),)): F(-1)}),
+          Param(F(1, 2), 1, -1, zvar=1)), None)
+# one factor whose chain ends at the field bound: -3 and 3 steps of -1
+@example((Series(6, {(0, ((1, -3),)): F(1)}),
+          Param(F(2, 3), 1, F(-1, 2))), 1)
 def test_over_pochhammer_matches_generic_inverse(operands, n):
     """s / (a)_n and s / (a)_inf (n None) factor by factor equal the
-    product with the generic inverse of the whole symbol."""
+    product with the generic inverse of the whole symbol, on 0-3 charge
+    variables with gaps and exponents up to 2^40."""
     s, a = operands
     _assert_same_quotient(_result(_over_pochhammer, s, a, n),
                           _result(_ref_over_pochhammer, s, a, n), s)
+
+
+def test_charged_quotient_joins_keys_by_codes(monkeypatch):
+    """Dividing a z-carrying series by (z q^(1/2))_inf at N = 10 joins no
+    z-keys: the factors' recurrences add integer charge codes."""
+    from qfock import qseries
+    s = Series.one(10) + Series.monomial(F(2, 3), F(1, 2), 10, {1: -1})
+    a = Param(1, F(1, 2), e=1)
+    want = s * pochhammer_inf(a, 10).invert()
+    calls = []
+
+    def counting_zmul(x, y, _zmul=qseries._zmul):
+        calls.append(1)
+        return _zmul(x, y)
+
+    monkeypatch.setattr(qseries, "_zmul", counting_zmul)
+    got = _over_pochhammer(s, a)
+    monkeypatch.undo()
+    assert calls == []
+    assert got == want
 
 
 def _qhyper_reference(upper, lower, arg, N):
@@ -1165,9 +1225,9 @@ def _ref_times_pochhammer(s, a, n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2).flatmap(
-    lambda n: st.tuples(fraction_series(n), st.one_of(
-        st.just(Param(0)), st.just(Param(1)), points(n)))))
+@given(st.integers(0, 2).map(_first_vars).flatmap(
+    lambda zv: st.tuples(fraction_series(zv), st.one_of(
+        st.just(Param(0)), st.just(Param(1)), points(zv)))))
 @example((Series(4, {(0, ()): F(2, 3), (3, ()): F(-1, 5)}),
           Param(F(2, 3), F(1, 2), sign=-1)))                  # den > 1, sign -1
 @example((Series(3, {(-4, ((1, 1),)): F(1, 7), (0, ()): F(3)}),
@@ -1189,9 +1249,9 @@ def test_times_one_minus_matches_generic_product(operands):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2).flatmap(
-    lambda n: st.tuples(fraction_series(n), st.one_of(
-        st.just(Param(0)), st.just(Param(1)), points(n, d2_min=0)))),
+@given(st.integers(0, 2).map(_first_vars).flatmap(
+    lambda zv: st.tuples(fraction_series(zv), st.one_of(
+        st.just(Param(0)), st.just(Param(1)), points(zv, d2_min=0)))),
     st.one_of(st.none(), st.integers(0, 5)))
 @example((Series(4, {(-2, ()): F(3)}), Param(F(2, 3))), None)
 @example((Series(4, {(0, ()): F(1)}), Param(1)), 3)           # (1)_3 = 0
@@ -1210,8 +1270,8 @@ def test_times_pochhammer_matches_product_loop(operands, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 1).flatmap(lambda n: st.one_of(
-    st.just(Param(0)), st.just(Param(1)), points(n, d2_min=0))),
+@given(st.integers(0, 1).map(_first_vars).flatmap(lambda zv: st.one_of(
+    st.just(Param(0)), st.just(Param(1)), points(zv, d2_min=0))),
     st.one_of(st.none(), st.integers(0, 6)),
     st.integers(0, 12).map(lambda n2: F(n2, 2)))
 @example(Param(1), None, 4)                          # (1)_inf = 0

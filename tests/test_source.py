@@ -2,8 +2,9 @@
 function, class and method it defines is named again in src/ or demos/, no
 module uses floating point, the closed forms enumerate no Weyl group and read
 no table of the duality oracle nor keep state across calls, the Fock traces
-have one engine, and every quotient by (1 - p) factors goes through one
-kernel, and importing the CLI and building the check registry loads no
+have one engine, every quotient by (1 - p) factors goes through one
+kernel and joins charges by integer codes, the charged q-difference check
+builds no full z-graded trace, and importing the CLI and building the check registry loads no
 dataclass machinery."""
 
 import ast
@@ -164,6 +165,42 @@ def test_quotients_by_one_minus_factors_have_one_path():
                 if built & factors:
                     users.add("%s.%s" % (name, getattr(top, "name", "?")))
     assert users == {"qseries._over_one_minus"}
+
+
+def _names_in(module, funcs):
+    """{function: the names (Name.id, Attribute.attr, def and import
+    names) its top-level definition in module uses}; a missing def fails."""
+    tree = ast.parse((ROOT / "src" / "qfock" / (module + ".py")).read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    assert set(funcs) <= set(defs), sorted(set(funcs) - set(defs))
+    out = {}
+    for func in funcs:
+        named = set()
+        for node in ast.walk(defs[func]):
+            named |= {getattr(node, f, None) for f in ("attr", "id", "name")}
+        out[func] = named
+    return out
+
+
+def test_charged_quotients_join_charge_codes():
+    """``_over_one_minus``, ``_over_pochhammer`` and the code kernel
+    ``_over_codes`` name no ``_zmul``: a charged quotient adds integer
+    charge codes, as ``Series.invert`` does, and has no z-key path beside
+    them."""
+    named = _names_in("qseries", ("_over_one_minus", "_over_pochhammer",
+                                  "_over_codes"))
+    assert {f for f, names in named.items() if "_zmul" in names} == set()
+
+
+def test_qdiff_reads_one_charge_of_the_trace():
+    """``closedform.qdiff_residual`` and the z^1 slice it reads
+    (``_a_trace_z1``) name no ``a_generalized_trace``: the charged left side
+    is one slice of a product, not a slice of the full z-graded trace
+    (which is its reference in tests/test_modesum.py)."""
+    named = _names_in("closedform", ("qdiff_residual", "_a_trace_z1"))
+    assert {f for f, names in named.items()
+            if "a_generalized_trace" in names} == set()
 
 
 def test_products_by_one_minus_factors_have_one_path():
