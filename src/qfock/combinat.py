@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
-from .qseries import CapExceeded, QSeriesError
+from .qseries import CapExceeded, QSeriesError, to2
 
 WEYL_CAP = 6
 
@@ -99,14 +99,16 @@ def rho_vector(kind: str, l: int) -> List[Fraction]:
 
 def k_vector(lam: Sequence[int], sigma: WeylElement,
              rho: Sequence[Fraction]) -> List[int]:
-    """k_i = lambda_i + rho_i - (sigma rho)_i; always integral."""
+    """k_i = lambda_i + rho_i - (sigma rho)_i, read in doubled ints; always
+    integral."""
     if not (len(lam) == sigma.l == len(rho)):
         raise QSeriesError("dimension mismatch")
-    srho = sigma.act([Fraction(r) for r in rho])
+    rho2 = [to2(r) for r in rho]
     out = []
-    for i in range(sigma.l):
-        k = Fraction(lam[i]) + Fraction(rho[i]) - srho[i]
-        if k.denominator != 1:
-            raise QSeriesError("non-integral k-vector entry %s" % k)
-        out.append(int(k))
+    for li, r2, s2 in zip(lam, rho2, sigma.act(rho2)):
+        k2 = 2 * li + r2 - s2
+        if k2 % 2:
+            raise QSeriesError("non-integral k-vector entry %s"
+                               % Fraction(k2, 2))
+        out.append(k2 // 2)
     return out

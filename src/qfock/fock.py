@@ -49,7 +49,10 @@ kind.  ``duality_trace`` reads a signed sum of such coefficients (the Weyl
 shifts of a labeled trace) without enumerating the assignments: the signed
 charge vectors form a trie over their prefixes, neutral factors first, and
 each node sums the factors after it by one subset convolution over point
-masks per child.  It multiplies only z-free series.
+masks per child.  A factor's table at mask T lies over scale times
+prod_(j in T) dens[j], with dens[j] the same for every kind and operator,
+so every term a node sums at mask V lies over one denominator: the trie
+adds and convolves integer rows, and builds one series, at the root.
 
 These oracles require plain rational scalar points (d = 0); modesum.py
 resums shifted ones.  ``duality_trace_direct`` enumerates tensor-product
@@ -401,16 +404,18 @@ def factor_states(kind: str, N2: int):
 
 
 def _factor_subset_traces(kind: str, op_tag: str, points: Sequence[Param],
-                          N2: int, charges) -> Dict[int, List[Series]]:
+                          N2: int, charges):
     """One factor's traces split by its doubled charge, for every subset of
-    the operators: {doubled charge: [z-free series per bit mask]}, holding
-    the charges in `charges` that some state reaches (a neutral factor has
-    the one charge 0); states that reach none of them are dropped."""
-    masks = range(1 << len(points))
-    if kind not in CHARGED:
-        return {0: _neutral_traces(kind, points, N2, masks)}
-    dens, table = _trace_table(kind, op_tag, points, N2, masks, set(charges))
-    return {e: _series(N2, dens, accs) for e, accs in table.items()}
+    the operators, as integer rows: (dens, {doubled charge: [row per bit
+    mask T]}), a row the (q2, numerator) pairs over dens[T] with a nonzero
+    numerator, in increasing q2.  It holds the charges in `charges` that
+    some state reaches (a neutral factor has the one charge 0); states that
+    reach none of them are dropped."""
+    dens, table = _trace_table(kind, op_tag, points, N2,
+                               range(1 << len(points)),
+                               set(charges) if kind in CHARGED else None)
+    return dens, {e: [[(q2, c) for q2, c in acc.items() if c]
+                      for acc in accs] for e, accs in table.items()}
 
 
 DUALITY_CAP = 4
@@ -457,10 +462,12 @@ def duality_trace(factors: Sequence[str], op_tag: str,
 
       G_p[V] = sum_e sum_(S subset of V) T_i[e][S] G_(p+e)[V - S].
 
-    The last factor only scales its rows by the leaf signs, and the root is
-    read at the full mask alone.  So an interior node costs 3^n products per
-    child, the root 2^n: a neutral factor's one charge 0 is shared there by
-    every vector.
+    The last factor only adds its rows times the leaf signs, and the root
+    is read at the full mask alone.  So an interior node costs 3^n row
+    convolutions per child, the root 2^n: a neutral factor's one charge 0 is
+    shared there by every vector.  Every term of G_p[V] lies over one
+    denominator (see the module docstring), so a node holds integer rows by
+    q-exponent, each convolution stops at q^N, and one series is built.
     """
     check_duality(factors, op_tag, points)
     charged = [i for i, kind in enumerate(factors) if kind in CHARGED]
@@ -483,31 +490,44 @@ def duality_trace(factors: Sequence[str], op_tag: str,
             read[kind].add(e)
     built = {kind: _factor_subset_traces(kind, op_tag, points, N2, es)
              for kind, es in read.items()}
-    tables = [built[kind] for kind in kinds]
-    zero = Series.zero(N)
-    level: Dict[Tuple[int, ...], List[Series]] = {}
+    tables = [built[kind][1] for kind in kinds]
+    level: Dict[Tuple[int, ...], List[List[int]]] = {}
     for key, sgn in leaves.items():
         if any(e not in t for t, e in zip(tables, key)):
             continue
-        acc = level.setdefault(key[:-1], [zero] * (full + 1))
-        for V, row in enumerate(tables[-1][key[-1]]):
-            acc[V] = acc[V] + row.scale(sgn)
+        acc = level.setdefault(key[:-1], [[0] * (N2 + 1)
+                                          for _ in range(full + 1)])
+        for out, row in zip(acc, tables[-1][key[-1]]):
+            for q2, c in row:
+                out[q2] += sgn * c
     for i in range(len(kinds) - 2, -1, -1):
-        up: Dict[Tuple[int, ...], List[Series]] = {}
+        up: Dict[Tuple[int, ...], List[List[int]]] = {}
         for key, G in level.items():
+            G = [[(q2, c) for q2, c in enumerate(g) if c] for g in G]
             T = tables[i][key[i]]
-            acc = up.setdefault(key[:i], [zero] * (full + 1))
+            acc = up.setdefault(key[:i], [[0] * (N2 + 1)
+                                          for _ in range(full + 1)])
             for V in range(full + 1) if i else (full,):
-                S = V
+                out, S = acc[V], V
                 while True:  # every S within V, 0 and V included
-                    if T[S].nums and G[V ^ S].nums:
-                        acc[V] = acc[V] + T[S] * G[V ^ S]
+                    for x2, t in T[S]:
+                        for y2, g in G[V ^ S]:
+                            if x2 + y2 > N2:
+                                break
+                            out[x2 + y2] += t * g
                     if not S:
                         break
                     S = (S - 1) & V
         level = up
-    # every sum starts from O(q^N), so no term above q^N survives
-    return level[()][full] if level else zero
+    if not level:
+        return Series.zero(N)
+    # T_i[e][S] lies over scale_i prod_(j in S) dens_j, dens_j the same for
+    # every kind: the root's terms lie over the scales times it at S = full
+    dens = built[kinds[0]][0]
+    den = math.prod(built[kind][0][0] for kind in kinds) * (dens[full]
+                                                            // dens[0])
+    return Series.from_numerators(N2, den, {
+        (q2, ()): c for q2, c in enumerate(level[()][full])})
 
 
 def duality_trace_direct(factors: Sequence[str], op_tag: str,

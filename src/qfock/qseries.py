@@ -250,7 +250,8 @@ class Series:
         return Fraction(self.trunc2, 2)
 
     def min2(self) -> Optional[int]:
-        return min((k[0] for k in self.nums), default=None)
+        # keys lead with q2, so the least key holds the least q-exponent
+        return min(self.nums)[0] if self.nums else None
 
     def is_zero(self) -> bool:
         return not self.nums

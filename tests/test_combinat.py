@@ -14,7 +14,14 @@ from qfock.combinat import (
     weyl_group,
 )
 from qfock.fock import mod_partitions
-from qfock.qseries import CapExceeded, Series, pochhammer_n, Param, series_equal
+from qfock.qseries import (
+    CapExceeded,
+    Param,
+    QSeriesError,
+    Series,
+    pochhammer_n,
+    series_equal,
+)
 
 F = Fraction
 
@@ -134,6 +141,9 @@ def test_k_vector():
     flip = WeylElement((0,), (-1,), "BC")
     assert k_vector([2], flip, rho_vector("B", 1)) == [3]
     assert k_vector([5, -2], ident, rho) == [5, -2]
+    # rho_i - rho_j a half-integer: no integral k-vector
+    with pytest.raises(QSeriesError, match="non-integral k-vector entry 1/2"):
+        k_vector([0, 0], swap, [F(1, 2), 0])
 
 
 def test_weyl_denominator_type_d():

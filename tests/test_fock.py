@@ -9,7 +9,7 @@ from operator import add, mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qfock import fock
+from qfock import fock, qseries
 from qfock.fock import (
     CHARGED,
     LEGAL_OPS,
@@ -138,6 +138,15 @@ def test_c_equals_a_minus_a_inverse():
 # -- the sliced duality trace against the full-product reference ------------
 
 
+def subset_series(kind, op_tag, points, N2, charges):
+    """fock._factor_subset_traces with each integer row read as a z-free
+    series over its mask's denominator: {doubled charge: [series per mask]}."""
+    dens, table = fock._factor_subset_traces(kind, op_tag, points, N2,
+                                             charges)
+    return {e: fock._series(N2, dens, [dict(row) for row in rows])
+            for e, rows in table.items()}
+
+
 def product_duality_trace(factors, op_tag, points, N):
     """Reference duality trace: every factor's subset tables, charge
     variables and all, multiplied into one multi-variable series per
@@ -154,8 +163,8 @@ def product_duality_trace(factors, op_tag, points, N):
     n = len(points)
     tables = []
     for i, kind in enumerate(factors):
-        split = fock._factor_subset_traces(kind, op_tag, points, N2,
-                                           range(-2 * N2, 2 * N2 + 1))
+        split = subset_series(kind, op_tag, points, N2,
+                              range(-2 * N2, 2 * N2 + 1))
         tables.append([
             Series(N2, {(q2, ((i + 1, e),) if e else ()): c
                         for e, rows in split.items()
@@ -520,18 +529,30 @@ def reference_a_sector_traces(points, N, masks, charges):
 
 
 def reference_factor_subset_traces(kind, op_tag, points, N2, charges):
+    """_factor_subset_traces's integer rows, (dens, {doubled charge: [[(q2,
+    numerator), ...] per mask]}), from the side tables and pair pass; a
+    neutral factor's one charge 0 is there when some state fits."""
     masks = range(1 << len(points))
     if kind not in CHARGED:
-        return {0: reference_neutral_traces(kind, points, N2, masks)}
-    e2 = -2 if kind == "boson_pair" else 2
-    charges = set(charges)
-    return reference_pair_traces(
-        kind, op_tag, points, N2, masks,
-        lambda ll, lm: (1, 0, e2 * (ll - lm))
-        if e2 * (ll - lm) in charges else None)
+        dens, sums = reference_neutral_sums(kind, points, N2, masks)
+        buckets = {0: sums} if N2 >= 0 else {}
+    else:
+        e2 = -2 if kind == "boson_pair" else 2
+        charges = set(charges)
+        dens, buckets = pair_traces(
+            *charged_sides(kind, op_tag, points, N2, masks),
+            lambda ll, lm: (1, 0, e2 * (ll - lm))
+            if e2 * (ll - lm) in charges else None, N2, masks)
+    return dens, {e: [sorted((q2, c) for q2, c in acc.items() if c)
+                      for acc in accs] for e, accs in buckets.items()}
 
 
 def reference_neutral_traces(kind, points, N2, masks):
+    return _z_free(N2, *reference_neutral_sums(kind, points, N2, masks))
+
+
+def reference_neutral_sums(kind, points, N2, masks):
+    """A neutral factor's ([den per mask], [{q2: numerator} per mask])."""
     betas = [fock.CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
     table, dens = side_table(points, 1, -1, betas, N2,
                              kind == "fermion_neutral", masks)
@@ -540,8 +561,8 @@ def reference_neutral_traces(kind, points, N2, masks):
         for w2, row in group:
             for acc, T_ in zip(sums, masks):
                 acc[w2] += row[T_]
-    return _z_free(N2, [math.prod(d for j, d in enumerate(dens)
-                                  if T_ >> j & 1) for T_ in masks], sums)
+    return [math.prod(d for j, d in enumerate(dens) if T_ >> j & 1)
+            for T_ in masks], sums
 
 
 def reference_a_trace(kind, points, N, weight):
@@ -621,7 +642,7 @@ def test_trace_table_matches_side_table_pair_pass(req):
     doubled = {2 * m for m in charges}
     got = fock._factor_subset_traces(kind, op, pts, n2, doubled)
     assert got == reference_factor_subset_traces(kind, op, pts, n2, doubled)
-    assert set(got) <= doubled | {0}
+    assert set(got[1]) <= doubled | {0}
     for kind in ("boson_neutral", "fermion_neutral"):
         assert fock._neutral_traces(kind, pts, n2, masks) \
             == reference_neutral_traces(kind, pts, n2, masks)
@@ -709,10 +730,11 @@ def test_side_table_knapsack_matches_enumeration(pts, budget2, strict,
 @pytest.mark.parametrize("kind,op", [("boson_pair", "A"),
                                      ("fermion_pair", "D")])
 def test_factor_table_holds_only_the_charges_asked_for(kind, op):
-    every = fock._factor_subset_traces(kind, op, [T, T2], 6, range(-12, 13))
+    dens, every = fock._factor_subset_traces(kind, op, [T, T2], 6,
+                                             range(-12, 13))
     assert len(every) > 1
     assert fock._factor_subset_traces(kind, op, [T, T2], 6, {0}) \
-        == {0: every[0]}
+        == (dens, {0: every[0]})
 
 
 def test_sector_trace_enumerates_no_partition(monkeypatch):
@@ -761,7 +783,7 @@ def map_by_map_duality_trace(factors, op_tag, points, N, charges):
     for want in wants.values():
         for kind, e in zip(factors, want):
             read[kind].add(e)
-    tables = {kind: fock._factor_subset_traces(kind, op_tag, points, N2, es)
+    tables = {kind: subset_series(kind, op_tag, points, N2, es)
               for kind, es in read.items()}
     masks = [[sum(1 << j for j in range(n) if phi[j] == i)
               for i in range(len(factors))]
@@ -806,9 +828,71 @@ def duality_requests(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(duality_requests())
+# a reciprocal pair of points: their eigenvalues share one denominator
+@example((["boson_pair", "fermion_pair"], "C", [T, T.inverse()], F(3, 2),
+          {(0, 0): 1, (2, -2): -1, (-2, 2): 2}))
+# N = 0 and N = 1/2: one q-layer, then the first part
+@example((["fermion_pair", "boson_neutral", "boson_pair"], "C", [T, T2],
+          F(0), {(0, 0): 1, (2, 0): 3}))
+@example((["boson_pair", "boson_pair"], "A", [T], F(1, 2),
+          {(0, 0): 1, (2, -2): -2, (-2, 0): 1}))
+# a neutral factor between charged ones
+@example((["fermion_pair", "fermion_neutral", "fermion_pair"], "D",
+          [T, T2, Param(F(5, 7))], F(2), {(0, 0): 2, (2, -2): -1, (2, 0): 1}))
+# every vector unreachable: an odd doubled charge, or one past the budget
+@example((["boson_pair", "boson_pair"], "A", [T], F(1),
+          {(1, 0): 1, (0, 8): -1}))
 def test_duality_trie_matches_map_by_map_sum(req):
     """The trie over charge prefixes against one product chain per map from
     the points to the factors: the same series, truncation and all."""
     factors, op, points, N, charges = req
     assert duality_trace(factors, op, points, N, charges) \
         == map_by_map_duality_trace(factors, op, points, N, charges)
+
+
+def test_duality_trace_builds_one_series(monkeypatch):
+    """The trie runs on integer rows: one canonical series is built per
+    call, at the root, or the zero series when no vector is reached."""
+    pts = [T, T2, Param(F(5, 7))]
+    requests = [
+        (["boson_pair"] * 4, "D", pts, 3, {(0, 2, 0, -2): 1, (2, 0, 0, -2): -1,
+                                           (0, 0, 0, 0): 1}),
+        (["boson_neutral", "fermion_pair", "fermion_pair"], "C", pts, 2,
+         {(0, 0): 1, (2, -2): -1}),
+        (["boson_pair", "boson_pair"], "A", [T], 1, {(1, 0): 1}),
+        (["fermion_neutral"], "D", [], 2, {(): 1}),
+    ]
+    want = [map_by_map_duality_trace(*req) for req in requests]
+    built = []
+    reduced = qseries._reduced
+    monkeypatch.setattr(qseries, "_reduced",
+                        lambda *args: built.append(args) or reduced(*args))
+    for req, expect in zip(requests, want):
+        del built[:]
+        assert duality_trace(*req) == expect
+        assert len(built) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(point_st, max_size=3), st.integers(-1, 12))
+@example([T, T2, Param(F(-9, 2))], 12)
+def test_subset_denominators_are_one_product_per_point(pts, n2):
+    """The trie sums bare numerators because every factor table at mask T
+    lies over dens[0] prod_(j in T) dens[1 << j] / dens[0], with the same
+    per-point factor for every (kind, operator) and for t beside 1/t."""
+    pts = pts + [p.inverse() for p in pts[:1]]
+    n = len(pts)
+    per_point = set()
+    for kind in KINDS:
+        for op in sorted(LEGAL_OPS[kind]):
+            dens, _ = fock._factor_subset_traces(kind, op, pts, n2, {0, 2})
+            assert all(d % dens[0] == 0 for d in dens)
+            ratios = tuple(dens[1 << j] // dens[0] for j in range(n))
+            assert dens == [dens[0] * math.prod(
+                r for j, r in enumerate(ratios) if T_ >> j & 1)
+                for T_ in range(1 << n)]
+            per_point.add(ratios)
+    assert len(per_point) == 1
+    (ratios,) = per_point
+    if pts:
+        assert ratios[0] == ratios[-1]

@@ -894,6 +894,16 @@ def test_ring_ops_match_fraction_reference(op, operands, c, k):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2).map(_first_vars).flatmap(fraction_series))
+# the least q-exponent on several z-keys, none of them the least key's
+@example(Series(4, {(1, ((1, 2),)): F(1), (-2, ((1, -2),)): F(3),
+                    (-2, ((2, 1),)): F(1, 2), (-1, ()): F(5)}))
+@example(Series.zero(3))
+def test_min2_is_the_least_q_exponent(s):
+    assert s.min2() == min((q2 for q2, _ in s.terms), default=None)
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.integers(-4, 8), st.integers(1, 2 ** 80),
        st.dictionaries(st.tuples(st.integers(-4, 10), _Z_KEYS),
                        st.integers(-10 ** 12, 10 ** 12), max_size=6))
