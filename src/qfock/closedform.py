@@ -363,11 +363,7 @@ def _f_bo_all(point_lists: Sequence[Sequence[Param]], N) -> List[Series]:
 
 def level1_sector(k: int, points: Sequence[Param], N) -> Series:
     """q^(k^2/2) (t1...tn)^k * f_bo(points): the charge-k level +1 trace."""
-    return _charge_shift(k, points, f_bo(points, N))
-
-
-def _charge_shift(k: int, points: Sequence[Param], base: Series) -> Series:
-    """q^(k^2/2) (t1...tn)^k * base, base = f_bo(points)."""
+    base = f_bo(points, N)
     scalar = prod(points, start=Param(F(1))).scalar_pow(k)
     return base.scale(scalar).shift(F(k * k, 2))
 
@@ -679,7 +675,7 @@ def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
         subsets = {M: pts for row in signed.values() for _, M, pts in row}
         bases = dict(zip(subsets, _f_bo_all(list(subsets.values()), N)))
         # each block is q^(k^2/2) sum_M s (prod of M's t)^k bases[M] (see
-        # _charge_shift): one scale per term, one shift per block
+        # level1_sector): one scale per term, one shift per block
         tprods = {M: prod((p.value_coeff for p in pts), start=F(1))
                   for M, pts in subsets.items()}
         return {k: {U: sum((bases[M].scale(s * tprods[M] ** k)

@@ -1,4 +1,4 @@
-"""Set partitions, signed-permutation Weyl groups, rho-vectors.
+"""Signed-permutation Weyl groups, rho-vectors and k-vectors.
 
 Weyl elements act on weight vectors by (sigma v)_i = signs[i] * v[perm[i]];
 the sign of an element is the determinant of its signed permutation matrix.
@@ -13,22 +13,6 @@ from typing import Iterator, List, NamedTuple, Sequence, Tuple
 from .qseries import CapExceeded, QSeriesError, to2
 
 WEYL_CAP = 6
-
-
-# -- set partitions ---------------------------------------------------------
-
-
-def set_partitions(items: Sequence) -> Iterator[List[tuple]]:
-    """All partitions of the item sequence into nonempty unordered blocks."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [(head,) + part[i]] + part[i + 1:]
-        yield [(head,)] + part
 
 
 # -- Weyl groups ------------------------------------------------------------

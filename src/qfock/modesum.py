@@ -43,13 +43,16 @@ the lowering side) makes the mode sum diverge and raises NonTruncatable.
 
 Each cumulant is one integer sum: its terms j^(|G|-1) u^j (t q^j)^r are
 monomials, added as numerators over one denominator, with no Series product
-per mode.  The partition function is 1/((x q^(1/2))_inf (y q^(1/2))_inf),
-or 1/(q^(1/2))_inf for the neutral boson.  The set-partition sum
-(_cumulant_sum, and a_cumulant_sum for the charged pair) is returned
-undivided, and each trace divides it by those Pochhammer symbols, one pass
-per factor (on integer charge codes for the charged pair); a caller that
-needs one charge of the charged trace (closedform.qdiff_residual) reads it
-from the sum times closedform.pair_vacuum instead.
+per mode.  A set partition of the points V is a block G holding V's least
+point and a set partition of V - G, so _cumulant_sum builds the
+set-partition sum as the moment M[V] = sum_G K(G) M[V - G], M[empty] = 1,
+with no partition enumerated.  The partition function is
+1/((x q^(1/2))_inf (y q^(1/2))_inf), or 1/(q^(1/2))_inf for the neutral
+boson.  The set-partition sum (a_cumulant_sum for the charged pair) is
+returned undivided, and each trace divides it by those Pochhammer symbols,
+one pass per factor (on integer charge codes for the charged pair); a caller
+that needs one charge of the charged trace (closedform.qdiff_residual) reads
+it from the sum times closedform.pair_vacuum instead.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from itertools import product
 from math import prod
 from typing import Callable, Sequence, Tuple
 
-from .combinat import set_partitions
 from .qseries import (NonTruncatable, Param, Series, _QH, _over_pochhammer,
                       _q, _zmul, c_term, to2)
 
@@ -140,19 +142,29 @@ def _cumulant_sum(points: Sequence[Param], N,
                   connected: Callable[[Tuple[int, ...]], Series]) -> Series:
     """The sum over set partitions M of the points of prod_{G in M} K(G),
     K(G) = connected(G) plus beta(t_k) on the singleton {k}: a trace times
-    its partition function's inverse."""
+    its partition function's inverse.  Built as the moments M[V] (see the
+    module docstring) at the full mask and the masks without point 0: each
+    K(G) once, and one product per (V, G) with G != V."""
+    n, full = len(points), (1 << len(points)) - 1
     betas = [c_term(t, N) for t in points]
-    cumulants = {}
-    total = Series.zero(N)
-    for part in set_partitions(range(len(points))):
-        term = Series.one(N)
-        for G in part:
-            if G not in cumulants:
-                k = connected(G)
-                cumulants[G] = k + betas[G[0]] if len(G) == 1 else k
-            term = term * cumulants[G]
-        total = total + term
-    return total
+    K = {}
+    for G in range(1, full + 1):
+        block = tuple(k for k in range(n) if G >> k & 1)
+        K[G] = connected(block)
+        if len(block) == 1:
+            K[G] = K[G] + betas[block[0]]
+    moments = {0: Series.one(N)}
+    for V in range(1, full + 1):
+        if V & 1 and V != full:
+            continue
+        low = V & -V
+        rest, total = V ^ low, Series.zero(N)
+        for S in range(rest + 1):
+            if S & rest == S:
+                total = total + (K[low | S] * moments[rest ^ S]
+                                 if S != rest else K[V])
+        moments[V] = total
+    return moments[full]
 
 
 def a_cumulant_sum(x: Param, y: Param, points: Sequence[Param], N) -> Series:

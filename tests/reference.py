@@ -1,0 +1,413 @@
+"""The references the differential tests compare the kernels against, and
+the helpers the test modules share:
+
+- the ``{key: Fraction}`` series ring (``_ref_*``), the reference of the
+  Series ring operations;
+- the Fock traces from partitions enumerated by ``fock.mod_partitions``:
+  side tables (``enumerated_side_table``) joined by the pair pass
+  ``pair_traces`` and read by the ``reference_*`` functions;
+- the duality trace as one product of multi-variable series per map from
+  the points to the factors (``product_duality_trace``), sliced by charge;
+- set partitions, whose sum ``modesum``'s subset recursion computes.
+
+A change that replaces a kernel's loop points that kernel's test at its
+reference here, and does not keep the old loop as a second one.
+"""
+
+import itertools
+import math
+from collections import defaultdict
+from fractions import Fraction as F
+from operator import add, mul
+
+from hypothesis import strategies as st
+
+from qfock import fock
+from qfock.combinat import weyl_group
+from qfock.fock import CHARGED
+from qfock.qseries import (
+    NotInvertible,
+    Param,
+    QSeriesError,
+    Series,
+    _zmul,
+    beta_scalar,
+    to2,
+)
+
+
+# -- shared helpers and strategies ------------------------------------------
+
+
+def pts(*svals):
+    return [Param(s) for s in svals]
+
+
+def qcoeff(s, qexp):
+    """The z-free coefficient of q^qexp in s, an order within its truncation
+    that carries no charge variable."""
+    q2 = to2(qexp)
+    assert q2 <= s.trunc2
+    assert all(zk == () for a2, zk in s.terms if a2 == q2)
+    return s.terms.get((q2, ()), 0)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except QSeriesError as exc:
+        return type(exc)
+
+
+def _outcome_and_message(f, *args):
+    """f(*args), or the type and message of whatever it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# a rational point s^2 with s != 0, +-1
+point_st = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)) \
+    .filter(lambda s: abs(s) != 1).map(Param)
+
+HALVES = st.sampled_from([F(k, 2) for k in range(17)])
+
+
+@st.composite
+def any_point(draw):
+    """A point s^2 q^d z^e of either sign: mostly scalar, sometimes zero,
+    q-shifted or charged."""
+    sign = draw(st.sampled_from([1, 1, -1]))
+    s = draw(st.fractions(-3, 3, max_denominator=7))
+    if not s:
+        return Param(0, sign=sign)
+    return Param(s, draw(st.sampled_from([0, 0, 0, F(1, 2), 1])),
+                 draw(st.sampled_from([0, 0, 0, 1])), sign=sign)
+
+
+def weyl_zsum(wtype, rho):
+    """sum_sigma sign(sigma) * prod_i z_i^((sigma rho)_i) as a z-polynomial."""
+    l = len(rho)
+    acc = Series.zero(0)
+    for w, sgn in weyl_group(wtype, l):
+        srho = w.act([F(r) for r in rho])
+        acc = acc + Series.monomial(sgn, 0, 0,
+                                    {i + 1: srho[i] for i in range(l)})
+    return acc
+
+
+# -- the {key: Fraction} ring ------------------------------------------------
+#
+# A series is (trunc2, {(q2, zkey): Fraction}), the form Series stored before
+# it held integer numerators over one denominator, computed with one
+# Fraction per coefficient.
+
+
+def _ref(s):
+    return s.trunc2, s.terms
+
+
+def _ref_kept(t2, terms):
+    return t2, {k: c for k, c in terms.items() if c and k[0] <= t2}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a[1])
+    for k, c in b[1].items():
+        out[k] = out.get(k, F(0)) + sign * c
+    return _ref_kept(min(a[0], b[0]), out)
+
+
+def _ref_scale(a, c):
+    return _ref_kept(a[0], {k: v * c for k, v in a[1].items()})
+
+
+def _ref_mul(a, b):
+    (ta, at), (tb, bt) = a, b
+    if not at or not bt:
+        t2 = (min(ta, tb) if not at and not bt else
+              ta + min(q2 for q2, _ in bt) if not at else
+              tb + min(q2 for q2, _ in at))
+        return t2, {}
+    t2 = min(ta + min(q2 for q2, _ in bt), tb + min(q2 for q2, _ in at))
+    out = {}
+    for (a2, az), ac in at.items():
+        for (b2, bz), bc in bt.items():
+            k = (a2 + b2, _zmul(az, bz))
+            out[k] = out.get(k, F(0)) + ac * bc
+    return _ref_kept(t2, out)
+
+
+def _ref_invert(a):
+    """1/a by g_n = -sum_(0<e<=n) u_e g_(n-e) over all doubled exponents,
+    one Fraction per coefficient."""
+    t2, at = a
+    if not at:
+        raise NotInvertible("cannot invert the zero series")
+    v2 = min(q2 for q2, _ in at)
+    lead = [(k, c) for k, c in at.items() if k[0] == v2]
+    if len(lead) != 1:
+        raise NotInvertible("lowest q-layer has %d monomials" % len(lead))
+    (_, lzk), lc = lead[0]
+    inv_zk = tuple((v, -e2) for v, e2 in lzk)
+    u = {(a2 - v2, _zmul(az, inv_zk)): c / lc
+         for (a2, az), c in at.items() if a2 != v2}
+    g = {(0, ()): F(1)}
+    for n in range(1, t2 - v2 + 1):
+        for (e, uz), uc in u.items():
+            for (m, gz), gc in list(g.items()):
+                if m == n - e:
+                    k = (n, _zmul(uz, gz))
+                    g[k] = g.get(k, F(0)) - uc * gc
+    return _ref_kept(t2 - 2 * v2, {(n - v2, _zmul(gz, inv_zk)): c / lc
+                                   for (n, gz), c in g.items()})
+
+
+def _ref_coeff_z(a, var, m2):
+    out = {}
+    for (q2, zk), c in a[1].items():
+        d = dict(zk)
+        if d.pop(var, 0) == m2:
+            out[(q2, tuple(sorted(d.items())))] = c
+    return a[0], out
+
+
+# -- Fock traces from enumerated partitions ----------------------------------
+
+
+def enumerated_side_table(points, alpha, gamma, consts, budget2, strict):
+    """One partition factor as ({length: [(w2, row), ...] in increasing w2},
+    dens), one row per partition lam of fock.mod_partitions added into its
+    (w2, length) key.  row[S] is dens_S prod_(j in S) v_j(lam), v_j = alpha
+    S+_lam(t_j) + gamma S-_lam(t_j) + consts[j], for every subset S (a bit
+    mask) of the points; dens_S is the product of dens[j] over S, and
+    row[0] counts the partitions."""
+    top = (budget2 + 1) // 2
+    k = max(2 * top - 1, 0)
+    per_part, ints, dens = [], [], []
+    for pt, c in zip(points, consts):
+        r = pt.scalar_pow(F(1, 2))
+        d = math.lcm(r.numerator ** k, r.denominator ** k,
+                     beta_scalar(pt).denominator)
+        vals = [alpha * r ** (2 * p - 1) + gamma * r ** (1 - 2 * p)
+                for p in range(1, top + 1)]
+        per_part.append([0] + [int(v * d) for v in vals])
+        ints.append(int(c * d))
+        dens.append(d)
+    table = {}
+    for w2, parts in fock.mod_partitions(budget2, strict):
+        row = [1]
+        for u, c in zip(per_part, ints):
+            v = c + sum(u[p] for p in parts)
+            row += [x * v for x in row]
+        key = (w2, len(parts))
+        table[key] = list(map(add, table[key], row)) if key in table else row
+    grouped = {}
+    for (w2, ln), row in sorted(table.items()):
+        grouped.setdefault(ln, []).append((w2, row))
+    return grouped, dens
+
+
+def charged_sides(kind, op_tag, points, budget2):
+    """The lam-side and mu-side tables of a charged pair and their dens,
+    for the operator A or for C and D (A(t) - A(t^(-1)))."""
+    betas = [fock.CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
+    zeros = [0] * len(points)
+    sides = (((1, -1, zeros), (1, -1, [2 * b for b in betas]))
+             if op_tag in ("C", "D") else ((1, 0, zeros), (0, -1, betas)))
+    (lam, dens), (mu, _) = [
+        enumerated_side_table(points, alpha, gamma, consts, budget2,
+                              kind == "fermion_pair")
+        for alpha, gamma, consts in sides]
+    return lam, mu, dens
+
+
+def pair_traces(lam, mu, dens, weight, N2, masks):
+    """Pair traces from two side tables, as ([den per mask], {bucket:
+    [{q2: numerator} per mask]}): per pair of keys, the subset products
+    sum_(S in T) a[S] b[T - S].  weight(len_lam, len_mu) gives (rational
+    coefficient, extra doubled q-exponent, bucket), or None to skip."""
+    splits = [list(zip(*[(S, T ^ S) for S in range(T + 1) if S & T == S]))
+              for T in masks]
+    weights = {}
+    for ll in lam:
+        for lm in mu:
+            wt = weight(ll, lm)
+            if wt is not None:
+                weights[ll, lm] = wt
+    wden = math.lcm(*[c0.denominator for c0, _, _ in weights.values()])
+    buckets = defaultdict(lambda: [{} for _ in masks])
+    for (ll, lm), (c0, dq2, bucket) in weights.items():
+        lrows, mrows = lam[ll], mu[lm]
+        cap = N2 - max(dq2, 0)
+        if lrows[0][0] + mrows[0][0] > cap:
+            continue
+        c0 = c0.numerator * (wden // c0.denominator)
+        accs = buckets[bucket]
+        for wl2, a in lrows:
+            for wm2, b in mrows:
+                if wl2 + wm2 > cap:
+                    break
+                q2 = wl2 + wm2 + dq2
+                for acc, (Ss, Rs) in zip(accs, splits):
+                    c = sum(map(mul, map(a.__getitem__, Ss),
+                                map(b.__getitem__, Rs)))
+                    if c:
+                        acc[q2] = acc.get(q2, 0) + c0 * c
+    return [wden * math.prod(d for j, d in enumerate(dens) if T >> j & 1)
+            for T in masks], buckets
+
+
+def reference_a_sector_traces(points, N, masks, charges):
+    fock._require_scalar_points(points)
+    N2 = to2(N)
+    charges = set(charges)
+    dens, buckets = pair_traces(
+        *charged_sides("boson_pair", "A", points, N2),
+        lambda ll, lm: (1, 0, lm - ll) if lm - ll in charges else None,
+        N2, masks)
+    return {m: fock._series(N2, dens, buckets[m]) if m in buckets
+            else [Series(N2) for _ in masks] for m in charges}
+
+
+def reference_factor_subset_traces(kind, op_tag, points, N2, charges):
+    """_factor_subset_traces's integer rows, (dens, {doubled charge: [[(q2,
+    numerator), ...] per mask]}), from the side tables and pair pass; a
+    neutral factor's one charge 0 is there when some state fits."""
+    masks = range(1 << len(points))
+    if kind not in CHARGED:
+        dens, sums = reference_neutral_sums(kind, points, N2, masks)
+        buckets = {0: sums} if N2 >= 0 else {}
+    else:
+        e2 = -2 if kind == "boson_pair" else 2
+        charges = set(charges)
+        dens, buckets = pair_traces(
+            *charged_sides(kind, op_tag, points, N2),
+            lambda ll, lm: (1, 0, e2 * (ll - lm))
+            if e2 * (ll - lm) in charges else None, N2, masks)
+    return dens, {e: [sorted((q2, c) for q2, c in acc.items() if c)
+                      for acc in accs] for e, accs in buckets.items()}
+
+
+def reference_neutral_traces(kind, points, N2, masks):
+    return fock._series(N2, *reference_neutral_sums(kind, points, N2, masks))
+
+
+def reference_neutral_sums(kind, points, N2, masks):
+    """A neutral factor's ([den per mask], [{q2: numerator} per mask])."""
+    betas = [fock.CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
+    table, dens = enumerated_side_table(points, 1, -1, betas, N2,
+                                        kind == "fermion_neutral")
+    sums = [defaultdict(int) for _ in masks]
+    for group in table.values():
+        for w2, row in group:
+            for acc, T_ in zip(sums, masks):
+                acc[w2] += row[T_]
+    return [math.prod(d for j, d in enumerate(dens) if T_ >> j & 1)
+            for T_ in masks], sums
+
+
+def reference_a_trace(kind, points, N, weight):
+    """One z-carrying series, the bucket of each weight a z-key."""
+    fock._require_scalar_points(points)
+    N2 = to2(N)
+    masks = [(1 << len(points)) - 1]
+    (den,), buckets = pair_traces(
+        *charged_sides(kind, "A", points, N2), weight, N2, masks)
+    return Series.from_numerators(N2, den, {
+        (q2, zk): c for zk, (acc,) in buckets.items() for q2, c in acc.items()})
+
+
+def reference_a_generalized_trace(x, y, points, N):
+    def weight(ll, lm):
+        cx, qx2, zx = x.pow_monomial(ll)
+        cy, qy2, zy = y.pow_monomial(lm)
+        return (cx * cy, qx2 + qy2, _zmul(zx, zy)) if cx and cy else None
+
+    return reference_a_trace("boson_pair", points, N, weight)
+
+
+def reference_f1_charged_trace(z, points, N):
+    def weight(ll, lm):
+        c, q2, zk = z.pow_monomial(ll - lm)
+        return (c, q2, zk) if c else None
+
+    return reference_a_trace("fermion_pair", points, N, weight)
+
+
+# -- the duality trace as a product of multi-variable series -----------------
+
+
+def product_duality_trace(factors, op_tag, points, N):
+    """Reference duality trace: every factor's subset tables, charge
+    variables and all, multiplied into one multi-variable series per
+    assignment of points to factors, summed.
+
+    Each factor's charge split is joined back into one series, with factor
+    i's doubled charge e carried as z_(i+1)^(e/2).  Every doubled charge a
+    state within the budget can carry (|e| <= 2 N2) is asked for.
+    """
+    fock.check_duality(factors, op_tag, points)
+    N2 = to2(N)
+    n = len(points)
+    tables = []
+    for i, kind in enumerate(factors):
+        dens, split = fock._factor_subset_traces(
+            kind, op_tag, points, N2, range(-2 * N2, 2 * N2 + 1))
+        tables.append([
+            Series.from_numerators(N2, dens[T], {
+                (q2, ((i + 1, e),) if e else ()): c
+                for e, rows in split.items() for q2, c in rows[T]})
+            for T in range(1 << n)])
+    total = Series.zero(F(N2, 2))
+    for phi in itertools.product(range(len(factors)), repeat=n):
+        prod = None
+        for i in range(len(factors)):
+            t = tables[i][sum(1 << j for j in range(n) if phi[j] == i)]
+            prod = t if prod is None else prod * t
+        total = total + prod
+    return total.truncate(F(N2, 2))
+
+
+def _zvars(factors):
+    return [i + 1 for i, kind in enumerate(factors) if kind in CHARGED]
+
+
+def charge_vectors(trace, factors):
+    """The doubled charge vectors, one entry per charged factor, of the
+    z-monomials present in a z-carrying trace."""
+    zvars = _zvars(factors)
+    return sorted({tuple(dict(zk).get(v, 0) for v in zvars)
+                   for _, zk in trace.terms})
+
+
+def charge_slice(trace, factors, c):
+    """[z^c] of a z-carrying trace, for a doubled charge vector c."""
+    want = tuple((v, e) for v, e in zip(_zvars(factors), c) if e)
+    return Series(trace.trunc2, {(q2, ()): x for (q2, zk), x
+                                 in trace.terms.items() if zk == want})
+
+
+def sliced_duality_trace(factors, op_tag, points, N, charges):
+    """Reference of fock.duality_trace: sum_c sgn_c [z^c] of
+    product_duality_trace."""
+    full = product_duality_trace(factors, op_tag, points, N)
+    return sum((charge_slice(full, factors, c).scale(sgn)
+                for c, sgn in charges.items()), Series.zero(N))
+
+
+# -- set partitions ----------------------------------------------------------
+
+
+def set_partitions(items):
+    """All partitions of the item sequence into nonempty unordered blocks."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [(head,) + part[i]] + part[i + 1:]
+        yield [(head,)] + part

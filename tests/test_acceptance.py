@@ -9,8 +9,6 @@ import json
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from qfock import closedform as cf
 from qfock import combinat, fock, verify
 from qfock.qseries import (
@@ -24,16 +22,12 @@ from qfock.qseries import (
     series_equal,
     theta_jet,
 )
-from test_qseries import qcoeff
+from reference import pts, qcoeff
 
 
 S_VALUES = (F(2, 3), F(3, 5), F(5, 7))
 X = Param(F(2, 5))
 Y = Param(F(3, 7))
-
-
-def pts(*svals):
-    return [Param(s) for s in svals]
 
 
 def assert_same(a, b, what=""):

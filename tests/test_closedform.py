@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qfock import closedform as cf
-from qfock import combinat, fock, modesum, verify
+from qfock import combinat, fock, verify
 from qfock import qseries as qs
 from qfock.qseries import (
     CapExceeded,
@@ -31,10 +31,9 @@ from qfock.qseries import (
     theta_jet,
     to2,
 )
-from test_combinat import weyl_zsum
-from test_fock import point_st, product_duality_trace
-from test_qseries import _outcome, _outcome_and_message, qcoeff
-from test_verify import HALVES, any_point
+from reference import (HALVES, _outcome, _outcome_and_message, any_point,
+                       point_st, product_duality_trace, pts, qcoeff,
+                       weyl_zsum)
 
 
 S_VALUES = (F(2, 3), F(3, 5), F(5, 7))
@@ -42,10 +41,6 @@ X = Param(F(2, 5))
 Y = Param(F(3, 7))
 XZ = Param(F(2, 5), 0, -1, zvar=1)
 YZ = Param(F(3, 7), 0, 1, zvar=1)
-
-
-def pts(*svals):
-    return [Param(s) for s in svals]
 
 
 def assert_same(a, b):
@@ -555,12 +550,13 @@ class TestQDimensions:
             cf.qdim_closed("c", "3/2", lam, 12, form="weyl"),
             cf.qdim_closed("c", "3/2", lam, 12, form="product"))
 
-    @pytest.mark.parametrize("key", sorted(LEVEL_OF))
+    # (a, -l) is covered with negative labels above
+    @pytest.mark.parametrize("key", [
+        pytest.param(key, id="key%d" % i)
+        for i, key in enumerate(sorted(LEVEL_OF)) if key != ("a", "-l")])
     @pytest.mark.parametrize("lam", [(0, 0), (1, 0), (2, 1)])
     def test_rank2_families_vs_extraction(self, key, lam):
         alg, fam = key
-        if alg == "a" and fam == "-l":
-            pytest.skip("covered with negative labels above")
         inst = cf.duality_instance(alg, fam, 2)
         assert_same(cf.qdim_closed(alg, LEVEL_OF[key], lam, 8),
                     cf.extract_dominant(inst, lam, [], 8))

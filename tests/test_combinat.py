@@ -22,19 +22,9 @@ from qfock.qseries import (
     pochhammer_n,
     series_equal,
 )
+from reference import weyl_zsum
 
 F = Fraction
-
-
-def weyl_zsum(wtype, rho):
-    """sum_sigma sign(sigma) * prod_i z_i^((sigma rho)_i) as a z-polynomial."""
-    l = len(rho)
-    acc = Series.zero(0)
-    for w, sgn in weyl_group(wtype, l):
-        srho = w.act([Fraction(r) for r in rho])
-        acc = acc + Series.monomial(sgn, 0, 0,
-                                    {i + 1: srho[i] for i in range(l)})
-    return acc
 
 
 def char_numerator(kind, lam, l):

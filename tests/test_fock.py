@@ -1,10 +1,7 @@
 """Fock-space trace oracles: known low-order values and cross-checks."""
 
-import itertools
 import math
-from collections import defaultdict
 from fractions import Fraction
-from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,13 +25,25 @@ from qfock.qseries import (
     Param,
     QSeriesError,
     Series,
-    _zmul,
     beta_scalar,
     pochhammer_inf,
     series_equal,
-    to2,
 )
-from test_qseries import _outcome_and_message, qcoeff
+from reference import (
+    _outcome_and_message,
+    _zvars,
+    charge_slice,
+    charge_vectors,
+    point_st,
+    product_duality_trace,
+    qcoeff,
+    reference_a_generalized_trace,
+    reference_a_sector_traces,
+    reference_f1_charged_trace,
+    reference_factor_subset_traces,
+    reference_neutral_traces,
+    sliced_duality_trace,
+)
 
 F = Fraction
 
@@ -136,67 +145,6 @@ def test_c_equals_a_minus_a_inverse():
 
 
 # -- the sliced duality trace against the full-product reference ------------
-
-
-def subset_series(kind, op_tag, points, N2, charges):
-    """fock._factor_subset_traces with each integer row read as a z-free
-    series over its mask's denominator: {doubled charge: [series per mask]}."""
-    dens, table = fock._factor_subset_traces(kind, op_tag, points, N2,
-                                             charges)
-    return {e: fock._series(N2, dens, [dict(row) for row in rows])
-            for e, rows in table.items()}
-
-
-def product_duality_trace(factors, op_tag, points, N):
-    """Reference duality trace: every factor's subset tables, charge
-    variables and all, multiplied into one multi-variable series per
-    assignment of points to factors, summed.
-
-    This was fock.duality_trace before the trace was read one factor at a
-    time; it stays here as the z-carrying series the sliced trace reads.
-    Each factor's charge split is joined back into one series, with factor
-    i's doubled charge e carried as z_(i+1)^(e/2).  Every doubled charge a
-    state within the budget can carry (|e| <= 2 N2) is asked for.
-    """
-    fock.check_duality(factors, op_tag, points)
-    N2 = to2(N)
-    n = len(points)
-    tables = []
-    for i, kind in enumerate(factors):
-        split = subset_series(kind, op_tag, points, N2,
-                              range(-2 * N2, 2 * N2 + 1))
-        tables.append([
-            Series(N2, {(q2, ((i + 1, e),) if e else ()): c
-                        for e, rows in split.items()
-                        for (q2, _), c in rows[T].terms.items()})
-            for T in range(1 << n)])
-    total = Series.zero(F(N2, 2))
-    for phi in itertools.product(range(len(factors)), repeat=n):
-        prod = None
-        for i in range(len(factors)):
-            t = tables[i][sum(1 << j for j in range(n) if phi[j] == i)]
-            prod = t if prod is None else prod * t
-        total = total + prod
-    return total.truncate(F(N2, 2))
-
-
-def _zvars(factors):
-    return [i + 1 for i, kind in enumerate(factors) if kind in CHARGED]
-
-
-def charge_vectors(trace, factors):
-    """The doubled charge vectors, one entry per charged factor, of the
-    z-monomials present in a z-carrying trace."""
-    zvars = _zvars(factors)
-    return sorted({tuple(dict(zk).get(v, 0) for v in zvars)
-                   for _, zk in trace.terms})
-
-
-def charge_slice(trace, factors, c):
-    """[z^c] of a z-carrying trace, for a doubled charge vector c."""
-    want = tuple((v, e) for v, e in zip(_zvars(factors), c) if e)
-    return Series(trace.trunc2, {(q2, ()): x for (q2, zk), x
-                                 in trace.terms.items() if zk == want})
 
 
 def test_duality_single_factor_reduces():
@@ -334,8 +282,6 @@ def test_sector_traces_build_no_fraction_per_point(monkeypatch):
 
 
 KINDS = ("boson_pair", "fermion_pair", "boson_neutral", "fermion_neutral")
-point_st = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)) \
-    .filter(lambda s: abs(s) != 1).map(Param)
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,198 +347,6 @@ def test_traces_match_direct_enumeration(pts, n2, factors, op):
                 duality_trace_direct(factors, op, pts, N)
 
 
-# -- the side-table pair pass: the reference of the one-knapsack engine ----
-
-
-def side_table(points, alpha, gamma, consts, budget2, strict, masks):
-    """One partition factor as ({length: [(w2, row), ...] in increasing w2},
-    dens), a knapsack over the parts of one side.  row[S] is dens_S times
-    the sum over the key's partitions lam of prod_(j in S) v_j(lam),
-    v_j = alpha S+_lam(t_j) + gamma S-_lam(t_j) + consts[j], for each subset
-    S (a bit mask) inside a mask of `masks`, and 0 for other S; dens_S is
-    the product of dens[j] over S.  row[0] counts the partitions.
-
-    This and ``pair_traces`` were qfock.fock's trace engine before one
-    knapsack ran over both sides of a pair; they stay here as the reference
-    of ``test_trace_table_matches_side_table_pair_pass``."""
-    n = len(points)
-    subs = {0} | {S for T in masks for S in range(T + 1) if S & T == S}
-    steps = [[(S, S ^ 1 << j) for S in sorted(subs) if S >> j & 1]
-             for j in range(n)]
-    top = (budget2 + 1) // 2
-    k = max(2 * top - 1, 0)
-    per_part, dens = [], []
-    zero = [0] * (1 << n)
-    start = [1] + zero[1:]
-    for pt, c, step in zip(points, consts, steps):
-        r = pt.scalar_pow(F(1, 2))
-        a, b = r.numerator, r.denominator
-        d = math.lcm(a ** k, b ** k, beta_scalar(pt).denominator)
-        per_part.append([alpha * a ** e * (d // b ** e)
-                         + gamma * b ** e * (d // a ** e)
-                         for e in range(1, 2 * top, 2)])
-        c = int(c * d)
-        for S, R in step:
-            start[S] = start[R] * c
-        dens.append(d)
-    levels = [{0: start} if w2 == 0 else {} for w2 in range(budget2 + 1)]
-    for p in range(1, top + 1):
-        cost = 2 * p - 1
-        us = [u[p - 1] for u in per_part]
-        for w2 in (range(budget2 - cost, -1, -1) if strict
-                   else range(budget2 - cost + 1)):
-            dst = levels[w2 + cost]
-            for ln, row in levels[w2].items():
-                row = row[:]
-                for u, step in zip(us, steps):
-                    for S, R in step:
-                        row[S] += u * row[R]
-                dst[ln + 1] = list(map(add, dst.get(ln + 1, zero), row))
-    table = {}
-    for w2, level in enumerate(levels):
-        for ln, row in level.items():
-            table.setdefault(ln, []).append((w2, row))
-    return table, dens
-
-
-def charged_sides(kind, op_tag, points, budget2, masks):
-    """The lam-side and mu-side tables of a charged pair and their dens,
-    for the operator A or for C and D (A(t) - A(t^(-1)))."""
-    betas = [fock.CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
-    zeros = [0] * len(points)
-    sides = (((1, -1, zeros), (1, -1, [2 * b for b in betas]))
-             if op_tag in ("C", "D") else ((1, 0, zeros), (0, -1, betas)))
-    (lam, dens), (mu, _) = [
-        side_table(points, alpha, gamma, consts, budget2,
-                   kind == "fermion_pair", masks)
-        for alpha, gamma, consts in sides]
-    return lam, mu, dens
-
-
-def pair_traces(lam, mu, dens, weight, N2, masks):
-    """Pair traces from two side tables, as ([den per mask], {bucket:
-    [{q2: numerator} per mask]}): per pair of keys, the subset products
-    sum_(S in T) a[S] b[T - S].  weight(len_lam, len_mu) gives (rational
-    coefficient, extra doubled q-exponent, bucket), or None to skip."""
-    splits = [list(zip(*[(S, T ^ S) for S in range(T + 1) if S & T == S]))
-              for T in masks]
-    weights = {}
-    for ll in lam:
-        for lm in mu:
-            wt = weight(ll, lm)
-            if wt is not None:
-                weights[ll, lm] = wt
-    wden = math.lcm(*[c0.denominator for c0, _, _ in weights.values()])
-    buckets = defaultdict(lambda: [{} for _ in masks])
-    for (ll, lm), (c0, dq2, bucket) in weights.items():
-        lrows, mrows = lam[ll], mu[lm]
-        cap = N2 - max(dq2, 0)
-        if lrows[0][0] + mrows[0][0] > cap:
-            continue
-        c0 = c0.numerator * (wden // c0.denominator)
-        accs = buckets[bucket]
-        for wl2, a in lrows:
-            for wm2, b in mrows:
-                if wl2 + wm2 > cap:
-                    break
-                q2 = wl2 + wm2 + dq2
-                for acc, (Ss, Rs) in zip(accs, splits):
-                    c = sum(map(mul, map(a.__getitem__, Ss),
-                                map(b.__getitem__, Rs)))
-                    if c:
-                        acc[q2] = acc.get(q2, 0) + c0 * c
-    return [wden * math.prod(d for j, d in enumerate(dens) if T >> j & 1)
-            for T in masks], buckets
-
-
-def _z_free(N2, dens, accs):
-    return [Series.from_numerators(N2, d, {(q2, ()): c
-                                           for q2, c in acc.items()})
-            for acc, d in zip(accs, dens)]
-
-
-def reference_pair_traces(kind, op_tag, points, N2, masks, weight):
-    dens, buckets = pair_traces(
-        *charged_sides(kind, op_tag, points, N2, masks), weight, N2, masks)
-    return {bucket: _z_free(N2, dens, accs)
-            for bucket, accs in buckets.items()}
-
-
-def reference_a_sector_traces(points, N, masks, charges):
-    fock._require_scalar_points(points)
-    N2 = to2(N)
-    charges = set(charges)
-    traces = reference_pair_traces(
-        "boson_pair", "A", points, N2, masks,
-        lambda ll, lm: (1, 0, lm - ll) if lm - ll in charges else None)
-    return {m: traces.get(m) or [Series(N2) for _ in masks] for m in charges}
-
-
-def reference_factor_subset_traces(kind, op_tag, points, N2, charges):
-    """_factor_subset_traces's integer rows, (dens, {doubled charge: [[(q2,
-    numerator), ...] per mask]}), from the side tables and pair pass; a
-    neutral factor's one charge 0 is there when some state fits."""
-    masks = range(1 << len(points))
-    if kind not in CHARGED:
-        dens, sums = reference_neutral_sums(kind, points, N2, masks)
-        buckets = {0: sums} if N2 >= 0 else {}
-    else:
-        e2 = -2 if kind == "boson_pair" else 2
-        charges = set(charges)
-        dens, buckets = pair_traces(
-            *charged_sides(kind, op_tag, points, N2, masks),
-            lambda ll, lm: (1, 0, e2 * (ll - lm))
-            if e2 * (ll - lm) in charges else None, N2, masks)
-    return dens, {e: [sorted((q2, c) for q2, c in acc.items() if c)
-                      for acc in accs] for e, accs in buckets.items()}
-
-
-def reference_neutral_traces(kind, points, N2, masks):
-    return _z_free(N2, *reference_neutral_sums(kind, points, N2, masks))
-
-
-def reference_neutral_sums(kind, points, N2, masks):
-    """A neutral factor's ([den per mask], [{q2: numerator} per mask])."""
-    betas = [fock.CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
-    table, dens = side_table(points, 1, -1, betas, N2,
-                             kind == "fermion_neutral", masks)
-    sums = [defaultdict(int) for _ in masks]
-    for group in table.values():
-        for w2, row in group:
-            for acc, T_ in zip(sums, masks):
-                acc[w2] += row[T_]
-    return [math.prod(d for j, d in enumerate(dens) if T_ >> j & 1)
-            for T_ in masks], sums
-
-
-def reference_a_trace(kind, points, N, weight):
-    """One z-carrying series, the bucket of each weight a z-key."""
-    fock._require_scalar_points(points)
-    N2 = to2(N)
-    masks = [(1 << len(points)) - 1]
-    (den,), buckets = pair_traces(
-        *charged_sides(kind, "A", points, N2, masks), weight, N2, masks)
-    return Series.from_numerators(N2, den, {
-        (q2, zk): c for zk, (acc,) in buckets.items() for q2, c in acc.items()})
-
-
-def reference_a_generalized_trace(x, y, points, N):
-    def weight(ll, lm):
-        cx, qx2, zx = x.pow_monomial(ll)
-        cy, qy2, zy = y.pow_monomial(lm)
-        return (cx * cy, qx2 + qy2, _zmul(zx, zy)) if cx and cy else None
-
-    return reference_a_trace("boson_pair", points, N, weight)
-
-
-def reference_f1_charged_trace(z, points, N):
-    def weight(ll, lm):
-        c, q2, zk = z.pow_monomial(ll - lm)
-        return (c, q2, zk) if c else None
-
-    return reference_a_trace("fermion_pair", points, N, weight)
-
-
 XZ = Param(F(2, 5), 0, -1)
 YZ = Param(F(3, 7), 0, 1)
 # a negative, q-shifted ratio with a half-integer charge power
@@ -632,9 +386,9 @@ def trace_table_requests(draw):
 # no state fits, and the ratios still divide a start row of none
 @example(([T], -1, [1], {0}, "boson_pair", "A", ZS[1], X, YQZ))
 def test_trace_table_matches_side_table_pair_pass(req):
-    """Every trace the one knapsack serves against the side tables and
-    pair pass it replaced, with truncation and the set of returned charges
-    included, or the same refusal."""
+    """Every trace the one knapsack serves against the pair pass over
+    side tables of enumerated partitions, with truncation and the set of
+    returned charges included, or the same refusal."""
     pts, n2, masks, charges, kind, op, z, x, y = req
     N = F(n2, 2)
     assert a_sector_traces(pts, N, masks, charges) \
@@ -659,72 +413,6 @@ def test_generalized_trace_refuses_divergent_and_two_variable_ratios():
         a_generalized_trace(Param(F(2, 5), F(-1, 2)), Y, [T], 4)
     with pytest.raises(QSeriesError):
         a_generalized_trace(XZ, Param(F(3, 7), 0, 1, zvar=2), [T], 4)
-
-
-# -- the reference side tables against partition enumeration ---------------
-
-
-def enumerated_side_table(points, alpha, gamma, consts, budget2, strict):
-    """side_table as it was before it became a knapsack over parts:
-    one row per enumerated partition, from the sums of its per-part values,
-    added into its (w2, length) key; every subset of the points is kept.
-    Returned in the knapsack's layout, {length: [(w2, row), ...] in
-    increasing w2}."""
-    top = (budget2 + 1) // 2
-    k = max(2 * top - 1, 0)
-    per_part, ints, dens = [], [], []
-    for pt, c in zip(points, consts):
-        r = pt.scalar_pow(F(1, 2))
-        d = math.lcm(r.numerator ** k, r.denominator ** k,
-                     beta_scalar(pt).denominator)
-        vals = [alpha * r ** (2 * p - 1) + gamma * r ** (1 - 2 * p)
-                for p in range(1, top + 1)]
-        per_part.append([0] + [int(v * d) for v in vals])
-        ints.append(int(c * d))
-        dens.append(d)
-    table = {}
-    for w2, parts in fock.mod_partitions(budget2, strict):
-        row = [1]
-        for u, c in zip(per_part, ints):
-            v = c + sum(u[p] for p in parts)
-            row += [x * v for x in row]
-        key = (w2, len(parts))
-        acc = table.get(key)
-        if acc is None:
-            table[key] = row
-        else:
-            for i, x in enumerate(row):
-                acc[i] += x
-    grouped = {}
-    for (w2, ln), row in sorted(table.items()):
-        grouped.setdefault(ln, []).append((w2, row))
-    return grouped, dens
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(st.lists(point_st, max_size=3), st.just(SIX)),
-       st.integers(0, 30), st.booleans(),
-       st.sampled_from([(1, 0), (0, -1), (1, -1)]), st.data())
-def test_side_table_knapsack_matches_enumeration(pts, budget2, strict,
-                                                 alpha_gamma, data):
-    """The reference side table's knapsack over parts equals the partition
-    enumeration, key by key and subset by subset; asked for fewer masks it
-    keeps the subsets inside them and holds 0 at every other subset."""
-    alpha, gamma = alpha_gamma
-    n = len(pts)
-    mults = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-    consts = [m * beta_scalar(p) for m, p in zip(mults, pts)]
-    want, dens = enumerated_side_table(pts, alpha, gamma, consts, budget2,
-                                       strict)
-    assert side_table(pts, alpha, gamma, consts, budget2, strict,
-                      range(1 << n)) == (want, dens)
-    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3))
-    inside = {S for T in masks for S in range(T + 1) if S & T == S}
-    kept = {ln: [(w2, [x if S in inside or not S else 0
-                       for S, x in enumerate(row)]) for w2, row in rows]
-            for ln, rows in want.items()}
-    assert side_table(pts, alpha, gamma, consts, budget2, strict,
-                      masks) == (kept, dens)
 
 
 @pytest.mark.parametrize("kind,op", [("boson_pair", "A"),
@@ -759,48 +447,7 @@ def test_partition_tables_cache_is_bounded():
     assert fock.mod_partitions.cache_info().currsize <= bound
 
 
-# -- the charge-prefix trie against the map-by-map sum ----------------------
-
-
-def map_by_map_duality_trace(factors, op_tag, points, N, charges):
-    """Reference of ``duality_trace``: one z-free product chain per map phi
-    from the points to the factors, for every signed charge vector, read
-    from the same per-kind tables.
-
-    This was fock.duality_trace before the maps were folded into a trie
-    over charge prefixes; it stays here as the reference of
-    ``test_duality_trie_matches_map_by_map_sum``."""
-    fock.check_duality(factors, op_tag, points)
-    charged = [i for i, kind in enumerate(factors) if kind in CHARGED]
-    for c in charges:
-        if len(c) != len(charged):
-            raise QSeriesError("charge vector %r has the wrong length" % (c,))
-    N2 = to2(N)
-    n = len(points)
-    wants = {c: [dict(zip(charged, c)).get(i, 0) for i in range(len(factors))]
-             for c, sgn in charges.items() if sgn}
-    read = {kind: set() for kind in factors}
-    for want in wants.values():
-        for kind, e in zip(factors, want):
-            read[kind].add(e)
-    tables = {kind: subset_series(kind, op_tag, points, N2, es)
-              for kind, es in read.items()}
-    masks = [[sum(1 << j for j in range(n) if phi[j] == i)
-              for i in range(len(factors))]
-             for phi in itertools.product(range(len(factors)), repeat=n)]
-    total = Series.zero(N)
-    for c, want in wants.items():
-        rows = [tables[kind].get(e) for kind, e in zip(factors, want)]
-        if None in rows:
-            continue
-        acc = Series.zero(N)
-        for phi_masks in masks:
-            prod = None
-            for row, S in zip(rows, phi_masks):
-                prod = row[S] if prod is None else prod * row[S]
-            acc = acc + prod
-        total = total + acc.scale(charges[c])
-    return total
+# -- the charge-prefix trie against the sliced product ----------------------
 
 
 @st.composite
@@ -843,11 +490,11 @@ def duality_requests(draw):
 @example((["boson_pair", "boson_pair"], "A", [T], F(1),
           {(1, 0): 1, (0, 8): -1}))
 def test_duality_trie_matches_map_by_map_sum(req):
-    """The trie over charge prefixes against one product chain per map from
-    the points to the factors: the same series, truncation and all."""
-    factors, op, points, N, charges = req
-    assert duality_trace(factors, op, points, N, charges) \
-        == map_by_map_duality_trace(factors, op, points, N, charges)
+    """The trie over charge prefixes against the signed charge slices of
+    one multi-variable product per map from the points to the factors: the
+    same series, truncation and all, or the same refusal."""
+    assert _outcome_and_message(duality_trace, *req) \
+        == _outcome_and_message(sliced_duality_trace, *req)
 
 
 def test_duality_trace_builds_one_series(monkeypatch):
@@ -862,7 +509,7 @@ def test_duality_trace_builds_one_series(monkeypatch):
         (["boson_pair", "boson_pair"], "A", [T], 1, {(1, 0): 1}),
         (["fermion_neutral"], "D", [], 2, {(): 1}),
     ]
-    want = [map_by_map_duality_trace(*req) for req in requests]
+    want = [sliced_duality_trace(*req) for req in requests]
     built = []
     reduced = qseries._reduced
     monkeypatch.setattr(qseries, "_reduced",

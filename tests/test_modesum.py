@@ -10,17 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from qfock.qseries import (NonTruncatable, Param, Series, _QH,
                            _over_pochhammer, c_term, power, to2)
 from qfock import closedform, fock, modesum
-from qfock.combinat import set_partitions
-from test_qseries import _outcome_and_message
+from reference import _outcome_and_message, pts, set_partitions
 
 
 X = Param(F(2, 5), 0, -1, zvar=1)
 Y = Param(F(3, 7), 0, 1, zvar=1)
 S_VALUES = (F(2, 3), F(3, 5), F(5, 7))
-
-
-def pts(*svals):
-    return [Param(s) for s in svals]
 
 
 class TestScalarAgreementCharged:
@@ -304,10 +299,21 @@ def test_quotient_by_pochhammers_matches_base_product(pts, s, xy, n2):
         == _outcome_and_message(reference_neutral_trace, pts, N)
 
 
+def test_set_partitions_count_the_bell_numbers():
+    """The reference enumerates each partition of 0-4 items once: 1, 1, 2,
+    5 and 15 of them, each a cover of the items by disjoint blocks."""
+    for n, bell in enumerate([1, 1, 2, 5, 15]):
+        parts = list(set_partitions(range(n)))
+        assert len({frozenset(part) for part in parts}) == len(parts) == bell
+        for part in parts:
+            assert sorted(k for block in part for k in block) == list(range(n))
+
+
 def test_trace_multiplies_only_partition_blocks(monkeypatch):
     """The only Series products of a_generalized_trace are those of the
-    set-partition sum, one per block, as many at N = 6 as at N = 12: no
-    product is made per mode or for the partition function."""
+    subset recursion over point masks, one per block G with V - G nonempty:
+    1 at 2 points, as many at N = 6 as at N = 12.  No product is made per
+    mode, per partition or for the partition function."""
     calls = []
 
     def counting_mul(self, other, _mul=Series.__mul__):
@@ -318,10 +324,9 @@ def test_trace_multiplies_only_partition_blocks(monkeypatch):
     monkeypatch.setattr(Series, "__rmul__", counting_mul)
     x, y = Param(1, 0, -1, zvar=1), Param(1, 0, 1, zvar=1)
     pts = [Param(F(2, 3), 1), Param(F(3, 5))]
-    blocks = sum(len(part) for part in set_partitions(range(len(pts))))
     counts = []
     for N in (6, 12):
         calls.clear()
         modesum.a_generalized_trace(x, y, pts, N)
         counts.append(len(calls))
-    assert counts == [blocks, blocks]
+    assert counts == [1, 1]

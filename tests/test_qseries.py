@@ -39,21 +39,14 @@ from qfock.qseries import (
     _times_pochhammer,
     _zmul,
 )
+from reference import (_outcome, _ref, _ref_add, _ref_coeff_z, _ref_invert,
+                       _ref_kept, _ref_mul, _ref_scale, qcoeff)
 
 F = Fraction
 
 
 def q(exp, N, c=1):
     return Series.monomial(c, F(exp), N)
-
-
-def qcoeff(s, qexp):
-    """The z-free coefficient of q^qexp in s, an order within its truncation
-    that carries no charge variable."""
-    q2 = to2(qexp)
-    assert q2 <= s.trunc2
-    assert all(zk == () for a2, zk in s.terms if a2 == q2)
-    return s.terms.get((q2, ()), 0)
 
 
 def assert_canonical(s):
@@ -307,41 +300,7 @@ def test_invert_round_trip(a):
     assert series_equal(a * a.invert(), Series.one(F(a.trunc2, 2)))
 
 
-# -- products against the Fraction loop -------------------------------------
-
-
-def _fraction_mul(a, b):
-    """Reference product: one Fraction per term pair.
-
-    This was Series.__mul__ before the products added integer numerators
-    over one common denominator; it stays here as the reference of the
-    differential test.
-    """
-    if isinstance(b, (int, F)):
-        return a.scale(b)
-    amin, bmin = a.min2(), b.min2()
-    if amin is None or bmin is None:
-        if amin is None and bmin is None:
-            t2 = min(a.trunc2, b.trunc2)
-        elif amin is None:
-            t2 = a.trunc2 + bmin
-        else:
-            t2 = b.trunc2 + amin
-        return Series(t2)
-    t2 = min(a.trunc2 + bmin, b.trunc2 + amin)
-    out = {}
-    for (a2, az), ac in a.terms.items():
-        for (b2, bz), bc in b.terms.items():
-            q2 = a2 + b2
-            if q2 > t2:
-                continue
-            k = (q2, _zmul(az, bz))
-            n = out.get(k, F(0)) + ac * bc
-            if n:
-                out[k] = n
-            else:
-                del out[k]
-    return Series(t2, out)
+# -- products against the {key: Fraction} ring -----------------------------
 
 
 # primes and prime powers of 2 to about 100 bits; one base per term keeps
@@ -398,9 +357,12 @@ def mul_operands(draw):
 @example((Series(3, {(-1, ((1, -3),)): F(7, 3 ** 60)}), F(5, 2 ** 61 - 1)))
 @example((Series(3, {(-1, ((1, -3),)): F(7, 3 ** 60)}), -4))
 def test_mul_matches_fraction_loop(operands):
+    """The product equals the Fraction ring's, or its scaling for a
+    scalar operand, and is canonical."""
     a, b = operands
     new = a * b
-    assert new == _fraction_mul(a, b)
+    ref = _ref_mul if isinstance(b, Series) else _ref_scale
+    assert _ref(new) == ref(_ref(a), _ref(b) if isinstance(b, Series) else b)
     assert_canonical(new)
     if not isinstance(b, Series):
         assert b * a == new
@@ -413,40 +375,7 @@ def test_first_difference_reports_lowest():
     assert d[0] == 4 and d[2] == 1 and d[3] == 2
 
 
-# -- inversion against the geometric sum ------------------------------------
-
-
-def _geometric_invert(a):
-    """Reference inverse: 1/(1 + u) = 1 - u + u^2 - ... by full products.
-
-    This was Series.invert before the coefficient recurrence; it stays here
-    as an independent second algorithm for the differential test.
-    """
-    v2 = a.min2()
-    if v2 is None:
-        raise NotInvertible("cannot invert the zero series")
-    lead = [(k, c) for k, c in a.terms.items() if k[0] == v2]
-    if len(lead) != 1:
-        raise NotInvertible("lowest q-layer has %d monomials" % len(lead))
-    (lv2, lzk), lc = lead[0]
-    inv_zk = tuple((v, -e2) for v, e2 in lzk)
-    u_terms = {(a2 - v2, _zmul(az, inv_zk)): c / lc
-               for (a2, az), c in a.terms.items() if (a2, az) != (lv2, lzk)}
-    u = Series(a.trunc2 - v2, u_terms)
-    geom = Series.one(F(u.trunc2, 2))
-    power_k = Series.one(F(u.trunc2, 2))
-    umin = u.min2()
-    if umin is not None:
-        k = 1
-        while k * umin <= u.trunc2:
-            power_k = power_k * u
-            geom = geom + (power_k if k % 2 == 0 else -power_k)
-            if power_k.is_zero():
-                break
-            k += 1
-    out = {(a2 - v2, _zmul(az, inv_zk)): c / lc
-           for (a2, az), c in geom.terms.items()}
-    return Series(a.trunc2 - 2 * v2, out)
+# -- inversion against the Fraction recurrence -----------------------------
 
 
 # 0-3 charge variables, sometimes with a gap (z_1 and z_3 without z_2), and
@@ -500,8 +429,11 @@ def invertible_series(draw):
                      (1, ()): F(-9, 2 ** 89 - 1),
                      (3, ((2, -2),)): F(2 ** 70, 13 ** 19)}))  # z-carrying
 def test_invert_matches_geometric_sum(a):
+    """1/(1 + u) = sum_k (-u)^k, built by the ring's Fraction recurrence
+    g_n = -sum_e u_e g_(n-e), equals the integer inverse, which is
+    canonical."""
     inv = a.invert()
-    assert inv == _geometric_invert(a)
+    assert _ref(inv) == _ref_invert(_ref(a))
     assert_canonical(inv)
 
 
@@ -514,7 +446,7 @@ def test_invert_not_invertible_in_both_algorithms(a):
     with pytest.raises(NotInvertible) as new:
         a.invert()
     with pytest.raises(NotInvertible) as old:
-        _geometric_invert(a)
+        _ref_invert(_ref(a))
     assert str(new.value) == str(old.value)
 
 
@@ -591,21 +523,6 @@ def _product_theta_jet(t, k, N):
     qq = pochhammer_inf(Param(1, 1), Nw)
     etainv2 = (qq * qq).invert()
     return [(c * etainv2).truncate(N) for c in jet]
-
-
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except QSeriesError as exc:
-        return type(exc)
-
-
-def _outcome_and_message(f, *args):
-    """f(*args), or the type and message of whatever it raises."""
-    try:
-        return f(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 @settings(max_examples=200, deadline=None)
@@ -734,76 +651,7 @@ def test_theta_refuses_shift_beyond_one(d):
         theta(Param(F(2, 3), d), 2)
 
 
-# -- every ring operation against a {key: Fraction} reference ----------------
-#
-# The reference keeps a series as (trunc2, {(q2, zkey): Fraction}), the form
-# Series stored before it held integer numerators over one denominator, and
-# computes with one Fraction per coefficient.
-
-
-def _ref(s):
-    return s.trunc2, s.terms
-
-
-def _ref_kept(t2, terms):
-    return t2, {k: c for k, c in terms.items() if c and k[0] <= t2}
-
-
-def _ref_add(a, b, sign=1):
-    out = dict(a[1])
-    for k, c in b[1].items():
-        out[k] = out.get(k, F(0)) + sign * c
-    return _ref_kept(min(a[0], b[0]), out)
-
-
-def _ref_mul(a, b):
-    (ta, at), (tb, bt) = a, b
-    if not at or not bt:
-        t2 = (min(ta, tb) if not at and not bt else
-              ta + min(q2 for q2, _ in bt) if not at else
-              tb + min(q2 for q2, _ in at))
-        return t2, {}
-    t2 = min(ta + min(q2 for q2, _ in bt), tb + min(q2 for q2, _ in at))
-    out = {}
-    for (a2, az), ac in at.items():
-        for (b2, bz), bc in bt.items():
-            k = (a2 + b2, _zmul(az, bz))
-            out[k] = out.get(k, F(0)) + ac * bc
-    return _ref_kept(t2, out)
-
-
-def _ref_invert(a):
-    """1/a by g_n = -sum_(0<e<=n) u_e g_(n-e) over all doubled exponents,
-    one Fraction per coefficient."""
-    t2, at = a
-    if not at:
-        raise NotInvertible("cannot invert the zero series")
-    v2 = min(q2 for q2, _ in at)
-    lead = [(k, c) for k, c in at.items() if k[0] == v2]
-    if len(lead) != 1:
-        raise NotInvertible("lowest q-layer has %d monomials" % len(lead))
-    (_, lzk), lc = lead[0]
-    inv_zk = tuple((v, -e2) for v, e2 in lzk)
-    u = {(a2 - v2, _zmul(az, inv_zk)): c / lc
-         for (a2, az), c in at.items() if a2 != v2}
-    g = {(0, ()): F(1)}
-    for n in range(1, t2 - v2 + 1):
-        for (e, uz), uc in u.items():
-            for (m, gz), gc in list(g.items()):
-                if m == n - e:
-                    k = (n, _zmul(uz, gz))
-                    g[k] = g.get(k, F(0)) - uc * gc
-    return _ref_kept(t2 - 2 * v2, {(n - v2, _zmul(gz, inv_zk)): c / lc
-                                   for (n, gz), c in g.items()})
-
-
-def _ref_coeff_z(a, var, m2):
-    out = {}
-    for (q2, zk), c in a[1].items():
-        d = dict(zk)
-        if d.pop(var, 0) == m2:
-            out[(q2, tuple(sorted(d.items())))] = c
-    return a[0], out
+# -- every ring operation against the {key: Fraction} ring -------------------
 
 
 @st.composite
@@ -842,12 +690,8 @@ _RING_OPS = {
     "neg": (lambda a, b, c, k: -a,
             lambda a, b, c, k: (a[0], {key: -v for key, v in a[1].items()})),
     "mul": (lambda a, b, c, k: a * b, lambda a, b, c, k: _ref_mul(a, b)),
-    "scale": (lambda a, b, c, k: a * c,
-              lambda a, b, c, k: _ref_kept(a[0], {key: v * c for key, v
-                                                  in a[1].items()})),
-    "rmul": (lambda a, b, c, k: c * a,
-             lambda a, b, c, k: _ref_kept(a[0], {key: c * v for key, v
-                                                 in a[1].items()})),
+    "scale": (lambda a, b, c, k: a * c, lambda a, b, c, k: _ref_scale(a, c)),
+    "rmul": (lambda a, b, c, k: c * a, lambda a, b, c, k: _ref_scale(a, c)),
     "pow": (lambda a, b, c, k: a ** (k % 4),
             lambda a, b, c, k: functools.reduce(
                 _ref_mul, [a] * (k % 4), (a[0], {(0, ()): F(1)}

@@ -5,7 +5,8 @@ no table of the duality oracle nor keep state across calls, the Fock traces
 have one engine, every quotient by (1 - p) factors goes through one
 kernel and joins charges by integer codes, the charged q-difference check
 builds no full z-graded trace, and importing the CLI and building the check registry loads no
-dataclass machinery."""
+dataclass machinery.  In tests/, no test module imports another, and every
+name tests/reference.py defines is used."""
 
 import ast
 import collections
@@ -118,7 +119,7 @@ def test_closed_forms_read_no_oracle_table():
 def test_fock_keeps_one_trace_engine():
     """fock.py builds every trace with the one knapsack ``_trace_table``:
     the side tables and pair pass it replaced are not defined beside it
-    (they are the reference in tests/test_fock.py)."""
+    (their enumerated form is the reference in tests/reference.py)."""
     path = ROOT / "src" / "qfock" / "fock.py"
     defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)}
@@ -277,3 +278,45 @@ def test_trace_engine_computes_beta_apart_from_its_cross_check():
     for node in ast.walk(top):
         named |= {getattr(node, f, None) for f in ("attr", "id", "name")}
     assert not named & {"beta_scalar", "scalar_pow"}
+
+
+def test_tests_import_no_test_module():
+    """No module in tests/ imports a ``test_*`` module: what the tests share
+    lives in tests/reference.py."""
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += ["%s imports %s" % (path.name, mod) for mod in mods
+                      if mod.split(".")[0].startswith("test_")]
+    assert not found, found
+
+
+def test_every_reference_is_used():
+    """Every top-level def, class or assignment of tests/reference.py is
+    named in a test module, or in the definition of a name that is: the
+    module keeps no reference that no test reads."""
+    uses = {}
+    for top in ast.parse((ROOT / "tests" / "reference.py").read_text()).body:
+        names = [top.name] if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
+            else [t.id for t in getattr(top, "targets", ())
+                  if isinstance(t, ast.Name)]
+        for name in names:
+            uses[name] = {getattr(node, f, None) for node in ast.walk(top)
+                          for f in ("id", "attr")} - {name}
+    todo = []
+    for path in (ROOT / "tests").glob("test_*.py"):
+        with tokenize.open(path) as fh:
+            todo += [tok.string for tok in tokenize.generate_tokens(fh.readline)
+                     if tok.type == tokenize.NAME and tok.string in uses]
+    reached = set(todo)
+    while todo:
+        new = (uses[todo.pop()] & set(uses)) - reached
+        reached |= new
+        todo += new
+    assert sorted(set(uses) - reached) == []

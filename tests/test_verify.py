@@ -21,7 +21,7 @@ from qfock.qseries import (
     power,
     to2,
 )
-from test_qseries import _outcome_and_message
+from reference import HALVES, _outcome_and_message, any_point
 
 
 def failing_spec():
@@ -162,21 +162,6 @@ def fraction_marked_part_sum(l, i, t, N):
         key = (2 * w, ())
         acc[key] = acc.get(key, F(0)) + t.scalar_pow(lam[i - 1])
     return Series(to2(N), acc)
-
-
-HALVES = st.sampled_from([F(k, 2) for k in range(17)])
-
-
-@st.composite
-def any_point(draw):
-    """A point s^2 q^d z^e of either sign: mostly scalar, sometimes zero,
-    q-shifted or charged."""
-    sign = draw(st.sampled_from([1, 1, -1]))
-    s = draw(st.fractions(-3, 3, max_denominator=7))
-    if not s:
-        return Param(0, sign=sign)
-    return Param(s, draw(st.sampled_from([0, 0, 0, F(1, 2), 1])),
-                 draw(st.sampled_from([0, 0, 0, 1])), sign=sign)
 
 
 @settings(max_examples=60, deadline=None)
