@@ -14,12 +14,22 @@ This module implements the explicit formulas that the enumeration oracles in
   level ``+-1`` building blocks, in both the product ("literal") and the
   point-distribution ("assignment") reading;
 * the residual of the first-point q-shift difference equations.
+
+Every closed-form Weyl sum (the q-dimensions and both readings of the
+duality reduction) is one fold, ``_alternant``, over (used columns, parity,
+point mask) states, each holding one integer row by q-exponent over one
+denominator.  Its blocks are built before it runs, as (den, numerators)
+rows: the boson-pair blocks straight from the Fock table's rows
+(fock.a_sector_rows), over one denominator per point mask, the
+fermion-pair blocks read once from their series, and the q-dimension
+blocks as the integer sums left when their common factors are taken out.
+The fold makes no series product or sum and builds one series per call.
 """
 
 from fractions import Fraction
 from itertools import (accumulate, combinations, permutations,
                        product as iter_product)
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import combinat, fock, modesum
@@ -32,6 +42,7 @@ from .qseries import (
     Series,
     _QH,
     _half,
+    _monomial_str,
     _over_one_minus,
     _over_pochhammer,
     _product_coeff_z,
@@ -41,6 +52,7 @@ from .qseries import (
     _times_pochhammer,
     _theta_sums,
     c_term,
+    half_str,
     pochhammer_inf,
     power,
     qhyper,
@@ -408,19 +420,33 @@ def _eps_signed(points: Sequence[Param], U: int):
 
 
 def _signed_slices(points: Sequence[Param], N, masks,
-                   charges) -> Dict[int, List[Series]]:
+                   charges) -> Dict[int, List[fock.Row]]:
     """{m: [sum over eps in {+-1}^U of eps_1...eps_n times the charge-m
     trace at the eps-inverted points of U, per subset mask U in `masks`]}
-    for charges m >= 0, from one A-operator table over t_1..t_n and their
-    inverses."""
+    for charges m >= 0, as integer rows (den, numerators), from one
+    A-operator table over t_1..t_n and their inverses.
+
+    The table's row at a mask M of the 2n points lies over
+    prod_(j in M) dens_j (fock.a_sector_rows), and dens_j is the same at
+    t_j and 1/t_j, so every eps-signed mask M of U lies over one
+    denominator: the signed sum adds numerators, with no gcd and no
+    series."""
     fock._require_scalar_points(points)
     signed = [_eps_signed(points, U) for U in masks]
     wanted = sorted({M for row in signed for _, M, _ in row})
-    table = fock.a_sector_traces(
+    table = fock.a_sector_rows(
         list(points) + [p.inverse() for p in points], N, wanted, charges)
-    at = {m: dict(zip(wanted, traces)) for m, traces in table.items()}
-    return {m: [sum((at[m][M].scale(s) for s, M, _ in row), Series.zero(N))
-                for row in signed] for m in at}
+    out = {}
+    for m, rows in table.items():
+        at = dict(zip(wanted, rows))
+        out[m] = []
+        for row in signed:
+            nums: Dict[tuple, int] = {}
+            for s, M, _ in row:
+                for key, c in at[M][1].items():
+                    nums[key] = nums.get(key, 0) + s * c
+            out[m].append((at[row[0][1]][0], nums))
+    return out
 
 
 def c_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
@@ -428,7 +454,8 @@ def c_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
     eps in {+-1}^n of eps_1...eps_n times the charge-|m| trace at the
     eps-inverted points."""
     m = abs(m)
-    return _signed_slices(points, N, [(1 << len(points)) - 1], [m])[m][0]
+    den, nums = _signed_slices(points, N, [(1 << len(points)) - 1], [m])[m][0]
+    return Series.from_numerators(to2(N), den, nums)
 
 
 def d_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
@@ -438,20 +465,31 @@ def d_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
     d(-1) = 0 and d(-k-2) = -d(k)."""
     a, b = abs(m), abs(m + 2)
     slices = _signed_slices(points, N, [(1 << len(points)) - 1], [a, b])
-    return slices[a][0] - slices[b][0]
+    den, nums = slices[a][0]
+    nums = dict(nums)
+    for key, c in slices[b][0][1].items():  # over the same den
+        nums[key] = nums.get(key, 0) - c
+    return Series.from_numerators(to2(N), den, nums)
 
 
 # -- graded dimensions -------------------------------------------------------
 
 
-def charged_qdim_base(k: int, N) -> Series:
-    """1/(q)_inf^2 * sum_{m>=0} (-1)^m q^(m(m+1)/2 + |k|(m+1/2))."""
-    k, n2 = abs(k), to2(N)
-    nums, m = {}, 0
+def _charged_qdim_sum(k: int, n2: int) -> Dict[tuple, int]:
+    """The integer numerators of sum_{m>=0} (-1)^m q^(m(m+1)/2 + |k|(m+1/2))
+    to the doubled order n2."""
+    k, nums, m = abs(k), {}, 0
     while (e2 := m * (m + 1) + k * (2 * m + 1)) <= n2:
         nums[(e2, ())] = (-1) ** m
         m += 1
-    return Series.from_numerators(n2, 1, nums) * _qinf_inv(n2, 2)
+    return nums
+
+
+def charged_qdim_base(k: int, N) -> Series:
+    """1/(q)_inf^2 * sum_{m>=0} (-1)^m q^(m(m+1)/2 + |k|(m+1/2))."""
+    n2 = to2(N)
+    return Series.from_numerators(n2, 1, _charged_qdim_sum(k, n2)) \
+        * _qinf_inv(n2, 2)
 
 
 def _normalize_label(lam, l: int, allow_negative: bool):
@@ -468,68 +506,140 @@ def _normalize_label(lam, l: int, allow_negative: bool):
     return lam
 
 
-def _alternant(inst: "DualityInstance", rows, block, N, n: int = 0,
+def _fold_row(entry, N2: int) -> Tuple[int, List[Tuple[int, int]]]:
+    """An alternant entry (den, numerators keyed as in Series.nums) as
+    (den, [(q2, numerator)] by increasing q2 up to q^N), zeros dropped.  A
+    z-key or a negative q-power is refused: the fold's rows are z-free and
+    its truncation is q^N only when no entry reaches below q^0."""
+    den, nums = entry
+    pairs = []
+    for (q2, zk), c in nums.items():
+        if zk or q2 < 0:
+            raise QSeriesError("the alternant folds z-free blocks with no "
+                               "negative q-power, not a term at %s"
+                               % _monomial_str(q2, zk))
+        if c and q2 <= N2:
+            pairs.append((q2, c))
+    pairs.sort()
+    return den, pairs
+
+
+def _add_product(acc: dict, key, den: int, xs, ys, sign: int,
+                 N2: int) -> None:
+    """acc[key] += sign * xs * ys / den, truncated at q^N, for rows xs and
+    ys of (q2, numerator) pairs: acc maps keys to [den, dense numerator
+    list by q2].  acc[key] is rescaled to the lcm of the two denominators
+    only when they differ."""
+    got = acc.get(key)
+    if got is None:
+        out = [0] * (N2 + 1)
+        acc[key] = [den, out]
+    elif got[0] == den:
+        out = got[1]
+    else:
+        d = lcm(got[0], den)
+        out = [v * (d // got[0]) for v in got[1]]
+        acc[key] = [d, out]
+        sign *= d // den
+    for x2, a in xs:
+        a, lim = sign * a, N2 - x2
+        for y2, b in ys:
+            if y2 > lim:
+                break
+            out[x2 + y2] += a * b
+
+
+def _alternant(inst: "DualityInstance", rows, blocks, N, n: int = 0,
                tail=None) -> Series:
-    """sum_w sgn(w) sum_(S_1, ..., S_l) prod_i block(k_i(w))[S_i], with
+    """sum_w sgn(w) sum_(S_1, ..., S_l) prod_i blocks[k_i(w)][S_i], with
     k(w) = lam + rho - w rho over the Weyl group of ``inst``, and the S_i
     disjoint point masks that together hold all n points; with ``tail``, a
     list by point mask, they may leave a mask R and the term is multiplied
-    by tail[R].  ``block(k)`` is read once per weight k: a list (or dict)
+    by tail[R].  ``blocks`` maps every weight k the rows read to a mapping
     by point mask.  At n = 0 this is the plain alternant
-    sum_w sgn(w) prod_i block(k_i(w))[0].
+    sum_w sgn(w) prod_i blocks[k_i(w)][0].
+
+    Every entry, of ``blocks`` and of ``tail``, is an integer row
+    (den, numerators keyed as in Series.nums), z-free and with no negative
+    q-power (_fold_row refuses the rest), built before the fold runs.
 
     Expanded row by row like a determinant: row i takes a free column j
     and, outside type A, a sign s, then a subset S of the points not yet
-    used, reads block(lam_i + rho_i - s rho_j)[S] and is signed by s and
+    used, reads blocks[lam_i + rho_i - s rho_j][S] and is signed by s and
     the parity of the used columns above j; ``rows`` is
     _row_shifts(inst, lam), built once per caller.  A state is (used
-    columns, for type D the parity of the s = -1 taken, used point mask P).
-    Type D keeps the even states, and without a tail the last row takes
-    every point left, so the work is about l 2^l 3^n products, not
-    |W| l (factors)^n."""
+    columns, for type D the parity of the s = -1 taken, used point mask P)
+    and holds one integer row by q-exponent over one denominator.  Type D
+    keeps the even states, and without a tail the last row takes every
+    point left, so the work is about l 2^l 3^n row convolutions, each
+    stopping at q^N, not |W| l (factors)^n.
+
+    A product multiplies the two denominators and a merge adds rows,
+    rescaling to the lcm only when the denominators differ.  Boson-pair
+    entries at mask S lie over scale prod_(j in S) dens_j
+    (fock.a_sector_rows), so every term of a state with mask P lies over
+    one denominator and no merge rescales; the fermion-pair entries are
+    reduced series and may.  One series is built, at the end.
+    """
     l = inst.l
-    if l > combinat.WEYL_CAP:
-        raise CapExceeded("Weyl rank %d exceeds cap %d" % (l, combinat.WEYL_CAP))
+    N2 = to2(N)
     full = (1 << n) - 1
-    blocks = {k: block(k) for k in {k for row in rows for _, _, k in row}}
-    states: Dict[tuple, Optional[Series]] = {(0, 0, 0): None}  # None: 1
+    read = {k: {S: _fold_row(e, N2) for S, e in blocks[k].items()}
+            for k in _row_charges(rows)}
+    tails = None if tail is None else [_fold_row(e, N2) for e in tail]
+    states = {(0, 0, 0): [1, [1] + [0] * N2]}  # the empty product, 1
     for i, shifts in enumerate(rows):
         last = i == l - 1
-        nxt: Dict[tuple, Series] = {}
-        for (used, odd, P), acc in states.items():
+        nxt: Dict[tuple, list] = {}
+        for (used, odd, P), (den, row) in states.items():
+            xs = [(q2, c) for q2, c in enumerate(row) if c]
+            if not xs:
+                continue
             free = full ^ P
             for j, s, k in shifts:
                 flip = inst.weyl == "D" and s < 0
                 if used >> j & 1 or last and odd ^ flip:
                     continue
-                negate = (bin(used >> j).count("1") + (s < 0)) % 2
-                entries, S = blocks[k], free
+                sign = -1 if (bin(used >> j).count("1") + (s < 0)) % 2 else 1
+                entries, S = read[k], free
                 while True:  # every S within the free points, or all of them
-                    e = entries[S]
-                    if e.nums:
-                        term = e if acc is None else acc * e
-                        if negate:
-                            term = -term
-                        key = (used | 1 << j, odd ^ flip, P | S)
-                        nxt[key] = nxt[key] + term if key in nxt else term
+                    eden, ys = entries[S]
+                    if ys:
+                        _add_product(nxt, (used | 1 << j, odd ^ flip, P | S),
+                                     den * eden, xs, ys, sign, N2)
                     if not S or last and tail is None:
                         break
                     S = (S - 1) & free
         states = nxt
-    out = Series.zero(N)
-    for (_, _, P), acc in states.items():  # every column used, even parity
-        out = out + (acc if tail is None else acc * tail[full ^ P])
-    return out
+    out: dict = {}
+    for (_, _, P), (den, row) in states.items():  # every column used, even
+        xs = [(q2, c) for q2, c in enumerate(row) if c]
+        tden, ys = (1, [(0, 1)]) if tails is None else tails[full ^ P]
+        _add_product(out, None, den * tden, xs, ys, 1, N2)
+    if not out:
+        return Series.zero(N)
+    den, row = out[None]
+    return Series.from_numerators(N2, den, {(q2, ()): c
+                                            for q2, c in enumerate(row)})
 
 
 def _row_shifts(inst: "DualityInstance", lam):
     """Row by row, the (column j, sign s, k = lam_i + rho_i - s rho_j) that
     ``_alternant`` reads its entries at, from rho in doubled ints (rho_i and
-    rho_j are both integers or both half-integers)."""
+    rho_j are both integers or both half-integers).  A rank over
+    combinat.WEYL_CAP is refused here, before any entry is built."""
+    if inst.l > combinat.WEYL_CAP:
+        raise CapExceeded("Weyl rank %d exceeds cap %d"
+                          % (inst.l, combinat.WEYL_CAP))
     rho2 = [to2(r) for r in inst.rho]
     signs = (1,) if inst.weyl == "A" else (1, -1)
     return [[(j, s, lam[i] + (rho2[i] - s * rho2[j]) // 2)
              for j in range(inst.l) for s in signs] for i in range(inst.l)]
+
+
+def _row_charges(rows) -> set:
+    """The distinct weights k that the rows of _row_shifts read."""
+    return {k for row in rows for _, _, k in row}
 
 
 def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
@@ -552,8 +662,12 @@ def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
     # charge-slice series; the sign flips themselves generate the slice
     # differences that define the rank-one type-d function (at l=1 the sum
     # equals charged_qdim_base(k) - charged_qdim_base(k+2) exactly).
-    wsum = _alternant(inst, _row_shifts(inst, lam),
-                      lambda k: [charged_qdim_base(k, N)], N)
+    # Every term is a product of l bases, each 1/(q)_inf^2 times its sum:
+    # the alternant folds the sums, and (q)_inf^(-2l) is taken once.
+    rows, n2 = _row_shifts(inst, lam), to2(N)
+    wsum = _alternant(inst, rows, {k: {0: (1, _charged_qdim_sum(k, n2))}
+                                   for k in _row_charges(rows)}, N) \
+        * _qinf_inv(n2, 2 * inst.l)
     if inst.neutral_factor is None:
         return wsum
     # times the neutral factor's graded dimension: 1/(q^(1/2))_inf for the
@@ -569,9 +683,10 @@ def _c_positive_half_qdim(inst: "DualityInstance", label, N,
     lam = _normalize_label(label, l, allow_negative=False)
     pre = _over_pochhammer(_qinf_inv(to2(N), l), _QH)
     if form == "weyl":
-        return pre * _alternant(inst, _row_shifts(inst, lam),
-                                lambda k: [Series.monomial(1, F(k * k, 2), N)],
-                                N)
+        rows = _row_shifts(inst, lam)
+        # q^(k^2/2): one numerator 1 at the doubled exponent k^2
+        return pre * _alternant(inst, rows, {k: {0: (1, {(k * k, ()): 1})}
+                                             for k in _row_charges(rows)}, N)
     if form == "product":
         out = Series.monomial(1, F(sum(v * v for v in lam), 2), N)
         for i in range(l):
@@ -664,11 +779,28 @@ def module_instance(algebra: str, level) -> DualityInstance:
                        % (level, algebra))
 
 
+def _entry(s: Series, N) -> fock.Row:
+    """A series as an alternant entry (den, numerators), refused when it is
+    truncated below q^N: the fold's result is read to q^N."""
+    if s.trunc2 < to2(N):
+        raise QSeriesError("an alternant block is truncated below q^%s"
+                           % half_str(to2(N)))
+    return s.den, s.nums
+
+
 def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
-                    N, masks) -> Dict[int, Dict[int, Series]]:
+                    N, masks) -> Dict[int, Dict[int, fock.Row]]:
     """{k: {U: level +-1 block at shifted weight k, read at the points of
-    subset mask U}} for k in `charges`, U in `masks`: one Fock table for a
-    boson pair, one f_bo per eps-signed subset for a fermion pair."""
+    subset mask U}} for k in `charges`, U in `masks`, each an integer row
+    (den, numerators) for ``_alternant``.
+
+    A boson pair reads one Fock table: the A-operator rows of
+    fock.a_sector_rows, or for C and D the eps-signed sums of
+    _signed_slices, the block at U over scale prod_(j in U) dens_j with
+    no gcd taken.  A fermion pair builds one f_bo per eps-signed subset in
+    one batch, sums each block's scaled bases as series with one shift per
+    block, and reads each finished block once into its reduced den and
+    numerators."""
     if inst.factors[0] == "fermion_pair":
         signed = {U: _eps_signed(points, U) for U in masks}
         # one batch: the eps-signed subsets share one subset table
@@ -678,12 +810,12 @@ def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
         # level1_sector): one scale per term, one shift per block
         tprods = {M: prod((p.value_coeff for p in pts), start=F(1))
                   for M, pts in subsets.items()}
-        return {k: {U: sum((bases[M].scale(s * tprods[M] ** k)
-                            for s, M, _ in row), Series.zero(N))
-                    .shift(F(k * k, 2)).truncate(N)
+        return {k: {U: _entry(sum((bases[M].scale(s * tprods[M] ** k)
+                                   for s, M, _ in row), Series.zero(N))
+                              .shift(F(k * k, 2)).truncate(N), N)
                     for U, row in signed.items()} for k in charges}
     if inst.op_tag == "A":
-        table = fock.a_sector_traces(points, N, masks, charges)
+        table = fock.a_sector_rows(points, N, masks, charges)
         return {k: dict(zip(masks, table[k])) for k in charges}
     # Both type-c and type-d instances reduce over the symmetric charge
     # slices; for type d the hyperoctahedral sign sum regenerates the
@@ -719,18 +851,21 @@ def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
     neutral = inst.neutral_factor
     # every block the alternant reads, built before it runs
     rows = _row_shifts(inst, lam)
-    charges = {k for row in rows for _, _, k in row}
+    charges = _row_charges(rows)
     if mode == "literal":
-        pre = Series.one(N) if neutral is None else fock.neutral_trace(
-            inst.factors[neutral], inst.op_tag, points, N)
+        # every block and the neutral prefactor at the full list, as the
+        # blocks and tail of a point-free fold
         blocks = _charged_blocks(inst, charges, points, N, [full])
-        return pre * _alternant(inst, rows, lambda k: [blocks[k][full]], N)
+        tail = None if neutral is None else fock._neutral_rows(
+            inst.factors[neutral], points, to2(N), [full])
+        return _alternant(inst, rows, {k: {0: blocks[k][full]}
+                                       for k in charges}, N, 0, tail)
     # one factor reads the full mask alone
     masks = [full] if len(inst.factors) == 1 else range(1 << n)
     blocks = _charged_blocks(inst, charges, points, N, masks)
-    tail = None if neutral is None else fock._neutral_traces(
+    tail = None if neutral is None else fock._neutral_rows(
         inst.factors[neutral], points, to2(N), masks)
-    return _alternant(inst, rows, blocks.__getitem__, N, n, tail)
+    return _alternant(inst, rows, blocks, N, n, tail)
 
 
 def _weyl_shifts(wtype: str, rho, lam) -> Dict[tuple, int]:

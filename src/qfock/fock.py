@@ -54,6 +54,12 @@ prod_(j in T) dens[j], with dens[j] the same for every kind and operator,
 so every term a node sums at mask V lies over one denominator: the trie
 adds and convolves integer rows, and builds one series, at the root.
 
+Row readers.  ``a_sector_rows`` and ``_neutral_rows`` hand out a table's
+numerators as they are, one (den, numerators) row per mask with the row at
+mask T over scale prod_(j in T) dens[j]; ``a_sector_traces`` and
+``_neutral_traces`` are their series views.  closedform folds these rows in
+integers, over the same one denominator per point mask.
+
 These oracles require plain rational scalar points (d = 0); modesum.py
 resums shifted ones.  ``duality_trace_direct`` enumerates tensor-product
 states one by one as the independent cross-check of the factorized traces.
@@ -263,19 +269,34 @@ def _trace_table(kind: str, op_tag: str, points: Sequence[Param], N2: int,
             for T in masks], table
 
 
-def _series(N2: int, dens: Sequence[int], accs) -> List[Series]:
-    """_trace_table's numerators of one bucket as z-free series per mask."""
-    return [Series.from_numerators(N2, d, {(q2, ()): c
-                                           for q2, c in acc.items()})
+Row = Tuple[int, Dict[Tuple[int, tuple], int]]  # (den, {(q2, ()): numerator})
+
+
+def _rows(dens: Sequence[int], accs) -> List[Row]:
+    """_trace_table's numerators of one bucket as integer rows, one
+    (den, numerators) per mask, keyed as in Series.nums and not reduced."""
+    return [(d, {(q2, ()): c for q2, c in acc.items()})
             for acc, d in zip(accs, dens)]
+
+
+def _series(N2: int, rows: Sequence[Row]) -> List[Series]:
+    """Integer rows as z-free series, one gcd each."""
+    return [Series.from_numerators(N2, d, nums) for d, nums in rows]
+
+
+def _neutral_rows(kind: str, points: Sequence[Param], N2: int,
+                  masks) -> List[Row]:
+    """Traces over a neutral factor as integer rows, one per subset mask T
+    in `masks`."""
+    (op_tag,) = LEGAL_OPS[kind]
+    dens, table = _trace_table(kind, op_tag, points, N2, masks)
+    return _rows(dens, table.get(0, [{} for _ in masks]))
 
 
 def _neutral_traces(kind: str, points: Sequence[Param], N2: int,
                     masks) -> List[Series]:
     """Traces over a neutral factor, one per subset mask T in `masks`."""
-    (op_tag,) = LEGAL_OPS[kind]
-    dens, table = _trace_table(kind, op_tag, points, N2, masks)
-    return _series(N2, dens, table.get(0, [{} for _ in masks]))
+    return _series(N2, _neutral_rows(kind, points, N2, masks))
 
 
 # -- the eigenvalue rule ----------------------------------------------------
@@ -313,20 +334,29 @@ def eigenvalue(kind: str, state, op_tag: str, point: Param) -> F:
 # -- single-factor oracles --------------------------------------------------
 
 
-def a_sector_traces(points: Sequence[Param], N, masks,
-                    charges) -> Dict[int, List[Series]]:
+def a_sector_rows(points: Sequence[Param], N, masks,
+                  charges) -> Dict[int, List[Row]]:
     """Charge-m traces over the level -1 bosonic pair for every m in
-    `charges`, each at every subset mask T in `masks`: {m: [z-free series
-    per mask]}, the sum over (lam, mu) with len(mu)-len(lam) = m of
-    q^E prod_(j in T) (A-eigenvalue at t_j).  One knapsack serves them all;
+    `charges`, each at every subset mask T in `masks`, as integer rows:
+    {m: [(den, numerators) per mask]}, the sum over (lam, mu) with
+    len(mu)-len(lam) = m of q^E prod_(j in T) (A-eigenvalue at t_j).  The
+    row at mask T lies over prod_(j in T) dens_j for every charge, and
+    dens_j is the same at t_j and 1/t_j.  One knapsack serves them all;
     states that reach no charge asked for are dropped."""
     _require_scalar_points(points)
-    N2 = to2(N)
     charges = set(charges)
-    dens, table = _trace_table("boson_pair", "A", points, N2, masks,
+    dens, table = _trace_table("boson_pair", "A", points, to2(N), masks,
                                {2 * m for m in charges})
-    return {m: _series(N2, dens, table.get(2 * m, [{} for _ in masks]))
+    return {m: _rows(dens, table.get(2 * m, [{} for _ in masks]))
             for m in charges}
+
+
+def a_sector_traces(points: Sequence[Param], N, masks,
+                    charges) -> Dict[int, List[Series]]:
+    """a_sector_rows as z-free series: {m: [series per mask]}."""
+    N2 = to2(N)
+    return {m: _series(N2, rows) for m, rows
+            in a_sector_rows(points, N, masks, charges).items()}
 
 
 def a_sector_trace(m: int, points: Sequence[Param], N) -> Series:

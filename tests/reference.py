@@ -52,6 +52,13 @@ def qcoeff(s, qexp):
     return s.terms.get((q2, ()), 0)
 
 
+def row_series(N, row):
+    """An integer row (den, numerators keyed as in Series.nums), the form
+    of ``closedform._charged_blocks``' entries, as a series to q^N."""
+    den, nums = row
+    return Series.from_numerators(to2(N), den, nums)
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -267,7 +274,7 @@ def reference_a_sector_traces(points, N, masks, charges):
         *charged_sides("boson_pair", "A", points, N2),
         lambda ll, lm: (1, 0, lm - ll) if lm - ll in charges else None,
         N2, masks)
-    return {m: fock._series(N2, dens, buckets[m]) if m in buckets
+    return {m: fock._series(N2, fock._rows(dens, buckets[m])) if m in buckets
             else [Series(N2) for _ in masks] for m in charges}
 
 
@@ -291,7 +298,8 @@ def reference_factor_subset_traces(kind, op_tag, points, N2, charges):
 
 
 def reference_neutral_traces(kind, points, N2, masks):
-    return fock._series(N2, *reference_neutral_sums(kind, points, N2, masks))
+    return fock._series(N2, fock._rows(*reference_neutral_sums(kind, points,
+                                                              N2, masks)))
 
 
 def reference_neutral_sums(kind, points, N2, masks):

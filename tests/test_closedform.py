@@ -33,7 +33,7 @@ from qfock.qseries import (
 )
 from reference import (HALVES, _outcome, _outcome_and_message, any_point,
                        point_st, product_duality_trace, pts, qcoeff,
-                       weyl_zsum)
+                       row_series, weyl_zsum)
 
 
 S_VALUES = (F(2, 3), F(3, 5), F(5, 7))
@@ -932,6 +932,17 @@ def repeated_and_inverse_points(test):
           F(3, 2)), "literal")
 @example((cf.duality_instance("c", "l-1/2", 2), (1, 0), pts(F(2, 3), F(3, 2)),
           F(1)), "assignment")
+# rows of length 1 (N = 0) and 2 (N = 1/2)
+@example((cf.duality_instance("d", "-l", 2), (1, 0), pts(F(2, 3), F(3, 5)),
+          F(0)), "assignment")
+@example((cf.duality_instance("c", "-l", 2), (1, 1), pts(F(3, 5)),
+          F(1, 2)), "literal")
+# fermion-pair blocks over different denominators: the merges take the lcm
+@example((cf.duality_instance("c", "l-1/2", 2), (1, 0), pts(F(2, 3), F(3, 5)),
+          F(1)), "assignment")
+# the fermion-neutral prefactor of the literal reading, folded as its tail
+@example((cf.duality_instance("d", "-l+1/2", 2), (1, 0),
+          pts(F(2, 3), F(3, 5)), F(3, 2)), "literal")
 @repeated_and_inverse_points
 def test_duality_alternant_matches_weyl_enumeration(req, mode):
     """Both readings of duality_reduce against the Weyl-group loops they
@@ -987,8 +998,8 @@ def phi_loop_duality_reduce(inst, label, points, N):
     for phi in iter_product(range(nfac), repeat=n):
         parts = [sum(1 << j for j in range(n) if phi[j] == i)
                  for i in range(nfac)]
-        term = row_alternant(inst, rows,
-                             lambda i, k: blocks[k][parts[i]], N)
+        term = row_alternant(
+            inst, rows, lambda i, k: row_series(N, blocks[k][parts[i]]), N)
         if neutral is not None:
             term = term * nblocks[parts[neutral]]
         out = out + term
@@ -1026,7 +1037,8 @@ def test_fermion_blocks_match_one_level1_sector_per_sign(points, N):
     for k in charges:
         for U in masks:
             sub = [p for j, p in enumerate(points) if U >> j & 1]
-            assert blocks[k][U] == reference_charged_block(inst, k, sub, N)
+            assert row_series(N, blocks[k][U]) \
+                == reference_charged_block(inst, k, sub, N)
 
 
 @pytest.mark.parametrize("points,N", FERMION_BLOCK_CASES)
@@ -1055,8 +1067,8 @@ def test_fermion_blocks_shift_once_per_block(monkeypatch, points, N):
 
 
 @pytest.mark.parametrize("algebra,oracle_cap,fold_cap", [
-    ("d", 8000, 1500),   # 73,728 and 4,096 as one product per map
-    ("c", 5000, 3000),   # 36,864 and 7,680
+    ("d", 8000, 0),   # 73,728 and 4,096 as one product per map
+    ("c", 5000, 0),   # 36,864 and 7,680
 ])
 def test_duality_sides_fold_the_point_maps(monkeypatch, algebra, oracle_cap,
                                            fold_cap):
@@ -1085,6 +1097,86 @@ def test_duality_sides_fold_the_point_maps(monkeypatch, algebra, oracle_cap,
 
 BOSON_FAMILIES = [key for key in sorted(LEVEL_OF)
                   if cf.duality_instance(*key, 1).factors[0] == "boson_pair"]
+
+SERIES_ARITHMETIC = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                     "__neg__", "scale", "shift")
+
+
+def test_alternant_folds_integer_rows(monkeypatch):
+    """duality_reduce (both readings, every family at rank 2 with two
+    points, N = 4) and qdim_closed (every family) make no series product,
+    sum or scale while ``_alternant`` runs, the fold builds one series per
+    call, and a boson-pair fold never rescales a row to an lcm."""
+    inside, ops, built, lcms = [False], [], [0], [0]
+    calls = []
+    real_alternant, real_reduced = cf._alternant, qs._reduced
+
+    def alternant(inst, *args):
+        calls.append(inst.factors[0])
+        inside[0] = True
+        try:
+            return real_alternant(inst, *args)
+        finally:
+            inside[0] = False
+
+    def reduced(*args):
+        built[0] += inside[0]
+        return real_reduced(*args)
+
+    def lcm(*args, _lcm=cf.lcm):
+        lcms[0] += calls[-1] == "boson_pair"
+        return _lcm(*args)
+
+    for name in SERIES_ARITHMETIC:
+        def counted(self, *args, _name=name, _op=getattr(Series, name)):
+            if inside[0]:
+                ops.append(_name)
+            return _op(self, *args)
+        monkeypatch.setattr(Series, name, counted)
+    monkeypatch.setattr(cf, "_alternant", alternant)
+    monkeypatch.setattr(qs, "_reduced", reduced)
+    monkeypatch.setattr(cf, "lcm", lcm)
+    points = pts(F(2, 3), F(3, 5))
+    for key, level in sorted(LEVEL_OF.items()):
+        inst = cf.duality_instance(*key, 2)
+        for mode in ("literal", "assignment"):
+            assert not cf.duality_reduce(inst, (1, 0), points, 4,
+                                         mode).is_zero()
+        assert not cf.qdim_closed(key[0], level, (1, 0), 4).is_zero()
+    monkeypatch.undo()
+    assert len(calls) == 3 * len(LEVEL_OF)
+    assert ops == []
+    assert built[0] == len(calls)
+    assert lcms[0] == 0
+
+
+@pytest.mark.parametrize("entry,match", [
+    pytest.param((1, {(0, ()): 1, (2, ((1, 2),)): 3}),
+                 r"not a term at q\^1 z1\^1$", id="z-key"),
+    pytest.param((2, {(-1, ()): 1, (0, ()): 1}), r"not a term at q\^-1/2$",
+                 id="negative-q-power"),
+])
+@pytest.mark.parametrize("where", ["block", "tail"])
+def test_alternant_refuses_charged_or_negative_entries(entry, match, where):
+    """The fold refuses a block or tail entry with a z-key or a negative
+    q-power, rather than fold it into z-free rows read from q^0."""
+    inst = cf.duality_instance("c", "-l-1/2", 1)
+    rows = cf._row_shifts(inst, (1,))
+    one = (1, {(0, ()): 1})
+    blocks = {k: {0: entry if where == "block" else one, 1: one}
+              for k in cf._row_charges(rows)}
+    tail = [entry if where == "tail" else one, one]
+    with pytest.raises(qs.QSeriesError, match="^the alternant folds z-free "
+                       "blocks with no negative q-power, " + match):
+        cf._alternant(inst, rows, blocks, 2, 1, tail)
+
+
+def test_alternant_entry_refuses_a_short_truncation():
+    """A series entry truncated below q^N is refused, not folded into a
+    result that claims q^N."""
+    with pytest.raises(qs.QSeriesError,
+                       match=r"^an alternant block is truncated below q\^2$"):
+        cf._entry(Series.one(F(3, 2)), 2)
 
 
 @pytest.mark.parametrize("key", BOSON_FAMILIES)
@@ -1206,10 +1298,10 @@ def test_f_bo_refusals_keep_their_order(shared):
 
 
 def test_rank_cap_is_refused_before_any_entry(monkeypatch):
-    def no_entry(k, N):
+    def no_entry(k, n2):
         raise AssertionError("entry computed")
 
-    monkeypatch.setattr(cf, "charged_qdim_base", no_entry)
+    monkeypatch.setattr(cf, "_charged_qdim_sum", no_entry)
     with pytest.raises(CapExceeded, match="^Weyl rank 7 exceeds cap 6$"):
         cf.qdim_closed("d", "-7", (0,) * 7, 4)
 
