@@ -53,11 +53,11 @@ def _parse_rational(text: str) -> F:
 
 def _parse_point(text: str) -> Param:
     """A point is an s-value "p/q", optionally with a q-shift: "p/q:d"."""
-    s, _, shift = text.partition(":")
+    s, colon, shift = text.partition(":")
     sval = _parse_rational(s)
     if sval == 0:
         raise UsageError("point value must be nonzero")
-    if not shift:
+    if not colon:
         return Param(sval)
     try:
         d2 = parse_half(shift)
@@ -180,6 +180,8 @@ def _kv(pairs: Sequence[str]) -> dict:
         key, eq, val = item.partition("=")
         if not eq:
             raise UsageError("dump parameters are key=value, got %r" % item)
+        if key in out:
+            raise UsageError("dump parameter %r given twice" % key)
         out[key] = val
     return out
 

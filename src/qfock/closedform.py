@@ -18,10 +18,10 @@ This module implements the explicit formulas that the enumeration oracles in
 Every closed-form Weyl sum (the q-dimensions and both readings of the
 duality reduction) is one fold, ``_alternant``, over (used columns, parity,
 point mask) states, each holding one integer row by q-exponent over one
-denominator.  Its blocks are built before it runs, as (den, numerators)
-rows: the boson-pair blocks straight from the Fock table's rows
-(fock.a_sector_rows), over one denominator per point mask, the
-fermion-pair blocks read once from their series, and the q-dimension
+denominator.  Its blocks are built before it runs, as fock.Rows read as
+they are: the boson-pair blocks straight from the Fock table
+(fock.a_sector_rows), over one denominator per point mask, the fermion-pair
+blocks read once from their series by ``_entry``, and the q-dimension
 blocks as the integer sums left when their common factors are taken out.
 The fold makes no series product or sum and builds one series per call.
 """
@@ -419,33 +419,37 @@ def _eps_signed(points: Sequence[Param], U: int):
     return out
 
 
+def _signed_sum(terms) -> fock.Row:
+    """The Row sum of s * row over the (s, row) in `terms`, every row over
+    the first one's den: numerators add, with no gcd and no series."""
+    acc: Dict[int, int] = {}
+    for s, (_, pairs) in terms:
+        for q2, c in pairs:
+            acc[q2] = acc.get(q2, 0) + s * c
+    return terms[0][1][0], sorted((q2, c) for q2, c in acc.items() if c)
+
+
 def _signed_slices(points: Sequence[Param], N, masks,
                    charges) -> Dict[int, List[fock.Row]]:
     """{m: [sum over eps in {+-1}^U of eps_1...eps_n times the charge-m
     trace at the eps-inverted points of U, per subset mask U in `masks`]}
-    for charges m >= 0, as integer rows (den, numerators), from one
-    A-operator table over t_1..t_n and their inverses.
+    for charges m >= 0, as Rows, from one A-operator table over t_1..t_n
+    and their inverses.
 
     The table's row at a mask M of the 2n points lies over
     prod_(j in M) dens_j (fock.a_sector_rows), and dens_j is the same at
     t_j and 1/t_j, so every eps-signed mask M of U lies over one
-    denominator: the signed sum adds numerators, with no gcd and no
-    series."""
+    denominator."""
     fock._require_scalar_points(points)
     signed = [_eps_signed(points, U) for U in masks]
     wanted = sorted({M for row in signed for _, M, _ in row})
     table = fock.a_sector_rows(
-        list(points) + [p.inverse() for p in points], N, wanted, charges)
+        list(points) + [p.inverse() for p in points], to2(N), wanted, charges)
     out = {}
     for m, rows in table.items():
         at = dict(zip(wanted, rows))
-        out[m] = []
-        for row in signed:
-            nums: Dict[tuple, int] = {}
-            for s, M, _ in row:
-                for key, c in at[M][1].items():
-                    nums[key] = nums.get(key, 0) + s * c
-            out[m].append((at[row[0][1]][0], nums))
+        out[m] = [_signed_sum([(s, at[M]) for s, M, _ in row])
+                  for row in signed]
     return out
 
 
@@ -454,8 +458,8 @@ def c_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
     eps in {+-1}^n of eps_1...eps_n times the charge-|m| trace at the
     eps-inverted points."""
     m = abs(m)
-    den, nums = _signed_slices(points, N, [(1 << len(points)) - 1], [m])[m][0]
-    return Series.from_numerators(to2(N), den, nums)
+    return fock.row_series(to2(N), _signed_slices(
+        points, N, [(1 << len(points)) - 1], [m])[m][0])
 
 
 def d_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
@@ -465,31 +469,27 @@ def d_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
     d(-1) = 0 and d(-k-2) = -d(k)."""
     a, b = abs(m), abs(m + 2)
     slices = _signed_slices(points, N, [(1 << len(points)) - 1], [a, b])
-    den, nums = slices[a][0]
-    nums = dict(nums)
-    for key, c in slices[b][0][1].items():  # over the same den
-        nums[key] = nums.get(key, 0) - c
-    return Series.from_numerators(to2(N), den, nums)
+    return fock.row_series(to2(N), _signed_sum([(1, slices[a][0]),
+                                                (-1, slices[b][0])]))
 
 
 # -- graded dimensions -------------------------------------------------------
 
 
-def _charged_qdim_sum(k: int, n2: int) -> Dict[tuple, int]:
-    """The integer numerators of sum_{m>=0} (-1)^m q^(m(m+1)/2 + |k|(m+1/2))
-    to the doubled order n2."""
-    k, nums, m = abs(k), {}, 0
+def _charged_qdim_sum(k: int, n2: int) -> fock.Row:
+    """sum_{m>=0} (-1)^m q^(m(m+1)/2 + |k|(m+1/2)) to the doubled order n2,
+    as a Row over 1."""
+    k, pairs, m = abs(k), [], 0
     while (e2 := m * (m + 1) + k * (2 * m + 1)) <= n2:
-        nums[(e2, ())] = (-1) ** m
+        pairs.append((e2, (-1) ** m))
         m += 1
-    return nums
+    return 1, pairs
 
 
 def charged_qdim_base(k: int, N) -> Series:
     """1/(q)_inf^2 * sum_{m>=0} (-1)^m q^(m(m+1)/2 + |k|(m+1/2))."""
     n2 = to2(N)
-    return Series.from_numerators(n2, 1, _charged_qdim_sum(k, n2)) \
-        * _qinf_inv(n2, 2)
+    return fock.row_series(n2, _charged_qdim_sum(k, n2)) * _qinf_inv(n2, 2)
 
 
 def _normalize_label(lam, l: int, allow_negative: bool):
@@ -504,24 +504,6 @@ def _normalize_label(lam, l: int, allow_negative: bool):
     if any(lam[i] < lam[i + 1] for i in range(l - 1)):
         raise IllegalPower("label entries must be non-increasing")
     return lam
-
-
-def _fold_row(entry, N2: int) -> Tuple[int, List[Tuple[int, int]]]:
-    """An alternant entry (den, numerators keyed as in Series.nums) as
-    (den, [(q2, numerator)] by increasing q2 up to q^N), zeros dropped.  A
-    z-key or a negative q-power is refused: the fold's rows are z-free and
-    its truncation is q^N only when no entry reaches below q^0."""
-    den, nums = entry
-    pairs = []
-    for (q2, zk), c in nums.items():
-        if zk or q2 < 0:
-            raise QSeriesError("the alternant folds z-free blocks with no "
-                               "negative q-power, not a term at %s"
-                               % _monomial_str(q2, zk))
-        if c and q2 <= N2:
-            pairs.append((q2, c))
-    pairs.sort()
-    return den, pairs
 
 
 def _add_product(acc: dict, key, den: int, xs, ys, sign: int,
@@ -559,9 +541,8 @@ def _alternant(inst: "DualityInstance", rows, blocks, N, n: int = 0,
     by point mask.  At n = 0 this is the plain alternant
     sum_w sgn(w) prod_i blocks[k_i(w)][0].
 
-    Every entry, of ``blocks`` and of ``tail``, is an integer row
-    (den, numerators keyed as in Series.nums), z-free and with no negative
-    q-power (_fold_row refuses the rest), built before the fold runs.
+    Every entry, of ``blocks`` and of ``tail``, is a fock.Row to q^N,
+    built before the fold runs and read as it is.
 
     Expanded row by row like a determinant: row i takes a free column j
     and, outside type A, a sign s, then a subset S of the points not yet
@@ -584,9 +565,6 @@ def _alternant(inst: "DualityInstance", rows, blocks, N, n: int = 0,
     l = inst.l
     N2 = to2(N)
     full = (1 << n) - 1
-    read = {k: {S: _fold_row(e, N2) for S, e in blocks[k].items()}
-            for k in _row_charges(rows)}
-    tails = None if tail is None else [_fold_row(e, N2) for e in tail]
     states = {(0, 0, 0): [1, [1] + [0] * N2]}  # the empty product, 1
     for i, shifts in enumerate(rows):
         last = i == l - 1
@@ -601,7 +579,7 @@ def _alternant(inst: "DualityInstance", rows, blocks, N, n: int = 0,
                 if used >> j & 1 or last and odd ^ flip:
                     continue
                 sign = -1 if (bin(used >> j).count("1") + (s < 0)) % 2 else 1
-                entries, S = read[k], free
+                entries, S = blocks[k], free
                 while True:  # every S within the free points, or all of them
                     eden, ys = entries[S]
                     if ys:
@@ -614,7 +592,7 @@ def _alternant(inst: "DualityInstance", rows, blocks, N, n: int = 0,
     out: dict = {}
     for (_, _, P), (den, row) in states.items():  # every column used, even
         xs = [(q2, c) for q2, c in enumerate(row) if c]
-        tden, ys = (1, [(0, 1)]) if tails is None else tails[full ^ P]
+        tden, ys = (1, [(0, 1)]) if tail is None else tail[full ^ P]
         _add_product(out, None, den * tden, xs, ys, 1, N2)
     if not out:
         return Series.zero(N)
@@ -665,7 +643,7 @@ def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
     # Every term is a product of l bases, each 1/(q)_inf^2 times its sum:
     # the alternant folds the sums, and (q)_inf^(-2l) is taken once.
     rows, n2 = _row_shifts(inst, lam), to2(N)
-    wsum = _alternant(inst, rows, {k: {0: (1, _charged_qdim_sum(k, n2))}
+    wsum = _alternant(inst, rows, {k: {0: _charged_qdim_sum(k, n2)}
                                    for k in _row_charges(rows)}, N) \
         * _qinf_inv(n2, 2 * inst.l)
     if inst.neutral_factor is None:
@@ -684,9 +662,11 @@ def _c_positive_half_qdim(inst: "DualityInstance", label, N,
     pre = _over_pochhammer(_qinf_inv(to2(N), l), _QH)
     if form == "weyl":
         rows = _row_shifts(inst, lam)
-        # q^(k^2/2): one numerator 1 at the doubled exponent k^2
-        return pre * _alternant(inst, rows, {k: {0: (1, {(k * k, ()): 1})}
-                                             for k in _row_charges(rows)}, N)
+        # q^(k^2/2): one numerator 1 at the doubled exponent k^2 <= 2N
+        n2 = to2(N)
+        return pre * _alternant(inst, rows, {
+            k: {0: (1, [(k * k, 1)] if k * k <= n2 else [])}
+            for k in _row_charges(rows)}, N)
     if form == "product":
         out = Series.monomial(1, F(sum(v * v for v in lam), 2), N)
         for i in range(l):
@@ -780,27 +760,37 @@ def module_instance(algebra: str, level) -> DualityInstance:
 
 
 def _entry(s: Series, N) -> fock.Row:
-    """A series as an alternant entry (den, numerators), refused when it is
-    truncated below q^N: the fold's result is read to q^N."""
-    if s.trunc2 < to2(N):
+    """A series as an alternant entry, the fock.Row of its terms to q^N.
+    The fold's rows are z-free, start at q^0 and are read to q^N, so a
+    z-key, a negative q-power or a truncation below q^N is refused."""
+    N2 = to2(N)
+    if s.trunc2 < N2:
         raise QSeriesError("an alternant block is truncated below q^%s"
-                           % half_str(to2(N)))
-    return s.den, s.nums
+                           % half_str(N2))
+    pairs = []
+    for (q2, zk), c in s.nums.items():
+        if zk or q2 < 0:
+            raise QSeriesError("the alternant folds z-free blocks with no "
+                               "negative q-power, not a term at %s"
+                               % _monomial_str(q2, zk))
+        if q2 <= N2:
+            pairs.append((q2, c))
+    pairs.sort()
+    return s.den, pairs
 
 
 def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
                     N, masks) -> Dict[int, Dict[int, fock.Row]]:
     """{k: {U: level +-1 block at shifted weight k, read at the points of
-    subset mask U}} for k in `charges`, U in `masks`, each an integer row
-    (den, numerators) for ``_alternant``.
+    subset mask U}} for k in `charges`, U in `masks`, each a fock.Row for
+    ``_alternant``.
 
     A boson pair reads one Fock table: the A-operator rows of
     fock.a_sector_rows, or for C and D the eps-signed sums of
     _signed_slices, the block at U over scale prod_(j in U) dens_j with
     no gcd taken.  A fermion pair builds one f_bo per eps-signed subset in
     one batch, sums each block's scaled bases as series with one shift per
-    block, and reads each finished block once into its reduced den and
-    numerators."""
+    block, and reads each finished block once by ``_entry``."""
     if inst.factors[0] == "fermion_pair":
         signed = {U: _eps_signed(points, U) for U in masks}
         # one batch: the eps-signed subsets share one subset table
@@ -815,7 +805,7 @@ def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
                               .shift(F(k * k, 2)).truncate(N), N)
                     for U, row in signed.items()} for k in charges}
     if inst.op_tag == "A":
-        table = fock.a_sector_rows(points, N, masks, charges)
+        table = fock.a_sector_rows(points, to2(N), masks, charges)
         return {k: dict(zip(masks, table[k])) for k in charges}
     # Both type-c and type-d instances reduce over the symmetric charge
     # slices; for type d the hyperoctahedral sign sum regenerates the

@@ -54,11 +54,12 @@ prod_(j in T) dens[j], with dens[j] the same for every kind and operator,
 so every term a node sums at mask V lies over one denominator: the trie
 adds and convolves integer rows, and builds one series, at the root.
 
-Row readers.  ``a_sector_rows`` and ``_neutral_rows`` hand out a table's
-numerators as they are, one (den, numerators) row per mask with the row at
-mask T over scale prod_(j in T) dens[j]; ``a_sector_traces`` and
-``_neutral_traces`` are their series views.  closedform folds these rows in
-integers, over the same one denominator per point mask.
+Rows.  A ``Row`` is (den, [(q2, numerator), ...]): rising q2 in [0, N2],
+no zero numerator, no z-key, not reduced.  The knapsack hands out one Row
+per mask, the row at mask T over scale prod_(j in T) dens[j];
+``a_sector_rows`` and ``_neutral_rows`` read them as they are, the trie and
+closedform's fold read their pairs, and ``row_series`` is the one way from
+a Row to a series.
 
 These oracles require plain rational scalar points (d = 0); modesum.py
 resums shifted ones.  ``duality_trace_direct`` enumerates tensor-product
@@ -147,10 +148,10 @@ def _require_scalar_points(points: Sequence[Param]):
 
 def _trace_table(kind: str, op_tag: str, points: Sequence[Param], N2: int,
                  masks, wanted=None, x: Param = None, y: Param = None):
-    """One factor's traces as integer numerators, a knapsack over parts (see
-    the module docstring): (dens, {bucket: [{q2: numerator} per mask T in
-    `masks`]}), each the sum over the bucket's states of q^E times the
-    weight times prod_(j in T) eigenvalue at t_j, times dens[T].
+    """One factor's traces as Rows, a knapsack over parts (see the module
+    docstring): (dens, {bucket: [the (q2, numerator) pairs of the Row at
+    each mask T in `masks`]}), each the sum over the bucket's states of q^E
+    times the weight times prod_(j in T) eigenvalue at t_j, times dens[T].
 
     On a charged pair every part of lam carries the monomial x and every
     part of mu carries y, each c q^d z^e with d >= 0 and both on one charge
@@ -258,45 +259,34 @@ def _trace_table(kind: str, op_tag: str, points: Sequence[Param], N2: int,
             for w2, level in enumerate(levels):
                 for b in [b for b in level if need.get(b, big) > N2 - w2]:
                     del level[b]
-    table: Dict[int, List[Dict[int, int]]] = {}
-    for w2, level in enumerate(levels):
+    table: Dict[int, List[List[Tuple[int, int]]]] = {}
+    for w2, level in enumerate(levels):  # rising energy
         for b, row in level.items():
             if wanted is None or b in wanted:
-                accs = table.setdefault(b, [{} for _ in masks])
+                accs = table.setdefault(b, [[] for _ in masks])
                 for acc, T in zip(accs, masks):
-                    acc[w2] = row[T]
+                    if row[T]:
+                        acc.append((w2, row[T]))
     return [scale * math.prod(d for j, d in enumerate(dens) if T >> j & 1)
             for T in masks], table
 
 
-Row = Tuple[int, Dict[Tuple[int, tuple], int]]  # (den, {(q2, ()): numerator})
+Row = Tuple[int, List[Tuple[int, int]]]  # (den, [(q2, numerator)])
 
 
-def _rows(dens: Sequence[int], accs) -> List[Row]:
-    """_trace_table's numerators of one bucket as integer rows, one
-    (den, numerators) per mask, keyed as in Series.nums and not reduced."""
-    return [(d, {(q2, ()): c for q2, c in acc.items()})
-            for acc, d in zip(accs, dens)]
-
-
-def _series(N2: int, rows: Sequence[Row]) -> List[Series]:
-    """Integer rows as z-free series, one gcd each."""
-    return [Series.from_numerators(N2, d, nums) for d, nums in rows]
+def row_series(N2: int, row: Row) -> Series:
+    """A Row as a z-free series to the doubled order N2, one gcd."""
+    den, pairs = row
+    return Series.from_numerators(N2, den, {(q2, ()): c for q2, c in pairs})
 
 
 def _neutral_rows(kind: str, points: Sequence[Param], N2: int,
                   masks) -> List[Row]:
-    """Traces over a neutral factor as integer rows, one per subset mask T
-    in `masks`."""
+    """Traces over a neutral factor as Rows, one per subset mask T in
+    `masks`."""
     (op_tag,) = LEGAL_OPS[kind]
     dens, table = _trace_table(kind, op_tag, points, N2, masks)
-    return _rows(dens, table.get(0, [{} for _ in masks]))
-
-
-def _neutral_traces(kind: str, points: Sequence[Param], N2: int,
-                    masks) -> List[Series]:
-    """Traces over a neutral factor, one per subset mask T in `masks`."""
-    return _series(N2, _neutral_rows(kind, points, N2, masks))
+    return list(zip(dens, table.get(0, [[] for _ in masks])))
 
 
 # -- the eigenvalue rule ----------------------------------------------------
@@ -334,34 +324,28 @@ def eigenvalue(kind: str, state, op_tag: str, point: Param) -> F:
 # -- single-factor oracles --------------------------------------------------
 
 
-def a_sector_rows(points: Sequence[Param], N, masks,
+def a_sector_rows(points: Sequence[Param], N2: int, masks,
                   charges) -> Dict[int, List[Row]]:
-    """Charge-m traces over the level -1 bosonic pair for every m in
-    `charges`, each at every subset mask T in `masks`, as integer rows:
-    {m: [(den, numerators) per mask]}, the sum over (lam, mu) with
-    len(mu)-len(lam) = m of q^E prod_(j in T) (A-eigenvalue at t_j).  The
-    row at mask T lies over prod_(j in T) dens_j for every charge, and
-    dens_j is the same at t_j and 1/t_j.  One knapsack serves them all;
-    states that reach no charge asked for are dropped."""
+    """Charge-m traces over the level -1 bosonic pair to the doubled order
+    N2 for every m in `charges`, each at every subset mask T in `masks`:
+    {m: [Row per mask]}, the sum over (lam, mu) with len(mu)-len(lam) = m
+    of q^E prod_(j in T) (A-eigenvalue at t_j).  The row at mask T lies
+    over prod_(j in T) dens_j for every charge, and dens_j is the same at
+    t_j and 1/t_j.  One knapsack serves them all; states that reach no
+    charge asked for are dropped."""
     _require_scalar_points(points)
     charges = set(charges)
-    dens, table = _trace_table("boson_pair", "A", points, to2(N), masks,
+    dens, table = _trace_table("boson_pair", "A", points, N2, masks,
                                {2 * m for m in charges})
-    return {m: _rows(dens, table.get(2 * m, [{} for _ in masks]))
+    return {m: list(zip(dens, table.get(2 * m, [[] for _ in masks])))
             for m in charges}
-
-
-def a_sector_traces(points: Sequence[Param], N, masks,
-                    charges) -> Dict[int, List[Series]]:
-    """a_sector_rows as z-free series: {m: [series per mask]}."""
-    N2 = to2(N)
-    return {m: _series(N2, rows) for m, rows
-            in a_sector_rows(points, N, masks, charges).items()}
 
 
 def a_sector_trace(m: int, points: Sequence[Param], N) -> Series:
     """Charge-m trace over the level -1 bosonic pair at all the points."""
-    return a_sector_traces(points, N, [(1 << len(points)) - 1], [m])[m][0]
+    N2 = to2(N)
+    return row_series(N2, a_sector_rows(
+        points, N2, [(1 << len(points)) - 1], [m])[m][0])
 
 
 def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Series:
@@ -379,7 +363,7 @@ def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Serie
                                  [(1 << len(points)) - 1], x=x, y=y)
     return Series.from_numerators(N2, den, {
         (q2, ((zvar, b),) if b else ()): c
-        for b, (acc,) in table.items() for q2, c in acc.items()})
+        for b, (pairs,) in table.items() for q2, c in pairs})
 
 
 def neutral_trace(kind: str, op_tag: str, points: Sequence[Param], N) -> Series:
@@ -389,7 +373,9 @@ def neutral_trace(kind: str, op_tag: str, points: Sequence[Param], N) -> Series:
         raise QSeriesError("neutral_trace needs a neutral kind")
     _check_op(kind, op_tag)
     _require_scalar_points(points)
-    return _neutral_traces(kind, points, to2(N), [(1 << len(points)) - 1])[0]
+    N2 = to2(N)
+    return row_series(N2, _neutral_rows(kind, points, N2,
+                                        [(1 << len(points)) - 1])[0])
 
 
 def f1_charged_trace(z: Param, points: Sequence[Param], N) -> Series:
@@ -404,10 +390,10 @@ def f1_charged_trace(z: Param, points: Sequence[Param], N) -> Series:
     weights = {b: z.pow_monomial(b // 2) for b in table}
     wden = math.lcm(*[c.denominator for c, _, _ in weights.values()])
     acc: Dict[Tuple[int, tuple], int] = defaultdict(int)
-    for b, (nums,) in table.items():
+    for b, (pairs,) in table.items():
         c, dq2, zk = weights[b]
         c = c.numerator * (wden // c.denominator)
-        for q2, v in nums.items():
+        for q2, v in pairs:
             acc[q2 + dq2, zk] += c * v
     return Series.from_numerators(N2, wden * den, acc)
 
@@ -431,21 +417,6 @@ def factor_states(kind: str, N2: int):
         for w2, lam in singles:
             out.append((w2, 0, (lam,)))
     return out
-
-
-def _factor_subset_traces(kind: str, op_tag: str, points: Sequence[Param],
-                          N2: int, charges):
-    """One factor's traces split by its doubled charge, for every subset of
-    the operators, as integer rows: (dens, {doubled charge: [row per bit
-    mask T]}), a row the (q2, numerator) pairs over dens[T] with a nonzero
-    numerator, in increasing q2.  It holds the charges in `charges` that
-    some state reaches (a neutral factor has the one charge 0); states that
-    reach none of them are dropped."""
-    dens, table = _trace_table(kind, op_tag, points, N2,
-                               range(1 << len(points)),
-                               set(charges) if kind in CHARGED else None)
-    return dens, {e: [[(q2, c) for q2, c in acc.items() if c]
-                      for acc in accs] for e, accs in table.items()}
 
 
 DUALITY_CAP = 4
@@ -518,7 +489,8 @@ def duality_trace(factors: Sequence[str], op_tag: str,
     for key in leaves:
         for kind, e in zip(kinds, key):
             read[kind].add(e)
-    built = {kind: _factor_subset_traces(kind, op_tag, points, N2, es)
+    built = {kind: _trace_table(kind, op_tag, points, N2, range(full + 1),
+                                es if kind in CHARGED else None)
              for kind, es in read.items()}
     tables = [built[kind][1] for kind in kinds]
     level: Dict[Tuple[int, ...], List[List[int]]] = {}

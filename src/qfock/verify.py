@@ -466,8 +466,9 @@ def _registry_qdim(reg: List[CheckSpec]) -> None:
         "qdim-a-r1", 20, "gate",
         lambda: (sum((cf.charged_qdim_base(k, 20) for k in (0, 1, 2)),
                      Series.zero(20)),
-                 sum((t for (t,) in fock.a_sector_traces(
-                     [], 20, [0], (0, 1, 2)).values()), Series.zero(20)))))
+                 sum((fock.row_series(40, row) for (row,) in
+                      fock.a_sector_rows([], 40, [0], (0, 1, 2)).values()),
+                     Series.zero(20)))))
     for l, lam in ((2, (0, 0)), (2, (1, 0)), (2, (1, -1)), (3, (2, 1, 0)),
                    (3, (1, 0, -1))):
         reg.append(CheckSpec(

@@ -52,13 +52,6 @@ def qcoeff(s, qexp):
     return s.terms.get((q2, ()), 0)
 
 
-def row_series(N, row):
-    """An integer row (den, numerators keyed as in Series.nums), the form
-    of ``closedform._charged_blocks``' entries, as a series to q^N."""
-    den, nums = row
-    return Series.from_numerators(to2(N), den, nums)
-
-
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -266,40 +259,46 @@ def pair_traces(lam, mu, dens, weight, N2, masks):
             for T in masks], buckets
 
 
-def reference_a_sector_traces(points, N, masks, charges):
+def reference_a_sector_traces(points, N2, masks, charges):
+    """fock.a_sector_rows as series, {m: [series per mask]}, from the pair
+    pass over side tables."""
     fock._require_scalar_points(points)
-    N2 = to2(N)
     charges = set(charges)
     dens, buckets = pair_traces(
         *charged_sides("boson_pair", "A", points, N2),
         lambda ll, lm: (1, 0, lm - ll) if lm - ll in charges else None,
         N2, masks)
-    return {m: fock._series(N2, fock._rows(dens, buckets[m])) if m in buckets
+    return {m: [Series.from_numerators(N2, d, {(q2, ()): c for q2, c
+                                               in acc.items()})
+                for d, acc in zip(dens, buckets[m])] if m in buckets
             else [Series(N2) for _ in masks] for m in charges}
 
 
-def reference_factor_subset_traces(kind, op_tag, points, N2, charges):
-    """_factor_subset_traces's integer rows, (dens, {doubled charge: [[(q2,
-    numerator), ...] per mask]}), from the side tables and pair pass; a
-    neutral factor's one charge 0 is there when some state fits."""
-    masks = range(1 << len(points))
+def reference_trace_table(kind, op_tag, points, N2, masks, wanted=None):
+    """fock._trace_table's (dens, {bucket: [(q2, numerator) pairs by rising
+    q2, zeros dropped, per mask]}), from the side tables and pair pass: a
+    charged pair's doubled charges (those in `wanted`, if given) that some
+    state reaches, or a neutral factor's one bucket 0 when some state
+    fits."""
     if kind not in CHARGED:
         dens, sums = reference_neutral_sums(kind, points, N2, masks)
         buckets = {0: sums} if N2 >= 0 else {}
     else:
         e2 = -2 if kind == "boson_pair" else 2
-        charges = set(charges)
         dens, buckets = pair_traces(
             *charged_sides(kind, op_tag, points, N2),
             lambda ll, lm: (1, 0, e2 * (ll - lm))
-            if e2 * (ll - lm) in charges else None, N2, masks)
+            if wanted is None or e2 * (ll - lm) in wanted else None,
+            N2, masks)
     return dens, {e: [sorted((q2, c) for q2, c in acc.items() if c)
                       for acc in accs] for e, accs in buckets.items()}
 
 
 def reference_neutral_traces(kind, points, N2, masks):
-    return fock._series(N2, fock._rows(*reference_neutral_sums(kind, points,
-                                                              N2, masks)))
+    return [Series.from_numerators(N2, d, {(q2, ()): c for q2, c
+                                           in acc.items()})
+            for d, acc in zip(*reference_neutral_sums(kind, points, N2,
+                                                      masks))]
 
 
 def reference_neutral_sums(kind, points, N2, masks):
@@ -352,17 +351,17 @@ def product_duality_trace(factors, op_tag, points, N):
     variables and all, multiplied into one multi-variable series per
     assignment of points to factors, summed.
 
-    Each factor's charge split is joined back into one series, with factor
-    i's doubled charge e carried as z_(i+1)^(e/2).  Every doubled charge a
-    state within the budget can carry (|e| <= 2 N2) is asked for.
+    Each factor's knapsack table, read with every bucket a state within
+    the budget reaches, is joined back into one series, with factor i's
+    doubled charge e carried as z_(i+1)^(e/2).
     """
     fock.check_duality(factors, op_tag, points)
     N2 = to2(N)
     n = len(points)
     tables = []
     for i, kind in enumerate(factors):
-        dens, split = fock._factor_subset_traces(
-            kind, op_tag, points, N2, range(-2 * N2, 2 * N2 + 1))
+        dens, split = fock._trace_table(kind, op_tag, points, N2,
+                                        range(1 << n))
         tables.append([
             Series.from_numerators(N2, dens[T], {
                 (q2, ((i + 1, e),) if e else ()): c

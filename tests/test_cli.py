@@ -235,15 +235,22 @@ class TestDump:
 
 
 class TestMalformedNumbers:
-    """A number that does not parse is a usage error (exit 2), not a
-    traceback with exit 1, which means a failed gating check."""
+    """A number that does not parse, an empty q-shift or a dump parameter
+    given twice is a usage error (exit 2), not a result for misread input
+    nor a traceback with exit 1, which means a failed gating check."""
 
     @pytest.mark.parametrize("argv", [
         ["qdim", "--algebra", "a", "--level=-1", "--N", "abc"],
         ["qdim", "--algebra", "a", "--level=-1", "--N", "1/0"],
         ["dump", "theta", "t=2/3:x"],
         ["dump", "f_bo", "t=2/3", "n=abc"],
-    ], ids=["order-abc", "order-1/0", "theta-shift-x", "f_bo-n-abc"])
+        # an empty q-shift, and a key given twice
+        ["corr", "--algebra", "a", "--level=-1", "--lambda", "0",
+         "--points", "2/3:", "--N", "2"],
+        ["dump", "theta", "t=2/3:"],
+        ["dump", "theta", "t=2/3", "t=3/5"],
+    ], ids=["order-abc", "order-1/0", "theta-shift-x", "f_bo-n-abc",
+            "point-shift-empty", "theta-shift-empty", "theta-t-twice"])
     def test_is_usage_error(self, argv, capsys):
         status, text = run(argv)
         assert (status, text) == (2, "")

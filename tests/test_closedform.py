@@ -33,7 +33,7 @@ from qfock.qseries import (
 )
 from reference import (HALVES, _outcome, _outcome_and_message, any_point,
                        point_st, product_duality_trace, pts, qcoeff,
-                       row_series, weyl_zsum)
+                       weyl_zsum)
 
 
 S_VALUES = (F(2, 3), F(3, 5), F(5, 7))
@@ -992,14 +992,15 @@ def phi_loop_duality_reduce(inst, label, points, N):
     charges = {k for row in rows for _, _, k in row}
     blocks = cf._charged_blocks(inst, charges, points, N, range(1 << n))
     if neutral is not None:
-        nblocks = fock._neutral_traces(inst.factors[neutral], points, to2(N),
-                                       range(1 << n))
+        nblocks = [fock.row_series(to2(N), row) for row in fock._neutral_rows(
+            inst.factors[neutral], points, to2(N), range(1 << n))]
     out = Series.zero(N)
     for phi in iter_product(range(nfac), repeat=n):
         parts = [sum(1 << j for j in range(n) if phi[j] == i)
                  for i in range(nfac)]
         term = row_alternant(
-            inst, rows, lambda i, k: row_series(N, blocks[k][parts[i]]), N)
+            inst, rows,
+            lambda i, k: fock.row_series(to2(N), blocks[k][parts[i]]), N)
         if neutral is not None:
             term = term * nblocks[parts[neutral]]
         out = out + term
@@ -1037,7 +1038,7 @@ def test_fermion_blocks_match_one_level1_sector_per_sign(points, N):
     for k in charges:
         for U in masks:
             sub = [p for j, p in enumerate(points) if U >> j & 1]
-            assert row_series(N, blocks[k][U]) \
+            assert fock.row_series(to2(N), blocks[k][U]) \
                 == reference_charged_block(inst, k, sub, N)
 
 
@@ -1151,24 +1152,20 @@ def test_alternant_folds_integer_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("entry,match", [
-    pytest.param((1, {(0, ()): 1, (2, ((1, 2),)): 3}),
-                 r"not a term at q\^1 z1\^1$", id="z-key"),
-    pytest.param((2, {(-1, ()): 1, (0, ()): 1}), r"not a term at q\^-1/2$",
-                 id="negative-q-power"),
+    pytest.param(Series.from_numerators(4, 1, {(0, ()): 1,
+                                               (2, ((1, 2),)): 3}),
+                 r"not a term at q\^1 z1\^1$", id="block-z-key"),
+    pytest.param(Series.from_numerators(4, 2, {(-1, ()): 1, (0, ()): 1}),
+                 r"not a term at q\^-1/2$", id="block-negative-q-power"),
 ])
-@pytest.mark.parametrize("where", ["block", "tail"])
-def test_alternant_refuses_charged_or_negative_entries(entry, match, where):
-    """The fold refuses a block or tail entry with a z-key or a negative
-    q-power, rather than fold it into z-free rows read from q^0."""
-    inst = cf.duality_instance("c", "-l-1/2", 1)
-    rows = cf._row_shifts(inst, (1,))
-    one = (1, {(0, ()): 1})
-    blocks = {k: {0: entry if where == "block" else one, 1: one}
-              for k in cf._row_charges(rows)}
-    tail = [entry if where == "tail" else one, one]
+def test_alternant_refuses_charged_or_negative_entries(entry, match):
+    """A block series with a z-key or a negative q-power is refused as it
+    becomes an alternant entry, rather than folded into z-free rows read
+    from q^0.  (A tail Row comes from the neutral knapsack alone, which
+    cannot hold either term.)"""
     with pytest.raises(qs.QSeriesError, match="^the alternant folds z-free "
                        "blocks with no negative q-power, " + match):
-        cf._alternant(inst, rows, blocks, 2, 1, tail)
+        cf._entry(entry, 2)
 
 
 def test_alternant_entry_refuses_a_short_truncation():

@@ -11,8 +11,8 @@ from qfock.fock import (
     CHARGED,
     LEGAL_OPS,
     a_generalized_trace,
+    a_sector_rows,
     a_sector_trace,
-    a_sector_traces,
     duality_trace,
     duality_trace_direct,
     eigenvalue,
@@ -40,8 +40,8 @@ from reference import (
     reference_a_generalized_trace,
     reference_a_sector_traces,
     reference_f1_charged_trace,
-    reference_factor_subset_traces,
     reference_neutral_traces,
+    reference_trace_table,
     sliced_duality_trace,
 )
 
@@ -245,7 +245,7 @@ def test_shifted_points_rejected():
 
 @pytest.mark.parametrize("s", [1, -1])
 @pytest.mark.parametrize("trace", [
-    lambda pts: a_sector_traces(pts, 3, [0, 3], {0, 1}),
+    lambda pts: a_sector_rows(pts, 6, [0, 3], {0, 1}),
     lambda pts: neutral_trace("boson_neutral", "C", pts, 3),
     lambda pts: f1_charged_trace(Param(1, e=1), pts, 3),
     lambda pts: a_generalized_trace(X, Y, pts, 3),
@@ -262,7 +262,7 @@ def test_unit_point_refused(trace, s):
 
 
 def test_sector_traces_build_no_fraction_per_point(monkeypatch):
-    """The knapsack's per-point constants are integers: a_sector_traces
+    """The knapsack's per-point constants are integers: a_sector_rows
     builds as many Fractions at 0, 1, 3 and 6 points."""
     new = Fraction.__new__
     count = [0]
@@ -275,7 +275,7 @@ def test_sector_traces_build_no_fraction_per_point(monkeypatch):
     for n in (0, 1, 3, 6):
         count[0] = 0
         monkeypatch.setattr(Fraction, "__new__", counting)
-        a_sector_traces(SIX[:n], 3, [(1 << n) - 1], {0, 1})
+        a_sector_rows(SIX[:n], 6, [(1 << n) - 1], {0, 1})
         monkeypatch.undo()
         built.append(count[0])
     assert built == built[:1] * 4, built
@@ -293,13 +293,13 @@ def test_sector_table_matches_one_trace_per_subset(pts, n2, data):
     masks = data.draw(st.lists(st.integers(0, (1 << len(pts)) - 1),
                                unique=True))
     charges = data.draw(st.sets(st.integers(-3, 3), max_size=3))
-    table = a_sector_traces(pts, N, masks, charges)
+    table = a_sector_rows(pts, n2, masks, charges)
     assert set(table) == charges
     for m in charges:
         assert len(table[m]) == len(masks)
         for T_, got in zip(masks, table[m]):
             sub = [p for j, p in enumerate(pts) if T_ >> j & 1]
-            assert got == a_sector_trace(m, sub, N)
+            assert fock.row_series(n2, got) == a_sector_trace(m, sub, N)
 
 
 @settings(max_examples=60, deadline=None)
@@ -388,17 +388,23 @@ def trace_table_requests(draw):
 def test_trace_table_matches_side_table_pair_pass(req):
     """Every trace the one knapsack serves against the pair pass over
     side tables of enumerated partitions, with truncation and the set of
-    returned charges included, or the same refusal."""
+    returned charges included, or the same refusal.  The knapsack's own
+    rows at every mask equal the reference's: dens, rising q2 and no zero
+    numerator included."""
     pts, n2, masks, charges, kind, op, z, x, y = req
     N = F(n2, 2)
-    assert a_sector_traces(pts, N, masks, charges) \
-        == reference_a_sector_traces(pts, N, masks, charges)
+    assert {m: [fock.row_series(n2, row) for row in rows] for m, rows
+            in a_sector_rows(pts, n2, masks, charges).items()} \
+        == reference_a_sector_traces(pts, n2, masks, charges)
     doubled = {2 * m for m in charges}
-    got = fock._factor_subset_traces(kind, op, pts, n2, doubled)
-    assert got == reference_factor_subset_traces(kind, op, pts, n2, doubled)
+    every = range(1 << len(pts))
+    wanted = doubled if kind in CHARGED else None
+    got = fock._trace_table(kind, op, pts, n2, every, wanted)
+    assert got == reference_trace_table(kind, op, pts, n2, every, wanted)
     assert set(got[1]) <= doubled | {0}
     for kind in ("boson_neutral", "fermion_neutral"):
-        assert fock._neutral_traces(kind, pts, n2, masks) \
+        assert [fock.row_series(n2, row)
+                for row in fock._neutral_rows(kind, pts, n2, masks)] \
             == reference_neutral_traces(kind, pts, n2, masks)
     assert _outcome_and_message(f1_charged_trace, z, pts, N) \
         == _outcome_and_message(reference_f1_charged_trace, z, pts, N)
@@ -418,10 +424,10 @@ def test_generalized_trace_refuses_divergent_and_two_variable_ratios():
 @pytest.mark.parametrize("kind,op", [("boson_pair", "A"),
                                      ("fermion_pair", "D")])
 def test_factor_table_holds_only_the_charges_asked_for(kind, op):
-    dens, every = fock._factor_subset_traces(kind, op, [T, T2], 6,
-                                             range(-12, 13))
+    dens, every = fock._trace_table(kind, op, [T, T2], 6, range(4),
+                                    set(range(-12, 13)))
     assert len(every) > 1
-    assert fock._factor_subset_traces(kind, op, [T, T2], 6, {0}) \
+    assert fock._trace_table(kind, op, [T, T2], 6, range(4), {0}) \
         == (dens, {0: every[0]})
 
 
@@ -532,7 +538,8 @@ def test_subset_denominators_are_one_product_per_point(pts, n2):
     per_point = set()
     for kind in KINDS:
         for op in sorted(LEGAL_OPS[kind]):
-            dens, _ = fock._factor_subset_traces(kind, op, pts, n2, {0, 2})
+            dens, _ = fock._trace_table(kind, op, pts, n2, range(1 << n),
+                                        {0, 2} if kind in CHARGED else None)
             assert all(d % dens[0] == 0 for d in dens)
             ratios = tuple(dens[1 << j] // dens[0] for j in range(n))
             assert dens == [dens[0] * math.prod(

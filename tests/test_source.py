@@ -22,9 +22,13 @@ import qfock
 
 MODULES = sorted(pathlib.Path(qfock.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the package modules, then every test and demo module
+SOURCES = MODULES + sorted(ROOT.glob("tests/*.py")) \
+    + sorted(ROOT.glob("demos/*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name
+                         if p in MODULES else str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     source = path.read_text()
     lines = source.splitlines()
@@ -114,6 +118,28 @@ def test_closed_forms_read_no_oracle_table():
                                  "_factor_subset_traces"}:
                 users[name].add(getattr(top, "name", "<module>"))
     assert dict(users) == {"duality_trace": {"extract_dominant"}}
+
+
+def test_rows_have_one_format():
+    """fock.Row is the one integer-row format from the Fock knapsack to the
+    closed-form fold: ``Row`` and its one converter ``row_series`` are
+    defined in fock.py alone, and neither fock.py nor closedform.py
+    defines the series views and row converters it replaced."""
+    defined = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, set()).add(path.name)
+        for node in tree.body:
+            for target in getattr(node, "targets", ()):
+                if isinstance(target, ast.Name):
+                    defined.setdefault(target.id, set()).add(path.name)
+    assert defined["Row"] == defined["row_series"] == {"fock.py"}
+    gone = {"a_sector_traces", "_neutral_traces", "_rows", "_series",
+            "_factor_subset_traces", "_fold_row"}
+    assert sorted(name for name in gone if defined.get(name, set())
+                  & {"fock.py", "closedform.py"}) == []
 
 
 def test_fock_keeps_one_trace_engine():
