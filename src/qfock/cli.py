@@ -12,16 +12,15 @@ Subcommands:
 
 All rationals are entered and printed exactly; levels and truncation
 orders accept half-integers as strings like ``-3/2``.  Exit status: 0 on
-success, 1 when a requested check fails or the reader closes stdout early
-(``qfock ... | head``), 2 on usage or parameter errors.
+success and for ``-h``, 1 when a requested check fails or the reader
+closes stdout early (``qfock ... | head``), 2 on usage or parameter errors.
 """
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction as F
-from functools import lru_cache
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 from . import closedform as cf
@@ -68,6 +67,14 @@ def _parse_point(text: str) -> Param:
 
 def _parse_points(texts: Sequence[str]) -> List[Param]:
     return [_parse_point(t) for t in texts]
+
+
+def _parse_point_list(text: str) -> List[Param]:
+    """A comma list of points; "" is none, and an empty entry is refused."""
+    entries = text.split(",") if text else []
+    if "" in entries:
+        raise UsageError("empty entry in point list %r" % text)
+    return _parse_points(entries)
 
 
 def _parse_label(text: str) -> Tuple[int, ...]:
@@ -193,8 +200,7 @@ def _cmd_dump(args, out) -> int:
     if name == "theta":
         series = theta(_parse_point(kv.pop("t", "2/3")), N)
     elif name == "f_bo":
-        tspec = kv.pop("t", "")
-        pts = _parse_points([x for x in tspec.split(",") if x])
+        pts = _parse_point_list(kv.pop("t", ""))
         n = kv.pop("n", None)
         if n is not None and _parse_count(n) != len(pts):
             raise UsageError("n=%s does not match %d point(s)"
@@ -203,8 +209,8 @@ def _cmd_dump(args, out) -> int:
     elif name == "pochhammer":
         series = pochhammer_inf(_parse_point(kv.pop("a", "2/3:1")), N)
     elif name == "qhyper":
-        upper = _parse_points([x for x in kv.pop("upper", "").split(",") if x])
-        lower = _parse_points([x for x in kv.pop("lower", "").split(",") if x])
+        upper = _parse_point_list(kv.pop("upper", ""))
+        lower = _parse_point_list(kv.pop("lower", ""))
         series = qhyper(upper, lower, _parse_point(kv.pop("arg", "1:1")), N)
     else:
         raise UsageError("unknown dump name %r (theta, f_bo, pochhammer, "
@@ -218,96 +224,105 @@ def _cmd_dump(args, out) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parse_args leaves it unchanged."""
-    top = argparse.ArgumentParser(
-        prog="qfock",
-        description="Exact correlation functions and graded dimensions of "
-                    "negative-level Fock-space modules.")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def series_flags(p):
-        p.add_argument("--N", default="10",
-                       help="truncation order in q (integer or k/2)")
-        p.add_argument("--format", default="pretty",
-                       choices=["json", "csv", "pretty"])
-
-    p = sub.add_parser("corr", help="n-point correlation function")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--level", required=True)
-    p.add_argument("--lambda", default="", dest="lambda",
-                   help="comma-separated weight label")
-    p.add_argument("--points", nargs="*", default=[], action="extend",
-                   help="point s-values p/q, optional q-shift p/q:d")
-    p.add_argument("--mode", default="oracle",
-                   choices=["oracle", "assignment", "literal"])
-    series_flags(p)
-
-    p = sub.add_parser("qdim", help="graded dimension")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--level", required=True)
-    p.add_argument("--lambda", default="", dest="lambda")
-    p.add_argument("--form", default="weyl", choices=["weyl", "product"])
-    series_flags(p)
-
-    p = sub.add_parser("identity", help="run one named identity check")
-    p.add_argument("--name", required=True)
-    p.add_argument("--format", default="pretty", choices=["json", "pretty"])
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--filter", default="", help="glob on check names")
-    p.add_argument("--format", default="pretty", choices=["json", "pretty"])
-
-    p = sub.add_parser("dump", help="serialize a generating function")
-    p.add_argument("name", help="theta | f_bo | pochhammer | qhyper")
-    p.add_argument("params", nargs="*", help="key=value parameters")
-    p.add_argument("--format", default="json",
-                   choices=["json", "csv", "pretty"])
-    return top
-
-
-def _bind_negative_values(argv: Sequence[str]) -> List[str]:
-    """Write "--level -3/2" as "--level=-3/2" (and likewise for --lambda and
-    --N), and every value after --points as its own "--points=v": argparse
-    reads a word that starts with '-' as an option unless it is a plain
-    negative number, so values such as -3/2 or -1,-2 need the '=' form, and
-    the '=' form binds one value, which --points (action="extend") collects
-    in order.
-    """
-    out: List[str] = []
-    in_points = False
-    for arg in argv:
-        negative = arg[:1] == "-" and arg[1:2].isdigit()
-        if in_points and (negative or arg[:1] != "-"):
-            out.append("--points=" + arg)
-            continue
-        if out and out[-1] in ("--level", "--lambda", "--N") and negative:
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-        in_points = arg == "--points" or arg.startswith("--points=")
-    return out
-
-
-_DISPATCH = {
-    "corr": _cmd_corr,
-    "qdim": _cmd_qdim,
-    "identity": _cmd_identity,
-    "verify": _cmd_verify,
-    "dump": _cmd_dump,
+# Each command's flags, as name -> (default, choices); a default of None
+# marks a required flag.  --points is the one flag that reads several words
+# and may be repeated; dump also reads a name and key=value parameters.
+_FORMATS, _REPORTS = ("json", "csv", "pretty"), ("json", "pretty")
+_COMMANDS = {
+    "corr": {"algebra": (None, ()), "level": (None, ()), "lambda": ("", ()),
+             "points": ([], ()),
+             "mode": ("oracle", ("oracle", "assignment", "literal")),
+             "N": ("10", ()), "format": ("pretty", _FORMATS)},
+    "qdim": {"algebra": (None, ()), "level": (None, ()), "lambda": ("", ()),
+             "form": ("weyl", ("weyl", "product")),
+             "N": ("10", ()), "format": ("pretty", _FORMATS)},
+    "identity": {"name": (None, ()), "format": ("pretty", _REPORTS)},
+    "verify": {"filter": ("", ()), "format": ("pretty", _REPORTS)},
+    "dump": {"format": ("json", _FORMATS)},
 }
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read argv as a command, then --flag value or --flag=value words and,
+    for dump, a name and key=value parameters; the word after a spaced flag
+    is its value unless it starts with "--", so -3/2 needs no "=".  -h or
+    --help in place of a flag asks for the ``help`` command."""
+    if not argv:
+        raise UsageError("no command given (%s)" % ", ".join(_COMMANDS))
+    command, words = argv[0], argv[1:]
+    if command in ("-h", "--help"):
+        return SimpleNamespace(command="help", name=None)
+    if command not in _COMMANDS:
+        raise UsageError("unknown command %r (%s)"
+                         % (command, ", ".join(_COMMANDS)))
+    flags, got, loose, i = _COMMANDS[command], {}, [], 0
+    while i < len(words):
+        word = words[i]
+        i += 1
+        if word in ("-h", "--help"):
+            return SimpleNamespace(command="help", name=command)
+        if not word.startswith("--"):
+            if command != "dump":
+                raise UsageError("%s: unexpected word %r" % (command, word))
+            loose.append(word)
+            continue
+        flag, eq, value = word[2:].partition("=")
+        if flag not in flags:
+            raise UsageError("%s: unknown flag %r" % (command, "--" + flag))
+        if flag == "points":
+            points = got.setdefault(flag, [])
+            if eq:
+                points.append(value)
+            while i < len(words) and not words[i].startswith("--"):
+                points.append(words[i])
+                i += 1
+            continue
+        if flag in got:
+            raise UsageError("%s: --%s given twice" % (command, flag))
+        if not eq:
+            if i == len(words) or words[i].startswith("--"):
+                raise UsageError("%s: --%s needs a value" % (command, flag))
+            value = words[i]
+            i += 1
+        choices = flags[flag][1]
+        if choices and value not in choices:
+            raise UsageError("%s: --%s %r is not one of %s"
+                             % (command, flag, value, ", ".join(choices)))
+        got[flag] = value
+    for flag, (default, _) in flags.items():
+        if default is None and flag not in got:
+            raise UsageError("%s: --%s is required" % (command, flag))
+        got.setdefault(flag, [] if flag == "points" else default)
+    if command == "dump":
+        if not loose:
+            raise UsageError("dump: no name given (theta, f_bo, pochhammer, "
+                             "qhyper)")
+        got["name"], got["params"] = loose[0], loose[1:]
+    return SimpleNamespace(command=command, **got)
+
+
+def _cmd_help(args, out) -> int:
+    """Every command's flags, or one command's, with choices and defaults."""
+    out.write("usage: qfock %s [--FLAG VALUE | --FLAG=VALUE ...]\n"
+              % (args.name or "COMMAND"))
+    for command in [args.name] if args.name else _COMMANDS:
+        out.write("%s%s\n" % (command, " NAME [KEY=VALUE ...]"
+                                        if command == "dump" else ""))
+        for flag, (default, choices) in _COMMANDS[command].items():
+            text = "required" if default is None else "default %r" % (default,)
+            out.write("  --%-8s %s%s\n" % (
+                flag, " | ".join(choices) + "; " if choices else "", text))
+    return 0
+
+
+_DISPATCH = {"corr": _cmd_corr, "qdim": _cmd_qdim, "identity": _cmd_identity,
+             "verify": _cmd_verify, "dump": _cmd_dump, "help": _cmd_help}
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_bind_negative_values(
-            sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         status = _DISPATCH[args.command](args, out)
         if out is sys.stdout:
             out.flush()  # so that a closed pipe shows here, not at exit

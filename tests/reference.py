@@ -8,16 +8,20 @@ the helpers the test modules share:
   ``pair_traces`` and read by the ``reference_*`` functions;
 - the duality trace as one product of multi-variable series per map from
   the points to the factors (``product_duality_trace``), sliced by charge;
-- set partitions, whose sum ``modesum``'s subset recursion computes.
+- set partitions, whose sum ``modesum``'s subset recursion computes;
+- the argparse parser of the command line with its rewrite of negative
+  values (``reference_parse_args``), the reference of ``cli._parse_args``.
 
 A change that replaces a kernel's loop points that kernel's test at its
 reference here, and does not keep the old loop as a second one.
 """
 
+import argparse
 import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction as F
+from functools import lru_cache
 from operator import add, mul
 
 from hypothesis import strategies as st
@@ -418,3 +422,83 @@ def set_partitions(items):
         for i in range(len(part)):
             yield part[:i] + [(head,) + part[i]] + part[i + 1:]
         yield [(head,)] + part
+
+
+# -- the command line --------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
+    top = argparse.ArgumentParser(
+        prog="qfock",
+        description="Exact correlation functions and graded dimensions of "
+                    "negative-level Fock-space modules.")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def series_flags(p):
+        p.add_argument("--N", default="10",
+                       help="truncation order in q (integer or k/2)")
+        p.add_argument("--format", default="pretty",
+                       choices=["json", "csv", "pretty"])
+
+    p = sub.add_parser("corr", help="n-point correlation function")
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--level", required=True)
+    p.add_argument("--lambda", default="", dest="lambda",
+                   help="comma-separated weight label")
+    p.add_argument("--points", nargs="*", default=[], action="extend",
+                   help="point s-values p/q, optional q-shift p/q:d")
+    p.add_argument("--mode", default="oracle",
+                   choices=["oracle", "assignment", "literal"])
+    series_flags(p)
+
+    p = sub.add_parser("qdim", help="graded dimension")
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--level", required=True)
+    p.add_argument("--lambda", default="", dest="lambda")
+    p.add_argument("--form", default="weyl", choices=["weyl", "product"])
+    series_flags(p)
+
+    p = sub.add_parser("identity", help="run one named identity check")
+    p.add_argument("--name", required=True)
+    p.add_argument("--format", default="pretty", choices=["json", "pretty"])
+
+    p = sub.add_parser("verify", help="run the verification suite")
+    p.add_argument("--filter", default="", help="glob on check names")
+    p.add_argument("--format", default="pretty", choices=["json", "pretty"])
+
+    p = sub.add_parser("dump", help="serialize a generating function")
+    p.add_argument("name", help="theta | f_bo | pochhammer | qhyper")
+    p.add_argument("params", nargs="*", help="key=value parameters")
+    p.add_argument("--format", default="json",
+                   choices=["json", "csv", "pretty"])
+    return top
+
+
+def _bind_negative_values(argv):
+    """Write "--level -3/2" as "--level=-3/2" (and likewise for --lambda and
+    --N), and every value after --points as its own "--points=v": argparse
+    reads a word that starts with '-' as an option unless it is a plain
+    negative number, so values such as -3/2 or -1,-2 need the '=' form, and
+    the '=' form binds one value, which --points (action="extend") collects
+    in order.
+    """
+    out = []
+    in_points = False
+    for arg in argv:
+        negative = arg[:1] == "-" and arg[1:2].isdigit()
+        if in_points and (negative or arg[:1] != "-"):
+            out.append("--points=" + arg)
+            continue
+        if out and out[-1] in ("--level", "--lambda", "--N") and negative:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+        in_points = arg == "--points" or arg.startswith("--points=")
+    return out
+
+
+def reference_parse_args(argv):
+    """The attributes argparse reads from a valid argv, as a dict."""
+    return vars(_build_parser().parse_args(_bind_negative_values(argv)))

@@ -10,9 +10,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfock import cli, closedform as cf, fock, verify
 from qfock.qseries import Param, Series, series_from_json, series_equal, theta
+from reference import reference_parse_args
 
 
 def run(argv):
@@ -235,9 +237,10 @@ class TestDump:
 
 
 class TestMalformedNumbers:
-    """A number that does not parse, an empty q-shift or a dump parameter
-    given twice is a usage error (exit 2), not a result for misread input
-    nor a traceback with exit 1, which means a failed gating check."""
+    """A number that does not parse, an empty q-shift, an empty entry in a
+    list of points or a dump parameter given twice is a usage error (exit
+    2), not a result for misread input nor a traceback with exit 1, which
+    means a failed gating check."""
 
     @pytest.mark.parametrize("argv", [
         ["qdim", "--algebra", "a", "--level=-1", "--N", "abc"],
@@ -249,12 +252,20 @@ class TestMalformedNumbers:
          "--points", "2/3:", "--N", "2"],
         ["dump", "theta", "t=2/3:"],
         ["dump", "theta", "t=2/3", "t=3/5"],
+        # an empty entry inside a comma list of points
+        ["dump", "f_bo", "t=2/3,,3/5", "N=1"],
+        ["dump", "qhyper", "upper=2/3,", "arg=1:1", "N=2"],
     ], ids=["order-abc", "order-1/0", "theta-shift-x", "f_bo-n-abc",
-            "point-shift-empty", "theta-shift-empty", "theta-t-twice"])
+            "point-shift-empty", "theta-shift-empty", "theta-t-twice",
+            "f_bo-empty-entry", "qhyper-empty-entry"])
     def test_is_usage_error(self, argv, capsys):
         status, text = run(argv)
         assert (status, text) == (2, "")
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_wholly_empty_point_list_is_no_points(self):
+        assert run(["dump", "qhyper", "upper=", "lower=", "arg=1:1",
+                    "N=3"]) == run(["dump", "qhyper", "arg=1:1", "N=3"])
 
 
 class TestNegativeOrder:
@@ -282,6 +293,93 @@ class TestNegativeOrder:
         status, text = run(["dump", "theta", "t=2/3", "N=0"])
         assert status == 0
         assert json.loads(text)["truncation"] == "0"
+
+
+# Values the differential argv test draws for each flag without choices.
+ARGV_VALUES = {
+    "algebra": ["a", "c", "d", "b"],
+    "level": ["-1", "-3/2", "1/2", "0", "-10"],
+    "lambda": ["", "0", "1,0", "0,-1", "-1,-2", "x,y"],
+    "N": ["10", "0", "-1", "-1/2", "abc"],
+    "name": ["theta-triple-product", "no-such-check"],
+    "filter": ["", "lemma-222-*", "a=b"],
+}
+ARGV_POINTS = ["2/3", "-2/3", "3/5:1", "-1/2:-1", "7"]
+
+
+class TestArgv:
+    """The grammar of the command line: a command, then --flag value or
+    --flag=value words, exact flag names only, and a usage error naming the
+    offending word for anything else."""
+
+    CORR = ["corr", "--algebra", "a", "--level", "-1"]
+
+    @pytest.mark.parametrize("argv,word", [
+        ([], "command"),
+        (["frobnicate", "--N", "2"], "'frobnicate'"),
+        (CORR + ["--bogus", "1"], "'--bogus'"),
+        (["corr", "--alg", "a", "--level", "-1"], "'--alg'"),
+        (["corr", "--algebra", "a"], "--level"),
+        (CORR + ["--N"], "--N"),
+        (["corr", "--algebra", "--level", "-1"], "--algebra"),
+        (CORR + ["--mode", "exact"], "'exact'"),
+        (["qdim", "--algebra", "a", "--level=-1", "--form=sum"], "'sum'"),
+        (["verify", "--format", "csv"], "'csv'"),
+        (CORR + ["--N", "2", "--N=3"], "--N"),
+        (CORR + ["2/3"], "'2/3'"),
+        (["dump", "--format", "json"], "name"),
+    ], ids=["no-command", "unknown-command", "unknown-flag", "abbreviated",
+            "missing-required", "value-missing-at-end",
+            "value-missing-before-flag", "bad-mode", "bad-form",
+            "bad-format", "N-twice", "stray-positional", "dump-no-name"])
+    def test_usage_error_names_the_word(self, argv, word, capsys):
+        assert run(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and word in err, err
+
+    @pytest.mark.parametrize("argv,names", [
+        (["-h"], list(cli._COMMANDS)),
+        (["--help"], list(cli._COMMANDS)),
+        (["corr", "--algebra", "a", "-h"],
+         ["--algebra", "--level", "--lambda", "--points", "--mode", "--N",
+          "--format", "oracle | assignment | literal", "required"]),
+        (["dump", "--help"], ["dump NAME", "--format"])])
+    def test_help_lists_the_table(self, argv, names, capsys):
+        status, text = run(argv)
+        assert status == 0 and capsys.readouterr().err == ""
+        assert all(name in text for name in names)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reads_what_argparse_read(self, data):
+        """Every argv built from the table, with its flags in any order,
+        spaced or joined by '=', and --points given zero to two times,
+        reads the values the argparse parser read."""
+        draw = data.draw
+        command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+        chunks = []
+        for flag, (default, choices) in cli._COMMANDS[command].items():
+            if flag == "points":
+                for _ in range(draw(st.integers(0, 2))):
+                    vals = draw(st.lists(st.sampled_from(ARGV_POINTS),
+                                         max_size=3))
+                    joined = vals and draw(st.booleans())
+                    chunks.append(["--points=" + vals[0]] + vals[1:]
+                                  if joined else ["--points"] + vals)
+                continue
+            if default is not None and draw(st.booleans()):
+                continue
+            value = draw(st.sampled_from(choices or ARGV_VALUES[flag]))
+            chunks.append(["--%s=%s" % (flag, value)] if draw(st.booleans())
+                          else ["--" + flag, value])
+        words = [w for c in draw(st.permutations(chunks)) for w in c]
+        if command == "dump":
+            loose = [draw(st.sampled_from(["theta", "f_bo", "no-such"]))]
+            loose += draw(st.lists(st.sampled_from(
+                ["t=2/3", "N=-1", "upper=2/3,-3/5", "n=1"]), max_size=3))
+            words = loose + words if draw(st.booleans()) else words + loose
+        argv = [command] + words
+        assert vars(cli._parse_args(argv)) == reference_parse_args(argv)
 
 
 class TestDeterminismAndFormats:
@@ -331,3 +429,19 @@ def test_reader_closing_the_pipe_early_gets_no_traceback(unbuffered):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+def test_entry_point_exit_status():
+    """``python -m qfock.cli``: -h exits 0, a usage error 2 with its
+    message on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def qfock(*argv):
+        return subprocess.run([sys.executable, "-m", "qfock.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+    ok = qfock("--help")
+    assert (ok.returncode, ok.stderr) == (0, "") and "corr" in ok.stdout
+    bad = qfock("corr", "--algebra", "a")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.startswith("error: ")

@@ -277,14 +277,16 @@ def test_closed_forms_keep_no_hidden_state():
 
 def test_cli_import_loads_no_dataclass_machinery():
     """In a fresh interpreter, ``import qfock.cli`` and
-    ``verify.registry()`` load neither ``dataclasses`` nor ``inspect``:
-    importing them pulls in ``ast``, ``dis`` and ``tokenize`` too, about
-    half of the CLI's import time."""
+    ``verify.registry()`` load none of ``dataclasses``, ``inspect``,
+    ``argparse`` and ``gettext``: importing the first two pulls in ``ast``,
+    ``dis`` and ``tokenize`` too, about half of the CLI's import time, and
+    argparse (with the gettext it imports) was a sixth of it."""
     probe = ("import sys\n"
              "import qfock.cli\n"
              "from qfock import verify\n"
              "verify.registry()\n"
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+             "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'}"
+             " & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
