@@ -117,7 +117,7 @@ def _emit_series(s: Series, fmt: str, out) -> None:
             zcol = ";".join("%d:%s" % (v, half_str(e2)) for v, e2 in zk)
             out.write("%d,%s,%d,%d\n"
                       % (q2, zcol, c.numerator, c.denominator))
-    elif fmt == "pretty":
+    else:  # "pretty"; _parse_args admits no other format
         rows = [(_monomial_str(q2, zk), str(c))
                 for (q2, zk), c in s.sorted_terms()]
         width = max([len(m) for m, _ in rows] + [4])
@@ -125,8 +125,6 @@ def _emit_series(s: Series, fmt: str, out) -> None:
             out.write("%-*s  %s\n" % (width, mono, c))
         if not rows:
             out.write("0\n")
-    else:
-        raise UsageError("unknown format %r" % fmt)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -139,10 +137,8 @@ def _cmd_corr(args, out) -> int:
     N = _parse_order(args.N)
     if args.mode == "oracle":
         series = cf.extract_dominant(inst, lam, points, N)
-    elif args.mode in ("assignment", "literal"):
+    else:  # "assignment" or "literal"; _parse_args admits no other mode
         series = cf.duality_reduce(inst, lam, points, N, args.mode)
-    else:
-        raise UsageError("unknown mode %r" % args.mode)
     _emit_series(series, args.format, out)
     return 0
 

@@ -41,14 +41,17 @@ from .qseries import (
     QSeriesError,
     Series,
     _QH,
+    _chain,
+    _factor,
     _half,
     _monomial_str,
     _over_one_minus,
     _over_pochhammer,
+    _pochhammer_factors,
     _product_coeff_z,
     _q,
+    _q_factor,
     _qinf_inv,
-    _times_one_minus,
     _times_pochhammer,
     _theta_sums,
     c_term,
@@ -101,14 +104,13 @@ def one_point_minus1(t: Param, N) -> Series:
             # r becomes (tq)_(m-1)/(q)_(m-1) and s S_m, both to q^(N-m)
             r = r.truncate(_half(n2 - 2 * m))
             if m > 1:
-                r = _over_one_minus(_times_one_minus(r, tt.qshift(m - 1)),
-                                    _q(m - 1))
+                r = _chain(r, (_factor(tt, m - 1),), (_q_factor(2 * m - 2),))
             s = s + r
             sums.append(s)
         x = Series.zero(_half(n2 - 2 * top))
         for m in range(top, 0, -1):
             x = (sums[m - 1] + x).shift(1)
-            x = _over_one_minus(_over_one_minus(x, _q(m)), tt.qshift(m))
+            x = _chain(x, (), (_q_factor(2 * m), _factor(tt, m)))
         out = out + (power(tt, F(1, 2), N) * x).scale(sgn)
     return out
 
@@ -199,11 +201,9 @@ def gamma_bar(x: Param, t1: Param, t2: Param, N) -> Series:
     acc = Series.zero(N)
     s = 0
     while 6 * s + s * (s - 1) <= n2:
-        ratio = Series.one(N)
-        for _ in range(3):
-            ratio = _times_pochhammer(ratio, x * _QH, s)
-        for b in (x * t1 * q32, _q(), x * q32, x * q32):
-            ratio = _over_pochhammer(ratio, b, s)
+        ratio = _chain(Series.one(N), _pochhammer_factors(x * _QH, s, n2) * 3,
+                       [f for b in (x * t1 * q32, _q(), x * q32, x * q32)
+                        for f in _pochhammer_factors(b, s, n2)])
         a = x * _q(s + F(1, 2))
         d = x * _q(s + F(3, 2))
         e = x * t1 * _q(s + F(3, 2))
@@ -668,15 +668,15 @@ def _c_positive_half_qdim(inst: "DualityInstance", label, N,
             k: {0: (1, [(k * k, 1)] if k * k <= n2 else [])}
             for k in _row_charges(rows)}, N)
     if form == "product":
-        out = Series.monomial(1, F(sum(v * v for v in lam), 2), N)
-        for i in range(l):
-            out = _times_one_minus(out, _q(lam[i] + l - i - F(1, 2)))
+        # prod_i (1 - q^(lam_i + l - i - 1/2)) prod_(i<j) (1 - q^(lam_i - lam_j
+        # + j - i)) (1 - q^(lam_i + lam_j + 2l - i - j - 1)), doubled exponents
+        d2s = [2 * (lam[i] + l - i) - 1 for i in range(l)]
         for i in range(l):
             for j in range(i + 1, l):
-                out = _times_one_minus(out, _q(lam[i] - lam[j] + j - i))
-                out = _times_one_minus(
-                    out, _q(lam[i] + lam[j] + 2 * l - i - j - 1))
-        return pre * out
+                d2s += (2 * (lam[i] - lam[j] + j - i),
+                        2 * (lam[i] + lam[j] + 2 * l - i - j - 1))
+        out = Series.monomial(1, F(sum(v * v for v in lam), 2), N)
+        return pre * _chain(out, [_q_factor(d2) for d2 in d2s])
     raise IllegalPower("unknown form %r" % form)
 
 

@@ -234,10 +234,11 @@ def _trace_table(kind: str, op_tag: str, points: Sequence[Param], N2: int,
         need = needs[i]
         for p in range(1, (N2 - d2 + 1) // 2 + 1) if ca else ():
             e, cost = 2 * p - 1, 2 * p - 1 + d2
-            ops = [(S, R, alpha * a ** e * (d // b ** e)
-                    + gamma * b ** e * (d // a ** e))
-                   for (a, b), d, step in zip(roots, dens, steps)
-                   for S, R in step]
+            # u_j(p) once per point, then once per (S, R) step of point j
+            us = [alpha * a ** e * (d // b ** e)
+                  + gamma * b ** e * (d // a ** e)
+                  for (a, b), d in zip(roots, dens)]
+            ops = [(S, R, u) for u, step in zip(us, steps) for S, R in step]
             # strict parts sweep downward (used once)
             for w2 in (range(N2 - cost, -1, -1) if kind in STRICT
                        else range(N2 - cost + 1)):

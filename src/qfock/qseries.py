@@ -20,18 +20,20 @@ sums add and multiply Python ints only; a Fraction is built when a
 coefficient is read out, through the terms property ({(q2, zkey): Fraction})
 or first_difference.
 
-A product or a quotient by a factor (1 - a) is one integer pass over the
-other operand's numerators (_times_one_minus, _over_one_minus), and a
-product or a quotient by a Pochhammer symbol (a)_n or (a)_inf is one such
-pass per factor (_times_pochhammer, _over_pochhammer), so (a)_n and (a)_inf
-themselves are built without a Series product; Series.__mul__ serves
-general factors and Series.invert general divisors, such as theta
-functions.  Series.invert and the charged quotients (_over_codes, under
-_over_one_minus and _over_pochhammer) key their q-layers by one integer
+A chain of products and quotients by factors (1 - a), a = A/B q^d with
+d > 0, is one kernel, _chain: one pass per factor over one integer list,
+one gcd per chain.  It serves one factor (_times_one_minus,
+_over_one_minus), a Pochhammer symbol (a)_n or (a)_inf (_times_pochhammer,
+_over_pochhammer), so (a)_n and (a)_inf themselves are built without a
+Series product, and the hand-written chains: a qhyper term, and the
+recurrences of verify and closedform that step a term by a few such
+factors.  Series.__mul__ serves general factors and Series.invert general
+divisors, such as theta functions.  Series.invert and the charged
+quotients (_over_codes, under _chain) key their q-layers by one integer
 charge code per z-key (_zcode: the doubled z-exponents as balanced digits,
 the fields sized from the input and the factors so that no code wraps), so
-their recurrences join two z-keys by one int addition; a charged quotient
-by a Pochhammer symbol encodes once and decodes once for all its factors.
+their recurrences join two z-keys by one int addition; a charged chain
+encodes once and decodes once for all its quotients.
 """
 
 from __future__ import annotations
@@ -683,86 +685,121 @@ def _one_minus(p: Param, N: HalfLike) -> Series:
     return _reduced(t2, den, nums)
 
 
-def _times_one_minus(s: Series, p: Param) -> Series:
-    """s (1 - p), exact to s's truncation, in one pass over its numerators.
+def _factor(p: Param, i: int = 0) -> tuple:
+    """The chain factor (A, B, d2, ze) of 1 - p q^i: for s = a/b the point
+    p q^i is A/B q^(d2/2) z^ze with A = sign a^2, B = b^2 and ze its z-key.
+    Like p.qshift(i), it refuses a negative q-exponent."""
+    d2 = p.d2 + 2 * i
+    if d2 < 0:
+        raise IllegalPower("negative q-shift")
+    return (p.sign * p.s.numerator ** 2, p.s.denominator ** 2, d2,
+            ((p.zvar, p.e2),) if p.e2 else ())
 
-    For p = c m with m = q^d z^e, d > 0, and c = sign a^2 / b^2, the
-    numerators over den * B, B = b^2, are out[k] = B S[k] - sign a^2
-    S[k - m].  A p with d <= 0 takes the generic product, the factor taken
-    to s's relative order so that it cuts nothing off.
-    """
-    t2, d2 = s.trunc2, p.d2
-    if d2 <= 0:
-        return s * _one_minus(p, _half(t2 - (s.min2() or 0)))
-    A, B = p.sign * p.s.numerator ** 2, p.s.denominator ** 2
-    ze = ((p.zvar, p.e2),) if p.e2 else ()
-    out = {k: n * B for k, n in s.nums.items()}
-    lim = t2 - d2
-    for (q2, zk), n in s.nums.items():
-        if q2 <= lim:
-            k = (q2 + d2, _zmul(zk, ze))
-            n = out.get(k, 0) - A * n
+
+def _q_factor(d2: int) -> tuple:
+    """The chain factor of 1 - q^(d2/2)."""
+    return (1, 1, d2, ())
+
+
+def _chain(s: Series, ups: Sequence[tuple] = (),
+           downs: Sequence[tuple] = ()) -> Series:
+    """s prod_(f in ups) (1 - f) / prod_(f in downs) (1 - f), exact to s's
+    truncation, for chain factors f = (A, B, d2, ze) (_factor) with d2 > 0.
+    Factors whose step passes the truncation are skipped; each product and
+    quotient is exact to the truncation, so they commute.
+
+    Without a charge variable, in s or in a factor, s is one integer list L
+    indexed by q-exponent from s's lowest, over one denominator, and each
+    factor one pass over it: a product by 1 - A/B q^d is
+    L[i] = B L[i] - A L[i - d] (the old L on the right), over den B, and a
+    quotient L[i] = B^K L[i] + A (L[i - d] // B) in rising i, over den B^K,
+    K = (t2 - v2) // d2 the longest chain, where the division is exact for
+    any integer list.  The Series is built once, with one gcd.  A charged
+    chain multiplies on the numerators' dict and divides in one _over_codes
+    pass."""
+    if not s.nums:
+        return s
+    t2, v2 = s.trunc2, s.min2()
+    top = t2 - v2
+    ups = [f for f in ups if f[2] <= top]
+    downs = [f for f in downs if f[2] <= top]
+    if not (ups or downs):
+        return s
+    den = s.den
+    if any(zk for _, zk in s.nums) or any(f[3] for f in ups + downs):
+        if not ups:
+            return _over_codes(s, downs)
+        nums = s.nums
+        for A, B, d2, ze in ups:
+            out = {k: n * B for k, n in nums.items()}
+            for (q2, zk), n in nums.items():
+                if q2 + d2 <= t2:
+                    k = (q2 + d2, _zmul(zk, ze))
+                    n = out.get(k, 0) - A * n
+                    if n:
+                        out[k] = n
+                    else:
+                        del out[k]
+            nums, den = out, den * B
+        s = _reduced(t2, den, nums)
+        return _over_codes(s, downs) if downs else s
+    L = [0] * (top + 1)
+    for (q2, _), n in s.nums.items():
+        L[q2 - v2] = n
+    for A, B, d2, _ in ups:
+        if B == 1:
+            L = L[:d2] + [x - A * y for x, y in zip(L[d2:], L)]
+        else:
+            L = [B * x for x in L[:d2]] + [B * x - A * y
+                                           for x, y in zip(L[d2:], L)]
+            den *= B
+    for A, B, d2, _ in downs:
+        if B != 1:
+            BK = B ** (top // d2)
+            L = [n * BK for n in L]
+            den *= BK
+        for i in range(d2, top + 1):
+            n = L[i - d2]
             if n:
-                out[k] = n
-            else:
-                del out[k]
-    return _reduced(t2, s.den * B, out)
+                L[i] += A * n if B == 1 else A * (n // B)
+    return _reduced(t2, den, {(v2 + i, ()): n for i, n in enumerate(L) if n})
+
+
+def _times_one_minus(s: Series, p: Param) -> Series:
+    """s (1 - p), exact to s's truncation: the one-factor _chain for a p
+    with d > 0.  A p with d <= 0 takes the generic product, the factor taken
+    to s's relative order so that it cuts nothing off."""
+    if p.d2 > 0:
+        return _chain(s, (_factor(p),))
+    return s * _one_minus(p, _half(s.trunc2 - (s.min2() or 0)))
 
 
 def _over_one_minus(s: Series, p: Param) -> Series:
-    """s / (1 - p), exact to s's truncation, in one pass over its q-layers.
-
-    For p = c m with m = q^d z^e, d > 0, and c = sign a^2 / b^2, the result
-    follows out[k] = s[k] + c out[k - m] in rising q-exponent.  Over
-    den * B^K, B = b^2 and K the longest chain (t2 - v2) // d2, its
-    numerators are Out[k] = B^K S[k] + sign a^2 (Out[k - m] // B), where
-    the division is exact.  When neither s nor p carries a charge variable
-    a q-layer is one int; otherwise the layers are keyed by integer charge
-    codes (_over_codes).  A scalar p (d = 0, no charge) other than 1 scales
-    s by 1/(1 - c); any other p with d <= 0 takes the generic inverse, which
+    """s / (1 - p), exact to s's truncation: the one-factor _chain for a p
+    with d > 0.  A scalar p (d = 0, no charge) other than 1 scales s by
+    1/(1 - c); any other p with d <= 0 takes the generic inverse, which
     expands it or raises.
     """
-    t2, d2 = s.trunc2, p.d2
+    if p.d2 > 0:
+        return _chain(s, (), (_factor(p),))
     A, B = p.sign * p.s.numerator ** 2, p.s.denominator ** 2
-    if d2 <= 0:
-        if d2 or p.e2 or A == B:
-            return s * _one_minus(p, _half(max(t2, 0))).invert()
-        g = B - A  # s / (1 - A/B) = s B / (B - A)
-        if g < 0:
-            B, g = -B, -g
-        return _reduced(t2, s.den * g, {k: n * B for k, n in s.nums.items()})
-    # one int per q-layer when neither s nor p carries a charge variable
-    layers = {} if p.e2 else {q2: n for (q2, zk), n in s.nums.items()
-                              if not zk}
-    if len(layers) != len(s.nums):
-        return _over_codes(s, (p,))
-    if not layers:
-        return s
-    v2 = min(layers)
-    K = (t2 - v2) // d2
-    if not K:
-        return s  # no key of s reaches the truncation after one step
-    BK = B ** K
-    out = {q2: n * BK for q2, n in layers.items()}
-    get = out.get
-    for q2 in range(v2 + d2, t2 + 1):
-        n = get(q2 - d2)
-        if n:
-            out[q2] = get(q2, 0) + A * (n // B)
-    return _reduced(t2, s.den * BK,
-                    {(q2, ()): n for q2, n in out.items() if n})
+    if p.d2 or p.e2 or A == B:
+        return s * _one_minus(p, _half(max(s.trunc2, 0))).invert()
+    g = B - A  # s / (1 - A/B) = s B / (B - A)
+    if g < 0:
+        B, g = -B, -g
+    return _reduced(s.trunc2, s.den * g, {k: n * B for k, n in s.nums.items()})
 
 
-def _over_codes(s: Series, ps: Sequence[Param]) -> Series:
-    """s / prod_(p in ps) (1 - p), every p with d > 0, exact to s's
-    truncation: _over_one_minus's recurrence once per factor, on q-layers
-    keyed by integer charge codes (_zcode), so a step joins a key with p's
-    charge by one int addition.  s is encoded once and the result decoded
-    once.  A field's half-width is the largest |doubled exponent| of s on
-    its variable plus K |e2| for each factor on it, K that factor's longest
-    chain, so no code met on the way wraps."""
-    if not s.nums:
-        return s
+def _over_codes(s: Series, fs: Sequence[tuple]) -> Series:
+    """s / prod_(f in fs) (1 - f), every chain factor f with d > 0 and a
+    chain that reaches s's truncation, exact to it: _chain's quotient
+    recurrence once per factor, on q-layers keyed by integer charge codes
+    (_zcode), so a step joins a key with the factor's charge by one int
+    addition.  s is encoded once and the result decoded once.  A field's
+    half-width is the largest |doubled exponent| of s on its variable plus
+    K |e2| for each factor on it, K that factor's longest chain, so no code
+    met on the way wraps."""
     t2, v2 = s.trunc2, s.min2()
     reach = {}  # charge variable -> half-width of its field
     for _, zk in s.nums:
@@ -770,14 +807,11 @@ def _over_codes(s: Series, ps: Sequence[Param]) -> Series:
             if abs(e2) > reach.get(var, 0):
                 reach[var] = abs(e2)
     steps = []
-    for p in ps:
-        K = (t2 - v2) // p.d2
-        if K:  # else no key of s reaches the truncation after one step
-            steps.append((p, K))
-            if p.e2:
-                reach[p.zvar] = reach.get(p.zvar, 0) + K * abs(p.e2)
-    if not steps:
-        return s
+    for f in fs:
+        K = (t2 - v2) // f[2]
+        steps.append((f, K))
+        for var, e2 in f[3]:
+            reach[var] = reach.get(var, 0) + K * abs(e2)
     fields = sorted(reach.items())
     layers = {}
     for (q2, zk), n in s.nums.items():
@@ -786,10 +820,9 @@ def _over_codes(s: Series, ps: Sequence[Param]) -> Series:
             layer = layers[q2] = {}
         layer[_zcode(zk, fields)] = n
     den = s.den
-    for p, K in steps:
-        A, B = p.sign * p.s.numerator ** 2, p.s.denominator ** 2
-        BK, d2 = B ** K, p.d2
-        ce = _zcode(((p.zvar, p.e2),), fields)
+    for (A, B, d2, ze), K in steps:
+        BK = B ** K
+        ce = _zcode(ze, fields)
         out = {}
         for q2 in range(v2, t2 + 1):
             # each input layer is read once, so it is updated in place
@@ -819,44 +852,48 @@ def _over_codes(s: Series, ps: Sequence[Param]) -> Series:
     return _reduced(t2, den, nums)
 
 
-def _pochhammer_factors(a: Param, n: Optional[int], t2: int):
-    """The points a q^i, i < n (every i >= 0 when n is None), up to the
-    first factor 1 - a q^i that is 1 + O(q^(>t2)): the one stop rule of
-    (a)_n, (a)_inf and the divisions by them."""
+def _pochhammer_factors(a: Param, n: Optional[int], t2: int) -> List[tuple]:
+    """The chain factors of 1 - a q^i, i < n (every i >= 0 when n is None),
+    up to the first that is 1 + O(q^(>t2)): the one stop rule of (a)_n,
+    (a)_inf and the divisions by them.  a's integers are read once."""
     if a.is_zero:
-        return
+        return []
     if n is None and a.e2 and a.d2 == 0:
         raise NonTruncatable("(a)_inf with a pure charge monomial never truncates")
-    i = 0
-    while (n is None or i < n) and a.d2 + 2 * i <= t2:
-        yield a.qshift(i)
-        i += 1
+    top = (t2 - a.d2) // 2 + 1  # the i with a.d2 + 2 i <= t2
+    if n is not None:
+        top = min(top, n)
+    if top <= 0:
+        return []
+    A, B, d2, ze = _factor(a)
+    return [(A, B, d2 + 2 * i, ze) for i in range(top)]
 
 
 def _over_pochhammer(s: Series, a: Param, n: Optional[int] = None) -> Series:
     """s / (a)_n, or s / (a)_inf when n is None, exact to s's truncation:
-    one _over_one_minus per factor whose step reaches it.  A factor at
-    d <= 0 is always divided first, so a vanishing symbol raises even for
-    s = 0.  When s or a carries a charge variable, the factors with d > 0
-    run in one _over_codes pass: s is encoded once and decoded once."""
+    one _chain over its factors whose step reaches it, one pass per factor
+    over one integer list, one gcd per chain.  A factor at d = 0 is divided
+    first, by _over_one_minus, so a vanishing symbol raises even for
+    s = 0."""
     v2 = s.min2()
-    ps = list(_pochhammer_factors(a, n, max(s.trunc2 - (v2 or 0), 0)))
-    while ps and ps[0].d2 <= 0:
-        s = _over_one_minus(s, ps.pop(0))
-    if a.e2 or any(zk for _, zk in s.nums):
-        return _over_codes(s, ps)
-    for p in ps:
-        s = _over_one_minus(s, p)
-    return s
+    fs = _pochhammer_factors(a, n, max(s.trunc2 - (v2 or 0), 0))
+    if fs and not fs[0][2]:
+        s = _over_one_minus(s, a)
+        fs = fs[1:]
+    return _chain(s, (), fs)
 
 
 def _times_pochhammer(s: Series, a: Param, n: Optional[int] = None) -> Series:
     """s (a)_n, or s (a)_inf when n is None, exact to s's truncation: one
-    _times_one_minus per factor whose step reaches it."""
+    _chain over its factors whose step reaches it, one pass per factor over
+    one integer list, one gcd per chain, after _times_one_minus for a
+    factor at d = 0."""
     v2 = s.min2()
-    for p in _pochhammer_factors(a, n, s.trunc2 - (v2 or 0)):
-        s = _times_one_minus(s, p)
-    return s
+    fs = _pochhammer_factors(a, n, s.trunc2 - (v2 or 0))
+    if fs and not fs[0][2]:
+        s = _times_one_minus(s, a)
+        fs = fs[1:]
+    return _chain(s, fs)
 
 
 def c_term(t: Param, N: HalfLike) -> Series:
@@ -917,10 +954,12 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
     Term n: prod (a)_n / (prod (b)_n (q)_n) * ((-1)^n q^(n(n-1)/2))^(1+s-r)
     * arg^n.  Truncation relies on the guaranteed valuation
     n*val(arg) + max(0, 1+s-r)*n(n-1)/2 growing past N.  An upper
-    parameter equal to q cancels the (q)_n, so neither is applied; each
-    upper factor (1 - a q^(n-1)) is one _times_one_minus pass over the
-    running term, and each lower factor 1/(1 - b q^(n-1)) and 1/(1 - q^n)
-    one _over_one_minus pass.
+    parameter equal to q cancels the (q)_n, so neither is applied.  Each
+    parameter is read once into a chain factor (_factor) whose doubled
+    q-exponent steps by 2 per term, and the running term takes its upper
+    factors (1 - a q^(n-1)), lower factors 1/(1 - b q^(n-1)) and 1/(1 - q^n)
+    in one _chain: one pass per factor over one integer list, one gcd per
+    term.
     """
     r, s = len(upper), len(lower)
     extra = 1 + s - r
@@ -935,19 +974,31 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
     arg_n = power(arg, 1, N)
     out = Series.one(N)   # n = 0 term
     term = Series.one(N)  # running term, updated incrementally
-    n = 1
-    while n * v2 + extra * n * (n - 1) <= t2:
+    if v2 <= t2:
+        # term 1's factors, refused in the order its loop met them; those
+        # at d = 0 are applied here, by _times_one_minus and _over_one_minus
+        ups = [_factor(a) for a in upper]
         for a in upper:
-            term = _times_one_minus(term, a.qshift(n - 1))
+            if a.d2 == 0:
+                term = _times_one_minus(term, a)
+        downs = []
         for b in lower:
             if b.is_zero:
                 raise DegenerateParameter("zero lower parameter")
-            bq = b.qshift(n - 1)
-            if bq.d2 == 0 and bq.e2 == 0 and bq.value_coeff == 1:
-                raise DegenerateParameter("lower Pochhammer vanishes at the leading layer")
-            term = _over_one_minus(term, bq)
+            downs.append(_factor(b))
+            if b.d2 == 0:
+                if b.e2 == 0 and b.value_coeff == 1:
+                    raise DegenerateParameter("lower Pochhammer vanishes at the leading layer")
+                term = _over_one_minus(term, b)
         if cancel is None:
-            term = _over_one_minus(term, _q(n))
+            downs.append(_q_factor(2))  # 1 - q^n
+    n = 1
+    while n * v2 + extra * n * (n - 1) <= t2:
+        step = 2 * n - 2  # term n's factors: term 1's, q^(n - 1) higher
+        term = _chain(term, [(A, B, d2 + step, ze)
+                             for A, B, d2, ze in ups if d2 + step],
+                      [(A, B, d2 + step, ze)
+                       for A, B, d2, ze in downs if d2 + step])
         term = term * arg_n
         if extra:
             # ((-1)^n q^(n(n-1)/2))^extra, incremental: exponent step n-1

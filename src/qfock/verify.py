@@ -23,12 +23,14 @@ from .qseries import (
     Param,
     Series,
     _QH,
+    _chain,
+    _factor,
     _monomial_str,
     _over_one_minus,
     _over_pochhammer,
     _q,
+    _q_factor,
     _qinf_inv,
-    _times_one_minus,
     first_difference,
     half_str,
     pochhammer_inf,
@@ -184,7 +186,7 @@ def sum_over_m_lhs(k: int, t: Param, N) -> Series:
     l = 0
     while l <= to2(N) // 2:
         if l:
-            inv = _over_one_minus(_over_one_minus(inv, _q(l)), t * _q(l + k))
+            inv = _chain(inv, (), (_q_factor(2 * l), _factor(t, l + k)))
         out = out + inv.shift(l)
         l += 1
     return out
@@ -229,8 +231,7 @@ def exp_right_sum(a: Param, z: Param, N) -> Series:
     while l * z.qval2() <= to2(N):
         if l:
             term = (term * zN).truncate(N)
-            term = _over_one_minus(_times_one_minus(term, a.qshift(l - 1)),
-                                   _q(l))
+            term = _chain(term, (_factor(a, l - 1),), (_q_factor(2 * l),))
         out = out + term
         l += 1
     return out

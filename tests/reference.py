@@ -2,7 +2,8 @@
 the helpers the test modules share:
 
 - the ``{key: Fraction}`` series ring (``_ref_*``), the reference of the
-  Series ring operations;
+  Series ring operations and, factor by factor, of the chain kernel
+  ``qseries._chain``;
 - the Fock traces from partitions enumerated by ``fock.mod_partitions``:
   side tables (``enumerated_side_table``) joined by the pair pass
   ``pair_traces`` and read by the ``reference_*`` functions;
@@ -166,6 +167,33 @@ def _ref_invert(a):
                     g[k] = g.get(k, F(0)) - uc * gc
     return _ref_kept(t2 - 2 * v2, {(n - v2, _zmul(gz, inv_zk)): c / lc
                                    for (n, gz), c in g.items()})
+
+
+def _ref_times_factor(a, f):
+    """a (1 - p) for the chain factor f = (A, B, d2, ze) of qseries._factor,
+    p = A/B q^(d2/2) z^ze: a - p a, kept to a's truncation."""
+    A, B, d2, ze = f
+    t2, at = a
+    out = dict(at)
+    for (q2, zk), c in at.items():
+        k = (q2 + d2, _zmul(zk, ze))
+        out[k] = out.get(k, F(0)) - F(A, B) * c
+    return _ref_kept(t2, out)
+
+
+def _ref_over_factor(a, f):
+    """a / (1 - p) for the chain factor f, d2 > 0, as the geometric sum of
+    p^j a over every j that reaches a's truncation."""
+    A, B, d2, ze = f
+    t2, at = a
+    v2 = min((q2 for q2, _ in at), default=t2)
+    out, (c, j2, jz) = {}, (F(1), 0, ())  # p^j as (coefficient, q2, zkey)
+    while v2 + j2 <= t2:
+        for (q2, zk), x in at.items():
+            k = (q2 + j2, _zmul(zk, jz))
+            out[k] = out.get(k, F(0)) + c * x
+        c, j2, jz = c * F(A, B), j2 + d2, _zmul(jz, ze)
+    return _ref_kept(t2, out)
 
 
 def _ref_coeff_z(a, var, m2):

@@ -337,6 +337,19 @@ class TestArgv:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and word in err, err
 
+    @pytest.mark.parametrize("argv", [
+        CORR + ["--mode", "bogus"],
+        CORR + ["--format", "bogus"],
+        ["qdim", "--algebra", "a", "--level", "-1", "--format", "bogus"],
+        ["dump", "theta", "t=2/3", "--format", "bogus"],
+    ], ids=["corr-mode", "corr-format", "qdim-format", "dump-format"])
+    def test_unknown_choice_never_reaches_a_handler(self, argv, capsys):
+        """The handlers keep no branch for an unknown --mode or --format:
+        the flag table refuses it first, exit 2."""
+        assert run(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'bogus'" in err, err
+
     @pytest.mark.parametrize("argv,names", [
         (["-h"], list(cli._COMMANDS)),
         (["--help"], list(cli._COMMANDS)),

@@ -30,6 +30,8 @@ from qfock.qseries import (
     theta_jet,
     to2,
     zkey,
+    _chain,
+    _factor,
     _half,
     _one_minus,
     _over_one_minus,
@@ -40,7 +42,8 @@ from qfock.qseries import (
     _zmul,
 )
 from reference import (_outcome, _ref, _ref_add, _ref_coeff_z, _ref_invert,
-                       _ref_kept, _ref_mul, _ref_scale, qcoeff)
+                       _ref_kept, _ref_mul, _ref_over_factor, _ref_scale,
+                       _ref_times_factor, qcoeff)
 
 F = Fraction
 
@@ -967,6 +970,75 @@ def test_charged_quotient_joins_keys_by_codes(monkeypatch):
     assert got == want
 
 
+# -- the chain kernel against one factor at a time ---------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2).map(_first_vars).flatmap(lambda zv: st.tuples(
+    fraction_series(zv),
+    st.lists(st.tuples(st.booleans(), points(zv, d2_min=1)), max_size=5))))
+@example((Series.zero(5), [(True, Param(F(2, 3), 1)),
+                           (False, Param(1, F(1, 2)))]))     # zero series
+@example((Series(2, {(0, ()): F(1)}), [(False, Param(F(5, 3), 3)),
+                                       (True, Param(F(1, 2), 2))]))  # K = 0
+@example((Series(4, {(-3, ()): F(2, 3), (1, ()): F(-1, 5)}),
+          [(True, Param(F(2, 3), F(1, 2))), (False, Param(F(3, 2), 1)),
+           (False, Param(1, F(1, 2)))]))                     # negative lowest
+@example((Series(6, {(0, ()): F(1), (3, ()): F(7, 4)}),
+          [(False, Param(F(2, 3), F(1, 2), sign=-1)),
+           (True, Param(1, 1, sign=-1))]))                   # sign -1
+def test_chain_matches_factor_by_factor(operands):
+    """_chain(s, ups, downs) equals multiplying s by each 1 - p of ups and
+    dividing it by each of downs one at a time, in the drawn order, in the
+    {key: Fraction} ring (a quotient as its geometric sum), truncation
+    included: on 0-2 charge variables, with B = 1 and B > 1, signs -1,
+    half-integer steps and a zero series."""
+    s, draws = operands
+    got = _chain(s, [_factor(p) for up, p in draws if up],
+                 [_factor(p) for up, p in draws if not up])
+    assert_canonical(got)
+    want = _ref(s)
+    for up, p in draws:
+        want = (_ref_times_factor if up else _ref_over_factor)(want,
+                                                               _factor(p))
+    assert _ref(got) == want
+
+
+def test_z_free_chain_reduces_once(monkeypatch):
+    """A z-free chain builds its Series once, with one gcd: s / (q)_inf
+    makes one _reduced call; (2/3)_inf makes four (the unit, the d = 0
+    factor 1 - 4/9 and its generic product, and one _chain with one call);
+    and each term of a qhyper whose factors all have d > 0 is one _chain
+    with at most one call."""
+    from qfock import qseries
+    calls, per_chain = [0], []
+
+    def counting_reduced(*args, _reduced=qseries._reduced):
+        calls[0] += 1
+        return _reduced(*args)
+
+    def recording_chain(*args, _chain=qseries._chain):
+        before = calls[0]
+        out = _chain(*args)
+        per_chain.append(calls[0] - before)
+        return out
+
+    one, a = Series.one(20), Param(F(2, 3))
+    want = _over_pochhammer(one, Param(1, 1)), pochhammer_inf(a, 20)
+    monkeypatch.setattr(qseries, "_reduced", counting_reduced)
+    monkeypatch.setattr(qseries, "_chain", recording_chain)
+    assert _over_pochhammer(one, Param(1, 1)) == want[0]
+    assert (calls, per_chain) == ([1], [1])
+    calls[0], per_chain[:] = 0, []
+    assert pochhammer_inf(a, 20) == want[1]
+    assert (calls, per_chain) == ([4], [1])
+    per_chain[:] = []
+    qhyper([Param(F(3, 5), F(1, 2)), Param(F(2, 3), 1)], [Param(F(5, 7), 1)],
+           Param(F(1, 2), 1), 12)
+    # term 12 starts at q^11: every factor steps past the truncation 12
+    assert per_chain == [1] * 11 + [0]
+
+
 def _qhyper_reference(upper, lower, arg, N):
     """rPhis as it was built before the (q)_n cancellation: every factor
     multiplied in, every lower factor and (q)_n by the generic inverse."""
@@ -1067,8 +1139,8 @@ def _loop_pochhammer(a, n, N):
     """(a)_n, or (a)_inf when n is None, as the loop of products that
     pochhammer_n and pochhammer_inf were."""
     out = Series.one(N)
-    for p in _pochhammer_factors(a, n, to2(N)):
-        out = out * _one_minus(p, N)
+    for _, _, d2, _ in _pochhammer_factors(a, n, to2(N)):
+        out = out * _one_minus(a.qshift(_half(d2 - a.d2)), N)
         if out.is_zero():
             break
     return out
@@ -1145,7 +1217,7 @@ def test_pochhammer_matches_product_loop(a, n, N):
 def test_products_by_one_minus_factors_make_no_series_product(monkeypatch):
     """(q)_inf is built without Series.__mul__, and qhyper multiplies its
     running term by the monomial argument only: an upper factor (1 - a q^k)
-    with k > 0 is one _times_one_minus pass."""
+    with k > 0 is one pass of the term's _chain."""
     calls = []
 
     def recording_mul(self, other, _mul=Series.__mul__):
