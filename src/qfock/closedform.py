@@ -47,6 +47,7 @@ from .qseries import (
     _monomial_str,
     _over_one_minus,
     _over_pochhammer,
+    _pochhammer_chain,
     _pochhammer_factors,
     _product_coeff_z,
     _q,
@@ -73,7 +74,8 @@ def _scalar_key(p: Param):
 
 def pair_vacuum(x: Param, y: Param, N) -> Series:
     """1/((x q^(1/2))_inf (y q^(1/2))_inf): the plain charged-pair trace."""
-    return _over_pochhammer(_over_pochhammer(Series.one(N), x * _QH), y * _QH)
+    return _pochhammer_chain(Series.one(N), (),
+                             [(x * _QH, None), (y * _QH, None)])
 
 
 # -- level -1 one-point function --------------------------------------------
@@ -159,11 +161,9 @@ def partition_ladder_closed(x: Param, t: Param, N) -> Series:
     x (tq)^(1/2) (xtq^(3/2))_inf / ((1-xq^(1/2)) (tq)_inf (xq^(1/2))_inf)
     * 2Phi2(xq^(1/2), xq^(1/2); xq^(3/2), xtq^(3/2); tq^2)."""
     q32 = _q(F(3, 2))
-    num = _times_pochhammer(power(x, 1, N) * power(t * _q(), F(1, 2), N),
-                            x * t * q32)
-    num = _over_one_minus(num, x * _QH)
-    for a in (t * _q(), x * _QH):
-        num = _over_pochhammer(num, a)
+    num = _pochhammer_chain(power(x, 1, N) * power(t * _q(), F(1, 2), N),
+                            [(x * t * q32, None)],
+                            [(x * _QH, 1), (t * _q(), None), (x * _QH, None)])
     phi = qhyper([x * _QH, x * _QH], [x * q32, x * t * q32], t * _q(2), N)
     return num * phi
 
@@ -193,9 +193,10 @@ def gamma_bar(x: Param, t1: Param, t2: Param, N) -> Series:
     n2 = to2(N)
     q32 = _q(F(3, 2))
     pref_scalar = x.scalar_pow(2) * t1.scalar_pow(1) * t2.scalar_pow(1)
-    pref = _times_pochhammer(Series.monomial(pref_scalar, 1, N), x * t1 * q32)
-    pref = _over_one_minus(_over_one_minus(pref, x * _QH), x * _QH)
-    pref = _over_pochhammer(_over_pochhammer(pref, x * _QH), t1 * _q())
+    pref = _pochhammer_chain(Series.monomial(pref_scalar, 1, N),
+                             [(x * t1 * q32, None)],
+                             [(x * _QH, 1), (x * _QH, 1), (x * _QH, None),
+                              (t1 * _q(), None)])
     t2i = t2.inverse()
     arg = t1 * t2 * _q(2)
     acc = Series.zero(N)
@@ -396,8 +397,8 @@ def c_one_point_half(t: Param, N) -> Series:
     fac = _over_one_minus(Series.one(N), _QH).shift(F(1, 2)).scale(-1)
     q32 = _q(F(3, 2))
     for tt, sgn in ((t, -1), (t.inverse(), 1)):
-        blk = _over_pochhammer(_times_pochhammer(power(tt, F(1, 2), N),
-                                                 tt * q32), tt * _q()) \
+        blk = _pochhammer_chain(power(tt, F(1, 2), N), [(tt * q32, None)],
+                                [(tt * _q(), None)]) \
             * qhyper([_QH, _QH], [q32, tt * q32], tt * _q(2), N)
         out = out + (pre * fac * blk).scale(sgn)
     return out

@@ -63,7 +63,7 @@ from math import prod
 from typing import Callable, Sequence, Tuple
 
 from .qseries import (NonTruncatable, Param, Series, _QH, _over_pochhammer,
-                      _q, _zmul, c_term, to2)
+                      _pochhammer_chain, _q, _zmul, c_term, to2)
 
 _ONE = Param(Fraction(1))
 
@@ -185,7 +185,7 @@ def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Serie
     accepts points with a single q-shift (e.g. q*t).
     """
     total = a_cumulant_sum(x, y, points, N)
-    return _over_pochhammer(_over_pochhammer(total, x * _QH), y * _QH)
+    return _pochhammer_chain(total, (), [(x * _QH, None), (y * _QH, None)])
 
 
 def neutral_c_trace(points: Sequence[Param], N) -> Series:

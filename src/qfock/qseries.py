@@ -23,17 +23,19 @@ or first_difference.
 A chain of products and quotients by factors (1 - a), a = A/B q^d with
 d > 0, is one kernel, _chain: one pass per factor over one integer list,
 one gcd per chain.  It serves one factor (_times_one_minus,
-_over_one_minus), a Pochhammer symbol (a)_n or (a)_inf (_times_pochhammer,
+_over_one_minus), products and quotients by Pochhammer symbols (a)_n or
+(a)_inf (_pochhammer_chain, and for one symbol _times_pochhammer and
 _over_pochhammer), so (a)_n and (a)_inf themselves are built without a
 Series product, and the hand-written chains: a qhyper term, and the
 recurrences of verify and closedform that step a term by a few such
 factors.  Series.__mul__ serves general factors and Series.invert general
-divisors, such as theta functions.  Series.invert and the charged
-quotients (_over_codes, under _chain) key their q-layers by one integer
-charge code per z-key (_zcode: the doubled z-exponents as balanced digits,
-the fields sized from the input and the factors so that no code wraps), so
-their recurrences join two z-keys by one int addition; a charged chain
-encodes once and decodes once for all its quotients.
+divisors, such as theta functions.  A product keys its terms by the
+q-exponent, or with charge variables by one int packing the q-exponent and
+a charge code; the charged inverse and quotients (_over_codes, under _chain)
+key their q-layers by the charge code (_zcode: the doubled z-exponents as
+balanced digits, the fields sized from the operands so that no code wraps).
+So each joins two z-keys by one int addition, encoding and decoding each
+distinct z-key once; a z-free inverse runs on one integer list.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 
@@ -159,6 +162,17 @@ def _zcode(zk: ZKey, fields) -> int:
         c += exps.get(var, 0) * m
         m *= 2 * b + 1
     return c
+
+
+def _reach(zkeys) -> dict:
+    """{charge variable: largest |doubled exponent| on it} over zkeys, the
+    half-widths of the fields that hold them."""
+    reach = {}
+    for zk in zkeys:
+        for var, e2 in zk:
+            if abs(e2) > reach.get(var, 0):
+                reach[var] = abs(e2)
+    return reach
 
 
 def _zdecode(c: int, fields) -> ZKey:
@@ -347,17 +361,44 @@ class Series:
                 t2 = other.trunc2 + amin
             return _reduced(t2, 1, {})
         t2 = min(self.trunc2 + bmin, other.trunc2 + amin)
-        b = list(other.nums.items())
+        # a term's key is its q-exponent, plus W times the charge code of its
+        # z-key, each field as wide as both operands' reach together: a
+        # product of two terms is keyed by the sum of their keys, never wraps
+        lo = amin + bmin
+        za = {zk for _, zk in self.nums}
+        zb = {zk for _, zk in other.nums}
+        if za == zb == {()}:
+            W, code = 0, {(): 0}
+        else:
+            W = t2 - lo + 1
+            ra, rb = _reach(za), _reach(zb)
+            fields = sorted((var, ra.get(var, 0) + rb.get(var, 0))
+                            for var in ra.keys() | rb.keys())
+            zkeys = {_zcode(zk, fields): zk for zk in za | zb}  # code -> zkey
+            code = {zk: W * c for c, zk in zkeys.items()}
+        b = sorted([(b2, b2 + code[bz], bn)
+                    for (b2, bz), bn in other.nums.items()])
         out = {}
         for (a2, az), an in self.nums.items():
+            ka = a2 + code[az]
             lim = t2 - a2
-            for (b2, bz), bn in b:
+            for b2, kb, bn in b:
                 if b2 > lim:
-                    continue
-                k = (a2 + b2, _zmul(az, bz))
+                    break
+                k = ka + kb
                 out[k] = out.get(k, 0) + an * bn
-        return _reduced(t2, self.den * other.den,
-                        {k: n for k, n in out.items() if n})
+        if not W:
+            return _reduced(t2, self.den * other.den,
+                            {(k, ()): n for k, n in out.items() if n})
+        nums = {}
+        for k, n in out.items():
+            if n:
+                c, k = divmod(k - lo, W)
+                zk = zkeys.get(c)
+                if zk is None:
+                    zk = zkeys[c] = _zdecode(c, fields)
+                nums[(lo + k, zk)] = n
+        return _reduced(t2, self.den * other.den, nums)
 
     __rmul__ = __mul__
 
@@ -389,10 +430,11 @@ class Series:
         multiplies and adds integers only, and the result is reduced by one
         gcd at the end.
 
-        A layer is keyed by one integer charge code in place of a z-key
-        (_zcode), so a product of two keys is one int addition: each key of
-        self is encoded once, and each distinct key of the result decoded
-        once.  Without charge variables every code is 0.
+        Without charge variables the layers are one integer list, and each
+        G_n one sum(map(mul, ...)) over it.  With them, a layer is keyed by
+        one integer charge code in place of a z-key (_zcode), so a product of
+        two keys is one int addition: each key of self is encoded once, and
+        each distinct key of the result decoded once.
         """
         v2 = self.min2()
         if v2 is None:
@@ -402,12 +444,7 @@ class Series:
             raise NotInvertible("lowest q-layer has %d monomials" % len(lead))
         (_, lzk), ln = lead[0]
         u = {}  # doubled q-exponent (> 0) -> {self's zkey: numerator over L}
-        reach = {}  # charge variable -> largest |doubled exponent| in self
         for (a2, az), n in self.nums.items():
-            if az:
-                for var, e2 in az:
-                    if abs(e2) > reach.get(var, 0):
-                        reach[var] = abs(e2)
             if a2 != v2:
                 u.setdefault(a2 - v2, {})[az] = n
         # u_e = U_e / L in lowest terms, L > 0
@@ -416,17 +453,28 @@ class Series:
         sgn = r if ln > 0 else -r
         step = gcd(*u) or 1  # every reachable exponent is a multiple of step
         top = (self.trunc2 - v2) // step
-        if reach:
-            # a key of u (self's over the lead's) has |e2| <= 2 reach, one of
-            # G_n sums at most n of them, and the result's are G's over the
-            # lead's
-            fields = [(var, (2 * top + 1) * e)
-                      for var, e in sorted(reach.items())]
-            lc = _zcode(lzk, fields)
-            code = {uz: _zcode(uz, fields) - lc
-                    for ul in u.values() for uz in ul}
-        else:  # no charge variable: every code is 0
-            fields, lc, code = (), 0, {(): 0}
+        f = self.den if ln > 0 else -self.den  # 1/lead = self.den / ln
+        reach = _reach({zk for _, zk in self.nums})
+        if not reach:
+            # one list: V[top - e] = L^(e - 1) U_e, so that G_n is minus the
+            # sum of G_j V[top - n + j] over j < n
+            V = [0] * top
+            for e, ul in u.items():
+                V[top - e // step] = ul[()] // sgn * L ** (e // step - 1)
+            G = [1]
+            for n in range(1, top + 1):
+                G.append(-sum(map(mul, G, V[top - n:])))
+            # g_n = G_n L^(top - n) / L^top
+            return _reduced(self.trunc2 - 2 * v2, abs(ln) * L ** top,
+                            {(n * step - v2, ()): f * gn * L ** (top - n)
+                             for n, gn in enumerate(G) if gn})
+        # a key of u (self's over the lead's) has |e2| <= 2 reach, one of
+        # G_n sums at most n of them, and the result's are G's over the
+        # lead's
+        fields = [(var, (2 * top + 1) * e)
+                  for var, e in sorted(reach.items())]
+        lc = _zcode(lzk, fields)
+        code = {uz: _zcode(uz, fields) - lc for ul in u.values() for uz in ul}
         v = [(e // step, [(code[uz], un // sgn * L ** (e // step - 1))
                           for uz, un in ul.items()])
              for e, ul in sorted(u.items())]
@@ -446,17 +494,16 @@ class Series:
             layer = {k: c for k, c in acc.items() if c}
             if layer:
                 G[n] = layer
-        # 1/lead = self.den / ln, and g_n = G_n L^(top - n) / L^top
         zkeys = {lc: ()}  # charge code of G -> the result's zkey
         out = {}
         for n, gl in G.items():
-            f = self.den * (1 if ln > 0 else -1) * L ** (top - n)
+            fn = f * L ** (top - n)
             q2 = n * step - v2
             for gc, gn in gl.items():
                 zk = zkeys.get(gc)
                 if zk is None:
                     zk = zkeys[gc] = _zdecode(gc - lc, fields)
-                out[(q2, zk)] = f * gn
+                out[(q2, zk)] = fn * gn
         return _reduced(self.trunc2 - 2 * v2, abs(ln) * L ** top, out)
 
     def truncate(self, N: HalfLike) -> "Series":
@@ -801,11 +848,7 @@ def _over_codes(s: Series, fs: Sequence[tuple]) -> Series:
     K |e2| for each factor on it, K that factor's longest chain, so no code
     met on the way wraps."""
     t2, v2 = s.trunc2, s.min2()
-    reach = {}  # charge variable -> half-width of its field
-    for _, zk in s.nums:
-        for var, e2 in zk:
-            if abs(e2) > reach.get(var, 0):
-                reach[var] = abs(e2)
+    reach = _reach({zk for _, zk in s.nums})  # variable -> field half-width
     steps = []
     for f in fs:
         K = (t2 - v2) // f[2]
@@ -869,31 +912,35 @@ def _pochhammer_factors(a: Param, n: Optional[int], t2: int) -> List[tuple]:
     return [(A, B, d2 + 2 * i, ze) for i in range(top)]
 
 
+def _pochhammer_chain(s: Series, ups: Sequence[tuple] = (),
+                      downs: Sequence[tuple] = ()) -> Series:
+    """s prod_((a, n) in ups) (a)_n / prod_((b, n) in downs) (b)_n, exact
+    to s's truncation, where n = None stands for (a)_inf and (a)_1 = 1 - a:
+    one _chain over every symbol's factors whose step reaches it, one pass
+    per factor over one integer list, one gcd per chain.  A symbol's factor
+    at d = 0 is applied at its turn, ups first, by _times_one_minus or
+    _over_one_minus, so a vanishing quotient raises even for s = 0; the
+    other factors commute with it."""
+    times, over = [], []  # the chain factors of ups, of downs
+    for up, symbols, factors in ((True, ups, times), (False, downs, over)):
+        for a, n in symbols:
+            rel = s.trunc2 - (s.min2() or 0)
+            fs = _pochhammer_factors(a, n, rel if up else max(rel, 0))
+            if fs and not fs[0][2]:
+                s = (_times_one_minus if up else _over_one_minus)(s, a)
+                fs = fs[1:]
+            factors.extend(fs)
+    return _chain(s, times, over)
+
+
 def _over_pochhammer(s: Series, a: Param, n: Optional[int] = None) -> Series:
-    """s / (a)_n, or s / (a)_inf when n is None, exact to s's truncation:
-    one _chain over its factors whose step reaches it, one pass per factor
-    over one integer list, one gcd per chain.  A factor at d = 0 is divided
-    first, by _over_one_minus, so a vanishing symbol raises even for
-    s = 0."""
-    v2 = s.min2()
-    fs = _pochhammer_factors(a, n, max(s.trunc2 - (v2 or 0), 0))
-    if fs and not fs[0][2]:
-        s = _over_one_minus(s, a)
-        fs = fs[1:]
-    return _chain(s, (), fs)
+    """s / (a)_n, or s / (a)_inf when n is None, by _pochhammer_chain."""
+    return _pochhammer_chain(s, (), [(a, n)])
 
 
 def _times_pochhammer(s: Series, a: Param, n: Optional[int] = None) -> Series:
-    """s (a)_n, or s (a)_inf when n is None, exact to s's truncation: one
-    _chain over its factors whose step reaches it, one pass per factor over
-    one integer list, one gcd per chain, after _times_one_minus for a
-    factor at d = 0."""
-    v2 = s.min2()
-    fs = _pochhammer_factors(a, n, s.trunc2 - (v2 or 0))
-    if fs and not fs[0][2]:
-        s = _times_one_minus(s, a)
-        fs = fs[1:]
-    return _chain(s, fs)
+    """s (a)_n, or s (a)_inf when n is None, by _pochhammer_chain."""
+    return _pochhammer_chain(s, [(a, n)])
 
 
 def c_term(t: Param, N: HalfLike) -> Series:

@@ -28,6 +28,7 @@ from .qseries import (
     _monomial_str,
     _over_one_minus,
     _over_pochhammer,
+    _pochhammer_chain,
     _q,
     _q_factor,
     _qinf_inv,
@@ -283,8 +284,8 @@ def marked_part_sum_enum(l: int, i: int, t: Param, N) -> Series:
 
 def marked_part_sum_closed(l: int, i: int, t: Param, N) -> Series:
     """t q^l / ((1-q)...(1-q^{i-1}) (1-q^i t)...(1-q^l t))."""
-    out = _over_pochhammer(Series.monomial(t.scalar_pow(1), l, N), _q(), i - 1)
-    return _over_pochhammer(out, t.qshift(i), l - i + 1)
+    return _pochhammer_chain(Series.monomial(t.scalar_pow(1), l, N), (),
+                             [(_q(), i - 1), (t.qshift(i), l - i + 1)])
 
 
 def charge_resolved_pair_vacuum(l: int, N) -> Series:

@@ -314,13 +314,27 @@ _Z_KEYS = st.sampled_from([(), ((1, 1),), ((1, -3),), ((1, 2), (2, -1)),
                            ((2, 1),)])
 
 
+# 0-3 charge variables, sometimes with a gap (z_1 and z_3 without z_2), and
+# the doubled exponents they take: small or up to +-2^40
+CHARGE_LAYOUTS = st.tuples(
+    st.sampled_from([(), (1,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]),
+    st.sampled_from([st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40)]))
+
+
+def _zkeys_on(zvars, e2s):
+    """z-keys on the charge variables zvars, doubled exponents from e2s."""
+    return st.just(()) if not zvars else st.dictionaries(
+        st.sampled_from(zvars), e2s).map(
+        lambda d: zkey({v: F(e2, 2) for v, e2 in d.items()}))
+
+
 @st.composite
-def coprime_series(draw, max_size=6):
+def coprime_series(draw, zkeys, max_size=6):
     """A series at a truncation of either sign whose coefficients have
     pairwise coprime denominators of up to about 100 bits, on keys with
-    negative and half-integer q-exponents and half-integer z-exponents."""
+    negative and half-integer q-exponents and z-keys drawn from zkeys."""
     trunc2 = draw(st.integers(-4, 10))
-    keys = draw(st.lists(st.tuples(st.integers(-6, trunc2), _Z_KEYS),
+    keys = draw(st.lists(st.tuples(st.integers(-6, trunc2), zkeys),
                          unique=True, max_size=max_size))
     bases = draw(st.permutations(_DENOMINATOR_BASES))
     terms = {}
@@ -333,18 +347,27 @@ def coprime_series(draw, max_size=6):
 
 @st.composite
 def mul_operands(draw):
-    """Two series, or a series and an int or Fraction scalar.  With
-    cancel, the operands are s + m and s - m, whose product s^2 - m^2 loses
-    the cross terms s*m at every key s^2 and m^2 do not reach."""
-    a = draw(coprime_series())
+    """Two series, or a series and an int or Fraction scalar.  The z-keys
+    come from one charge layout of CHARGE_LAYOUTS, each operand on a subset
+    of its variables, so the operands share all, some or none of them.
+    With cancel, the operands are s + m and s - m, whose product s^2 - m^2
+    loses the cross terms s*m at every key s^2 and m^2 do not reach."""
+    zvars, e2s = draw(CHARGE_LAYOUTS)
+
+    def series(max_size=6):
+        some = draw(st.lists(st.sampled_from(zvars), unique=True)) \
+            if zvars else ()
+        return draw(coprime_series(_zkeys_on(some, e2s), max_size))
+
+    a = series()
     kind = draw(st.sampled_from(["series", "cancel", "int", "fraction"]))
     if kind == "series":
-        return a, draw(coprime_series())
+        return a, series()
     if kind == "int":
         return a, draw(st.integers(-10 ** 20, 10 ** 20))
     if kind == "fraction":
         return a, draw(st.fractions(max_denominator=2 ** 100))
-    m = draw(coprime_series(max_size=1))
+    m = series(max_size=1)
     return a + m, a - m
 
 
@@ -359,9 +382,23 @@ def mul_operands(draw):
           Series(4, {(0, ()): F(1), (1, ((1, 1),)): F(-1, 2 ** 89 - 1)})))
 @example((Series(3, {(-1, ((1, -3),)): F(7, 3 ** 60)}), F(5, 2 ** 61 - 1)))
 @example((Series(3, {(-1, ((1, -3),)): F(7, 3 ** 60)}), -4))
+# exponents that sum to twice a field's reach: +-3 on z_1 on both sides
+@example((Series(4, {(0, ((1, 3),)): F(1, 2), (1, ((1, -3),)): F(2)}),
+          Series(3, {(-1, ((1, -3),)): F(3), (2, ((1, 3),)): F(-1, 7)})))
+# the same at -2^40 on z_1 and z_3, with a gap at z_2, and a cancelling pair
+@example((Series(6, {(-2, ((1, -2 ** 40), (3, -2 ** 40))): F(2, 3),
+                     (1, ((1, 1),)): F(1)}),
+          Series(5, {(0, ((1, -2 ** 40), (3, -2 ** 40))): F(-5),
+                     (3, ((3, 2 ** 40),)): F(1, 11)})))
+# operands on disjoint variables, as in charge_resolved_pair_vacuum(2, .)
+@example((Series(4, {(0, ()): F(1), (1, ((1, 1),)): F(-1),
+                     (1, ((1, -1),)): F(-1)}),
+          Series(4, {(0, ()): F(1), (1, ((2, 1),)): F(-1),
+                     (3, ((2, -2),)): F(1, 3)})))
 def test_mul_matches_fraction_loop(operands):
     """The product equals the Fraction ring's, or its scaling for a
-    scalar operand, and is canonical."""
+    scalar operand, and is canonical: on 0-3 charge variables with gaps,
+    exponents up to 2^40 and operands on disjoint variables."""
     a, b = operands
     new = a * b
     ref = _ref_mul if isinstance(b, Series) else _ref_scale
@@ -369,6 +406,37 @@ def test_mul_matches_fraction_loop(operands):
     assert_canonical(new)
     if not isinstance(b, Series):
         assert b * a == new
+
+
+def _charged_pair(N, var=1):
+    """(z q^(1/2))_inf and (z^(-1) q^(1/2))_inf on z_var, to q^N."""
+    return [pochhammer_inf(Param(1, F(1, 2), e=e, zvar=var), N)
+            for e in (1, -1)]
+
+
+@pytest.mark.parametrize("operands", [
+    lambda: _charged_pair(16),
+    lambda: [(a * b).invert() for a, b in (_charged_pair(10, 1),
+                                           _charged_pair(10, 2))]],
+    ids=["pair-z1-N16", "inverse-pairs-z1-z2-N10"])
+def test_mul_joins_charge_keys_by_codes(operands, monkeypatch):
+    """A charged product adds integer keys: (z q^(1/2))_inf times
+    (z^(-1) q^(1/2))_inf, and the inverses of that pair on z_1 and on z_2
+    (the product of charge_resolved_pair_vacuum(2, 10)), join no z-keys and
+    equal the Fraction ring's product."""
+    from qfock import qseries
+    a, b = operands()
+    calls = []
+
+    def counting_zmul(x, y, _zmul=qseries._zmul):
+        calls.append(1)
+        return _zmul(x, y)
+
+    monkeypatch.setattr(qseries, "_zmul", counting_zmul)
+    got = a * b
+    monkeypatch.undo()
+    assert calls == []
+    assert _ref(got) == _ref_mul(_ref(a), _ref(b))
 
 
 def test_first_difference_reports_lowest():
@@ -381,22 +449,13 @@ def test_first_difference_reports_lowest():
 # -- inversion against the Fraction recurrence -----------------------------
 
 
-# 0-3 charge variables, sometimes with a gap (z_1 and z_3 without z_2), and
-# the doubled exponents they take: small or up to +-2^40
-CHARGE_LAYOUTS = st.tuples(
-    st.sampled_from([(), (1,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]),
-    st.sampled_from([st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40)]))
-
-
 @st.composite
 def invertible_series(draw):
     """A series whose lowest q-layer is one monomial: 0-3 charge variables,
     sometimes with a gap (z_1 and z_3 without z_2), with doubled exponents
     small or up to +-2^40, and half-integer q-exponents of either sign."""
     zvars, e2s = draw(CHARGE_LAYOUTS)
-    zkeys = st.just(()) if not zvars else st.dictionaries(
-        st.sampled_from(zvars), e2s).map(
-        lambda d: zkey({v: F(e2, 2) for v, e2 in d.items()}))
+    zkeys = _zkeys_on(zvars, e2s)
     v2 = draw(st.integers(-5, 4))
     trunc2 = v2 + draw(st.integers(0, 14))
     coeffs = st.fractions(-4, 4, max_denominator=draw(
@@ -431,6 +490,11 @@ def invertible_series(draw):
                      (-1, ((1, 3), (2, 1))): F(4, 11 ** 18),
                      (1, ()): F(-9, 2 ** 89 - 1),
                      (3, ((2, -2),)): F(2 ** 70, 13 ** 19)}))  # z-carrying
+# z-free, on the one-list recurrence: every exponent of u even (step 2), every
+# one a multiple of 3 (step 3), and a negative lead over L = 20
+@example(Series(11, {(-1, ()): F(2, 3), (1, ()): F(-1, 7), (5, ()): F(5)}))
+@example(Series(10, {(-2, ()): F(3), (1, ()): F(1, 2), (7, ()): F(-2, 5)}))
+@example(Series(9, {(-1, ()): F(-4, 3), (0, ()): F(1, 5), (2, ()): F(2)}))
 def test_invert_matches_geometric_sum(a):
     """1/(1 + u) = sum_k (-u)^k, built by the ring's Fraction recurrence
     g_n = -sum_e u_e g_(n-e), equals the integer inverse, which is
@@ -663,9 +727,7 @@ def fraction_series(draw, zvars, e2s=st.integers(-3, 3)):
     q-exponents of either sign (doubled z-exponents drawn from e2s),
     coefficients of either sign with small or 100-bit denominators, and
     keys beyond the truncation (dropped)."""
-    zkeys = st.just(()) if not zvars else st.dictionaries(
-        st.sampled_from(zvars), e2s).map(
-        lambda d: zkey({v: F(e2, 2) for v, e2 in d.items()}))
+    zkeys = _zkeys_on(zvars, e2s)
     trunc2 = draw(st.integers(-4, 10))
     coeffs = st.fractions(-5, 5, max_denominator=draw(
         st.sampled_from([1, 6, 2 ** 100])))

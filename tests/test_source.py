@@ -3,7 +3,8 @@ function, class and method it defines is named again in src/ or demos/, no
 module uses floating point, the closed forms enumerate no Weyl group and read
 no table of the duality oracle nor keep state across calls, the Fock traces
 have one engine, every quotient by (1 - p) factors goes through one
-kernel and joins charges by integer codes, the charged q-difference check
+kernel and joins charges by integer codes, as products and inverses do, the
+charged q-difference check
 builds no full z-graded trace, and importing the CLI and building the check registry loads no
 dataclass machinery.  In tests/, no test module imports another, and every
 name tests/reference.py defines is used."""
@@ -196,10 +197,14 @@ def test_quotients_by_one_minus_factors_have_one_path():
 
 def _names_in(module, funcs):
     """{function: the names (Name.id, Attribute.attr, def and import
-    names) its top-level definition in module uses}; a missing def fails."""
+    names) its top-level definition in module uses, or a method's, named
+    Class.method}; a missing def fails."""
     tree = ast.parse((ROOT / "src" / "qfock" / (module + ".py")).read_text())
     defs = {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)}
+    defs.update(("%s.%s" % (cls.name, node.name), node) for cls in tree.body
+                if isinstance(cls, ast.ClassDef) for node in cls.body
+                if isinstance(node, ast.FunctionDef))
     assert set(funcs) <= set(defs), sorted(set(funcs) - set(defs))
     out = {}
     for func in funcs:
@@ -211,12 +216,20 @@ def _names_in(module, funcs):
 
 
 def test_charged_quotients_join_charge_codes():
-    """``_over_one_minus``, ``_over_pochhammer`` and the code kernel
-    ``_over_codes`` name no ``_zmul``: a charged quotient adds integer
-    charge codes, as ``Series.invert`` does, and has no z-key path beside
-    them."""
+    """``_over_one_minus``, ``_over_pochhammer``, ``_pochhammer_chain`` and
+    the code kernel ``_over_codes`` name no ``_zmul``: a charged quotient
+    adds integer charge codes, as ``Series.invert`` does, and has no z-key
+    path beside them."""
     named = _names_in("qseries", ("_over_one_minus", "_over_pochhammer",
-                                  "_over_codes"))
+                                  "_pochhammer_chain", "_over_codes"))
+    assert {f for f, names in named.items() if "_zmul" in names} == set()
+
+
+def test_products_and_inverses_join_charge_codes():
+    """``Series.__mul__`` and ``Series.invert`` name no ``_zmul``: a charged
+    product or inverse adds integer keys built from charge codes, with no
+    z-key path beside them."""
+    named = _names_in("qseries", ("Series.__mul__", "Series.invert"))
     assert {f for f, names in named.items() if "_zmul" in names} == set()
 
 
