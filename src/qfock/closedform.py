@@ -49,7 +49,7 @@ from .qseries import (
     _over_pochhammer,
     _pochhammer_chain,
     _pochhammer_factors,
-    _product_coeff_z,
+    _product_slices,
     _q,
     _q_factor,
     _qinf_inv,
@@ -873,8 +873,8 @@ def extract_dominant(inst: DualityInstance, label,
                      points: Sequence[Param], N) -> Series:
     """The labeled trace sum_w sgn(w) [z^(lam+rho-w rho)] of the
     multi-factor oracle, read one factor at a time by
-    ``fock.duality_trace`` (see ``weyl_extract`` for the same reading of a
-    whole z-carrying series)."""
+    ``fock.duality_trace`` (``weyl_extract`` reads the same sum from a
+    product of z-carrying series)."""
     lam = _normalize_label(label, inst.l, inst.allow_negative_label)
     # the oracle's refusals come before the Weyl group is enumerated
     fock.check_duality(inst.factors, inst.op_tag, points)
@@ -882,33 +882,14 @@ def extract_dominant(inst: DualityInstance, label,
                               _weyl_shifts(inst.weyl, inst.rho, lam))
 
 
-def weyl_extract(oracle: Series, wtype: str, rho, lam, N) -> Series:
-    """The coefficient of prod_i z_i^((lam+rho)_i) in oracle times the
-    alternating Weyl z-sum sum_w sgn(w) z^(w rho), i.e.
-    sum_w sgn(w) [z^(lam+rho-w rho)] oracle, read in one pass over the
-    oracle's terms.  Variables beyond z_l stay in the result, and its
-    truncation is the product's: min(oracle.trunc2, 2N + oracle.min2)."""
-    l = len(rho)
-    shifts = _weyl_shifts(wtype, rho, lam)
-    lo = oracle.min2()
-    t2 = oracle.trunc2 if lo is None else min(oracle.trunc2, to2(N) + lo)
-    out: Dict[tuple, int] = {}
-    for (q2, zk), n in oracle.nums.items():
-        if q2 > t2:
-            continue
-        head = [0] * l
-        rest = []
-        for v, e2 in zk:
-            if 1 <= v <= l:
-                head[v - 1] = e2
-            else:
-                rest.append((v, e2))
-        sgn = shifts.get(tuple(head))
-        if not sgn:
-            continue
-        key = (q2, tuple(rest))
-        out[key] = out.get(key, 0) + sgn * n
-    return Series.from_numerators(t2, oracle.den, out)
+def weyl_extract(a: Series, b: Series, wtype: str, rho, lam) -> Series:
+    """sum_w sgn(w) [z^(lam+rho-w rho)](a * b): the coefficient of
+    prod_i z_i^((lam+rho)_i) in a * b times the alternating Weyl z-sum
+    sum_w sgn(w) z^(w rho), read by _product_slices, so no other slice of
+    a * b is built.  Variables beyond z_l stay in the result, and its
+    truncation is the product's; with a = Series.one(N) it reads one
+    series b, to min(b.trunc2, 2N + b.min2)."""
+    return _product_slices(a, b, len(rho), _weyl_shifts(wtype, rho, lam))
 
 
 # -- first-point q-shift difference equations --------------------------------
@@ -919,8 +900,8 @@ def _a_trace_z1(x: Param, y: Param, points: Sequence[Param], N) -> Series:
     slice of its set-partition sum times pair_vacuum(x, y, N), which pairs
     only the charges that sum to 1.  The truncation is the trace's while
     the sum has no negative q-power, as at the points of qdiff_residual."""
-    return _product_coeff_z(modesum.a_cumulant_sum(x, y, points, N),
-                            pair_vacuum(x, y, N), 1, 1)
+    return _product_slices(modesum.a_cumulant_sum(x, y, points, N),
+                           pair_vacuum(x, y, N), 1, {(2,): 1})
 
 
 def qdiff_residual(algebra: str, points: Sequence[Param], N) -> Series:

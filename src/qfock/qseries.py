@@ -29,11 +29,14 @@ _over_pochhammer), so (a)_n and (a)_inf themselves are built without a
 Series product, and the hand-written chains: a qhyper term, and the
 recurrences of verify and closedform that step a term by a few such
 factors.  Series.__mul__ serves general factors and Series.invert general
-divisors, such as theta functions.  A product keys its terms by the
-q-exponent, or with charge variables by one int packing the q-exponent and
-a charge code; the charged inverse and quotients (_over_codes, under _chain)
-key their q-layers by the charge code (_zcode: the doubled z-exponents as
-balanced digits, the fields sized from the operands so that no code wraps).
+divisors, such as theta functions.  A product is the l = 0 case of the one
+slice reader, _product_slices, which reads a weighted sum of the z-slices of
+a product on z_1..z_l (a Weyl-signed sum, one charge, z = 1) and builds no
+other slice.  It keys its terms by the q-exponent, or with charge variables
+by one int packing the q-exponent and a charge code; the charged inverse and
+quotients (_over_codes, under _chain) key their q-layers by the charge code
+(_zcode: the doubled z-exponents as balanced digits, the fields sized from
+the operands so that no code wraps).
 So each joins two z-keys by one int addition, encoding and decoding each
 distinct z-key once; a z-free inverse runs on one integer list.
 """
@@ -43,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 
@@ -338,67 +341,18 @@ class Series:
         return _reduced(self.trunc2, self.den * c.denominator,
                         {k: n * cn for k, n in self.nums.items()})
 
-    def shift(self, qexp: HalfLike, z: Mapping[int, HalfLike] = ()) -> "Series":
-        """Multiply by the monomial q^qexp * z^..., adjusting the truncation."""
+    def shift(self, qexp: HalfLike) -> "Series":
+        """Multiply by q^qexp, adjusting the truncation."""
         q2 = to2(qexp)
-        zk = zkey(z) if z else ()
-        out = {(a2 + q2, _zmul(k, zk)): n for (a2, k), n in self.nums.items()}
-        return _reduced(self.trunc2 + q2, self.den, out)
+        return _reduced(self.trunc2 + q2, self.den, {
+            (a2 + q2, zk): n for (a2, zk), n in self.nums.items()})
 
     def __mul__(self, other):
+        if isinstance(other, Series):
+            return _product_slices(self, other, 0, {(): 1})
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if not isinstance(other, Series):
-            return NotImplemented
-        amin, bmin = self.min2(), other.min2()
-        if amin is None or bmin is None:
-            # zero operand: its O(q^(trunc+)) tail still meets the other factor
-            if amin is None and bmin is None:
-                t2 = min(self.trunc2, other.trunc2)
-            elif amin is None:
-                t2 = self.trunc2 + bmin
-            else:
-                t2 = other.trunc2 + amin
-            return _reduced(t2, 1, {})
-        t2 = min(self.trunc2 + bmin, other.trunc2 + amin)
-        # a term's key is its q-exponent, plus W times the charge code of its
-        # z-key, each field as wide as both operands' reach together: a
-        # product of two terms is keyed by the sum of their keys, never wraps
-        lo = amin + bmin
-        za = {zk for _, zk in self.nums}
-        zb = {zk for _, zk in other.nums}
-        if za == zb == {()}:
-            W, code = 0, {(): 0}
-        else:
-            W = t2 - lo + 1
-            ra, rb = _reach(za), _reach(zb)
-            fields = sorted((var, ra.get(var, 0) + rb.get(var, 0))
-                            for var in ra.keys() | rb.keys())
-            zkeys = {_zcode(zk, fields): zk for zk in za | zb}  # code -> zkey
-            code = {zk: W * c for c, zk in zkeys.items()}
-        b = sorted([(b2, b2 + code[bz], bn)
-                    for (b2, bz), bn in other.nums.items()])
-        out = {}
-        for (a2, az), an in self.nums.items():
-            ka = a2 + code[az]
-            lim = t2 - a2
-            for b2, kb, bn in b:
-                if b2 > lim:
-                    break
-                k = ka + kb
-                out[k] = out.get(k, 0) + an * bn
-        if not W:
-            return _reduced(t2, self.den * other.den,
-                            {(k, ()): n for k, n in out.items() if n})
-        nums = {}
-        for k, n in out.items():
-            if n:
-                c, k = divmod(k - lo, W)
-                zk = zkeys.get(c)
-                if zk is None:
-                    zk = zkeys[c] = _zdecode(c, fields)
-                nums[(lo + k, zk)] = n
-        return _reduced(t2, self.den * other.den, nums)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -559,41 +513,100 @@ def first_difference(a: Series, b: Series):
     return (k[0], k[1], Fraction(an.get(k, 0), ad), Fraction(bn.get(k, 0), bd))
 
 
-def _product_coeff_z(a: Series, b: Series, var: int, m: HalfLike) -> Series:
-    """(a * b).coeff_z(var, m), truncation included, pairing only the terms
-    whose z_var exponents sum to m: the other slices of the product are
-    never built."""
+def _product_slices(a: Series, b: Series, l: int,
+                    weights: Mapping[tuple, int]) -> Series:
+    """sum_h weights[h] [z_1^h_1 ... z_l^h_l](a * b), h the doubled
+    exponents on z_1..z_l: a weighted sum of z-slices of the product, with
+    the variables beyond z_l kept and the truncation of a * b.  l = 0 with
+    weights {(): 1} is the product itself.
+
+    A term's head is its exponents on z_1..z_l, and its rest is keyed by one
+    int: the q-exponent plus W times the charge code of the variables beyond
+    z_l (_zcode), each field as wide as both operands' reach together, so a
+    term pair is one int addition that never wraps, and each code of the
+    result is decoded once.  b's terms are grouped by head, each group in
+    rising q; each head of a meets the groups that complete a weighted h,
+    merged into one row with the weights taken in, and each term of a runs
+    along its row up to the truncation.  So no other slice of the product
+    is built.
+    """
     amin, bmin = a.min2(), b.min2()
     if amin is None or bmin is None:
-        return (a * b).coeff_z(var, m)
+        # zero operand: its O(q^(trunc+)) tail still meets the other factor
+        if amin is None and bmin is None:
+            t2 = min(a.trunc2, b.trunc2)
+        elif amin is None:
+            t2 = a.trunc2 + bmin
+        else:
+            t2 = b.trunc2 + amin
+        return _reduced(t2, 1, {})
     t2 = min(a.trunc2 + bmin, b.trunc2 + amin)
-    m2 = to2(m)
-    parts = {}  # zkey -> (its z_var exponent, the rest of the zkey)
-
-    def part(zk):
-        p = parts.get(zk)
-        if p is None:
-            d = dict(zk)
-            p = parts[zk] = (d.pop(var, 0), tuple(sorted(d.items())))
-        return p
-
-    rows = {}  # z_var exponent of b -> [(q2, the rest, numerator)], rising
-    for (b2, bz), bn in sorted(b.nums.items()):
-        e2, rest = part(bz)
-        rows.setdefault(e2, []).append((b2, rest, bn))
+    lo = amin + bmin
+    za = {zk for _, zk in a.nums}
+    zb = {zk for _, zk in b.nums}
+    fields = ()
+    if za == zb == {()}:
+        part = {(): ((0,) * l, 0)}  # zkey -> (head, W times its rest's code)
+    else:
+        # one field per variable beyond z_l, so a code keeps the rest only
+        ra, rb = _reach(za), _reach(zb)
+        fields = sorted((var, ra.get(var, 0) + rb.get(var, 0))
+                        for var in ra.keys() | rb.keys()
+                        if not 1 <= var <= l)
+        W = t2 - lo + 1
+        part = {}
+        for zk in za | zb:
+            head = [0] * l
+            for v, e2 in zk:
+                if 1 <= v <= l:
+                    head[v - 1] = e2
+            part[zk] = tuple(head), W * _zcode(zk, fields)
+    if not l or len(zb) == 1:  # one head: b is one row
+        rows = {part[next(iter(zb))][0]: sorted(
+            [(b2, b2 + part[bz][1], bn) for (b2, bz), bn in b.nums.items()])}
+    else:
+        rows = {}  # b's head -> [(q2, key, numerator)], rising in q2
+        for (b2, bz), bn in sorted(b.nums.items()):
+            h, kb = part[bz]
+            rows.setdefault(h, []).append((b2, b2 + kb, bn))
+    met = {}  # a's head -> the weighted b-terms it meets, rising in q2
+    match = {}  # a's zkey -> (its key, met[its head])
+    for az in za:
+        h, ka = part[az]
+        if h not in met:
+            ms = []  # (weight, b's row at head hw - h) for each weighted hw
+            for hw, w in weights.items():
+                row = rows.get(tuple(map(sub, hw, h)))
+                if row:
+                    ms.append((w, row))
+            met[h] = ms[0][1] if len(ms) == 1 and ms[0][0] == 1 else sorted(
+                [(b2, kb, w * bn) for w, row in ms for b2, kb, bn in row])
+        match[az] = ka, met[h]
     out = {}
     for (a2, az), an in a.nums.items():
-        e2, rest = part(az)
-        row = rows.get(m2 - e2)
-        if row is None:
-            continue
+        ka, row = match[az]
+        ka += a2
         lim = t2 - a2
-        for b2, bz, bn in row:
+        for b2, kb, bn in row:
             if b2 > lim:
                 break
-            k = (a2 + b2, _zmul(rest, bz))
+            k = ka + kb
             out[k] = out.get(k, 0) + an * bn
-    return _reduced(t2, a.den * b.den, {k: n for k, n in out.items() if n})
+    den = a.den * b.den
+    if not fields:
+        return _reduced(t2, den, {(k, ()): n for k, n in out.items() if n})
+    # charge code -> the rest it encodes; an operand's z-key free of
+    # z_1..z_l is its own rest
+    rests = {c // W: zk for zk, (h, c) in part.items() if not any(h)}
+    nums = {}
+    for k, n in out.items():
+        if n:
+            c, k = divmod(k - lo, W)
+            r = rests.get(c)
+            if r is None:
+                r = rests[c] = _zdecode(c, fields)
+            nums[(lo + k, r)] = n
+    return _reduced(t2, den, nums)
 
 
 def series_equal(a: Series, b: Series) -> bool:

@@ -29,6 +29,7 @@ from .qseries import (
     _over_one_minus,
     _over_pochhammer,
     _pochhammer_chain,
+    _product_slices,
     _q,
     _q_factor,
     _qinf_inv,
@@ -288,21 +289,24 @@ def marked_part_sum_closed(l: int, i: int, t: Param, N) -> Series:
                              [(_q(), i - 1), (t.qshift(i), l - i + 1)])
 
 
-def charge_resolved_pair_vacuum(l: int, N) -> Series:
-    """prod_i 1/((z_i q^(1/2))_inf (z_i^(-1) q^(1/2))_inf) with formal z_i."""
-    out = Series.one(N)
-    for i in range(1, l + 1):
-        zp = Param(F(1), F(1, 2), e=1, zvar=i)
-        zm = Param(F(1), F(1, 2), e=-1, zvar=i)
-        out = out * (pochhammer_inf(zp, N) * pochhammer_inf(zm, N)).invert()
-    return out
+def charge_resolved_pair_inverse(i: int, N) -> Series:
+    """1/((z_i q^(1/2))_inf (z_i^(-1) q^(1/2))_inf) with formal z_i: the
+    charge-resolved vacuum character is the product over i = 1..l."""
+    zp = Param(F(1), F(1, 2), e=1, zvar=i)
+    zm = Param(F(1), F(1, 2), e=-1, zvar=i)
+    return (pochhammer_inf(zp, N) * pochhammer_inf(zm, N)).invert()
 
 
 def charge_resolved_qdim_extract(l: int, lam: Tuple[int, ...], N) -> Series:
     """Dominant-monomial coefficient of the charge-resolved vacuum
-    character, the closed-form side of the rank-l graded-dimension sum."""
-    return cf.weyl_extract(charge_resolved_pair_vacuum(l, N), "A",
-                           combinat.rho_vector("A", l), lam, N)
+    character, the closed-form side of the rank-l graded-dimension sum,
+    read from the product of its first l - 1 factors and its last one: the
+    full character is never multiplied out."""
+    a = Series.one(N) if l == 1 else charge_resolved_pair_inverse(1, N)
+    for i in range(2, l):
+        a = a * charge_resolved_pair_inverse(i, N)
+    return cf.weyl_extract(a, charge_resolved_pair_inverse(l, N), "A",
+                           combinat.rho_vector("A", l), lam)
 
 
 def odd_triple_product(N) -> Series:
@@ -381,17 +385,12 @@ def _registry_identity(reg: List[CheckSpec]) -> None:
             lambda l=l, i=i, t=t: (marked_part_sum_enum(l, i, t, 15),
                                    marked_part_sum_closed(l, i, t, 15))))
     def _ff_specialized():
-        # z = 1 in the charge-resolved vacuum character: the zero-charge
-        # slice plus twice each positive-charge slice z^1 .. z^32 (slices
-        # are even), read in one pass over the numerators; z_1 is the one
-        # variable.
-        vac = charge_resolved_pair_vacuum(1, 16)
-        nums: Dict[tuple, int] = {}
-        for (q2, zk), n in vac.nums.items():
-            e2 = zk[0][1] if zk else 0
-            if e2 % 2 == 0 and 0 <= e2 <= 64:
-                nums[(q2, ())] = nums.get((q2, ()), 0) + (2 * n if e2 else n)
-        rhs = Series.from_numerators(vac.trunc2, vac.den, nums)
+        # z = 1 in the charge-resolved vacuum character on z_1: the
+        # zero-charge slice plus twice each positive-charge slice z^1 .. z^32
+        weights = {(2 * m,): 2 for m in range(1, 33)}
+        weights[(0,)] = 1
+        rhs = _product_slices(Series.one(16),
+                              charge_resolved_pair_inverse(1, 16), 1, weights)
         return ff_product_side(_QH, 16), rhs
 
     reg.append(CheckSpec(

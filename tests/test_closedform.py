@@ -685,34 +685,43 @@ def extraction_cases(draw):
           F(3)))
 def test_weyl_extract_matches_product_route(case):
     wtype, rho, lam, oracle, N = case
-    assert cf.weyl_extract(oracle, wtype, rho, lam, N) \
+    assert cf.weyl_extract(Series.one(N), oracle, wtype, rho, lam) \
         == product_extract(oracle, wtype, rho, lam, N)
 
 
 def test_extraction_multiplies_only_z_free_series(monkeypatch):
     """The oracle's extraction multiplies no series at all: the charge
     trie of fock.duality_trace convolves integer rows.  The charge-resolved
-    q-dimension read from a given vacuum multiplies none either."""
+    q-dimension multiplies no series on different charge variables and
+    none by a one-term series: the per-variable inverses go to the slice
+    reader as they are, and the full vacuum is never multiplied out."""
     inst = cf.duality_instance("c", "-l-1/2", 2)
     points = pts(F(2, 3))
     oracle = product_duality_trace(inst.factors, inst.op_tag, points, 4)
-    vacuum = verify.charge_resolved_pair_vacuum(2, 6)
     operands = []
 
     def recording_mul(self, other, _mul=Series.__mul__):
         operands.append((self, other))
         return _mul(self, other)
 
-    monkeypatch.setattr(verify, "charge_resolved_pair_vacuum",
-                        lambda l, N: vacuum)
     monkeypatch.setattr(Series, "__mul__", recording_mul)
     monkeypatch.setattr(Series, "__rmul__", recording_mul)
     qdim = verify.charge_resolved_qdim_extract(2, (1, 0), 6)
-    qdim_products = len(operands)
+    qdim_products = [(a, b) for a, b in operands if isinstance(b, Series)]
+    operands.clear()
     ext = cf.extract_dominant(inst, (1, 0), points, 4)
     monkeypatch.undo()
-    assert qdim_products == 0
     assert operands == []
+
+    def charge_vars(s):
+        return {v for _, zk in s.nums for v, _ in zk}
+
+    assert qdim_products
+    for a, b in qdim_products:
+        assert charge_vars(a) == charge_vars(b)
+        assert len(a.nums) > 1 and len(b.nums) > 1
+    vacuum = verify.charge_resolved_pair_inverse(1, 6) \
+        * verify.charge_resolved_pair_inverse(2, 6)
     assert ext == product_extract(oracle, inst.weyl, inst.rho, (1, 0), 4)
     assert qdim == product_extract(vacuum, "A", combinat.rho_vector("A", 2),
                                    (1, 0), 6)
@@ -743,7 +752,7 @@ def test_sliced_extraction_matches_full_product_oracle(req):
     inst, lam, points, N = req
     oracle = product_duality_trace(inst.factors, inst.op_tag, points, N)
     assert cf.extract_dominant(inst, lam, points, N) \
-        == cf.weyl_extract(oracle, inst.weyl, inst.rho, lam, N)
+        == cf.weyl_extract(Series.one(N), oracle, inst.weyl, inst.rho, lam)
 
 
 def has_unit_signed_product(points):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qfock import closedform as cf
+from qfock import closedform as cf, combinat, verify
 from qfock.qseries import (
     DegenerateParameter,
     IllegalPower,
@@ -37,6 +37,7 @@ from qfock.qseries import (
     _over_one_minus,
     _over_pochhammer,
     _pochhammer_factors,
+    _product_slices,
     _times_one_minus,
     _times_pochhammer,
     _zmul,
@@ -390,7 +391,7 @@ def mul_operands(draw):
                      (1, ((1, 1),)): F(1)}),
           Series(5, {(0, ((1, -2 ** 40), (3, -2 ** 40))): F(-5),
                      (3, ((3, 2 ** 40),)): F(1, 11)})))
-# operands on disjoint variables, as in charge_resolved_pair_vacuum(2, .)
+# operands on disjoint variables, as the charge-resolved vacuum at l = 2
 @example((Series(4, {(0, ()): F(1), (1, ((1, 1),)): F(-1),
                      (1, ((1, -1),)): F(-1)}),
           Series(4, {(0, ()): F(1), (1, ((2, 1),)): F(-1),
@@ -422,7 +423,7 @@ def _charged_pair(N, var=1):
 def test_mul_joins_charge_keys_by_codes(operands, monkeypatch):
     """A charged product adds integer keys: (z q^(1/2))_inf times
     (z^(-1) q^(1/2))_inf, and the inverses of that pair on z_1 and on z_2
-    (the product of charge_resolved_pair_vacuum(2, 10)), join no z-keys and
+    (the full charge-resolved vacuum at l = 2, N = 10), join no z-keys and
     equal the Fraction ring's product."""
     from qfock import qseries
     a, b = operands()
@@ -437,6 +438,94 @@ def test_mul_joins_charge_keys_by_codes(operands, monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert _ref(got) == _ref_mul(_ref(a), _ref(b))
+
+
+# -- weighted z-slices of a product against the sliced Fraction product ----
+
+
+def _head(zk, l):
+    """The doubled exponents of the z-key zk on z_1..z_l."""
+    d = dict(zk)
+    return tuple(d.get(v, 0) for v in range(1, l + 1))
+
+
+@st.composite
+def slice_requests(draw):
+    """(a, b, l, weights) for _product_slices.  The operands are on one
+    layout of CHARGE_LAYOUTS, each on a subset of its variables, and
+    l in {1, 2, 3}, so a variable beyond z_l may stay in the result.  The
+    weights are keyed by heads on z_1..z_l, drawn from the heads that term
+    pairs of a * b reach (hits) or at random (mostly misses), weight 0
+    included.  Half the time b becomes c + c z^d, with the weights w at h
+    and -w at h + d, so the slice of a * c at h enters once with each
+    sign and cancels."""
+    zvars, e2s = draw(CHARGE_LAYOUTS)
+    l = draw(st.integers(1, 3))
+
+    def series():
+        some = draw(st.lists(st.sampled_from(zvars), unique=True)) \
+            if zvars else ()
+        return draw(coprime_series(_zkeys_on(some, e2s)))
+
+    a, b = series(), series()
+    head = st.tuples(*[e2s] * l)
+    hits = sorted({_head(_zmul(az, bz), l) for _, az in a.nums
+                   for _, bz in b.nums})
+    if hits:
+        head = st.one_of(st.sampled_from(hits), head)
+    weights = draw(st.dictionaries(head, st.integers(-3, 3), max_size=4))
+    if draw(st.booleans()):
+        d = draw(st.tuples(*[e2s] * l).filter(any))
+        dk = tuple((v, e2) for v, e2 in enumerate(d, 1) if e2)
+        b = b + Series(b.trunc2, {(q2, _zmul(zk, dk)): c
+                                  for (q2, zk), c in b.terms.items()})
+        h, w = draw(head), draw(st.integers(1, 3))
+        weights[h] = w
+        weights[tuple(x + y for x, y in zip(h, d))] = -w
+    return a, b, l, weights
+
+
+def _ref_slices(a, b, l, weights):
+    """sum_h weights[h] [z_1^h_1 ... z_l^h_l] of the Fraction product."""
+    prod = _ref_mul(a, b)
+    out = (prod[0], {})
+    for h, w in weights.items():
+        s = prod
+        for var, e2 in enumerate(h, 1):
+            s = _ref_coeff_z(s, var, e2)
+        out = _ref_add(out, _ref_scale(s, w))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(slice_requests())
+# qdiff's shape: both operands on z_1, the z^1 slice
+@example((pochhammer_inf(Param(1, F(1, 2), e=1), 3),
+          cf.pair_vacuum(Param(1, 0, -1), Param(1, 0, 1), 3), 1,
+          {(2,): 1}))
+# the l = 2 charge-resolved shape: the inverse pairs on z_1 and on z_2,
+# weighted by the Weyl shifts of the label (1, 0)
+@example((verify.charge_resolved_pair_inverse(1, 4),
+          verify.charge_resolved_pair_inverse(2, 4), 2,
+          cf._weyl_shifts("A", combinat.rho_vector("A", 2), (1, 0))))
+# zero operands: the truncation is still the product's
+@example((Series.zero(3), Series(5, {(-2, ((2, 1),)): F(1, 3)}), 1,
+          {(0,): 1}))
+@example((Series(5, {(-2, ((1, 2),)): F(1, 3)}), Series.zero(3), 1,
+          {(2,): 1}))
+@example((Series.zero(3), Series.zero(F(1, 2)), 2, {(0, 0): 1}))
+# a negative lowest q-exponent, a variable beyond z_l, and weights that
+# cancel: b = c + c z_1, and the slice of a * c at (2,) enters with 1 and -1
+@example((Series(4, {(-3, ((1, 2), (3, -1))): F(2, 3), (1, ()): F(1)}),
+          Series(6, {(-1, ()): F(1, 5), (-1, ((1, 2),)): F(1, 5)}), 1,
+          {(2,): 1, (4,): -1}))
+def test_product_slices_match_sliced_product(req):
+    """The weighted z-slices equal those of the Fraction ring's product,
+    truncation included, and are canonical."""
+    a, b, l, weights = req
+    got = _product_slices(a, b, l, weights)
+    assert_canonical(got)
+    assert _ref(got) == _ref_slices(_ref(a), _ref(b), l, weights)
 
 
 def test_first_difference_reports_lowest():
@@ -761,10 +850,9 @@ _RING_OPS = {
             lambda a, b, c, k: functools.reduce(
                 _ref_mul, [a] * (k % 4), (a[0], {(0, ()): F(1)}
                                           if a[0] >= 0 else {}))),
-    "shift": (lambda a, b, c, k: a.shift(F(k, 2), {2: F(k - 1, 2)}),
+    "shift": (lambda a, b, c, k: a.shift(F(k, 2)),
               lambda a, b, c, k: (a[0] + k, {
-                  (q2 + k, _zmul(zk, zkey({2: F(k - 1, 2)}))): v
-                  for (q2, zk), v in a[1].items()})),
+                  (q2 + k, zk): v for (q2, zk), v in a[1].items()})),
     "truncate": (lambda a, b, c, k: a.truncate(F(k, 2)),
                  lambda a, b, c, k: _ref_kept(min(k, a[0]), a[1])),
     "coeff_z": (lambda a, b, c, k: a.coeff_z(1, F(k % 5 - 2, 2)),
