@@ -55,6 +55,7 @@ from .qseries import (
     _qinf_inv,
     _times_pochhammer,
     _theta_sums,
+    _zmul,
     c_term,
     half_str,
     pochhammer_inf,
@@ -160,10 +161,13 @@ def partition_ladder_closed(x: Param, t: Param, N) -> Series:
     """The same partition sum in closed form:
     x (tq)^(1/2) (xtq^(3/2))_inf / ((1-xq^(1/2)) (tq)_inf (xq^(1/2))_inf)
     * 2Phi2(xq^(1/2), xq^(1/2); xq^(3/2), xtq^(3/2); tq^2)."""
-    q32 = _q(F(3, 2))
-    num = _pochhammer_chain(power(x, 1, N) * power(t * _q(), F(1, 2), N),
+    q32, tq = _q(F(3, 2)), t * _q()
+    (cx, qx, zx), (ct, qt, zt) = x.pow_monomial(1), tq.pow_monomial(F(1, 2))
+    # x (tq)^(1/2) as one monomial, at the truncation of their product
+    num = _pochhammer_chain(Series(to2(N) + min(qx, qt),
+                                   {(qx + qt, _zmul(zx, zt)): cx * ct}),
                             [(x * t * q32, None)],
-                            [(x * _QH, 1), (t * _q(), None), (x * _QH, None)])
+                            [(x * _QH, 1), (tq, None), (x * _QH, None)])
     phi = qhyper([x * _QH, x * _QH], [x * q32, x * t * q32], t * _q(2), N)
     return num * phi
 

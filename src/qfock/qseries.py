@@ -11,42 +11,23 @@ exact, everything above is unknown.  Evaluation points are Param objects of
 the form sign * s^2 * q^d * z^e, so t^r is an exact rational monomial for any
 r in (1/2)Z.
 
-A Series is stored as integer numerators over one denominator: nums
-{(q2, zkey): int} and den > 0, kept canonical (gcd(den, every numerator) = 1,
-no zero numerator, no key above the truncation), so == and hash compare the
-fields directly and one gcd per result keeps the numerators from growing.
-Sums, products, inverses, the Pochhammer factors (1 - a) and the theta-jet
-sums add and multiply Python ints only; a Fraction is built when a
-coefficient is read out, through the terms property ({(q2, zkey): Fraction})
-or first_difference.
-
-A chain of products and quotients by factors (1 - a), a = A/B q^d with
-d > 0, is one kernel, _chain: one pass per factor over one integer list,
-one gcd per chain.  It serves one factor (_times_one_minus,
-_over_one_minus), products and quotients by Pochhammer symbols (a)_n or
-(a)_inf (_pochhammer_chain, and for one symbol _times_pochhammer and
-_over_pochhammer), so (a)_n and (a)_inf themselves are built without a
-Series product, and the hand-written chains: a qhyper term, and the
-recurrences of verify and closedform that step a term by a few such
-factors.  Series.__mul__ serves general factors and Series.invert general
-divisors, such as theta functions.  A product is the l = 0 case of the one
-slice reader, _product_slices, which reads a weighted sum of the z-slices of
-a product on z_1..z_l (a Weyl-signed sum, one charge, z = 1) and builds no
-other slice.  It keys its terms by the q-exponent, or with charge variables
-by one int packing the q-exponent and a charge code; the charged inverse and
-quotients (_over_codes, under _chain) key their q-layers by the charge code
-(_zcode: the doubled z-exponents as balanced digits, the fields sized from
-the operands so that no code wraps).
-So each joins two z-keys by one int addition, encoding and decoding each
-distinct z-key once; a z-free inverse runs on one integer list.
+A Series is integer numerators over one denominator, in the canonical form
+the Series docstring gives.  The kernels add and multiply Python ints only,
+with one gcd per result; a Fraction is built when a coefficient is read out
+(the terms property, first_difference).  They are _product_slices (every
+product and z-slice read), Series.invert, _chain (products and quotients by
+factors (1 - a) with d > 0, and so the Pochhammer symbols) and _chain_sum (a
+q-series summed term by term from its term ratio, such as a qhyper); where
+they meet many pairs of z-keys they join integer charge codes (_zcode).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 
@@ -366,10 +347,9 @@ class Series:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def invert(self) -> "Series":
@@ -382,13 +362,8 @@ class Series:
         exponents, g_n = G_n / L^(n/step) for the integer layers
         G_n = -sum_e (L^(e/step - 1) U_e) G_(n-e), so the recurrence
         multiplies and adds integers only, and the result is reduced by one
-        gcd at the end.
-
-        Without charge variables the layers are one integer list, and each
-        G_n one sum(map(mul, ...)) over it.  With them, a layer is keyed by
-        one integer charge code in place of a z-key (_zcode), so a product of
-        two keys is one int addition: each key of self is encoded once, and
-        each distinct key of the result decoded once.
+        gcd at the end.  Without charge variables the layers are one integer
+        list; with them a layer is keyed by charge codes (_zcode).
         """
         v2 = self.min2()
         if v2 is None:
@@ -520,16 +495,13 @@ def _product_slices(a: Series, b: Series, l: int,
     the variables beyond z_l kept and the truncation of a * b.  l = 0 with
     weights {(): 1} is the product itself.
 
-    A term's head is its exponents on z_1..z_l, and its rest is keyed by one
-    int: the q-exponent plus W times the charge code of the variables beyond
-    z_l (_zcode), each field as wide as both operands' reach together, so a
-    term pair is one int addition that never wraps, and each code of the
-    result is decoded once.  b's terms are grouped by head, each group in
+    A term's head is its exponents on z_1..z_l; its rest is keyed by one
+    int, the q-exponent plus W times the _zcode of the variables beyond z_l,
+    each field as wide as both operands' reach together, so a term pair is
+    one int addition that never wraps.  b's terms are grouped by head in
     rising q; each head of a meets the groups that complete a weighted h,
-    merged into one row with the weights taken in, and each term of a runs
-    along its row up to the truncation.  So no other slice of the product
-    is built.
-    """
+    merged into one row with the weights, and runs along it up to the
+    truncation, so no other slice of the product is built."""
     amin, bmin = a.min2(), b.min2()
     if amin is None or bmin is None:
         # zero operand: its O(q^(trunc+)) tail still meets the other factor
@@ -761,22 +733,46 @@ def _q_factor(d2: int) -> tuple:
     return (1, 1, d2, ())
 
 
+def _chain_list(L: list, ups: Sequence[tuple],
+                downs: Sequence[tuple]) -> Tuple[list, int]:
+    """(M, m) with M / m = L prod_(f in ups) (1 - f) / prod_(f in downs)
+    (1 - f), exact to the length of the integer list L (index = q-exponent),
+    one pass per factor that reaches it: a product by 1 - A/B q^d is
+    L[i] = B L[i] - A L[i - d] (the old L on the right), m taking B, and a
+    quotient L[i] = B^K L[i] + A (L[i - d] // B) in rising i, m taking B^K,
+    K the longest chain; the division is exact.  An up may have d = 0."""
+    top, m = len(L) - 1, 1
+    for A, B, d2, _ in ups:
+        if d2 > top:
+            continue
+        if B == 1:
+            L = L[:d2] + [x - A * y for x, y in zip(L[d2:], L)]
+        else:
+            L = [B * x for x in L[:d2]] + [B * x - A * y
+                                           for x, y in zip(L[d2:], L)]
+            m *= B
+    for A, B, d2, _ in downs:
+        if d2 > top:
+            continue
+        if B != 1:
+            BK = B ** (top // d2)
+            L = [n * BK for n in L]
+            m *= BK
+        for i in range(d2, top + 1):
+            n = L[i - d2]
+            if n:
+                L[i] += A * n if B == 1 else A * (n // B)
+    return L, m
+
+
 def _chain(s: Series, ups: Sequence[tuple] = (),
            downs: Sequence[tuple] = ()) -> Series:
     """s prod_(f in ups) (1 - f) / prod_(f in downs) (1 - f), exact to s's
-    truncation, for chain factors f = (A, B, d2, ze) (_factor) with d2 > 0.
-    Factors whose step passes the truncation are skipped; each product and
-    quotient is exact to the truncation, so they commute.
-
-    Without a charge variable, in s or in a factor, s is one integer list L
-    indexed by q-exponent from s's lowest, over one denominator, and each
-    factor one pass over it: a product by 1 - A/B q^d is
-    L[i] = B L[i] - A L[i - d] (the old L on the right), over den B, and a
-    quotient L[i] = B^K L[i] + A (L[i - d] // B) in rising i, over den B^K,
-    K = (t2 - v2) // d2 the longest chain, where the division is exact for
-    any integer list.  The Series is built once, with one gcd.  A charged
-    chain multiplies on the numerators' dict and divides in one _over_codes
-    pass."""
+    truncation, for chain factors f = (A, B, d2, ze) (_factor) with d2 > 0
+    (or 0 among ups); those whose step passes it are skipped.  Without a
+    charge variable s is one integer list through _chain_list, built once
+    with one gcd; a charged chain multiplies on the numerators' dict and
+    divides in one _over_codes pass."""
     if not s.nums:
         return s
     t2, v2 = s.trunc2, s.min2()
@@ -802,27 +798,65 @@ def _chain(s: Series, ups: Sequence[tuple] = (),
                         del out[k]
             nums, den = out, den * B
         s = _reduced(t2, den, nums)
-        return _over_codes(s, downs) if downs else s
+        return _over_codes(s, downs) if downs and nums else s
     L = [0] * (top + 1)
     for (q2, _), n in s.nums.items():
         L[q2 - v2] = n
-    for A, B, d2, _ in ups:
-        if B == 1:
-            L = L[:d2] + [x - A * y for x, y in zip(L[d2:], L)]
-        else:
-            L = [B * x for x in L[:d2]] + [B * x - A * y
-                                           for x, y in zip(L[d2:], L)]
-            den *= B
-    for A, B, d2, _ in downs:
-        if B != 1:
-            BK = B ** (top // d2)
-            L = [n * BK for n in L]
-            den *= BK
-        for i in range(d2, top + 1):
-            n = L[i - d2]
-            if n:
-                L[i] += A * n if B == 1 else A * (n // B)
-    return _reduced(t2, den, {(v2 + i, ()): n for i, n in enumerate(L) if n})
+    L, m = _chain_list(L, ups, downs)
+    return _reduced(t2, den * m, {(v2 + i, ()): n for i, n in enumerate(L) if n})
+
+
+def _chain_sum(s: Series, steps: Sequence[tuple]) -> Series:
+    """sum_(n = 0..len(steps)) term_n, a q-series summed term by term, such
+    as qhyper and verify's Prop. 1.1.1 and q-exponential sums: term_0 = s,
+    and step n, ((A, B, d2, ze), ups, downs), makes term_n = term_(n-1)
+    A/B q^(d2/2) z^ze prod_(f in ups) (1 - f) / prod_(f in downs) (1 - f),
+    for B > 0 and the chain factors of _chain (an up factor may have d = 0).
+    With P_n the sum of the first n d2, of either sign, term n is exact to
+    s's truncation + P_n and the sum to s's truncation + min(0, P_1, ...);
+    no term is carried further than the later terms need.  Without a charge
+    variable the term and the sum are two integer lists over one
+    denominator, what scales the term's (A/B, _chain_list) scales the sum's,
+    and the Series is built once, with one gcd; with charges each term is
+    one _chain and a shift of its numerators."""
+    P = list(accumulate((mono[2] for mono, _, _ in steps), initial=0))
+    lows = list(accumulate(reversed(P), min))[::-1]  # lows[n] = min(P[n:])
+    T, v2 = s.trunc2 + lows[0], s.min2()
+    if v2 is None:
+        return _reduced(T, 1, {})
+    if any(zk for _, zk in s.nums) or any(
+            f[3] for mono, ups, downs in steps for f in (mono, *ups, *downs)):
+        out = term = s
+        for n, ((A, B, d2, ze), ups, downs) in enumerate(steps, 1):
+            term, cut = _chain(term, ups, downs), T + P[n] - lows[n]
+            term = _reduced(cut, term.den * B, {
+                (q2 + d2, _zmul(zk, ze)): A * x
+                for (q2, zk), x in term.nums.items() if A and q2 + d2 <= cut})
+            if not term.nums:
+                break
+            out = out + term
+        return out.truncate(_half(T))
+    lo = v2 + lows[0]
+    L = [0] * (s.trunc2 - v2 + 1)  # term n, from q^((v2 + P_n)/2)
+    for (q2, _), x in s.nums.items():
+        L[q2 - v2] = x
+    S = ([0] * (v2 - lo) + L)[:T - lo + 1]  # the sum, from q^(lo/2)
+    den = s.den
+    for n, ((A, B, d2, _), ups, downs) in enumerate(steps, 1):
+        top = T - lows[n] - v2
+        if top < 0:
+            break
+        L = [A * x for x in L[:top + 1]]
+        L, m = _chain_list(L, ups, downs)
+        m *= B
+        if m != 1:
+            S = [m * x for x in S]
+            den *= m
+        i = v2 + P[n] - lo  # map stops at S's end, at q^(T/2)
+        S[i:i + len(L)] = map(add, S[i:i + len(L)], L)
+        if not any(L):
+            break
+    return _reduced(T, den, {(lo + i, ()): x for i, x in enumerate(S) if x})
 
 
 def _times_one_minus(s: Series, p: Param) -> Series:
@@ -852,14 +886,12 @@ def _over_one_minus(s: Series, p: Param) -> Series:
 
 
 def _over_codes(s: Series, fs: Sequence[tuple]) -> Series:
-    """s / prod_(f in fs) (1 - f), every chain factor f with d > 0 and a
-    chain that reaches s's truncation, exact to it: _chain's quotient
-    recurrence once per factor, on q-layers keyed by integer charge codes
-    (_zcode), so a step joins a key with the factor's charge by one int
-    addition.  s is encoded once and the result decoded once.  A field's
-    half-width is the largest |doubled exponent| of s on its variable plus
-    K |e2| for each factor on it, K that factor's longest chain, so no code
-    met on the way wraps."""
+    """s / prod_(f in fs) (1 - f), for chain factors f with d > 0 whose
+    chain reaches s's truncation, exact to it: _chain_list's quotient pass
+    on q-layers keyed by charge codes (_zcode), s encoded once and the
+    result decoded once.  A field's half-width is s's reach on its variable
+    plus K |e2| per factor on it, K that factor's longest chain, so no code
+    wraps."""
     t2, v2 = s.trunc2, s.min2()
     reach = _reach({zk for _, zk in s.nums})  # variable -> field half-width
     steps = []
@@ -928,12 +960,10 @@ def _pochhammer_factors(a: Param, n: Optional[int], t2: int) -> List[tuple]:
 def _pochhammer_chain(s: Series, ups: Sequence[tuple] = (),
                       downs: Sequence[tuple] = ()) -> Series:
     """s prod_((a, n) in ups) (a)_n / prod_((b, n) in downs) (b)_n, exact
-    to s's truncation, where n = None stands for (a)_inf and (a)_1 = 1 - a:
-    one _chain over every symbol's factors whose step reaches it, one pass
-    per factor over one integer list, one gcd per chain.  A symbol's factor
-    at d = 0 is applied at its turn, ups first, by _times_one_minus or
-    _over_one_minus, so a vanishing quotient raises even for s = 0; the
-    other factors commute with it."""
+    to s's truncation (n = None for (a)_inf): one _chain over the symbols'
+    factors.  A factor at d = 0 is applied at its turn, ups first, by
+    _times_one_minus or _over_one_minus, so a vanishing quotient raises even
+    for s = 0; the other factors commute with it."""
     times, over = [], []  # the chain factors of ups, of downs
     for up, symbols, factors in ((True, ups, times), (False, downs, over)):
         for a, n in symbols:
@@ -1001,12 +1031,6 @@ def _qinf_inv(t2: int, m: int) -> Series:
     return _qinf_inv(t2, 1) ** m
 
 
-def _is_q(a: Param) -> bool:
-    """a is the point q: s^2 = 1, d = 1, no charge."""
-    return (a.d2 == 2 and not a.e2 and a.sign == 1
-            and a.s.denominator == 1 and abs(a.s.numerator) == 1)
-
-
 def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
            N: HalfLike) -> Series:
     """Basic hypergeometric series rPhis(upper; lower; q, arg).
@@ -1014,12 +1038,9 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
     Term n: prod (a)_n / (prod (b)_n (q)_n) * ((-1)^n q^(n(n-1)/2))^(1+s-r)
     * arg^n.  Truncation relies on the guaranteed valuation
     n*val(arg) + max(0, 1+s-r)*n(n-1)/2 growing past N.  An upper
-    parameter equal to q cancels the (q)_n, so neither is applied.  Each
-    parameter is read once into a chain factor (_factor) whose doubled
-    q-exponent steps by 2 per term, and the running term takes its upper
-    factors (1 - a q^(n-1)), lower factors 1/(1 - b q^(n-1)) and 1/(1 - q^n)
-    in one _chain: one pass per factor over one integer list, one gcd per
-    term.
+    parameter equal to q cancels the (q)_n, so neither is applied.  The
+    sum is one _chain_sum from 1, taken as far above N as its lowest term
+    lies below q^0, each parameter read once into a chain factor.
     """
     r, s = len(upper), len(lower)
     extra = 1 + s - r
@@ -1029,47 +1050,40 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
     v2 = arg.qval2()
     if extra < 0 or (extra == 0 and v2 <= 0):
         raise NonTruncatable("term valuations of this rPhis do not diverge")
-    cancel = next((i for i, a in enumerate(upper) if _is_q(a)), None)
+    cancel = next((i for i, a in enumerate(upper)  # an upper q
+                   if a.d2 == 2 and not a.e2 and a.value_coeff == 1), None)
     upper = [a for i, a in enumerate(upper) if i != cancel and not a.is_zero]
-    arg_n = power(arg, 1, N)
-    out = Series.one(N)   # n = 0 term
-    term = Series.one(N)  # running term, updated incrementally
+    c, _, ze = arg.pow_monomial(1)
+    c *= (-1) ** extra
+    steps = []
     if v2 <= t2:
-        # term 1's factors, refused in the order its loop met them; those
-        # at d = 0 are applied here, by _times_one_minus and _over_one_minus
+        # term 1's factors, refused in the order its loop met them
         ups = [_factor(a) for a in upper]
-        for a in upper:
-            if a.d2 == 0:
-                term = _times_one_minus(term, a)
-        downs = []
+        downs, c1 = [], c
         for b in lower:
             if b.is_zero:
                 raise DegenerateParameter("zero lower parameter")
             downs.append(_factor(b))
-            if b.d2 == 0:
-                if b.e2 == 0 and b.value_coeff == 1:
-                    raise DegenerateParameter("lower Pochhammer vanishes at the leading layer")
-                term = _over_one_minus(term, b)
+            if b.d2:
+                continue
+            if b.e2:  # 1 - b is two monomials at q^0
+                raise NotInvertible("lowest q-layer has 2 monomials")
+            if b.value_coeff == 1:
+                raise DegenerateParameter("lower Pochhammer vanishes at the leading layer")
+            c1 /= 1 - b.value_coeff  # term 1's factor at d = 0
         if cancel is None:
             downs.append(_q_factor(2))  # 1 - q^n
-    n = 1
-    while n * v2 + extra * n * (n - 1) <= t2:
-        step = 2 * n - 2  # term n's factors: term 1's, q^(n - 1) higher
-        term = _chain(term, [(A, B, d2 + step, ze)
-                             for A, B, d2, ze in ups if d2 + step],
-                      [(A, B, d2 + step, ze)
-                       for A, B, d2, ze in downs if d2 + step])
-        term = term * arg_n
-        if extra:
-            # ((-1)^n q^(n(n-1)/2))^extra, incremental: exponent step n-1
-            term = term.shift(extra * (n - 1))
-            if extra % 2:
-                term = -term
-        if term.is_zero():
-            break
-        out = out + term.truncate(N)
-        n += 1
-    return _reduced(t2, out.den, out.nums)
+        n = 1
+        while n * v2 + extra * n * (n - 1) <= t2:
+            step = 2 * n - 2  # term n's factors: term 1's, q^(n - 1) higher
+            cn = c1 if n == 1 else c
+            mono = (cn.numerator, cn.denominator, v2 + extra * step, ze)
+            steps.append((mono, [(A, B, d2 + step, z) for A, B, d2, z in ups],
+                          [(A, B, d2 + step, z)
+                           for A, B, d2, z in downs if d2 + step]))
+            n += 1
+    low = min(n * v2 + extra * n * (n - 1) for n in range(len(steps) + 1))
+    return _chain_sum(Series.one(_half(t2 - low)), steps)
 
 
 # -- theta function and jets ------------------------------------------------

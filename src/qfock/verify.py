@@ -23,7 +23,7 @@ from .qseries import (
     Param,
     Series,
     _QH,
-    _chain,
+    _chain_sum,
     _factor,
     _monomial_str,
     _over_one_minus,
@@ -182,16 +182,11 @@ def ff_sum_side(u: Param, N) -> Series:
 
 
 def sum_over_m_lhs(k: int, t: Param, N) -> Series:
-    """sum_{l>=0} q^l / ((q)_l (tq)_{l+k})."""
-    inv = _over_pochhammer(Series.one(N), t * _q(), k)  # 1/((q)_l (tq)_(l+k))
-    out = Series.zero(N)
-    l = 0
-    while l <= to2(N) // 2:
-        if l:
-            inv = _chain(inv, (), (_q_factor(2 * l), _factor(t, l + k)))
-        out = out + inv.shift(l)
-        l += 1
-    return out
+    """sum_{l>=0} q^l / ((q)_l (tq)_{l+k}), one _chain_sum from
+    1/(tq)_k with term ratio q / ((1 - q^l) (1 - tq^(l+k)))."""
+    return _chain_sum(_over_pochhammer(Series.one(N), t * _q(), k), [
+        ((1, 1, 2, ()), (), (_q_factor(2 * l), _factor(t, l + k)))
+        for l in range(1, to2(N) // 2 + 1)])
 
 
 def sum_over_m_rhs(k: int, t: Param, N) -> Series:
@@ -210,33 +205,20 @@ def sum_over_m_rhs(k: int, t: Param, N) -> Series:
 
 
 def exp_left_sum(z: Param, N) -> Series:
-    """sum_m (-z)^m q^(m(m-1)/2) / (q)_m, term by term:
-    t_m = -t_(m-1) z q^(m-1) / (1 - q^m)."""
-    zN = power(z, 1, N)
-    out, term = Series.zero(N), Series.one(N)
-    m = 0
-    while m * (m - 1) + m * z.qval2() <= to2(N):
-        if m:
-            term = _over_one_minus(-(term * zN).shift(m - 1).truncate(N),
-                                   _q(m))
-        out = out + term
-        m += 1
-    return out
+    """sum_m (-z)^m q^(m(m-1)/2) / (q)_m, one _chain_sum with term ratio
+    -z q^(m-1) / (1 - q^m), which drops the steps past the truncation."""
+    A, B, d2, ze = _factor(z)
+    return _chain_sum(Series.one(N), [
+        ((-A, B, d2 + 2 * m - 2, ze), (), (_q_factor(2 * m),))
+        for m in range(1, to2(N) + 2)])
 
 
 def exp_right_sum(a: Param, z: Param, N) -> Series:
-    """sum_l (a)_l z^l / (q)_l, term by term:
-    t_l = t_(l-1) z (1 - a q^(l-1)) / (1 - q^l)."""
-    zN = power(z, 1, N)
-    out, term = Series.zero(N), Series.one(N)
-    l = 0
-    while l * z.qval2() <= to2(N):
-        if l:
-            term = (term * zN).truncate(N)
-            term = _chain(term, (_factor(a, l - 1),), (_q_factor(2 * l),))
-        out = out + term
-        l += 1
-    return out
+    """sum_l (a)_l z^l / (q)_l, one _chain_sum with term ratio
+    z (1 - a q^(l-1)) / (1 - q^l)."""
+    return _chain_sum(Series.one(N), [
+        (_factor(z), (_factor(a, l - 1),), (_q_factor(2 * l),))
+        for l in range(1, to2(N) // z.qval2() + 1)])
 
 
 def _partitions_exact_length(l: int, max_weight: int):

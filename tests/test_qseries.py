@@ -31,6 +31,7 @@ from qfock.qseries import (
     to2,
     zkey,
     _chain,
+    _chain_sum,
     _factor,
     _half,
     _one_minus,
@@ -188,6 +189,19 @@ def test_qhyper_n0_layer():
     s = qhyper([Param(0), Param(0), Param(1, 1)],
                [t.qshift(1), Param(1, 1)], Param(1, 1), 0)
     assert qcoeff(s, 0) == 1
+
+
+@pytest.mark.parametrize("d", [F(-1, 2), -1, F(-3, 2)])
+def test_qhyper_negative_valuation_is_exact_to_N(d):
+    """An argument of negative valuation puts the first terms below q^0;
+    the sum is still exact to N: it is the sum to a higher order, cut."""
+    for upper, lower in (([], []), ([Param(F(2, 3), 1)], [Param(F(3, 5), 1)]),
+                         ([], [Param(F(1, 2), F(1, 2))])):
+        for N in (3, F(7, 2)):
+            got = qhyper(upper, lower, Param(F(1, 2), d), N)
+            assert got.trunc2 == to2(N)
+            assert got == qhyper(upper, lower, Param(F(1, 2), d),
+                                 N + 6).truncate(N)
 
 
 def test_qhyper_lower_unit_point_needs_no_charge():
@@ -1154,29 +1168,94 @@ def test_chain_matches_factor_by_factor(operands):
     assert _ref(got) == want
 
 
+def _ref_chain_sum(s, steps):
+    """_chain_sum's sum term by term, the reference: each term is the one
+    before through _chain, times the z-part of the step's point (power,
+    taken to the term's relative order so that it cuts nothing off),
+    shifted by its q-part, and the terms are added by +."""
+    out = term = s
+    for p, ups, downs in steps:
+        term = _chain(term, [_factor(a) for a in ups],
+                      [_factor(b) for b in downs])
+        zpart = Param(p.s, 0, F(p.e2, 2), p.zvar, p.sign)
+        rel = _half(term.trunc2 - (term.min2() or 0))
+        term = (term * power(zpart, 1, rel)).shift(F(p.d2, 2))
+        out = out + term
+    return out
+
+
+def _step(p, ups, downs):
+    """The _chain_sum step of the point p and the points of ups and
+    downs."""
+    c, d2, zk = p.pow_monomial(1)
+    return ((c.numerator, c.denominator, d2, zk),
+            [_factor(a) for a in ups], [_factor(b) for b in downs])
+
+
+def _chain_sum_steps(zv):
+    """0-5 steps on the charge variables zv: a point of any q-exponent from
+    -3/2, or 0, and 0-2 up factors (d >= 0) and down factors (d > 0)."""
+    return st.lists(st.tuples(
+        st.one_of(st.just(Param(0)), points(zv, d2_min=-3)),
+        st.lists(st.one_of(st.just(Param(1)), points(zv, d2_min=0)),
+                 max_size=2),
+        st.lists(points(zv, d2_min=1), max_size=2)), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2).map(_first_vars).flatmap(lambda zv: st.tuples(
+    fraction_series(zv), _chain_sum_steps(zv))))
+@example((Series(4, {(0, ()): F(1)}),
+          [(Param(1, 1, 1), [Param(F(2, 3))], [Param(1, 1)])] * 3))  # z^1
+@example((Series(7, {(0, ()): F(1)}),
+          [(Param(F(1, 2), -1), [], [Param(1, 1)]),
+           (Param(1, F(3, 2)), [Param(F(2, 3), 1)], [])] * 2))  # d < 0 first
+@example((Series(3, {(1, ()): F(2, 3)}),
+          [(Param(1, 1), [Param(1)], []),
+           (Param(1, 1), [], [Param(1, 1)])]))               # 1 - 1 = 0
+@example((Series(2, {(0, ()): F(1)}),
+          [(Param(1, 2), [], []), (Param(1, -2), [], [])]))  # past, then back
+@example((Series.zero(F(5, 2)), [(Param(1, -1), [], [])]))  # zero series
+def test_chain_sum_matches_per_term_sum(operands):
+    """_chain_sum equals its terms built one by one from _chain, power,
+    shift and +, truncation included: on 0-2 charge variables, for z-free
+    and charged series, points and factors, half-integer truncations,
+    negative q-exponents, steps past the truncation and terms that
+    vanish."""
+    s, draws = operands
+    got = _chain_sum(s, [_step(*d) for d in draws])
+    assert_canonical(got)
+    assert got == _ref_chain_sum(s, draws)
+
+
 def test_z_free_chain_reduces_once(monkeypatch):
     """A z-free chain builds its Series once, with one gcd: s / (q)_inf
     makes one _reduced call; (2/3)_inf makes four (the unit, the d = 0
     factor 1 - 4/9 and its generic product, and one _chain with one call);
-    and each term of a qhyper whose factors all have d > 0 is one _chain
-    with at most one call."""
+    and a qhyper whose factors all have d > 0 is one _chain_sum with one
+    call for the whole sum, and no _chain."""
     from qfock import qseries
-    calls, per_chain = [0], []
+    calls, per_chain, per_sum = [0], [], []
 
     def counting_reduced(*args, _reduced=qseries._reduced):
         calls[0] += 1
         return _reduced(*args)
 
-    def recording_chain(*args, _chain=qseries._chain):
-        before = calls[0]
-        out = _chain(*args)
-        per_chain.append(calls[0] - before)
-        return out
+    def recording(kernel, record):
+        def run(*args):
+            before = calls[0]
+            out = kernel(*args)
+            record.append(calls[0] - before)
+            return out
+        return run
 
     one, a = Series.one(20), Param(F(2, 3))
     want = _over_pochhammer(one, Param(1, 1)), pochhammer_inf(a, 20)
     monkeypatch.setattr(qseries, "_reduced", counting_reduced)
-    monkeypatch.setattr(qseries, "_chain", recording_chain)
+    monkeypatch.setattr(qseries, "_chain",
+                        recording(qseries._chain, per_chain))
+    monkeypatch.setattr(qseries, "_chain_sum",
+                        recording(qseries._chain_sum, per_sum))
     assert _over_pochhammer(one, Param(1, 1)) == want[0]
     assert (calls, per_chain) == ([1], [1])
     calls[0], per_chain[:] = 0, []
@@ -1185,8 +1264,7 @@ def test_z_free_chain_reduces_once(monkeypatch):
     per_chain[:] = []
     qhyper([Param(F(3, 5), F(1, 2)), Param(F(2, 3), 1)], [Param(F(5, 7), 1)],
            Param(F(1, 2), 1), 12)
-    # term 12 starts at q^11: every factor steps past the truncation 12
-    assert per_chain == [1] * 11 + [0]
+    assert (per_chain, per_sum) == ([], [1])
 
 
 def _qhyper_reference(upper, lower, arg, N):
@@ -1245,6 +1323,9 @@ _HYPER_PARAMS = st.one_of(
 @example([Param(1, 1), Param(1, 1)], [Param(1, 2)], Param(1, 1), 5)
 @example([Param(1, 1)], [Param(0)], Param(1, 1), 3)
 @example([Param(1, 1)], [Param(1)], Param(1, 1), 3)
+@example([Param(0)], [Param(4)], Param(1, F(1, 2)), 3)  # lower d = 0, past n = 1
+@example([Param(F(2, 3), 0, 1)], [Param(F(3, 5))], Param(1, 1), 3)  # charged
+@example([], [Param(2, 0, 1)], Param(1, 1), 3)          # 1 - 4 z, no inverse
 def test_qhyper_cancels_upper_q_like_the_reference(upper, lower, arg, N):
     """An upper q cancels (q)_n: the sum, and each refusal, are the ones of
     the product form with every lower factor and (q)_n inverted."""
@@ -1365,9 +1446,9 @@ def test_pochhammer_matches_product_loop(a, n, N):
 
 
 def test_products_by_one_minus_factors_make_no_series_product(monkeypatch):
-    """(q)_inf is built without Series.__mul__, and qhyper multiplies its
-    running term by the monomial argument only: an upper factor (1 - a q^k)
-    with k > 0 is one pass of the term's _chain."""
+    """(q)_inf is built without Series.__mul__, and so is a z-free qhyper:
+    its monomial argument and its factors (1 - a q^k) are passes over the
+    running term of one _chain_sum."""
     calls = []
 
     def recording_mul(self, other, _mul=Series.__mul__):
@@ -1379,4 +1460,4 @@ def test_products_by_one_minus_factors_make_no_series_product(monkeypatch):
     assert calls == []
     qhyper([Param(F(3, 5), F(1, 2)), Param(F(2, 3), 1)], [Param(F(5, 7), 1)],
            Param(F(1, 2), 1), 12)
-    assert calls and all(len(o.nums) == 1 for o in calls)
+    assert calls == []

@@ -243,6 +243,43 @@ def test_exp_sums_match_per_term_sums(z):
                 == per_term_exp_right_sum(a, z, N)
 
 
+def test_z_free_sums_make_one_series_and_no_product(monkeypatch):
+    """A z-free qhyper, Prop. 1.1.1 sum or q-exponential sum is one
+    _chain_sum that builds one Series, with one gcd, and nothing in it
+    makes a Series product; the closed eq-5.5.5 side makes one product."""
+    from qfock import qseries
+    reduced, per_sum, muls = [0], [], []
+
+    def counting_reduced(*args, _reduced=qseries._reduced):
+        reduced[0] += 1
+        return _reduced(*args)
+
+    def recording_sum(*args, _chain_sum=qseries._chain_sum):
+        before = reduced[0]
+        out = _chain_sum(*args)
+        per_sum.append(reduced[0] - before)
+        return out
+
+    def recording_mul(self, other, _mul=Series.__mul__):
+        muls.append(other)
+        return _mul(self, other)
+
+    t, z = Param(F(2, 3)), Param(F(2, 3), 1)
+    runs = [lambda: qseries.qhyper([Param(0), Param(0)], [_q()], _q(), 20),
+            lambda: verify.sum_over_m_lhs(3, t, 20),
+            lambda: verify.exp_left_sum(z, 20),
+            lambda: verify.exp_right_sum(t, _q(), 20)]
+    want = [run() for run in runs]
+    monkeypatch.setattr(qseries, "_reduced", counting_reduced)
+    for module in (qseries, verify):
+        monkeypatch.setattr(module, "_chain_sum", recording_sum)
+    monkeypatch.setattr(Series, "__mul__", recording_mul)
+    assert [run() for run in runs] == want
+    assert (per_sum, muls) == ([1] * 4, [])
+    cf.partition_ladder_closed(Param(F(1, 2), F(1, 2)), t, 10)
+    assert len(muls) == 1
+
+
 class TestRunSuite:
     def test_filter_selects_by_glob(self):
         res = verify.run_suite("lemma-222-i-*")
