@@ -16,14 +16,9 @@ This module implements the explicit formulas that the enumeration oracles in
 * the residual of the first-point q-shift difference equations.
 
 Every closed-form Weyl sum (the q-dimensions and both readings of the
-duality reduction) is one fold, ``_alternant``, over (used columns, parity,
-point mask) states, each holding one integer row by q-exponent over one
-denominator.  Its blocks are built before it runs, as fock.Rows read as
-they are: the boson-pair blocks straight from the Fock table
-(fock.a_sector_rows), over one denominator per point mask, the fermion-pair
-blocks read once from their series by ``_entry``, and the q-dimension
-blocks as the integer sums left when their common factors are taken out.
-The fold makes no series product or sum and builds one series per call.
+duality reduction) is one fold, ``_alternant``, on integer rows of blocks
+built before it runs (fock.Rows: boson-pair blocks from the Fock table,
+fermion-pair blocks read once by ``_entry``); it builds one series.
 """
 
 from fractions import Fraction
@@ -43,9 +38,8 @@ from .qseries import (
     _QH,
     _chain,
     _factor,
-    _half,
     _monomial_str,
-    _over_one_minus,
+    _one_point_nest,
     _over_pochhammer,
     _pochhammer_chain,
     _pochhammer_factors,
@@ -56,6 +50,7 @@ from .qseries import (
     _times_pochhammer,
     _theta_sums,
     _zmul,
+    beta_scalar,
     c_term,
     half_str,
     pochhammer_inf,
@@ -73,9 +68,9 @@ def _scalar_key(p: Param):
     return (p.s, p.d2, p.e2, p.zvar, p.sign)
 
 
-def pair_vacuum(x: Param, y: Param, N) -> Series:
-    """1/((x q^(1/2))_inf (y q^(1/2))_inf): the plain charged-pair trace."""
-    return _pochhammer_chain(Series.one(N), (),
+def pair_vacuum(x: Param, y: Param, N, s: Optional[Series] = None) -> Series:
+    """s/((x q^(1/2))_inf (y q^(1/2))_inf): for s = 1 the pair trace."""
+    return _pochhammer_chain(Series.one(N) if s is None else s, (),
                              [(x * _QH, None), (y * _QH, None)])
 
 
@@ -92,29 +87,19 @@ def one_point_minus1(t: Param, N) -> Series:
     Term n >= 1 of that 3Phi2 is q^n/((tq^i)_n (q^i)_n).  With m = i+n-1,
     (q)_(i-1) (q^i)_n = (q)_m and (tq^i)_n = (tq)_m/(tq)_(i-1), so the
     double sum is sum_(m>=1) q^m S_m/((q)_m (tq)_m) with
-    S_m = sum_(j<m) (tq)_j/(q)_j.  It is read as one Horner nest
-    X <- q (S_m + X)/((1 - q^m)(1 - tq^m)) for m = floor(N), ..., 1, each
-    S_m kept to q^(N-m), the order at which the nest reads it.
+    S_m = sum_(j<m) (tq)_j/(q)_j: one integer-list Horner nest
+    X <- q (S_m + X)/((1 - q^m)(1 - tq^m)), m = floor(N), ..., 1, each S_m
+    kept to q^(N-m) (qseries._one_point_nest), for each of t and 1/t.
     """
     if t.is_zero:
         raise DegenerateParameter("one-point function at the zero parameter")
-    out = qhyper([_ZERO, _ZERO], [_q()], _q(), N) * c_term(t, N)
-    n2 = to2(N)
-    top = n2 // 2
-    for tt, sgn in ((t, 1), (t.inverse(), -1)):
-        r, s, sums = Series.one(N), Series.zero(N), []
-        for m in range(1, top + 1):
-            # r becomes (tq)_(m-1)/(q)_(m-1) and s S_m, both to q^(N-m)
-            r = r.truncate(_half(n2 - 2 * m))
-            if m > 1:
-                r = _chain(r, (_factor(tt, m - 1),), (_q_factor(2 * m - 2),))
-            s = s + r
-            sums.append(s)
-        x = Series.zero(_half(n2 - 2 * top))
-        for m in range(top, 0, -1):
-            x = (sums[m - 1] + x).shift(1)
-            x = _chain(x, (), (_q_factor(2 * m), _factor(tt, m)))
-        out = out + (power(tt, F(1, 2), N) * x).scale(sgn)
+    out = qhyper([_ZERO, _ZERO], [_q()], _q(), N)
+    c_term(t, N)  # refuses t = 1 and a negative, charged or half-shifted t
+    points = ((t, 1), (t.inverse(), -1))  # refuses a q-shifted t
+    out = out.scale(beta_scalar(t))
+    for tt, sgn in points:
+        out = out + _one_point_nest(_factor(tt), to2(N)).scale(
+            sgn * tt.scalar_pow(F(1, 2)))
     return out
 
 
@@ -163,13 +148,11 @@ def partition_ladder_closed(x: Param, t: Param, N) -> Series:
     * 2Phi2(xq^(1/2), xq^(1/2); xq^(3/2), xtq^(3/2); tq^2)."""
     q32, tq = _q(F(3, 2)), t * _q()
     (cx, qx, zx), (ct, qt, zt) = x.pow_monomial(1), tq.pow_monomial(F(1, 2))
-    # x (tq)^(1/2) as one monomial, at the truncation of their product
-    num = _pochhammer_chain(Series(to2(N) + min(qx, qt),
-                                   {(qx + qt, _zmul(zx, zt)): cx * ct}),
-                            [(x * t * q32, None)],
-                            [(x * _QH, 1), (tq, None), (x * _QH, None)])
     phi = qhyper([x * _QH, x * _QH], [x * q32, x * t * q32], t * _q(2), N)
-    return num * phi
+    # x (tq)^(1/2) as one monomial, at the truncation of their product
+    mono = Series(to2(N) + min(qx, qt), {(qx + qt, _zmul(zx, zt)): cx * ct})
+    return _pochhammer_chain(phi * mono, [(x * t * q32, None)],
+                             [(x * _QH, 1), (tq, None), (x * _QH, None)])
 
 
 def omega(x: Param, y: Param, t: Param, N) -> Series:
@@ -180,7 +163,7 @@ def omega(x: Param, y: Param, t: Param, N) -> Series:
 def generalized_one_point(x: Param, y: Param, t: Param, N) -> Series:
     """Closed form of the charge-weighted level -1 one-point trace:
     beta(t)/((xq^(1/2))_inf (yq^(1/2))_inf) + omega(x,y,t) - omega(y,x,1/t)."""
-    central = c_term(t, N) * pair_vacuum(x, y, N)
+    central = pair_vacuum(x, y, N, c_term(t, N))
     return central + omega(x, y, t, N) - omega(y, x, t.inverse(), N)
 
 
@@ -392,19 +375,17 @@ def c_one_point_half(t: Param, N) -> Series:
     """Closed form of the neutral level -1/2 one-point function:
     beta(t)/(q^(1/2))_inf plus, for t and 1/t with signs -/+,
     1/((q^(1/2))_inf (1-q^(-1/2))) * t^(1/2)(tq^(3/2))_inf/(tq)_inf
-    * 2Phi2(q^(1/2), q^(1/2); q^(3/2), tq^(3/2); q^2 t),
-    using 1/(1-q^(-1/2)) = -q^(1/2)/(1-q^(1/2))."""
+    * 2Phi2(q^(1/2), q^(1/2); q^(3/2), tq^(3/2); q^2 t), each one chain on
+    its 2Phi2, using 1/(1-q^(-1/2)) = -q^(1/2)/(1-q^(1/2))."""
     if t.is_zero:
         raise DegenerateParameter("one-point function at the zero parameter")
-    pre = _over_pochhammer(Series.one(N), _QH)
-    out = pre * c_term(t, N)
-    fac = _over_one_minus(Series.one(N), _QH).shift(F(1, 2)).scale(-1)
+    out = _over_pochhammer(c_term(t, N), _QH)
     q32 = _q(F(3, 2))
     for tt, sgn in ((t, -1), (t.inverse(), 1)):
-        blk = _pochhammer_chain(power(tt, F(1, 2), N), [(tt * q32, None)],
-                                [(tt * _q(), None)]) \
-            * qhyper([_QH, _QH], [q32, tt * q32], tt * _q(2), N)
-        out = out + (pre * fac * blk).scale(sgn)
+        phi = qhyper([_QH, _QH], [q32, tt * q32], tt * _q(2), N)
+        out = out + _pochhammer_chain(
+            phi.shift(F(1, 2)).scale(-sgn * tt.scalar_pow(F(1, 2))),
+            [(tt * q32, None)], [(tt * _q(), None), (_QH, None), (_QH, 1)])
     return out
 
 

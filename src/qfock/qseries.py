@@ -16,9 +16,9 @@ the Series docstring gives.  The kernels add and multiply Python ints only,
 with one gcd per result; a Fraction is built when a coefficient is read out
 (the terms property, first_difference).  They are _product_slices (every
 product and z-slice read), Series.invert, _chain (products and quotients by
-factors (1 - a) with d > 0, and so the Pochhammer symbols) and _chain_sum (a
-q-series summed term by term from its term ratio, such as a qhyper); where
-they meet many pairs of z-keys they join integer charge codes (_zcode).
+factors (1 - a), and so the Pochhammer symbols), _chain_sum (a q-series
+summed term by term from its term ratio) and _one_point_nest; where they
+meet many pairs of z-keys they join integer charge codes (_zcode).
 """
 
 from __future__ import annotations
@@ -771,8 +771,7 @@ def _chain(s: Series, ups: Sequence[tuple] = (),
     truncation, for chain factors f = (A, B, d2, ze) (_factor) with d2 > 0
     (or 0 among ups); those whose step passes it are skipped.  Without a
     charge variable s is one integer list through _chain_list, built once
-    with one gcd; a charged chain multiplies on the numerators' dict and
-    divides in one _over_codes pass."""
+    with one gcd; a charged chain is one _chain_codes."""
     if not s.nums:
         return s
     t2, v2 = s.trunc2, s.min2()
@@ -781,35 +780,20 @@ def _chain(s: Series, ups: Sequence[tuple] = (),
     downs = [f for f in downs if f[2] <= top]
     if not (ups or downs):
         return s
-    den = s.den
     if any(zk for _, zk in s.nums) or any(f[3] for f in ups + downs):
-        if not ups:
-            return _over_codes(s, downs)
-        nums = s.nums
-        for A, B, d2, ze in ups:
-            out = {k: n * B for k, n in nums.items()}
-            for (q2, zk), n in nums.items():
-                if q2 + d2 <= t2:
-                    k = (q2 + d2, _zmul(zk, ze))
-                    n = out.get(k, 0) - A * n
-                    if n:
-                        out[k] = n
-                    else:
-                        del out[k]
-            nums, den = out, den * B
-        s = _reduced(t2, den, nums)
-        return _over_codes(s, downs) if downs and nums else s
+        return _chain_codes(s, ups, downs, (1, 1, 0, ()), t2)
     L = [0] * (top + 1)
     for (q2, _), n in s.nums.items():
         L[q2 - v2] = n
     L, m = _chain_list(L, ups, downs)
-    return _reduced(t2, den * m, {(v2 + i, ()): n for i, n in enumerate(L) if n})
+    return _reduced(t2, s.den * m, {(v2 + i, ()): n
+                                    for i, n in enumerate(L) if n})
 
 
 def _chain_sum(s: Series, steps: Sequence[tuple]) -> Series:
-    """sum_(n = 0..len(steps)) term_n, a q-series summed term by term, such
-    as qhyper and verify's Prop. 1.1.1 and q-exponential sums: term_0 = s,
-    and step n, ((A, B, d2, ze), ups, downs), makes term_n = term_(n-1)
+    """sum_(n = 0..len(steps)) term_n, a q-series summed term by term
+    (qhyper, verify's Prop. 1.1.1 and q-exponential sums): term_0 = s, and
+    step n, ((A, B, d2, ze), ups, downs), makes term_n = term_(n-1)
     A/B q^(d2/2) z^ze prod_(f in ups) (1 - f) / prod_(f in downs) (1 - f),
     for B > 0 and the chain factors of _chain (an up factor may have d = 0).
     With P_n the sum of the first n d2, of either sign, term n is exact to
@@ -818,7 +802,7 @@ def _chain_sum(s: Series, steps: Sequence[tuple]) -> Series:
     variable the term and the sum are two integer lists over one
     denominator, what scales the term's (A/B, _chain_list) scales the sum's,
     and the Series is built once, with one gcd; with charges each term is
-    one _chain and a shift of its numerators."""
+    one _chain_codes."""
     P = list(accumulate((mono[2] for mono, _, _ in steps), initial=0))
     lows = list(accumulate(reversed(P), min))[::-1]  # lows[n] = min(P[n:])
     T, v2 = s.trunc2 + lows[0], s.min2()
@@ -827,11 +811,8 @@ def _chain_sum(s: Series, steps: Sequence[tuple]) -> Series:
     if any(zk for _, zk in s.nums) or any(
             f[3] for mono, ups, downs in steps for f in (mono, *ups, *downs)):
         out = term = s
-        for n, ((A, B, d2, ze), ups, downs) in enumerate(steps, 1):
-            term, cut = _chain(term, ups, downs), T + P[n] - lows[n]
-            term = _reduced(cut, term.den * B, {
-                (q2 + d2, _zmul(zk, ze)): A * x
-                for (q2, zk), x in term.nums.items() if A and q2 + d2 <= cut})
+        for n, (mono, ups, downs) in enumerate(steps, 1):
+            term = _chain_codes(term, ups, downs, mono, T + P[n] - lows[n])
             if not term.nums:
                 break
             out = out + term
@@ -857,6 +838,32 @@ def _chain_sum(s: Series, steps: Sequence[tuple]) -> Series:
         if not any(L):
             break
     return _reduced(T, den, {(lo + i, ()): x for i, x in enumerate(S) if x})
+
+
+def _one_point_nest(f: tuple, t2: int) -> Series:
+    """sum_(m >= 1) q^m S_m/((q)_m (tq)_m), S_m = sum_(j < m) (tq)_j/(q)_j,
+    exact to q^(t2/2), for the chain factor f = (A, B, 0, ()) of a scalar t
+    (closedform.one_point_minus1): on integer lists over one denominator,
+    each S_m kept to q^(N - m), then X <- q (S_m + X)/((1 - q^m)(1 - tq^m))
+    for m = floor(N), ..., 1 by _chain_list; one Series, with one gcd."""
+    A, B = f[:2]
+    top = t2 // 2
+    R, S, den, sums = [1] + [0] * (top - 1), [0] * top, 1, []
+    for m in range(1, top + 1):
+        R = R[:top - m + 1]  # r_(m-1) to q^(N - m)
+        if m > 1:
+            R, k = _chain_list(R, [(A, B, m - 1, ())], [(1, 1, m - 1, ())])
+            if k != 1:
+                S, den = [k * x for x in S], den * k
+        S = list(map(add, S, R))  # S_m; map stops at R's end
+        sums.append((S, den))
+    X, dx = [0], den  # every den of sums divides dx
+    for m in range(top, 0, -1):
+        S, w = sums[m - 1][0], dx // sums[m - 1][1]
+        X, k = _chain_list([0] + [w * s + x for s, x in zip(S, X)], (),
+                           [(1, 1, m, ()), (A, B, m, ())])
+        dx *= k
+    return _reduced(t2, dx, {(2 * i, ()): x for i, x in enumerate(X) if x})
 
 
 def _times_one_minus(s: Series, p: Param) -> Series:
@@ -885,33 +892,49 @@ def _over_one_minus(s: Series, p: Param) -> Series:
     return _reduced(s.trunc2, s.den * g, {k: n * B for k, n in s.nums.items()})
 
 
-def _over_codes(s: Series, fs: Sequence[tuple]) -> Series:
-    """s / prod_(f in fs) (1 - f), for chain factors f with d > 0 whose
-    chain reaches s's truncation, exact to it: _chain_list's quotient pass
-    on q-layers keyed by charge codes (_zcode), s encoded once and the
-    result decoded once.  A field's half-width is s's reach on its variable
-    plus K |e2| per factor on it, K that factor's longest chain, so no code
-    wraps."""
-    t2, v2 = s.trunc2, s.min2()
-    reach = _reach({zk for _, zk in s.nums})  # variable -> field half-width
-    steps = []
-    for f in fs:
-        K = (t2 - v2) // f[2]
-        steps.append((f, K))
-        for var, e2 in f[3]:
+def _chain_codes(s: Series, ups: Sequence[tuple], downs: Sequence[tuple],
+                 mono: tuple, t2: int) -> Series:
+    """s A/B q^(d2/2) z^ze prod_(f in ups) (1 - f) / prod_(f in downs)
+    (1 - f) for mono = (A, B, d2, ze) and the chain factors of _chain, exact
+    to t2: _chain_list's passes on q-layers keyed by charge codes (_zcode),
+    s encoded once and the result decoded once.  A field's half-width is
+    s's reach plus |e2| per up factor and the monomial and K |e2| per down
+    factor on its variable, K that factor's longest chain, so no code wraps."""
+    A, B, m2, mz = mono
+    kept = [(q2 + m2, zk, n) for (q2, zk), n in s.nums.items()
+            if A and q2 + m2 <= t2]
+    if not kept:
+        return _reduced(t2, 1, {})
+    v2 = min(q2 for q2, _, _ in kept)
+    Ks = [1] * (len(ups) + 1) + [(t2 - v2) // f[2] for f in downs]
+    reach = _reach({zk for _, zk, _ in kept})  # variable -> half-width
+    for (_, _, _, ze), K in zip((mono, *ups, *downs), Ks):
+        for var, e2 in ze:
             reach[var] = reach.get(var, 0) + K * abs(e2)
     fields = sorted(reach.items())
-    layers = {}
-    for (q2, zk), n in s.nums.items():
-        layer = layers.get(q2)
-        if layer is None:
-            layer = layers[q2] = {}
-        layer[_zcode(zk, fields)] = n
-    den = s.den
-    for (A, B, d2, ze), K in steps:
-        BK = B ** K
+    cm, layers = _zcode(mz, fields), {}
+    for q2, zk, n in kept:
+        layers.setdefault(q2, {})[_zcode(zk, fields) + cm] = A * n
+    den = s.den * B
+    for A, B, d2, ze in ups:  # L[i] = B L[i] - A L[i - d], i falling
         ce = _zcode(ze, fields)
-        out = {}
+        for q2 in range(t2, v2 - 1, -1):
+            cur, prev = layers.get(q2), layers.get(q2 - d2)
+            if prev and not d2:
+                prev = dict(prev)
+            if cur and B != 1:
+                for c in cur:
+                    cur[c] *= B
+            if prev:
+                if cur is None:
+                    cur = layers[q2] = {}
+                for c, n in prev.items():
+                    c += ce
+                    cur[c] = cur.get(c, 0) - A * n
+        den *= B
+    for (A, B, d2, ze), K in zip(downs, Ks[len(ups) + 1:]):
+        ce, out = _zcode(ze, fields), {}
+        BK = B ** K
         for q2 in range(v2, t2 + 1):
             # each input layer is read once, so it is updated in place
             cur = layers.get(q2) or {}
@@ -921,22 +944,18 @@ def _over_codes(s: Series, fs: Sequence[tuple]) -> Series:
             if prev:
                 for c, n in prev.items():
                     c += ce
-                    n = cur.get(c, 0) + A * (n // B)
-                    if n:
-                        cur[c] = n
-                    else:
-                        del cur[c]
+                    cur[c] = cur.get(c, 0) + A * (n // B)
             if cur:
                 out[q2] = cur
         layers, den = out, den * BK
-    zkeys = {}  # charge code -> the result's zkey
-    nums = {}
+    zkeys, nums = {}, {}  # charge code -> the result's zkey; numerators
     for q2, layer in layers.items():
         for c, n in layer.items():
-            zk = zkeys.get(c)
-            if zk is None:
-                zk = zkeys[c] = _zdecode(c, fields)
-            nums[(q2, zk)] = n
+            if n:
+                zk = zkeys.get(c)
+                if zk is None:
+                    zk = zkeys[c] = _zdecode(c, fields)
+                nums[(q2, zk)] = n
     return _reduced(t2, den, nums)
 
 

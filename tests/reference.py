@@ -4,6 +4,9 @@ the helpers the test modules share:
 - the ``{key: Fraction}`` series ring (``_ref_*``), the reference of the
   Series ring operations and, factor by factor, of the chain kernel
   ``qseries._chain``;
+- the level -1 one-point nest one Series per step
+  (``reference_one_point_nest``), the reference of
+  ``qseries._one_point_nest``;
 - the Fock traces from partitions enumerated by ``fock.mod_partitions``:
   side tables (``enumerated_side_table``) joined by the pair pass
   ``pair_traces`` and read by the ``reference_*`` functions;
@@ -35,6 +38,10 @@ from qfock.qseries import (
     Param,
     QSeriesError,
     Series,
+    _chain,
+    _factor,
+    _half,
+    _q_factor,
     _zmul,
     beta_scalar,
     to2,
@@ -194,6 +201,29 @@ def _ref_over_factor(a, f):
             out[k] = out.get(k, F(0)) + c * x
         c, j2, jz = c * F(A, B), j2 + d2, _zmul(jz, ze)
     return _ref_kept(t2, out)
+
+
+def reference_one_point_nest(t, N):
+    """The level -1 one-point nest of closedform.one_point_minus1 built one
+    Series per step, for N >= 0: the partial sums S_m of
+    r_j = r_(j-1) (1 - tq^j)/(1 - q^j), each kept to q^(N - m) by
+    truncate, _chain and +, then X <- q (S_m + X)/((1 - q^m)(1 - tq^m)) by
+    +, shift and _chain for m = floor(N), ..., 1."""
+    n2 = to2(N)
+    top = n2 // 2
+    r, s, sums = Series.one(N), Series.zero(N), []
+    for m in range(1, top + 1):
+        # r becomes (tq)_(m-1)/(q)_(m-1) and s S_m, both to q^(N-m)
+        r = r.truncate(_half(n2 - 2 * m))
+        if m > 1:
+            r = _chain(r, (_factor(t, m - 1),), (_q_factor(2 * m - 2),))
+        s = s + r
+        sums.append(s)
+    x = Series.zero(_half(n2 - 2 * top))
+    for m in range(top, 0, -1):
+        x = (sums[m - 1] + x).shift(1)
+        x = _chain(x, (), (_q_factor(2 * m), _factor(t, m)))
+    return x
 
 
 def _ref_coeff_z(a, var, m2):

@@ -104,10 +104,11 @@ def test_one_point_nested_sum_matches_hypergeometric_loop(t, N):
         == _outcome_and_message(qhyper_one_point, t, N)
 
 
-def test_one_point_cost_does_not_grow_with_N(monkeypatch):
-    """one_point_minus1 calls qhyper once, for the t-free central 2Phi1,
-    and makes as many Series products outside it at N = 6, 12 and 20."""
-    calls, inside = [], []
+def _count_products_outside_qhyper(monkeypatch, f, *args):
+    """(qhyper calls, Series products outside qhyper, _reduced calls inside
+    each _one_point_nest) of one call f(*args)."""
+    from qfock import qseries
+    calls, inside, nests = [], [], []
 
     def counting_qhyper(*args, _qhyper=cf.qhyper):
         calls.append("qhyper")
@@ -122,15 +123,42 @@ def test_one_point_cost_does_not_grow_with_N(monkeypatch):
             calls.append("mul")
         return _mul(self, other)
 
+    def counting_reduced(*args, _reduced=qseries._reduced):
+        calls.append("reduced")
+        return _reduced(*args)
+
+    def counting_nest(*args, _nest=cf._one_point_nest):
+        before = calls.count("reduced")
+        out = _nest(*args)
+        nests.append(calls.count("reduced") - before)
+        return out
+
     monkeypatch.setattr(cf, "qhyper", counting_qhyper)
+    monkeypatch.setattr(cf, "_one_point_nest", counting_nest)
+    monkeypatch.setattr(qseries, "_reduced", counting_reduced)
     monkeypatch.setattr(Series, "__mul__", counting_mul)
-    counts = []
+    f(*args)
+    monkeypatch.undo()
+    return calls.count("qhyper"), calls.count("mul"), nests
+
+
+def test_one_point_cost_does_not_grow_with_N(monkeypatch):
+    """one_point_minus1 calls qhyper once, for the t-free central 2Phi1,
+    and makes no Series product outside it at N = 6, 12 and 20: the nest
+    at t and at 1/t builds one Series each, with one gcd."""
     for N in (6, 12, 20):
-        calls.clear()
-        cf.one_point_minus1(Param(F(2, 3)), N)
-        assert calls.count("qhyper") == 1
-        counts.append(calls.count("mul"))
-    assert counts[0] == counts[1] == counts[2]
+        assert _count_products_outside_qhyper(
+            monkeypatch, cf.one_point_minus1, Param(F(2, 3)), N) \
+            == (1, 0, [1, 1])
+
+
+def test_neutral_one_point_makes_no_product_outside_qhyper(monkeypatch):
+    """c_one_point_half calls qhyper once per sign, for its 2Phi2, and
+    makes no Series product outside it at N = 6, 10 and 20."""
+    for N in (6, 10, 20):
+        assert _count_products_outside_qhyper(
+            monkeypatch, cf.c_one_point_half, Param(F(2, 3)), N) \
+            == (2, 0, [])
 
 
 class TestGeneralizedOnePoint:

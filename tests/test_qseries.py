@@ -33,6 +33,7 @@ from qfock.qseries import (
     _chain,
     _chain_sum,
     _factor,
+    _one_point_nest,
     _half,
     _one_minus,
     _over_one_minus,
@@ -45,7 +46,7 @@ from qfock.qseries import (
 )
 from reference import (_outcome, _ref, _ref_add, _ref_coeff_z, _ref_invert,
                        _ref_kept, _ref_mul, _ref_over_factor, _ref_scale,
-                       _ref_times_factor, qcoeff)
+                       _ref_times_factor, qcoeff, reference_one_point_nest)
 
 F = Fraction
 
@@ -1151,6 +1152,9 @@ def test_charged_quotient_joins_keys_by_codes(monkeypatch):
 @example((Series(6, {(0, ()): F(1), (3, ()): F(7, 4)}),
           [(False, Param(F(2, 3), F(1, 2), sign=-1)),
            (True, Param(1, 1, sign=-1))]))                   # sign -1
+@example((Series(4, {(0, ((1, 1),)): F(1), (2, ()): F(2, 3)}),
+          [(True, Param(F(2, 3), 0, 1)), (False, Param(1, F(1, 2), -1)),
+           (True, Param(F(3, 5), 1, 1))]))                   # charged, d = 0 up
 def test_chain_matches_factor_by_factor(operands):
     """_chain(s, ups, downs) equals multiplying s by each 1 - p of ups and
     dividing it by each of downs one at a time, in the drawn order, in the
@@ -1226,6 +1230,49 @@ def test_chain_sum_matches_per_term_sum(operands):
     got = _chain_sum(s, [_step(*d) for d in draws])
     assert_canonical(got)
     assert got == _ref_chain_sum(s, draws)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.fractions(-3, 3, max_denominator=9),
+                 st.fractions(-2, 2, max_denominator=2 ** 60)).filter(bool),
+       st.sampled_from([1, -1]), st.sampled_from([F(k, 2) for k in range(27)]))
+@example(F(2, 3), 1, 12)
+@example(F(5, 7), -1, F(19, 2))                    # sign -1, half-integer N
+@example(F(3 ** 40 + 2, 2 ** 61), 1, 9)           # large numerators
+@example(F(2, 3), 1, F(1, 2))                      # N < 1: the empty nest
+@example(F(1), 1, 6)                               # t = 1
+def test_one_point_nest_matches_series_nest(s, sign, N):
+    """The integer-list nest equals the nest built one Series per step,
+    truncation included, at t and at 1/t, for either sign, half-integer N
+    and N < 1, and large numerators."""
+    t = Param(s, sign=sign)
+    for tt in (t, t.inverse()):
+        got = _one_point_nest(_factor(tt), to2(N))
+        assert_canonical(got)
+        assert got == reference_one_point_nest(tt, N)
+
+
+def test_charged_products_and_sums_join_keys_by_codes(monkeypatch):
+    """A charged chain with up factors, (z q^(1/2))_inf at N = 16, and a
+    charged term-by-term sum, a qhyper in z, join no z-keys: their factors
+    and monomials add integer charge codes."""
+    from qfock import qseries
+    a, z = Param(1, F(1, 2), e=1), Param(F(2, 3), 1, e=1)
+    runs = [lambda: pochhammer_inf(a, 16),
+            lambda: qhyper([Param(F(3, 5), F(1, 2), e=-1)], [], z, 8)]
+    want = [_loop_pochhammer(a, None, 16), _qhyper_reference(
+        [Param(F(3, 5), F(1, 2), e=-1)], [], z, 8)]
+    calls = []
+
+    def counting_zmul(x, y, _zmul=qseries._zmul):
+        calls.append(1)
+        return _zmul(x, y)
+
+    monkeypatch.setattr(qseries, "_zmul", counting_zmul)
+    got = [run() for run in runs]
+    monkeypatch.undo()
+    assert calls == []
+    assert got == want
 
 
 def test_z_free_chain_reduces_once(monkeypatch):

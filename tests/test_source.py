@@ -216,12 +216,14 @@ def _names_in(module, funcs):
 
 
 def test_charged_quotients_join_charge_codes():
-    """``_over_one_minus``, ``_over_pochhammer``, ``_pochhammer_chain`` and
-    the code kernel ``_over_codes`` name no ``_zmul``: a charged quotient
-    adds integer charge codes, as ``Series.invert`` does, and has no z-key
-    path beside them."""
+    """``_over_one_minus``, ``_over_pochhammer``, ``_pochhammer_chain``, the
+    chain kernels ``_chain`` and ``_chain_sum`` and the code kernel
+    ``_chain_codes`` name no ``_zmul``: a charged quotient, product or
+    term-by-term sum adds integer charge codes, as ``Series.invert`` does,
+    and has no z-key path beside them."""
     named = _names_in("qseries", ("_over_one_minus", "_over_pochhammer",
-                                  "_pochhammer_chain", "_over_codes"))
+                                  "_pochhammer_chain", "_chain",
+                                  "_chain_sum", "_chain_codes"))
     assert {f for f, names in named.items() if "_zmul" in names} == set()
 
 
