@@ -37,6 +37,7 @@ from .qseries import (
     Series,
     _QH,
     _chain,
+    _chain_codes,
     _factor,
     _monomial_str,
     _one_point_nest,
@@ -54,7 +55,6 @@ from .qseries import (
     c_term,
     half_str,
     pochhammer_inf,
-    power,
     qhyper,
     to2,
 )
@@ -149,9 +149,10 @@ def partition_ladder_closed(x: Param, t: Param, N) -> Series:
     q32, tq = _q(F(3, 2)), t * _q()
     (cx, qx, zx), (ct, qt, zt) = x.pow_monomial(1), tq.pow_monomial(F(1, 2))
     phi = qhyper([x * _QH, x * _QH], [x * q32, x * t * q32], t * _q(2), N)
-    # x (tq)^(1/2) as one monomial, at the truncation of their product
-    mono = Series(to2(N) + min(qx, qt), {(qx + qt, _zmul(zx, zt)): cx * ct})
-    return _pochhammer_chain(phi * mono, [(x * t * q32, None)],
+    # times x (tq)^(1/2), one monomial, at the truncation of their product
+    phi = _chain_codes(phi, (), (), (*(cx * ct).as_integer_ratio(), qx + qt,
+                                     _zmul(zx, zt)), to2(N) + min(qx, qt))
+    return _pochhammer_chain(phi, [(x * t * q32, None)],
                              [(x * _QH, 1), (tq, None), (x * _QH, None)])
 
 
@@ -180,30 +181,27 @@ def gamma_bar(x: Param, t1: Param, t2: Param, N) -> Series:
     n2 = to2(N)
     q32 = _q(F(3, 2))
     pref_scalar = x.scalar_pow(2) * t1.scalar_pow(1) * t2.scalar_pow(1)
-    pref = _pochhammer_chain(Series.monomial(pref_scalar, 1, N),
-                             [(x * t1 * q32, None)],
-                             [(x * _QH, 1), (x * _QH, 1), (x * _QH, None),
-                              (t1 * _q(), None)])
     t2i = t2.inverse()
     arg = t1 * t2 * _q(2)
     acc = Series.zero(N)
     s = 0
     while 6 * s + s * (s - 1) <= n2:
-        ratio = _chain(Series.one(N), _pochhammer_factors(x * _QH, s, n2) * 3,
-                       [f for b in (x * t1 * q32, _q(), x * q32, x * q32)
-                        for f in _pochhammer_factors(b, s, n2)])
         a = x * _q(s + F(1, 2))
         d = x * _q(s + F(3, 2))
         e = x * t1 * _q(s + F(3, 2))
         # structural type-II property: d*e/(a*b*c) equals the argument
         _assert_same_monomial(d * e, t2i * a * a * arg)
-        phi = qhyper([t2i, a, a], [d, e], arg, N)
-        coeff = ((-1) ** s) * (t1.scalar_pow(s) * t2.scalar_pow(s))
-        term = (ratio * phi).scale(coeff)
-        term = term.shift(3 * s + s * (s - 1) // 2)
-        acc = acc + term.truncate(N)
+        phi = qhyper([t2i, a, a], [d, e], arg, N).scale(
+            ((-1) ** s) * (t1.scalar_pow(s) * t2.scalar_pow(s)))
+        term = _chain(phi, _pochhammer_factors(x * _QH, s, n2) * 3,
+                      [f for b in (x * t1 * q32, _q(), x * q32, x * q32)
+                       for f in _pochhammer_factors(b, s, n2)])
+        acc = acc + term.shift(3 * s + s * (s - 1) // 2).truncate(N)
         s += 1
-    return pref * acc
+    return _pochhammer_chain(acc.scale(pref_scalar).shift(1),
+                             [(x * t1 * q32, None)],
+                             [(x * _QH, 1), (x * _QH, 1), (x * _QH, None),
+                              (t1 * _q(), None)]).truncate(N)
 
 
 def _assert_same_monomial(p: Param, r: Param) -> None:
@@ -213,8 +211,9 @@ def _assert_same_monomial(p: Param, r: Param) -> None:
 
 def gamma_sym(x: Param, y: Param, t1: Param, t2: Param, N) -> Series:
     """(t1 t2)^(-1/2)/(yq^(1/2))_inf * (gamma_bar(x,t1,t2)+gamma_bar(x,t2,t1))."""
-    pref = _over_pochhammer(power(t1 * t2, F(-1, 2), N), y * _QH)
-    return pref * (gamma_bar(x, t1, t2, N) + gamma_bar(x, t2, t1, N))
+    c, _, _ = (t1 * t2).pow_monomial(F(-1, 2))  # refuses before gamma_bar
+    return _over_pochhammer((gamma_bar(x, t1, t2, N)
+                             + gamma_bar(x, t2, t1, N)).scale(c), y * _QH)
 
 
 def generalized_two_point(x: Param, y: Param, t1: Param, t2: Param, N) -> Series:
@@ -227,16 +226,16 @@ def generalized_two_point(x: Param, y: Param, t1: Param, t2: Param, N) -> Series
     pxy = _times_pochhammer(pochhammer_inf(x * _QH, N), y * _QH)
     out = gamma_sym(x, y, t1, t2, N) + gamma_sym(y, x, t1i, t2i, N)
     out = out + omega(x, y, t1 * t2, N) + omega(y, x, t1i * t2i, N)
-    # the x-side ladders L(t_j) and y-side ladders M(t_j), each built once
-    L2, M2, c1 = omega(x, y, t2, N), omega(y, x, t2i, N), c_term(t1, N)
-    out = out + (L2 - M2) * c1
-    L1, M1, c2 = omega(x, y, t1, N), omega(y, x, t1i, N), c_term(t2, N)
-    out = out + (L1 - M1) * c2
+    # the x-side ladders L(t_j) and y-side ladders M(t_j), each built once;
+    # c_term refuses t_j with its own message, then beta(t_j) is a scalar
+    L2, M2, _ = omega(x, y, t2, N), omega(y, x, t2i, N), c_term(t1, N)
+    out = out + (L2 - M2).scale(beta_scalar(t1))
+    L1, M1, _ = omega(x, y, t1, N), omega(y, x, t1i, N), c_term(t2, N)
+    out = out + (L1 - M1).scale(beta_scalar(t2))
     # cross products pair an x-side ladder at t_j with a y-side ladder at the
     # other inverted point: L(t1)M(t2) + L(t2)M(t1)
     out = out - pxy * (L1 * M2 + L2 * M1)
-    out = out + c1 * c2 * pair_vacuum(x, y, N)
-    return out
+    return out + pair_vacuum(x, y, N).scale(beta_scalar(t1) * beta_scalar(t2))
 
 
 # -- level +1 sector functions via theta-jet determinants --------------------

@@ -842,28 +842,29 @@ def _chain_sum(s: Series, steps: Sequence[tuple]) -> Series:
 
 def _one_point_nest(f: tuple, t2: int) -> Series:
     """sum_(m >= 1) q^m S_m/((q)_m (tq)_m), S_m = sum_(j < m) (tq)_j/(q)_j,
-    exact to q^(t2/2), for the chain factor f = (A, B, 0, ()) of a scalar t
-    (closedform.one_point_minus1): on integer lists over one denominator,
-    each S_m kept to q^(N - m), then X <- q (S_m + X)/((1 - q^m)(1 - tq^m))
-    for m = floor(N), ..., 1 by _chain_list; one Series, with one gcd."""
+    exact to q^(t2/2), for the chain factor f = (A, B, 0, ()) of a scalar
+    t = A/B (closedform.one_point_minus1): each S_m kept to q^(N - m), then
+    X <- q (S_m + X)/((1 - q^m)(1 - tq^m)) for m = floor(N), ..., 1.  The
+    q^k coefficient has t-degree <= k, so a list holds it times B^k: by
+    _chain_list, 1 - tq^d acts as 1 - A B^(d-1) q^d, 1 - q^d as 1 - B^d q^d
+    and q as B q, with no division; one Series over B^floor(N), one gcd."""
     A, B = f[:2]
     top = t2 // 2
-    R, S, den, sums = [1] + [0] * (top - 1), [0] * top, 1, []
+    R, S, sums = [1] + [0] * (top - 1), [0] * top, []
     for m in range(1, top + 1):
         R = R[:top - m + 1]  # r_(m-1) to q^(N - m)
         if m > 1:
-            R, k = _chain_list(R, [(A, B, m - 1, ())], [(1, 1, m - 1, ())])
-            if k != 1:
-                S, den = [k * x for x in S], den * k
+            R = _chain_list(R, [(A * B ** (m - 2), 1, m - 1, ())],
+                            [(B ** (m - 1), 1, m - 1, ())])[0]
         S = list(map(add, S, R))  # S_m; map stops at R's end
-        sums.append((S, den))
-    X, dx = [0], den  # every den of sums divides dx
+        sums.append(S)
+    X = [0]
     for m in range(top, 0, -1):
-        S, w = sums[m - 1][0], dx // sums[m - 1][1]
-        X, k = _chain_list([0] + [w * s + x for s, x in zip(S, X)], (),
-                           [(1, 1, m, ()), (A, B, m, ())])
-        dx *= k
-    return _reduced(t2, dx, {(2 * i, ()): x for i, x in enumerate(X) if x})
+        X = _chain_list([0] + [B * (s + x) for s, x in zip(sums[m - 1], X)],
+                        (), [(B ** m, 1, m, ()),
+                             (A * B ** (m - 1), 1, m, ())])[0]
+    return _reduced(t2, B ** max(top, 0), {
+        (2 * i, ()): x * B ** (top - i) for i, x in enumerate(X) if x})
 
 
 def _times_one_minus(s: Series, p: Param) -> Series:

@@ -161,6 +161,27 @@ def test_neutral_one_point_makes_no_product_outside_qhyper(monkeypatch):
             == (2, 0, [])
 
 
+def test_generalized_closed_forms_make_no_one_term_product(monkeypatch):
+    """The charge-weighted one- and two-point closed forms apply beta(t),
+    the ladder monomial and the double-ladder prefactor as scales, shifts
+    and chain steps: no Series product has a one-term operand, and the
+    two-point form keeps only the three products of its cross term."""
+    operands = []
+
+    def recording_mul(self, other, _mul=Series.__mul__):
+        operands.append((len(self.nums), len(other.nums)))
+        return _mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", recording_mul)
+    t1, t2 = Param(F(2, 3)), Param(F(3, 5))
+    cf.generalized_one_point(X, Y, t1, 10)
+    cf.generalized_one_point(XZ, YZ, t1, 10)
+    cf.partition_ladder_closed(Param(F(1, 2), F(1, 2)), t1, 10)
+    assert operands == []
+    cf.generalized_two_point(X, Y, t1, t2, 8)
+    assert len(operands) == 3 and min(map(min, operands)) > 1
+
+
 class TestGeneralizedOnePoint:
     @pytest.mark.parametrize("s", (F(2, 3), F(3, 5)))
     def test_matches_oracle(self, s):

@@ -385,6 +385,10 @@ def trace_table_requests(draw):
 @example((SIX, 7, [63, 5], {0, 1, -2}, "boson_pair", "D", ZS[2], X, YQZ))
 # no state fits, and the ratios still divide a start row of none
 @example(([T], -1, [1], {0}, "boson_pair", "A", ZS[1], X, YQZ))
+# both ratios carry a coefficient, one with d > 0, at an odd N2: each part
+# divides exactly by its side's coefficient denominator in any part order
+@example(([T, Param(F(5, 3))], 11, [3, 1], {0, 1}, "boson_pair", "A", ZS[0],
+          Param(F(2, 5), F(1, 2)), Y))
 def test_trace_table_matches_side_table_pair_pass(req):
     """Every trace the one knapsack serves against the pair pass over
     side tables of enumerated partitions, with truncation and the set of
@@ -421,14 +425,30 @@ def test_generalized_trace_refuses_divergent_and_two_variable_ratios():
         a_generalized_trace(XZ, Param(F(3, 7), 0, 1, zvar=2), [T], 4)
 
 
-@pytest.mark.parametrize("kind,op", [("boson_pair", "A"),
-                                     ("fermion_pair", "D")])
-def test_factor_table_holds_only_the_charges_asked_for(kind, op):
-    dens, every = fock._trace_table(kind, op, [T, T2], 6, range(4),
-                                    set(range(-12, 13)))
-    assert len(every) > 1
-    assert fock._trace_table(kind, op, [T, T2], 6, range(4), {0}) \
-        == (dens, {0: every[0]})
+@pytest.mark.parametrize("kind,op", [(kind, op) for kind in KINDS
+                                     for op in sorted(LEGAL_OPS[kind])])
+@settings(max_examples=25, deadline=None)
+@given(st.lists(point_st, max_size=3), st.integers(-1, 12),
+       st.sets(st.integers(-26, 26), max_size=6))
+@example([T, T2], 6, set(range(-12, 13)))
+@example([T, T2], 6, {0})
+@example([T], 7, set())
+@example([T2], 5, {-6, -1, 3, 26})  # odd buckets and one past every state
+def test_factor_table_holds_only_the_charges_asked_for(kind, op, pts, n2,
+                                                       wanted):
+    """The knapsack pruned to `wanted` equals the unpruned table cut to
+    it, for every kind and operator and 0-3 points: dens, every row's
+    (q2, numerator) pairs and the set of buckets, with negative buckets,
+    buckets no state reaches and the empty set among the wanted ones."""
+    every = range(1 << len(pts))
+    dens, table = fock._trace_table(kind, op, pts, n2, every)
+    # one part on either side of a pair reaches charges -1, 0 and 1
+    if kind in CHARGED and n2 >= 1:
+        assert len(table) >= 3
+    else:
+        assert len(table) == (n2 >= 0)
+    assert fock._trace_table(kind, op, pts, n2, every, wanted) \
+        == (dens, {b: rows for b, rows in table.items() if b in wanted})
 
 
 def test_sector_trace_enumerates_no_partition(monkeypatch):
