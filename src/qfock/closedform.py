@@ -106,44 +106,8 @@ def one_point_minus1(t: Param, N) -> Series:
 # -- generalized one-point function ------------------------------------------
 
 
-def partition_ladder_sum(x: Param, t: Param, N) -> Series:
-    """Sum over nonempty partitions la of x^len(la) q^(|la|-len/2)
-    sum_i t^(la_i - 1/2), by direct enumeration of fock.mod_partitions.
-
-    The sum is taken in integers.  With x = (u/v) q^(d/2) z^e, t^(1/2) = a/b,
-    L the longest and top the largest part summed and E = 2 top - 1, a
-    partition of length l adds u^l v^(L-l) sum_i a^(2 la_i - 1)
-    b^(E - 2 la_i + 1) over v^L b^E: one integer per length and one per part
-    size.  t is refused, as a power t^(la_i - 1/2) would refuse it, only
-    when some partition reaches the sum."""
-    n2 = to2(N)
-    xc, xq2, xzk = x.pow_monomial(1)
-    reached = []
-    if xc:
-        for w2, la in fock.mod_partitions(n2):
-            q2 = w2 + len(la) * xq2
-            if la and q2 <= n2:
-                reached.append((len(la), q2, la))
-    if not reached:
-        return Series.zero(N)
-    th = t.scalar_pow(F(1, 2))
-    a, b = th.numerator, th.denominator
-    E = 2 * max(la[0] for _, _, la in reached) - 1
-    part = [0] + [a ** e * b ** (E - e) for e in range(1, E + 1, 2)]
-    sums: Dict[Tuple[int, int], int] = {}
-    for l, q2, la in reached:
-        sums[(l, q2)] = sums.get((l, q2), 0) + sum(map(part.__getitem__, la))
-    L = max(l for l, _, _ in reached)
-    u, v = xc.numerator, xc.denominator
-    nums: Dict[Tuple[int, tuple], int] = {}
-    for (l, q2), n in sums.items():
-        key = (q2, ((xzk[0][0], l * xzk[0][1]),) if xzk else ())
-        nums[key] = nums.get(key, 0) + u ** l * v ** (L - l) * n
-    return Series.from_numerators(n2, v ** L * b ** E, nums)
-
-
 def partition_ladder_closed(x: Param, t: Param, N) -> Series:
-    """The same partition sum in closed form:
+    """The ladder sum that verify.partition_ladder_sum enumerates, closed:
     x (tq)^(1/2) (xtq^(3/2))_inf / ((1-xq^(1/2)) (tq)_inf (xq^(1/2))_inf)
     * 2Phi2(xq^(1/2), xq^(1/2); xq^(3/2), xtq^(3/2); tq^2)."""
     q32, tq = _q(F(3, 2)), t * _q()

@@ -423,10 +423,11 @@ DUALITY_CAP = 4
 def check_duality(factors: Sequence[str], op_tag: str,
                   points: Sequence[Param]) -> None:
     """Refuse what ``duality_trace`` refuses, before any work is done: more
-    than DUALITY_CAP factors or points, an operator some factor lacks, or a
-    point that is not a plain scalar."""
-    if len(factors) > DUALITY_CAP or len(points) > DUALITY_CAP:
-        raise CapExceeded("duality trace limited to %d factors/points"
+    than DUALITY_CAP charged factors (the rank ``duality_reduce`` bounds) or
+    points, an operator some factor lacks, or a point that is not a scalar."""
+    rank = sum(kind in CHARGED for kind in factors)
+    if rank > DUALITY_CAP or len(points) > DUALITY_CAP:
+        raise CapExceeded("duality trace limited to %d charged factors/points"
                           % DUALITY_CAP)
     for kind in factors:
         _check_op(kind, op_tag)

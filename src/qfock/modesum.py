@@ -63,17 +63,9 @@ from math import prod
 from typing import Callable, Sequence, Tuple
 
 from .qseries import (NonTruncatable, Param, Series, _QH, _over_pochhammer,
-                      _pochhammer_chain, _q, _zmul, c_term, to2)
+                      _pochhammer_chain, _q, _zmul, c_term, point_inverse, to2)
 
 _ONE = Param(Fraction(1))
-
-
-def point_inverse(p: Param) -> Param:
-    """The point p^(-1), allowing q-shifted p (unlike Param.inverse)."""
-    if p.is_zero:
-        raise NonTruncatable("inverse of the zero point")
-    return Param(1 / p.s, Fraction(-p.d2, 2), Fraction(-p.e2, 2),
-                 p.zvar, p.sign)
 
 
 def _mode_cumulant(t: Param, u: Param, m: int, N) -> Series:

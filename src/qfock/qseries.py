@@ -18,7 +18,8 @@ with one gcd per result; a Fraction is built when a coefficient is read out
 product and z-slice read), Series.invert, _chain (products and quotients by
 factors (1 - a), and so the Pochhammer symbols), _chain_sum (a q-series
 summed term by term from its term ratio) and _one_point_nest; where they
-meet many pairs of z-keys they join integer charge codes (_zcode).
+meet many pairs of z-keys they join integer charge codes (_zcode), and
+every charged quotient (Series.invert's, _chain's) is one loop, _over_codes.
 """
 
 from __future__ import annotations
@@ -185,6 +186,41 @@ def _reduced(trunc2: int, den: int, nums: dict) -> "Series":
     s = object.__new__(Series)
     s.trunc2, s.den, s.nums = trunc2, den, nums
     return s
+
+
+def _over_codes(layers: dict, lo: int, hi: int, terms, B: int,
+                K: int) -> dict:
+    """B^K layers / (1 - sum A/B q^(d2/2) z^c) to q^(hi/2), for the terms
+    (d2 > 0, [(c, A), ...]), c a charge code (_zcode): layers and the result
+    are {q2: {charge code: int}} from q^(lo/2), the quotient built in rising
+    q2 by out[q2] = B^K layers[q2] + sum A (out[q2 - d2] // B), codes
+    shifted by c; the division is exact while no q2 lies more than K steps
+    above lo.  A layer of layers is read once and may be changed."""
+    BK, out = B ** K, {}
+    for q2 in range(lo, hi + 1):
+        cur = layers.get(q2) or {}
+        if BK != 1:
+            cur = {c: n * BK for c, n in cur.items()}
+        for d2, row in terms:
+            prev = out.get(q2 - d2)
+            if prev:
+                for c, A in row:
+                    for pc, n in prev.items():
+                        k = pc + c
+                        cur[k] = cur.get(k, 0) + (
+                            A * n if B == 1 else A * (n // B))
+        if cur:
+            out[q2] = cur
+    return out
+
+
+def _from_codes(t2: int, den: int, layers: dict, fields) -> "Series":
+    """The series layers[q2][code] / den, each charge code decoded once by
+    _zdecode over fields."""
+    zkeys = {c: _zdecode(c, fields)
+             for c in {c for layer in layers.values() for c in layer}}
+    return _reduced(t2, den, {(q2, zkeys[c]): n for q2, layer in layers.items()
+                              for c, n in layer.items() if n})
 
 
 class Series:
@@ -358,12 +394,13 @@ class Series:
         With self = lead * (1 + u) and val(u) > 0, every coefficient of u is
         an integer over one L > 0 (the lead's numerator, as self's
         denominator cancels), and the q-layers of g = 1/(1 + u) follow
-        g_0 = 1, g_n = -sum_{0<e<=n} u_e g_(n-e).  With step the gcd of u's
-        exponents, g_n = G_n / L^(n/step) for the integer layers
-        G_n = -sum_e (L^(e/step - 1) U_e) G_(n-e), so the recurrence
-        multiplies and adds integers only, and the result is reduced by one
-        gcd at the end.  Without charge variables the layers are one integer
-        list; with them a layer is keyed by charge codes (_zcode).
+        g_0 = 1, g_n = -sum_{0<e<=n} u_e g_(n-e).  Without charge variables
+        the layers are one integer list, G_n = L^(n/step) g_n for step the
+        gcd of u's exponents; with them g is _over_codes, 1/lead over 1 + u.
+        Either way integers are only added and multiplied, with one gcd at
+        the end.  The list stays apart: on code layers the z-free inverses
+        made the series-kernel checks about 11% slower (17.6 against 15.9 ms
+        in process).
         """
         v2 = self.min2()
         if v2 is None:
@@ -383,6 +420,7 @@ class Series:
         step = gcd(*u) or 1  # every reachable exponent is a multiple of step
         top = (self.trunc2 - v2) // step
         f = self.den if ln > 0 else -self.den  # 1/lead = self.den / ln
+        t2, den = self.trunc2 - 2 * v2, abs(ln) * L ** top
         reach = _reach({zk for _, zk in self.nums})
         if not reach:
             # one list: V[top - e] = L^(e - 1) U_e, so that G_n is minus the
@@ -394,46 +432,19 @@ class Series:
             for n in range(1, top + 1):
                 G.append(-sum(map(mul, G, V[top - n:])))
             # g_n = G_n L^(top - n) / L^top
-            return _reduced(self.trunc2 - 2 * v2, abs(ln) * L ** top,
-                            {(n * step - v2, ()): f * gn * L ** (top - n)
-                             for n, gn in enumerate(G) if gn})
-        # a key of u (self's over the lead's) has |e2| <= 2 reach, one of
-        # G_n sums at most n of them, and the result's are G's over the
-        # lead's
+            return _reduced(t2, den, {
+                (n * step - v2, ()): f * gn * L ** (top - n)
+                for n, gn in enumerate(G) if gn})
+        # a key of u (self's over the lead's) has |e2| <= 2 reach, g_n sums
+        # at most top of them, and the result's are g's over the lead's
         fields = [(var, (2 * top + 1) * e)
                   for var, e in sorted(reach.items())]
         lc = _zcode(lzk, fields)
-        code = {uz: _zcode(uz, fields) - lc for ul in u.values() for uz in ul}
-        v = [(e // step, [(code[uz], un // sgn * L ** (e // step - 1))
-                          for uz, un in ul.items()])
-             for e, ul in sorted(u.items())]
-        G = {0: {0: 1}}  # layer n/step -> {charge code: G numerator}
-        for n in range(1, top + 1):
-            acc = {}
-            for e, vl in v:
-                if e > n:
-                    break
-                gl = G.get(n - e)
-                if gl is None:
-                    continue  # n - e is unreachable or vanishes
-                for uc, un in vl:
-                    for gc, gn in gl.items():
-                        k = uc + gc
-                        acc[k] = acc.get(k, 0) - un * gn
-            layer = {k: c for k, c in acc.items() if c}
-            if layer:
-                G[n] = layer
-        zkeys = {lc: ()}  # charge code of G -> the result's zkey
-        out = {}
-        for n, gl in G.items():
-            fn = f * L ** (top - n)
-            q2 = n * step - v2
-            for gc, gn in gl.items():
-                zk = zkeys.get(gc)
-                if zk is None:
-                    zk = zkeys[gc] = _zdecode(gc - lc, fields)
-                out[(q2, zk)] = fn * gn
-        return _reduced(self.trunc2 - 2 * v2, abs(ln) * L ** top, out)
+        terms = [(e, [(_zcode(uz, fields) - lc, -(un // sgn))
+                      for uz, un in ul.items()])
+                 for e, ul in sorted(u.items())]
+        return _from_codes(t2, den, _over_codes({-v2: {-lc: f}}, -v2, t2,
+                                                terms, L, top), fields)
 
     def truncate(self, N: HalfLike) -> "Series":
         t2 = to2(N)
@@ -653,7 +664,7 @@ class Param:
             raise IllegalPower("zero parameter has no inverse")
         if self.d2:
             raise IllegalPower("inverse of a q-shifted parameter is not a Param")
-        return Param(1 / self.s, 0, Fraction(-self.e2, 2), self.zvar, self.sign)
+        return point_inverse(self)
 
     def __mul__(self, other: "Param") -> "Param":
         if not isinstance(other, Param):
@@ -685,6 +696,14 @@ class Param:
         return "Param(%s)" % "*".join(bits)
 
 
+def point_inverse(p: Param) -> Param:
+    """The point p^(-1), allowing q-shifted p (unlike Param.inverse)."""
+    if p.is_zero:
+        raise NonTruncatable("inverse of the zero point")
+    return Param(1 / p.s, Fraction(-p.d2, 2), Fraction(-p.e2, 2),
+                 p.zvar, p.sign)
+
+
 def _q(d: HalfLike = 1) -> Param:
     """The point q^d."""
     return Param(1, d)
@@ -699,22 +718,6 @@ def power(p: Param, r: HalfLike, N: HalfLike) -> Series:
     if not c:
         return Series.zero(N)
     return Series(to2(N), {(q2, zk): c})
-
-
-def _one_minus(p: Param, N: HalfLike) -> Series:
-    """The factor 1 - p at truncation N, built in integer form: the
-    coefficient of p = sign * s^2 q^d z^e is sign * a^2 / b^2 for s = a/b."""
-    t2 = to2(N)
-    den = p.s.denominator ** 2
-    nums = {(0, ()): den} if t2 >= 0 else {}
-    if p.d2 <= t2:
-        k = (p.d2, ((p.zvar, p.e2),) if p.e2 else ())
-        n = nums.get(k, 0) - p.sign * p.s.numerator ** 2
-        if n:
-            nums[k] = n
-        else:
-            del nums[k]
-    return _reduced(t2, den, nums)
 
 
 def _factor(p: Param, i: int = 0) -> tuple:
@@ -867,26 +870,25 @@ def _one_point_nest(f: tuple, t2: int) -> Series:
         (2 * i, ()): x * B ** (top - i) for i, x in enumerate(X) if x})
 
 
-def _times_one_minus(s: Series, p: Param) -> Series:
-    """s (1 - p), exact to s's truncation: the one-factor _chain for a p
-    with d > 0.  A p with d <= 0 takes the generic product, the factor taken
-    to s's relative order so that it cuts nothing off."""
-    if p.d2 > 0:
-        return _chain(s, (_factor(p),))
-    return s * _one_minus(p, _half(s.trunc2 - (s.min2() or 0)))
-
-
 def _over_one_minus(s: Series, p: Param) -> Series:
-    """s / (1 - p), exact to s's truncation: the one-factor _chain for a p
-    with d > 0.  A scalar p (d = 0, no charge) other than 1 scales s by
-    1/(1 - c); any other p with d <= 0 takes the generic inverse, which
-    expands it or raises.
-    """
+    """s / (1 - p): for d > 0 the one-factor _chain and for a scalar p
+    (d = 0, no charge) other than 1 the scale by 1/(1 - p), both exact to
+    s's truncation.  A charged p at d = 0, or p = 1, has no inverse.  For
+    d < 0 it is s / (1 - p) = -s p^-1 / (1 - p^-1), one _chain_codes to
+    the truncation of the product of s with the inverse of 1 - p."""
     if p.d2 > 0:
         return _chain(s, (), (_factor(p),))
+    if p.d2 < 0:
+        A, B, d2, ze = _factor(point_inverse(p))
+        t2 = s.trunc2 - p.d2
+        if s.nums:
+            t2 = min(t2, max(s.trunc2, 0) - 2 * p.d2 + s.min2())
+        return _chain_codes(s, (), [(A, B, d2, ze)], (-A, B, d2, ze), t2)
+    if p.e2:
+        raise NotInvertible("lowest q-layer has 2 monomials")
     A, B = p.sign * p.s.numerator ** 2, p.s.denominator ** 2
-    if p.d2 or p.e2 or A == B:
-        return s * _one_minus(p, _half(max(s.trunc2, 0))).invert()
+    if A == B:
+        raise NotInvertible("cannot invert the zero series")
     g = B - A  # s / (1 - A/B) = s B / (B - A)
     if g < 0:
         B, g = -B, -g
@@ -897,10 +899,11 @@ def _chain_codes(s: Series, ups: Sequence[tuple], downs: Sequence[tuple],
                  mono: tuple, t2: int) -> Series:
     """s A/B q^(d2/2) z^ze prod_(f in ups) (1 - f) / prod_(f in downs)
     (1 - f) for mono = (A, B, d2, ze) and the chain factors of _chain, exact
-    to t2: _chain_list's passes on q-layers keyed by charge codes (_zcode),
-    s encoded once and the result decoded once.  A field's half-width is
-    s's reach plus |e2| per up factor and the monomial and K |e2| per down
-    factor on its variable, K that factor's longest chain, so no code wraps."""
+    to t2: _chain_list's product passes and an _over_codes per quotient on
+    q-layers keyed by charge codes (_zcode), s encoded once and the result
+    decoded once.  A field's half-width is s's reach plus |e2| per up factor
+    and the monomial and K |e2| per down factor on its variable, K that
+    factor's longest chain, so no code wraps."""
     A, B, m2, mz = mono
     kept = [(q2 + m2, zk, n) for (q2, zk), n in s.nums.items()
             if A and q2 + m2 <= t2]
@@ -934,30 +937,10 @@ def _chain_codes(s: Series, ups: Sequence[tuple], downs: Sequence[tuple],
                     cur[c] = cur.get(c, 0) - A * n
         den *= B
     for (A, B, d2, ze), K in zip(downs, Ks[len(ups) + 1:]):
-        ce, out = _zcode(ze, fields), {}
-        BK = B ** K
-        for q2 in range(v2, t2 + 1):
-            # each input layer is read once, so it is updated in place
-            cur = layers.get(q2) or {}
-            if BK != 1:
-                cur = {c: n * BK for c, n in cur.items()}
-            prev = out.get(q2 - d2)
-            if prev:
-                for c, n in prev.items():
-                    c += ce
-                    cur[c] = cur.get(c, 0) + A * (n // B)
-            if cur:
-                out[q2] = cur
-        layers, den = out, den * BK
-    zkeys, nums = {}, {}  # charge code -> the result's zkey; numerators
-    for q2, layer in layers.items():
-        for c, n in layer.items():
-            if n:
-                zk = zkeys.get(c)
-                if zk is None:
-                    zk = zkeys[c] = _zdecode(c, fields)
-                nums[(q2, zk)] = n
-    return _reduced(t2, den, nums)
+        layers = _over_codes(layers, v2, t2, [(d2, [(_zcode(ze, fields), A)])],
+                             B, K)
+        den *= B ** K
+    return _from_codes(t2, den, layers, fields)
 
 
 def _pochhammer_factors(a: Param, n: Optional[int], t2: int) -> List[tuple]:
@@ -981,16 +964,16 @@ def _pochhammer_chain(s: Series, ups: Sequence[tuple] = (),
                       downs: Sequence[tuple] = ()) -> Series:
     """s prod_((a, n) in ups) (a)_n / prod_((b, n) in downs) (b)_n, exact
     to s's truncation (n = None for (a)_inf): one _chain over the symbols'
-    factors.  A factor at d = 0 is applied at its turn, ups first, by
-    _times_one_minus or _over_one_minus, so a vanishing quotient raises even
-    for s = 0; the other factors commute with it."""
+    factors.  A factor at d = 0 of a scalar point is a number, applied at
+    its turn: s times it, or _over_one_minus, so a vanishing quotient raises
+    even for s = 0; a charged one is an up factor of the chain."""
     times, over = [], []  # the chain factors of ups, of downs
     for up, symbols, factors in ((True, ups, times), (False, downs, over)):
         for a, n in symbols:
             rel = s.trunc2 - (s.min2() or 0)
             fs = _pochhammer_factors(a, n, rel if up else max(rel, 0))
-            if fs and not fs[0][2]:
-                s = (_times_one_minus if up else _over_one_minus)(s, a)
+            if fs and not fs[0][2] and not (up and a.e2):
+                s = s * (1 - a.value_coeff) if up else _over_one_minus(s, a)
                 fs = fs[1:]
             factors.extend(fs)
     return _chain(s, times, over)

@@ -265,6 +265,42 @@ def marked_part_sum_enum(l: int, i: int, t: Param, N) -> Series:
     return Series.from_numerators(to2(N), v ** top, nums)
 
 
+def partition_ladder_sum(x: Param, t: Param, N) -> Series:
+    """Sum over nonempty partitions la of x^len(la) q^(|la|-len/2)
+    sum_i t^(la_i - 1/2), by direct enumeration of fock.mod_partitions.
+
+    The sum is taken in integers.  With x = (u/v) q^(d/2) z^e, t^(1/2) = a/b,
+    L the longest and top the largest part summed and E = 2 top - 1, a
+    partition of length l adds u^l v^(L-l) sum_i a^(2 la_i - 1)
+    b^(E - 2 la_i + 1) over v^L b^E: one integer per length and one per part
+    size.  t is refused, as a power t^(la_i - 1/2) would refuse it, only
+    when some partition reaches the sum."""
+    n2 = to2(N)
+    xc, xq2, xzk = x.pow_monomial(1)
+    reached = []
+    if xc:
+        for w2, la in fock.mod_partitions(n2):
+            q2 = w2 + len(la) * xq2
+            if la and q2 <= n2:
+                reached.append((len(la), q2, la))
+    if not reached:
+        return Series.zero(N)
+    th = t.scalar_pow(F(1, 2))
+    a, b = th.numerator, th.denominator
+    E = 2 * max(la[0] for _, _, la in reached) - 1
+    part = [0] + [a ** e * b ** (E - e) for e in range(1, E + 1, 2)]
+    sums: Dict[Tuple[int, int], int] = {}
+    for l, q2, la in reached:
+        sums[(l, q2)] = sums.get((l, q2), 0) + sum(map(part.__getitem__, la))
+    L = max(l for l, _, _ in reached)
+    u, v = xc.numerator, xc.denominator
+    nums: Dict[Tuple[int, tuple], int] = {}
+    for (l, q2), n in sums.items():
+        key = (q2, ((xzk[0][0], l * xzk[0][1]),) if xzk else ())
+        nums[key] = nums.get(key, 0) + u ** l * v ** (L - l) * n
+    return Series.from_numerators(n2, v ** L * b ** E, nums)
+
+
 def marked_part_sum_closed(l: int, i: int, t: Param, N) -> Series:
     """t q^l / ((1-q)...(1-q^{i-1}) (1-q^i t)...(1-q^l t))."""
     return _pochhammer_chain(Series.monomial(t.scalar_pow(1), l, N), (),
@@ -393,7 +429,7 @@ def _registry_correlation(reg: List[CheckSpec]) -> None:
                          fock.a_generalized_trace(x, y, [Param(s)], 10))))
         reg.append(CheckSpec(
             "eq-555-t%s" % _slug_s(s), 10, "gate",
-            lambda s=s: (cf.partition_ladder_sum(x, Param(s), 10),
+            lambda s=s: (partition_ladder_sum(x, Param(s), 10),
                          cf.partition_ladder_closed(x, Param(s), 10))))
     reg.append(CheckSpec(
         "gl-general-2pt", 8, "gate",

@@ -4,6 +4,9 @@ the helpers the test modules share:
 - the ``{key: Fraction}`` series ring (``_ref_*``), the reference of the
   Series ring operations and, factor by factor, of the chain kernel
   ``qseries._chain``;
+- the factor 1 - p as a two-term Series (``_one_minus``), whose generic
+  product and inverse are the references of the chain kernel's products
+  and quotients;
 - the level -1 one-point nest one Series per step
   (``reference_one_point_nest``), the reference of
   ``qseries._one_point_nest``;
@@ -42,6 +45,7 @@ from qfock.qseries import (
     _factor,
     _half,
     _q_factor,
+    _reduced,
     _zmul,
     beta_scalar,
     to2,
@@ -201,6 +205,22 @@ def _ref_over_factor(a, f):
             out[k] = out.get(k, F(0)) + c * x
         c, j2, jz = c * F(A, B), j2 + d2, _zmul(jz, ze)
     return _ref_kept(t2, out)
+
+
+def _one_minus(p, N):
+    """The factor 1 - p at truncation N as a two-term Series: the
+    coefficient of p = sign * s^2 q^d z^e is sign * a^2 / b^2 for s = a/b."""
+    t2 = to2(N)
+    den = p.s.denominator ** 2
+    nums = {(0, ()): den} if t2 >= 0 else {}
+    if p.d2 <= t2:
+        k = (p.d2, ((p.zvar, p.e2),) if p.e2 else ())
+        n = nums.get(k, 0) - p.sign * p.s.numerator ** 2
+        if n:
+            nums[k] = n
+        else:
+            del nums[k]
+    return _reduced(t2, den, nums)
 
 
 def reference_one_point_nest(t, N):

@@ -93,7 +93,7 @@ def test_criterion_06_generalized_one_and_two_point():
         assert_same(cf.generalized_one_point(X, Y, t, 10),
                     fock.a_generalized_trace(X, Y, [t], 10),
                     "1-point t=%s" % s)
-        assert_same(cf.partition_ladder_sum(X, t, 10),
+        assert_same(verify.partition_ladder_sum(X, t, 10),
                     cf.partition_ladder_closed(X, t, 10),
                     "ladder t=%s" % s)
     t1, t2 = Param(F(2, 3)), Param(F(3, 5))

@@ -80,6 +80,20 @@ class TestCorr:
         assert series_equal(series_from_json(json.loads(text)), want)
 
 
+    @pytest.mark.parametrize("algebra,level", [("c", "-9/2"), ("d", "-7/2")])
+    @pytest.mark.parametrize("points", [[], ["2/3"], ["2/3", "3/5"]])
+    def test_rank_four_with_a_neutral_factor_runs_in_both_modes(
+            self, algebra, level, points):
+        # the oracle counts charged factors against its cap, as the
+        # reduction bounds the rank, so both accept rank 4 plus a neutral
+        argv = ["corr", "--algebra", algebra, "--level=" + level,
+                "--lambda", "1,0,0,0", "--N", "2", "--format", "json"]
+        if points:
+            argv += ["--points"] + points
+        oracle = run(argv + ["--mode", "oracle"])
+        assert oracle[0] == 0
+        assert oracle == run(argv + ["--mode", "assignment"])
+
     @pytest.mark.parametrize("mode", ["oracle", "assignment", "literal"])
     def test_q_shifted_point_refused_alike_in_every_mode(self, mode, capsys):
         status, text = run(["corr", "--algebra", "c", "--level", "3/2",

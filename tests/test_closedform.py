@@ -193,7 +193,7 @@ class TestGeneralizedOnePoint:
     @pytest.mark.parametrize("s", (F(2, 3), F(3, 5)))
     def test_ladder_closed_form(self, s):
         t = Param(s)
-        assert_same(cf.partition_ladder_sum(X, t, 8),
+        assert_same(verify.partition_ladder_sum(X, t, 8),
                     cf.partition_ladder_closed(X, t, 8))
 
 
@@ -210,7 +210,7 @@ def partitions_of(weight, largest=None):
 
 
 def enumerated_ladder_sum(x, t, N):
-    """cf.partition_ladder_sum before it read fock.mod_partitions: every
+    """verify.partition_ladder_sum before it read fock.mod_partitions: every
     partition of weight <= 2N, the ones beyond q^N dropped one by one."""
     n2 = to2(N)
     acc = {}
@@ -239,7 +239,8 @@ def test_ladder_sum_matches_enumeration(s, d2, e2, sign, ts, n2):
     >= 0."""
     x = Param(s, F(d2, 2), F(e2, 2), zvar=1, sign=sign)
     t, N = Param(ts), F(n2, 2)
-    assert cf.partition_ladder_sum(x, t, N) == enumerated_ladder_sum(x, t, N)
+    assert verify.partition_ladder_sum(x, t, N) \
+        == enumerated_ladder_sum(x, t, N)
 
 
 @settings(max_examples=100, deadline=None)
@@ -252,7 +253,7 @@ def test_ladder_sum_matches_enumeration_or_refuses_alike(s, d, e, sign, t,
     q-shift, a charge or sign -1 and t of either sign, zero, q-shifted or
     charged: equal sums, or the same exception and message."""
     x = Param(s, d, e, sign=sign)
-    assert _outcome_and_message(cf.partition_ladder_sum, x, t, N) \
+    assert _outcome_and_message(verify.partition_ladder_sum, x, t, N) \
         == _outcome_and_message(enumerated_ladder_sum, x, t, N)
 
 
@@ -269,7 +270,7 @@ def test_ladder_sum_refuses_exactly_when_a_partition_is_summed(x, t, N,
                                                                error):
     """t is refused as each part's power t^(la_i - 1/2) refuses it, and only
     when some partition reaches q^N; t = 0 sums to zero."""
-    got = _outcome_and_message(cf.partition_ladder_sum, x, t, N)
+    got = _outcome_and_message(verify.partition_ladder_sum, x, t, N)
     assert got == _outcome_and_message(enumerated_ladder_sum, x, t, N)
     if error:
         assert got == (IllegalPower, error)

@@ -1,0 +1,70 @@
+"""The mutant kill matrix: one-line mutants of src/ that the gate checks of
+``qfock verify`` must catch.
+
+Each row of MUTANTS is (file, old text, new text, reason).  The test copies
+src/ to a temporary directory, asserts that the old text occurs exactly once
+in the file, replaces it, runs every gate check on the copy in a fresh
+interpreter and asserts that at least one gate fails.  The gates each
+mutant failed when its row was added (the matrix so far):
+
+- ``_over_codes``' accumulate sign: 8, the ``qdiff-a-*`` and
+  ``qdim-charge-resolved-*`` gates and ``identity-ff-specializes-qdim``;
+- ``_over_one_minus``' scalar quotient ``g = B - A``: 10;
+- ``_chain_list``'s product pass sign: 22 for B = 1 and 17 for B != 1.
+
+A mutant that no gate kills is a finding that wants a new gate, not a row:
+the d < 0 branch of ``_over_one_minus`` is killed only by
+tests/test_qseries.py::test_over_one_minus_matches_generic_inverse.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+MUTANTS = [
+    ("qseries.py",
+     "cur[k] = cur.get(k, 0) + (",
+     "cur[k] = cur.get(k, 0) - (",
+     "the charged quotient loop of Series.invert and _chain_codes"),
+    ("qseries.py",
+     "g = B - A  # s / (1 - A/B)",
+     "g = B + A  # s / (1 - A/B)",
+     "a quotient by a scalar factor 1 - p at d = 0"),
+    ("qseries.py",
+     "L = L[:d2] + [x - A * y for x, y in zip(L[d2:], L)]",
+     "L = L[:d2] + [x + A * y for x, y in zip(L[d2:], L)]",
+     "the z-free product pass by 1 - A q^d"),
+    ("qseries.py",
+     "[B * x - A * y",
+     "[B * x + A * y",
+     "the z-free product pass by 1 - A/B q^d, B != 1"),
+]
+
+GATES = """
+import json
+from qfock import verify
+print(json.dumps([r.name for r in map(verify.run_check, verify.registry())
+                  if r.mode == "gate" and r.status != "pass"]))
+"""
+
+
+@pytest.mark.parametrize("path,old,new,reason", MUTANTS,
+                         ids=[row[3] for row in MUTANTS])
+def test_mutant_fails_a_gate(tmp_path, path, old, new, reason):
+    shutil.copytree(SRC, tmp_path / "src")
+    target = tmp_path / "src" / "qfock" / path
+    text = target.read_text()
+    assert text.count(old) == 1
+    target.write_text(text.replace(old, new))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
+    out = subprocess.run([sys.executable, "-c", GATES], env=env,
+                         capture_output=True, text=True, check=True,
+                         cwd=tmp_path).stdout
+    assert json.loads(out), reason

@@ -175,9 +175,9 @@ def test_duality_sides_enumerate_no_point_map(module, func):
 def test_quotients_by_one_minus_factors_have_one_path():
     """In qseries.py, closedform.py and modesum.py no ``.invert()`` is
     applied to an expression that builds ``_one_minus``, ``pochhammer_n``
-    or ``pochhammer_inf``, except in the generic fallback of
-    ``_over_one_minus`` itself: every quotient by (1 - p) factors and
-    Pochhammer symbols is one pass of that kernel."""
+    or ``pochhammer_inf``, ``_over_one_minus`` included: every quotient by
+    (1 - p) factors and Pochhammer symbols is a pass of the chain kernel,
+    with no generic fallback."""
     factors = {"_one_minus", "pochhammer_n", "pochhammer_inf"}
     users = set()
     for name in ("qseries", "closedform", "modesum"):
@@ -192,7 +192,7 @@ def test_quotients_by_one_minus_factors_have_one_path():
                          and isinstance(n.func, ast.Name)}
                 if built & factors:
                     users.add("%s.%s" % (name, getattr(top, "name", "?")))
-    assert users == {"qseries._over_one_minus"}
+    assert users == set()
 
 
 def _names_in(module, funcs):
@@ -217,14 +217,26 @@ def _names_in(module, funcs):
 
 def test_charged_quotients_join_charge_codes():
     """``_over_one_minus``, ``_over_pochhammer``, ``_pochhammer_chain``, the
-    chain kernels ``_chain`` and ``_chain_sum`` and the code kernel
-    ``_chain_codes`` name no ``_zmul``: a charged quotient, product or
-    term-by-term sum adds integer charge codes, as ``Series.invert`` does,
-    and has no z-key path beside them."""
+    chain kernels ``_chain`` and ``_chain_sum``, the code kernel
+    ``_chain_codes`` and its quotient loop ``_over_codes`` name no
+    ``_zmul``: a charged quotient, product or term-by-term sum adds integer
+    charge codes, as ``Series.invert`` does, and has no z-key path beside
+    them."""
     named = _names_in("qseries", ("_over_one_minus", "_over_pochhammer",
                                   "_pochhammer_chain", "_chain",
-                                  "_chain_sum", "_chain_codes"))
+                                  "_chain_sum", "_chain_codes",
+                                  "_over_codes"))
     assert {f for f, names in named.items() if "_zmul" in names} == set()
+
+
+def test_charged_inverse_and_chain_share_one_quotient_loop():
+    """``Series.invert`` and ``_chain_codes`` both run their charged
+    quotients through ``_over_codes`` and decode through ``_from_codes``,
+    and neither decodes charge codes itself with ``_zdecode``."""
+    named = _names_in("qseries", ("Series.invert", "_chain_codes"))
+    for func, names in named.items():
+        assert {"_over_codes", "_from_codes"} <= names, func
+        assert "_zdecode" not in names, func
 
 
 def test_products_and_inverses_join_charge_codes():
@@ -265,9 +277,9 @@ def test_only_entry_reads_numerators_outside_qseries():
 def test_products_by_one_minus_factors_have_one_path():
     """In qseries.py, closedform.py and modesum.py no Series is multiplied
     by an expression that builds ``_one_minus``, ``pochhammer_n`` or
-    ``pochhammer_inf``, except in the d <= 0 fallbacks of the kernels
-    themselves: every product by (1 - p) factors and Pochhammer symbols is
-    one pass of ``_times_one_minus`` per factor."""
+    ``pochhammer_inf``: every product by (1 - p) factors and Pochhammer
+    symbols is one pass of the chain kernel per factor, or at a scalar point
+    of d = 0 a product with the number 1 - p."""
     factors = {"_one_minus", "pochhammer_n", "pochhammer_inf"}
     users = set()
     for name in ("qseries", "closedform", "modesum"):
@@ -288,7 +300,7 @@ def test_products_by_one_minus_factors_have_one_path():
                          and isinstance(n.func, ast.Name)}
                 if built & factors:
                     users.add("%s.%s" % (name, getattr(top, "name", "?")))
-    assert users == {"qseries._over_one_minus", "qseries._times_one_minus"}
+    assert users == set()
 
 
 def test_closed_forms_keep_no_hidden_state():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfock import closedform as cf, verify
+from qfock import verify
 from qfock.qseries import (
     DegenerateParameter,
     NonTruncatable,
@@ -196,7 +196,7 @@ def test_partition_sums_build_no_fraction_per_partition(monkeypatch):
     counts = []
     for N in (6, 10, 14):
         monkeypatch.setattr(F, "__new__", counting_new)
-        cf.partition_ladder_sum(x, t, N)
+        verify.partition_ladder_sum(x, t, N)
         verify.fixed_length_sum_enum(3, N)
         verify.marked_part_sum_enum(3, 2, t, N)
         monkeypatch.undo()
