@@ -18,13 +18,14 @@ This module implements the explicit formulas that the enumeration oracles in
 Every closed-form Weyl sum (the q-dimensions and both readings of the
 duality reduction) is one fold, ``_alternant``, on integer rows of blocks
 built before it runs (fock.Rows: boson-pair blocks from the Fock table,
-fermion-pair blocks read once by ``_entry``); it builds one series.
+fermion-pair blocks from ``_f_bo_all``'s Rows); it builds one series.
 """
 
 from fractions import Fraction
 from itertools import (accumulate, combinations, permutations,
                        product as iter_product)
-from math import factorial, lcm, prod
+from math import gcd, lcm, prod
+from operator import add, mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import combinat, fock, modesum
@@ -38,8 +39,9 @@ from .qseries import (
     _QH,
     _chain,
     _chain_codes,
+    _chain_list,
     _factor,
-    _monomial_str,
+    _inverse_list,
     _one_point_nest,
     _over_pochhammer,
     _pochhammer_chain,
@@ -53,7 +55,6 @@ from .qseries import (
     _zmul,
     beta_scalar,
     c_term,
-    half_str,
     pochhammer_inf,
     qhyper,
     to2,
@@ -62,10 +63,6 @@ from .qseries import (
 F = Fraction
 
 _ZERO = Param(F(0))
-
-
-def _scalar_key(p: Param):
-    return (p.s, p.d2, p.e2, p.zvar, p.sign)
 
 
 def pair_vacuum(x: Param, y: Param, N, s: Optional[Series] = None) -> Series:
@@ -219,39 +216,49 @@ def f_bo(points: Sequence[Param], N) -> Series:
     and entries with j - i + 1 < 0 vanish; evaluated by _f_bo_all as one
     sum over chains of point subsets, not over the n! orderings.
     """
-    return _f_bo_all([points], N)[0]
+    return fock.row_series(to2(N), _f_bo_all([points], N)[0])
 
 
-def _f_bo_all(point_lists: Sequence[Sequence[Param]], N) -> List[Series]:
-    """[f_bo(points, N) for points in point_lists], in order, from one table
-    over point subsets shared by the batch: the eps-signed point subsets of
-    one duality reduction are subsets of one another.
+def _convolve(xs: list, ys: list, top: int) -> list:
+    """xs * ys as integer lists by powers of q, to q^top (len(ys) > top)."""
+    out = [0] * (top + 1)
+    for i, x in enumerate(xs[:top + 1]):
+        if x:
+            out[i:] = map(add, out[i:], [x * y for y in ys[:top + 1 - i]])
+    return out
 
-    The matrix is upper Hessenberg with subdiagonal Theta(P_(n-1)), ...,
-    Theta(P_1); dividing column j < n by Theta(P_(n-j)) leaves a unit
-    subdiagonal, and a jet entry is (q)_inf^(-3) times the sum S_k of
-    _theta_sums, so a divided entry is h(B, k) = S_k(prod B)/S_0(prod B)
-    at the set B of the first n - j sigma-ordered points, with h(empty, k)
-    = S_k(1) in the last column: the factor cancels and is never built.
-    Expanded from its trailing corner, the determinant is a sum over the
-    chains empty = B_0 < B_1 < ... < B_r = all points of
-    prod_i (-1)^(k_i - 1) h(B_(i-1), k_i), k_i = |B_i| - |B_(i-1)|, and
-    k_1! ... k_r! orderings sigma share each chain.  So the sum over sigma
-    is W[all points], with W[empty] = 1 and
-    W[C] = sum_(B < C) (-1)^(k-1) k! h(B, k) W[B], k = |C| - |B|.  With
-    V[C] = W[C]/S_0(prod C), V[empty] = 1, f_bo = V[all points]/(q)_inf and
-    W[C] = sum_(B < C) (-1)^(k-1) k! S_k(prod B) V[B]: one product per set
-    for V, one per (set, k) for the terms, and additions for W.  W[C]
-    depends on C only through the multiset of its points (two sets with
-    one product can differ), so V and the terms are memoized by the sorted
-    ids of the set's point keys, for the whole batch.
+
+def _f_bo_all(point_lists: Sequence[Sequence[Param]], N) -> List[fock.Row]:
+    """[f_bo(points, N) for points in point_lists] as fock.Rows to q^N,
+    from one table over point subsets shared by the batch: the eps-signed
+    subsets of one duality reduction are subsets of one another.
+
+    Dividing column j < n of the Hessenberg matrix by its subdiagonal entry
+    Theta(P_(n-j)) leaves a unit subdiagonal and entries h(B, k) =
+    S_k(prod B)/S_0(prod B) ((q)_inf^(-3) cancels), B the first n - j
+    sigma-ordered points, h(empty, k) = S_k(1).  Expanded from its trailing
+    corner, the determinant is a sum over the chains empty = B_0 < ... <
+    B_r = all points of prod_i (-1)^(k_i - 1) h(B_(i-1), k_i),
+    k_i = |B_i| - |B_(i-1)|, shared by k_1! ... k_r! orderings sigma.  With
+    _theta_sums' S_k = R_k / (D 2^k k!), the sum over sigma, over
+    D(prod all) (q)_inf, is X[all points] for X[empty] = 1/(q)_inf and
+    X[C] R_0(prod C) = sum_(B < C) (-1)^(k-1) R_k(prod B) X[B] / 2^k,
+    k = |C| - |B|.  Each X is one integer list over one denominator, with
+    one gcd: a list product per (multiset, k), a sum over the lcm, and a
+    product by 1/R_0 (qseries._inverse_list) per multiset.  R_k(P) starts
+    at q^(-d^2/2) and X[C] at q^(d^2/2), for P = (a/b)^2 q^d the product,
+    so lists of q^0 .. q^floor(N) are exact.  X and the terms are memoized
+    for the batch by the sorted ids of the sets' point keys, not by
+    product (sets with one product can differ).
 
     Refusals come list by list, each before the list's first product: a
     list over F_BO_CAP points, then for each ordering sigma in turn the sums
     at P_1, ..., P_(n-1) (a point theta refuses) and then 1/S_0 at P_1,
     ..., P_n (a partial product at a zero of Theta, 1 or q^(+-1)).
     """
-    qinf_inv = _qinf_inv(to2(N), 1)
+    N2, top = to2(N), max(to2(N) // 2, 0)
+    qinf_inv = _chain_list([1] + [0] * top, (),
+                           [(1, 1, d, ()) for d in range(1, top + 1)])[0]
     order = max(map(len, point_lists), default=0)
     one = Param(F(1))
     # a point or partial product is read by an int id of its scalar key,
@@ -259,32 +266,30 @@ def _f_bo_all(point_lists: Sequence[Sequence[Param]], N) -> List[Series]:
     ids, sums, inverses = {}, {}, {}
 
     def ident(p: Param) -> int:
-        return ids.setdefault(_scalar_key(p), len(ids))
+        return ids.setdefault((p.s, p.d2, p.e2, p.zvar, p.sign), len(ids))
 
-    def sums_at(i: int, p: Param) -> List[Series]:
+    def sums_at(i: int, p: Param) -> Tuple[int, int, List[list]]:
         if i not in sums:
             sums[i] = _theta_sums(p, order, N)
         return sums[i]
 
-    def inverse(i: int, p: Param) -> Series:
+    def inverse(i: int, p: Param) -> Tuple[list, int]:
         if i not in inverses:
-            if p.d2 in (-2, 0, 2) and p.e2 == 0 and p.value_coeff == 1:
+            if p.d2 in (-2, 0, 2) and not p.e2 and p.sign == 1 \
+                    and p.s in (1, -1):
                 raise DegenerateParameter(
                     "theta vanishes at a partial product equal to 1 or "
                     "q^(+-1)")
-            inverses[i] = sums_at(i, p)[0].invert()
+            inverses[i] = _inverse_list(sums_at(i, p)[2][0][:top + 1])
         return inverses[i]
 
     # a subset's sorted point ids -> (its product's id, the product)
     known = {(): (ident(one), one)}
-    out, V, terms = [], {}, {}
+    out, X, terms = [], {(): (1, qinf_inv)}, {}
     for points in point_lists:
         n = len(points)
         if n > F_BO_CAP:
             raise CapExceeded("f_bo limited to %d points" % F_BO_CAP)
-        if not n:
-            out.append(qinf_inv)
-            continue
         sets = [()]
         for p in points:
             i = ident(p)
@@ -302,33 +307,40 @@ def _f_bo_all(point_lists: Sequence[Sequence[Param]], N) -> List[Series]:
             for m in prefix:
                 inverse(*at[m])
         for C in range(1, 1 << n):  # every proper subset B of C comes first
-            if sets[C] in V:
+            if sets[C] in X:
                 continue
-            size, by_k, B = C.bit_count(), {}, C
+            parts, B = [], C
             while B:
                 B = (B - 1) & C
-                k = size - B.bit_count()
-                if not B:
-                    t = sums_at(*at[0])[k]
-                elif (sets[B], k) in terms:
-                    t = terms[sets[B], k]
-                else:
-                    t = terms[sets[B], k] = sums_at(*at[B])[k] * V[sets[B]]
-                by_k[k] = by_k[k] + t if k in by_k else t
-            W = by_k.pop(1)
-            for k, t in by_k.items():
-                W = W + t.scale((-1) ** (k - 1) * factorial(k))
-            V[sets[C]] = W * inverse(*at[C])
-        # S_0, which starts at q^(-|d|/2), can leave more than O(q^N)
-        out.append((qinf_inv * V[sets[-1]]).truncate(N))
+                k = C.bit_count() - B.bit_count()
+                if (sets[B], k) not in terms:
+                    den, xs = X[sets[B]]
+                    terms[sets[B], k] = den, _convolve(
+                        sums_at(*at[B])[2][k], xs, top)
+                den, T = terms[sets[B], k]
+                parts.append(((-1) ** (k - 1), den << k, T))
+            w = lcm(*[den for _, den, _ in parts])
+            fs = [s * (w // den) for s, den, _ in parts]
+            G, g = inverse(*at[C])
+            row = _convolve([sum(map(mul, fs, col)) for col in zip(
+                *[T for _, _, T in parts])], G, top)
+            r = gcd(w * g, *row)
+            X[sets[C]] = w * g // r, [c // r for c in row]
+        den, row = X[sets[-1]]
+        D = sums_at(*at[-1])[1] if n else 1
+        r, v2 = gcd(den, D), (at[-1][1].d2 // 2) ** 2  # a reduced row
+        out.append((den // r, [(v2 + 2 * i, D // r * c)
+                               for i, c in enumerate(row)
+                               if c and v2 + 2 * i <= N2]))
     return out
 
 
 def level1_sector(k: int, points: Sequence[Param], N) -> Series:
     """q^(k^2/2) (t1...tn)^k * f_bo(points): the charge-k level +1 trace."""
-    base = f_bo(points, N)
-    scalar = prod(points, start=Param(F(1))).scalar_pow(k)
-    return base.scale(scalar).shift(F(k * k, 2))
+    (den, pairs), = _f_bo_all([points], N)
+    c = prod(points, start=Param(F(1))).scalar_pow(k)
+    return fock.row_series(to2(N) + k * k, (den * c.denominator, [
+        (q2 + k * k, c.numerator * x) for q2, x in pairs]))
 
 
 # -- neutral half-level one-point function -----------------------------------
@@ -362,20 +374,23 @@ def _eps_signed(points: Sequence[Param], U: int):
     out = [(1, 0, ())]
     for j, p in enumerate(points):
         if U >> j & 1:
+            pi = p.inverse()
             out = [row for s, M, pts in out
                    for row in ((s, M | 1 << j, pts + (p,)),
-                               (-s, M | 1 << n + j, pts + (p.inverse(),)))]
+                               (-s, M | 1 << n + j, pts + (pi,)))]
     return out
 
 
 def _signed_sum(terms) -> fock.Row:
-    """The Row sum of s * row over the (s, row) in `terms`, every row over
-    the first one's den: numerators add, with no gcd and no series."""
+    """The Row sum of c * row over the (c, row) in `terms`, c an int or a
+    Fraction, over the lcm of the denominators: no gcd and no series."""
+    den = lcm(*[c.denominator * d for c, (d, _) in terms])
     acc: Dict[int, int] = {}
-    for s, (_, pairs) in terms:
-        for q2, c in pairs:
-            acc[q2] = acc.get(q2, 0) + s * c
-    return terms[0][1][0], sorted((q2, c) for q2, c in acc.items() if c)
+    for c, (d, pairs) in terms:
+        f = c.numerator * (den // (c.denominator * d))
+        for q2, x in pairs:
+            acc[q2] = acc.get(q2, 0) + f * x
+    return den, sorted((q2, x) for q2, x in acc.items() if x)
 
 
 def _signed_slices(points: Sequence[Param], N, masks,
@@ -504,12 +519,11 @@ def _alternant(inst: "DualityInstance", rows, blocks, N, n: int = 0,
     point left, so the work is about l 2^l 3^n row convolutions, each
     stopping at q^N, not |W| l (factors)^n.
 
-    A product multiplies the two denominators and a merge adds rows,
-    rescaling to the lcm only when the denominators differ.  Boson-pair
-    entries at mask S lie over scale prod_(j in S) dens_j
+    Boson-pair entries at mask S lie over scale prod_(j in S) dens_j
     (fock.a_sector_rows), so every term of a state with mask P lies over
-    one denominator and no merge rescales; the fermion-pair entries are
-    reduced series and may.  One series is built, at the end.
+    one denominator and no merge (_add_product) rescales; fermion-pair
+    entries, over the lcm of their f_bo rows' denominators, may.  One
+    series is built, at the end.
     """
     l = inst.l
     N2 = to2(N)
@@ -543,9 +557,7 @@ def _alternant(inst: "DualityInstance", rows, blocks, N, n: int = 0,
         xs = [(q2, c) for q2, c in enumerate(row) if c]
         tden, ys = (1, [(0, 1)]) if tail is None else tail[full ^ P]
         _add_product(out, None, den * tden, xs, ys, 1, N2)
-    if not out:
-        return Series.zero(N)
-    den, row = out[None]
+    den, row = out.get(None, (1, []))
     return Series.from_numerators(N2, den, {(q2, ()): c
                                             for q2, c in enumerate(row)})
 
@@ -708,26 +720,6 @@ def module_instance(algebra: str, level) -> DualityInstance:
                        % (level, algebra))
 
 
-def _entry(s: Series, N) -> fock.Row:
-    """A series as an alternant entry, the fock.Row of its terms to q^N.
-    The fold's rows are z-free, start at q^0 and are read to q^N, so a
-    z-key, a negative q-power or a truncation below q^N is refused."""
-    N2 = to2(N)
-    if s.trunc2 < N2:
-        raise QSeriesError("an alternant block is truncated below q^%s"
-                           % half_str(N2))
-    pairs = []
-    for (q2, zk), c in s.nums.items():
-        if zk or q2 < 0:
-            raise QSeriesError("the alternant folds z-free blocks with no "
-                               "negative q-power, not a term at %s"
-                               % _monomial_str(q2, zk))
-        if q2 <= N2:
-            pairs.append((q2, c))
-    pairs.sort()
-    return s.den, pairs
-
-
 def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
                     N, masks) -> Dict[int, Dict[int, fock.Row]]:
     """{k: {U: level +-1 block at shifted weight k, read at the points of
@@ -737,28 +729,28 @@ def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
     A boson pair reads one Fock table: the A-operator rows of
     fock.a_sector_rows, or for C and D the eps-signed sums of
     _signed_slices, the block at U over scale prod_(j in U) dens_j with
-    no gcd taken.  A fermion pair builds one f_bo per eps-signed subset in
-    one batch, sums each block's scaled bases as series with one shift per
-    block, and reads each finished block once by ``_entry``."""
+    no gcd taken.  A fermion pair reads one f_bo Row per eps-signed subset,
+    from one batch, and its block is q^(k^2/2) sum_M s (prod of M's t)^k
+    times the Row at M (see level1_sector), one _signed_sum."""
     if inst.factors[0] == "fermion_pair":
         signed = {U: _eps_signed(points, U) for U in masks}
-        # one batch: the eps-signed subsets share one subset table
         subsets = {M: pts for row in signed.values() for _, M, pts in row}
         bases = dict(zip(subsets, _f_bo_all(list(subsets.values()), N)))
-        # each block is q^(k^2/2) sum_M s (prod of M's t)^k bases[M] (see
-        # level1_sector): one scale per term, one shift per block
-        tprods = {M: prod((p.value_coeff for p in pts), start=F(1))
-                  for M, pts in subsets.items()}
-        return {k: {U: _entry(sum((bases[M].scale(s * tprods[M] ** k)
-                                   for s, M, _ in row), Series.zero(N))
-                              .shift(F(k * k, 2)).truncate(N), N)
-                    for U, row in signed.items()} for k in charges}
+        vals = [p.value_coeff for p in points]
+        vals += [1 / v for v in vals]  # bit j of M: t_j, bit n + j: 1/t_j
+        tprods = {M: prod((v for j, v in enumerate(vals) if M >> j & 1),
+                          start=F(1)) for M in subsets}
+        out = {k: {} for k in charges}
+        for k, (U, row) in iter_product(charges, signed.items()):
+            den, pairs = _signed_sum([(s * tprods[M] ** k, bases[M])
+                                      for s, M, _ in row])
+            out[k][U] = den, [(q2 + k * k, x) for q2, x in pairs
+                              if q2 + k * k <= to2(N)]
+        return out
     if inst.op_tag == "A":
         table = fock.a_sector_rows(points, to2(N), masks, charges)
         return {k: dict(zip(masks, table[k])) for k in charges}
-    # Both type-c and type-d instances reduce over the symmetric charge
-    # slices; for type d the hyperoctahedral sign sum regenerates the
-    # slice differences of the rank-one function (see qdim_closed).
+    # types c and d read the symmetric charge slices (see qdim_closed)
     table = _signed_slices(points, N, masks, {abs(k) for k in charges})
     return {k: dict(zip(masks, table[abs(k)])) for k in charges}
 
@@ -788,22 +780,17 @@ def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
     fock._require_scalar_points(points)
     full = (1 << n) - 1
     neutral = inst.neutral_factor
-    # every block the alternant reads, built before it runs
+    # every block the alternant reads, built before it runs; literal mode
+    # and a lone factor read the full mask only
     rows = _row_shifts(inst, lam)
     charges = _row_charges(rows)
-    if mode == "literal":
-        # every block and the neutral prefactor at the full list, as the
-        # blocks and tail of a point-free fold
-        blocks = _charged_blocks(inst, charges, points, N, [full])
-        tail = None if neutral is None else fock._neutral_rows(
-            inst.factors[neutral], points, to2(N), [full])
-        return _alternant(inst, rows, {k: {0: blocks[k][full]}
-                                       for k in charges}, N, 0, tail)
-    # one factor reads the full mask alone
-    masks = [full] if len(inst.factors) == 1 else range(1 << n)
+    literal = mode == "literal"
+    masks = [full] if literal or len(inst.factors) == 1 else range(1 << n)
     blocks = _charged_blocks(inst, charges, points, N, masks)
     tail = None if neutral is None else fock._neutral_rows(
         inst.factors[neutral], points, to2(N), masks)
+    if literal:  # the blocks and tail of a point-free fold
+        blocks, n = {k: {0: blocks[k][full]} for k in charges}, 0
     return _alternant(inst, rows, blocks, N, n, tail)
 
 
@@ -877,9 +864,7 @@ def qdiff_residual(algebra: str, points: Sequence[Param], N) -> Series:
         lhs = _a_trace_z1(x, y, shifted, N)
         for s in range(n):
             for comb in combinations(range(1, n), s):
-                merged = points[0]
-                for i in comb:
-                    merged = merged * points[i]
+                merged = prod((points[i] for i in comb), start=points[0])
                 rest = [points[i] for i in range(1, n) if i not in comb]
                 rhs = rhs + fock.a_sector_trace(
                     0, [merged] + rest, N).scale((-1) ** s)
@@ -890,13 +875,11 @@ def qdiff_residual(algebra: str, points: Sequence[Param], N) -> Series:
             for comb in combinations(range(1, n), s):
                 rest = [points[i] for i in range(1, n) if i not in comb]
                 for eps in iter_product((1, -1), repeat=s):
-                    merged = points[0]
-                    for i, e in zip(comb, eps):
-                        merged = merged * (points[i] if e == 1
-                                           else points[i].inverse())
-                    neg = sum(1 for e in eps if e == -1)
+                    merged = prod((points[i] if e == 1 else points[i].inverse()
+                                   for i, e in zip(comb, eps)),
+                                  start=points[0])
                     rhs = rhs + fock.neutral_trace(
                         "boson_neutral", "C", [merged] + rest,
-                        N).scale((-1) ** (s + neg))
+                        N).scale((-1) ** (s + eps.count(-1)))
         return lhs - rhs
     raise IllegalPower("unknown algebra %r" % algebra)

@@ -15,11 +15,13 @@ A Series is integer numerators over one denominator, in the canonical form
 the Series docstring gives.  The kernels add and multiply Python ints only,
 with one gcd per result; a Fraction is built when a coefficient is read out
 (the terms property, first_difference).  They are _product_slices (every
-product and z-slice read), Series.invert, _chain (products and quotients by
-factors (1 - a), and so the Pochhammer symbols), _chain_sum (a q-series
-summed term by term from its term ratio) and _one_point_nest; where they
-meet many pairs of z-keys they join integer charge codes (_zcode), and
-every charged quotient (Series.invert's, _chain's) is one loop, _over_codes.
+product and z-slice read), Series.invert (its z-free recurrence is
+_inverse_list, which closedform's f_bo shares), _chain (products and
+quotients by factors (1 - a), and so the Pochhammer symbols), _chain_sum (a
+q-series summed term by term from its term ratio) and _one_point_nest;
+where they meet many pairs of z-keys they join integer charge codes
+(_zcode), and every charged quotient (Series.invert's, _chain's) is one
+loop, _over_codes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add, mul, sub
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -214,6 +216,25 @@ def _over_codes(layers: dict, lo: int, hi: int, terms, B: int,
     return out
 
 
+def _inverse_list(M: list) -> Tuple[list, int]:
+    """(G, g) with G / g = 1 / sum_i M[i] x^i to x^(len(M) - 1), M[0] != 0
+    (or NotInvertible): with M[0] = +-r L, r the gcd of M, u_e = M[e]/M[0]
+    = U_e/L and G_n = L^n g_n = -sum_(0<e<=n) U_e L^(e-1) G_(n-e), in ints."""
+    if not M or not M[0]:
+        raise NotInvertible("cannot invert the zero series")
+    ln, top, r = M[0], len(M) - 1, gcd(*M)
+    L, sgn = abs(ln) // r, (r if ln > 0 else -r)
+    # V[top - e] = L^(e - 1) U_e: G_n = -sum_(j<n) G_j V[top - n + j]
+    V = [m // sgn * L ** (e - 1) if m else 0
+         for e, m in enumerate(M[1:], 1)][::-1]
+    G = [1]
+    for n in range(1, top + 1):
+        G.append(-sum(map(mul, G, V[top - n:])))
+    s = 1 if ln > 0 else -1  # g_n = G_n L^(top - n) / L^top
+    return [s * gn * L ** (top - n) for n, gn in enumerate(G)], \
+        abs(ln) * L ** top
+
+
 def _from_codes(t2: int, den: int, layers: dict, fields) -> "Series":
     """The series layers[q2][code] / den, each charge code decoded once by
     _zdecode over fields."""
@@ -391,16 +412,14 @@ class Series:
     def invert(self) -> "Series":
         """Multiplicative inverse; the lowest q-layer must be one monomial.
 
-        With self = lead * (1 + u) and val(u) > 0, every coefficient of u is
-        an integer over one L > 0 (the lead's numerator, as self's
-        denominator cancels), and the q-layers of g = 1/(1 + u) follow
-        g_0 = 1, g_n = -sum_{0<e<=n} u_e g_(n-e).  Without charge variables
-        the layers are one integer list, G_n = L^(n/step) g_n for step the
-        gcd of u's exponents; with them g is _over_codes, 1/lead over 1 + u.
-        Either way integers are only added and multiplied, with one gcd at
-        the end.  The list stays apart: on code layers the z-free inverses
-        made the series-kernel checks about 11% slower (17.6 against 15.9 ms
-        in process).
+        With self = lead * (1 + u), val(u) > 0, the q-layers of
+        g = 1/(1 + u) follow g_0 = 1, g_n = -sum_(0<e<=n) u_e g_(n-e), in
+        integers over powers of L, the lead's numerator over the gcd:
+        without charge variables one list by step, the gcd of u's exponents
+        (_inverse_list), with them code layers (_over_codes, 1/lead over
+        1 + u); one gcd at the end.  The list stays apart: on code layers
+        the z-free inverses made the series-kernel checks about 11% slower
+        (17.6 against 15.9 ms in process).
         """
         v2 = self.min2()
         if v2 is None:
@@ -413,28 +432,21 @@ class Series:
         for (a2, az), n in self.nums.items():
             if a2 != v2:
                 u.setdefault(a2 - v2, {})[az] = n
+        step = gcd(*u) or 1  # every reachable exponent is a multiple of step
+        top, t2 = (self.trunc2 - v2) // step, self.trunc2 - 2 * v2
+        reach = _reach({zk for _, zk in self.nums})
+        if not reach:
+            M = [ln] + [0] * top
+            for e, ul in u.items():
+                M[e // step] = ul[()]
+            G, g = _inverse_list(M)
+            return _reduced(t2, g, {(n * step - v2, ()): self.den * x
+                                    for n, x in enumerate(G) if x})
         # u_e = U_e / L in lowest terms, L > 0
         r = gcd(ln, *[n for ul in u.values() for n in ul.values()])
         L = abs(ln) // r
         sgn = r if ln > 0 else -r
-        step = gcd(*u) or 1  # every reachable exponent is a multiple of step
-        top = (self.trunc2 - v2) // step
         f = self.den if ln > 0 else -self.den  # 1/lead = self.den / ln
-        t2, den = self.trunc2 - 2 * v2, abs(ln) * L ** top
-        reach = _reach({zk for _, zk in self.nums})
-        if not reach:
-            # one list: V[top - e] = L^(e - 1) U_e, so that G_n is minus the
-            # sum of G_j V[top - n + j] over j < n
-            V = [0] * top
-            for e, ul in u.items():
-                V[top - e // step] = ul[()] // sgn * L ** (e // step - 1)
-            G = [1]
-            for n in range(1, top + 1):
-                G.append(-sum(map(mul, G, V[top - n:])))
-            # g_n = G_n L^(top - n) / L^top
-            return _reduced(t2, den, {
-                (n * step - v2, ()): f * gn * L ** (top - n)
-                for n, gn in enumerate(G) if gn})
         # a key of u (self's over the lead's) has |e2| <= 2 reach, g_n sums
         # at most top of them, and the result's are g's over the lead's
         fields = [(var, (2 * top + 1) * e)
@@ -443,8 +455,8 @@ class Series:
         terms = [(e, [(_zcode(uz, fields) - lc, -(un // sgn))
                       for uz, un in ul.items()])
                  for e, ul in sorted(u.items())]
-        return _from_codes(t2, den, _over_codes({-v2: {-lc: f}}, -v2, t2,
-                                                terms, L, top), fields)
+        return _from_codes(t2, abs(ln) * L ** top, _over_codes(
+            {-v2: {-lc: f}}, -v2, t2, terms, L, top), fields)
 
     def truncate(self, N: HalfLike) -> "Series":
         t2 = to2(N)
@@ -1092,19 +1104,22 @@ def qhyper(upper: Sequence[Param], lower: Sequence[Param], arg: Param,
 # -- theta function and jets ------------------------------------------------
 
 
-def _theta_sums(t: Param, k: int, N: HalfLike) -> List[Series]:
+def _theta_sums(t: Param, k: int, N: HalfLike) -> Tuple[int, int, List[list]]:
     """The triple-product sums S_0..S_k at t to order N + |d|/2, for
     t = (a/b)^2 q^d: Theta(t) = (q)_inf^(-3) S_0(t) by the Jacobi triple
     product, and (t d/dt)^j Theta / j! = (q)_inf^(-3) S_j(t) with
     S_j(t) = sum_(n in Z) (-1)^(n+1) q^(n(n-1)/2) t^(n-1/2) (n-1/2)^j / j!.
-    In integers: with e = 2n - 1 and E the largest |e| summed, term n of
-    S_j is (-1)^(n+1) sgn(a) |a|^(E+e) b^(E-e) e^j over |a|^E b^E 2^j j!.
+    In integers, (v2, D, [R_0, ..., R_k]) with S_j = sum_i R_j[i]
+    q^((v2 + 2i)/2) / (D 2^j j!), D = |a|^E b^E, v2 = -d^2 the least key
+    (at n = -d) and R_j[i] the sum of (-1)^(n+1) sgn(a) |a|^(E+e) b^(E-e)
+    e^j over the n at q^((v2 + 2i)/2), e = 2n - 1, E the largest |e|.
     """
     if t.e2:
         raise IllegalPower("theta of a charge-carrying point")
     if t.sign == -1:
         raise IllegalPower("theta of a negative point")
-    t.pow_monomial(Fraction(1, 2))  # refuses a half-integer q-shift d
+    if t.d2 % 2:
+        t.pow_monomial(Fraction(1, 2))  # refuses a half-integer q-shift d
     d = t.d2 // 2
     # the sums start at q^(-|d|/2), which a product with them costs in
     # truncation, so work |d|/2 higher than asked
@@ -1114,12 +1129,8 @@ def _theta_sums(t: Param, k: int, N: HalfLike) -> List[Series]:
                            % ("qt" if t.d2 < 0 else "q/t"))
     # the q-exponent n(n-1) + d(2n-1) (doubled) is symmetric about
     # n = 1/2 - d, so terms come in pairs n = 1-d+m, -d-m with m >= 0
-    ns = []
-    m = 0
-    while True:
-        n = -d - m
-        if n * (n - 1) + d * (2 * n - 1) > t2:
-            break
+    ns, m = [], 0
+    while (n := -d - m) * (n - 1) + d * (2 * n - 1) <= t2:
         ns += (1 - d + m, n)
         m += 1
     a, b = t.s.numerator, t.s.denominator
@@ -1127,28 +1138,28 @@ def _theta_sums(t: Param, k: int, N: HalfLike) -> List[Series]:
         raise IllegalPower("zero parameter to a negative power")
     E = max((abs(2 * n - 1) for n in ns), default=0)
     sa, a = (1, a) if a > 0 else (-1, -a)
-    acc = [{} for _ in range(k + 1)]
+    v2 = -d * d
+    rows = [[0] * ((t2 - v2) // 2 + 1) for _ in range(k + 1)]
     for n in ns:
         e = 2 * n - 1
         c = a ** (E + e) * b ** (E - e)
         c = sa * c if n % 2 else -sa * c
-        key = (n * (n - 1) + d * e, ())
-        for nums in acc:
-            nums[key] = nums.get(key, 0) + c
+        i = (n * (n - 1) + d * e - v2) // 2
+        for R in rows:
+            R[i] += c
             c *= e
-    out, den = [], a ** E * b ** E
-    for j, nums in enumerate(acc):
-        out.append(Series.from_numerators(t2, den, nums))
-        den *= 2 * (j + 1)
-    return out
+    return v2, a ** E * b ** E, rows
 
 
 def theta_jet(t: Param, k: int, N: HalfLike) -> List[Series]:
     """Jet of Theta(t) = (t^(1/2)-t^(-1/2)) (q)_inf^(-2) (qt)_inf (qt^(-1))_inf
     under t -> t e^eps, to eps-order k: entry j is (t d/dt)^j Theta / j!,
     the sum S_j of _theta_sums times (q)_inf^(-3), truncated to N."""
-    return [(s * _qinf_inv(s.trunc2, 3)).truncate(N)
-            for s in _theta_sums(t, k, N)]
+    v2, D, rows = _theta_sums(t, k, N)
+    t2 = to2(N) + abs(t.d2) // 2
+    return [(Series.from_numerators(t2, D * 2 ** j * factorial(j), {
+        (v2 + 2 * i, ()): c for i, c in enumerate(R)}) * _qinf_inv(t2, 3))
+        .truncate(N) for j, R in enumerate(rows)]
 
 
 def theta(t: Param, N: HalfLike) -> Series:

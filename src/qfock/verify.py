@@ -33,6 +33,7 @@ from .qseries import (
     _q,
     _q_factor,
     _qinf_inv,
+    c_term,
     first_difference,
     half_str,
     pochhammer_inf,
@@ -402,6 +403,11 @@ def _registry_identity(reg: List[CheckSpec]) -> None:
             "lemma-222-ii-l%d-i%d" % (l, i), 15, "gate",
             lambda l=l, i=i, t=t: (marked_part_sum_enum(l, i, t, 15),
                                    marked_part_sum_closed(l, i, t, 15))))
+    # beta(t) = t^(1/2)/(1 - t) = -t^(-1/2) sum_(m>=0) t^(-m), t = 4/9 q^-1
+    t, ti = Param(F(2, 3), -1), Param(F(3, 2), 1)
+    reg.append(CheckSpec("beta-negative-qval", 12, "gate", lambda: (
+        c_term(t, 12), -(power(ti, F(1, 2), 12) * _geometric(ti, 0, 12)))))
+
     def _ff_specialized():
         # z = 1 in the charge-resolved vacuum character on z_1: the
         # zero-charge slice plus twice each positive-charge slice z^1 .. z^32

@@ -5,16 +5,23 @@ Each row of MUTANTS is (file, old text, new text, reason).  The test copies
 src/ to a temporary directory, asserts that the old text occurs exactly once
 in the file, replaces it, runs every gate check on the copy in a fresh
 interpreter and asserts that at least one gate fails.  The gates each
-mutant failed when its row was added (the matrix so far):
+mutant fails (the matrix so far):
 
-- ``_over_codes``' accumulate sign: 8, the ``qdiff-a-*`` and
-  ``qdim-charge-resolved-*`` gates and ``identity-ff-specializes-qdim``;
+- ``_over_codes``' accumulate sign: 9, the ``qdiff-a-*`` and
+  ``qdim-charge-resolved-*`` gates, ``identity-ff-specializes-qdim`` and
+  ``beta-negative-qval``;
 - ``_over_one_minus``' scalar quotient ``g = B - A``: 10;
-- ``_chain_list``'s product pass sign: 22 for B = 1 and 17 for B != 1.
+- ``_chain_list``'s product pass sign: 22 for B = 1 and 17 for B != 1;
+- the sign of ``_over_one_minus``' mirror quotient at d < 0: 1,
+  ``beta-negative-qval``, the one gate that divides by such a factor;
+- the (-1)^(k-1) sign of ``closedform._f_bo_all``'s subset recursion: 7,
+  ``zzz-k-1-n1``, ``zzz-k0-n1``, ``zzz-k2-n1`` and the four
+  ``duality-assignment-c-lminushalf-*`` gates (at two points the flipped
+  sign cancels, as S_2(1) = 0);
+- its k! weight, the 1/2^k of k! S_k = R_k / (D 2^k): 10, the six
+  ``zzz-*`` gates and the four ``duality-assignment-c-lminushalf-*``.
 
-A mutant that no gate kills is a finding that wants a new gate, not a row:
-the d < 0 branch of ``_over_one_minus`` is killed only by
-tests/test_qseries.py::test_over_one_minus_matches_generic_inverse.
+A mutant that no gate kills is a finding that wants a new gate, not a row.
 """
 
 import json
@@ -45,6 +52,18 @@ MUTANTS = [
      "[B * x - A * y",
      "[B * x + A * y",
      "the z-free product pass by 1 - A/B q^d, B != 1"),
+    ("qseries.py",
+     "(-A, B, d2, ze), t2)",
+     "(A, B, d2, ze), t2)",
+     "the mirror quotient by 1 - p of negative q-valuation"),
+    ("closedform.py",
+     "parts.append(((-1) ** (k - 1), den << k, T))",
+     "parts.append(((-1) ** k, den << k, T))",
+     "the (-1)^(k-1) sign of f_bo's subset recursion"),
+    ("closedform.py",
+     "parts.append(((-1) ** (k - 1), den << k, T))",
+     "parts.append(((-1) ** (k - 1), den << (k - 1), T))",
+     "the k! weight of f_bo's subset recursion, k! S_k = R_k / (D 2^k)"),
 ]
 
 GATES = """

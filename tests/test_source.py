@@ -4,8 +4,8 @@ module uses floating point, the closed forms enumerate no Weyl group and read
 no table of the duality oracle nor keep state across calls, the Fock traces
 have one engine, every quotient by (1 - p) factors goes through one
 kernel and joins charges by integer codes, as products and inverses do, the
-charged q-difference check builds no full z-graded trace, outside qseries only
-closedform._entry reads a Series' numerators, and importing the CLI and
+charged q-difference check builds no full z-graded trace, no code outside
+qseries reads a Series' numerators, and importing the CLI and
 building the check registry loads no dataclass machinery.  In tests/, no test
 module imports another, and every name tests/reference.py defines is used."""
 
@@ -258,10 +258,10 @@ def test_qdiff_reads_one_charge_of_the_trace():
 
 
 def test_only_entry_reads_numerators_outside_qseries():
-    """Outside qseries.py only ``closedform._entry``, the one place a
-    ``Series`` becomes a ``fock.Row``, reads a Series' ``nums``: a weighted
-    sum of z-slices is read by ``qseries._product_slices``, not by a loop
-    over the numerators beside it."""
+    """Outside qseries.py no code reads a Series' ``nums``: a weighted sum
+    of z-slices is read by ``qseries._product_slices``, not by a loop over
+    the numerators beside it, and the alternant's fermion-pair rows come
+    from integer lists, not from a series read term by term."""
     users = set()
     for path in MODULES:
         if path.name == "qseries.py":
@@ -271,7 +271,7 @@ def test_only_entry_reads_numerators_outside_qseries():
                 if isinstance(node, ast.Attribute) and node.attr == "nums":
                     users.add("%s.%s" % (path.stem,
                                          getattr(top, "name", "<module>")))
-    assert users == {"closedform._entry"}
+    assert users == set()
 
 
 def test_products_by_one_minus_factors_have_one_path():
