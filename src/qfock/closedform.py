@@ -393,37 +393,13 @@ def _signed_sum(terms) -> fock.Row:
     return den, sorted((q2, x) for q2, x in acc.items() if x)
 
 
-def _signed_slices(points: Sequence[Param], N, masks,
-                   charges) -> Dict[int, List[fock.Row]]:
-    """{m: [sum over eps in {+-1}^U of eps_1...eps_n times the charge-m
-    trace at the eps-inverted points of U, per subset mask U in `masks`]}
-    for charges m >= 0, as Rows, from one A-operator table over t_1..t_n
-    and their inverses.
-
-    The table's row at a mask M of the 2n points lies over
-    prod_(j in M) dens_j (fock.a_sector_rows), and dens_j is the same at
-    t_j and 1/t_j, so every eps-signed mask M of U lies over one
-    denominator."""
-    fock._require_scalar_points(points)
-    signed = [_eps_signed(points, U) for U in masks]
-    wanted = sorted({M for row in signed for _, M, _ in row})
-    table = fock.a_sector_rows(
-        list(points) + [p.inverse() for p in points], to2(N), wanted, charges)
-    out = {}
-    for m, rows in table.items():
-        at = dict(zip(wanted, rows))
-        out[m] = [_signed_sum([(s, at[M]) for s, M, _ in row])
-                  for row in signed]
-    return out
-
-
 def c_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
     """Charge-|m| slice of the signed difference expansion: sum over
     eps in {+-1}^n of eps_1...eps_n times the charge-|m| trace at the
-    eps-inverted points."""
-    m = abs(m)
-    return fock.row_series(to2(N), _signed_slices(
-        points, N, [(1 << len(points)) - 1], [m])[m][0])
+    eps-inverted points, that is the charge-|m| trace of prod_j C(t_j)."""
+    m, N2 = abs(m), to2(N)
+    return fock.row_series(N2, fock.a_sector_rows(
+        points, N2, [(1 << len(points)) - 1], [m], "C")[m][0])
 
 
 def d_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
@@ -431,10 +407,11 @@ def d_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
     building block of the type-D reductions).  The slice generating
     function is even in the charge, so negative m extends by
     d(-1) = 0 and d(-k-2) = -d(k)."""
-    a, b = abs(m), abs(m + 2)
-    slices = _signed_slices(points, N, [(1 << len(points)) - 1], [a, b])
-    return fock.row_series(to2(N), _signed_sum([(1, slices[a][0]),
-                                                (-1, slices[b][0])]))
+    a, b, N2 = abs(m), abs(m + 2), to2(N)
+    rows = fock.a_sector_rows(points, N2, [(1 << len(points)) - 1], [a, b],
+                              "D")
+    return fock.row_series(N2, _signed_sum([(1, rows[a][0]),
+                                            (-1, rows[b][0])]))
 
 
 # -- graded dimensions -------------------------------------------------------
@@ -726,12 +703,14 @@ def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
     subset mask U}} for k in `charges`, U in `masks`, each a fock.Row for
     ``_alternant``.
 
-    A boson pair reads one Fock table: the A-operator rows of
-    fock.a_sector_rows, or for C and D the eps-signed sums of
-    _signed_slices, the block at U over scale prod_(j in U) dens_j with
-    no gcd taken.  A fermion pair reads one f_bo Row per eps-signed subset,
-    from one batch, and its block is q^(k^2/2) sum_M s (prod of M's t)^k
-    times the Row at M (see level1_sector), one _signed_sum."""
+    A boson pair reads one Fock table, fock.a_sector_rows under its own
+    operator at the n points: the A rule for type a, and for types c and d
+    the C rule, whose rows are the eps-signed sums of A-operator traces at
+    the eps-inverted points.  The block at U lies over
+    prod_(j in U) dens_j, with no gcd taken.  A fermion pair reads one
+    f_bo Row per eps-signed subset, from one batch, and its block is
+    q^(k^2/2) sum_M s (prod of M's t)^k times the Row at M (see
+    level1_sector), one _signed_sum."""
     if inst.factors[0] == "fermion_pair":
         signed = {U: _eps_signed(points, U) for U in masks}
         subsets = {M: pts for row in signed.values() for _, M, pts in row}
@@ -747,12 +726,12 @@ def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
             out[k][U] = den, [(q2 + k * k, x) for q2, x in pairs
                               if q2 + k * k <= to2(N)]
         return out
-    if inst.op_tag == "A":
-        table = fock.a_sector_rows(points, to2(N), masks, charges)
-        return {k: dict(zip(masks, table[k])) for k in charges}
-    # types c and d read the symmetric charge slices (see qdim_closed)
-    table = _signed_slices(points, N, masks, {abs(k) for k in charges})
-    return {k: dict(zip(masks, table[abs(k)])) for k in charges}
+    # types c and d read the slice at |k|: the C rule's slices are even in
+    # the charge (see qdim_closed), which the oracle does not assume
+    at = {k: abs(k) if inst.op_tag != "A" else k for k in charges}
+    table = fock.a_sector_rows(points, to2(N), masks, set(at.values()),
+                               inst.op_tag)
+    return {k: dict(zip(masks, table[m])) for k, m in at.items()}
 
 
 def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
@@ -769,15 +748,12 @@ def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
     one point mask per state, so no map from points to factors is
     enumerated.
     """
-    n = len(points)
-    if n > 3:
-        raise CapExceeded("duality reduction limited to 3 points")
-    if inst.l > 4:
-        raise CapExceeded("duality reduction limited to rank 4")
     if mode not in ("literal", "assignment"):
         raise IllegalPower("unknown mode %r" % mode)
     lam = _normalize_label(label, inst.l, inst.allow_negative_label)
-    fock._require_scalar_points(points)
+    # the oracle's refusals, so every mode of a request refuses alike
+    fock.check_duality(inst.factors, inst.op_tag, points)
+    n = len(points)
     full = (1 << n) - 1
     neutral = inst.neutral_factor
     # every block the alternant reads, built before it runs; literal mode

@@ -322,18 +322,21 @@ def eigenvalue(kind: str, state, op_tag: str, point: Param) -> F:
 # -- single-factor oracles --------------------------------------------------
 
 
-def a_sector_rows(points: Sequence[Param], N2: int, masks,
-                  charges) -> Dict[int, List[Row]]:
+def a_sector_rows(points: Sequence[Param], N2: int, masks, charges,
+                  op_tag: str = "A") -> Dict[int, List[Row]]:
     """Charge-m traces over the level -1 bosonic pair to the doubled order
     N2 for every m in `charges`, each at every subset mask T in `masks`:
     {m: [Row per mask]}, the sum over (lam, mu) with len(mu)-len(lam) = m
-    of q^E prod_(j in T) (A-eigenvalue at t_j).  The row at mask T lies
-    over prod_(j in T) dens_j for every charge, and dens_j is the same at
-    t_j and 1/t_j.  One knapsack serves them all; states that reach no
-    charge asked for are dropped."""
+    of q^E prod_(j in T) (op_tag-eigenvalue at t_j).  Type a reads the
+    A rule; types c and d read C = D, A(t) - A(t^(-1)), at the n points
+    themselves (see the module docstring), whose rows are even in m.  The
+    row at mask T lies over prod_(j in T) dens_j for every charge.  One
+    knapsack serves them all; states that reach no charge asked for are
+    dropped."""
+    _check_op("boson_pair", op_tag)
     _require_scalar_points(points)
     charges = set(charges)
-    dens, table = _trace_table("boson_pair", "A", points, N2, masks,
+    dens, table = _trace_table("boson_pair", op_tag, points, N2, masks,
                                {2 * m for m in charges})
     return {m: list(zip(dens, table.get(2 * m, [[] for _ in masks])))
             for m in charges}

@@ -462,6 +462,11 @@ def _registry_correlation(reg: List[CheckSpec]) -> None:
         lambda: (theta_jet(Param(F(1)), 1, 20)[1]
                  * pochhammer_inf(_q(), 20) ** 3,
                  odd_triple_product(20))))
+    # Both sides of the sector-c/d gates read one table, the knapsack's C
+    # rule at the points: the closed side at the full mask through
+    # fock.a_sector_rows, the oracle through the trie.  The oracle-direct-*
+    # gates check that rule against state enumeration; an A-rule eps-sum on
+    # the oracle side here would cost about 3 ms of a 25 ms verify-enum pass.
     for m in (0, 1, 2):
         reg.append(CheckSpec(
             "sector-c-m%d" % m, 8, "gate",
@@ -542,6 +547,15 @@ def _registry_qdim(reg: List[CheckSpec]) -> None:
 
 def _registry_duality(reg: List[CheckSpec]) -> None:
     for alg, fam, slug in _INSTANCE_SLUGS:
+        # the trie against tensor-product states one by one, which read
+        # fock.eigenvalue and no knapsack
+        reg.append(CheckSpec(
+            "oracle-direct-" + slug, 2, "gate",
+            lambda inst=cf.duality_instance(alg, fam, 2): (
+                cf.extract_dominant(inst, (1, 0), _pts(2), 2),
+                cf.weyl_extract(Series.one(2), fock.duality_trace_direct(
+                    inst.factors, inst.op_tag, _pts(2), 2),
+                    inst.weyl, inst.rho, (1, 0)))))
         for n in (0, 1, 2):
             for lam in ((0, 0), (1, 0)):
                 name_tail = "%s-n%d-lam%s" % (slug, n, _slug_lam(lam))

@@ -94,6 +94,36 @@ class TestCorr:
         assert oracle[0] == 0
         assert oracle == run(argv + ["--mode", "assignment"])
 
+    @pytest.mark.parametrize("algebra,level,lam", [
+        ("a", "-2", "1,0"), ("c", "3/2", "1,0"), ("c", "-2", "1,0"),
+        ("c", "-5/2", "1,0"), ("d", "-2", "1,0"), ("d", "-3/2", "1,0"),
+        ("c", "-4", "1,0,0,0"), ("d", "-4", "1,0,0,0")])
+    def test_four_points_run_in_every_mode(self, algebra, level, lam):
+        # the reduction refuses what the oracle refuses, so it takes the
+        # oracle's four points too
+        argv = ["corr", "--algebra", algebra, "--level=" + level,
+                "--lambda", lam, "--N", "2", "--format", "json",
+                "--points", "2/3", "3/5", "5/7", "-4/9"]
+        oracle = run(argv + ["--mode", "oracle"])
+        assert oracle[0] == 0
+        assert oracle == run(argv + ["--mode", "assignment"])
+        assert run(argv + ["--mode", "literal"])[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--algebra", "a", "--level", "-2", "--lambda", "1,0",
+         "--points", "2/3", "3/5", "5/7", "-4/9", "4/7"],
+        ["--algebra", "d", "--level", "-5", "--lambda", "0,0,0,0,0"],
+        ["--algebra", "c", "--level", "-2", "--lambda", "0,1"]],
+        ids=["5-points", "rank-5", "label"])
+    def test_refused_alike_in_every_mode(self, argv, capsys):
+        # for q-shifted points see the test below
+        got = set()
+        for mode in ("oracle", "assignment", "literal"):
+            status, text = run(["corr", "--N", "2", "--mode", mode] + argv)
+            got.add((status, text, capsys.readouterr().err))
+        ((status, text, err),) = got
+        assert (status, text) == (2, "") and err.startswith("error: ")
+
     @pytest.mark.parametrize("mode", ["oracle", "assignment", "literal"])
     def test_q_shifted_point_refused_alike_in_every_mode(self, mode, capsys):
         status, text = run(["corr", "--algebra", "c", "--level", "3/2",

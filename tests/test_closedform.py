@@ -545,8 +545,9 @@ def eps_signed_points(points):
 
 
 def reference_c_sector_minus1(m, points, N):
-    """``cf.c_sector_minus1`` with one Fock trace per sign pattern, where
-    the closed form reads every pattern from one table."""
+    """``cf.c_sector_minus1`` with one A-operator Fock trace per sign
+    pattern, where the closed form reads the C rule, C(t) = A(t) - A(1/t),
+    at the points themselves: the Tier-1 check that C = sum_eps eps A."""
     out = Series.zero(N)
     for sgn, signed in eps_signed_points(points):
         out = out + fock.a_sector_trace(abs(m), signed, N).scale(sgn)
@@ -678,10 +679,17 @@ class TestDualityReduce:
         assert qcoeff(oracle, 0) == 2 * b
 
     def test_point_cap(self):
-        inst = cf.duality_instance("a", "-l", 1)
+        """Every mode refuses what the oracle refuses, with its message:
+        DUALITY_CAP + 1 points."""
         from qfock.qseries import CapExceeded
-        with pytest.raises(CapExceeded):
-            cf.duality_reduce(inst, (0,), pts(*S_VALUES, F(1, 2)), 4)
+        inst = cf.duality_instance("a", "-l", 1)
+        points = pts(*[F(k + 2, k + 3) for k in range(fock.DUALITY_CAP + 1)])
+        with pytest.raises(CapExceeded) as oracle:
+            cf.extract_dominant(inst, (0,), points, 4)
+        for mode in ("assignment", "literal"):
+            with pytest.raises(CapExceeded) as closed:
+                cf.duality_reduce(inst, (0,), points, 4, mode)
+            assert str(closed.value) == str(oracle.value)
 
 
 # -- Weyl extraction against the product-and-slice route ----------------------
@@ -1276,21 +1284,25 @@ def test_alternant_folds_integer_rows(monkeypatch):
 @pytest.mark.parametrize("key", BOSON_FAMILIES)
 def test_duality_reduce_builds_one_fock_table(monkeypatch, key):
     """Every charge and point subset of a rank-2, two-point reduction is
-    read from one A-operator table (and a neutral factor's blocks from one
-    more), and the result is the per-block one."""
-    calls = []
+    read from one table under the family's own operator at the two points,
+    with no inverted point (and a neutral factor's blocks from one more),
+    and the result is the per-block one."""
+    calls, sizes = [], []
     build = fock._trace_table
 
-    def counted(kind, op_tag, *args, **kwargs):
+    def counted(kind, op_tag, points, *args, **kwargs):
         calls.append((kind, op_tag))
-        return build(kind, op_tag, *args, **kwargs)
+        sizes.append(len(points))
+        return build(kind, op_tag, points, *args, **kwargs)
 
     monkeypatch.setattr(fock, "_trace_table", counted)
     inst = cf.duality_instance(*key, 2)
     points = pts(F(2, 3), F(3, 5))
     got = cf.duality_reduce(inst, (1, 0), points, 3, mode="assignment")
     monkeypatch.undo()
-    assert [c for c in calls if c[0] in fock.CHARGED] == [("boson_pair", "A")]
+    assert [c for c in calls if c[0] in fock.CHARGED] \
+        == [("boson_pair", inst.op_tag)]
+    assert sizes == [len(points)] * len(calls)
     neutral = inst.neutral_factor
     assert calls[1:] == ([] if neutral is None
                          else [(inst.factors[neutral], inst.op_tag)])

@@ -19,7 +19,22 @@ mutant fails (the matrix so far):
   ``duality-assignment-c-lminushalf-*`` gates (at two points the flipped
   sign cancels, as S_2(1) = 0);
 - its k! weight, the 1/2^k of k! S_k = R_k / (D 2^k): 10, the six
-  ``zzz-*`` gates and the four ``duality-assignment-c-lminushalf-*``.
+  ``zzz-*`` gates and the four ``duality-assignment-c-lminushalf-*``;
+- ``fock._trace_table``'s A-rule sign on mu, ``(0, -1, ym)``: 16, the
+  ``one-point-*``, ``gl-general-*``, ``qdiff-a-*`` and ``zzz-*`` gates and
+  ``oracle-direct-a-negl``;
+- its constant term doubled: 31, the 15 of the row above other than
+  ``oracle-direct-a-negl``, the ``c-1pt-half-*`` and ``qdiff-c-*`` gates,
+  the four ``duality-assignment-c-lminushalf-*`` and all six
+  ``oracle-direct-*``;
+- the C rule's charged constant scaled by 3, not 2: 9, the four
+  ``duality-assignment-c-lminushalf-*`` (whose closed side is f_bo) and
+  the five ``oracle-direct-*`` of types c and d;
+- the C rule's sign on mu, ``(1, -1, ym)``: 25, those 9 and the 16
+  ``duality-assignment-*`` of the boson families of types c and d at one
+  and two points, whose closed side reads the slices at |k| while the
+  oracle reads every charge.  The ``sector-c/d-*`` gates read the C rule
+  on both sides at charges m >= 0, and no mutant of it fails them.
 
 A mutant that no gate kills is a finding that wants a new gate, not a row.
 """
@@ -64,6 +79,22 @@ MUTANTS = [
      "parts.append(((-1) ** (k - 1), den << k, T))",
      "parts.append(((-1) ** (k - 1), den << (k - 1), T))",
      "the k! weight of f_bo's subset recursion, k! S_k = R_k / (D 2^k)"),
+    ("fock.py",
+     "(0, -1, ym)",
+     "(0, 1, ym)",
+     "the A rule's sign on mu in the Fock knapsack"),
+    ("fock.py",
+     "consts.append(csign * a * b",
+     "consts.append(2 * csign * a * b",
+     "the Fock knapsack's constant term"),
+    ("fock.py",
+     '(2 if kind in CHARGED and op_tag != "A"',
+     '(3 if kind in CHARGED and op_tag != "A"',
+     "the C rule's charged constant, 2 beta(t)"),
+    ("fock.py",
+     "(1, -1, ym)",
+     "(1, 1, ym)",
+     "the C rule's sign on mu, t^(p-1/2) - t^(-p+1/2)"),
 ]
 
 GATES = """

@@ -51,7 +51,6 @@ def test_no_unused_imports(path):
 
 # Definitions that only tests call, each kept on purpose.
 CALLED_FROM_TESTS_ONLY = {
-    "duality_trace_direct": "the state-by-state brute-force oracle",
     "truncation": "Series.truncation, documented API",
 }
 
@@ -106,10 +105,13 @@ def test_closed_forms_enumerate_no_weyl_group():
 
 def test_closed_forms_read_no_oracle_table():
     """In closedform.py only ``extract_dominant`` names ``duality_trace``,
-    and nothing names the knapsack that holds the C/D side rule
-    (``_trace_table``) or the oracle's per-factor tables
-    (``_factor_subset_traces``): a closed-form block read from them would be
-    checked against itself by the sector and duality gates."""
+    and nothing names the knapsack ``_trace_table`` or the oracle's
+    per-factor tables (``_factor_subset_traces``): the closed forms reach
+    the knapsack only through ``fock.a_sector_rows`` and ``_neutral_rows``.
+    Their boson-pair blocks read the side rule (A, or C/D) that the trie
+    reads too, so the sector and duality gates miss some wrong rules;
+    the ``oracle-direct-*`` gates check it against state enumeration, which
+    reads ``fock.eigenvalue`` and no knapsack."""
     path = ROOT / "src" / "qfock" / "closedform.py"
     users = collections.defaultdict(set)
     for top in ast.parse(path.read_text()).body:
