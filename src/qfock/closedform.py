@@ -398,8 +398,7 @@ def c_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
     eps in {+-1}^n of eps_1...eps_n times the charge-|m| trace at the
     eps-inverted points, that is the charge-|m| trace of prod_j C(t_j)."""
     m, N2 = abs(m), to2(N)
-    return fock.row_series(N2, fock.a_sector_rows(
-        points, N2, [(1 << len(points)) - 1], [m], "C")[m][0])
+    return fock.row_series(N2, fock.a_sector_rows(points, N2, [m], "C")[m][-1])
 
 
 def d_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
@@ -408,10 +407,9 @@ def d_sector_minus1(m: int, points: Sequence[Param], N) -> Series:
     function is even in the charge, so negative m extends by
     d(-1) = 0 and d(-k-2) = -d(k)."""
     a, b, N2 = abs(m), abs(m + 2), to2(N)
-    rows = fock.a_sector_rows(points, N2, [(1 << len(points)) - 1], [a, b],
-                              "D")
-    return fock.row_series(N2, _signed_sum([(1, rows[a][0]),
-                                            (-1, rows[b][0])]))
+    rows = fock.a_sector_rows(points, N2, [a, b], "D")
+    return fock.row_series(N2, _signed_sum([(1, rows[a][-1]),
+                                            (-1, rows[b][-1])]))
 
 
 # -- graded dimensions -------------------------------------------------------
@@ -478,8 +476,8 @@ def _alternant(inst: "DualityInstance", rows, blocks, N, n: int = 0,
     k(w) = lam + rho - w rho over the Weyl group of ``inst``, and the S_i
     disjoint point masks that together hold all n points; with ``tail``, a
     list by point mask, they may leave a mask R and the term is multiplied
-    by tail[R].  ``blocks`` maps every weight k the rows read to a mapping
-    by point mask.  At n = 0 this is the plain alternant
+    by tail[R].  ``blocks`` maps every weight k the rows read to a list by
+    point mask.  At n = 0 this is the plain alternant
     sum_w sgn(w) prod_i blocks[k_i(w)][0].
 
     Every entry, of ``blocks`` and of ``tail``, is a fock.Row to q^N,
@@ -566,46 +564,29 @@ def qdim_closed(algebra: str, level, label, N, form: str = "weyl") -> Series:
     For algebra 'c' at positive half-integer level, ``form`` selects the
     Weyl-sum ("weyl") or hook-style product ("product") expression; every
     other family has the Weyl sum only.
+
+    Each term of the Weyl sum is a product of l level +-1 bases,
+    (q)_inf^(-1) q^(k^2/2) per fermion pair or (q)_inf^(-2)
+    _charged_qdim_sum(k) per boson pair: the alternant folds the numerators
+    and the power of (q)_inf is taken once.  For type d the sign flips act
+    on charge slices even in k and generate the slice differences of the
+    rank-one type-d function (at l=1 the sum is
+    charged_qdim_base(k) - charged_qdim_base(k+2)).
     """
     inst = module_instance(algebra, level)
-    if inst.factors[0] == "fermion_pair":
-        return _c_positive_half_qdim(inst, label, N, form)
-    if form != "weyl":
+    fermion, l = inst.factors[0] == "fermion_pair", inst.l
+    if form != "weyl" and not fermion:
         raise IllegalPower("form %r exists only for type c at positive "
                            "half-integer levels" % form)
-    lam = _normalize_label(label, inst.l, inst.allow_negative_label)
-    # For type d the signed hyperoctahedral sum acts on the symmetric
-    # charge-slice series; the sign flips themselves generate the slice
-    # differences that define the rank-one type-d function (at l=1 the sum
-    # equals charged_qdim_base(k) - charged_qdim_base(k+2) exactly).
-    # Every term is a product of l bases, each 1/(q)_inf^2 times its sum:
-    # the alternant folds the sums, and (q)_inf^(-2l) is taken once.
-    rows, n2 = _row_shifts(inst, lam), to2(N)
-    wsum = _alternant(inst, rows, {k: {0: _charged_qdim_sum(k, n2)}
-                                   for k in _row_charges(rows)}, N) \
-        * _qinf_inv(n2, 2 * inst.l)
-    if inst.neutral_factor is None:
-        return wsum
-    # times the neutral factor's graded dimension: 1/(q^(1/2))_inf for the
-    # boson, (-q^(1/2))_inf for the fermion
-    if inst.factors[inst.neutral_factor] == "boson_neutral":
-        return _over_pochhammer(wsum, _QH)
-    return _times_pochhammer(wsum, Param(F(1), F(1, 2), sign=-1))
-
-
-def _c_positive_half_qdim(inst: "DualityInstance", label, N,
-                          form: str) -> Series:
-    l = inst.l
-    lam = _normalize_label(label, l, allow_negative=False)
-    pre = _over_pochhammer(_qinf_inv(to2(N), l), _QH)
+    lam = _normalize_label(label, l, inst.allow_negative_label)
     if form == "weyl":
-        rows = _row_shifts(inst, lam)
+        rows, n2 = _row_shifts(inst, lam), to2(N)
         # q^(k^2/2): one numerator 1 at the doubled exponent k^2 <= 2N
-        n2 = to2(N)
-        return pre * _alternant(inst, rows, {
-            k: {0: (1, [(k * k, 1)] if k * k <= n2 else [])}
+        wsum = _alternant(inst, rows, {
+            k: [(1, [(k * k, 1)] if k * k <= n2 else []) if fermion
+                else _charged_qdim_sum(k, n2)]
             for k in _row_charges(rows)}, N)
-    if form == "product":
+    elif form == "product":
         # prod_i (1 - q^(lam_i + l - i - 1/2)) prod_(i<j) (1 - q^(lam_i - lam_j
         # + j - i)) (1 - q^(lam_i + lam_j + 2l - i - j - 1)), doubled exponents
         d2s = [2 * (lam[i] + l - i) - 1 for i in range(l)]
@@ -613,9 +594,18 @@ def _c_positive_half_qdim(inst: "DualityInstance", label, N,
             for j in range(i + 1, l):
                 d2s += (2 * (lam[i] - lam[j] + j - i),
                         2 * (lam[i] + lam[j] + 2 * l - i - j - 1))
-        out = Series.monomial(1, F(sum(v * v for v in lam), 2), N)
-        return pre * _chain(out, [_q_factor(d2) for d2 in d2s])
-    raise IllegalPower("unknown form %r" % form)
+        wsum = _chain(Series.monomial(1, F(sum(v * v for v in lam), 2), N),
+                      [_q_factor(d2) for d2 in d2s])
+    else:
+        raise IllegalPower("unknown form %r" % form)
+    wsum = wsum * _qinf_inv(to2(N), l if fermion else 2 * l)
+    if inst.neutral_factor is None:
+        return wsum
+    # times the neutral factor's graded dimension: 1/(q^(1/2))_inf for the
+    # boson, (-q^(1/2))_inf for the fermion
+    if inst.factors[inst.neutral_factor] == "boson_neutral":
+        return _over_pochhammer(wsum, _QH)
+    return _times_pochhammer(wsum, Param(F(1), F(1, 2), sign=-1))
 
 
 # -- duality reduction -------------------------------------------------------
@@ -698,10 +688,10 @@ def module_instance(algebra: str, level) -> DualityInstance:
 
 
 def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
-                    N, masks) -> Dict[int, Dict[int, fock.Row]]:
-    """{k: {U: level +-1 block at shifted weight k, read at the points of
-    subset mask U}} for k in `charges`, U in `masks`, each a fock.Row for
-    ``_alternant``.
+                    N) -> Dict[int, List[fock.Row]]:
+    """{k: [level +-1 block at shifted weight k, read at the points of
+    mask U, for every point mask U]} for k in `charges`, each a fock.Row
+    for ``_alternant``.
 
     A boson pair reads one Fock table, fock.a_sector_rows under its own
     operator at the n points: the A rule for type a, and for types c and d
@@ -712,26 +702,25 @@ def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
     q^(k^2/2) sum_M s (prod of M's t)^k times the Row at M (see
     level1_sector), one _signed_sum."""
     if inst.factors[0] == "fermion_pair":
-        signed = {U: _eps_signed(points, U) for U in masks}
-        subsets = {M: pts for row in signed.values() for _, M, pts in row}
+        signed = [_eps_signed(points, U) for U in range(1 << len(points))]
+        subsets = {M: pts for row in signed for _, M, pts in row}
         bases = dict(zip(subsets, _f_bo_all(list(subsets.values()), N)))
         vals = [p.value_coeff for p in points]
         vals += [1 / v for v in vals]  # bit j of M: t_j, bit n + j: 1/t_j
         tprods = {M: prod((v for j, v in enumerate(vals) if M >> j & 1),
                           start=F(1)) for M in subsets}
-        out = {k: {} for k in charges}
-        for k, (U, row) in iter_product(charges, signed.items()):
+        out = {k: [] for k in charges}
+        for k, row in iter_product(charges, signed):
             den, pairs = _signed_sum([(s * tprods[M] ** k, bases[M])
                                       for s, M, _ in row])
-            out[k][U] = den, [(q2 + k * k, x) for q2, x in pairs
-                              if q2 + k * k <= to2(N)]
+            out[k].append((den, [(q2 + k * k, x) for q2, x in pairs
+                                 if q2 + k * k <= to2(N)]))
         return out
     # types c and d read the slice at |k|: the C rule's slices are even in
     # the charge (see qdim_closed), which the oracle does not assume
     at = {k: abs(k) if inst.op_tag != "A" else k for k in charges}
-    table = fock.a_sector_rows(points, to2(N), masks, set(at.values()),
-                               inst.op_tag)
-    return {k: dict(zip(masks, table[m])) for k, m in at.items()}
+    table = fock.a_sector_rows(points, to2(N), set(at.values()), inst.op_tag)
+    return {k: table[m] for k, m in at.items()}
 
 
 def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
@@ -756,17 +745,15 @@ def duality_reduce(inst: DualityInstance, label, points: Sequence[Param],
     n = len(points)
     full = (1 << n) - 1
     neutral = inst.neutral_factor
-    # every block the alternant reads, built before it runs; literal mode
-    # and a lone factor read the full mask only
+    # every block the alternant reads, built before it runs
     rows = _row_shifts(inst, lam)
-    charges = _row_charges(rows)
-    literal = mode == "literal"
-    masks = [full] if literal or len(inst.factors) == 1 else range(1 << n)
-    blocks = _charged_blocks(inst, charges, points, N, masks)
+    blocks = _charged_blocks(inst, _row_charges(rows), points, N)
     tail = None if neutral is None else fock._neutral_rows(
-        inst.factors[neutral], points, to2(N), masks)
-    if literal:  # the blocks and tail of a point-free fold
-        blocks, n = {k: {0: blocks[k][full]} for k in charges}, 0
+        inst.factors[neutral], points, to2(N))
+    if mode == "literal":  # the full-mask blocks and tail, folded point-free
+        blocks = {k: [rs[full]] for k, rs in blocks.items()}
+        tail = None if tail is None else [tail[full]]
+        n = 0
     return _alternant(inst, rows, blocks, N, n, tail)
 
 

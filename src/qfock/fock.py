@@ -45,11 +45,12 @@ factors: a trie of subset convolutions over point masks, on integer rows
 over one denominator (see its docstring).
 
 Rows.  A ``Row`` is (den, [(q2, numerator), ...]): rising q2 in [0, N2],
-no zero numerator, no z-key, not reduced.  The knapsack hands out one Row
-per mask, the row at mask T over scale prod_(j in T) dens[j];
-``a_sector_rows`` and ``_neutral_rows`` read them as they are, the trie and
-closedform's fold read their pairs, and ``row_series`` is the one way from
-a Row to a series.
+no zero numerator, no z-key, not reduced.  The knapsack fills every point
+mask on the way to any one and hands out one Row per mask T = 0 .. 2^n - 1,
+the row at T over scale prod_(j in T) dens[j] (a full-mask reader takes
+the last); ``a_sector_rows`` and ``_neutral_rows`` pass them on, the trie
+and closedform's fold read their pairs, and ``row_series`` is the one way
+from a Row to a series.
 
 These oracles require plain rational scalar points (d = 0); modesum.py
 resums shifted ones.  ``duality_trace_direct`` enumerates tensor-product
@@ -138,11 +139,12 @@ def _require_scalar_points(points: Sequence[Param]):
 
 
 def _trace_table(kind: str, op_tag: str, points: Sequence[Param], N2: int,
-                 masks, wanted=None, x: Param = None, y: Param = None):
+                 wanted=None, x: Param = None, y: Param = None):
     """One factor's traces as Rows, a knapsack over parts (see the module
     docstring): (dens, {bucket: [the (q2, numerator) pairs of the Row at
-    each mask T in `masks`]}), each the sum over the bucket's states of q^E
-    times the weight times prod_(j in T) eigenvalue at t_j, times dens[T].
+    each point mask T = 0 .. 2^n - 1]}), each the sum over the bucket's
+    states of q^E times the weight times prod_(j in T) eigenvalue at t_j,
+    times dens[T].
 
     On a charged pair every part of lam carries the monomial x and every
     part of mu carries y, each c q^d z^e with d >= 0 and both on one charge
@@ -167,10 +169,9 @@ def _trace_table(kind: str, op_tag: str, points: Sequence[Param], N2: int,
     fermion pair): CPython shares small non-negative ints, and the same
     work on the mirror order's negative buckets ran about 7% slower."""
     n = len(points)
-    subs = sorted({0} | {S for T in masks for S in range(T + 1)
-                         if S & T == S})
     # times 1 + u x_j, row[S] gains u * row[S - {j}] for S holding j
-    steps = [[(S, S ^ 1 << j) for S in subs if S >> j & 1] for j in range(n)]
+    steps = [[(S, S ^ 1 << j) for S in range(1 << n) if S >> j & 1]
+             for j in range(n)]
     k = max(N2 - (N2 + 1) % 2, 0)  # the largest odd power a part reaches
     roots = [(p.s.numerator, p.s.denominator) for p in points]
     csign = CENTRAL_SIGN[kind] * (2 if kind in CHARGED and op_tag != "A"
@@ -261,12 +262,12 @@ def _trace_table(kind: str, op_tag: str, points: Sequence[Param], N2: int,
     for w2, level in enumerate(levels):  # rising energy
         for b, row in level.items():
             if wanted is None or b in wanted:
-                accs = table.setdefault(b, [[] for _ in masks])
-                for acc, T in zip(accs, masks):
-                    if row[T]:
-                        acc.append((w2, row[T]))
+                accs = table.setdefault(b, [[] for _ in row])
+                for acc, v in zip(accs, row):
+                    if v:
+                        acc.append((w2, v))
     return [scale * math.prod(d for j, d in enumerate(dens) if T >> j & 1)
-            for T in masks], table
+            for T in range(1 << n)], table
 
 
 Row = Tuple[int, List[Tuple[int, int]]]  # (den, [(q2, numerator)])
@@ -278,13 +279,11 @@ def row_series(N2: int, row: Row) -> Series:
     return Series.from_numerators(N2, den, {(q2, ()): c for q2, c in pairs})
 
 
-def _neutral_rows(kind: str, points: Sequence[Param], N2: int,
-                  masks) -> List[Row]:
-    """Traces over a neutral factor as Rows, one per subset mask T in
-    `masks`."""
+def _neutral_rows(kind: str, points: Sequence[Param], N2: int) -> List[Row]:
+    """Traces over a neutral factor as Rows, one per point mask."""
     (op_tag,) = LEGAL_OPS[kind]
-    dens, table = _trace_table(kind, op_tag, points, N2, masks)
-    return list(zip(dens, table.get(0, [[] for _ in masks])))
+    dens, table = _trace_table(kind, op_tag, points, N2)
+    return list(zip(dens, table.get(0, [[] for _ in dens])))
 
 
 # -- the eigenvalue rule ----------------------------------------------------
@@ -322,10 +321,10 @@ def eigenvalue(kind: str, state, op_tag: str, point: Param) -> F:
 # -- single-factor oracles --------------------------------------------------
 
 
-def a_sector_rows(points: Sequence[Param], N2: int, masks, charges,
+def a_sector_rows(points: Sequence[Param], N2: int, charges,
                   op_tag: str = "A") -> Dict[int, List[Row]]:
     """Charge-m traces over the level -1 bosonic pair to the doubled order
-    N2 for every m in `charges`, each at every subset mask T in `masks`:
+    N2 for every m in `charges`, each at every point mask T:
     {m: [Row per mask]}, the sum over (lam, mu) with len(mu)-len(lam) = m
     of q^E prod_(j in T) (op_tag-eigenvalue at t_j).  Type a reads the
     A rule; types c and d read C = D, A(t) - A(t^(-1)), at the n points
@@ -336,17 +335,16 @@ def a_sector_rows(points: Sequence[Param], N2: int, masks, charges,
     _check_op("boson_pair", op_tag)
     _require_scalar_points(points)
     charges = set(charges)
-    dens, table = _trace_table("boson_pair", op_tag, points, N2, masks,
+    dens, table = _trace_table("boson_pair", op_tag, points, N2,
                                {2 * m for m in charges})
-    return {m: list(zip(dens, table.get(2 * m, [[] for _ in masks])))
+    return {m: list(zip(dens, table.get(2 * m, [[] for _ in dens])))
             for m in charges}
 
 
 def a_sector_trace(m: int, points: Sequence[Param], N) -> Series:
     """Charge-m trace over the level -1 bosonic pair at all the points."""
     N2 = to2(N)
-    return row_series(N2, a_sector_rows(
-        points, N2, [(1 << len(points)) - 1], [m])[m][0])
+    return row_series(N2, a_sector_rows(points, N2, [m])[m][-1])
 
 
 def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Series:
@@ -360,11 +358,10 @@ def a_generalized_trace(x: Param, y: Param, points: Sequence[Param], N) -> Serie
         raise QSeriesError("x and y must carry the same charge variable")
     N2 = to2(N)
     zvar = x.zvar if x.e2 else y.zvar
-    (den,), table = _trace_table("boson_pair", "A", points, N2,
-                                 [(1 << len(points)) - 1], x=x, y=y)
-    return Series.from_numerators(N2, den, {
+    dens, table = _trace_table("boson_pair", "A", points, N2, x=x, y=y)
+    return Series.from_numerators(N2, dens[-1], {
         (q2, ((zvar, b),) if b else ()): c
-        for b, (pairs,) in table.items() for q2, c in pairs})
+        for b, rows in table.items() for q2, c in rows[-1]})
 
 
 def neutral_trace(kind: str, op_tag: str, points: Sequence[Param], N) -> Series:
@@ -375,8 +372,7 @@ def neutral_trace(kind: str, op_tag: str, points: Sequence[Param], N) -> Series:
     _check_op(kind, op_tag)
     _require_scalar_points(points)
     N2 = to2(N)
-    return row_series(N2, _neutral_rows(kind, points, N2,
-                                        [(1 << len(points)) - 1])[0])
+    return row_series(N2, _neutral_rows(kind, points, N2)[-1])
 
 
 def f1_charged_trace(z: Param, points: Sequence[Param], N) -> Series:
@@ -384,19 +380,18 @@ def f1_charged_trace(z: Param, points: Sequence[Param], N) -> Series:
     charge = len(lam) - len(mu), central term -beta per point."""
     _require_scalar_points(points)
     N2 = to2(N)
-    (den,), table = _trace_table("fermion_pair", "A", points, N2,
-                                 [(1 << len(points)) - 1])
+    dens, table = _trace_table("fermion_pair", "A", points, N2)
     # buckets are doubled charges; from_numerators drops what q^dq2 lifts
     # above q^N
     weights = {b: z.pow_monomial(b // 2) for b in table}
     wden = math.lcm(*[c.denominator for c, _, _ in weights.values()])
     acc: Dict[Tuple[int, tuple], int] = defaultdict(int)
-    for b, (pairs,) in table.items():
+    for b, rows in table.items():
         c, dq2, zk = weights[b]
         c = c.numerator * (wden // c.denominator)
-        for q2, v in pairs:
+        for q2, v in rows[-1]:
             acc[q2 + dq2, zk] += c * v
-    return Series.from_numerators(N2, wden * den, acc)
+    return Series.from_numerators(N2, wden * dens[-1], acc)
 
 
 # -- multi-factor duality traces -------------------------------------------
@@ -493,7 +488,7 @@ def duality_trace(factors: Sequence[str], op_tag: str,
     for key in leaves:
         for kind, e in zip(kinds, key):
             read[kind].add(e)
-    built = {kind: _trace_table(kind, op_tag, points, N2, range(full + 1),
+    built = {kind: _trace_table(kind, op_tag, points, N2,
                                 es if kind in CHARGED else None)
              for kind, es in read.items()}
     tables = [built[kind][1] for kind in kinds]

@@ -497,7 +497,7 @@ def _registry_qdim(reg: List[CheckSpec]) -> None:
         lambda: (sum((cf.charged_qdim_base(k, 20) for k in (0, 1, 2)),
                      Series.zero(20)),
                  sum((fock.row_series(40, row) for (row,) in
-                      fock.a_sector_rows([], 40, [0], (0, 1, 2)).values()),
+                      fock.a_sector_rows([], 40, (0, 1, 2)).values()),
                      Series.zero(20)))))
     for l, lam in ((2, (0, 0)), (2, (1, 0)), (2, (1, -1)), (3, (2, 1, 0)),
                    (3, (1, 0, -1))):
@@ -546,6 +546,19 @@ def _registry_qdim(reg: List[CheckSpec]) -> None:
 
 
 def _registry_duality(reg: List[CheckSpec]) -> None:
+    # At rank 1 the reduction is a base function that reads no rho: these
+    # gates pin each family's rho, which both sides of every other gate read.
+    # A family with a neutral factor has no such base.
+    for slug, base in (("a-negl", fock.a_sector_trace),
+                       ("c-negl", cf.c_sector_minus1),
+                       ("d-negl", cf.d_sector_minus1)):
+        inst = cf.duality_instance(slug[0], "-l", 1)
+        for m in (0, 1):
+            reg.append(CheckSpec(
+                "rank1-base-%s-m%d" % (slug, m), 8, "gate",
+                lambda inst=inst, base=base, m=m: (
+                    cf.duality_reduce(inst, (m,), _pts(1), 8),
+                    base(m, _pts(1), 8))))
     for alg, fam, slug in _INSTANCE_SLUGS:
         # the trie against tensor-product states one by one, which read
         # fock.eigenvalue and no knapsack

@@ -305,11 +305,13 @@ def charged_sides(kind, op_tag, points, budget2):
     return lam, mu, dens
 
 
-def pair_traces(lam, mu, dens, weight, N2, masks):
+def pair_traces(lam, mu, dens, weight, N2):
     """Pair traces from two side tables, as ([den per mask], {bucket:
-    [{q2: numerator} per mask]}): per pair of keys, the subset products
-    sum_(S in T) a[S] b[T - S].  weight(len_lam, len_mu) gives (rational
-    coefficient, extra doubled q-exponent, bucket), or None to skip."""
+    [{q2: numerator} per mask]}) for every point mask T: per pair of keys,
+    the subset products sum_(S in T) a[S] b[T - S].  weight(len_lam,
+    len_mu) gives (rational coefficient, extra doubled q-exponent, bucket),
+    or None to skip."""
+    masks = range(1 << len(dens))
     splits = [list(zip(*[(S, T ^ S) for S in range(T + 1) if S & T == S]))
               for T in masks]
     weights = {}
@@ -341,53 +343,52 @@ def pair_traces(lam, mu, dens, weight, N2, masks):
             for T in masks], buckets
 
 
-def reference_a_sector_traces(points, N2, masks, charges):
+def reference_a_sector_traces(points, N2, charges):
     """fock.a_sector_rows as series, {m: [series per mask]}, from the pair
     pass over side tables."""
     fock._require_scalar_points(points)
     charges = set(charges)
     dens, buckets = pair_traces(
         *charged_sides("boson_pair", "A", points, N2),
-        lambda ll, lm: (1, 0, lm - ll) if lm - ll in charges else None,
-        N2, masks)
+        lambda ll, lm: (1, 0, lm - ll) if lm - ll in charges else None, N2)
     return {m: [Series.from_numerators(N2, d, {(q2, ()): c for q2, c
                                                in acc.items()})
                 for d, acc in zip(dens, buckets[m])] if m in buckets
-            else [Series(N2) for _ in masks] for m in charges}
+            else [Series(N2) for _ in dens] for m in charges}
 
 
-def reference_trace_table(kind, op_tag, points, N2, masks, wanted=None):
+def reference_trace_table(kind, op_tag, points, N2, wanted=None):
     """fock._trace_table's (dens, {bucket: [(q2, numerator) pairs by rising
-    q2, zeros dropped, per mask]}), from the side tables and pair pass: a
+    q2, zeros dropped, per point mask]}), from the side tables and pair pass: a
     charged pair's doubled charges (those in `wanted`, if given) that some
     state reaches, or a neutral factor's one bucket 0 when some state
     fits."""
     if kind not in CHARGED:
-        dens, sums = reference_neutral_sums(kind, points, N2, masks)
+        dens, sums = reference_neutral_sums(kind, points, N2)
         buckets = {0: sums} if N2 >= 0 else {}
     else:
         e2 = -2 if kind == "boson_pair" else 2
         dens, buckets = pair_traces(
             *charged_sides(kind, op_tag, points, N2),
             lambda ll, lm: (1, 0, e2 * (ll - lm))
-            if wanted is None or e2 * (ll - lm) in wanted else None,
-            N2, masks)
+            if wanted is None or e2 * (ll - lm) in wanted else None, N2)
     return dens, {e: [sorted((q2, c) for q2, c in acc.items() if c)
                       for acc in accs] for e, accs in buckets.items()}
 
 
-def reference_neutral_traces(kind, points, N2, masks):
+def reference_neutral_traces(kind, points, N2):
     return [Series.from_numerators(N2, d, {(q2, ()): c for q2, c
                                            in acc.items()})
-            for d, acc in zip(*reference_neutral_sums(kind, points, N2,
-                                                      masks))]
+            for d, acc in zip(*reference_neutral_sums(kind, points, N2))]
 
 
-def reference_neutral_sums(kind, points, N2, masks):
-    """A neutral factor's ([den per mask], [{q2: numerator} per mask])."""
+def reference_neutral_sums(kind, points, N2):
+    """A neutral factor's ([den per mask], [{q2: numerator} per mask]) for
+    every point mask."""
     betas = [fock.CENTRAL_SIGN[kind] * beta_scalar(p) for p in points]
     table, dens = enumerated_side_table(points, 1, -1, betas, N2,
                                         kind == "fermion_neutral")
+    masks = range(1 << len(points))
     sums = [defaultdict(int) for _ in masks]
     for group in table.values():
         for w2, row in group:
@@ -401,11 +402,11 @@ def reference_a_trace(kind, points, N, weight):
     """One z-carrying series, the bucket of each weight a z-key."""
     fock._require_scalar_points(points)
     N2 = to2(N)
-    masks = [(1 << len(points)) - 1]
-    (den,), buckets = pair_traces(
-        *charged_sides(kind, "A", points, N2), weight, N2, masks)
-    return Series.from_numerators(N2, den, {
-        (q2, zk): c for zk, (acc,) in buckets.items() for q2, c in acc.items()})
+    dens, buckets = pair_traces(
+        *charged_sides(kind, "A", points, N2), weight, N2)
+    return Series.from_numerators(N2, dens[-1], {
+        (q2, zk): c for zk, accs in buckets.items()
+        for q2, c in accs[-1].items()})
 
 
 def reference_a_generalized_trace(x, y, points, N):
@@ -442,8 +443,7 @@ def product_duality_trace(factors, op_tag, points, N):
     n = len(points)
     tables = []
     for i, kind in enumerate(factors):
-        dens, split = fock._trace_table(kind, op_tag, points, N2,
-                                        range(1 << n))
+        dens, split = fock._trace_table(kind, op_tag, points, N2)
         tables.append([
             Series.from_numerators(N2, dens[T], {
                 (q2, ((i + 1, e),) if e else ()): c

@@ -1064,10 +1064,10 @@ def phi_loop_duality_reduce(inst, label, points, N):
     neutral = inst.neutral_factor
     rows = cf._row_shifts(inst, lam)
     charges = {k for row in rows for _, _, k in row}
-    blocks = cf._charged_blocks(inst, charges, points, N, range(1 << n))
+    blocks = cf._charged_blocks(inst, charges, points, N)
     if neutral is not None:
         nblocks = [fock.row_series(to2(N), row) for row in fock._neutral_rows(
-            inst.factors[neutral], points, to2(N), range(1 << n))]
+            inst.factors[neutral], points, to2(N))]
     out = Series.zero(N)
     for phi in iter_product(range(nfac), repeat=n):
         parts = [sum(1 << j for j in range(n) if phi[j] == i)
@@ -1106,11 +1106,11 @@ def test_fermion_blocks_match_one_level1_sector_per_sign(points, N):
     """Every (charge, mask) block of the fermion pair, truncation included,
     equals the sum of one ``level1_sector`` per eps-signed subset."""
     inst = cf.duality_instance("c", "l-1/2", 2)
-    masks = range(1 << len(points))
     charges = [-2, -1, 0, 1, 3]
-    blocks = cf._charged_blocks(inst, charges, points, N, masks)
+    blocks = cf._charged_blocks(inst, charges, points, N)
     for k in charges:
-        for U in masks:
+        assert len(blocks[k]) == 1 << len(points)
+        for U in range(1 << len(points)):
             sub = [p for j, p in enumerate(points) if U >> j & 1]
             assert fock.row_series(to2(N), blocks[k][U]) \
                 == reference_charged_block(inst, k, sub, N)
@@ -1136,17 +1136,16 @@ def test_fermion_block_rows_match_reference_blocks(svals, N, label):
     sides."""
     label = sorted(label, reverse=True)
     inst = cf.duality_instance("c", "l-1/2", len(label))
-    points, masks = pts(*svals), range(1 << len(svals))
+    points = pts(*svals)
     charges = cf._row_charges(cf._row_shifts(inst, label))
-    got = _outcome_and_message(cf._charged_blocks, inst, charges, points, N,
-                               masks)
+    got = _outcome_and_message(cf._charged_blocks, inst, charges, points, N)
     if not isinstance(got, dict):
         assert got[0] is DegenerateParameter
         assert _outcome_and_message(reference_charged_block, inst,
                                     min(charges), points, N) == got
         return
     for k in charges:
-        for U in masks:
+        for U in range(1 << len(svals)):
             sub = [p for j, p in enumerate(points) if U >> j & 1]
             assert fock.row_series(to2(N), got[k][U]) \
                 == reference_charged_block(inst, k, sub, N)
@@ -1158,7 +1157,6 @@ def test_fermion_blocks_shift_once_per_block(monkeypatch, points, N):
     integer rows and one q-shift, the offset q^(k^2/2) of its row: no
     series is shifted, scaled or added, and no row term lies below it."""
     inst = cf.duality_instance("c", "l-1/2", 2)
-    masks = range(1 << len(points))
     charges = [-1, 0, 2]
     ops = []
     for name in ("shift", "scale", "_plus"):
@@ -1166,12 +1164,12 @@ def test_fermion_blocks_shift_once_per_block(monkeypatch, points, N):
             ops.append(_name)
             return _op(self, *args)
         monkeypatch.setattr(Series, name, counted)
-    blocks = cf._charged_blocks(inst, charges, points, N, masks)
+    blocks = cf._charged_blocks(inst, charges, points, N)
     monkeypatch.undo()
     assert ops == []
     for k in charges:
-        for U in masks:
-            assert all(q2 >= k * k for q2, _ in blocks[k][U][1])
+        for _, pairs in blocks[k]:
+            assert all(q2 >= k * k for q2, _ in pairs)
 
 
 @pytest.mark.parametrize("level,n", [("1/2", 1), ("1/2", 2), ("1/2", 3),
@@ -1189,7 +1187,7 @@ def test_fermion_blocks_make_no_series_arithmetic(monkeypatch, level, n):
             ops.append(_name)
             return _op(self, *args)
         monkeypatch.setattr(Series, name, counted)
-    blocks = cf._charged_blocks(inst, charges, points, 3, range(1 << n))
+    blocks = cf._charged_blocks(inst, charges, points, 3)
     sector = cf.level1_sector(-1, points, 3)
     monkeypatch.undo()
     assert ops == [] and set(blocks) == charges

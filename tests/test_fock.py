@@ -245,7 +245,7 @@ def test_shifted_points_rejected():
 
 @pytest.mark.parametrize("s", [1, -1])
 @pytest.mark.parametrize("trace", [
-    lambda pts: a_sector_rows(pts, 6, [0, 3], {0, 1}),
+    lambda pts: a_sector_rows(pts, 6, {0, 1}),
     lambda pts: neutral_trace("boson_neutral", "C", pts, 3),
     lambda pts: f1_charged_trace(Param(1, e=1), pts, 3),
     lambda pts: a_generalized_trace(X, Y, pts, 3),
@@ -275,7 +275,7 @@ def test_sector_traces_build_no_fraction_per_point(monkeypatch):
     for n in (0, 1, 3, 6):
         count[0] = 0
         monkeypatch.setattr(Fraction, "__new__", counting)
-        a_sector_rows(SIX[:n], 6, [(1 << n) - 1], {0, 1})
+        a_sector_rows(SIX[:n], 6, {0, 1})
         monkeypatch.undo()
         built.append(count[0])
     assert built == built[:1] * 4, built
@@ -288,16 +288,15 @@ KINDS = ("boson_pair", "fermion_pair", "boson_neutral", "fermion_neutral")
 @given(st.lists(point_st, max_size=3), st.integers(0, 6), st.data())
 def test_sector_table_matches_one_trace_per_subset(pts, n2, data):
     """Every (charge, mask) entry of the one-pass table against its own
-    a_sector_trace call at that subset of the points."""
+    a_sector_trace call at that subset of the points: one row per point
+    mask."""
     N = F(n2, 2)
-    masks = data.draw(st.lists(st.integers(0, (1 << len(pts)) - 1),
-                               unique=True))
     charges = data.draw(st.sets(st.integers(-3, 3), max_size=3))
-    table = a_sector_rows(pts, n2, masks, charges)
+    table = a_sector_rows(pts, n2, charges)
     assert set(table) == charges
     for m in charges:
-        assert len(table[m]) == len(masks)
-        for T_, got in zip(masks, table[m]):
+        assert len(table[m]) == 1 << len(pts)
+        for T_, got in enumerate(table[m]):
             sub = [p for j, p in enumerate(pts) if T_ >> j & 1]
             assert fock.row_series(n2, got) == a_sector_trace(m, sub, N)
 
@@ -362,54 +361,52 @@ SIX = [Param(s) for s in (F(2, 3), F(3, 5), F(5, 7), F(3, 2), F(5, 3),
 
 @st.composite
 def trace_table_requests(draw):
-    """(points, n2, masks, charges, kind, op, z, x, y): 0-3 random points or
-    the six of a signed c/d slice, N from -1/2 (no state) to 8, masks,
-    charges a state reaches and charges none does, a factor kind and
-    operator, an f1 charge weight and a pair of ratios."""
+    """(points, n2, charges, kind, op, z, x, y): 0-3 random points or the
+    six of a signed c/d slice, N from -1/2 (no state) to 8, charges a state
+    reaches and charges none does, a factor kind and operator, an f1 charge
+    weight and a pair of ratios."""
     pts = draw(st.one_of(st.lists(point_st, max_size=3), st.just(SIX)))
     n2 = draw(st.integers(-1, 16))
-    masks = draw(st.lists(st.integers(0, (1 << len(pts)) - 1), unique=True))
     charges = draw(st.sets(st.integers(-n2 - 2, n2 + 2), max_size=4))
     kind = draw(st.sampled_from(KINDS))
     op = draw(st.sampled_from(sorted(LEGAL_OPS[kind])))
     z = draw(st.sampled_from(ZS))
     x, y = draw(st.sampled_from(RATIOS)), draw(st.sampled_from(RATIOS))
-    return pts, n2, masks, charges, kind, op, z, x, y
+    return pts, n2, charges, kind, op, z, x, y
 
 
 @settings(max_examples=100, deadline=None)
 @given(trace_table_requests())
 # a negative t^(1/2) and one above 1, on the C operator of a fermion pair
-@example(([Param(F(-2, 3)), Param(F(5, 3))], 9, [0, 3, 2], {-1, 0, 2},
+@example(([Param(F(-2, 3)), Param(F(5, 3))], 9, {-1, 0, 2},
           "fermion_pair", "C", ZS[0], XZ, YZ))
-@example((SIX, 7, [63, 5], {0, 1, -2}, "boson_pair", "D", ZS[2], X, YQZ))
+@example((SIX, 7, {0, 1, -2}, "boson_pair", "D", ZS[2], X, YQZ))
 # no state fits, and the ratios still divide a start row of none
-@example(([T], -1, [1], {0}, "boson_pair", "A", ZS[1], X, YQZ))
+@example(([T], -1, {0}, "boson_pair", "A", ZS[1], X, YQZ))
 # both ratios carry a coefficient, one with d > 0, at an odd N2: each part
 # divides exactly by its side's coefficient denominator in any part order
-@example(([T, Param(F(5, 3))], 11, [3, 1], {0, 1}, "boson_pair", "A", ZS[0],
+@example(([T, Param(F(5, 3))], 11, {0, 1}, "boson_pair", "A", ZS[0],
           Param(F(2, 5), F(1, 2)), Y))
 def test_trace_table_matches_side_table_pair_pass(req):
     """Every trace the one knapsack serves against the pair pass over
     side tables of enumerated partitions, with truncation and the set of
     returned charges included, or the same refusal.  The knapsack's own
-    rows at every mask equal the reference's: dens, rising q2 and no zero
-    numerator included."""
-    pts, n2, masks, charges, kind, op, z, x, y = req
+    rows at every point mask equal the reference's: dens, rising q2 and no
+    zero numerator included."""
+    pts, n2, charges, kind, op, z, x, y = req
     N = F(n2, 2)
     assert {m: [fock.row_series(n2, row) for row in rows] for m, rows
-            in a_sector_rows(pts, n2, masks, charges).items()} \
-        == reference_a_sector_traces(pts, n2, masks, charges)
+            in a_sector_rows(pts, n2, charges).items()} \
+        == reference_a_sector_traces(pts, n2, charges)
     doubled = {2 * m for m in charges}
-    every = range(1 << len(pts))
     wanted = doubled if kind in CHARGED else None
-    got = fock._trace_table(kind, op, pts, n2, every, wanted)
-    assert got == reference_trace_table(kind, op, pts, n2, every, wanted)
+    got = fock._trace_table(kind, op, pts, n2, wanted)
+    assert got == reference_trace_table(kind, op, pts, n2, wanted)
     assert set(got[1]) <= doubled | {0}
     for kind in ("boson_neutral", "fermion_neutral"):
         assert [fock.row_series(n2, row)
-                for row in fock._neutral_rows(kind, pts, n2, masks)] \
-            == reference_neutral_traces(kind, pts, n2, masks)
+                for row in fock._neutral_rows(kind, pts, n2)] \
+            == reference_neutral_traces(kind, pts, n2)
     assert _outcome_and_message(f1_charged_trace, z, pts, N) \
         == _outcome_and_message(reference_f1_charged_trace, z, pts, N)
     assert _outcome_and_message(a_generalized_trace, x, y, pts, N) \
@@ -440,14 +437,13 @@ def test_factor_table_holds_only_the_charges_asked_for(kind, op, pts, n2,
     it, for every kind and operator and 0-3 points: dens, every row's
     (q2, numerator) pairs and the set of buckets, with negative buckets,
     buckets no state reaches and the empty set among the wanted ones."""
-    every = range(1 << len(pts))
-    dens, table = fock._trace_table(kind, op, pts, n2, every)
+    dens, table = fock._trace_table(kind, op, pts, n2)
     # one part on either side of a pair reaches charges -1, 0 and 1
     if kind in CHARGED and n2 >= 1:
         assert len(table) >= 3
     else:
         assert len(table) == (n2 >= 0)
-    assert fock._trace_table(kind, op, pts, n2, every, wanted) \
+    assert fock._trace_table(kind, op, pts, n2, wanted) \
         == (dens, {b: rows for b, rows in table.items() if b in wanted})
 
 
@@ -558,7 +554,7 @@ def test_subset_denominators_are_one_product_per_point(pts, n2):
     per_point = set()
     for kind in KINDS:
         for op in sorted(LEGAL_OPS[kind]):
-            dens, _ = fock._trace_table(kind, op, pts, n2, range(1 << n),
+            dens, _ = fock._trace_table(kind, op, pts, n2,
                                         {0, 2} if kind in CHARGED else None)
             assert all(d % dens[0] == 0 for d in dens)
             ratios = tuple(dens[1 << j] // dens[0] for j in range(n))

@@ -34,7 +34,25 @@ mutant fails (the matrix so far):
   ``duality-assignment-*`` of the boson families of types c and d at one
   and two points, whose closed side reads the slices at |k| while the
   oracle reads every charge.  The ``sector-c/d-*`` gates read the C rule
-  on both sides at charges m >= 0, and no mutant of it fails them.
+  on both sides at charges m >= 0, and no mutant of it fails them;
+- the knapsack's largest part dropped, each side's parts starting one
+  below the largest that fits: 54, the ``one-point-*``,
+  ``c-1pt-half-*``, ``gl-general-*``, ``zzz-*`` and ``qdiff-*`` gates,
+  ``qdim-*`` gates of every family, the four
+  ``duality-assignment-c-lminushalf-*`` and ``oracle-direct-*``;
+- the trie's leaf sign ignored, ``out[q2] += c``: 67, the
+  ``duality-assignment-*`` of every family, the ``oracle-direct-*``,
+  ``sector-*`` and ``qdim-*`` gates whose oracle reads the trie;
+- the neutral C rule's sign, ``sides = [(1, 1, (1, 1, 0, 0))]``: 9, the
+  ``c-1pt-half-*`` and ``qdiff-c-*`` gates and the three
+  ``oracle-direct-*`` of the families with a neutral factor;
+- ``combinat.rho_vector``'s C offset 1 -> 2, d -l's rho: 2, the
+  ``rank1-base-d-negl-*`` gates, whose base reads no rho (the oracle and
+  the fold of every other gate read the same rho; d -l's rho kind C -> B
+  in ``closedform._FAMILIES`` fails the same two);
+- the fold's type-D parity ignored, ``flip = False`` in
+  ``closedform._alternant``: 14, the c -l ``duality-assignment-*``,
+  ``qdim-c-negl-*``, ``qdim-c-r1-*`` and ``rank1-base-c-negl-*`` gates.
 
 A mutant that no gate kills is a finding that wants a new gate, not a row.
 """
@@ -95,6 +113,26 @@ MUTANTS = [
      "(1, -1, ym)",
      "(1, 1, ym)",
      "the C rule's sign on mu, t^(p-1/2) - t^(-p+1/2)"),
+    ("fock.py",
+     "for p in range((N2 - d2 + 1) // 2, 0, -1)",
+     "for p in range((N2 - d2 + 1) // 2 - 1, 0, -1)",
+     "the knapsack's largest part on each side"),
+    ("fock.py",
+     "out[q2] += sgn * c",
+     "out[q2] += c",
+     "the sign of each leaf of the duality trie"),
+    ("fock.py",
+     "sides = [(1, -1, (1, 1, 0, 0))]",
+     "sides = [(1, 1, (1, 1, 0, 0))]",
+     "the neutral C rule's sign, t^(p-1/2) - t^(-p+1/2)"),
+    ("combinat.py",
+     '"C": Fraction(1)}',
+     '"C": Fraction(2)}',
+     "rho_C's offset, l - i + 1"),
+    ("closedform.py",
+     'flip = inst.weyl == "D" and s < 0',
+     "flip = False",
+     "the type-D parity of the alternant's sign flips"),
 ]
 
 GATES = """

@@ -157,6 +157,25 @@ def test_fock_keeps_one_trace_engine():
                           "_z_free_traces", "_a_trace"}
 
 
+def test_tables_fill_every_mask_and_qdims_fold_one_way():
+    """The knapsack fills every point mask, so no def in fock.py or
+    closedform.py takes a ``masks`` list to pick rows from it, and every
+    q-dimension, the fermion family's included, is the one Weyl fold in
+    ``qdim_closed``: ``_c_positive_half_qdim`` is not defined."""
+    takes, defined = set(), set()
+    for name in ("fock.py", "closedform.py"):
+        tree = ast.parse((ROOT / "src" / "qfock" / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+                args = node.args.posonlyargs + node.args.args \
+                    + node.args.kwonlyargs
+                if "masks" in {a.arg for a in args}:
+                    takes.add(node.name)
+    assert takes == set()
+    assert "_c_positive_half_qdim" not in defined
+
+
 @pytest.mark.parametrize("module,func", [("fock", "duality_trace"),
                                          ("closedform", "duality_reduce")])
 def test_duality_sides_enumerate_no_point_map(module, func):

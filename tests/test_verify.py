@@ -348,7 +348,7 @@ class TestReports:
 
 def test_full_report_matches_golden():
     """Every field of the full suite's JSON report except the timing ms:
-    126 gate passes, 12 report passes and 24 expected report failures.
+    132 gate passes, 12 report passes and 24 expected report failures.
     The golden file is the one pin on the registry's check names, so a
     changed registry is reported by name first."""
     golden = json.loads(
