@@ -23,7 +23,7 @@ prod_j (1 + c_j x_j) times f_p = prod_j (1 + u_j(p) x_j) for every part p
 (m copies of p give f_p^m).  So, like a partition generating function
 (Andrews, The Theory of Partitions, ch. 1), a trace is a product over parts,
 built as one knapsack over the parts of both sides, in the order
-``_trace_table`` gives, with states keyed by (energy, bucket); no partition
+``_knapsack`` gives, with states keyed by (energy, bucket); no partition
 is enumerated and no two tables are convolved.  A part also multiplies the
 weight: x^len(lam) y^len(mu) gives one monomial per part, which moves the
 energy by its q-power and the bucket by its z-power.  The bucket is the
@@ -37,6 +37,11 @@ b^2 - a^2), k the largest odd power a part reaches, clears every eigenvalue
 at t_j, and c_j dens[j] = +-ab dens[j]/(b^2 - a^2), doubled for C and D on
 a pair: no Fraction is built per point, and a = +-b (t = 1, the pole of
 beta) is refused.
+
+One table per key.  The oracle and the closed forms ask for the same
+tables (a ``qfock verify`` run asks 306 times for 110), so ``_knapsack``
+keeps the 128 most recent per process, keyed by what it reads (see
+``_trace_table``); callers only read them, and no refusal is stored.
 
 Duality traces.  ``duality_trace`` reads a signed sum of z-coefficients of
 a tensor product's trace (the Weyl shifts of a labeled trace) from one
@@ -156,6 +161,23 @@ def _trace_table(kind: str, op_tag: str, points: Sequence[Param], N2: int,
     only those buckets are returned; otherwise every bucket a state
     reaches.
 
+    One table per key per process, the 128 most recent kept: the kind, the
+    rule (A, or C for C and D alike), (a, b) for each t_j^(1/2) = a/b, N2,
+    `wanted` and the x and y monomials."""
+    return _knapsack(
+        kind, "A" if op_tag == "A" else "C",
+        tuple((p.s.numerator, p.s.denominator) for p in points), N2,
+        None if wanted is None else frozenset(wanted),
+        None if x is None else _factor(x)[:3] + (x.e2,),
+        None if y is None else _factor(y)[:3] + (y.e2,))
+
+
+@lru_cache(maxsize=128)
+def _knapsack(kind: str, op_tag: str, roots: Tuple[Tuple[int, int], ...],
+              N2: int, wanted, xm, ym):
+    """``_trace_table``'s body on its key; x and y as (numerator of c, its
+    denominator, 2d, 2e), None for the default.
+
     Every constant is an integer (see the module docstring), and each part
     applies prod_j (1 + u_j(p) x_j) as one list of (S, S - {j}, u_j(p))
     steps, built once per part.
@@ -168,12 +190,11 @@ def _trace_table(kind: str, op_tag: str, points: Sequence[Param], N2: int,
     parts raise the bucket runs first (mu on the boson pair, lam on the
     fermion pair): CPython shares small non-negative ints, and the same
     work on the mirror order's negative buckets ran about 7% slower."""
-    n = len(points)
+    n = len(roots)
     # times 1 + u x_j, row[S] gains u * row[S - {j}] for S holding j
     steps = [[(S, S ^ 1 << j) for S in range(1 << n) if S >> j & 1]
              for j in range(n)]
     k = max(N2 - (N2 + 1) % 2, 0)  # the largest odd power a part reaches
-    roots = [(p.s.numerator, p.s.denominator) for p in points]
     csign = CENTRAL_SIGN[kind] * (2 if kind in CHARGED and op_tag != "A"
                                   else 1)
     dens, consts = [], []
@@ -190,8 +211,8 @@ def _trace_table(kind: str, op_tag: str, points: Sequence[Param], N2: int,
         sides = [(1, -1, (1, 1, 0, 0))]
     else:
         e2 = -2 if kind == "boson_pair" else 2  # lam's z-power, doubled
-        xm = (1, 1, 0, e2) if x is None else _factor(x)[:3] + (x.e2,)
-        ym = (1, 1, 0, -e2) if y is None else _factor(y)[:3] + (y.e2,)
+        xm = xm or (1, 1, 0, e2)
+        ym = ym or (1, 1, 0, -e2)
         if op_tag == "A":
             sides = [(1, 0, xm), (0, -1, ym)]
         else:  # A(t) - A(t^(-1)), see the module docstring

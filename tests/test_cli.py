@@ -134,6 +134,24 @@ class TestCorr:
             "error: NonTruncatable: state enumeration needs plain scalar "
             "points; use modesum for q-shifted points\n")
 
+    @pytest.mark.parametrize("mode", ["oracle", "assignment", "literal"])
+    @pytest.mark.parametrize("points", [["2/3", "2/3"], ["2/3", "3/2"]],
+                             ids=["repeated", "inverse"])
+    def test_signed_product_one_refused_by_the_fermion_blocks(
+            self, points, mode, capsys):
+        # type c at l - 1/2 reads theta at the points' signed products,
+        # which vanishes at 1; the oracle reads no theta and answers
+        status, text = run(["corr", "--algebra", "c", "--level=3/2",
+                            "--lambda", "1,0", "--points", *points,
+                            "--N", "2", "--mode", mode])
+        err = capsys.readouterr().err
+        if mode == "oracle":
+            assert (status, err) == (0, "") and text
+        else:
+            assert (status, text) == (2, "")
+            assert err == ("error: DegenerateParameter: theta vanishes at a "
+                           "partial product equal to 1 or q^(+-1)\n")
+
 
 class TestQdim:
     def test_matches_library(self):

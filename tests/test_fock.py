@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qfock import fock, qseries
+from qfock import closedform as cf, fock, qseries
 from qfock.fock import (
     CHARGED,
     LEGAL_OPS,
@@ -467,6 +467,57 @@ def test_partition_tables_cache_is_bounded():
     for budget2 in range(bound + 3):
         fock.mod_partitions(budget2, True)
     assert fock.mod_partitions.cache_info().currsize <= bound
+
+
+def test_memoized_tables_are_read_as_they_are(monkeypatch):
+    """Every reader of the knapsack, run twice, leaves each table the memo
+    handed out equal to a fresh build by the uncached body: no caller
+    writes to a shared table."""
+    handed = []
+    knapsack = fock._knapsack
+
+    def recorded(*key):
+        handed.append((key, knapsack(*key)))
+        return handed[-1][1]
+
+    monkeypatch.setattr(fock, "_knapsack", recorded)
+    pts2 = [T, T2]
+    for _ in range(2):
+        for key in sorted(cf._FAMILIES):
+            inst = cf.duality_instance(*key, 2)
+            cf.extract_dominant(inst, (1, 0), pts2, 3)
+            for mode in ("assignment", "literal"):
+                cf.duality_reduce(inst, (1, 0), pts2, 3, mode=mode)
+        a_sector_trace(1, pts2, 4)
+        cf.c_sector_minus1(1, pts2, 4)
+        cf.d_sector_minus1(1, pts2, 4)
+        neutral_trace("boson_neutral", "C", pts2, 4)
+        neutral_trace("fermion_neutral", "D", pts2, 4)
+        f1_charged_trace(Param(1, e=1), pts2, 4)
+        a_generalized_trace(Param(1, e=-1), Param(1, e=1), pts2, 4)
+    keys = [key for key, _ in handed]
+    assert len(keys) > len(set(keys))  # the second round reads the memo
+    for key, table in handed:
+        assert table == knapsack.__wrapped__(*key), key
+
+
+def test_memo_keys_c_and_d_as_one_rule():
+    """On the boson pair C and D are one rule, A(t) - A(t^(-1)): after C,
+    D at the same points is a hit; A is a table of its own."""
+    info = fock._knapsack.cache_info
+    pts = [Param(F(4, 11)), Param(F(5, 13))]  # read by no other test
+    for ops, misses in (("CD", 1), ("AC", 2)):
+        fock._knapsack.cache_clear()
+        for op in ops:
+            a_sector_rows(pts, 6, [1], op)
+        assert info().misses == misses
+
+
+def test_memo_stores_no_refusal():
+    """A point at t = 1 is refused on every call, not only the first."""
+    for _ in range(3):
+        with pytest.raises(DegenerateParameter):
+            a_sector_rows([T, Param(1)], 4, [0])
 
 
 # -- the charge-prefix trie against the sliced product ----------------------

@@ -359,17 +359,29 @@ def test_cli_import_loads_no_dataclass_machinery():
 
 
 def test_trace_engine_computes_beta_apart_from_its_cross_check():
-    """``fock._trace_table`` builds beta(t) from the integers of t^(1/2)
-    and names neither ``beta_scalar`` nor ``scalar_pow``: the brute-force
+    """The knapsack is the memoized body ``fock._knapsack`` that
+    ``_trace_table`` calls, and beside ``mod_partitions`` it is fock.py's
+    one cached def.  It builds beta(t) from the integers of t^(1/2) and
+    names neither ``beta_scalar`` nor ``scalar_pow``: the brute-force
     ``duality_trace_direct`` reads beta through ``eigenvalue`` and
     ``beta_scalar``, so the two sides of that check share no beta code."""
     tree = ast.parse((ROOT / "src" / "qfock" / "fock.py").read_text())
-    (top,) = [node for node in tree.body
-              if isinstance(node, ast.FunctionDef)
-              and node.name == "_trace_table"]
-    named = set()
-    for node in ast.walk(top):
-        named |= {getattr(node, f, None) for f in ("attr", "id", "name")}
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+    def names(top):
+        named = set()
+        for node in ast.walk(top):
+            named |= {getattr(node, f, None) for f in ("attr", "id", "name")}
+        return named
+
+    cached = {name for name, node in defs.items()
+              if any(names(d) & {"lru_cache", "cache"}
+                     for d in node.decorator_list)}
+    assert cached == {"_knapsack", "mod_partitions"}
+    assert "_knapsack" in names(defs["_trace_table"])
+    named = names(defs["_knapsack"])
+    assert {"consts", "dens", "levels"} <= named  # it holds the knapsack
     assert not named & {"beta_scalar", "scalar_pow"}
 
 
