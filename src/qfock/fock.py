@@ -58,13 +58,13 @@ and closedform's fold read their pairs, and ``row_series`` is the one way
 from a Row to a series.
 
 These oracles require plain rational scalar points (d = 0); modesum.py
-resums shifted ones.  ``duality_trace_direct`` enumerates tensor-product
-states one by one as the independent cross-check of the factorized traces.
+resums shifted ones.  ``duality_trace_direct``, their independent check,
+joins tensor-product states factor by factor and reads each state's
+eigenvalues once, with ``eigenvalue``: it shares no code with the knapsack.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -398,20 +398,20 @@ def neutral_trace(kind: str, op_tag: str, points: Sequence[Param], N) -> Series:
 
 def f1_charged_trace(z: Param, points: Sequence[Param], N) -> Series:
     """Level +1 fermionic pair trace tr z^charge q^E prod A-eigenvalues;
-    charge = len(lam) - len(mu), central term -beta per point."""
+    charge = len(lam) - len(mu), central term -beta per point, z q-free."""
+    if z.d2:
+        raise NonTruncatable("a z with a power of q moves states across q^N")
     _require_scalar_points(points)
     N2 = to2(N)
     dens, table = _trace_table("fermion_pair", "A", points, N2)
-    # buckets are doubled charges; from_numerators drops what q^dq2 lifts
-    # above q^N
-    weights = {b: z.pow_monomial(b // 2) for b in table}
+    weights = {b: z.pow_monomial(b // 2) for b in table}  # b: doubled charge
     wden = math.lcm(*[c.denominator for c, _, _ in weights.values()])
     acc: Dict[Tuple[int, tuple], int] = defaultdict(int)
     for b, rows in table.items():
-        c, dq2, zk = weights[b]
+        c, _, zk = weights[b]
         c = c.numerator * (wden // c.denominator)
         for q2, v in rows[-1]:
-            acc[q2 + dq2, zk] += c * v
+            acc[q2, zk] += c * v
     return Series.from_numerators(N2, wden * dens[-1], acc)
 
 
@@ -554,30 +554,28 @@ def duality_trace(factors: Sequence[str], op_tag: str,
 
 def duality_trace_direct(factors: Sequence[str], op_tag: str,
                          points: Sequence[Param], N) -> Series:
-    """Tensor-product enumeration cross-check (tiny truncations only)."""
+    """Tensor-product enumeration cross-check (tiny truncations only): states
+    joined factor by factor within q^N, one ``eigenvalue`` per state of each
+    kind and point, and, as state by state, no point once all terms are 0."""
     _require_scalar_points(points)
     N2 = to2(N)
-    per_factor = [factor_states(kind, N2) for kind in factors]
-    acc: Dict[Tuple[int, tuple], F] = {}
-    for combo in itertools.product(*per_factor):
-        e2 = sum(st[0] for st in combo)
-        if e2 > N2:
-            continue
-        coeff = F(1)
-        for j, p in enumerate(points):
-            ev = F(0)
-            for kind, (_, _, state) in zip(factors, combo):
-                ev += eigenvalue(kind, state, op_tag, p)
-            coeff *= ev
-            if not coeff:
-                break
-        if not coeff:
-            continue
-        zs = {}
-        for i, (kind, (_, ch, _)) in enumerate(zip(factors, combo)):
-            if kind in CHARGED and ch:
-                zs[i + 1] = zs.get(i + 1, 0) + 2 * ch
-        key = (e2, tuple(sorted((v, e) for v, e in zs.items() if e)))
-        acc[key] = acc.get(key, F(0)) + coeff
+    states = {kind: factor_states(kind, N2) for kind in factors}
+    partial = [(0, (), ())]  # (energy, z-key, one state index per factor)
+    for i, kind in enumerate(factors):
+        partial = [(e2 + se2, zk + ((i + 1, 2 * ch),) if ch else zk,
+                    ks + (k,)) for e2, zk, ks in partial
+                   for k, (se2, ch, _) in enumerate(states[kind])
+                   if e2 + se2 <= N2]
+    coeffs = [F(1)] * len(partial)
+    for p in points:
+        if not any(coeffs):
+            break
+        ev = {kind: [eigenvalue(kind, state, op_tag, p) for _, _, state in sts]
+              for kind, sts in states.items()}
+        cols = [ev[kind] for kind in factors]
+        coeffs = [c and c * sum(col[k] for col, k in zip(cols, ks))
+                  for c, (_, _, ks) in zip(coeffs, partial)]
+    acc: Dict[Tuple[int, tuple], F] = defaultdict(F)
+    for c, (e2, zk, _) in zip(coeffs, partial):
+        acc[e2, zk] += c
     return Series(N2, acc)
-

@@ -37,6 +37,7 @@ from qfock import fock
 from qfock.combinat import weyl_group
 from qfock.fock import CHARGED
 from qfock.qseries import (
+    NonTruncatable,
     NotInvertible,
     Param,
     QSeriesError,
@@ -419,6 +420,11 @@ def reference_a_generalized_trace(x, y, points, N):
 
 
 def reference_f1_charged_trace(z, points, N):
+    """Only a z free of q: the pair pass keeps E <= N before it weighs a
+    state, so a power of q in z would drop states it lowers under q^N."""
+    if z.d2:
+        raise NonTruncatable("a z with a power of q moves states across q^N")
+
     def weight(ll, lm):
         c, q2, zk = z.pow_monomial(ll - lm)
         return (c, q2, zk) if c else None

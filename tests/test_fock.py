@@ -232,6 +232,62 @@ def test_duality_builds_one_table_per_charged_kind(monkeypatch, factors, op):
         - charge_slice(direct, factors, (2, -2))
 
 
+def test_direct_oracle_reads_each_state_once(monkeypatch):
+    """The state enumeration reads ``eigenvalue`` once per state of each
+    distinct kind and point, not once per tensor-product state: c -l-1/2
+    at rank 2 repeats its boson-pair kind, and the trace still equals the
+    product of the knapsack tables."""
+    inst = cf.duality_instance("c", "-l-1/2", 2)
+    kinds = set(inst.factors)
+    assert len(kinds) < len(inst.factors)
+    calls = []
+    read = fock.eigenvalue
+
+    def counted(*args):
+        calls.append(args[0])
+        return read(*args)
+
+    monkeypatch.setattr(fock, "eigenvalue", counted)
+    got = duality_trace_direct(inst.factors, inst.op_tag, [T, T2], 2)
+    assert len(calls) == 2 * sum(len(fock.factor_states(kind, 4))
+                                 for kind in kinds)
+    monkeypatch.undo()
+    assert got == product_duality_trace(inst.factors, inst.op_tag, [T, T2], 2)
+
+
+@pytest.mark.parametrize("factors,pts,N,refusal", [
+    # every factor's operator is checked at the first point
+    (("boson_pair", "boson_neutral"), [T, Param(1)], 1, QSeriesError),
+    (("boson_pair", "boson_neutral"), [Param(1), T], 1, DegenerateParameter),
+    (("boson_pair", "fermion_pair"), [T, Param(1)], F(1, 2),
+     DegenerateParameter),
+    # the central terms cancel at t and no state has energy: every
+    # coefficient is 0 before the pole is read
+    (("boson_pair", "fermion_pair"), [T, Param(1)], 0, None),
+])
+def test_direct_oracle_refuses_in_state_order(factors, pts, N, refusal):
+    """The state enumeration refuses what a state-by-state loop meets
+    first: the points in order, and at each point the factors in order."""
+    if refusal is None:
+        assert duality_trace_direct(factors, "A", pts, N) == Series.zero(N)
+    else:
+        with pytest.raises(refusal):
+            duality_trace_direct(factors, "A", pts, N)
+
+
+def test_f1_refuses_a_q_shifted_charge_weight():
+    """A z with a power of q moves states across q^N, so a table kept to
+    E <= N cannot give the truncated trace: it is refused before any
+    table is built, and z = 0 still answers at N = 0."""
+    fock._knapsack.cache_clear()
+    for z in (Param(1, 1, 1), Param(F(2, 3), 1, F(1, 2)), Param(1, F(1, 2))):
+        with pytest.raises(NonTruncatable):
+            f1_charged_trace(z, [T], 3)
+    assert fock._knapsack.cache_info().currsize == 0
+    assert f1_charged_trace(Param(0), [T], 0) \
+        == Series.const(-beta_scalar(T), 0)
+
+
 def test_duality_charge_vector_length_checked():
     with pytest.raises(QSeriesError):
         duality_trace(["boson_pair", "boson_neutral"], "C", [T], 2,

@@ -62,11 +62,34 @@ mutant fails (the matrix so far):
   at one and two points;
 - ``fock.CENTRAL_CHARGE`` of the neutral boson, -1 for -1/2: 7, the
   ``qdim-c-poshalf-*`` gates and two ``qdim-c-neglminushalf-r2-*``, which
-  find their family's rank from the level through it.
+  find their family's rank from the level through it;
+- ``qseries._product_slices``' product sign, ``+ an * bn`` -> ``-``: 42,
+  28 ``qdim-*`` gates of every family, the six ``oracle-direct-*``, five
+  ``qdiff-*``, ``beta-negative-qval``, ``exponential-right`` and
+  ``identity-ff-specializes-qdim``;
+- its slice read, ``map(sub, hw, h)`` -> ``add``: 3, the ``qdiff-a-*``;
+- ``qseries._chain_codes``' charged product pass sign, ``- A * n`` ->
+  ``+``: 3, ``identity-ff-specializes-qdim``,
+  ``qdim-charge-resolved-r1-lam1`` and ``qdim-charge-resolved-r2-lam1_0``;
+- ``modesum._cumulant_sum``'s ``+ betas[block[0]]`` -> ``-``: 6, the
+  ``qdiff-a-*`` and ``qdiff-c-*``;
+- ``modesum.a_cumulant_sum``'s sign ``(-1) ** len(G)`` ->
+  ``(-1) ** (len(G) + 1)``: 3, the ``qdiff-a-*``;
+- ``fock.eigenvalue``'s A rule sign on mu, ``v -= t_root ** (1 - 2 * p)``
+  -> ``+=``: 6, the ``oracle-direct-*``, whose state enumeration is the
+  one gate side that reads ``eigenvalue``;
+- its C rule, ``v -= eig_a(`` -> ``+=``: 5, the ``oracle-direct-*`` of
+  types c and d;
+- ``fock.CENTRAL_CHARGE`` of the neutral fermion, 1 for 1/2: 3, the
+  ``qdim-d-neglplushalf-r2-*``, which find their family's rank from the
+  level through it;
+- c l-1/2's rho kind B -> C in ``closedform._FAMILIES``: 3, the
+  ``qdim-c-poshalf-forms-*``.
 
 The counts were measured with the Fock knapsack memoized and equal those
 of the uncached knapsack.  A mutant that no gate kills is a finding that
-wants a new gate, not a row.
+wants a new gate, not a row: the rho kind A -> C of c -l, and B -> C of
+c -l-1/2 and of d -l+1/2, in ``closedform._FAMILIES`` fail none.
 """
 
 import json
@@ -157,6 +180,42 @@ MUTANTS = [
      '"boson_neutral": F(-1, 2),',
      '"boson_neutral": F(-1),',
      "the neutral boson's central charge, -1/2"),
+    ("qseries.py",
+     "out[k] = out.get(k, 0) + an * bn",
+     "out[k] = out.get(k, 0) - an * bn",
+     "the sign of each term pair in the product loop"),
+    ("qseries.py",
+     "rows.get(tuple(map(sub, hw, h)))",
+     "rows.get(tuple(map(add, hw, h)))",
+     "the charge difference of a slice read"),
+    ("qseries.py",
+     "cur[c] = cur.get(c, 0) - A * n",
+     "cur[c] = cur.get(c, 0) + A * n",
+     "the charged product pass by 1 - A q^d z^e"),
+    ("modesum.py",
+     "K[G] = K[G] + betas[block[0]]",
+     "K[G] = K[G] - betas[block[0]]",
+     "the beta term of a block's cumulant"),
+    ("modesum.py",
+     "down.scale((-1) ** len(G))",
+     "down.scale((-1) ** (len(G) + 1))",
+     "the sign of the cumulant sum's lower order"),
+    ("fock.py",
+     "v -= t_root ** (1 - 2 * p)",
+     "v += t_root ** (1 - 2 * p)",
+     "the eigenvalue's A rule sign on mu, t^(-p+1/2)"),
+    ("fock.py",
+     "v -= eig_a(",
+     "v += eig_a(",
+     "the eigenvalue's C rule, A(t) - A(t^(-1))"),
+    ("fock.py",
+     '"fermion_neutral": F(1, 2),',
+     '"fermion_neutral": F(1),',
+     "the neutral fermion's central charge, 1/2"),
+    ("closedform.py",
+     '("c", "l-1/2"): ("fermion_pair", "C", "BC", "B",',
+     '("c", "l-1/2"): ("fermion_pair", "C", "BC", "C",',
+     "c l-1/2's rho kind, B"),
 ]
 
 GATES = """

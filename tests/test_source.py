@@ -385,6 +385,21 @@ def test_trace_engine_computes_beta_apart_from_its_cross_check():
     assert not named & {"beta_scalar", "scalar_pow"}
 
 
+def test_direct_oracle_reads_no_knapsack():
+    """The brute-force ``duality_trace_direct`` and the two rules it reads,
+    ``eigenvalue`` and ``factor_states``, name neither the knapsack
+    (``_trace_table``, ``_knapsack``), its readers (``a_sector_rows``,
+    ``_neutral_rows``) nor its integer constants (``dens``, ``consts``): the
+    ``oracle-direct-*`` gates check the knapsack against code it does not
+    share."""
+    banned = {"_trace_table", "_knapsack", "a_sector_rows", "_neutral_rows",
+              "dens", "consts"}
+    named = _names_in("fock", ["duality_trace_direct", "eigenvalue",
+                               "factor_states"])
+    assert {func: sorted(names & banned) for func, names in named.items()} \
+        == {func: [] for func in named}
+
+
 def test_tests_import_no_test_module():
     """No module in tests/ imports a ``test_*`` module: what the tests share
     lives in tests/reference.py."""
