@@ -30,6 +30,7 @@ from .qseries import (
     QSeriesError,
     Series,
     _monomial_str,
+    _ratio_str,
     half_str,
     parse_half,
     pochhammer_inf,
@@ -113,13 +114,12 @@ def _emit_series(s: Series, fmt: str, out) -> None:
         out.write(json.dumps(series_to_json(s), sort_keys=True) + "\n")
     elif fmt == "csv":
         out.write("q_num,z,coeff_num,coeff_den\n")
-        for (q2, zk), c in s.sorted_terms():
+        for (q2, zk), n, d in s.reduced_terms():
             zcol = ";".join("%d:%s" % (v, half_str(e2)) for v, e2 in zk)
-            out.write("%d,%s,%d,%d\n"
-                      % (q2, zcol, c.numerator, c.denominator))
+            out.write("%d,%s,%d,%d\n" % (q2, zcol, n, d))
     else:  # "pretty"; _parse_args admits no other format
-        rows = [(_monomial_str(q2, zk), str(c))
-                for (q2, zk), c in s.sorted_terms()]
+        rows = [(_monomial_str(q2, zk), _ratio_str(n, d))
+                for (q2, zk), n, d in s.reduced_terms()]
         width = max([len(m) for m, _ in rows] + [4])
         for mono, c in rows:
             out.write("%-*s  %s\n" % (width, mono, c))

@@ -266,7 +266,8 @@ def _f_bo_all(point_lists: Sequence[Sequence[Param]], N) -> List[fock.Row]:
     ids, sums, inverses = {}, {}, {}
 
     def ident(p: Param) -> int:
-        return ids.setdefault((p.s, p.d2, p.e2, p.zvar, p.sign), len(ids))
+        return ids.setdefault((p.s.numerator, p.s.denominator, p.d2, p.e2,
+                               p.zvar, p.sign), len(ids))
 
     def sums_at(i: int, p: Param) -> Tuple[int, int, List[list]]:
         if i not in sums:
@@ -651,6 +652,7 @@ _FAMILIES = {
     ("d", "-l"): ("boson_pair", "D", "BC", "C", None),
     ("d", "-l+1/2"): ("boson_pair", "D", "BC", "B", "fermion_neutral"),
 }
+_CHARGE2 = {kind: int(2 * c) for kind, c in fock.CENTRAL_CHARGE.items()}
 
 
 def duality_instance(algebra: str, family: str, l: int) -> DualityInstance:
@@ -663,7 +665,7 @@ def duality_instance(algebra: str, family: str, l: int) -> DualityInstance:
         raise IllegalPower("rank must be at least 1")
     kind, op_tag, weyl, rho_kind, neutral = _FAMILIES[key]
     factors = (kind,) * l + ((neutral,) if neutral else ())
-    level = sum((fock.CENTRAL_CHARGE[k] for k in factors), F(0))
+    level = l * fock.CENTRAL_CHARGE[kind] + fock.CENTRAL_CHARGE.get(neutral, 0)
     return DualityInstance(algebra=algebra, level=level, l=l,
                            factors=factors, op_tag=op_tag, weyl=weyl,
                            rho_kind=rho_kind)
@@ -676,13 +678,13 @@ def module_instance(algebra: str, level) -> DualityInstance:
     families of one algebra differ in the sign or parity of their levels, so
     at most one qualifies; with none, the level is refused."""
     level = F(level)
+    level2, rest = divmod(2 * level.numerator, level.denominator)
     for (alg, family), (kind, _, _, _, neutral) in _FAMILIES.items():
-        if alg != algebra:
+        if alg != algebra or rest:
             continue
-        c_neutral = fock.CENTRAL_CHARGE[neutral] if neutral else 0
-        l = (level - c_neutral) / fock.CENTRAL_CHARGE[kind]
-        if l.denominator == 1 and l >= 1:
-            return duality_instance(algebra, family, int(l))
+        l, r = divmod(level2 - _CHARGE2.get(neutral, 0), _CHARGE2[kind])
+        if not r and l >= 1:
+            return duality_instance(algebra, family, l)
     raise IllegalPower("level %s is not realized for algebra %r"
                        % (level, algebra))
 
@@ -717,7 +719,10 @@ def _charged_blocks(inst: DualityInstance, charges, points: Sequence[Param],
                                  if q2 + k * k <= to2(N)]))
         return out
     # types c and d read the slice at |k|: the C rule's slices are even in
-    # the charge (see qdim_closed), which the oracle does not assume
+    # the charge (see qdim_closed), which the oracle does not assume, so
+    # duality-assignment-* also catches an uneven C table: reading signed
+    # charges would share the oracle's table but let the C rule's mu-sign
+    # mutant (tests/test_mutants.py) fail 9 gates, not 25
     at = {k: abs(k) if inst.op_tag != "A" else k for k in charges}
     table = fock.a_sector_rows(points, to2(N), set(at.values()), inst.op_tag)
     return {k: table[m] for k, m in at.items()}

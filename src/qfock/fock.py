@@ -38,10 +38,9 @@ at t_j, and c_j dens[j] = +-ab dens[j]/(b^2 - a^2), doubled for C and D on
 a pair: no Fraction is built per point, and a = +-b (t = 1, the pole of
 beta) is refused.
 
-One table per key.  The oracle and the closed forms ask for the same
-tables (a ``qfock verify`` run asks 306 times for 110), so ``_knapsack``
-keeps the 128 most recent per process, keyed by what it reads (see
-``_trace_table``); callers only read them, and no refusal is stored.
+One table per key.  ``_trace_table`` keeps the 128 most recently read per
+process (a ``qfock verify`` run asks 306 times for 56 keys and builds 84);
+callers only read them, and no refusal is stored.
 
 Duality traces.  ``duality_trace`` reads a signed sum of z-coefficients of
 a tensor product's trace (the Weyl shifts of a labeled trace) from one
@@ -106,6 +105,7 @@ LEGAL_OPS = {
     "boson_neutral": {"C"},
     "fermion_neutral": {"D"},
 }
+_TABLES: Dict[tuple, tuple] = {}  # _trace_table's, oldest first
 
 
 @lru_cache(maxsize=4)  # the verify suite reads two budgets; keep a few
@@ -161,22 +161,31 @@ def _trace_table(kind: str, op_tag: str, points: Sequence[Param], N2: int,
     only those buckets are returned; otherwise every bucket a state
     reaches.
 
-    One table per key per process, the 128 most recent kept: the kind, the
-    rule (A, or C for C and D alike), (a, b) for each t_j^(1/2) = a/b, N2,
-    `wanted` and the x and y monomials."""
-    return _knapsack(
-        kind, "A" if op_tag == "A" else "C",
-        tuple((p.s.numerator, p.s.denominator) for p in points), N2,
-        None if wanted is None else frozenset(wanted),
-        None if x is None else _factor(x)[:3] + (x.e2,),
-        None if y is None else _factor(y)[:3] + (y.e2,))
+    One table per key per process, the 128 most recently read kept: the
+    kind, the rule (A, or C for C and D alike), (a, b) for each t_j^(1/2)
+    = a/b, N2 and the x and y monomials.  A table serves any subset of the
+    buckets it was built for (None: all), as pruning never changes a wanted
+    bucket's rows; another request builds their union."""
+    key = (kind, "A" if op_tag == "A" else "C",
+           tuple((p.s.numerator, p.s.denominator) for p in points), N2,
+           None if x is None else _factor(x)[:3] + (x.e2,),
+           None if y is None else _factor(y)[:3] + (y.e2,))
+    built, table = _TABLES.pop(key, (frozenset(), None))
+    if table is None or built is not None and not (
+            wanted is not None and wanted <= built):
+        built = None if wanted is None or built is None else built | wanted
+        table = _knapsack(*key, built)
+    _TABLES[key] = built, table
+    if len(_TABLES) > 128:
+        del _TABLES[next(iter(_TABLES))]
+    return table if wanted is None else (
+        table[0], {b: table[1][b] for b in wanted if b in table[1]})
 
 
-@lru_cache(maxsize=128)
 def _knapsack(kind: str, op_tag: str, roots: Tuple[Tuple[int, int], ...],
-              N2: int, wanted, xm, ym):
-    """``_trace_table``'s body on its key; x and y as (numerator of c, its
-    denominator, 2d, 2e), None for the default.
+              N2: int, xm, ym, wanted):
+    """``_trace_table``'s uncached body on its key and buckets (None: all);
+    x and y as (numerator of c, its denominator, 2d, 2e), None for default.
 
     Every constant is an integer (see the module docstring), and each part
     applies prod_j (1 + u_j(p) x_j) as one list of (S, S - {j}, u_j(p))

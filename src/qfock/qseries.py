@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import factorial, gcd, lcm
 from operator import add, mul, sub
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
@@ -86,6 +86,11 @@ def _half(n2: int) -> HalfLike:
 
 def half_str(n2: int) -> str:
     return str(n2 // 2) if n2 % 2 == 0 else "%d/2" % n2
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d, in lowest terms with d > 0, as str(Fraction(n, d)) prints it."""
+    return "%d" % n if d == 1 else "%d/%d" % (n, d)
 
 
 def _monomial_str(q2: int, zk) -> str:
@@ -477,18 +482,22 @@ class Series:
     def __hash__(self):
         return hash((self.trunc2, self.den, frozenset(self.nums.items())))
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+    def reduced_terms(self):
+        """(key, numerator, denominator) of every term in key order, the
+        coefficient in lowest terms by one gcd: the printed readout."""
+        for k, n in sorted(self.nums.items()):
+            g = gcd(n, self.den)
+            yield k, n // g, self.den // g
 
     def __repr__(self):
         bits = []
-        for (q2, zk), c in self.sorted_terms()[:8]:
+        for (q2, zk), n, d in islice(self.reduced_terms(), 8):
             mono = []
             if q2:
                 mono.append("q^%s" % half_str(q2))
             for v, e2 in zk:
                 mono.append("z%d^%s" % (v, half_str(e2)))
-            bits.append("%s%s" % (c, ("*" + "*".join(mono)) if mono else ""))
+            bits.append("*".join([_ratio_str(n, d)] + mono))
         if len(self.nums) > 8:
             bits.append("...")
         return "Series[%s; O(q^%s)]" % (" + ".join(bits) or "0", half_str(self.trunc2))
@@ -685,12 +694,13 @@ class Param:
             return Param(0)
         if self.e2 and other.e2 and self.zvar != other.zvar:
             raise QSeriesError("product would carry two charge variables")
-        zv = self.zvar if self.e2 else other.zvar
         # s^2 composes multiplicatively; |s| choice is irrelevant since only
         # even powers of s are ever exposed.
-        return Param(self.s * other.s, Fraction(self.d2 + other.d2, 2),
-                     Fraction(self.e2 + other.e2, 2), zv,
-                     self.sign * other.sign)
+        p = object.__new__(Param)
+        p.s, p.zvar = self.s * other.s, self.zvar if self.e2 else other.zvar
+        p.d2, p.e2 = self.d2 + other.d2, self.e2 + other.e2
+        p.sign = self.sign * other.sign
+        return p
 
     def qshift(self, d: HalfLike = 1) -> "Param":
         """The point q^d * self."""
@@ -1171,9 +1181,9 @@ def theta(t: Param, N: HalfLike) -> Series:
 
 def series_to_json(s: Series) -> dict:
     terms = []
-    for (q2, zk), c in s.sorted_terms():
+    for (q2, zk), n, d in s.reduced_terms():
         entry = {"q": half_str(q2), "z": {str(v): _zjson(e2) for v, e2 in zk},
-                 "c": str(c)}
+                 "c": _ratio_str(n, d)}
         if not entry["z"]:
             del entry["z"]
         terms.append(entry)

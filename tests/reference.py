@@ -17,7 +17,12 @@ the helpers the test modules share:
   the points to the factors (``product_duality_trace``), sliced by charge;
 - set partitions, whose sum ``modesum``'s subset recursion computes;
 - the argparse parser of the command line with its rewrite of negative
-  values (``reference_parse_args``), the reference of ``cli._parse_args``.
+  values (``reference_parse_args``), the reference of ``cli._parse_args``;
+- the module's instance found from the level in Fractions
+  (``reference_module_instance``), the reference of
+  ``closedform.module_instance``, and a series printed through
+  ``Fraction`` (``reference_readout``), the reference of
+  ``Series.reduced_terms`` and the text built on it.
 
 A change that replaces a kernel's loop points that kernel's test at its
 reference here, and does not keep the old loop as a second one.
@@ -33,10 +38,11 @@ from operator import add, mul
 
 from hypothesis import strategies as st
 
-from qfock import fock
+from qfock import closedform as cf, fock
 from qfock.combinat import weyl_group
 from qfock.fock import CHARGED
 from qfock.qseries import (
+    IllegalPower,
     NonTruncatable,
     NotInvertible,
     Param,
@@ -586,3 +592,26 @@ def _bind_negative_values(argv):
 def reference_parse_args(argv):
     """The attributes argparse reads from a valid argv, as a dict."""
     return vars(_build_parser().parse_args(_bind_negative_values(argv)))
+
+
+def reference_module_instance(algebra, level):
+    """The family whose rank (level - c_neutral) / c_pair is an integer
+    >= 1, in Fractions, its level the sum of its factors' central charges,
+    or the refusal."""
+    level = F(level)
+    for (alg, family), (kind, _, _, _, neutral) in cf._FAMILIES.items():
+        c_neutral = fock.CENTRAL_CHARGE[neutral] if neutral else 0
+        l = (level - c_neutral) / fock.CENTRAL_CHARGE[kind]
+        if alg == algebra and l.denominator == 1 and l >= 1:
+            inst = cf.duality_instance(algebra, family, int(l))
+            return inst._replace(level=sum(
+                (fock.CENTRAL_CHARGE[k] for k in inst.factors), F(0)))
+    raise IllegalPower("level %s is not realized for algebra %r"
+                       % (level, algebra))
+
+
+def reference_readout(s):
+    """[(key, numerator, denominator, str)] of every coefficient of s in
+    key order, each read through its Fraction."""
+    return [(k, c.numerator, c.denominator, str(c))
+            for k, c in sorted(s.terms.items())]

@@ -13,8 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock import cli, closedform as cf, fock, verify
-from qfock.qseries import Param, Series, series_from_json, series_equal, theta
-from reference import reference_parse_args
+from qfock.qseries import (
+    Param,
+    Series,
+    _monomial_str,
+    series_from_json,
+    series_equal,
+    series_to_json,
+    theta,
+)
+from reference import reference_parse_args, reference_readout
 
 
 def run(argv):
@@ -151,6 +159,69 @@ class TestCorr:
             assert (status, text) == (2, "")
             assert err == ("error: DegenerateParameter: theta vanishes at a "
                            "partial product equal to 1 or q^(+-1)\n")
+
+
+ZKEYS = [(), ((1, 1),), ((1, -3),), ((1, 2), (2, -1)), ((2, 5),)]
+READOUTS = [
+    Series.zero(1),
+    Series.const(F(-7), 0),
+    Series(6, {(0, ()): F(-3, 2), (1, ((1, 1),)): F(5), (-1, ()): F(2),
+               (2, ((1, -3), (2, 1))): F(-7), (3, ()): F(4, 6),
+               (6, ((2, 2),)): F(-1, 9)}),
+]
+
+
+@st.composite
+def readout_series(draw):
+    """A series to q^4 with negative, integral and reduced coefficients,
+    z-keys with half-integer exponents, and no term at all."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(-2, 8), st.sampled_from(ZKEYS)),
+        st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
+        max_size=12))
+    return Series(8, terms)
+
+
+class TestReadout:
+    """The pretty, csv and json text and ``repr`` of a series print its
+    coefficients in key order exactly as their Fractions do."""
+
+    @pytest.mark.parametrize("s", READOUTS, ids=["zero", "const", "mixed"])
+    def test_cases(self, s):
+        self.check(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(readout_series())
+    def test_random(self, s):
+        self.check(s)
+
+    @staticmethod
+    def check(s):
+        ref = reference_readout(s)
+        assert list(s.reduced_terms()) == [(k, n, d) for k, n, d, _ in ref]
+        text = {}
+        for fmt in ("pretty", "csv", "json"):
+            out = io.StringIO()
+            cli._emit_series(s, fmt, out)
+            text[fmt] = out.getvalue()
+        rows = [(_monomial_str(q2, zk), c) for (q2, zk), _, _, c in ref]
+        width = max([len(m) for m, _ in rows] + [4])
+        assert text["pretty"] == "".join(
+            "%-*s  %s\n" % (width, m, c) for m, c in rows) or "0\n"
+        assert text["csv"].splitlines()[1:] == [
+            "%d,%s,%d,%d" % (q2, ";".join("%d:%s" % (v, F(e2, 2))
+                                          for v, e2 in zk), n, d)
+            for (q2, zk), n, d, _ in ref]
+        assert [t["c"] for t in json.loads(text["json"])["terms"]] \
+            == [t["c"] for t in series_to_json(s)["terms"]] \
+            == [c for _, _, _, c in ref]
+        bits = repr(s)[len("Series["):].split("; O(q^")[0].split(" + ")
+        assert len(bits) == min(len(ref), 8) + (len(ref) > 8) or ref == []
+        for bit, (_, _, _, c) in zip(bits[:8], ref):
+            assert bit == c or bit.startswith(c + "*")
+        if not ref:
+            assert (text["pretty"], text["csv"], bits) \
+                == ("0\n", "q_num,z,coeff_num,coeff_den\n", ["0"])
 
 
 class TestQdim:

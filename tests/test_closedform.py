@@ -34,7 +34,7 @@ from qfock.qseries import (
 )
 from reference import (HALVES, _outcome, _outcome_and_message, any_point,
                        point_st, product_duality_trace, pts, qcoeff,
-                       weyl_zsum)
+                       reference_module_instance, weyl_zsum)
 
 
 S_VALUES = (F(2, 3), F(3, 5), F(5, 7))
@@ -1479,3 +1479,23 @@ class TestQDifferenceEquations:
     def test_residual_zero(self, alg, n):
         points = pts(*S_VALUES[:n])
         assert cf.qdiff_residual(alg, points, 8).is_zero()
+
+
+@pytest.mark.parametrize("algebra", "acd")
+def test_module_instance_matches_the_rank_found_in_fractions(algebra):
+    """Every level of a family at ranks 1-3, and levels no family
+    realizes (7/3, 0, -1/3, a quarter, a positive type a level), give the
+    instance or the refusal the rank found in Fractions gives, the level
+    the sum of the factors' central charges."""
+    found = set()
+    for level in [F(k, 2) for k in range(-8, 9)] + [
+            F(7, 3), F(-1, 3), F(3, 4), F(-5, 4), 5, "-7/2"]:
+        got = _outcome_and_message(cf.module_instance, algebra, level)
+        assert got == _outcome_and_message(reference_module_instance,
+                                           algebra, level)
+        if isinstance(got, cf.DualityInstance):
+            assert type(got.level) is F
+            found.add(got.factors)
+    assert found >= {cf.duality_instance(alg, family, l).factors
+                     for alg, family in cf._FAMILIES if alg == algebra
+                     for l in (1, 2, 3)}

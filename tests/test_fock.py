@@ -1,12 +1,15 @@
 """Fock-space trace oracles: known low-order values and cross-checks."""
 
+import functools
+import io
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qfock import closedform as cf, fock, qseries
+from qfock import cli, closedform as cf, fock, qseries
 from qfock.fock import (
     CHARGED,
     LEGAL_OPS,
@@ -46,6 +49,22 @@ from reference import (
 )
 
 F = Fraction
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty table memo, and the (key, table) list of the knapsack's
+    builds from here on; ``fock._knapsack.__wrapped__`` is the body."""
+    monkeypatch.setattr(fock, "_TABLES", {})
+    built = []
+
+    @functools.wraps(fock._knapsack)
+    def recorded(*key):
+        built.append((key, recorded.__wrapped__(*key)))
+        return built[-1][1]
+
+    monkeypatch.setattr(fock, "_knapsack", recorded)
+    return built
 
 T = Param(F(2, 3))
 T2 = Param(F(3, 5))
@@ -275,15 +294,14 @@ def test_direct_oracle_refuses_in_state_order(factors, pts, N, refusal):
             duality_trace_direct(factors, "A", pts, N)
 
 
-def test_f1_refuses_a_q_shifted_charge_weight():
+def test_f1_refuses_a_q_shifted_charge_weight(builds):
     """A z with a power of q moves states across q^N, so a table kept to
     E <= N cannot give the truncated trace: it is refused before any
     table is built, and z = 0 still answers at N = 0."""
-    fock._knapsack.cache_clear()
     for z in (Param(1, 1, 1), Param(F(2, 3), 1, F(1, 2)), Param(1, F(1, 2))):
         with pytest.raises(NonTruncatable):
             f1_charged_trace(z, [T], 3)
-    assert fock._knapsack.cache_info().currsize == 0
+    assert builds == [] and fock._TABLES == {}
     assert f1_charged_trace(Param(0), [T], 0) \
         == Series.const(-beta_scalar(T), 0)
 
@@ -525,20 +543,13 @@ def test_partition_tables_cache_is_bounded():
     assert fock.mod_partitions.cache_info().currsize <= bound
 
 
-def test_memoized_tables_are_read_as_they_are(monkeypatch):
+def test_memoized_tables_are_read_as_they_are(builds):
     """Every reader of the knapsack, run twice, leaves each table the memo
     handed out equal to a fresh build by the uncached body: no caller
     writes to a shared table."""
-    handed = []
-    knapsack = fock._knapsack
-
-    def recorded(*key):
-        handed.append((key, knapsack(*key)))
-        return handed[-1][1]
-
-    monkeypatch.setattr(fock, "_knapsack", recorded)
     pts2 = [T, T2]
-    for _ in range(2):
+
+    def read_every_way():
         for key in sorted(cf._FAMILIES):
             inst = cf.duality_instance(*key, 2)
             cf.extract_dominant(inst, (1, 0), pts2, 3)
@@ -551,29 +562,111 @@ def test_memoized_tables_are_read_as_they_are(monkeypatch):
         neutral_trace("fermion_neutral", "D", pts2, 4)
         f1_charged_trace(Param(1, e=1), pts2, 4)
         a_generalized_trace(Param(1, e=-1), Param(1, e=1), pts2, 4)
-    keys = [key for key, _ in handed]
-    assert len(keys) > len(set(keys))  # the second round reads the memo
-    for key, table in handed:
-        assert table == knapsack.__wrapped__(*key), key
+
+    read_every_way()
+    first = len(builds)
+    read_every_way()
+    assert len(builds) == first  # the second round reads only the memo
+    for key, table in builds:
+        assert table == fock._knapsack.__wrapped__(*key), key
 
 
-def test_memo_keys_c_and_d_as_one_rule():
+def test_memo_keys_c_and_d_as_one_rule(builds):
     """On the boson pair C and D are one rule, A(t) - A(t^(-1)): after C,
-    D at the same points is a hit; A is a table of its own."""
-    info = fock._knapsack.cache_info
-    pts = [Param(F(4, 11)), Param(F(5, 13))]  # read by no other test
-    for ops, misses in (("CD", 1), ("AC", 2)):
-        fock._knapsack.cache_clear()
+    D at the same points is served from the memo; A is a table of its
+    own."""
+    pts = [Param(F(4, 11)), Param(F(5, 13))]
+    for ops, n in (("CD", 1), ("AC", 2)):
+        fock._TABLES.clear()
+        builds.clear()
         for op in ops:
             a_sector_rows(pts, 6, [1], op)
-        assert info().misses == misses
+        assert len(builds) == n
 
 
-def test_memo_stores_no_refusal():
+def test_memo_stores_no_refusal(builds):
     """A point at t = 1 is refused on every call, not only the first."""
     for _ in range(3):
         with pytest.raises(DegenerateParameter):
             a_sector_rows([T, Param(1)], 4, [0])
+    assert fock._TABLES == {}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("kind,op", [("boson_pair", "A"), ("boson_pair", "C"),
+                                     ("fermion_pair", "A"),
+                                     ("fermion_pair", "D")])
+def test_held_table_serves_every_subset_of_its_buckets(builds, kind, op, n):
+    """A table built for a bucket set serves every non-empty subset with
+    no new build, each equal to a fresh build at exactly that subset."""
+    pts, held = [T, T2][:n], {-4, -2, 0, 2, 4, 6}
+    roots = tuple((p.s.numerator, p.s.denominator) for p in pts)
+    rule = "A" if op == "A" else "C"
+    fock._trace_table(kind, op, pts, 6, held)
+    for size in range(1, len(held) + 1):
+        for subset in itertools.combinations(sorted(held), size):
+            assert fock._trace_table(kind, op, pts, 6, set(subset)) \
+                == fock._knapsack.__wrapped__(kind, rule, roots, 6, None,
+                                              None, frozenset(subset))
+    assert [key[-1] for key, _ in builds] == [frozenset(held)]
+
+
+def test_memo_builds_the_union_of_held_and_asked_buckets(builds):
+    """A request outside the held buckets builds the table for their
+    union, which replaces the entry; a request for all buckets builds
+    the whole table, which then serves any request."""
+    pts = [T]
+    a_sector_rows(pts, 6, [0, 1])
+    a_sector_rows(pts, 6, [-1])
+    a_sector_rows(pts, 6, [1, -1, 0])
+    assert [key[-1] for key, _ in builds] == [frozenset({0, 2}),
+                                              frozenset({0, 2, -2})]
+    a_sector_trace(2, pts, 3)
+    assert [key[-1] for key, _ in builds[2:]] == [frozenset({0, 2, -2, 4})]
+    dens, table = fock._trace_table("boson_pair", "A", pts, 6)
+    assert [key[-1] for key, _ in builds[3:]] == [None]
+    assert fock._trace_table("boson_pair", "A", pts, 6, {-4, 8}) \
+        == (dens, {b: table[b] for b in (-4, 8) if b in table})
+    assert len(builds) == 4
+    assert list(fock._TABLES.values())[-1] == (None, (dens, table))
+
+
+@pytest.mark.parametrize("first", ["oracle", "assignment"])
+def test_c_negl_modes_share_one_table_in_either_order(builds, first):
+    """The c -l oracle reads the pair's C table at signed charges and the
+    closed side at |k|: run in either order the two modes print the same
+    bytes and leave one memo entry, the pair's, which holds both sets."""
+    argv = ["corr", "--algebra", "c", "--level=-2", "--lambda", "1,0",
+            "--points", "2/3", "3/5", "--N", "3", "--mode"]
+    printed = []
+    for mode in (first, ({"oracle", "assignment"} - {first}).pop()):
+        out = io.StringIO()
+        assert cli.main(argv + [mode], out=out) == 0
+        printed.append(out.getvalue())
+    assert printed[0] == printed[1] != ""
+    ((key, (built, _)),) = fock._TABLES.items()
+    assert key[:2] == ("boson_pair", "C")
+    assert min(built) < 0 and set(map(abs, built)) <= built
+    assert len(builds) <= 2
+
+
+def test_memo_holds_at_most_128_tables(builds):
+    """The memo keeps the 128 most recently read tables: the 129th key
+    drops the least recently read one, and a read keeps a table."""
+    def read(k):
+        neutral_trace("boson_neutral", "C", [Param(F(1, k + 2))], 0)
+
+    for k in range(128):
+        read(k)
+    read(0)
+    for k in range(128, 140):
+        read(k)
+        assert len(fock._TABLES) == 128
+    assert len(builds) == 140
+    read(0)
+    assert len(builds) == 140
+    read(1)
+    assert len(builds) == 141
 
 
 # -- the charge-prefix trie against the sliced product ----------------------

@@ -34,7 +34,14 @@ mutant fails (the matrix so far):
   ``duality-assignment-*`` of the boson families of types c and d at one
   and two points, whose closed side reads the slices at |k| while the
   oracle reads every charge.  The ``sector-c/d-*`` gates read the C rule
-  on both sides at charges m >= 0, and no mutant of it fails them;
+  on both sides at charges m >= 0, and no mutant of it fails them.  Were
+  the closed side to read the signed charges, the pair's two reads would
+  share one table and this row would fail only the 9;
+- ``fock._trace_table``'s subset test ``True``, so a held table is
+  served whatever buckets were asked: 47, 27 ``duality-assignment-*``
+  (the boson families of types c and d, and c l-1/2 at lambda = (1, 0)),
+  18 ``qdim-*`` gates of every family, ``oracle-direct-c-neglminushalf``
+  and ``oracle-direct-d-neglplushalf``;
 - the knapsack's largest part dropped, each side's parts starting one
   below the largest that fits: 54, the ``one-point-*``,
   ``c-1pt-half-*``, ``gl-general-*``, ``zzz-*`` and ``qdiff-*`` gates,
@@ -86,8 +93,9 @@ mutant fails (the matrix so far):
 - c l-1/2's rho kind B -> C in ``closedform._FAMILIES``: 3, the
   ``qdim-c-poshalf-forms-*``.
 
-The counts were measured with the Fock knapsack memoized and equal those
-of the uncached knapsack.  A mutant that no gate kills is a finding that
+The counts were measured with the table memo serving any subset of a held
+table's buckets, and every row's count equals the one measured with the
+exact-key memo before it and with the uncached knapsack.  A mutant that no gate kills is a finding that
 wants a new gate, not a row: the rho kind A -> C of c -l, and B -> C of
 c -l-1/2 and of d -l+1/2, in ``closedform._FAMILIES`` fail none.
 """
@@ -148,6 +156,10 @@ MUTANTS = [
      "(1, -1, ym)",
      "(1, 1, ym)",
      "the C rule's sign on mu, t^(p-1/2) - t^(-p+1/2)"),
+    ("fock.py",
+     "wanted is not None and wanted <= built",
+     "True",
+     "the table memo's subset test on the buckets a held table was built for"),
     ("fock.py",
      "for p in range((N2 - d2 + 1) // 2, 0, -1)",
      "for p in range((N2 - d2 + 1) // 2 - 1, 0, -1)",

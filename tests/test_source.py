@@ -359,12 +359,13 @@ def test_cli_import_loads_no_dataclass_machinery():
 
 
 def test_trace_engine_computes_beta_apart_from_its_cross_check():
-    """The knapsack is the memoized body ``fock._knapsack`` that
-    ``_trace_table`` calls, and beside ``mod_partitions`` it is fock.py's
-    one cached def.  It builds beta(t) from the integers of t^(1/2) and
-    names neither ``beta_scalar`` nor ``scalar_pow``: the brute-force
-    ``duality_trace_direct`` reads beta through ``eigenvalue`` and
-    ``beta_scalar``, so the two sides of that check share no beta code."""
+    """The knapsack is the uncached body ``fock._knapsack`` that
+    ``_trace_table`` calls behind its table memo, and ``mod_partitions`` is
+    fock.py's one cached def.  The knapsack builds beta(t) from the
+    integers of t^(1/2) and names neither ``beta_scalar`` nor
+    ``scalar_pow``: the brute-force ``duality_trace_direct`` reads beta
+    through ``eigenvalue`` and ``beta_scalar``, so the two sides of that
+    check share no beta code."""
     tree = ast.parse((ROOT / "src" / "qfock" / "fock.py").read_text())
     defs = {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)}
@@ -378,7 +379,7 @@ def test_trace_engine_computes_beta_apart_from_its_cross_check():
     cached = {name for name, node in defs.items()
               if any(names(d) & {"lru_cache", "cache"}
                      for d in node.decorator_list)}
-    assert cached == {"_knapsack", "mod_partitions"}
+    assert cached == {"mod_partitions"}
     assert "_knapsack" in names(defs["_trace_table"])
     named = names(defs["_knapsack"])
     assert {"consts", "dens", "levels"} <= named  # it holds the knapsack
